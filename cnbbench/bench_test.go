@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -160,5 +161,29 @@ func TestIdentities(t *testing.T) {
 	w.after.Cache.Misses = 9
 	if bad := identities(workloads["cold_plan"], w); len(bad) != 3 {
 		t.Errorf("broken window: %v, want three failed identities", bad)
+	}
+}
+
+func TestMovingMean(t *testing.T) {
+	for _, c := range []struct {
+		in   []float64
+		r    int
+		want []float64
+	}{
+		{nil, 2, []float64{}},
+		{[]float64{4}, 2, []float64{4}},
+		{[]float64{1, 3}, 0, []float64{1, 3}},
+		{[]float64{300, 700, 300, 700, 300}, 1, []float64{500, 1300.0 / 3, 1700.0 / 3, 1300.0 / 3, 500}},
+		{[]float64{2, 4, 6, 8, 10}, 2, []float64{4, 5, 6, 7, 8}},
+	} {
+		got := movingMean(c.in, c.r)
+		if len(got) != len(c.want) {
+			t.Fatalf("movingMean(%v, %d) = %v, want %v", c.in, c.r, got, c.want)
+		}
+		for i := range got {
+			if math.Abs(got[i]-c.want[i]) > 1e-9 {
+				t.Fatalf("movingMean(%v, %d) = %v, want %v", c.in, c.r, got, c.want)
+			}
+		}
 	}
 }

@@ -35,6 +35,13 @@ import (
 // is their median.
 const setupReps = 3
 
+// gcRadius is how many requests on each side a request's CPU time is
+// averaged with. A GC cycle runs on the CPU time of whichever request is
+// in flight: at scan_exec's 53 MB per request every second request
+// carries one, and the median of unsmoothed times hops between the
+// two modes from run to run.
+const gcRadius = 2
+
 type metric struct {
 	Value float64 `json:"value"`
 	Unit  string  `json:"unit"`
@@ -206,21 +213,29 @@ func (c *checker) check(res *execResult, err error, constant string) bool {
 	return true
 }
 
+// setupTimes is how long one set-up took: wall time from process start to
+// warm-up done, the instance install's share of it, and cnbd's CPU time
+// over all of it.
+type setupTimes struct {
+	wall, install, cpu time.Duration
+}
+
 // setupOnce starts cnbd, installs the workload's instance and sends the
 // warm-up requests. It returns the server, the stream positioned after
-// the warm-up, and the set-up and install durations.
-func setupOnce(ctx context.Context, bin string, spec workloadSpec, seed int64, chk *checker) (*server, *requestStream, time.Duration, time.Duration, error) {
+// the warm-up, and the set-up's times.
+func setupOnce(ctx context.Context, bin string, spec workloadSpec, seed int64, chk *checker) (*server, *requestStream, setupTimes, error) {
+	var st setupTimes
 	start := time.Now()
 	srv, err := startServer(ctx, bin)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, st, err
 	}
 	t := time.Now()
 	if _, err := srv.post("/instance?name="+spec.name, spec.instanceBody(seed)); err != nil {
 		srv.stop()
-		return nil, nil, 0, 0, err
+		return nil, nil, st, err
 	}
-	install := time.Since(t)
+	st.install = time.Since(t)
 	stream := newRequestStream(spec, seed)
 	type warm struct {
 		res      *execResult
@@ -233,17 +248,24 @@ func setupOnce(ctx context.Context, bin string, spec workloadSpec, seed int64, c
 		res, _, err := srv.query(spec.name, body, 0)
 		warms = append(warms, warm{res, err, constant})
 	}
-	total := time.Since(start)
+	st.wall = time.Since(start)
+	if st.cpu, err = cpuTime(srv.pid()); err != nil {
+		srv.stop()
+		return nil, nil, st, err
+	}
 	for _, w := range warms {
 		chk.check(w.res, w.err, w.constant)
 	}
-	return srv, stream, total, install, nil
+	return srv, stream, st, nil
 }
 
 // window is one timed closed-loop window's raw observations.
 type window struct {
 	elapsed   time.Duration
 	rtt       []float64 // ms
+	cpu       []float64 // cnbd CPU ms from each request's send to the next's
+	cal       []float64 // calibration ms after each request
+	scale     float64   // calRef / median(cal)
 	outside   []float64 // rtt - response wall_ms: parse, encode, transport
 	planMS    []float64
 	execMS    []float64
@@ -268,6 +290,12 @@ func runWindow(srv *server, spec workloadSpec, stream *requestStream, d time.Dur
 		return nil, err
 	}
 	failedBefore := chk.failed
+	// A request's CPU time runs from its send to the next request's, so
+	// GC work a request leaves behind after its response is counted too.
+	cpu0, err := cpuTime(srv.pid())
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	deadline := start.Add(d)
 	for time.Now().Before(deadline) {
@@ -275,6 +303,13 @@ func runWindow(srv *server, spec workloadSpec, stream *requestStream, d time.Dur
 		res, rtt, qerr := srv.query(spec.name, body, 0)
 		w.attempted++
 		w.rtt = append(w.rtt, float64(rtt.Nanoseconds())/1e6)
+		w.cal = append(w.cal, calibrateFor(w.rtt[len(w.rtt)-1], calShare))
+		cpu1, err := cpuTime(srv.pid())
+		if err != nil {
+			return nil, err
+		}
+		w.cpu = append(w.cpu, float64((cpu1-cpu0).Nanoseconds())/1e6)
+		cpu0 = cpu1
 		if !chk.check(res, qerr, constant) {
 			continue
 		}
@@ -284,6 +319,7 @@ func runWindow(srv *server, spec workloadSpec, stream *requestStream, d time.Dur
 		w.execWork += float64(res.Measure.Evals + res.Measure.Rows)
 	}
 	w.elapsed = time.Since(start)
+	w.scale = calRef / median(w.cal)
 	w.failed = chk.failed - failedBefore
 	// The first closing heap read counts its own rendering inside the
 	// window; an identical second read measures that cost to subtract.
@@ -299,7 +335,6 @@ func runWindow(srv *server, spec workloadSpec, stream *requestStream, d time.Dur
 	if err := srv.readMetrics(&w.after); err != nil {
 		return nil, err
 	}
-	var err error
 	if w.peakRSSKB, err = procStatusKB(srv.pid(), "VmHWM"); err != nil {
 		return nil, err
 	}
@@ -341,23 +376,23 @@ func identities(spec workloadSpec, w *window) []string {
 
 // runProcess sets one cnbd process up, optionally runs the output
 // checks on it, times a window of d and stops it. It returns the window
-// and the set-up and install durations.
-func runProcess(ctx context.Context, bin string, spec workloadSpec, seed int64, d time.Duration, chk *checker, outputChecks bool) (*window, time.Duration, time.Duration, error) {
-	srv, stream, setup, install, err := setupOnce(ctx, bin, spec, seed, chk)
+// and the set-up's times.
+func runProcess(ctx context.Context, bin string, spec workloadSpec, seed int64, d time.Duration, chk *checker, outputChecks bool) (*window, setupTimes, error) {
+	srv, stream, st, err := setupOnce(ctx, bin, spec, seed, chk)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("setup: %w", err)
+		return nil, st, fmt.Errorf("setup: %w", err)
 	}
 	defer srv.stop()
 	if outputChecks {
 		if err := checkOutputs(ctx, srv, spec, seed, chk); err != nil {
-			return nil, 0, 0, err
+			return nil, st, err
 		}
 	}
 	w, err := runWindow(srv, spec, stream, d, chk)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("window: %w", err)
+		return nil, st, fmt.Errorf("window: %w", err)
 	}
-	return w, setup, install, nil
+	return w, st, nil
 }
 
 // checkOutputs sends one request per distinct shape, untimed, and
@@ -400,31 +435,37 @@ func run(ctx context.Context, bin string, spec workloadSpec, seed int64, d time.
 		procs = 1
 	}
 	var (
-		parts            []*window
-		setups, installs []float64
-		bad              []string
+		parts                        []*window
+		setups, wallSetups, installs []float64
+		bad                          []string
 	)
 	for r := 0; r < procs; r++ {
-		w, setup, install, err := runProcess(ctx, bin, spec, seed, d/time.Duration(procs), chk, r == 0)
+		w, st, err := runProcess(ctx, bin, spec, seed, d/time.Duration(procs), chk, r == 0)
 		if err != nil {
 			return nil, err
 		}
 		parts = append(parts, w)
-		setups = append(setups, setup.Seconds())
-		installs = append(installs, install.Seconds())
+		setups = append(setups, st.cpu.Seconds()*w.scale)
+		wallSetups = append(wallSetups, st.wall.Seconds())
+		installs = append(installs, st.install.Seconds())
 		bad = append(bad, identities(spec, w)...)
 	}
 
 	var (
-		rtt                 []float64
+		rtt, cal, cpu       []float64
 		peaks               []float64
 		elapsed             time.Duration
 		attempted, failed   int
 		mallocs, totalAlloc int64
-		execWork            float64
+		execWork, cpuTotal  float64
 	)
 	for _, w := range parts {
 		rtt = append(rtt, w.rtt...)
+		cal = append(cal, w.cal...)
+		for _, v := range movingMean(w.cpu, gcRadius) {
+			cpu = append(cpu, v*w.scale)
+		}
+		cpuTotal += sumOf(w.cpu) * w.scale
 		peaks = append(peaks, float64(w.peakRSSKB)/1024)
 		elapsed += w.elapsed
 		attempted += w.attempted
@@ -456,17 +497,21 @@ func run(ctx context.Context, bin string, spec workloadSpec, seed int64, d time.
 		spec.name, seed, attempted, elapsed.Seconds(), procs)
 
 	if !traced {
-		p, tailV, beyond, tailOK := tail(rtt)
+		wp, wallTail, _, _ := tail(rtt)
+		fmt.Printf("wall clock at this host's speed: %.3f req/s, round trip p50 %.3f ms, p%g %.3f ms, set-up %.3f s\n",
+			ok*1000/sumOf(rtt), median(rtt), wp, wallTail, median(wallSetups))
+		fmt.Printf("calibration kernel median %.4f ms (reference %.2f ms)\n", median(cal), calRef)
+		p, tailV, beyond, tailOK := tail(cpu)
 		note := ""
 		if !tailOK {
 			note = " (too few samples for a tail; median shown)"
 		}
-		fmt.Printf("lat_tail_ms is p%g of %d samples, %d beyond%s\n", p, len(rtt), beyond, note)
+		fmt.Printf("cpu_ms_tail is p%g of %d samples, %d beyond%s\n", p, len(cpu), beyond, note)
 		fmt.Printf("error_rate %g\n", float64(failed)/float64(attempted))
 		put := func(name, unit string, v float64) { res.Metrics[name] = metric{v, unit} }
-		put("ops_per_s", "1/s", ok/elapsed.Seconds())
-		put("lat_p50_ms", "ms", median(rtt))
-		put("lat_tail_ms", "ms", tailV)
+		put("ops_per_cpu_s", "1/s", ok*1000/cpuTotal)
+		put("cpu_ms_p50", "ms", median(cpu))
+		put("cpu_ms_tail", "ms", tailV)
 		put("setup_s", "s", median(setups))
 		put("server_allocs_per_op", "count", float64(mallocs)/float64(attempted))
 		put("server_alloc_kb_per_op", "KiB", float64(totalAlloc)/1024/float64(attempted))

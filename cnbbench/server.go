@@ -249,6 +249,35 @@ func (s *server) readHeap(c *counters) error {
 	return nil
 }
 
+// cpuTime returns the time all of pid's threads have spent on a CPU, from
+// /proc/<pid>/task/*/schedstat. The kernel counts it in nanoseconds and,
+// with paravirtual steal accounting, leaves out time the hypervisor gave
+// the vCPU to another guest.
+func cpuTime(pid int) (time.Duration, error) {
+	dir := fmt.Sprintf("/proc/%d/task", pid)
+	tasks, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, t := range tasks {
+		data, err := os.ReadFile(dir + "/" + t.Name() + "/schedstat")
+		if err != nil {
+			return 0, err
+		}
+		f := strings.Fields(string(data))
+		if len(f) < 1 {
+			return 0, fmt.Errorf("%s/%s/schedstat: empty", dir, t.Name())
+		}
+		ns, err := strconv.ParseInt(f[0], 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("%s/%s/schedstat: %w", dir, t.Name(), err)
+		}
+		total += ns
+	}
+	return time.Duration(total), nil
+}
+
 // procStatusKB reads one kB-valued field (VmHWM, VmRSS) of
 // /proc/<pid>/status.
 func procStatusKB(pid int, field string) (int64, error) {

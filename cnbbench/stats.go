@@ -70,3 +70,22 @@ func mean(samples []float64) float64 {
 	}
 	return s / float64(len(samples))
 }
+
+// sumOf returns the sum of samples.
+func sumOf(samples []float64) float64 {
+	s := 0.0
+	for _, v := range samples {
+		s += v
+	}
+	return s
+}
+
+// movingMean returns, for each sample, the mean of the samples within
+// radius of it (fewer at the ends).
+func movingMean(samples []float64, radius int) []float64 {
+	out := make([]float64, len(samples))
+	for i := range samples {
+		out[i] = mean(samples[max(0, i-radius):min(len(samples), i+radius+1)])
+	}
+	return out
+}
