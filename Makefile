@@ -2,9 +2,14 @@
 #
 #   make ci         - everything a regression gate needs: vet, build, the
 #                     full test suite, a race-detector pass over the
-#                     concurrency-heavy packages, and a one-iteration
+#                     concurrency-heavy packages, a one-iteration
 #                     benchmark smoke so the benchmark harness itself
-#                     cannot rot.
+#                     cannot rot, and bench-build.
+#   make bench-build - vet and test the cnbbench module. It is a module
+#                     of its own, so the root `go test ./...` never
+#                     compiles it; without this an API break in a
+#                     package it imports would surface only when the
+#                     benchmark runs.
 #   make test       - fast feedback: plain test run, no race detector.
 #   make race       - race-detector run of the concurrency-heavy packages
 #                     (the parallel backchase engine and everything it
@@ -87,9 +92,9 @@ CNBD_ADDR ?= 127.0.0.1:18343
 EXEC_ROWS ?= 100000
 EXEC_TIMEOUT ?= 600
 
-.PHONY: ci vet build test race bench-smoke bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
+.PHONY: ci vet build test race bench-smoke bench-build bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
 
-ci: vet build test race bench-smoke
+ci: vet build test race bench-smoke bench-build
 
 vet:
 	$(GO) vet ./...
@@ -111,6 +116,9 @@ ifneq (,$(findstring -short,$(GOFLAGS)))
 else
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 endif
+
+bench-build:
+	cd cnbbench && $(GO) vet . && $(GO) test .
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -63,9 +63,10 @@ func BenchmarkE15IncChase(b *testing.B)     { benchExperiment(b, "E15") }
 func BenchmarkE16ServeLoad(b *testing.B)    { benchExperiment(b, "E16") }
 
 // BenchmarkServiceWarmOptimize measures the serving hot path: an
-// Optimize request whose backchase is a plan-cache hit (chase + sharded
-// cache lookup + best-plan ranking), the per-request cost every client
-// after a shape's first pays.
+// Optimize request answered from the plan table (flight key — canonical
+// query signature plus the dependency and physical-name rendering — and
+// a sharded lookup; no chase, no backchase, no ranking), the
+// per-request planning cost every client after a shape's first pays.
 func BenchmarkServiceWarmOptimize(b *testing.B) {
 	pd := projDept(b)
 	svc := service.New(service.Options{Parallelism: 1, MinimalOnly: true})

@@ -2,6 +2,8 @@
 // file containing schemas, a physical design and queries (see
 // internal/parser for the syntax), runs Algorithm 1 on each query, and
 // prints the universal plan, the candidate plans and the chosen plan.
+// The queries of one file share a service.Service, so a query
+// canonically identical to an earlier one is served from its plan table.
 //
 // Usage:
 //
@@ -10,14 +12,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"cnb/internal/backchase"
 	"cnb/internal/core"
-	"cnb/internal/optimizer"
 	"cnb/internal/parser"
+	"cnb/internal/service"
 )
 
 const exampleSource = `
@@ -61,7 +63,6 @@ func main() {
 		showAll     = flag.Bool("all", false, "print every candidate plan, not only the best")
 		example     = flag.Bool("example", false, "run the built-in ProjDept example")
 		parallelism = flag.Int("parallelism", 0, "backchase worker count (0 = all cores, 1 = serial)")
-		noCache     = flag.Bool("no-plan-cache", false, "disable the cross-query backchase plan cache")
 	)
 	flag.Parse()
 
@@ -96,30 +97,27 @@ func main() {
 		deps = append(deps, s.Dependencies()...)
 	}
 
-	// One plan cache across every query in the file: canonically identical
-	// universal plans (e.g. alpha-renamed repeats of the same query) skip
-	// the backchase entirely.
-	var cache *backchase.PlanCache
-	if !*noCache {
-		cache = backchase.NewPlanCache()
-	}
+	// One service across every query in the file: its plan table serves
+	// canonically identical queries (e.g. alpha-renamed repeats) without
+	// optimizing them again.
+	svc := service.New(service.Options{Parallelism: *parallelism})
 	for _, name := range doc.QueryOrder {
 		q := doc.Queries[name]
 		fmt.Printf("--- query %s ---\n%s\n\n", name, q)
-		res, err := optimizer.Optimize(q, optimizer.Options{
+		resp, err := svc.Optimize(context.Background(), service.Request{
+			Query:         q,
 			Deps:          deps,
 			PhysicalNames: physNames,
-			Parallelism:   *parallelism,
-			Backchase:     backchase.Options{Cache: cache},
 		})
 		if err != nil {
 			fatal("optimizing %s: %v", name, err)
 		}
+		res := resp.Result
 		fmt.Printf("universal plan (%d bindings, %d chase steps):\n%s\n\n",
 			len(res.Universal.Bindings), len(res.ChaseSteps), res.Universal)
 		cached := ""
-		if res.BackchaseCached {
-			cached = " (backchase served from plan cache)"
+		if resp.CacheHit {
+			cached = " (served from plan cache)"
 		}
 		fmt.Printf("%d minimal plans, %d backchase states, %d candidates%s\n\n",
 			len(res.Minimal), res.States, len(res.Candidates), cached)

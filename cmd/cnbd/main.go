@@ -2,8 +2,8 @@
 // registered data instance, the queries themselves — over HTTP: the
 // paper's universal-plan optimizer as persistent infrastructure rather
 // than a one-shot CLI. Requests from any number of concurrent clients
-// share one internal/service.Service — a sharded plan cache, singleflight
-// coalescing of alpha-equivalent queries, hot-swappable statistics and
+// share one internal/service.Service — a sharded plan table of finished
+// plans, singleflight coalescing of alpha-equivalent queries, hot-swappable statistics and
 // named hot-swappable instances, with delivered plans executed on the
 // streaming batch engine.
 //
@@ -15,7 +15,7 @@
 // With -max-plan-latency set, serving is two-tiered and adaptive: a
 // request whose backchase flight misses the budget is answered from the
 // instant greedy tier (tier "greedy" in /optimize and /query results)
-// while the flight continues detached and upgrades the plan cache, and a
+// while the flight continues detached and stores its plan, and a
 // per-shape latency predictor learns from every landing so later
 // requests skip the budgeted wait in both directions (tier_reason
 // "predicted-fast" waits synchronously, "predicted-slow" serves greedy
@@ -477,6 +477,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			{"queries", qc.Queries},
 			{"rows_emitted", qc.Rows},
 			{"evals", qc.Evals},
+			{"plan_errors", qc.PlanErrors},
 			{"exec_errors", qc.ExecErrors},
 		}})
 	}

@@ -79,19 +79,11 @@ type Options struct {
 	// found (0 = no budget). Only meaningful with Stats. A budget below
 	// the cheapest plan's cost can prune every plan.
 	CostBudget float64
-	// Cache, when non-nil, memoizes complete enumeration Results across
-	// calls, keyed by the canonical root signature, the dependency set
-	// and the options fingerprint. Repeated Enumerate calls on
-	// canonically identical inputs return the cached Result in O(lookup)
-	// without spawning workers. Cached Results are shared — treat them as
-	// read-only.
-	Cache *PlanCache
 	// Index is a prebuilt chase dependency index over the same dependency
 	// set passed to Enumerate (chase.NewDepIndex(deps)); the optimizer
 	// shares the index of its chase phase this way. Nil means the engine
 	// builds its own. The index is a pure function of the dependency set
-	// and never changes results, so it does not participate in cache
-	// keys.
+	// and never changes results.
 	Index *chase.DepIndex
 }
 
@@ -131,8 +123,6 @@ type Result struct {
 	BestCost float64
 	// Truncated reports whether a cap stopped the enumeration early.
 	Truncated bool
-	// FromCache reports that the Result was served from Options.Cache.
-	FromCache bool
 }
 
 // Enumerate explores all backchase sequences from q under deps and returns
@@ -155,22 +145,11 @@ func Enumerate(q *core.Query, deps []*core.Dependency, opts Options) (*Result, e
 // returns the partial Result collected so far together with ctx.Err().
 func EnumerateContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	var key string
-	if opts.Cache != nil {
-		key = cacheKey(q, deps, opts)
-		if res, ok := opts.Cache.get(key); ok {
-			return res, nil
-		}
-	}
 	e, err := newEngine(ctx, q, deps, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.enumerate(ctx, opts.parallelismOrDefault())
-	if opts.Cache != nil && err == nil && !res.Truncated {
-		opts.Cache.put(key, opts.statsFingerprint(), res)
-	}
-	return res, err
+	return e.enumerate(ctx, opts.parallelismOrDefault())
 }
 
 // MinimizeOne performs a greedy backchase: repeatedly apply the first

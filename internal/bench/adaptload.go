@@ -97,16 +97,16 @@ func e21Service(budget time.Duration, pred *service.LatencyPredictor) *service.S
 //     within the budget (backchase tier), slow shapes are served greedy
 //     (train_greedy_served) and their detached flights land and upgrade
 //     (train_upgraded_flights).
-//  2. serve — a FRESH service (cold plan cache, no upgrade marks)
+//  2. serve — a FRESH service (empty plan table, no upgrade marks)
 //     shares the trained predictor, modeling learned budgets surviving
 //     a restart: fast shapes must route predicted-fast and serve the
 //     backchase tier synchronously, slow shapes must route
 //     predicted-slow and serve the greedy tier immediately — with zero
 //     budgeted waits (the tentpole gate) and zero prediction misses.
 //  3. converge — after the serve-pass detached flights upgrade, every
-//     shape routes predicted-fast (fast by EWMA, slow by their upgraded
-//     cache entry) and serves the backchase tier from cache, slow
-//     shapes marked Upgraded at exactly the synchronous cheapest cost.
+//     shape has a plan table entry, so it routes predicted-fast and
+//     serves the backchase tier from the table, slow shapes marked
+//     Upgraded at exactly the synchronous cheapest cost.
 //
 // Per-tier histograms of the serve service are gated exactly:
 // hist_greedy_total = 3 (phase-2 slow), hist_backchase_sync_total = 4
@@ -210,7 +210,7 @@ func E21() (*Table, error) {
 		return nil, fmt.Errorf("E21 train counters off: %+v", tc)
 	}
 
-	// Phase 2: a fresh service — cold plan cache, empty upgraded set —
+	// Phase 2: a fresh service — empty plan table, no upgrade marks —
 	// adopts the trained predictor. Routing must be decided entirely by
 	// the learned latencies: no budgeted wait anywhere.
 	serve := e21Service(budget, pred)
@@ -238,8 +238,8 @@ func E21() (*Table, error) {
 	}
 
 	// Phase 3: convergence — every shape now routes predicted-fast (fast
-	// families by EWMA, slow families by their upgraded cache entry) and
-	// serves the backchase tier from the plan cache.
+	// families and slow families alike by their plan table entry) and
+	// serves the backchase tier from the plan table.
 	var adaptiveCostTotal float64
 	for _, sh := range shapes {
 		resp, err := serve.Optimize(ctx, sh.Req)

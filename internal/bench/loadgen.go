@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cnb/internal/backchase"
 	"cnb/internal/core"
 	"cnb/internal/service"
 	"cnb/internal/workload"
@@ -66,7 +65,7 @@ type LoadResult struct {
 	// Service and Cache snapshot the service's counters after the run
 	// (the service must be fresh for them to describe this run alone).
 	Service service.Counters
-	Cache   backchase.CacheCounters
+	Cache   service.CacheCounters
 	// HitRate is Cache.Hits / (Cache.Hits + Cache.Misses).
 	HitRate float64
 }

@@ -3,7 +3,6 @@ package optimizer
 import (
 	"testing"
 
-	"cnb/internal/backchase"
 	"cnb/internal/cost"
 	"cnb/internal/workload"
 )
@@ -65,37 +64,40 @@ func TestCostBoundedNoopWithoutStats(t *testing.T) {
 	}
 }
 
-// TestOptimizePlanCacheReuse: a shared PlanCache makes the second
-// Optimize call on an equivalent query skip the backchase phase.
-func TestOptimizePlanCacheReuse(t *testing.T) {
+// TestRerankMatchesFreshRanking: ranking a finished Result's executable
+// pool again under other statistics gives exactly the candidates — same
+// plans, costs and order — that a fresh exhaustive optimization under
+// those statistics ranks.
+func TestRerankMatchesFreshRanking(t *testing.T) {
 	pd, err := workload.NewProjDept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := backchase.NewPlanCache()
-	opts := Options{Deps: pd.AllDeps(), Backchase: backchase.Options{Cache: cache}}
-
-	first, err := Optimize(pd.Q, opts)
+	statsA := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.1, Seed: 1}))
+	statsB := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 60, ProjsPerDept: 5, CitiBankShare: 0.2, Seed: 2}))
+	underA, err := Optimize(pd.Q, Options{Deps: pd.AllDeps(), Stats: statsA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.BackchaseCached {
-		t.Error("first optimization must not be cached")
-	}
-	// An alpha-renamed query is equivalent and chases to a universal plan
-	// with the same canonical signature.
-	renamed := pd.Q.RenameVars(func(s string) string { return "q2_" + s })
-	second, err := Optimize(renamed, opts)
+	fresh, err := Optimize(pd.Q, Options{Deps: pd.AllDeps(), Stats: statsB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.BackchaseCached {
-		t.Error("second optimization must reuse the cached backchase")
+	before := underA.Best
+	got := underA.Rerank(statsB)
+	if underA.Best != before {
+		t.Fatal("Rerank modified its receiver")
 	}
-	if second.Best == nil || first.Best == nil || second.Best.Cost != first.Best.Cost {
-		t.Error("cached optimization chose a different best plan cost")
+	if len(got.Candidates) != len(fresh.Candidates) {
+		t.Fatalf("reranked %d candidates, fresh run ranks %d", len(got.Candidates), len(fresh.Candidates))
 	}
-	if c := cache.Counters(); c.Hits != 1 {
-		t.Errorf("cache hits = %d, want 1", c.Hits)
+	for i := range fresh.Candidates {
+		g, w := got.Candidates[i], fresh.Candidates[i]
+		if g.Query.String() != w.Query.String() || g.Cost != w.Cost {
+			t.Fatalf("candidate %d: reranked %s @ %g, fresh %s @ %g", i, g.Query, g.Cost, w.Query, w.Cost)
+		}
+	}
+	if got.Best != &got.Candidates[0] {
+		t.Error("Best must point at the reranked cheapest candidate")
 	}
 }

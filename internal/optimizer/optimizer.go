@@ -44,9 +44,8 @@ type Options struct {
 	// default pipeline keeps the fully deterministic exhaustive order.
 	CostBounded bool
 	// Chase and Backchase tune the two phases. Backchase.Stats,
-	// Backchase.TopK, Backchase.CostBudget and Backchase.Cache pass
-	// through to the engine; CostBounded fills Backchase.Stats from Stats
-	// when it is unset.
+	// Backchase.TopK and Backchase.CostBudget pass through to the engine;
+	// CostBounded fills Backchase.Stats from Stats when it is unset.
 	Chase     chase.Options
 	Backchase backchase.Options
 	// Parallelism is the worker count for the backchase phase
@@ -73,6 +72,11 @@ type Result struct {
 	// Explored are all distinct backchase states (each an equivalent
 	// plan); included in the candidate pool unless MinimalOnly is set.
 	Explored []*core.Query
+	// Executable is the candidate pool after lookup simplification and
+	// deduplication, in pool order and before binding reorder: the input
+	// Candidates ranks, kept so Rerank can rank it again under other
+	// statistics.
+	Executable []*core.Query
 	// Candidates are the cost-ranked executable plans after lookup
 	// simplification and binding reorder, cheapest first.
 	Candidates []cost.RankedPlan
@@ -87,9 +91,10 @@ type Result struct {
 	// Pruned is the number of backchase states skipped by cost-bound
 	// pruning (0 unless Options.CostBounded or Backchase.Stats is set).
 	Pruned int
-	// BackchaseCached reports that the backchase phase was served from
-	// Options.Backchase.Cache instead of being re-run.
-	BackchaseCached bool
+	// Truncated reports that a backchase cap (Backchase.MaxStates or
+	// MaxPlans) stopped the enumeration early, so Minimal and the
+	// candidate pool may be incomplete.
+	Truncated bool
 	// Fallback reports that the physical-only restriction was lifted
 	// because no minimal plan satisfied it.
 	Fallback bool
@@ -123,14 +128,9 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 	res := &Result{Universal: chased.Query, ChaseSteps: chased.Steps}
 	if chased.Inconsistent {
 		res.Inconsistent = true
-		empty := q.Clone()
-		res.Minimal = []*core.Query{empty}
-		stats := opts.Stats
-		if stats == nil {
-			stats = cost.NewStats()
-		}
-		res.Candidates = stats.Rank(res.Minimal)
-		res.Best = &res.Candidates[0]
+		res.Minimal = []*core.Query{q.Clone()}
+		res.Executable = res.Minimal
+		res.rank(opts.Stats)
 		return res, nil
 	}
 
@@ -150,7 +150,7 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 	}
 	res.States = enum.States
 	res.Pruned = enum.Pruned
-	res.BackchaseCached = enum.FromCache
+	res.Truncated = enum.Truncated
 	res.Minimal = enum.Plans
 	res.Explored = enum.Explored
 
@@ -187,25 +187,39 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 
 	// Phase 3: conventional optimization per plan, deduplicating the
 	// simplified forms.
-	var executable []*core.Query
 	seen := map[string]bool{}
 	for _, p := range plans {
 		s := SimplifyLookups(p)
 		sig := s.CanonicalSignature()
 		if !seen[sig] {
 			seen[sig] = true
-			executable = append(executable, s)
+			res.Executable = append(res.Executable, s)
 		}
 	}
-	stats := opts.Stats
-	if stats == nil {
-		stats = cost.NewStats()
-	}
-	res.Candidates = stats.Rank(executable)
-	if len(res.Candidates) > 0 {
-		res.Best = &res.Candidates[0]
-	}
+	res.rank(opts.Stats)
 	return res, nil
+}
+
+// Rerank returns a copy of r whose Candidates and Best rank r.Executable
+// under st (nil = uniform defaults) — exactly what OptimizeContext would
+// have ranked under st, since the chase and an exhaustive backchase do
+// not depend on statistics. r itself is not modified.
+func (r *Result) Rerank(st *cost.Stats) *Result {
+	cp := *r
+	cp.rank(st)
+	return &cp
+}
+
+// rank fills Candidates and Best from Executable.
+func (r *Result) rank(st *cost.Stats) {
+	if st == nil {
+		st = cost.NewStats()
+	}
+	r.Candidates = st.Rank(r.Executable)
+	r.Best = nil
+	if len(r.Candidates) > 0 {
+		r.Best = &r.Candidates[0]
+	}
 }
 
 // SimplifyLookups rewrites guarded dictionary-domain loops into

@@ -26,9 +26,11 @@ type InstanceSummary struct {
 // InstanceCounters is the cumulative executed-query accounting of one
 // registry entry. Counters survive hot-swaps of the instance data: they
 // describe the name, not one particular snapshot.
+//
+// Every Query call that finds its instance lands in exactly one of
+// Queries, PlanErrors and ExecErrors.
 type InstanceCounters struct {
-	// Queries counts Query calls that reached execution (instance found,
-	// optimizer delivered a plan pool).
+	// Queries counts Query calls that succeeded.
 	Queries int64
 	// Rows accumulates StreamPlan.Measure().Rows — operator rows emitted
 	// while executing — across successful queries.
@@ -36,6 +38,9 @@ type InstanceCounters struct {
 	// Evals accumulates StreamPlan.Measure().Evals across successful
 	// queries.
 	Evals int64
+	// PlanErrors counts Query calls whose optimization failed, including
+	// deadlines and cancellations that expired while planning.
+	PlanErrors int64
 	// ExecErrors counts Query calls that failed during execution,
 	// including per-request context cancellations and plans with no
 	// executable candidate.
@@ -50,6 +55,7 @@ type instanceEntry struct {
 	queries    atomic.Int64
 	rows       atomic.Int64
 	evals      atomic.Int64
+	planErrors atomic.Int64
 	execErrors atomic.Int64
 }
 
@@ -65,6 +71,7 @@ func (e *instanceEntry) counters() InstanceCounters {
 		Queries:    e.queries.Load(),
 		Rows:       e.rows.Load(),
 		Evals:      e.evals.Load(),
+		PlanErrors: e.planErrors.Load(),
 		ExecErrors: e.execErrors.Load(),
 	}
 }

@@ -1,0 +1,409 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"cnb/internal/chase"
+	"cnb/internal/core"
+	"cnb/internal/cost"
+	"cnb/internal/optimizer"
+	"cnb/internal/workload"
+)
+
+// testEntry is a plan table entry with an empty result, for the
+// table-level tests.
+func testEntry(key, statsFP string) *planEntry {
+	return newPlanEntry(key, statsFP, &optimizer.Result{}, statsFP)
+}
+
+// TestPlanTableEvictsWhenFull: the entry cap evicts rather than grows.
+func TestPlanTableEvictsWhenFull(t *testing.T) {
+	tab := newPlanTable(2, 1)
+	for _, k := range []string{"a", "b", "c"} {
+		tab.put(testEntry(k, ""))
+	}
+	if n := tab.size(); n != 2 {
+		t.Fatalf("table holds %d entries, want 2", n)
+	}
+	if c := tab.counters(); c.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", c.Evictions)
+	}
+}
+
+// TestPlanTableLRUSingleShard pins the exact LRU and counter semantics
+// on a single shard: a get refreshes recency, so the untouched entry is
+// the victim; first writer wins; only gets count hits.
+func TestPlanTableLRUSingleShard(t *testing.T) {
+	tab := newPlanTable(2, 1)
+	a := tab.put(testEntry("a", ""))
+	tab.put(testEntry("b", ""))
+	if got := tab.get("a"); got != a {
+		t.Fatal("get returned a different entry than the one stored")
+	}
+	if again := tab.put(testEntry("a", "")); again != a {
+		t.Fatal("second put for a key must keep (and return) the first entry")
+	}
+	tab.put(testEntry("c", "")) // evicts b, the least recently used
+	if tab.get("b") != nil {
+		t.Fatal("b should have been evicted")
+	}
+	if tab.get("a") == nil || tab.get("c") == nil {
+		t.Fatal("a and c must survive")
+	}
+	if c := tab.counters(); c.Hits != 3 || c.Misses != 0 || c.Evictions != 1 {
+		t.Fatalf("counters = %+v, want 3 hits, 0 misses, 1 eviction", c)
+	}
+}
+
+// TestPlanTableSmallSizeSingleShard: a small bounded table collapses to
+// few shards so no shard drops below minShardCapacity, and the shard
+// capacities always sum to exactly the configured bound.
+func TestPlanTableSmallSizeSingleShard(t *testing.T) {
+	if n := len(newPlanTable(4, DefaultCacheShards).shards); n != 1 {
+		t.Fatalf("4-entry table has %d shards, want 1", n)
+	}
+	for _, size := range []int{4, 9, 100, 1000, 1024} {
+		tab := newPlanTable(size, DefaultCacheShards)
+		total := 0
+		for _, s := range tab.shards {
+			if s.maxEntries < minShardCapacity && len(tab.shards) > 1 {
+				t.Errorf("size %d: shard capacity %d below %d", size, s.maxEntries, minShardCapacity)
+			}
+			total += s.maxEntries
+		}
+		if total != size {
+			t.Errorf("size %d: shard capacities sum to %d", size, total)
+		}
+	}
+	if n := len(newPlanTable(-1, DefaultCacheShards).shards); n != DefaultCacheShards {
+		t.Errorf("unbounded table has %d shards, want %d", n, DefaultCacheShards)
+	}
+}
+
+// TestPlanTableInvalidateStats: only cost-bounded entries enumerated
+// under a differing fingerprint are dropped; exhaustive entries (empty
+// fingerprint) and current-fingerprint entries stay.
+func TestPlanTableInvalidateStats(t *testing.T) {
+	tab := newPlanTable(8, 4)
+	tab.put(testEntry("free", ""))
+	tab.put(testEntry("old", "fpA"))
+	tab.put(testEntry("cur", "fpB"))
+	if n := tab.invalidate("fpB"); n != 1 {
+		t.Fatalf("invalidated %d, want 1", n)
+	}
+	if tab.get("old") != nil {
+		t.Fatal("stale-fingerprint entry survived")
+	}
+	if tab.get("free") == nil || tab.get("cur") == nil {
+		t.Fatal("exhaustive and current entries must survive")
+	}
+	if c := tab.counters(); c.Invalidated != 1 || c.Evictions != 0 {
+		t.Fatalf("counters = %+v, want 1 invalidated, 0 evictions", c)
+	}
+}
+
+// TestPlanTableConcurrentAccess hammers get/put/invalidate across shards
+// (meaningful under -race) and checks the bound holds throughout.
+func TestPlanTableConcurrentAccess(t *testing.T) {
+	tab := newPlanTable(64, DefaultCacheShards)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				key := fmt.Sprintf("k%d", (w*31+i)%200)
+				if tab.get(key) == nil {
+					tab.put(testEntry(key, fmt.Sprintf("fp%d", i%3)))
+				}
+				if i%100 == 0 {
+					tab.invalidate("fp0")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := tab.size(); n > 64 {
+		t.Fatalf("table grew to %d entries past its 64 bound", n)
+	}
+}
+
+// TestPlanTableKeySensitivity: the flight key — and with it the plan
+// table entry — separates requests that differ in the dependency set,
+// the physical restriction or (for cost-bounded search) the statistics,
+// and nothing else: an alpha-renamed query shares the key.
+func TestPlanTableKeySensitivity(t *testing.T) {
+	req, _ := projDeptRequest(t)
+	base := flightKey(req, "")
+
+	renamed := req
+	renamed.Query = req.Query.RenameVars(func(v string) string { return "q2_" + v })
+	if flightKey(renamed, "") != base {
+		t.Error("alpha-renamed query must share the key")
+	}
+	fewerDeps := req
+	fewerDeps.Deps = req.Deps[1:]
+	if flightKey(fewerDeps, "") == base {
+		t.Error("key ignores the dependency set")
+	}
+	noPhys := req
+	noPhys.PhysicalNames = nil
+	if flightKey(noPhys, "") == base {
+		t.Error("key ignores the physical restriction")
+	}
+	otherPhys := req
+	otherPhys.PhysicalNames = map[string]bool{"Proj": true}
+	if flightKey(otherPhys, "") == base {
+		t.Error("key ignores which physical names are allowed")
+	}
+	if flightKey(req, "fpA") == base || flightKey(req, "fpA") == flightKey(req, "fpB") {
+		t.Error("key ignores the cost-bounded statistics fingerprint")
+	}
+
+	// End to end on a cheap shape: each variation is a miss of its own,
+	// and repeating one is a hit.
+	scan := &core.Query{
+		Out:      core.Prj(core.V("r"), "A"),
+		Bindings: []core.Binding{{Var: "r", Range: core.Name("R")}},
+	}
+	svc := New(Options{})
+	ctx := context.Background()
+	for _, r := range []Request{
+		{Query: scan},
+		{Query: scan, PhysicalNames: map[string]bool{"R": true}},
+		{Query: scan, Deps: req.Deps[:1]},
+		{Query: scan},
+	} {
+		if _, err := svc.Optimize(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := svc.CacheCounters(); c.Misses != 3 || c.Hits != 1 {
+		t.Fatalf("cache counters = %+v, want 3 misses and 1 hit", c)
+	}
+}
+
+// TestPlanTableSkipsTruncatedRuns: errored and truncated optimizer runs
+// are served (or reported) but never stored.
+func TestPlanTableSkipsTruncatedRuns(t *testing.T) {
+	req, _ := projDeptRequest(t)
+	failing := New(Options{Chase: chase.Options{MaxSteps: 1}})
+	if _, err := failing.Optimize(context.Background(), req); err == nil {
+		t.Fatal("a 1-step chase budget must fail the flight")
+	}
+	if n := failing.CacheLen(); n != 0 {
+		t.Fatalf("errored run stored %d entries", n)
+	}
+
+	svc := New(Options{})
+	snap := svc.stats.Load()
+	if e := svc.land("truncated", "", snap, &optimizer.Result{Truncated: true}); e == nil {
+		t.Fatal("a truncated run must still yield an entry to serve")
+	}
+	if n := svc.CacheLen(); n != 0 {
+		t.Fatalf("truncated run stored %d entries", n)
+	}
+	svc.land("complete", "", snap, &optimizer.Result{})
+	if n := svc.CacheLen(); n != 1 {
+		t.Fatalf("complete run stored %d entries, want 1", n)
+	}
+}
+
+// TestPlanTableHitOnRepeat: a warm request does no work. Ten Optimize
+// and ten Query hits move neither the chase counters nor the flight or
+// backchase counts, and every hit returns the stored entry's ranked
+// candidates unchanged — the very slice the first request received.
+func TestPlanTableHitOnRepeat(t *testing.T) {
+	svc, req, _ := projDeptQuerySetup(t, "pd", workload.GenOptions{NumDepts: 10, ProjsPerDept: 4, CitiBankShare: 0.3, Seed: 1})
+	ctx := context.Background()
+	cold, err := svc.Optimize(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.CacheHit {
+		t.Fatal("first request cannot be a hit")
+	}
+	if cold.Result.Explored != nil {
+		t.Error("the stored result must not keep the explored lattice")
+	}
+	want := cold.Result.Candidates
+	chaseRuns := svc.ChaseMetrics().Runs.Load()
+	before := svc.Counters()
+
+	same := func(what string, r *Response) {
+		t.Helper()
+		if !r.CacheHit {
+			t.Fatalf("%s: not a cache hit", what)
+		}
+		got := r.Result.Candidates
+		if len(got) != len(want) || &got[0] != &want[0] {
+			t.Fatalf("%s: candidates differ from the stored entry's", what)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		r, err := svc.Optimize(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("Optimize hit", r)
+		qr, err := svc.Query(ctx, QueryRequest{Request: req, Instance: "pd"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("Query hit", qr.Optimize)
+	}
+	if got := svc.ChaseMetrics().Runs.Load(); got != chaseRuns {
+		t.Errorf("hits ran %d chases", got-chaseRuns)
+	}
+	after := svc.Counters()
+	if after.Flights != before.Flights || after.BackchaseRuns != before.BackchaseRuns {
+		t.Errorf("hits moved flights %d -> %d, backchase runs %d -> %d",
+			before.Flights, after.Flights, before.BackchaseRuns, after.BackchaseRuns)
+	}
+	if c := svc.CacheCounters(); c.Hits != 20 || c.Misses != 1 {
+		t.Errorf("cache counters = %+v, want 20 hits and 1 miss", c)
+	}
+}
+
+// TestPlanTableHitAcrossRenaming: the table is keyed by the
+// renaming-invariant signature, so an alpha-renamed repeat is a hit that
+// runs no chase and serves the first request's plans.
+func TestPlanTableHitAcrossRenaming(t *testing.T) {
+	req, _ := projDeptRequest(t)
+	svc := New(Options{})
+	ctx := context.Background()
+	first, err := svc.Optimize(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaseRuns := svc.ChaseMetrics().Runs.Load()
+	renamed := req
+	renamed.Query = req.Query.RenameVars(func(v string) string { return "q2_" + v })
+	second, err := svc.Optimize(ctx, renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.CacheHit {
+		t.Fatal("alpha-renamed repeat must hit the plan table")
+	}
+	if got := svc.ChaseMetrics().Runs.Load(); got != chaseRuns {
+		t.Errorf("renamed hit ran %d chases", got-chaseRuns)
+	}
+	if second.Result.Best.Cost != first.Result.Best.Cost {
+		t.Errorf("renamed hit best cost %v, first %v", second.Result.Best.Cost, first.Result.Best.Cost)
+	}
+}
+
+// TestOptimizeReuseAcrossRenaming: optimizing an equivalent,
+// alpha-renamed query through one service reuses the first run's
+// optimization — one backchase for both, one table hit, and the same
+// best plan — with no statistics configured.
+func TestOptimizeReuseAcrossRenaming(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{})
+	ctx := context.Background()
+	req := Request{Query: pd.Q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()}
+	first, err := svc.Optimize(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit {
+		t.Error("first optimization must not be a hit")
+	}
+	renamed := req
+	renamed.Query = pd.Q.RenameVars(func(s string) string { return "q2_" + s })
+	second, err := svc.Optimize(ctx, renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.CacheHit {
+		t.Error("second optimization must reuse the first")
+	}
+	if second.Result.Best == nil || first.Result.Best == nil || second.Result.Best.Cost != first.Result.Best.Cost {
+		t.Error("reused optimization chose a different best plan cost")
+	}
+	if c := svc.CacheCounters(); c.Hits != 1 {
+		t.Errorf("cache hits = %d, want 1", c.Hits)
+	}
+	if c := svc.Counters(); c.BackchaseRuns != 1 {
+		t.Errorf("backchase runs = %d, want 1", c.BackchaseRuns)
+	}
+}
+
+// TestStatsSwapExhaustiveHitReranks: in exhaustive mode a statistics
+// swap keeps the entry; the first hit under the new snapshot re-ranks
+// the stored executable pool — no backchase — and yields exactly the
+// candidates a fresh service started with the new statistics ranks.
+// Later hits serve the new ranking without ranking again.
+func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Query: pd.Q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()}
+	statsA := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.1, Seed: 1}))
+	statsB := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 60, ProjsPerDept: 5, CitiBankShare: 0.2, Seed: 2}))
+	ctx := context.Background()
+
+	svc := New(Options{Stats: statsA, Parallelism: 1})
+	if _, err := svc.Optimize(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if n := svc.SetStats(statsB); n != 0 {
+		t.Fatalf("swap dropped %d exhaustive entries, want 0", n)
+	}
+	// Concurrent first hits may each re-rank; all must agree.
+	hits := make([]*Response, 4)
+	errs := make([]error, len(hits))
+	var wg sync.WaitGroup
+	for i := range hits {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			hits[i], errs[i] = svc.Optimize(ctx, req)
+		}(i)
+	}
+	wg.Wait()
+	if c := svc.Counters(); c.BackchaseRuns != 1 {
+		t.Fatalf("backchase runs = %d, want 1", c.BackchaseRuns)
+	}
+
+	fresh, err := New(Options{Stats: statsB, Parallelism: 1}).Optimize(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Result.Candidates
+	for h, hit := range hits {
+		if errs[h] != nil {
+			t.Fatal(errs[h])
+		}
+		if !hit.CacheHit {
+			t.Fatal("post-swap request must hit the kept entry")
+		}
+		got := hit.Result.Candidates
+		if len(got) != len(want) {
+			t.Fatalf("re-ranked %d candidates, fresh service ranks %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Query.String() != want[i].Query.String() || got[i].Cost != want[i].Cost {
+				t.Fatalf("candidate %d: re-ranked %s @ %g, fresh %s @ %g",
+					i, got[i].Query, got[i].Cost, want[i].Query, want[i].Cost)
+			}
+		}
+	}
+
+	stored := svc.table.get(flightKey(req, "")).ranked.Load().res
+	again, err := svc.Optimize(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.Result.Candidates[0] != &stored.Candidates[0] {
+		t.Error("a later post-swap hit ranked again instead of serving the stored ranking")
+	}
+}

@@ -38,21 +38,23 @@ type predEntry struct {
 
 // LatencyPredictor is a bounded, sharded side table mapping shape
 // families — flight keys: canonical query signature + dependency set +
-// physical restriction + statistics fingerprint — to their observed
-// backchase flight latency (EWMA + max). The Service updates it whenever
+// physical restriction (+ statistics fingerprint under cost-bounded
+// search) — to their observed flight latency (EWMA + max). The Service updates it whenever
 // a flight lands, including detached flights every caller abandoned, and
 // consults it under two-tier serving to decide per shape whether to wait
 // synchronously, serve the greedy tier immediately, or fall back to the
 // budgeted wait (see Options.MaxPlanLatency).
 //
-// Because the key includes the statistics fingerprint, a stats hot-swap
-// implicitly invalidates every prediction: requests under the new
-// snapshot form new families that start unknown and re-learn. Stale
+// Under cost-bounded search the key includes the statistics
+// fingerprint, so a stats hot-swap implicitly invalidates every
+// prediction: requests under the new snapshot form new families that
+// start unknown and re-learn. Stale
 // families age out through the capacity bound (FIFO per shard).
 //
 // A LatencyPredictor may be shared between Services via
-// Options.Predictor — it is keyed by content, not by cache state, so the
-// learned budgets survive plan-cache loss (restart, invalidation sweep).
+// Options.Predictor — it is keyed by content, not by plan table state,
+// so the learned budgets survive plan table loss (restart, invalidation
+// sweep).
 // Safe for concurrent use by any number of goroutines.
 type LatencyPredictor struct {
 	shards [predictorShards]predShard
@@ -104,11 +106,11 @@ func (p *LatencyPredictor) shard(key string) *predShard {
 }
 
 // observe folds one landed flight's latency into the key's entry. cached
-// reports that the flight was served from the plan cache rather than
-// enumerating: a cache-hit landing overwrites the EWMA outright instead
-// of averaging, because after any landing the plan cache holds the
-// entry, so the cache-hit latency — not the enumeration history — is the
-// best predictor of the family's next flight.
+// reports that the flight found its plan table entry already stored
+// (another flight for the key landed first) instead of optimizing: such
+// a landing overwrites the EWMA outright instead of averaging, because
+// the stored entry — not the enumeration history — now decides how the
+// family is served.
 func (p *LatencyPredictor) observe(key string, d time.Duration, cached bool) {
 	s := p.shard(key)
 	s.mu.Lock()

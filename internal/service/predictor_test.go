@@ -67,7 +67,7 @@ func TestPredictorEWMARules(t *testing.T) {
 func TestPredictorAbandonedFlightTrains(t *testing.T) {
 	req := coldStarRequest(t)
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 10 * time.Second})
-	key := flightKey(req, "", false)
+	key := flightKey(req, "")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -173,19 +173,18 @@ func TestPredictorStatsSwapInvalidates(t *testing.T) {
 	}
 }
 
-// TestClassifyUpgradedOverridesSlowEWMA: an upgraded plan-cache entry
-// routes predicted-fast even while the EWMA still remembers the slow
-// enumeration — the upgrade means the next flight is a cache hit.
+// TestClassifyUpgradedOverridesSlowEWMA: a shape whose (upgraded) plan
+// table entry is present routes predicted-fast even while the EWMA still
+// remembers the slow enumeration — answering it is a lookup.
 func TestClassifyUpgradedOverridesSlowEWMA(t *testing.T) {
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 2 * time.Millisecond})
 	const key = "some-shape"
 	svc.predictor.observe(key, time.Minute, false)
-	if got := svc.classify(key); got != ReasonPredictedSlow {
+	if got := svc.classify(key, false); got != ReasonPredictedSlow {
 		t.Fatalf("slow EWMA classifies %q, want predicted-slow", got)
 	}
-	svc.noteUpgrade(key)
-	if got := svc.classify(key); got != ReasonPredictedFast {
-		t.Fatalf("upgraded shape classifies %q, want predicted-fast", got)
+	if got := svc.classify(key, true); got != ReasonPredictedFast {
+		t.Fatalf("shape with a table entry classifies %q, want predicted-fast", got)
 	}
 }
 
@@ -199,11 +198,11 @@ func TestFastPlanThresholdSplitsBudget(t *testing.T) {
 		FastPlanThreshold: 10 * time.Millisecond,
 	})
 	svc.predictor.observe("between", 50*time.Millisecond, false)
-	if got := svc.classify("between"); got != ReasonPredictedSlow {
+	if got := svc.classify("between", false); got != ReasonPredictedSlow {
 		t.Fatalf("EWMA between threshold and budget classifies %q, want predicted-slow", got)
 	}
 	svc.predictor.observe("under", 5*time.Millisecond, true)
-	if got := svc.classify("under"); got != ReasonPredictedFast {
+	if got := svc.classify("under", false); got != ReasonPredictedFast {
 		t.Fatalf("EWMA under threshold classifies %q, want predicted-fast", got)
 	}
 }
@@ -214,7 +213,7 @@ func TestFastPlanThresholdSplitsBudget(t *testing.T) {
 func TestPredictedSlowServesGreedyInstantly(t *testing.T) {
 	req := coldStarRequest(t)
 	pred := NewLatencyPredictor(0)
-	key := flightKey(req, "", false)
+	key := flightKey(req, "")
 	pred.observe(key, time.Minute, false)
 
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 10 * time.Second, Predictor: pred})

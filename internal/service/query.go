@@ -31,7 +31,8 @@ var ErrNoExecutablePlan = errors.New("no executable plan")
 // registered instance.
 type QueryRequest struct {
 	// Request is the optimization request (query, deps, physical names);
-	// it hits the plan cache and singleflight exactly like Optimize.
+	// it goes through the plan table and singleflight exactly like
+	// Optimize.
 	Request
 	// Instance names the registered instance to execute against.
 	Instance string
@@ -47,7 +48,7 @@ type QueryRequest struct {
 
 // QueryResponse is the outcome of one executed (or explained) query.
 type QueryResponse struct {
-	// Optimize is the planning outcome (cache hit, coalescing, full
+	// Optimize is the planning outcome (plan table hit, coalescing,
 	// optimizer result).
 	Optimize *Response
 	// Plan is the delivered plan — the cheapest candidate that executed
@@ -75,7 +76,7 @@ type QueryResponse struct {
 	ExecDur time.Duration
 }
 
-// Query optimizes the request through the shared plan cache/singleflight
+// Query optimizes the request through the plan table/singleflight
 // and executes the delivered plan against the named instance on the
 // streaming batch engine. The ranked candidate pool is walked cheapest
 // first, skipping candidates whose unguarded failing lookups error on
@@ -84,31 +85,45 @@ type QueryResponse struct {
 // execution between batches, with every operator (including background
 // prefetch goroutines) closed before Query returns.
 //
-// Counter contract: a successful execution adds the plan's Measure
-// counters to the instance's cumulative accounting; any execution
-// failure — lookup-failed pool exhaustion, cancellation, runtime error —
-// increments the instance's ExecErrors instead, so Queries + ExecErrors
-// always equals the number of Query calls that reached execution.
-func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
+// Counter contract: every call that finds its instance is counted once,
+// when it returns — a success adds to Queries and the plan's Measure
+// counters, an optimizer failure (deadline and cancellation included)
+// to PlanErrors, and any execution failure — lookup-failed pool
+// exhaustion, cancellation, runtime error — to ExecErrors.
+func (s *Service) Query(ctx context.Context, req QueryRequest) (qr *QueryResponse, err error) {
 	snap, ok := s.lookupInstance(req.Instance)
 	if !ok {
 		return nil, fmt.Errorf("service: %w: %q", ErrUnknownInstance, req.Instance)
 	}
 	entry := s.lookupEntry(req.Instance)
+	planned := false
+	defer func() {
+		switch {
+		case err == nil:
+			entry.queries.Add(1)
+			entry.rows.Add(qr.Measure.Rows)
+			entry.evals.Add(qr.Measure.Evals)
+			s.hists.queryPlan.Record(qr.PlanDur)
+			s.hists.queryExec.Record(qr.ExecDur)
+		case !planned:
+			entry.planErrors.Add(1)
+		default:
+			entry.execErrors.Add(1)
+		}
+	}()
 
 	planStart := time.Now()
 	opt, err := s.Optimize(ctx, req.Request)
 	if err != nil {
 		return nil, err
 	}
-	planDur := time.Since(planStart)
+	planned = true
+	qr = &QueryResponse{Optimize: opt, PlanDur: time.Since(planStart)}
 	res := opt.Result
 	if res.Best == nil || len(res.Candidates) == 0 {
-		entry.execErrors.Add(1)
 		return nil, fmt.Errorf("service: %w: optimizer delivered no candidates", ErrNoExecutablePlan)
 	}
 
-	qr := &QueryResponse{Optimize: opt, PlanDur: planDur}
 	stats := s.stats.Load().stats
 	execStart := time.Now()
 
@@ -118,16 +133,12 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		best := res.Candidates[0]
 		p, err := engine.CompileStream(best.Query, snap.in, engine.StreamOptions{Stats: stats})
 		if err != nil {
-			entry.execErrors.Add(1)
 			return nil, fmt.Errorf("service: compile: %w", err)
 		}
 		qr.Plan = best.Query.String()
 		qr.EstCost = best.Cost
 		qr.Explain = p.Explain()
 		qr.ExecDur = time.Since(execStart)
-		entry.queries.Add(1)
-		s.hists.queryPlan.Record(qr.PlanDur)
-		s.hists.queryExec.Record(qr.ExecDur)
 		return qr, nil
 	}
 
@@ -135,7 +146,6 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	for _, cand := range res.Candidates {
 		p, err := engine.CompileStream(cand.Query, snap.in, engine.StreamOptions{Stats: stats, Buffer: 2})
 		if err != nil {
-			entry.execErrors.Add(1)
 			return nil, fmt.Errorf("service: compile: %w", err)
 		}
 		out, err := p.Run(ctx)
@@ -146,7 +156,6 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 				lastErr = err
 				continue
 			}
-			entry.execErrors.Add(1)
 			return nil, fmt.Errorf("service: execute: %w", err)
 		}
 		qr.Plan = cand.Query.String()
@@ -156,14 +165,8 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		qr.Rows = capRows(out, req.MaxRows)
 		qr.Truncated = len(qr.Rows) < qr.ResultRows
 		qr.ExecDur = time.Since(execStart)
-		entry.queries.Add(1)
-		entry.rows.Add(qr.Measure.Rows)
-		entry.evals.Add(qr.Measure.Evals)
-		s.hists.queryPlan.Record(qr.PlanDur)
-		s.hists.queryExec.Record(qr.ExecDur)
 		return qr, nil
 	}
-	entry.execErrors.Add(1)
 	return nil, fmt.Errorf("service: %w: all %d candidates failed lookups (%v)",
 		ErrNoExecutablePlan, len(res.Candidates), lastErr)
 }

@@ -372,8 +372,25 @@ func TestQueryCancellationNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after cancelled queries", before, now)
 	}
 	qc, _ := svc.InstanceCountersFor("star")
-	if got := qc.Queries + qc.ExecErrors; got != int64(1+5) {
-		t.Fatalf("counter consistency: Queries+ExecErrors = %d, want 6 (%+v)", got, qc)
+	if got := qc.Queries + qc.PlanErrors + qc.ExecErrors; got != int64(1+5) {
+		t.Fatalf("counter consistency: Queries+PlanErrors+ExecErrors = %d, want 6 (%+v)", got, qc)
+	}
+}
+
+// TestQueryPlanErrorCounted: a request whose deadline expires while the
+// optimizer is still planning — here a context cancelled before the call,
+// on a shape the service has never seen — is counted once, as a plan
+// error, not dropped from the instance accounting.
+func TestQueryPlanErrorCounted(t *testing.T) {
+	svc, req, _ := projDeptQuerySetup(t, "pd", workload.GenOptions{NumDepts: 10, ProjsPerDept: 4, Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := svc.Query(ctx, QueryRequest{Request: req, Instance: "pd"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled query returned %v, want context.Canceled", err)
+	}
+	qc, _ := svc.InstanceCountersFor("pd")
+	if qc.PlanErrors != 1 || qc.Queries != 0 || qc.ExecErrors != 0 {
+		t.Fatalf("counters = %+v, want exactly one plan error", qc)
 	}
 }
 

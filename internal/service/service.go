@@ -7,31 +7,37 @@
 //
 // Three mechanisms make it serve rather than serialize:
 //
-//   - the backchase plan cache (backchase.PlanCache) is a sharded true-LRU
-//     keyed by the canonical, renaming-invariant root signature, so
-//     repeated — even alpha-renamed — query shapes skip the exponential
-//     backchase entirely and concurrent shapes do not contend on one lock;
+//   - the plan table (plantable.go) is a sharded true-LRU of finished,
+//     ranked optimizations keyed by the flight key — the canonical,
+//     renaming-invariant query signature, the dependency set and the
+//     physical restriction — and consulted before any flight starts, so
+//     a repeated (even alpha-renamed) query shape runs no chase, no
+//     backchase and no ranking, and concurrent shapes do not contend on
+//     one lock;
 //   - singleflight coalescing: K concurrent requests for alpha-equivalent
-//     queries trigger exactly one optimizer run and K-1 waiters, each
-//     cancellable without cancelling the flight or poisoning the cache;
+//     queries that miss the table trigger exactly one optimizer run and
+//     K-1 waiters, each cancellable without cancelling the flight or
+//     poisoning the table;
 //   - atomic statistics hot-swap: SetStats installs a new cost.Stats
-//     snapshot with one pointer store and invalidates only the cache
-//     entries whose statistics fingerprint differs, so serving continues
+//     snapshot with one pointer store. Entries of cost-bounded searches,
+//     whose enumeration depended on the old statistics, are dropped;
+//     exhaustive entries stay and re-rank their stored executable pool on
+//     their first hit under the new snapshot, so serving continues
 //     uninterrupted through a stats refresh.
 //
 // With Options.MaxPlanLatency set, serving is additionally two-tiered:
 // a request whose backchase flight has not landed within the budget is
 // answered immediately from the instant tier (internal/greedy — a
 // statistics-free, always-correct join order built in microseconds),
-// while the flight continues detached and upgrades the plan cache when
-// it lands, so the shape's later requests serve the backchase-cheapest
+// while the flight continues detached and stores its entry when it
+// lands, so the shape's later requests serve the backchase-cheapest
 // plan. Response.Tier says which tier answered. Tiering is adaptive: a
 // bounded latency predictor (LatencyPredictor) learns each shape
 // family's flight latency as flights land, and Optimize uses it to skip
-// the budgeted machinery in both directions — predicted-fast shapes
-// wait synchronously with no timer, predicted-slow shapes serve the
-// greedy tier immediately with no wait; only unknown shapes pay the
-// budgeted wait. Response.TierReason names the branch taken, and
+// the budgeted machinery in both directions — shapes with a table entry
+// or a fast prediction are served synchronously with no timer,
+// predicted-slow shapes serve the greedy tier immediately with no wait;
+// only unknown shapes pay the budgeted wait. Response.TierReason names the branch taken, and
 // per-tier latency histograms (Histograms) expose the resulting
 // distributions.
 //
@@ -52,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cnb/internal/backchase"
 	"cnb/internal/chase"
 	"cnb/internal/core"
 	"cnb/internal/cost"
@@ -61,33 +66,32 @@ import (
 )
 
 // Options configures a Service. The zero value is usable: uniform cost
-// defaults, exhaustive backchase, a DefaultPlanCacheSize cache across
-// DefaultPlanCacheShards shards, all cores.
+// defaults, exhaustive backchase, a DefaultCacheSize plan table across
+// DefaultCacheShards shards, all cores.
 type Options struct {
 	// Parallelism is the backchase worker count per flight
 	// (0 = all cores, 1 = serial).
 	Parallelism int
-	// CacheSize bounds the plan cache (0 = backchase.DefaultPlanCacheSize,
+	// CacheSize bounds the plan table (0 = DefaultCacheSize,
 	// < 0 = unbounded).
 	CacheSize int
-	// CacheShards is the plan cache stripe count
-	// (0 = backchase.DefaultPlanCacheShards).
+	// CacheShards is the plan table stripe count
+	// (0 = DefaultCacheShards).
 	CacheShards int
 	// CostBounded switches the backchase to cost-bounded best-first search
-	// whenever a statistics snapshot is installed. Note that cost-bounded
-	// results are schedule-dependent subsets, so the plan cache keys them
-	// by worker count as well (see backchase cacheKey).
+	// whenever a statistics snapshot is installed. The enumeration then
+	// depends on the statistics, so the flight key — and with it the plan
+	// table entry — carries the snapshot's fingerprint.
 	CostBounded bool
 	// Stats is the initial statistics snapshot (nil = uniform defaults).
 	// Replace it at runtime with SetStats.
 	Stats *cost.Stats
-	// MinimalOnly restricts the per-request candidate pool to backchase
-	// normal forms (optimizer.Options.MinimalOnly). The backchase itself
-	// — and therefore the cache entry — is unchanged; what it saves is
-	// the per-request phase-3 re-ranking of every explored lattice state,
-	// the dominant cost of a cache-hit request on large workloads.
-	// Serving deployments that only ever execute the chosen plan
-	// typically want this on.
+	// MinimalOnly restricts the candidate pool to backchase normal forms
+	// (optimizer.Options.MinimalOnly): the explored intermediate lattice
+	// states are neither simplified nor ranked, so each flight ranks —
+	// and each plan table entry holds — fewer candidates, at the price
+	// of missing plans like §4's view+index navigation that are not
+	// minimal.
 	MinimalOnly bool
 	// Chase tunes the chase budgets of every flight. Chase.Metrics, when
 	// nil, is replaced by the service's own Metrics instance so /metrics
@@ -98,21 +102,21 @@ type Options struct {
 	// backchase flight to land and otherwise answers immediately with the
 	// greedy tier (internal/greedy — a statistics-free join order, built
 	// in microseconds, always correct). The flight continues detached —
-	// surviving every caller's cancellation — and upgrades the plan-cache
+	// surviving every caller's cancellation — and stores its plan table
 	// entry when it lands, so subsequent requests for the shape serve the
 	// backchase-cheapest plan. Zero (the default) keeps serving fully
-	// synchronous. Warm shapes are unaffected as long as the budget
-	// exceeds the cache-hit flight latency (~1ms; budgets of a few ms up
-	// are safe).
+	// synchronous. Warm shapes are unaffected: a table hit starts no
+	// flight.
 	//
 	// With the budget set, serving is additionally adaptive: the latency
 	// predictor (see Predictor) learns each shape family's flight latency,
-	// and Optimize consults it per request. A shape predicted to land
-	// within FastPlanThreshold skips the budgeted machinery entirely — no
-	// greedy detour, no timer, a plain synchronous wait. A shape predicted
-	// to miss is served the greedy tier immediately with no timed wait at
-	// all, while its flight proceeds detached exactly as on a budget
-	// expiry. Only unknown shapes pay the budgeted wait.
+	// and Optimize consults it for every request the table cannot answer.
+	// A shape predicted to land within FastPlanThreshold skips the
+	// budgeted machinery entirely — no greedy detour, no timer, a plain
+	// synchronous wait. A shape predicted to miss is served the greedy
+	// tier immediately with no timed wait at all, while its flight
+	// proceeds detached exactly as on a budget expiry. Only unknown shapes
+	// pay the budgeted wait.
 	MaxPlanLatency time.Duration
 	// FastPlanThreshold is the predicted flight latency at or below which
 	// a shape family is served synchronously instead of through the
@@ -123,9 +127,9 @@ type Options struct {
 	// Predictor, when non-nil, is the latency side table the adaptive
 	// tier decisions consult and train; nil gives the Service its own
 	// private table (capacity DefaultPredictorCapacity). Supplying one
-	// lets learned budgets outlive a Service — e.g. across a plan-cache
-	// rebuild or a restart that re-news the Service — and lets tests
-	// train on one Service and serve on another.
+	// lets learned budgets outlive a Service — e.g. across a restart that
+	// re-news the Service and its plan table — and lets tests train on
+	// one Service and serve on another.
 	Predictor *LatencyPredictor
 }
 
@@ -154,9 +158,9 @@ const (
 	// ReasonBudgeted: the shape family was unknown to the predictor, so
 	// the request took the classic budgeted wait (greedy tier on expiry).
 	ReasonBudgeted TierReason = "budgeted"
-	// ReasonPredictedFast: the predictor expected the flight to land
-	// within FastPlanThreshold (or the shape's plan was already upgraded
-	// by a detached flight), so the request waited synchronously with no
+	// ReasonPredictedFast: the shape's finished plan was in the plan
+	// table, or the predictor expected the flight to land within
+	// FastPlanThreshold, so the request was served synchronously with no
 	// timer and no greedy detour.
 	ReasonPredictedFast TierReason = "predicted-fast"
 	// ReasonPredictedSlow: the predictor expected the flight to miss the
@@ -167,8 +171,9 @@ const (
 
 // Request is one optimization request. Deps and PhysicalNames play the
 // roles of optimizer.Options.Deps / PhysicalNames; they are part of the
-// coalescing key, so requests only coalesce when they agree on the
-// dependency set and the physical restriction, not merely on the query.
+// flight key, so requests only coalesce or share a plan table entry when
+// they agree on the dependency set and the physical restriction, not
+// merely on the query.
 type Request struct {
 	Query         *core.Query
 	Deps          []*core.Dependency
@@ -177,26 +182,28 @@ type Request struct {
 
 // Response is the outcome of one request.
 type Response struct {
-	// Result is the full optimizer result. Coalesced responses share the
-	// flight owner's Result — treat it as read-only (the package-wide
-	// convention for plans anyway).
+	// Result is the optimizer result without Explored (the plan table
+	// keeps the ranked pool, not the lattice walk). Responses served from
+	// one entry or one flight share it — treat it as read-only (the
+	// package-wide convention for plans anyway).
 	Result *optimizer.Result
 	// Coalesced reports that this request was served as a singleflight
 	// waiter on another request's optimizer run.
 	Coalesced bool
-	// CacheHit reports that the backchase phase was served from the plan
-	// cache (chase phase still ran — it is polynomial and cheap).
+	// CacheHit reports that the finished plan was served from the plan
+	// table: nothing re-ran — no chase, no backchase, no ranking (unless
+	// a statistics swap made an exhaustive entry re-rank its pool once).
 	CacheHit bool
 	// Tier reports which planner answered: TierBackchase for the full
 	// path (synchronous or landed within MaxPlanLatency), TierGreedy when
 	// the latency budget expired and the instant tier served instead.
 	// Empty only on errors.
 	Tier Tier
-	// Upgraded reports that this shape's plan was (at some point) put in
-	// place by a detached flight landing after its first callers were
-	// served the greedy tier — i.e. the response carries a plan that
-	// earlier requests saw only in greedy form. Always false on
-	// TierGreedy responses.
+	// Upgraded reports that this shape's plan table entry was stored by a
+	// detached flight landing after its first callers were served the
+	// greedy tier — i.e. the response carries a plan that earlier
+	// requests saw only in greedy form. Always false on TierGreedy
+	// responses.
 	Upgraded bool
 	// TierReason records which adaptive-dispatch branch routed the
 	// request (see TierReason). Empty only on errors.
@@ -213,11 +220,10 @@ type Counters struct {
 	Errors int64
 	// Coalesced counts requests served as singleflight waiters.
 	Coalesced int64
-	// Flights counts optimizer executions started (requests minus
-	// coalesced waiters, minus requests rejected before flying).
+	// Flights counts optimizer executions started (requests minus plan
+	// table hits, minus coalesced waiters) — the plan table's misses.
 	Flights int64
-	// BackchaseRuns counts flights whose backchase actually enumerated
-	// the lattice rather than being served from the plan cache — the
+	// BackchaseRuns counts flights whose optimizer run completed — the
 	// number E16 proves sublinear in the request count.
 	BackchaseRuns int64
 	// StatsSwaps counts SetStats calls.
@@ -226,12 +232,12 @@ type Counters struct {
 	// the backchase flight exceeded Options.MaxPlanLatency.
 	GreedyServed int64
 	// Upgraded counts detached flights that landed after serving at
-	// least one greedy-tier response — each is one plan-cache entry
-	// upgraded from the greedy plan to the backchase-cheapest one.
+	// least one greedy-tier response — each replaces the shape's greedy
+	// plan with the backchase-cheapest one.
 	Upgraded int64
-	// PredictedFast counts requests routed ReasonPredictedFast: the
-	// predictor (or an upgraded plan-cache entry) promised a fast flight,
-	// so they waited synchronously with no timer.
+	// PredictedFast counts requests routed ReasonPredictedFast: a plan
+	// table entry or the predictor promised a fast answer, so they were
+	// served synchronously with no timer.
 	PredictedFast int64
 	// PredictedSlow counts requests routed ReasonPredictedSlow: served
 	// the greedy tier immediately, no timed wait at all.
@@ -257,12 +263,12 @@ type statsSnapshot struct {
 // of goroutines; construct with New.
 type Service struct {
 	opts    Options
-	cache   *backchase.PlanCache
+	table   *planTable
 	metrics *chase.Metrics
 	stats   atomic.Pointer[statsSnapshot]
 	group   flightGroup
 
-	// swapMu serializes cache invalidation sweeps (SetStats and the
+	// swapMu serializes plan table invalidation sweeps (SetStats and the
 	// post-flight re-sweep) against snapshot installation, so a sweep
 	// always runs with the truly current fingerprint — without it a
 	// delayed sweep could carry a fingerprint already obsoleted by a
@@ -274,15 +280,6 @@ type Service struct {
 	// against (instance.go).
 	instanceRegistry
 
-	// upgradeMu guards upgradedKeys, the set of flight keys whose
-	// detached flight landed after greedy-tier responses were served —
-	// the source of Response.Upgraded on later hits. Bounded by
-	// maxUpgradedKeys (a cold-shape working set far larger than any plan
-	// cache); on overflow the set resets, which only downgrades the
-	// informational Upgraded flag, never a plan.
-	upgradeMu    sync.Mutex
-	upgradedKeys map[string]struct{}
-
 	// predictor is the per-shape flight-latency side table behind the
 	// adaptive tier decisions (predictor.go); hists are the per-tier
 	// latency distributions /metrics exports (histogram.go).
@@ -292,7 +289,6 @@ type Service struct {
 	requests       atomic.Int64
 	errors         atomic.Int64
 	coalesced      atomic.Int64
-	flights        atomic.Int64
 	backchaseRuns  atomic.Int64
 	statsSwaps     atomic.Int64
 	greedyServed   atomic.Int64
@@ -303,19 +299,15 @@ type Service struct {
 	budgetedWaits  atomic.Int64
 }
 
-// maxUpgradedKeys bounds the upgraded-shapes set so an adversarial
-// stream of unique cold shapes cannot grow service memory without bound.
-const maxUpgradedKeys = 1 << 16
-
 // New builds a Service.
 func New(opts Options) *Service {
 	size := opts.CacheSize
 	if size == 0 {
-		size = backchase.DefaultPlanCacheSize
+		size = DefaultCacheSize
 	}
 	shards := opts.CacheShards
 	if shards == 0 {
-		shards = backchase.DefaultPlanCacheShards
+		shards = DefaultCacheShards
 	}
 	m := opts.Chase.Metrics
 	if m == nil {
@@ -328,37 +320,18 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		opts:      opts,
-		cache:     backchase.NewPlanCacheSharded(size, shards),
+		table:     newPlanTable(size, shards),
 		metrics:   m,
 		predictor: pred,
 	}
-	s.group.onUpgrade = s.noteUpgrade
+	s.group.onUpgrade = func(e *planEntry) {
+		// Mark before counting: a caller that sees the counter move
+		// must also see the mark on its next hit.
+		e.upgraded.Store(true)
+		s.upgraded.Add(1)
+	}
 	s.stats.Store(newSnapshot(opts.Stats))
 	return s
-}
-
-// noteUpgrade records a detached flight's landing: counts it and marks
-// the flight key so later responses for the shape report Upgraded.
-func (s *Service) noteUpgrade(key string) {
-	s.upgraded.Add(1)
-	s.upgradeMu.Lock()
-	if len(s.upgradedKeys) >= maxUpgradedKeys {
-		s.upgradedKeys = nil
-	}
-	if s.upgradedKeys == nil {
-		s.upgradedKeys = make(map[string]struct{})
-	}
-	s.upgradedKeys[key] = struct{}{}
-	s.upgradeMu.Unlock()
-}
-
-// wasUpgraded reports whether the shape's plan was installed by a
-// detached-flight upgrade.
-func (s *Service) wasUpgraded(key string) bool {
-	s.upgradeMu.Lock()
-	_, ok := s.upgradedKeys[key]
-	s.upgradeMu.Unlock()
-	return ok
 }
 
 func newSnapshot(st *cost.Stats) *statsSnapshot {
@@ -369,13 +342,15 @@ func newSnapshot(st *cost.Stats) *statsSnapshot {
 	return snap
 }
 
-// Optimize runs Algorithm 1 on the request, coalescing with concurrent
-// alpha-equivalent requests and serving repeated shapes from the plan
-// cache. ctx cancels only this caller's wait: if other requests share the
-// flight it keeps running for them. With Options.MaxPlanLatency set, a
-// flight that misses the budget yields an immediate greedy-tier response
+// Optimize runs Algorithm 1 on the request. A shape whose finished plan
+// is in the plan table is answered from it with no flight; otherwise the
+// request coalesces with concurrent alpha-equivalent requests onto one
+// optimizer flight, whose outcome the table then stores. ctx cancels
+// only this caller's wait: if other requests share the flight it keeps
+// running for them. With Options.MaxPlanLatency set, a flight that
+// misses the budget yields an immediate greedy-tier response
 // (Response.Tier == TierGreedy) and continues detached until it lands
-// and upgrades the plan cache.
+// and stores its entry.
 func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) {
 	if req.Query == nil {
 		s.errors.Add(1)
@@ -386,86 +361,86 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	s.requests.Add(1)
+	start := time.Now()
 	snap := s.stats.Load()
-	key := flightKey(req, snap.fp, s.opts.CostBounded)
-	fly := func(fctx context.Context) (*optimizer.Result, error) {
-		s.flights.Add(1)
+	// boundFP is the fingerprint the enumeration itself depends on: only
+	// a cost-bounded search prunes by statistics.
+	var boundFP string
+	if s.opts.CostBounded {
+		boundFP = snap.fp
+	}
+	key := flightKey(req, boundFP)
+	e := s.table.get(key)
+	reason := ReasonSynchronous
+	if s.opts.MaxPlanLatency > 0 {
+		reason = s.classify(key, e != nil)
+	}
+	if e != nil {
+		if reason == ReasonPredictedFast {
+			s.predictedFast.Add(1)
+		}
+		return s.respond(e, snap, start, true, false, reason), nil
+	}
+
+	fly := func(fctx context.Context) (landing, error) {
 		flyStart := time.Now()
+		// A flight for key may have landed between the lookup above and
+		// this flight's start; its entry serves without a second run.
+		if e := s.table.get(key); e != nil {
+			s.predictor.observe(key, time.Since(flyStart), true)
+			return landing{e, true}, nil
+		}
+		s.table.misses.Add(1)
 		r, err := optimizer.OptimizeContext(fctx, req.Query, optimizer.Options{
 			Deps:          req.Deps,
 			PhysicalNames: req.PhysicalNames,
 			Stats:         snap.stats,
-			CostBounded:   s.opts.CostBounded && snap.stats != nil,
+			CostBounded:   boundFP != "",
 			Parallelism:   s.opts.Parallelism,
 			MinimalOnly:   s.opts.MinimalOnly,
 			Chase:         s.opts.Chase,
-			Backchase:     backchase.Options{Cache: s.cache},
 		})
-		if err == nil {
-			// Train the predictor on every landing — the runner executes
-			// this closure even for a detached flight all callers
-			// abandoned, so shape families learn from exactly the flights
-			// that happened, not just the ones somebody waited for. Runs
-			// before the flight's done channel closes, so by the time any
-			// response for this flight is visible the prediction is too.
-			s.predictor.observe(key, time.Since(flyStart), r.BackchaseCached)
-			if !r.BackchaseCached {
-				s.backchaseRuns.Add(1)
-			}
+		if err != nil {
+			return landing{}, err
 		}
-		// A SetStats landing mid-flight sweeps the cache before this
-		// flight's own put (tagged with the snapshot it started under)
-		// arrives, which would leave an unreachable stale-fingerprint
-		// entry alive until the next swap. Re-sweep when the snapshot
-		// moved under us: every interleaving of put and swap is covered,
-		// because whichever happens last performs an invalidation that
-		// sees the other's work. The sweep itself runs under swapMu with
-		// a re-loaded snapshot, so it always uses the current fingerprint
-		// and cannot drop entries a newer swap made valid. Only
-		// cost-bounded flights tag entries with a fingerprint, so
-		// stats-free serving never pays any of this.
-		if s.opts.CostBounded && snap.fp != "" && s.stats.Load() != snap {
-			s.swapMu.Lock()
-			if cur := s.stats.Load(); cur != snap && cur.fp != snap.fp {
-				s.cache.InvalidateStats(cur.fp)
-			}
-			s.swapMu.Unlock()
-		}
-		return r, err
+		// Train the predictor on every landing — the runner executes
+		// this closure even for a detached flight all callers abandoned,
+		// so shape families learn from exactly the flights that
+		// happened. Runs before the flight's done channel closes, so by
+		// the time any response for this flight is visible the
+		// prediction is too.
+		s.predictor.observe(key, time.Since(flyStart), false)
+		s.backchaseRuns.Add(1)
+		return landing{s.land(key, boundFP, snap, r), false}, nil
 	}
 
 	var (
-		res       *optimizer.Result
+		l         landing
 		coalesced bool
 		err       error
 	)
-	start := time.Now()
 	landed := true
-	reason := ReasonSynchronous
-	if s.opts.MaxPlanLatency > 0 {
-		reason = s.classify(key)
-		switch reason {
-		case ReasonPredictedFast:
-			// Promised fast: plain synchronous wait, no timer, no greedy
-			// detour. A promise the flight breaks is counted as a miss.
-			s.predictedFast.Add(1)
-			res, coalesced, err = s.group.do(ctx, key, fly)
-			if err == nil && time.Since(start) > s.opts.MaxPlanLatency {
-				s.predictionMiss.Add(1)
-			}
-		case ReasonPredictedSlow:
-			// Promised slow: the timed wait cannot pay off, so skip it and
-			// serve the greedy tier now; the flight proceeds detached and
-			// upgrades the cache when it lands.
-			s.predictedSlow.Add(1)
-			res, coalesced, landed, err = s.group.doImmediate(ctx, key, fly)
-		default:
-			// Unknown shape: the classic PR 9 budgeted wait.
-			s.budgetedWaits.Add(1)
-			res, coalesced, landed, err = s.group.doDetached(ctx, key, s.opts.MaxPlanLatency, fly)
+	switch reason {
+	case ReasonPredictedFast:
+		// Promised fast: plain synchronous wait, no timer, no greedy
+		// detour. A promise the flight breaks is counted as a miss.
+		s.predictedFast.Add(1)
+		l, coalesced, err = s.group.do(ctx, key, fly)
+		if err == nil && time.Since(start) > s.opts.MaxPlanLatency {
+			s.predictionMiss.Add(1)
 		}
-	} else {
-		res, coalesced, err = s.group.do(ctx, key, fly)
+	case ReasonPredictedSlow:
+		// Promised slow: the timed wait cannot pay off, so skip it and
+		// serve the greedy tier now; the flight proceeds detached and
+		// stores its entry when it lands.
+		s.predictedSlow.Add(1)
+		l, coalesced, landed, err = s.group.doImmediate(ctx, key, fly)
+	case ReasonBudgeted:
+		// Unknown shape: the classic budgeted wait.
+		s.budgetedWaits.Add(1)
+		l, coalesced, landed, err = s.group.doDetached(ctx, key, s.opts.MaxPlanLatency, fly)
+	default:
+		l, coalesced, err = s.group.do(ctx, key, fly)
 	}
 	if coalesced {
 		s.coalesced.Add(1)
@@ -484,7 +459,46 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 			TierReason: reason,
 		}, nil
 	}
-	upgraded := s.wasUpgraded(key)
+	return s.respond(l.e, snap, start, l.hit, coalesced, reason), nil
+}
+
+// land turns a flight's finished result into its plan table entry and
+// stores it — unless a cap truncated the enumeration: such a result is
+// served but not stored, so a later request gets another try at the
+// complete one. The entry returned is the one the table holds (an
+// earlier racing flight's wins).
+func (s *Service) land(key, boundFP string, snap *statsSnapshot, r *optimizer.Result) *planEntry {
+	e := newPlanEntry(key, boundFP, r, snap.fp)
+	if r.Truncated {
+		return e
+	}
+	e = s.table.put(e)
+	// A SetStats landing mid-flight sweeps the table before this
+	// flight's own put (tagged with the snapshot it started under)
+	// arrives, which would leave an unreachable stale-fingerprint entry
+	// alive until the next swap. Re-sweep when the snapshot moved under
+	// us: every interleaving of put and swap is covered, because
+	// whichever happens last performs an invalidation that sees the
+	// other's work. The sweep itself runs under swapMu with a re-loaded
+	// snapshot, so it always uses the current fingerprint and cannot
+	// drop entries a newer swap made valid. Only cost-bounded entries
+	// carry a fingerprint, so exhaustive serving never pays any of this.
+	if boundFP != "" && s.stats.Load() != snap {
+		s.swapMu.Lock()
+		if cur := s.stats.Load(); cur != snap && cur.fp != snap.fp {
+			s.table.invalidate(cur.fp)
+		}
+		s.swapMu.Unlock()
+	}
+	return e
+}
+
+// respond builds the backchase-tier response for a plan table entry —
+// ranked under snap, see planEntry.result — and records its latency in
+// the tier histogram the entry's upgrade mark selects.
+func (s *Service) respond(e *planEntry, snap *statsSnapshot, start time.Time, hit, coalesced bool, reason TierReason) *Response {
+	res := e.result(snap)
+	upgraded := e.upgraded.Load()
 	if upgraded {
 		s.hists.backchaseUpgraded.Record(time.Since(start))
 	} else {
@@ -493,21 +507,21 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 	return &Response{
 		Result:     res,
 		Coalesced:  coalesced,
-		CacheHit:   res.BackchaseCached,
+		CacheHit:   hit,
 		Tier:       TierBackchase,
 		Upgraded:   upgraded,
 		TierReason: reason,
-	}, nil
+	}
 }
 
 // classify picks the adaptive-dispatch branch for a shape family under
-// two-tier serving. An upgraded plan-cache entry overrides a slow
-// prediction: the upgrade means the backchase-cheapest plan is sitting
-// in the cache, so the next flight is a ~ms cache hit regardless of how
-// long the enumeration that produced it took (the EWMA still remembers
-// the enumeration until a cache-hit landing overwrites it).
-func (s *Service) classify(key string) TierReason {
-	if s.wasUpgraded(key) {
+// two-tier serving: a shape whose finished plan is in the table (cached)
+// is predicted-fast — answering it is a lookup, however long the
+// enumeration that produced it took — and any other shape is routed by
+// its flight-latency EWMA, or budgeted when the predictor has never seen
+// it.
+func (s *Service) classify(key string, cached bool) TierReason {
+	if cached {
 		return ReasonPredictedFast
 	}
 	ewma, known := s.predictor.predict(key)
@@ -556,20 +570,20 @@ func (s *Service) greedyResult(req Request, st *cost.Stats) *optimizer.Result {
 }
 
 // SetStats atomically installs a new statistics snapshot (nil reverts to
-// uniform defaults) and invalidates the plan-cache entries whose
-// statistics fingerprint differs from the new snapshot's; it returns the
-// number invalidated. In-flight requests finish under the snapshot they
-// started with; requests arriving after the store see the new one.
-// Statistics-independent cache entries (exhaustive backchase runs)
-// survive every swap — their Results do not depend on stats, which only
-// rank the candidates per request.
+// uniform defaults) and drops the plan table entries of cost-bounded
+// searches run under a different fingerprint; it returns the number
+// dropped. In-flight requests finish under the snapshot they started
+// with; requests arriving after the store see the new one. Exhaustive
+// entries survive every swap — their enumeration does not depend on
+// statistics — and their first hit under the new snapshot re-ranks the
+// stored executable pool.
 func (s *Service) SetStats(st *cost.Stats) int {
 	snap := newSnapshot(st)
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	s.stats.Store(snap)
 	s.statsSwaps.Add(1)
-	return s.cache.InvalidateStats(snap.fp)
+	return s.table.invalidate(snap.fp)
 }
 
 // Stats returns the current statistics snapshot (nil when serving with
@@ -584,7 +598,7 @@ func (s *Service) Counters() Counters {
 		Requests:       s.requests.Load(),
 		Errors:         s.errors.Load(),
 		Coalesced:      s.coalesced.Load(),
-		Flights:        s.flights.Load(),
+		Flights:        s.table.misses.Load(),
 		BackchaseRuns:  s.backchaseRuns.Load(),
 		StatsSwaps:     s.statsSwaps.Load(),
 		GreedyServed:   s.greedyServed.Load(),
@@ -596,14 +610,14 @@ func (s *Service) Counters() Counters {
 	}
 }
 
-// CacheCounters returns the plan cache's aggregated counters.
-func (s *Service) CacheCounters() backchase.CacheCounters {
-	return s.cache.Counters()
+// CacheCounters returns the plan table's lifetime counters.
+func (s *Service) CacheCounters() CacheCounters {
+	return s.table.counters()
 }
 
-// CacheLen returns the number of plan-cache entries.
+// CacheLen returns the number of plan table entries.
 func (s *Service) CacheLen() int {
-	return s.cache.Len()
+	return s.table.size()
 }
 
 // ChaseMetrics returns the chase work counters shared by every flight.
@@ -612,9 +626,12 @@ func (s *Service) ChaseMetrics() *chase.Metrics {
 }
 
 // flightKey renders everything that decides a response — the canonical
-// query signature, the dependency set, the physical restriction, the
-// statistics fingerprint and the search mode — so two requests coalesce
-// exactly when an owner's result can serve both.
+// query signature, the dependency set, the physical restriction and, for
+// cost-bounded search, the statistics fingerprint the enumeration
+// depends on (boundFP) — so two requests share a flight, and a plan
+// table entry, exactly when one result can serve both. Exhaustive keys
+// carry no fingerprint: statistics only rank the pool, and a hit under
+// other statistics re-ranks it (planEntry.result).
 //
 // The signature comes from CanonicalSignature, which is invariant under
 // arbitrary variable renaming, binding reorder and condition
@@ -623,16 +640,8 @@ func (s *Service) ChaseMetrics() *chase.Metrics {
 // color-refinement and automorphism pruning (core/canon.go). Any two
 // alpha-equivalent requests — including adversarial tie-reordering
 // renames of same-range self-joins — therefore coalesce onto one flight
-// and share one cache entry. This matches the backchase plan-cache key,
-// which uses the same canonical form.
-//
-// This intentionally parallels (not shares) the backchase cacheKey: the
-// flight keys the *original* query before the chase while the plan cache
-// keys the universal plan after it, so the two signatures are computed
-// over different queries; only the deps rendering is repeated, and the
-// whole key build is a small slice of the ~300µs warm request
-// (BenchmarkServiceWarmOptimize).
-func flightKey(req Request, statsFP string, costBounded bool) string {
+// and share one plan table entry.
+func flightKey(req Request, boundFP string) string {
 	var b strings.Builder
 	b.WriteString(req.Query.CanonicalSignature())
 	b.WriteString("\x00deps\x00")
@@ -656,6 +665,7 @@ func flightKey(req Request, statsFP string, costBounded bool) string {
 	} else {
 		b.WriteString("<nil>")
 	}
-	fmt.Fprintf(&b, "\x00stats\x00%s\x00cb=%v", statsFP, costBounded)
+	b.WriteString("\x00stats\x00")
+	b.WriteString(boundFP)
 	return b.String()
 }

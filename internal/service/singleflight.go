@@ -4,9 +4,16 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"cnb/internal/optimizer"
 )
+
+// landing is what a flight delivers to every caller sharing it: the plan
+// table entry it produced, and hit when the flight found the entry
+// already stored (a flight for the key landed between the caller's
+// lookup and this flight's start) instead of running the optimizer.
+type landing struct {
+	e   *planEntry
+	hit bool
+}
 
 // flight is one in-progress optimization shared by every concurrent
 // request for the same flight key.
@@ -14,7 +21,7 @@ type flight struct {
 	// done is closed by the runner goroutine (under flightGroup.mu) after
 	// res/err are set.
 	done chan struct{}
-	res  *optimizer.Result
+	res  landing
 	err  error
 	// refs counts the callers currently interested in the outcome
 	// (guarded by flightGroup.mu). When the last one abandons the wait,
@@ -24,8 +31,8 @@ type flight struct {
 	cancel context.CancelFunc
 	// detached marks a flight that must run to completion regardless of
 	// callers (the tiered serving path): waiter timeouts and
-	// cancellations never cancel it, and its landing upgrades the plan
-	// cache for future requests. Guarded by flightGroup.mu.
+	// cancellations never cancel it, and its landing stores the plan
+	// table entry for future requests. Guarded by flightGroup.mu.
 	detached bool
 	// greedyServed records that at least one caller's latency budget
 	// expired and it was served the greedy tier instead of this flight's
@@ -49,28 +56,28 @@ type flight struct {
 // the first caller's, so request-scoped values still flow) and is
 // cancelled only when the last interested caller has left — unless the
 // flight is detached (doDetached), in which case it always runs to
-// completion so its result can upgrade the plan cache.
+// completion so its entry lands in the plan table.
 //
 // Outcomes are not memoized here: a flight is removed from the group the
-// moment it completes. Cross-request memoization is the plan cache's job
+// moment it completes. Cross-request memoization is the plan table's job
 // — keyed and invalidated there — so a failed or cancelled flight never
 // leaves a poisoned entry behind.
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[string]*flight
-	// onUpgrade, when set, is called (outside mu) after a detached
-	// flight that served at least one greedy-tier response completes
-	// without error — the moment the plan-cache entry for key stops
-	// serving the greedy plan and starts serving the backchase-cheapest
-	// one.
-	onUpgrade func(key string)
+	// onUpgrade, when set, is called (outside mu) with the landed entry
+	// after a detached flight that served at least one greedy-tier
+	// response completes without error — the moment the shape stops
+	// being served the greedy plan and starts being served the
+	// backchase-cheapest one.
+	onUpgrade func(e *planEntry)
 }
 
 // do runs fn once per key among concurrent callers. It returns fn's
 // outcome and whether this caller was coalesced onto another caller's
 // flight (false for the flight owner). All coalesced callers share the
-// owner's *optimizer.Result — read-only by package convention.
-func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Context) (*optimizer.Result, error)) (*optimizer.Result, bool, error) {
+// owner's landing — read-only by package convention.
+func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Context) (landing, error)) (landing, bool, error) {
 	f, coalesced := g.join(ctx, key, false, fn)
 	res, err := g.wait(ctx, key, f)
 	return res, coalesced, err
@@ -83,8 +90,8 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Contex
 // continues detached, surviving every caller's departure, and reports
 // its eventual landing through onUpgrade. Joining an existing flight
 // promotes it to detached: once any caller has been served the greedy
-// tier, the flight owes the cache an upgrade.
-func (g *flightGroup) doDetached(ctx context.Context, key string, budget time.Duration, fn func(context.Context) (*optimizer.Result, error)) (res *optimizer.Result, coalesced, landed bool, err error) {
+// tier, the flight owes the plan table an upgrade.
+func (g *flightGroup) doDetached(ctx context.Context, key string, budget time.Duration, fn func(context.Context) (landing, error)) (res landing, coalesced, landed bool, err error) {
 	f, coalesced := g.join(ctx, key, true, fn)
 	res, landed, err = g.waitBudget(ctx, f, budget)
 	return res, coalesced, landed, err
@@ -94,12 +101,12 @@ func (g *flightGroup) doDetached(ctx context.Context, key string, budget time.Du
 // timer and never waits. If the flight for key has already been started
 // and is still in the air, or is started here, the caller is marked
 // greedy-served and leaves immediately (landed=false) while the flight
-// continues detached and upgrades the plan cache when it lands. Used for
+// continues detached and stores its entry when it lands. Used for
 // shapes the latency predictor expects to miss the budget — for them the
 // budgeted wait is pure added latency with no chance of paying off.
 // (If the flight happens to land between join and the check below, its
 // real outcome is served, exactly like waitBudget's timer branch.)
-func (g *flightGroup) doImmediate(ctx context.Context, key string, fn func(context.Context) (*optimizer.Result, error)) (res *optimizer.Result, coalesced, landed bool, err error) {
+func (g *flightGroup) doImmediate(ctx context.Context, key string, fn func(context.Context) (landing, error)) (res landing, coalesced, landed bool, err error) {
 	f, coalesced := g.join(ctx, key, true, fn)
 	g.mu.Lock()
 	select {
@@ -111,13 +118,13 @@ func (g *flightGroup) doImmediate(ctx context.Context, key string, fn func(conte
 	f.greedyServed = true
 	f.refs--
 	g.mu.Unlock()
-	return nil, coalesced, false, nil
+	return landing{}, coalesced, false, nil
 }
 
 // join returns the live flight for key, starting one (and its runner
 // goroutine) if none exists. The second result reports whether the
 // caller joined an existing flight.
-func (g *flightGroup) join(ctx context.Context, key string, detached bool, fn func(context.Context) (*optimizer.Result, error)) (*flight, bool) {
+func (g *flightGroup) join(ctx context.Context, key string, detached bool, fn func(context.Context) (landing, error)) (*flight, bool) {
 	g.mu.Lock()
 	if g.flights == nil {
 		g.flights = map[string]*flight{}
@@ -144,7 +151,7 @@ func (g *flightGroup) join(ctx context.Context, key string, detached bool, fn fu
 // (waitBudget's timer branch, also under mu) either observes the landing
 // and serves it, or marks greedyServed before the landing is visible —
 // never both, never neither.
-func (g *flightGroup) run(key string, f *flight, fctx context.Context, fn func(context.Context) (*optimizer.Result, error)) {
+func (g *flightGroup) run(key string, f *flight, fctx context.Context, fn func(context.Context) (landing, error)) {
 	res, err := fn(fctx)
 	g.mu.Lock()
 	f.res, f.err = res, err
@@ -158,13 +165,13 @@ func (g *flightGroup) run(key string, f *flight, fctx context.Context, fn func(c
 	g.mu.Unlock()
 	f.cancel()
 	if upgraded && g.onUpgrade != nil {
-		g.onUpgrade(key)
+		g.onUpgrade(res.e)
 	}
 }
 
 // wait blocks until the flight completes or the caller's own context is
 // cancelled, whichever comes first.
-func (g *flightGroup) wait(ctx context.Context, key string, f *flight) (*optimizer.Result, error) {
+func (g *flightGroup) wait(ctx context.Context, key string, f *flight) (landing, error) {
 	select {
 	case <-f.done:
 		return f.res, f.err
@@ -184,17 +191,17 @@ func (g *flightGroup) wait(ctx context.Context, key string, f *flight) (*optimiz
 			}
 		}
 		g.mu.Unlock()
-		return nil, ctx.Err()
+		return landing{}, ctx.Err()
 	}
 }
 
 // waitBudget blocks until the flight lands, the budget expires, or the
 // caller's context is cancelled. landed reports that the flight's own
-// outcome is being returned; on a budget expiry it returns
-// (nil, false, nil) after marking the flight greedy-served, and on
-// caller cancellation (nil, false, ctx.Err()). The flight itself is
-// never cancelled from here — it is detached.
-func (g *flightGroup) waitBudget(ctx context.Context, f *flight, budget time.Duration) (*optimizer.Result, bool, error) {
+// outcome is being returned; on a budget expiry it returns an empty
+// landing and (false, nil) after marking the flight greedy-served, and
+// on caller cancellation (false, ctx.Err()). The flight itself is never
+// cancelled from here — it is detached.
+func (g *flightGroup) waitBudget(ctx context.Context, f *flight, budget time.Duration) (landing, bool, error) {
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
 	select {
@@ -204,7 +211,7 @@ func (g *flightGroup) waitBudget(ctx context.Context, f *flight, budget time.Dur
 		g.mu.Lock()
 		f.refs--
 		g.mu.Unlock()
-		return nil, false, ctx.Err()
+		return landing{}, false, ctx.Err()
 	case <-timer.C:
 		g.mu.Lock()
 		select {
@@ -217,6 +224,6 @@ func (g *flightGroup) waitBudget(ctx context.Context, f *flight, budget time.Dur
 		f.greedyServed = true
 		f.refs--
 		g.mu.Unlock()
-		return nil, false, nil
+		return landing{}, false, nil
 	}
 }
