@@ -4,12 +4,17 @@
 #                     full test suite, a race-detector pass over the
 #                     concurrency-heavy packages, a one-iteration
 #                     benchmark smoke so the benchmark harness itself
-#                     cannot rot, and bench-build.
+#                     cannot rot, bench-build, and examples.
 #   make bench-build - vet and test the cnbbench module. It is a module
 #                     of its own, so the root `go test ./...` never
 #                     compiles it; without this an API break in a
 #                     package it imports would surface only when the
 #                     benchmark runs.
+#   make examples   - build and run the offline examples; each exits
+#                     non-zero when its best plan fails to execute or
+#                     disagrees with the reference evaluation of its
+#                     query. go build ./... compiles them but never runs
+#                     them.
 #   make test       - fast feedback: plain test run, no race detector.
 #   make race       - race-detector run of the concurrency-heavy packages
 #                     (the parallel backchase engine and everything it
@@ -92,9 +97,9 @@ CNBD_ADDR ?= 127.0.0.1:18343
 EXEC_ROWS ?= 100000
 EXEC_TIMEOUT ?= 600
 
-.PHONY: ci vet build test race bench-smoke bench-build bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
+.PHONY: ci vet build test race bench-smoke bench-build examples bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
 
-ci: vet build test race bench-smoke bench-build
+ci: vet build test race bench-smoke bench-build examples
 
 vet:
 	$(GO) vet ./...
@@ -119,6 +124,16 @@ endif
 
 bench-build:
 	cd cnbbench && $(GO) vet . && $(GO) test .
+
+# The offline examples (cnbdclient needs a running server; serve-smoke
+# drives it).
+EXAMPLES = projdept quickstart mediator relational
+
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		echo "examples: $$e"; \
+		$(GO) run ./examples/$$e >/dev/null; \
+	done
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -162,8 +177,8 @@ serve-load:
 # The CI two-tier serving gate: the E20 cold-shape replay (not -short —
 # the three cold backchases are the point) plus the tiering, detachment
 # and degenerate-percentile suites, all race-instrumented, and the
-# greedy planner package's full suite including the row-engine
-# differential.
+# greedy planner package's full suite including its differential check
+# against eval.
 serve-cold:
 	$(GO) test -race -count=1 \
 		-run 'TestE20ColdTiered|TestTiered|TestDetachedFlight|TestWarmShape|TestPercentile|TestTieredOptimizeEndToEnd' \

@@ -4,12 +4,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"cnb/internal/core"
 	"cnb/internal/cost"
 	"cnb/internal/engine"
+	"cnb/internal/eval"
 	"cnb/internal/instance"
 	"cnb/internal/optimizer"
 	"cnb/internal/physical"
@@ -85,10 +87,18 @@ func main() {
 	fmt.Printf("\nuniversal plan:\n%s\n", res.Universal)
 	fmt.Printf("\nbest plan (est. cost %.1f):\n%s\n", res.Best.Cost, res.Best.Query)
 
-	// 6. Execute the chosen plan.
-	out, err := engine.Execute(res.Best.Query, in)
+	// 6. Execute the chosen plan and check it against the reference
+	// evaluation of the logical query.
+	out, err := engine.StreamExecute(context.Background(), res.Best.Query, in, engine.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nresult: %s\n", out)
+	want, err := eval.Query(q, in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !out.Equal(want) {
+		log.Fatalf("best plan result %s disagrees with the reference evaluation %s", out, want)
+	}
 }

@@ -5,12 +5,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"cnb/internal/core"
 	"cnb/internal/cost"
 	"cnb/internal/engine"
 	"cnb/internal/eval"
+	"cnb/internal/instance"
 	"cnb/internal/optimizer"
 	"cnb/internal/workload"
 )
@@ -36,12 +39,8 @@ func indexOnly() {
 		log.Fatal(err)
 	}
 	fmt.Printf("best plan (est. cost %.1f):\n%s\n\n", res.Best.Cost, res.Best.Query)
-	got, err := engine.Execute(res.Best.Query, in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	want, _ := eval.Query(sc.Q, in)
-	fmt.Printf("rows: %d; matches naive evaluation: %v\n\n", got.Len(), got.Equal(want))
+	checkBest(res.Best.Query, sc.Q, in)
+	fmt.Println()
 }
 
 func viewIndex() {
@@ -69,10 +68,23 @@ func viewIndex() {
 		fmt.Printf("  %d. cost %8.1f  uses %v\n", i+1, c.Cost, c.Query.SortedNames())
 	}
 	fmt.Printf("\nbest plan (est. cost %.1f):\n%s\n\n", res.Best.Cost, res.Best.Query)
-	got, err := engine.Execute(res.Best.Query, in)
+	checkBest(res.Best.Query, sc.Q, in)
+}
+
+// checkBest executes the chosen plan and exits non-zero unless its
+// result equals the naive evaluation of the logical query.
+func checkBest(plan, q *core.Query, in *instance.Instance) {
+	got, err := engine.StreamExecute(context.Background(), plan, in, engine.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, _ := eval.Query(sc.Q, in)
-	fmt.Printf("rows: %d; matches naive evaluation: %v\n", got.Len(), got.Equal(want))
+	want, err := eval.Query(q, in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	match := got.Equal(want)
+	fmt.Printf("rows: %d; matches naive evaluation: %v\n", got.Len(), match)
+	if !match {
+		log.Fatal("best plan disagrees with the naive evaluation of the query")
+	}
 }

@@ -35,9 +35,6 @@ import (
 type Options struct {
 	// Chase configures the embedded chase runs used by equivalence checks.
 	Chase chase.Options
-	// MaxPlans caps the number of distinct normal forms collected
-	// (0 = no cap).
-	MaxPlans int
 	// MaxStates caps the number of distinct intermediate subqueries
 	// explored (0 = default 100000), a safety valve for adversarial
 	// inputs — the search space is exponential in the number of
@@ -70,15 +67,6 @@ type Options struct {
 	// — production callers should leave it false. Only meaningful with
 	// Stats.
 	ScanOnlyBound bool
-	// TopK keeps only the K cheapest plans in the Result (0 = keep all).
-	// Only meaningful with Stats; it does not cut the search short — the
-	// cheapest-plan guarantee is unaffected.
-	TopK int
-	// CostBudget primes the pruning bound: states whose lower bound
-	// exceeds the budget are pruned even before any complete plan is
-	// found (0 = no budget). Only meaningful with Stats. A budget below
-	// the cheapest plan's cost can prune every plan.
-	CostBudget float64
 	// Index is a prebuilt chase dependency index over the same dependency
 	// set passed to Enumerate (chase.NewDepIndex(deps)); the optimizer
 	// shares the index of its chase phase this way. Nil means the engine
@@ -119,7 +107,7 @@ type Result struct {
 	// or normal form — when Options.Stats is set. It matches the
 	// exhaustive search's cheapest: pruning only discards states whose
 	// admissible lower bound exceeds a cost already achieved. +Inf if
-	// nothing was found (CostBudget below every plan), 0 without Stats.
+	// nothing was explored, 0 without Stats.
 	BestCost float64
 	// Truncated reports whether a cap stopped the enumeration early.
 	Truncated bool

@@ -15,7 +15,7 @@
 // size then renaming-invariant signature, explored states by removal-set
 // key), so for runs that complete without truncation or cancellation the
 // Result is identical for every Parallelism value and across repeated
-// runs. Under a MaxStates/MaxPlans cap or cancellation, *which* states
+// runs. Under the MaxStates cap or cancellation, *which* states
 // get explored depends on scheduling; only then can results differ.
 //
 // Each equivalence check works on a pristine Clone of the root's
@@ -222,14 +222,13 @@ type engine struct {
 	truncated atomic.Bool
 
 	// bound is the float64 bits of the pruning bound: the cheapest
-	// complete-plan cost found so far, primed by Options.CostBudget.
-	// It only ever decreases. Unused (+Inf) without Stats.
+	// complete-plan cost found so far. It only ever decreases. Unused
+	// (+Inf) without Stats.
 	bound atomic.Uint64
 	// best is the float64 bits of the cheapest cost achieved by an
 	// explored state or by any variant of a registered normal form's
 	// isomorphism class (variants of one plan can quick-estimate
-	// slightly differently), NOT primed by CostBudget — it is what
-	// Result.BestCost reports.
+	// slightly differently) — it is what Result.BestCost reports.
 	best atomic.Uint64
 
 	plansMu sync.Mutex
@@ -261,11 +260,7 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		seed:      maphash.MakeSeed(),
 		plans:     map[string]planEntry{},
 	}
-	initialBound := math.Inf(1)
-	if opts.Stats != nil && opts.CostBudget > 0 {
-		initialBound = opts.CostBudget
-	}
-	e.bound.Store(math.Float64bits(initialBound))
+	e.bound.Store(math.Float64bits(math.Inf(1)))
 	e.best.Store(math.Float64bits(math.Inf(1)))
 	for i := range e.shards {
 		e.shards[i].seen = map[string]bool{}
@@ -333,9 +328,10 @@ func (e *engine) boundValue() float64 {
 // noteCandidate lowers the pruning bound to the cost of a verified
 // equivalent plan that has been enqueued but not yet explored. The cost
 // is genuinely achievable, so it may prune — but it must not yet count
-// as Result.BestCost: under a CostBudget the state itself can still be
-// pruned before exploration, and BestCost only reports what the Result
-// actually contains.
+// as Result.BestCost: the state may never be explored (a cheaper
+// candidate can prune it at pop, or MaxStates or cancellation can stop
+// the run first), and BestCost only reports what the Result actually
+// contains.
 func (e *engine) noteCandidate(c float64) {
 	shrinkAtomicMin(&e.bound, c)
 }
@@ -433,41 +429,21 @@ func (e *engine) firstErr() error {
 	return e.err
 }
 
-// plansFull reports whether the MaxPlans cap has been reached.
-func (e *engine) plansFull() bool {
-	if e.opts.MaxPlans <= 0 {
-		return false
-	}
-	e.plansMu.Lock()
-	defer e.plansMu.Unlock()
-	return len(e.plans) >= e.opts.MaxPlans
-}
-
 // addPlan normalizes and registers a normal form, deduplicating by
-// renaming-invariant signature and honoring the MaxPlans cap. Two
-// distinct states can normalize to isomorphic plans with the same
-// signature but different variable names (symmetric self-joins); the
-// representative kept is the one with the lexicographically smallest
-// canonical rendering, not whichever worker arrived first, so the
-// reported plan set is independent of scheduling.
+// renaming-invariant signature. Two distinct states can normalize to
+// isomorphic plans with the same signature but different variable names
+// (symmetric self-joins); the representative kept is the one with the
+// lexicographically smallest canonical rendering, not whichever worker
+// arrived first, so the reported plan set is independent of scheduling.
 func (e *engine) addPlan(cur *core.Query) {
 	plan := normalizeIndexed(context.Background(), cur, e.depIndex, e.opts.Chase)
 	cost := math.NaN()
 	if e.opts.Stats != nil {
 		cost = e.costPlan(plan)
-		// The cost is achieved by the search whether or not the plan
-		// lands in the (possibly MaxPlans-capped) result, so it may
-		// tighten the pruning bound — but BestCost only reports plans
-		// whose isomorphism class the Result actually contains, so
-		// noteAchieved waits until the plan is registered below.
-		e.noteCandidate(cost)
 	}
 	psig := plan.CanonicalSignature()
 	e.plansMu.Lock()
-	prev, dup := e.plans[psig]
-	full := e.opts.MaxPlans > 0 && len(e.plans) >= e.opts.MaxPlans
-	switch {
-	case dup:
+	if prev, dup := e.plans[psig]; dup {
 		// Isomorphic variants of one plan carry different variable
 		// names (their canonical orders agree up to renaming); the
 		// entry keeps the representative with the lexicographically
@@ -482,16 +458,12 @@ func (e *engine) addPlan(cur *core.Query) {
 			ent.cost = cost
 		}
 		e.plans[psig] = ent
-	case !full:
+	} else {
 		e.plans[psig] = planEntry{q: plan, cost: cost}
 	}
 	e.plansMu.Unlock()
-	if e.opts.Stats != nil && (dup || !full) {
+	if e.opts.Stats != nil {
 		e.noteAchieved(cost)
-	}
-	if !dup && full {
-		e.truncated.Store(true)
-		e.queue.stop()
 	}
 }
 
@@ -656,10 +628,6 @@ func (e *engine) process(ctx context.Context, w *worker, it stateItem) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if e.plansFull() {
-			e.truncated.Store(true)
-			return nil
-		}
 		full, fullKey, sub := e.buildCandidate(it.removed, b.Var)
 		if sub == nil {
 			continue
@@ -766,9 +734,6 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 	res.Plans = e.sortedPlans()
 	if e.opts.Stats != nil {
 		res.BestCost = math.Float64frombits(e.best.Load())
-		if e.opts.TopK > 0 && len(res.Plans) > e.opts.TopK {
-			res.Plans = res.Plans[:e.opts.TopK]
-		}
 	}
 
 	err := e.firstErr()

@@ -154,81 +154,3 @@ func TestPrunedSerialDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestCostBudgetPrunesEverything pins the CostBudget semantics: a budget
-// below every reachable plan's lower bound prunes the root itself, so the
-// run finishes with no plans and an infinite BestCost.
-func TestCostBudgetPrunesEverything(t *testing.T) {
-	q := &core.Query{
-		Out: core.Prj(core.V("x0"), "A"),
-		Bindings: []core.Binding{
-			{Var: "x0", Range: core.Name("R")},
-			{Var: "x1", Range: core.Name("R")},
-		},
-		Conds: []core.Cond{{L: core.V("x0"), R: core.V("x1")}},
-	}
-	stats := cost.NewStats()
-	stats.Card["R"] = 1000
-	res, err := Enumerate(q, nil, Options{Stats: stats, CostBudget: 0.5, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pruned == 0 {
-		t.Error("budget below every lower bound must prune")
-	}
-	if res.States != 0 || len(res.Plans) != 0 {
-		t.Errorf("states = %d, plans = %d; want 0, 0 under an impossible budget",
-			res.States, len(res.Plans))
-	}
-	if !math.IsInf(res.BestCost, 1) {
-		t.Errorf("BestCost = %v, want +Inf", res.BestCost)
-	}
-}
-
-// TestCostBudgetGenerousKeepsCheapest: a budget far above the cheapest
-// plan changes nothing about the cheapest plan found.
-func TestCostBudgetGenerousKeepsCheapest(t *testing.T) {
-	q := redundantTriple()
-	stats := cost.NewStats()
-	stats.Card["R"] = 100
-	free, err := Enumerate(q, nil, Options{Stats: stats, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgeted, err := Enumerate(q, nil, Options{Stats: stats, CostBudget: 1e9, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.BestCost != budgeted.BestCost {
-		t.Errorf("BestCost %v with budget vs %v without", budgeted.BestCost, free.BestCost)
-	}
-}
-
-// TestTopKLimitsPlans: TopK returns only the K cheapest plans without
-// affecting BestCost.
-func TestTopKLimitsPlans(t *testing.T) {
-	deps := projDeptDeps()
-	chased, err := chase.Chase(projDeptQuery(), deps, chase.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := cost.NewStats()
-	stats.Card["Proj"] = 5000
-	all, err := Enumerate(chased.Query, deps, Options{Stats: stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all.Plans) < 2 {
-		t.Skipf("need >= 2 plans to exercise TopK, got %d", len(all.Plans))
-	}
-	top, err := Enumerate(chased.Query, deps, Options{Stats: stats, TopK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top.Plans) != 1 {
-		t.Errorf("TopK=1 returned %d plans", len(top.Plans))
-	}
-	if top.BestCost != all.BestCost {
-		t.Errorf("TopK changed BestCost: %v vs %v", top.BestCost, all.BestCost)
-	}
-}

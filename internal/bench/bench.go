@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -524,12 +525,12 @@ func E8() (*Table, error) {
 	return tb, nil
 }
 
-// timePlan compiles and runs a plan via the engine, returning the
-// elapsed wall-clock time (panics on execution errors: E8's plans are
-// hand-validated elsewhere in the suite).
+// timePlan compiles and runs a plan on the streaming engine, returning
+// the elapsed wall-clock time (panics on execution errors: E8's plans
+// are hand-validated elsewhere in the suite).
 func timePlan(q *core.Query, in *instance.Instance) time.Duration {
 	start := time.Now()
-	if _, err := engine.Execute(q, in); err != nil {
+	if _, err := engine.StreamExecute(context.Background(), q, in, engine.StreamOptions{}); err != nil {
 		panic(err)
 	}
 	return time.Since(start)
@@ -865,7 +866,7 @@ func e14ExecGen() workload.StarGenOptions {
 // admissible bound (cost.Stats.LowerBound) against PR 2's scan-only floor
 // (cost.Stats.ScanFloor) on the E13 workloads, and calibrates the cost
 // model against measured executions — every exhaustive minimal plan is
-// compiled and run through the pull-based engine on a generated instance,
+// compiled and run on the streaming engine on a generated instance,
 // recording measured work (probes + rows) and wall time next to the
 // estimate.
 //

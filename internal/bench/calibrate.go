@@ -1,5 +1,5 @@
-// Measured-cost calibration: execute candidate plans through the
-// pull-based engine operators and put the measured work profile next to
+// Measured-cost calibration: execute candidate plans on the streaming
+// engine that serves /query and put the measured work profile next to
 // the cost model's estimate. This closes the loop the cost-bounded
 // backchase depends on — pruning is only as trustworthy as the estimates
 // backing the bound, so E14 and the randomized calibration suite check
@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -60,8 +61,9 @@ type CalibrationPoint struct {
 	Plan *core.Query
 	// Est is the cost model's estimate of that executable form.
 	Est float64
-	// Measured is the engine's work profile of the run (probes, rows,
-	// output rows); Measured.Cost() is the machine-independent scalar.
+	// Measured is the streaming engine's work profile of the run
+	// (probes, rows, output rows); Measured.Cost() is the
+	// machine-independent scalar.
 	Measured engine.Measure
 	// Wall is the wall-clock time of the run (machine-dependent; reported
 	// in E14 tables, never asserted on).
@@ -85,12 +87,12 @@ func CalibratePlans(stats *cost.Stats, plans []*core.Query, in *instance.Instanc
 	for i, p := range plans {
 		exec := stats.Reorder(planrewrite.SimplifyLookups(p))
 		est, _ := stats.Estimate(exec)
-		plan, err := engine.Compile(exec, in)
+		plan, err := engine.CompileStream(exec, in, engine.StreamOptions{})
 		if err != nil {
 			return nil, 0, fmt.Errorf("calibrate plan %d: %w", i, err)
 		}
 		start := time.Now()
-		res, err := plan.Run()
+		res, err := plan.Run(context.Background())
 		if err != nil {
 			var lookupErr *eval.ErrLookupFailed
 			if errors.As(err, &lookupErr) {
@@ -137,11 +139,11 @@ func DeliveredMeasured(stats *cost.Stats, pool []*core.Query, in *instance.Insta
 		return cands[i].sig < cands[j].sig
 	})
 	for _, c := range cands {
-		plan, err := engine.Compile(c.exec, in)
+		plan, err := engine.CompileStream(c.exec, in, engine.StreamOptions{})
 		if err != nil {
 			return 0, fmt.Errorf("delivered plan: %w", err)
 		}
-		if _, err := plan.Run(); err != nil {
+		if _, err := plan.Run(context.Background()); err != nil {
 			var lookupErr *eval.ErrLookupFailed
 			if errors.As(err, &lookupErr) {
 				continue

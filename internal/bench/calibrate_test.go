@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,8 +9,56 @@ import (
 	"cnb/internal/backchase"
 	"cnb/internal/chase"
 	"cnb/internal/cost"
+	"cnb/internal/engine"
 	"cnb/internal/workload"
 )
+
+// TestCalibrationMeasuresServingEngine: on the first E14 workload every
+// calibration point's Measured is exactly the work profile the serving
+// path reports for the same executable plan on the same instance —
+// compiled with the options Service.Query uses — so the cost model is
+// calibrated against the executor that serves.
+func TestCalibrationMeasuresServingEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("enumerates a full E14 lattice and executes every minimal plan")
+	}
+	wl := e13Workloads()[0]
+	s, err := workload.NewStar(wl.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chased, err := chase.Chase(s.Q, s.Deps, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := s.Generate(e14ExecGen())
+	stats := cost.FromInstance(in)
+	pts, _, err := CalibratePlans(stats, ex.Plans, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) == 0 {
+		t.Fatal("no calibration points")
+	}
+	for i, pt := range pts {
+		p, err := engine.CompileStream(pt.Plan, in, engine.StreamOptions{Stats: stats, Buffer: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if m := p.Measure(); m != pt.Measured || out.Len() != pt.Rows {
+			t.Errorf("point %d: calibration measured %+v (%d rows), serving engine %+v (%d rows)\n%s",
+				i, pt.Measured, pt.Rows, m, out.Len(), pt.Plan)
+		}
+	}
+}
 
 // TestCalibrationSoundnessRandomized is the measured-cost counterpart of
 // the backchase package's estimate-level differential suite: on >= 60

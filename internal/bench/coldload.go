@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"time"
 
-	"cnb/internal/engine"
+	"cnb/internal/eval"
 	"cnb/internal/service"
 	"cnb/internal/workload"
 )
@@ -37,9 +37,9 @@ const (
 	e20MaxBudget = 200 * time.Millisecond
 )
 
-// e20Gen is the differential-check instance size: small enough that the
-// row engine evaluates the ORIGINAL query (no helpful access paths, so
-// nested scans) in well under a second per shape, fixed seed so the
+// e20Gen is the differential-check instance size: small enough that
+// eval.QueryEager evaluates the ORIGINAL query (no helpful access paths,
+// so nested scans) in well under a second per shape, fixed seed so the
 // greedy_check_rows gate is exact.
 var e20Gen = workload.StarGenOptions{NumFact: 1500, NumDim: 300, NumSub: 200, DomA: 50, Seed: 2025}
 
@@ -85,7 +85,7 @@ func e20Service(budget time.Duration) *service.Service {
 //  2. tiered pass — every shape cold on a fresh service with the budget:
 //     each response MUST come from the greedy tier, and each greedy plan
 //     is differentially checked through the full /query execution path
-//     (streaming engine) against the row engine's evaluation of the
+//     (streaming engine) against the reference evaluator's result for the
 //     original query on a seeded instance — row-identical or the
 //     experiment fails.
 //  3. upgrade pass — after the detached flights land (counted by the
@@ -163,7 +163,7 @@ func E20() (*Table, error) {
 	// Differential check, on a scratch tiered service where every request
 	// is cold and therefore guaranteed greedy-tier: serve each shape
 	// through the full /query path (greedy plan on the streaming engine)
-	// and compare against the row engine's evaluation of the original
+	// and compare against the reference evaluator's result for the original
 	// query on the same seeded instance.
 	scratch := e20Service(budget)
 	var checkRows int
@@ -179,16 +179,16 @@ func E20() (*Table, error) {
 		if got.Optimize == nil || got.Optimize.Tier != service.TierGreedy {
 			return nil, fmt.Errorf("E20 %s: differential request was not served by the greedy tier", sh.Name)
 		}
-		want, err := engine.Execute(sh.Req.Query, sh.Star.Generate(e20Gen))
+		want, err := eval.QueryEager(sh.Req.Query, sh.Star.Generate(e20Gen))
 		if err != nil {
-			return nil, fmt.Errorf("E20 %s: row engine: %w", sh.Name, err)
+			return nil, fmt.Errorf("E20 %s: eval: %w", sh.Name, err)
 		}
 		if got.ResultRows != want.Len() || len(got.Rows) != want.Len() {
-			return nil, fmt.Errorf("E20 %s: served %d rows, row engine %d", sh.Name, got.ResultRows, want.Len())
+			return nil, fmt.Errorf("E20 %s: served %d rows, eval %d", sh.Name, got.ResultRows, want.Len())
 		}
 		for _, v := range got.Rows {
 			if !want.Contains(v) {
-				return nil, fmt.Errorf("E20 %s: served row %s not in row-engine result", sh.Name, v)
+				return nil, fmt.Errorf("E20 %s: served row %s not in eval result", sh.Name, v)
 			}
 		}
 		sh.checkRows = want.Len()
@@ -257,7 +257,7 @@ func E20() (*Table, error) {
 		},
 		Notes: []string{
 			fmt.Sprintf("adaptive budget %v (sync p99 / 20, clamped to [%v, %v])", budget.Round(time.Millisecond), e20MinBudget, e20MaxBudget),
-			fmt.Sprintf("cold p99 %v -> %v (%.0fx) with every greedy plan row-identical to the row engine", syncP99.Round(time.Millisecond), tieredP99.Round(time.Millisecond), speedup),
+			fmt.Sprintf("cold p99 %v -> %v (%.0fx) with every greedy plan row-identical to eval", syncP99.Round(time.Millisecond), tieredP99.Round(time.Millisecond), speedup),
 		},
 	}
 	for _, sh := range shapes {

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cnb/internal/engine"
+	"cnb/internal/eval"
 	"cnb/internal/service"
 	"cnb/internal/workload"
 )
@@ -177,7 +177,7 @@ func (sc *e19Scenario) service() (*service.Service, error) {
 // Optimize (plan cache + singleflight) followed by streaming execution
 // of the delivered plan against a registered 20k-row star instance.
 // Before the replay, both query shapes are differentially checked — the
-// served result set must equal the row engine's evaluation of the
+// served result set must equal the reference evaluator's result for the
 // original logical query — and the experiment hard-fails on any
 // mismatch, so the correctness claim travels with the experiment.
 //
@@ -199,7 +199,7 @@ func E19() (*Table, error) {
 	}
 
 	// Differential anchor: serve each shape once on a scratch service
-	// and compare against the row engine's evaluation of the original
+	// and compare against the reference evaluator's result for the original
 	// logical query on the same instance.
 	scratch, err := sc.service()
 	if err != nil {
@@ -213,16 +213,16 @@ func E19() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E19 %s: query: %w", lq.Name, err)
 		}
-		want, err := engine.Execute(lq.Req.Query, in)
+		want, err := eval.QueryEager(lq.Req.Query, in)
 		if err != nil {
-			return nil, fmt.Errorf("E19 %s: row engine: %w", lq.Name, err)
+			return nil, fmt.Errorf("E19 %s: eval: %w", lq.Name, err)
 		}
 		if got.ResultRows != want.Len() || len(got.Rows) != want.Len() {
-			return nil, fmt.Errorf("E19 %s: served %d rows, row engine %d", lq.Name, got.ResultRows, want.Len())
+			return nil, fmt.Errorf("E19 %s: served %d rows, eval %d", lq.Name, got.ResultRows, want.Len())
 		}
 		for _, v := range got.Rows {
 			if !want.Contains(v) {
-				return nil, fmt.Errorf("E19 %s: served row %s not in row-engine result", lq.Name, v)
+				return nil, fmt.Errorf("E19 %s: served row %s not in eval result", lq.Name, v)
 			}
 		}
 	}
@@ -279,7 +279,7 @@ func E19() (*Table, error) {
 	tb.Notes = append(tb.Notes,
 		fmt.Sprintf("mix: 2 star shapes (narrow + project-all) over one 20k-row instance, %d requests per worker count, alpha-rename rate 0.5, seed 19, MinimalOnly serving with synthetic stats", requests),
 		"each request optimizes through the plan cache/singleflight, then executes the delivered plan on the streaming engine against the registered instance",
-		"served result sets are differentially checked against the row engine before the replay; the experiment hard-fails on any mismatch",
+		"served result sets are differentially checked against eval.QueryEager before the replay; the experiment hard-fails on any mismatch",
 		"workers=1 counters are deterministic and gated exactly (cache_hits, cache_misses, backchase_runs, hit_rate, query_evals, query_rows, query_out_rows, result_rows); wall-clock numbers are informational")
 	return tb, nil
 }

@@ -121,8 +121,8 @@ func (b *Batch) env(i int) eval.Env {
 // materializing an environment map: variables resolve to column entries,
 // everything else mirrors eval.Term exactly — including returning
 // *eval.ErrLookupFailed for a failing lookup on an absent key, so callers
-// (and the calibration harness) can classify execution errors the same
-// way for both engines.
+// (and the calibration harness) classify execution errors exactly as
+// they would the reference evaluator's.
 func batchEval(t *core.Term, b *Batch, i int, in *instance.Instance) (instance.Value, error) {
 	switch t.Kind {
 	case core.KVar:

@@ -1,6 +1,6 @@
 // Package engine is the physical execution engine: it compiles a PC plan
-// into a tree of pull-based operators (scans, dictionary lookups, filters,
-// projections, deduplication) and runs it against an instance.
+// into a tree of pull-based batch operators (scans, dictionary lookups,
+// hash joins, filters) and runs it against an instance.
 //
 // Unlike the reference evaluator (package eval), the engine exploits the
 // physical distinctions that motivate the paper: a dictionary lookup is a
@@ -8,41 +8,20 @@
 // (join-index navigation) run in time proportional to their result, not to
 // the base data. The E8 experiment measures exactly this difference.
 //
-// Two executors share the package: the row-at-a-time engine
-// (Compile/Execute, this file) is the measured-cost reference, and the
-// streaming batch engine (CompileStream/StreamExecute) processes
-// columnar batches with predicate pushdown, hash joins and buffered
-// pipelining at data scale. Both report the same Counters/Measure
-// currency, so the E14 calibration and the E18 gates consume either
-// engine unchanged.
+// One executor lives here: the streaming batch engine
+// (CompileStream/StreamExecute) processes columnar batches with predicate
+// pushdown, hash joins and buffered pipelining. It serves every /query,
+// and its Counters/Measure profile is what the E14 calibration and the
+// E18 gates record, so the cost model is calibrated against the executor
+// that serves. Package eval is the result reference every test checks
+// it against.
 //
-// Concurrency: compiled plans and their operators are single-consumer —
-// neither a Plan nor a StreamPlan may be driven by more than one
-// goroutine at a time (buffered streaming stages spawn internal
-// producer goroutines, but the Open/Next/Close surface remains
+// Concurrency: a compiled StreamPlan is single-consumer — it may not be
+// driven by more than one goroutine at a time (buffered stages spawn
+// internal producer goroutines, but the Open/Next/Close surface remains
 // single-threaded). Plans are cheap to compile; build one per
 // goroutine. Instances are read-only during execution.
 package engine
-
-import (
-	"fmt"
-
-	"cnb/internal/core"
-	"cnb/internal/eval"
-	"cnb/internal/instance"
-)
-
-// Operator is a pull-based iterator producing environment rows.
-type Operator interface {
-	// Open resets the operator; it must be called before Next.
-	Open() error
-	// Next returns the next row, or nil at end of stream.
-	Next() (eval.Env, error)
-	// Describe renders the operator subtree, for EXPLAIN-style output.
-	Describe(indent string) string
-	// Counters returns the work counters accumulated since the last Open.
-	Counters() Counters
-}
 
 // Counters is the work profile of one operator since its last Open:
 // Evals counts range/condition evaluations (for a lookup scan, one Eval
@@ -60,238 +39,6 @@ func (c *Counters) add(o Counters) {
 	c.Rows += o.Rows
 }
 
-// --- scan over a binding range ------------------------------------------
-
-// bindScan iterates one from-clause binding: for every input row, evaluate
-// the range term (a set: relation scan, dom scan, entry scan or
-// non-failing lookup) and emit the row extended with the binding variable.
-type bindScan struct {
-	in    *instance.Instance
-	child Operator
-	v     string
-	rng   *core.Term
-
-	cur   eval.Env
-	elems []instance.Value
-	pos   int
-	done  bool
-	ctrs  Counters
-}
-
-func (b *bindScan) Open() error {
-	b.cur = nil
-	b.elems = nil
-	b.pos = 0
-	b.done = false
-	b.ctrs = Counters{}
-	if b.child != nil {
-		return b.child.Open()
-	}
-	return nil
-}
-
-func (b *bindScan) Counters() Counters { return b.ctrs }
-
-func (b *bindScan) Next() (eval.Env, error) {
-	for {
-		if b.cur == nil {
-			if b.child == nil {
-				if b.done {
-					return nil, nil
-				}
-				b.done = true
-				b.cur = eval.Env{}
-			} else {
-				row, err := b.child.Next()
-				if err != nil {
-					return nil, err
-				}
-				if row == nil {
-					return nil, nil
-				}
-				b.cur = row
-			}
-			b.ctrs.Evals++
-			val, err := eval.Term(b.rng, b.cur, b.in)
-			if err != nil {
-				return nil, err
-			}
-			set, ok := val.(*instance.Set)
-			if !ok {
-				return nil, fmt.Errorf("engine: range %s is not a set", b.rng)
-			}
-			b.elems = set.Elems()
-			b.pos = 0
-		}
-		if b.pos < len(b.elems) {
-			row := b.cur.Clone()
-			row[b.v] = b.elems[b.pos]
-			b.pos++
-			b.ctrs.Rows++
-			return row, nil
-		}
-		b.cur = nil
-	}
-}
-
-func (b *bindScan) Describe(indent string) string {
-	kind := "Scan"
-	switch b.rng.Kind {
-	case core.KDom:
-		kind = "DomScan"
-	case core.KLookup:
-		if b.rng.NonFailing {
-			kind = "LookupScan(non-failing)"
-		} else {
-			kind = "LookupScan"
-		}
-	case core.KProj:
-		kind = "PathScan"
-	}
-	s := fmt.Sprintf("%s%s %s as %s\n", indent, kind, b.rng, b.v)
-	if b.child != nil {
-		s += b.child.Describe(indent + "  ")
-	}
-	return s
-}
-
-// --- filter ----------------------------------------------------------------
-
-type filter struct {
-	in    *instance.Instance
-	child Operator
-	conds []core.Cond
-	ctrs  Counters
-}
-
-func (f *filter) Open() error {
-	f.ctrs = Counters{}
-	return f.child.Open()
-}
-
-func (f *filter) Counters() Counters { return f.ctrs }
-
-func (f *filter) Next() (eval.Env, error) {
-	for {
-		row, err := f.child.Next()
-		if err != nil || row == nil {
-			return nil, err
-		}
-		f.ctrs.Evals++
-		ok := true
-		for _, c := range f.conds {
-			l, err := eval.Term(c.L, row, f.in)
-			if err != nil {
-				return nil, err
-			}
-			r, err := eval.Term(c.R, row, f.in)
-			if err != nil {
-				return nil, err
-			}
-			if l.Key() != r.Key() {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			f.ctrs.Rows++
-			return row, nil
-		}
-	}
-}
-
-func (f *filter) Describe(indent string) string {
-	s := fmt.Sprintf("%sFilter %v\n", indent, f.conds)
-	return s + f.child.Describe(indent+"  ")
-}
-
-// --- plan --------------------------------------------------------------
-
-// Plan is a compiled, executable query plan.
-type Plan struct {
-	root    Operator
-	ops     []Operator // every operator of the tree, for Measure
-	out     *core.Term
-	in      *instance.Instance
-	query   *core.Query
-	outRows int64 // rows reaching the projection in the last Run (pre-dedup)
-}
-
-// Compile builds an operator tree for the plan's binding order: a chain of
-// binding scans with filters placed at the earliest position where their
-// variables are bound (selection pushdown).
-func Compile(q *core.Query, in *instance.Instance) (*Plan, error) {
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	pos := map[string]int{}
-	for i, b := range q.Bindings {
-		pos[b.Var] = i
-	}
-	condAt := make([][]core.Cond, len(q.Bindings)+1)
-	for _, c := range q.Conds {
-		last := -1
-		for v := range c.L.Vars() {
-			if p, ok := pos[v]; ok && p > last {
-				last = p
-			}
-		}
-		for v := range c.R.Vars() {
-			if p, ok := pos[v]; ok && p > last {
-				last = p
-			}
-		}
-		condAt[last+1] = append(condAt[last+1], c)
-	}
-	var root Operator
-	var ops []Operator
-	push := func(op Operator) {
-		root = op
-		ops = append(ops, op)
-	}
-	// Constant conditions (no variables) become a level-0 filter below.
-	for i, b := range q.Bindings {
-		push(&bindScan{in: in, child: root, v: b.Var, rng: b.Range})
-		if len(condAt[i+1]) > 0 {
-			push(&filter{in: in, child: root, conds: condAt[i+1]})
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("engine: plan with no bindings")
-	}
-	if len(condAt[0]) > 0 {
-		push(&filter{in: in, child: root, conds: condAt[0]})
-	}
-	return &Plan{root: root, ops: ops, out: q.Out, in: in, query: q}, nil
-}
-
-// Run executes the plan and returns its result set. Counters are reset by
-// the Open, so Measure reflects the latest Run only; re-running the same
-// Plan re-Opens every operator and produces the same (deduplicated)
-// result set.
-func (p *Plan) Run() (*instance.Set, error) {
-	if err := p.root.Open(); err != nil {
-		return nil, err
-	}
-	p.outRows = 0
-	out := instance.NewSet()
-	for {
-		row, err := p.root.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return out, nil
-		}
-		v, err := eval.Term(p.out, row, p.in)
-		if err != nil {
-			return nil, err
-		}
-		p.outRows++
-		out.Add(v)
-	}
-}
-
 // Measure is the work profile of the last Run: the summed operator
 // counters plus the number of rows that reached the projection (before
 // set deduplication). Cost is the scalar proxy the calibration harness
@@ -305,28 +52,4 @@ type Measure struct {
 // Cost collapses the profile into one machine-independent work number.
 func (m Measure) Cost() float64 {
 	return float64(m.Evals + m.Rows + m.OutRows)
-}
-
-// Measure returns the work profile accumulated by the last Run.
-func (p *Plan) Measure() Measure {
-	var m Measure
-	for _, op := range p.ops {
-		m.add(op.Counters())
-	}
-	m.OutRows = p.outRows
-	return m
-}
-
-// Explain renders the operator tree.
-func (p *Plan) Explain() string {
-	return fmt.Sprintf("Project %s\n%s", p.out, p.root.Describe("  "))
-}
-
-// Execute compiles and runs a plan in one call.
-func Execute(q *core.Query, in *instance.Instance) (*instance.Set, error) {
-	p, err := Compile(q, in)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run()
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +10,25 @@ import (
 	"cnb/internal/instance"
 	"cnb/internal/workload"
 )
+
+// checkAgainstEval runs q on every stream variant and requires exactly
+// the reference evaluator's result set.
+func checkAgainstEval(t *testing.T, q *core.Query, in *instance.Instance) {
+	t.Helper()
+	want, err := eval.Query(q, in)
+	if err != nil {
+		t.Fatalf("eval: %v\n%s", err, q)
+	}
+	for vi, opts := range streamVariants() {
+		got, err := StreamExecute(context.Background(), q, in, opts)
+		if err != nil {
+			t.Fatalf("variant %d: %v\n%s", vi, err, q)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("variant %d: stream %s != eval %s\n%s", vi, got, want, q)
+		}
+	}
+}
 
 func TestExecuteMatchesEvalOnProjDept(t *testing.T) {
 	pd, err := workload.NewProjDept()
@@ -36,17 +56,7 @@ func TestExecuteMatchesEvalOnProjDept(t *testing.T) {
 		Bindings: []core.Binding{{Var: "p", Range: core.LkNF(core.Name("SI"), core.C("CitiBank"))}},
 	})
 	for _, q := range queries {
-		want, err := eval.Query(q, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Execute(q, in)
-		if err != nil {
-			t.Fatalf("engine failed: %v\n%s", err, q)
-		}
-		if !got.Equal(want) {
-			t.Errorf("engine result differs from eval:\n%s", q)
-		}
+		checkAgainstEval(t, q, in)
 	}
 }
 
@@ -71,25 +81,27 @@ func TestExecuteP4JoinIndexPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Execute(p4, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Error("P4 execution differs from Q")
+	for vi, opts := range streamVariants() {
+		got, err := StreamExecute(context.Background(), p4, in, opts)
+		if err != nil {
+			t.Fatalf("variant %d: %v", vi, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("variant %d: P4 execution differs from Q", vi)
+		}
 	}
 }
 
 func TestCompileRejectsBadPlans(t *testing.T) {
 	in := instance.NewInstance()
-	if _, err := Compile(&core.Query{Out: core.C(1)}, in); err == nil {
+	if _, err := CompileStream(&core.Query{Out: core.C(1)}, in, StreamOptions{}); err == nil {
 		t.Error("plan with no bindings must be rejected")
 	}
 	bad := &core.Query{
 		Out:      core.V("x"),
 		Bindings: []core.Binding{{Var: "x", Range: core.Prj(core.V("y"), "F")}},
 	}
-	if _, err := Compile(bad, in); err == nil {
+	if _, err := CompileStream(bad, in, StreamOptions{}); err == nil {
 		t.Error("ill-scoped plan must be rejected")
 	}
 }
@@ -100,8 +112,13 @@ func TestRunErrorsOnMissingName(t *testing.T) {
 		Out:      core.C(1),
 		Bindings: []core.Binding{{Var: "r", Range: core.Name("R")}},
 	}
-	if _, err := Execute(q, in); err == nil {
-		t.Error("missing schema name must error at run time")
+	if _, err := eval.Query(q, in); err == nil {
+		t.Fatal("eval must reject a missing schema name")
+	}
+	for vi, opts := range streamVariants() {
+		if _, err := StreamExecute(context.Background(), q, in, opts); err == nil {
+			t.Errorf("variant %d: missing schema name must error at run time", vi)
+		}
 	}
 }
 
@@ -111,12 +128,12 @@ func TestExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := pd.Generate(workload.GenOptions{Seed: 1})
-	p, err := Compile(pd.Q, in)
+	p, err := CompileStream(pd.Q, in, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex := p.Explain()
-	for _, frag := range []string{"Project", "Scan", "Filter"} {
+	for _, frag := range []string{"Project", "Scan", "pushdown="} {
 		if !strings.Contains(ex, frag) {
 			t.Errorf("Explain missing %q:\n%s", frag, ex)
 		}
@@ -133,7 +150,7 @@ func TestExplainShowsLookupKinds(t *testing.T) {
 		Out:      core.Prj(core.V("p"), "PName"),
 		Bindings: []core.Binding{{Var: "p", Range: core.LkNF(core.Name("SI"), core.C("CitiBank"))}},
 	}
-	p, err := Compile(p3, in)
+	p, err := CompileStream(p3, in, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,34 +170,24 @@ func TestConstantFalseCondition(t *testing.T) {
 		Bindings: []core.Binding{{Var: "p", Range: core.Name("Proj")}},
 		Conds:    []core.Cond{{L: core.C(1), R: core.C(2)}},
 	}
-	got, err := Execute(q, in)
+	got, err := StreamExecute(context.Background(), q, in, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
 		t.Error("false constant condition must produce empty result")
 	}
+	checkAgainstEval(t, q, in)
 }
 
-// TestEngineAgreesWithEvalProperty compares engine and eval on randomized
-// index-only workloads.
+// TestEngineAgreesWithEvalProperty compares the engine and eval on
+// randomized index-only workloads.
 func TestEngineAgreesWithEvalProperty(t *testing.T) {
 	sc, err := workload.NewIndexOnly(5, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		in := sc.Generate(100, 10, 10, seed)
-		want, err := eval.Query(sc.Q, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Execute(sc.Q, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("seed %d: engine differs from eval", seed)
-		}
+		checkAgainstEval(t, sc.Q, sc.Generate(100, 10, 10, seed))
 	}
 }

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"cnb/internal/core"
+	"cnb/internal/eval"
 	"cnb/internal/instance"
 )
 
@@ -45,7 +48,7 @@ func TestEmptyLookupMidChain(t *testing.T) {
 			{Var: "h", Range: core.LkNF(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
 		},
 	}
-	got, err := Execute(q, in)
+	got, err := StreamExecute(context.Background(), q, in, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +61,7 @@ func TestEmptyLookupMidChain(t *testing.T) {
 			t.Errorf("missing output %d in %s", want, got)
 		}
 	}
+	checkAgainstEval(t, q, in)
 }
 
 // TestEmptyLookupAtChainHead: a non-failing lookup over an empty bucket
@@ -71,19 +75,21 @@ func TestEmptyLookupAtChainHead(t *testing.T) {
 				{Var: "r", Range: core.LkNF(core.Name("IDX"), core.C(key))},
 			},
 		}
-		got, err := Execute(q, in)
+		got, err := StreamExecute(context.Background(), q, in, StreamOptions{})
 		if err != nil {
 			t.Fatalf("key %q: %v", key, err)
 		}
 		if got.Len() != 0 {
 			t.Errorf("key %q: got %d rows, want 0", key, got.Len())
 		}
+		checkAgainstEval(t, q, in)
 	}
 }
 
 // TestFailingLookupMidChainErrors: the failing form M[k] must surface
 // ErrLookupFailed when an outer row's key is absent, rather than skipping
-// the row (the guarded dom-loop is the only sound way to iterate it).
+// the row (the guarded dom-loop is the only sound way to iterate it) —
+// exactly as the reference evaluator does.
 func TestFailingLookupMidChainErrors(t *testing.T) {
 	in := chainInstance()
 	q := &core.Query{
@@ -93,19 +99,22 @@ func TestFailingLookupMidChainErrors(t *testing.T) {
 			{Var: "h", Range: core.Lk(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
 		},
 	}
-	if _, err := Execute(q, in); err == nil {
-		t.Fatal("failing lookup over a missing key must error")
+	var lf *eval.ErrLookupFailed
+	if _, err := eval.Query(q, in); !errors.As(err, &lf) {
+		t.Fatalf("eval: want ErrLookupFailed, got %v", err)
+	}
+	if _, err := StreamExecute(context.Background(), q, in, StreamOptions{}); !errors.As(err, &lf) {
+		t.Fatalf("engine: want ErrLookupFailed, got %v", err)
 	}
 }
 
 // TestRunRepeatsAfterReOpen: Run re-Opens the operator tree, so a second
-// Run of the same Plan yields an equal (deduplicated) result and a fresh
-// Measure — no state leaks across executions.
+// Run of the same StreamPlan yields an equal (deduplicated) result and a
+// fresh Measure — no state leaks across executions.
 func TestRunRepeatsAfterReOpen(t *testing.T) {
 	in := chainInstance()
-	// The projection collapses rows 100 and 101 onto their duplicate
-	// bucket membership — plus a self-join that produces duplicate output
-	// rows to exercise set deduplication.
+	// A self-join that produces duplicate output rows to exercise set
+	// deduplication.
 	q := &core.Query{
 		Out: core.Prj(core.V("a"), "A"),
 		Bindings: []core.Binding{
@@ -113,68 +122,106 @@ func TestRunRepeatsAfterReOpen(t *testing.T) {
 			{Var: "b", Range: core.LkNF(core.Name("IDX"), core.C("hit"))},
 		},
 	}
-	p, err := Compile(q, in)
+	want, err := eval.Query(q, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1 := p.Measure()
-	second, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := p.Measure()
-	if !first.Equal(second) {
-		t.Errorf("re-Open changed the result: %s vs %s", first, second)
-	}
-	// 3x3 join rows dedup to 3 distinct outputs.
-	if first.Len() != 3 {
-		t.Errorf("got %d distinct rows, want 3", first.Len())
-	}
-	if m1 != m2 {
-		t.Errorf("re-Open did not reset counters: %+v vs %+v", m1, m2)
-	}
-	if m1.OutRows != 9 {
-		t.Errorf("OutRows = %d, want 9 pre-dedup join rows", m1.OutRows)
+	for vi, opts := range streamVariants() {
+		p, err := CompileStream(q, in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m1 := p.Measure()
+		second, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2 := p.Measure()
+		if !first.Equal(want) || !second.Equal(want) {
+			t.Errorf("variant %d: runs %s, %s differ from eval %s", vi, first, second, want)
+		}
+		// 3x3 join rows dedup to 3 distinct outputs.
+		if first.Len() != 3 {
+			t.Errorf("variant %d: got %d distinct rows, want 3", vi, first.Len())
+		}
+		if m1 != m2 {
+			t.Errorf("variant %d: re-Open did not reset counters: %+v vs %+v", vi, m1, m2)
+		}
+		if m1.OutRows != 9 {
+			t.Errorf("variant %d: OutRows = %d, want 9 pre-dedup join rows", vi, m1.OutRows)
+		}
 	}
 }
 
 // TestMeasureCountsProbesAndRows pins the counter semantics the E14
 // calibration relies on: one Eval per range evaluation (a probe for
-// lookups), one Row per emitted binding row.
+// lookups), one Row per emitted binding row, and for a hash join one
+// Eval per build row keyed and per probe row.
 func TestMeasureCountsProbesAndRows(t *testing.T) {
-	in := chainInstance()
-	q := &core.Query{
-		Out: core.Prj(core.V("h"), "B"),
-		Bindings: []core.Binding{
-			{Var: "r", Range: core.LkNF(core.Name("IDX"), core.C("hit"))},
-			{Var: "h", Range: core.LkNF(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
+	joined := chainInstance()
+	joined.Bind("R", instance.NewSet(
+		instance.StructOf("K", instance.Int(1)),
+		instance.StructOf("K", instance.Int(2)),
+		instance.StructOf("K", instance.Int(3)),
+	))
+	joined.Bind("S", instance.NewSet(
+		instance.StructOf("K", instance.Int(1), "B", instance.Int(10)),
+		instance.StructOf("K", instance.Int(1), "B", instance.Int(11)),
+		instance.StructOf("K", instance.Int(2), "B", instance.Int(20)),
+		instance.StructOf("K", instance.Int(4), "B", instance.Int(40)),
+	))
+	cases := []struct {
+		name string
+		q    *core.Query
+		want Measure
+	}{
+		{
+			// IDX probed once (3 rows emitted), HOP probed once per
+			// outer row (3 probes, 2 rows emitted).
+			name: "lookup chain",
+			q: &core.Query{
+				Out: core.Prj(core.V("h"), "B"),
+				Bindings: []core.Binding{
+					{Var: "r", Range: core.LkNF(core.Name("IDX"), core.C("hit"))},
+					{Var: "h", Range: core.LkNF(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
+				},
+			},
+			want: Measure{Counters: Counters{Evals: 4, Rows: 5}, OutRows: 2},
+		},
+		{
+			// R scanned once (1 Eval, 3 rows); S hashed once (1 range
+			// Eval + 4 build rows keyed) and probed by each R row (3
+			// Evals), emitting 2+1+0 matches.
+			name: "hash join",
+			q: &core.Query{
+				Out: core.Prj(core.V("s"), "B"),
+				Bindings: []core.Binding{
+					{Var: "r", Range: core.Name("R")},
+					{Var: "s", Range: core.Name("S")},
+				},
+				Conds: []core.Cond{{L: core.Prj(core.V("s"), "K"), R: core.Prj(core.V("r"), "K")}},
+			},
+			want: Measure{Counters: Counters{Evals: 9, Rows: 6}, OutRows: 3},
 		},
 	}
-	p, err := Compile(q, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	m := p.Measure()
-	// IDX probed once (3 rows emitted), HOP probed once per outer row
-	// (3 probes, 2 rows emitted).
-	if m.Evals != 4 {
-		t.Errorf("Evals = %d, want 4 (1 IDX probe + 3 HOP probes)", m.Evals)
-	}
-	if m.Rows != 5 {
-		t.Errorf("Rows = %d, want 5 (3 IDX rows + 2 HOP rows)", m.Rows)
-	}
-	if m.OutRows != 2 {
-		t.Errorf("OutRows = %d, want 2", m.OutRows)
-	}
-	if m.Cost() != float64(4+5+2) {
-		t.Errorf("Cost = %v, want 11", m.Cost())
+	for _, tc := range cases {
+		p, err := CompileStream(tc.q, joined, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if m := p.Measure(); m != tc.want {
+			t.Errorf("%s: Measure = %+v, want %+v", tc.name, m, tc.want)
+		}
+		if c, want := p.Measure().Cost(), float64(tc.want.Evals+tc.want.Rows+tc.want.OutRows); c != want {
+			t.Errorf("%s: Cost = %v, want %v", tc.name, c, want)
+		}
 	}
 }
 
@@ -189,7 +236,7 @@ func TestDescribeGolden(t *testing.T) {
 		want string
 	}{
 		{
-			name: "scan+filter",
+			name: "scan with pushdown",
 			q: &core.Query{
 				Out: core.Prj(core.V("r"), "A"),
 				Bindings: []core.Binding{
@@ -198,8 +245,7 @@ func TestDescribeGolden(t *testing.T) {
 				Conds: []core.Cond{{L: core.Prj(core.V("r"), "A"), R: core.C(int64(10))}},
 			},
 			want: "Project r.A\n" +
-				"  Filter [r.A = 10]\n" +
-				"    Scan R as r\n",
+				"  BatchScan R as r pushdown=[r.A = 10]\n",
 		},
 		{
 			name: "lookup chain",
@@ -211,8 +257,8 @@ func TestDescribeGolden(t *testing.T) {
 				},
 			},
 			want: "Project h.B\n" +
-				"  LookupScan HOP[r.K] as h\n" +
-				"    LookupScan(non-failing) IDX{\"hit\"} as r\n",
+				"  BatchLookupScan HOP[r.K] as h\n" +
+				"    BatchLookupScan(non-failing) IDX{\"hit\"} as r\n",
 		},
 		{
 			name: "dom and path scans",
@@ -225,13 +271,34 @@ func TestDescribeGolden(t *testing.T) {
 				},
 			},
 			want: "Project x.B\n" +
-				"  PathScan x.Subs as p\n" +
-				"    LookupScan HOP[k] as x\n" +
-				"      DomScan dom(HOP) as k\n",
+				"  BatchPathScan x.Subs as p\n" +
+				"    BatchLookupScan HOP[k] as x\n" +
+				"      BatchDomScan dom(HOP) as k\n",
+		},
+		{
+			name: "hash join with pushdown and residual filter",
+			q: &core.Query{
+				Out: core.Prj(core.V("s"), "B"),
+				Bindings: []core.Binding{
+					{Var: "r", Range: core.Name("R")},
+					{Var: "s", Range: core.Name("S")},
+				},
+				Conds: []core.Cond{
+					{L: core.Prj(core.V("s"), "K"), R: core.Prj(core.V("r"), "K")},
+					{L: core.Prj(core.V("s"), "B"), R: core.C(int64(10))},
+					// One term mixing both variables: neither a build nor a
+					// probe key, so it stays a filter above the join.
+					{L: core.Struct(core.SF("A", core.Prj(core.V("s"), "K")), core.SF("B", core.Prj(core.V("r"), "K"))), R: core.V("r")},
+				},
+			},
+			want: "Project s.B\n" +
+				"  BatchFilter [struct(A: s.K, B: r.K) = r]\n" +
+				"    HashJoin S as s build=[s.K] probe=[r.K] pushdown=[s.B = 10]\n" +
+				"      BatchScan R as r\n",
 		},
 	}
 	for _, tc := range cases {
-		p, err := Compile(tc.q, in)
+		p, err := CompileStream(tc.q, in, StreamOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

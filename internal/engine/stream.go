@@ -55,15 +55,14 @@ func appendKey(sb *strings.Builder, v instance.Value) {
 
 // --- batch scan over a binding range ------------------------------------
 
-// batchScan is the streaming counterpart of bindScan with predicate
-// pushdown: for every input row it evaluates the range term (relation
-// scan, dom scan, entry scan, or dictionary lookup), and filters each
-// candidate element against the pushed-down predicates before the row is
-// ever materialized into the output batch. Counter semantics match the
-// row engine's scan+filter pair — one Eval per range evaluation, one Eval
-// per candidate row checked against predicates — except that rows
-// rejected by a pushed predicate are never counted as moved (Rows counts
-// only survivors), which is exactly the work pushdown saves.
+// batchScan iterates one from-clause binding with predicate pushdown: for
+// every input row it evaluates the range term (relation scan, dom scan,
+// entry scan, or dictionary lookup), and filters each candidate element
+// against the pushed-down predicates before the row is ever materialized
+// into the output batch. Counters: one Eval per range evaluation, one
+// Eval per candidate row checked against predicates; rows rejected by a
+// pushed predicate are never counted as moved (Rows counts only
+// survivors), which is exactly the work pushdown saves.
 type batchScan struct {
 	in    *instance.Instance
 	child StreamOperator
@@ -229,8 +228,8 @@ func (b *batchScan) Describe(indent string) string {
 
 // batchFilter applies conditions that could not be pushed into a scan or
 // turned into a hash-join key (for example an equality whose single term
-// mixes the new variable with earlier ones). Counter semantics match the
-// row engine's filter: one Eval per input row, one Row per survivor.
+// mixes the new variable with earlier ones). Counters: one Eval per input
+// row, one Row per survivor.
 type batchFilter struct {
 	in    *instance.Instance
 	child StreamOperator

@@ -30,7 +30,7 @@ func streamVariants() []StreamOptions {
 	}
 }
 
-func TestStreamMatchesRowEngineOnChain(t *testing.T) {
+func TestStreamMatchesEvalOnChain(t *testing.T) {
 	in := chainInstance()
 	queries := []*core.Query{
 		{ // non-failing lookup chain with holes
@@ -56,9 +56,9 @@ func TestStreamMatchesRowEngineOnChain(t *testing.T) {
 		},
 	}
 	for qi, q := range queries {
-		want, err := Execute(q, in)
+		want, err := eval.Query(q, in)
 		if err != nil {
-			t.Fatalf("q%d row engine: %v", qi, err)
+			t.Fatalf("q%d eval: %v", qi, err)
 		}
 		for vi, opts := range streamVariants() {
 			got, err := StreamExecute(context.Background(), q, in, opts)
@@ -66,7 +66,7 @@ func TestStreamMatchesRowEngineOnChain(t *testing.T) {
 				t.Fatalf("q%d variant %d: %v", qi, vi, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("q%d variant %d: stream %s != row %s", qi, vi, got, want)
+				t.Fatalf("q%d variant %d: stream %s != eval %s", qi, vi, got, want)
 			}
 		}
 	}
@@ -136,7 +136,7 @@ func TestHashJoinStraddle(t *testing.T) {
 		},
 		Conds: []core.Cond{{L: core.Prj(core.V("s"), "K"), R: core.Prj(core.V("f"), "K")}},
 	}
-	want, err := Execute(q, in)
+	want, err := eval.Query(q, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ func TestStreamEmptyInputs(t *testing.T) {
 }
 
 // TestStreamFailingLookup: a failing lookup on an absent key must surface
-// *eval.ErrLookupFailed exactly like the row engine, so calibration's
-// skip classification works unchanged on the streaming path.
+// *eval.ErrLookupFailed exactly like the reference evaluator, so
+// calibration's skip classification holds on every strategy.
 func TestStreamFailingLookup(t *testing.T) {
 	in := chainInstance()
 	q := &core.Query{
@@ -223,8 +223,8 @@ func TestStreamFailingLookup(t *testing.T) {
 			{Var: "h", Range: core.Lk(core.Name("HOP"), core.Prj(core.V("r"), "K"))},
 		},
 	}
-	if _, err := Execute(q, in); err == nil {
-		t.Fatal("row engine should fail on missing HOP key")
+	if _, err := eval.Query(q, in); err == nil {
+		t.Fatal("eval should fail on missing HOP key")
 	}
 	for vi, opts := range streamVariants() {
 		_, err := StreamExecute(context.Background(), q, in, opts)
@@ -298,7 +298,7 @@ func TestStreamEarlyTermination(t *testing.T) {
 // TestStreamDifferentialRandom is the randomized semantic gate: on 100
 // random star/snowflake instances the streaming engine (both physical
 // strategies, varying batch sizes and buffering) must produce exactly
-// the row engine's result set.
+// the reference evaluator's result set.
 func TestStreamDifferentialRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	batches := []int{1, 2, 7, 64, 0}
@@ -309,9 +309,9 @@ func TestStreamDifferentialRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := st.Generate(gen)
-		want, err := Execute(st.Q, in)
+		want, err := eval.QueryEager(st.Q, in)
 		if err != nil {
-			t.Fatalf("case %d: row engine: %v", i, err)
+			t.Fatalf("case %d: eval: %v", i, err)
 		}
 		for _, noHash := range []bool{false, true} {
 			opts := StreamOptions{
@@ -324,7 +324,7 @@ func TestStreamDifferentialRandom(t *testing.T) {
 				t.Fatalf("case %d (noHash=%v): %v", i, noHash, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("case %d (noHash=%v, cfg=%+v): stream %s != row %s", i, noHash, cfg, got, want)
+				t.Fatalf("case %d (noHash=%v, cfg=%+v): stream %s != eval %s", i, noHash, cfg, got, want)
 			}
 		}
 	}

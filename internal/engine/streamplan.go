@@ -46,9 +46,8 @@ type StreamPlan struct {
 }
 
 // CompileStream builds a streaming operator tree for the plan's binding
-// order. Like the row engine's Compile it places each condition at the
-// earliest binding where its variables are bound, but instead of
-// materializing a Filter operator the conditions are pushed down:
+// order. It places each condition at the earliest binding where its
+// variables are bound and pushes it down from there:
 //
 //   - conditions mentioning only the new variable (or constants) filter
 //     inside the scan, before the row is materialized;
@@ -194,8 +193,7 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 	p.outRows = 0
 	p.constEvals = 0
 	out := instance.NewSet()
-	// Variable-free conditions decide the whole run once, matching the
-	// row engine's level-0 filter.
+	// Variable-free conditions decide the whole run once.
 	empty := &Batch{schema: newBatchSchema(nil)}
 	for _, c := range p.constConds {
 		p.constEvals++
@@ -237,10 +235,9 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 	}
 }
 
-// Measure returns the work profile accumulated by the last Run, in the
-// same units as the row engine's (*Plan).Measure — Evals + Rows +
-// OutRows is directly comparable across the two engines and is what the
-// E18 execution gates record.
+// Measure returns the work profile accumulated by the last Run. Its
+// Cost (Evals + Rows + OutRows) is what the E14 calibration correlates
+// with the cost model and what the E18 execution gates record.
 func (p *StreamPlan) Measure() Measure {
 	var m Measure
 	for _, op := range p.ops {

@@ -182,8 +182,11 @@ func Query(q *core.Query, in *instance.Instance) (*instance.Set, error) {
 
 // QueryEager is Query with eager condition filtering: conditions are
 // checked as soon as all their variables are bound, pruning the nested
-// loops early. Semantically identical to Query; used by tests to validate
-// the pushdown reasoning the engine package relies on.
+// loops early. Semantically identical to Query, it is the data-scale
+// reference the streaming engine's results are checked against (E19,
+// E20 and the engine, service, greedy and optimizer tests), where
+// Query's filtering after the last binding would enumerate whole cross
+// products.
 func QueryEager(q *core.Query, in *instance.Instance) (*instance.Set, error) {
 	out := instance.NewSet()
 	// For each condition, the binding index after which it can be checked.

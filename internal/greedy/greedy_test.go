@@ -1,11 +1,13 @@
 package greedy
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"cnb/internal/core"
 	"cnb/internal/engine"
+	"cnb/internal/eval"
 	"cnb/internal/workload"
 )
 
@@ -142,9 +144,10 @@ func TestPlanDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// TestPlanRowIdentical: the greedy plan, run on the row engine, returns
-// exactly the rows of the original query on seeded star and snowflake
-// instances — the correctness contract the serving tier relies on.
+// TestPlanRowIdentical: the greedy plan, run on the streaming engine,
+// returns exactly the reference evaluator's rows for the original query
+// on seeded star and snowflake instances — the correctness contract the
+// serving tier relies on.
 func TestPlanRowIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -165,11 +168,11 @@ func TestPlanRowIdentical(t *testing.T) {
 			if err := plan.Validate(); err != nil {
 				t.Fatalf("greedy plan invalid: %v\n%s", err, plan)
 			}
-			got, err := engine.Execute(plan, in)
+			got, err := engine.StreamExecute(context.Background(), plan, in, engine.StreamOptions{})
 			if err != nil {
 				t.Fatalf("greedy plan: %v", err)
 			}
-			want, err := engine.Execute(st.Q, in)
+			want, err := eval.QueryEager(st.Q, in)
 			if err != nil {
 				t.Fatalf("original query: %v", err)
 			}

@@ -43,9 +43,9 @@ type Options struct {
 	// enumeration for speed). No-op when Stats is nil. Opt-in so that the
 	// default pipeline keeps the fully deterministic exhaustive order.
 	CostBounded bool
-	// Chase and Backchase tune the two phases. Backchase.Stats,
-	// Backchase.TopK and Backchase.CostBudget pass through to the engine;
-	// CostBounded fills Backchase.Stats from Stats when it is unset.
+	// Chase and Backchase tune the two phases. Backchase.Stats passes
+	// through to the engine; CostBounded fills it from Stats when it is
+	// unset.
 	Chase     chase.Options
 	Backchase backchase.Options
 	// Parallelism is the worker count for the backchase phase
@@ -81,19 +81,16 @@ type Result struct {
 	// simplification and binding reorder, cheapest first.
 	Candidates []cost.RankedPlan
 	// Best is the cheapest candidate. It is nil only when the candidate
-	// pool is empty, which cannot happen for well-formed inputs UNLESS
-	// Backchase.CostBudget pruned every state (a budget below the
-	// cheapest plan's cost empties Minimal and Explored) — callers using
-	// CostBudget must nil-check.
+	// pool is empty, which cannot happen for well-formed inputs.
 	Best *cost.RankedPlan
 	// States is the number of subqueries the backchase explored.
 	States int
 	// Pruned is the number of backchase states skipped by cost-bound
 	// pruning (0 unless Options.CostBounded or Backchase.Stats is set).
 	Pruned int
-	// Truncated reports that a backchase cap (Backchase.MaxStates or
-	// MaxPlans) stopped the enumeration early, so Minimal and the
-	// candidate pool may be incomplete.
+	// Truncated reports that the backchase cap (Backchase.MaxStates)
+	// stopped the enumeration early, so Minimal and the candidate pool
+	// may be incomplete.
 	Truncated bool
 	// Fallback reports that the physical-only restriction was lifted
 	// because no minimal plan satisfied it.

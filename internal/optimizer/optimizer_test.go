@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"testing"
 
 	"cnb/internal/core"
@@ -120,9 +121,9 @@ func TestOptimizeProjDeptEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The cheapest candidates must execute (via the engine, which pushes
-	// filters down) and agree with Q on the data.
-	want, err := eval.Query(pd.Q, in)
+	// The cheapest candidates must execute (via the streaming engine,
+	// which pushes filters down) and agree with Q on the data.
+	want, err := eval.QueryEager(pd.Q, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestOptimizeProjDeptEndToEnd(t *testing.T) {
 			break
 		}
 		checked++
-		got, err := engine.Execute(c.Query, in)
+		got, err := engine.StreamExecute(context.Background(), c.Query, in, engine.StreamOptions{})
 		if err != nil {
 			t.Errorf("candidate failed to execute: %v\n%s", err, c.Query)
 			continue

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"cnb/internal/core"
-	"cnb/internal/engine"
+	"cnb/internal/eval"
 	"cnb/internal/instance"
 	"cnb/internal/workload"
 )
@@ -44,12 +44,12 @@ func rowsAsSet(rows []instance.Value) *instance.Set {
 	return s
 }
 
-// TestQueryMatchesRowEngine is the differential check behind the /query
+// TestQueryMatchesEval is the differential check behind the /query
 // contract: the served result — optimizer-delivered plan, streaming
-// execution — must equal the row engine's evaluation of the original
-// logical query on the same instance, for both the relational running
-// example and a star workload.
-func TestQueryMatchesRowEngine(t *testing.T) {
+// execution — must equal the reference evaluator's result for the
+// original logical query on the same instance, for both the relational
+// running example and a star workload.
+func TestQueryMatchesEval(t *testing.T) {
 	t.Run("projdept", func(t *testing.T) {
 		svc, req, in := projDeptQuerySetup(t, "pd",
 			workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.2, Seed: 7})
@@ -57,12 +57,12 @@ func TestQueryMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.Execute(req.Query, in)
+		want, err := eval.QueryEager(req.Query, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := rowsAsSet(resp.Rows); !got.Equal(want) {
-			t.Fatalf("served %d rows != row engine %d rows", got.Len(), want.Len())
+			t.Fatalf("served %d rows != eval %d rows", got.Len(), want.Len())
 		}
 		if resp.ResultRows != want.Len() {
 			t.Fatalf("ResultRows = %d, want %d", resp.ResultRows, want.Len())
@@ -89,12 +89,12 @@ func TestQueryMatchesRowEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.Execute(s.Q, in)
+		want, err := eval.QueryEager(s.Q, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := rowsAsSet(resp.Rows); !got.Equal(want) {
-			t.Fatalf("served %d rows != row engine %d rows", got.Len(), want.Len())
+			t.Fatalf("served %d rows != eval %d rows", got.Len(), want.Len())
 		}
 	})
 }
@@ -105,7 +105,7 @@ func TestQueryMatchesRowEngine(t *testing.T) {
 func TestQueryRowCapTruncation(t *testing.T) {
 	svc, req, in := projDeptQuerySetup(t, "pd",
 		workload.GenOptions{NumDepts: 40, ProjsPerDept: 10, CitiBankShare: 0.5, Seed: 3})
-	want, err := engine.Execute(req.Query, in)
+	want, err := eval.QueryEager(req.Query, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestQueryInstanceHotSwapRace(t *testing.T) {
 	inA, inB := pd.Generate(genA), pd.Generate(genB)
 	req := Request{Query: pd.Q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()}
 
-	wantA, err := engine.Execute(pd.Q, inA)
+	wantA, err := eval.QueryEager(pd.Q, inA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantB, err := engine.Execute(pd.Q, inB)
+	wantB, err := eval.QueryEager(pd.Q, inB)
 	if err != nil {
 		t.Fatal(err)
 	}
