@@ -86,8 +86,10 @@ BENCH_GATE_FLAGS = -parallelism 1
 # optimizer that parallelizes both, and the serving layer that coalesces
 # concurrent requests over all of them. core rides along for the
 # canonicalization property/stress suite that every concurrent cache key
-# depends on.
-RACE_PKGS = ./internal/backchase/... ./internal/chase/... ./internal/congruence/... ./internal/optimizer/... ./internal/service/... ./internal/core/...
+# depends on. instance and engine ride along for the key order a Set or
+# Dict caches on first read, which concurrent plans over one installed
+# instance race to fill.
+RACE_PKGS = ./internal/backchase/... ./internal/chase/... ./internal/congruence/... ./internal/optimizer/... ./internal/service/... ./internal/core/... ./internal/instance/... ./internal/engine/...
 
 # Where serve-smoke binds its throwaway server.
 CNBD_ADDR ?= 127.0.0.1:18343

@@ -2,9 +2,8 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"cnb/internal/core"
@@ -43,14 +42,27 @@ type StreamOperator interface {
 	schema() *batchSchema
 }
 
-// appendKey renders a value's canonical key into a composite hash key.
-// Keys are length-prefixed before concatenation so composite keys cannot
-// collide across field boundaries.
-func appendKey(sb *strings.Builder, v instance.Value) {
-	k := v.Key()
-	sb.WriteString(strconv.Itoa(len(k)))
-	sb.WriteByte(':')
-	sb.WriteString(k)
+// appendHashKey appends one component of a composite hash-join key: the
+// value's canonical key behind a fixed-width length prefix, so composite
+// keys cannot collide across component boundaries.
+func appendHashKey(buf []byte, v instance.Value) []byte {
+	mark := len(buf)
+	buf = instance.AppendKey(append(buf, 0, 0, 0, 0), v)
+	binary.BigEndian.PutUint32(buf[mark:], uint32(len(buf)-mark-4))
+	return buf
+}
+
+// condHolds evaluates an equality condition against row i of b.
+func condHolds(c core.Cond, b *Batch, i int, in *instance.Instance) (bool, error) {
+	l, err := batchEval(c.L, b, i, in)
+	if err != nil {
+		return false, err
+	}
+	r, err := batchEval(c.R, b, i, in)
+	if err != nil {
+		return false, err
+	}
+	return l.Key() == r.Key(), nil
 }
 
 // --- batch scan over a binding range ------------------------------------
@@ -111,16 +123,8 @@ func (b *batchScan) Counters() Counters { return b.ctrs }
 // output row (out's last appended row).
 func (b *batchScan) passes(out *Batch, i int) (bool, error) {
 	for _, c := range b.preds {
-		l, err := batchEval(c.L, out, i, b.in)
-		if err != nil {
+		if ok, err := condHolds(c, out, i, b.in); !ok || err != nil {
 			return false, err
-		}
-		r, err := batchEval(c.R, out, i, b.in)
-		if err != nil {
-			return false, err
-		}
-		if l.Key() != r.Key() {
-			return false, nil
 		}
 	}
 	return true, nil
@@ -258,16 +262,11 @@ func (f *batchFilter) Next() (*Batch, error) {
 			f.ctrs.Evals++
 			ok := true
 			for _, c := range f.conds {
-				l, err := batchEval(c.L, in, i, f.in)
-				if err != nil {
+				var err error
+				if ok, err = condHolds(c, in, i, f.in); err != nil {
 					return nil, err
 				}
-				r, err := batchEval(c.R, in, i, f.in)
-				if err != nil {
-					return nil, err
-				}
-				if l.Key() != r.Key() {
-					ok = false
+				if !ok {
 					break
 				}
 			}
@@ -363,7 +362,7 @@ func (h *hashJoin) build() error {
 	}
 	h.table = make(map[string][]instance.Value, size)
 	one := newBatch(newBatchSchema([]string{h.v}), 1)
-	var sb strings.Builder
+	var key []byte
 	for _, elem := range elems {
 		if err := h.ctx.Err(); err != nil {
 			return err
@@ -373,31 +372,26 @@ func (h *hashJoin) build() error {
 		h.ctrs.Evals++
 		keep := true
 		for _, c := range h.buildPreds {
-			l, err := batchEval(c.L, one, 0, h.in)
-			if err != nil {
+			var err error
+			if keep, err = condHolds(c, one, 0, h.in); err != nil {
 				return err
 			}
-			r, err := batchEval(c.R, one, 0, h.in)
-			if err != nil {
-				return err
-			}
-			if l.Key() != r.Key() {
-				keep = false
+			if !keep {
 				break
 			}
 		}
 		if !keep {
 			continue
 		}
-		sb.Reset()
+		key = key[:0]
 		for _, bt := range h.buildTerms {
 			v, err := batchEval(bt, one, 0, h.in)
 			if err != nil {
 				return err
 			}
-			appendKey(&sb, v)
+			key = appendHashKey(key, v)
 		}
-		k := sb.String()
+		k := string(key)
 		h.table[k] = append(h.table[k], elem)
 	}
 	h.built = true
@@ -411,7 +405,7 @@ func (h *hashJoin) Next() (*Batch, error) {
 		}
 	}
 	out := newBatch(h.sch, h.batch)
-	var sb strings.Builder
+	var key []byte
 	for {
 		if err := h.ctx.Err(); err != nil {
 			return nil, err
@@ -430,15 +424,15 @@ func (h *hashJoin) Next() (*Batch, error) {
 				continue
 			}
 			h.ctrs.Evals++
-			sb.Reset()
+			key = key[:0]
 			for _, pt := range h.probeTerms {
 				v, err := batchEval(pt, h.cur, h.row, h.in)
 				if err != nil {
 					return nil, err
 				}
-				appendKey(&sb, v)
+				key = appendHashKey(key, v)
 			}
-			h.matches = h.table[sb.String()]
+			h.matches = h.table[string(key)]
 			h.matchPos = 0
 			h.row++
 			continue

@@ -197,15 +197,11 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 	empty := &Batch{schema: newBatchSchema(nil)}
 	for _, c := range p.constConds {
 		p.constEvals++
-		l, err := batchEval(c.L, empty, 0, p.in)
+		ok, err := condHolds(c, empty, 0, p.in)
 		if err != nil {
 			return nil, err
 		}
-		r, err := batchEval(c.R, empty, 0, p.in)
-		if err != nil {
-			return nil, err
-		}
-		if l.Key() != r.Key() {
+		if !ok {
 			return out, nil
 		}
 	}

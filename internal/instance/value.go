@@ -4,13 +4,24 @@
 // opaque oids. Queries are executed against instances by the eval and
 // engine packages; tests use instances to verify that rewritten plans are
 // equivalent to the original queries on real data.
+//
+// Every value has a canonical key (Value.Key), and collections iterate in
+// key order. A Set or Dict computes that order once and keeps it: Elems,
+// Entries and Domain return shared, read-only results, so repeated scans
+// of an installed collection cost O(n) and allocate nothing. Add and Put
+// are builders for values not yet shared; once a collection has been
+// handed to readers (bound in an instance, nested in a record, returned
+// from a query) it must not be mutated. Reading a shared collection from
+// many goroutines is safe.
 package instance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Value is a runtime value. Implementations are immutable once built
@@ -25,11 +36,36 @@ type Value interface {
 	String() string
 }
 
+// AppendKey appends v's canonical key (v.Key()) to b and returns the
+// extended buffer. Base values render straight into b and a record
+// reuses the key it stored when it was built, so building a record or a
+// composite key allocates nothing beyond b's growth. Anything else
+// appends its Key(); a collection's Key renders its elements through
+// AppendKey, and reaching it only through the Value interface keeps
+// AppendKey non-recursive, so a caller's stack buffer stays on the stack.
+func AppendKey(b []byte, v Value) []byte {
+	switch t := v.(type) {
+	case Int:
+		return t.appendKey(b)
+	case Float:
+		return t.appendKey(b)
+	case Str:
+		return t.appendKey(b)
+	case OID:
+		return t.appendKey(b)
+	case *Struct:
+		return append(b, t.key...)
+	}
+	return append(b, v.Key()...)
+}
+
 // Int is an integer value.
 type Int int64
 
+func (v Int) appendKey(b []byte) []byte { return strconv.AppendInt(append(b, 'i'), int64(v), 10) }
+
 // Key implements Value.
-func (v Int) Key() string { return "i" + strconv.FormatInt(int64(v), 10) }
+func (v Int) Key() string { return string(v.appendKey(nil)) }
 
 // String implements Value.
 func (v Int) String() string { return strconv.FormatInt(int64(v), 10) }
@@ -37,8 +73,12 @@ func (v Int) String() string { return strconv.FormatInt(int64(v), 10) }
 // Float is a floating-point value.
 type Float float64
 
+func (v Float) appendKey(b []byte) []byte {
+	return strconv.AppendFloat(append(b, 'f'), float64(v), 'g', -1, 64)
+}
+
 // Key implements Value.
-func (v Float) Key() string { return "f" + strconv.FormatFloat(float64(v), 'g', -1, 64) }
+func (v Float) Key() string { return string(v.appendKey(nil)) }
 
 // String implements Value.
 func (v Float) String() string { return strconv.FormatFloat(float64(v), 'g', -1, 64) }
@@ -46,8 +86,10 @@ func (v Float) String() string { return strconv.FormatFloat(float64(v), 'g', -1,
 // Str is a string value.
 type Str string
 
+func (v Str) appendKey(b []byte) []byte { return strconv.AppendQuote(append(b, 's'), string(v)) }
+
 // Key implements Value.
-func (v Str) Key() string { return "s" + strconv.Quote(string(v)) }
+func (v Str) Key() string { return string(v.appendKey(nil)) }
 
 // String implements Value.
 func (v Str) String() string { return strconv.Quote(string(v)) }
@@ -78,8 +120,13 @@ type OID struct {
 	Serial   int
 }
 
+func (v OID) appendKey(b []byte) []byte {
+	b = append(append(append(b, 'o'), v.TypeName...), '#')
+	return strconv.AppendInt(b, int64(v.Serial), 10)
+}
+
 // Key implements Value.
-func (v OID) Key() string { return "o" + v.TypeName + "#" + strconv.Itoa(v.Serial) }
+func (v OID) Key() string { return string(v.appendKey(nil)) }
 
 // String implements Value.
 func (v OID) String() string { return v.TypeName + "#" + strconv.Itoa(v.Serial) }
@@ -92,24 +139,22 @@ type Struct struct {
 }
 
 // NewStruct builds a record from field names and values (parallel slices).
+// Its key is rendered once, here, into a single buffer.
 func NewStruct(names []string, vals []Value) *Struct {
 	if len(names) != len(vals) {
 		panic("instance: NewStruct field/value length mismatch")
 	}
-	s := &Struct{names: names, vals: vals}
-	var b strings.Builder
-	b.WriteString("r{")
+	var buf [256]byte
+	b := append(buf[:0], "r{"...)
 	for i := range names {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(names[i])
-		b.WriteByte(':')
-		b.WriteString(vals[i].Key())
+		b = append(append(b, names[i]...), ':')
+		b = AppendKey(b, vals[i])
 	}
-	b.WriteByte('}')
-	s.key = b.String()
-	return s
+	b = append(b, '}')
+	return &Struct{names: names, vals: vals, key: string(b)}
 }
 
 // StructOf builds a record from alternating name, value pairs in field
@@ -159,9 +204,19 @@ func (s *Struct) String() string {
 	return b.String()
 }
 
+// keyed is one collection element next to its key.
+type keyed struct {
+	key string
+	val Value
+}
+
+func compareKeyed(a, b keyed) int { return strings.Compare(a.key, b.key) }
+
 // Set is a finite set of values with set semantics (duplicates collapse).
+// It computes its key order on first use and keeps it until the next Add.
 type Set struct {
-	m map[string]Value
+	m     map[string]Value
+	order atomic.Pointer[[]Value]
 }
 
 // NewSet builds a set from the given elements.
@@ -173,9 +228,13 @@ func NewSet(elems ...Value) *Set {
 	return s
 }
 
-// Add inserts a value (idempotent). Returns the set for chaining.
+// Add inserts a value (idempotent). Returns the set for chaining. Add is
+// for sets under construction: it must not race with readers.
 func (s *Set) Add(v Value) *Set {
 	s.m[v.Key()] = v
+	if s.order.Load() != nil {
+		s.order.Store(nil)
+	}
 	return s
 }
 
@@ -189,15 +248,80 @@ func (s *Set) Contains(v Value) bool {
 func (s *Set) Len() int { return len(s.m) }
 
 // Elems returns the elements sorted by key (deterministic iteration).
+// The order is computed on the first call and shared by every caller:
+// the slice is read-only. Goroutines racing on the first call each sort,
+// and one result is kept.
 func (s *Set) Elems() []Value {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
+	if o := s.order.Load(); o != nil {
+		return *o
 	}
-	sort.Strings(keys)
-	out := make([]Value, len(keys))
-	for i, k := range keys {
-		out[i] = s.m[k]
+	es := make([]keyed, 0, len(s.m))
+	for k, v := range s.m {
+		es = append(es, keyed{k, v})
+	}
+	slices.SortFunc(es, compareKeyed)
+	vals := make([]Value, len(es))
+	for i, e := range es {
+		vals[i] = e.val
+	}
+	s.order.Store(&vals)
+	return vals
+}
+
+// FirstN returns the k elements with the smallest keys, in key order:
+// exactly Elems()[:min(k, Len())], and all of Elems() when k < 0. Unless
+// the key order is already known, a k below Len is answered by a bounded
+// max-heap selection over the keys, O(n log k), that neither sorts nor
+// caches the whole set. The result is read-only.
+func (s *Set) FirstN(k int) []Value {
+	if o := s.order.Load(); o != nil || k < 0 || k >= len(s.m) {
+		vals := s.Elems()
+		if k >= 0 && k < len(vals) {
+			vals = vals[:k:k]
+		}
+		return vals
+	}
+	if k == 0 {
+		return []Value{}
+	}
+	// h is a max-heap on key holding the k smallest elements seen.
+	h := make([]keyed, 0, k)
+	for key, v := range s.m {
+		if len(h) < k {
+			h = append(h, keyed{key, v})
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if h[p].key >= h[i].key {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+			continue
+		}
+		if key >= h[0].key {
+			continue
+		}
+		h[0] = keyed{key, v}
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && h[c+1].key > h[c].key {
+				c++
+			}
+			if h[i].key >= h[c].key {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	slices.SortFunc(h, compareKeyed)
+	out := make([]Value, len(h))
+	for i, e := range h {
+		out[i] = e.val
 	}
 	return out
 }
@@ -215,14 +339,16 @@ func (s *Set) Equal(t *Set) bool {
 	return true
 }
 
-// Key implements Value.
+// Key implements Value: the element keys in key order.
 func (s *Set) Key() string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
+	b := []byte("S[")
+	for i, v := range s.Elems() {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = AppendKey(b, v)
 	}
-	sort.Strings(keys)
-	return "S[" + strings.Join(keys, ";") + "]"
+	return string(append(b, ']'))
 }
 
 // String implements Value.
@@ -238,17 +364,28 @@ type dictEntry struct {
 	k, v Value
 }
 
-// Dict is a dictionary: a finite function from keys to values.
+// Dict is a dictionary: a finite function from keys to values. Like Set,
+// it computes its key order (and its domain) on first use and keeps them
+// until the next Put.
 type Dict struct {
-	m map[string]dictEntry
+	m     map[string]dictEntry
+	order atomic.Pointer[[][2]Value]
+	dom   atomic.Pointer[Set]
 }
 
 // NewDict builds an empty dictionary.
 func NewDict() *Dict { return &Dict{m: map[string]dictEntry{}} }
 
-// Put binds key to val (overwriting). Returns the dict for chaining.
+// Put binds key to val (overwriting). Returns the dict for chaining. Put
+// is for dictionaries under construction: it must not race with readers.
 func (d *Dict) Put(key, val Value) *Dict {
 	d.m[key.Key()] = dictEntry{k: key, v: val}
+	if d.order.Load() != nil {
+		d.order.Store(nil)
+	}
+	if d.dom.Load() != nil {
+		d.dom.Store(nil)
+	}
 	return d
 }
 
@@ -264,50 +401,58 @@ func (d *Dict) Get(key Value) (Value, bool) {
 // Len returns the number of entries.
 func (d *Dict) Len() int { return len(d.m) }
 
-// Domain returns dom(d) as a Set.
+// Domain returns dom(d) as a Set. The set is built once, already in key
+// order, and shared by every caller: it is read-only.
 func (d *Dict) Domain() *Set {
-	s := NewSet()
-	for _, e := range d.m {
-		s.Add(e.k)
+	if s := d.dom.Load(); s != nil {
+		return s
 	}
+	s := &Set{m: make(map[string]Value, len(d.m))}
+	for k, e := range d.m {
+		s.m[k] = e.k
+	}
+	es := d.Entries()
+	vals := make([]Value, len(es))
+	for i, e := range es {
+		vals[i] = e[0]
+	}
+	s.order.Store(&vals)
+	d.dom.Store(s)
 	return s
 }
 
-// Entries returns the (key, value) pairs sorted by key encoding.
+// Entries returns the (key, value) pairs sorted by key encoding. The
+// order is computed on the first call and shared by every caller: the
+// slice is read-only.
 func (d *Dict) Entries() [][2]Value {
+	if o := d.order.Load(); o != nil {
+		return *o
+	}
 	keys := make([]string, 0, len(d.m))
 	for k := range d.m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	out := make([][2]Value, len(keys))
+	slices.Sort(keys)
+	es := make([][2]Value, len(keys))
 	for i, k := range keys {
 		e := d.m[k]
-		out[i] = [2]Value{e.k, e.v}
+		es[i] = [2]Value{e.k, e.v}
 	}
-	return out
+	d.order.Store(&es)
+	return es
 }
 
-// Key implements Value.
+// Key implements Value: the entries in key order.
 func (d *Dict) Key() string {
-	keys := make([]string, 0, len(d.m))
-	for k := range d.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("D[")
-	for i, k := range keys {
+	b := []byte("D[")
+	for i, e := range d.Entries() {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		e := d.m[k]
-		b.WriteString(k)
-		b.WriteString("->")
-		b.WriteString(e.v.Key())
+		b = append(AppendKey(b, e[0]), "->"...)
+		b = AppendKey(b, e[1])
 	}
-	b.WriteByte(']')
-	return b.String()
+	return string(append(b, ']'))
 }
 
 // String implements Value.

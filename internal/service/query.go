@@ -172,18 +172,15 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (qr *QueryRespons
 }
 
 // capRows renders the result slice under the row cap: 0 means
-// DefaultMaxResultRows, negative means unlimited. Elements come out in
-// Set.Elems order (sorted by canonical key), so the retained prefix is
-// deterministic.
+// DefaultMaxResultRows, negative means unlimited. The rows are the first
+// maxRows of Set.Elems order (sorted by canonical key), so the retained
+// prefix is deterministic; Set.FirstN selects them without sorting the
+// whole result.
 func capRows(out *instance.Set, maxRows int) []instance.Value {
 	if maxRows == 0 {
 		maxRows = DefaultMaxResultRows
 	}
-	elems := out.Elems()
-	if maxRows > 0 && len(elems) > maxRows {
-		elems = elems[:maxRows]
-	}
-	return elems
+	return out.FirstN(maxRows)
 }
 
 // ValueJSON renders a runtime value as a JSON-encodable Go value for the

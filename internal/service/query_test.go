@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cnb/internal/core"
+	"cnb/internal/cost"
 	"cnb/internal/eval"
 	"cnb/internal/instance"
 	"cnb/internal/workload"
@@ -136,6 +137,50 @@ func TestQueryRowCapTruncation(t *testing.T) {
 	for i, v := range capped.Rows {
 		if full.Rows[i].Key() != v.Key() {
 			t.Fatalf("capped row %d is not the deterministic prefix", i)
+		}
+	}
+}
+
+// TestQueryMaxRowsIsPrefix: for every cap k, the capped rows are exactly
+// the first k rows of the uncapped response, and those are the reference
+// result in key order — with and without installed statistics.
+func TestQueryMaxRowsIsPrefix(t *testing.T) {
+	svc, req, in := projDeptQuerySetup(t, "pd",
+		workload.GenOptions{NumDepts: 30, ProjsPerDept: 6, CitiBankShare: 0.6, Seed: 11})
+	want, err := eval.QueryEager(req.Query, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := want.Len()
+	for _, withStats := range []bool{false, true} {
+		if withStats {
+			svc.SetStats(cost.FromInstance(in))
+		}
+		full, err := svc.Query(context.Background(), QueryRequest{Request: req, Instance: "pd", MaxRows: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Rows) != n {
+			t.Fatalf("stats=%v: %d rows, want %d", withStats, len(full.Rows), n)
+		}
+		for i, v := range want.Elems() {
+			if full.Rows[i].Key() != v.Key() {
+				t.Fatalf("stats=%v: row %d = %s, want %s", withStats, i, full.Rows[i], v)
+			}
+		}
+		for _, k := range []int{1, 2, 7, n - 1, n, n + 3} {
+			capped, err := svc.Query(context.Background(), QueryRequest{Request: req, Instance: "pd", MaxRows: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(capped.Rows) != min(k, n) || capped.Truncated != (k < n) {
+				t.Fatalf("stats=%v k=%d: %d rows, truncated=%v", withStats, k, len(capped.Rows), capped.Truncated)
+			}
+			for i, v := range capped.Rows {
+				if full.Rows[i].Key() != v.Key() {
+					t.Fatalf("stats=%v k=%d: row %d is not the uncapped row", withStats, k, i)
+				}
+			}
 		}
 	}
 }
