@@ -204,17 +204,30 @@ func IsMinimalContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 // implied equalities over surviving terms; the new output is a congruent
 // rewriting of the old.
 func Subquery(q *core.Query, removedVars map[string]bool) (*core.Query, bool) {
-	removed := make(map[string]bool, len(removedVars))
-	for v := range removedVars {
-		removed[v] = true
-	}
+	return subqueryFrom(q, rootClosure(q), removedVars)
+}
 
+// rootClosure is the congruence closure every subquery of q is built
+// from: all of q's terms, grouped by its conditions. It does not depend
+// on the removal set, so the engine builds it once per run.
+func rootClosure(q *core.Query) *congruence.Closure {
 	cc := congruence.New()
 	for _, t := range q.AllTerms() {
 		cc.Add(t)
 	}
 	for _, c := range q.Conds {
 		cc.Merge(c.L, c.R)
+	}
+	return cc
+}
+
+// subqueryFrom is Subquery over cc, q's rootClosure. It consults cc
+// (queries path-compress it), so a closure shared across calls must be
+// handed in as a Clone.
+func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]bool) (*core.Query, bool) {
+	removed := make(map[string]bool, len(removedVars))
+	for v := range removedVars {
+		removed[v] = true
 	}
 
 	// Cascade: a surviving binding whose range cannot avoid the removed

@@ -28,15 +28,18 @@ package backchase
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/maphash"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"cnb/internal/chase"
+	"cnb/internal/congruence"
 	"cnb/internal/core"
 	"cnb/internal/planrewrite"
 )
@@ -212,7 +215,10 @@ type engine struct {
 	depIndex  *chase.DepIndex // premise index shared by every chase of the run
 	opts      Options
 	rootCanon *chase.Canon // pristine; cloned per equivalence check
-	queue     *workQueue
+	// rootCC is rootClosure(root), pristine; cloned per Subquery
+	// construction.
+	rootCC *congruence.Closure
+	queue  *workQueue
 
 	shards [numShards]shard
 	seed   maphash.Seed
@@ -256,6 +262,7 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		depIndex:  ix,
 		opts:      opts,
 		rootCanon: opts.Chase.NewCanon(res.Query),
+		rootCC:    rootClosure(q),
 		queue:     newWorkQueue(opts.Stats != nil),
 		seed:      maphash.MakeSeed(),
 		plans:     map[string]planEntry{},
@@ -467,7 +474,8 @@ func (e *engine) addPlan(cur *core.Query) {
 	}
 }
 
-// cachedSubquery memoizes Subquery(root, grown) per canonical key. Two
+// cachedSubquery memoizes Subquery(root, grown) per canonical key, built
+// on a Clone of the run's root closure. Two
 // workers may race to compute the same construction; the first stored
 // value wins (both compute identical results — Subquery is
 // deterministic).
@@ -479,7 +487,7 @@ func (e *engine) cachedSubquery(key string, grown map[string]bool) *core.Query {
 		return ent.sub
 	}
 	sh.mu.Unlock()
-	sub, ok := Subquery(e.root, grown)
+	sub, ok := subqueryFrom(e.root, e.rootCC.Clone(), grown)
 	if !ok {
 		sub = nil
 	}
@@ -675,8 +683,16 @@ type worker struct {
 }
 
 // run is the worker loop: pop, process, mark done, until the queue drains
-// or the run aborts.
+// or the run aborts. A panic while processing a state aborts the run with
+// the panic as its error: workers are goroutines of their own, so a panic
+// escaping one would take the whole process down, past any recover of
+// the caller.
 func (e *engine) run(ctx context.Context, w *worker) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.fail(fmt.Errorf("backchase: worker panic: %v\n%s", p, debug.Stack()))
+		}
+	}()
 	for {
 		it, ok := e.queue.pop()
 		if !ok {

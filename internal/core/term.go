@@ -13,13 +13,16 @@
 //	                  from P1 x1, ..., Pm xm
 //	                  where B
 //
-// Terms are immutable; all transformation functions return new terms.
+// Terms are immutable: transformation functions never modify their input;
+// they return new terms that share every subtree they leave unchanged.
+// Because of that, a term renders its HashKey once and keeps it.
 package core
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // TermKind discriminates the variants of Term.
@@ -39,7 +42,8 @@ const (
 // Term is a path expression. Terms form a small algebraic datatype; since
 // Go has no sum types, Term is a struct with a Kind discriminator and the
 // union of all fields. Use the constructors (V, C, Name, Prj, Dom, Lk,
-// Struct) rather than composite literals.
+// Struct) rather than composite literals. A term must not be modified
+// once built, and must not be copied by value: it memoizes its HashKey.
 type Term struct {
 	Kind TermKind
 
@@ -65,6 +69,11 @@ type Term struct {
 
 	// Fields holds the components of a KStruct constructor, in order.
 	Fields []StructField
+
+	// key memoizes HashKey. It is filled on first use, so composite
+	// literals need not set it; concurrent first uses render the same
+	// string and either store wins.
+	key atomic.Pointer[string]
 }
 
 // StructField is one component of a struct-constructor term.
@@ -206,59 +215,54 @@ func (t *Term) String() string {
 // HashKey returns a canonical string usable as a map key. It is injective
 // on terms (two terms have the same key iff Equal); unlike String it
 // distinguishes variables from schema names and tags constant types.
+//
+// The key is rendered on the first call, from the children's own
+// memoized keys, and kept on the node: later calls cost one atomic load.
 func (t *Term) HashKey() string {
-	var b strings.Builder
-	t.hashKey(&b)
-	return b.String()
+	if t == nil {
+		return "<nil>"
+	}
+	if k := t.key.Load(); k != nil {
+		return *k
+	}
+	k := t.renderKey()
+	t.key.Store(&k)
+	return k
 }
 
-func (t *Term) hashKey(b *strings.Builder) {
-	if t == nil {
-		b.WriteString("<nil>")
-		return
-	}
+// renderKey builds t's key from its children's HashKeys.
+func (t *Term) renderKey() string {
 	switch t.Kind {
 	case KVar:
-		b.WriteString("?")
-		b.WriteString(t.Name)
+		return "?" + t.Name
 	case KName:
-		b.WriteString("!")
-		b.WriteString(t.Name)
+		return "!" + t.Name
 	case KConst:
-		fmt.Fprintf(b, "#%T:%v", t.Val, t.Val)
+		return fmt.Sprintf("#%T:%v", t.Val, t.Val)
 	case KProj:
-		t.Base.hashKey(b)
-		b.WriteString(".")
-		b.WriteString(t.Name)
+		return t.Base.HashKey() + "." + t.Name
 	case KDom:
-		b.WriteString("dom(")
-		t.Base.hashKey(b)
-		b.WriteString(")")
+		return "dom(" + t.Base.HashKey() + ")"
 	case KLookup:
-		t.Base.hashKey(b)
 		if t.NonFailing {
-			b.WriteString("{")
-		} else {
-			b.WriteString("[")
+			return t.Base.HashKey() + "{" + t.Key.HashKey() + "}"
 		}
-		t.Key.hashKey(b)
-		if t.NonFailing {
-			b.WriteString("}")
-		} else {
-			b.WriteString("]")
-		}
+		return t.Base.HashKey() + "[" + t.Key.HashKey() + "]"
 	case KStruct:
+		var b strings.Builder
 		b.WriteString("struct(")
 		for i, f := range t.Fields {
 			if i > 0 {
-				b.WriteString(",")
+				b.WriteByte(',')
 			}
 			b.WriteString(f.Name)
-			b.WriteString(":")
-			f.Term.hashKey(b)
+			b.WriteByte(':')
+			b.WriteString(f.Term.HashKey())
 		}
-		b.WriteString(")")
+		b.WriteByte(')')
+		return b.String()
 	}
+	return ""
 }
 
 // Vars returns the set of variable names occurring in the term.
@@ -350,34 +354,52 @@ func (t *Term) MentionsAnyVar(vars map[string]bool) bool {
 
 // Subst returns the term with every free occurrence of the variables in
 // the substitution replaced. The substitution maps variable names to
-// replacement terms.
+// replacement terms. Subtrees the substitution leaves unchanged are
+// shared, not copied: a term none of whose variables is replaced is
+// returned as is.
 func (t *Term) Subst(sub map[string]*Term) *Term {
 	if t == nil || len(sub) == 0 {
 		return t
 	}
-	switch t.Kind {
-	case KVar:
+	if t.Kind == KVar {
 		if r, ok := sub[t.Name]; ok {
 			return r
 		}
 		return t
-	case KConst, KName:
-		return t
-	case KProj:
-		return &Term{Kind: KProj, Name: t.Name, Base: t.Base.Subst(sub)}
-	case KDom:
-		return &Term{Kind: KDom, Base: t.Base.Subst(sub)}
-	case KLookup:
-		return &Term{Kind: KLookup, Base: t.Base.Subst(sub), Key: t.Key.Subst(sub), NonFailing: t.NonFailing}
-	case KStruct:
-		fs := make([]StructField, len(t.Fields))
-		for i, f := range t.Fields {
-			fs[i] = StructField{Name: f.Name, Term: f.Term.Subst(sub)}
-		}
-		return &Term{Kind: KStruct, Fields: fs}
-	default:
-		return t
 	}
+	return t.mapChildren(func(c *Term) *Term { return c.Subst(sub) })
+}
+
+// mapChildren returns t over the children f maps t's children to: t
+// itself when f returns every child unchanged, else a new node.
+func (t *Term) mapChildren(f func(*Term) *Term) *Term {
+	switch t.Kind {
+	case KProj, KDom:
+		if b := f(t.Base); b != t.Base {
+			return &Term{Kind: t.Kind, Name: t.Name, Base: b}
+		}
+	case KLookup:
+		b, k := f(t.Base), f(t.Key)
+		if b != t.Base || k != t.Key {
+			return &Term{Kind: KLookup, Base: b, Key: k, NonFailing: t.NonFailing}
+		}
+	case KStruct:
+		var fs []StructField
+		for i, fl := range t.Fields {
+			ft := f(fl.Term)
+			if fs == nil && ft != fl.Term {
+				fs = make([]StructField, len(t.Fields))
+				copy(fs, t.Fields[:i])
+			}
+			if fs != nil {
+				fs[i] = StructField{Name: fl.Name, Term: ft}
+			}
+		}
+		if fs != nil {
+			return &Term{Kind: KStruct, Fields: fs}
+		}
+	}
+	return t
 }
 
 // Subterms returns all subterms of t (including t itself) in a

@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cnb/internal/core"
+	"cnb/internal/cost"
 	"cnb/internal/optimizer"
 )
 
@@ -84,10 +86,29 @@ type ranking struct {
 }
 
 // newPlanEntry wraps a finished optimizer result. Explored is dropped:
-// the stored outcome is the ranked pool, not the lattice walk.
+// the stored outcome is the ranked pool, not the lattice walk. The
+// stored plans are hash-consed through one table per entry, so a subterm
+// that recurs across the universal plan, the minimal plans, the pool and
+// its ranked copies is one node holding one memoized key. New queries are
+// built; res itself is not modified.
 func newPlanEntry(key, statsFP string, res *optimizer.Result, rankFP string) *planEntry {
 	stored := *res
 	stored.Explored = nil
+	hc := core.NewHashCons()
+	stored.Universal = hc.Query(res.Universal)
+	stored.Minimal = hc.Queries(res.Minimal)
+	stored.Executable = hc.Queries(res.Executable)
+	stored.Candidates = nil
+	stored.Best = nil
+	if res.Candidates != nil {
+		stored.Candidates = make([]cost.RankedPlan, len(res.Candidates))
+		for i, c := range res.Candidates {
+			stored.Candidates[i] = cost.RankedPlan{Query: hc.Query(c.Query), Cost: c.Cost, Card: c.Card}
+		}
+		if res.Best != nil {
+			stored.Best = &stored.Candidates[0]
+		}
+	}
 	e := &planEntry{key: key, statsFP: statsFP}
 	e.ranked.Store(&ranking{res: &stored, fp: rankFP})
 	return e

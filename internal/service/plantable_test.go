@@ -338,8 +338,9 @@ func TestOptimizeReuseAcrossRenaming(t *testing.T) {
 
 // TestStatsSwapExhaustiveHitReranks: in exhaustive mode a statistics
 // swap keeps the entry; the first hit under the new snapshot re-ranks
-// the stored executable pool — no backchase — and yields exactly the
-// candidates a fresh service started with the new statistics ranks.
+// the stored (hash-consed) executable pool — no backchase — and yields
+// exactly the candidates, costs and cards a fresh service started with
+// the new statistics ranks.
 // Later hits serve the new ranking without ranking again.
 func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
 	pd, err := workload.NewProjDept()
@@ -391,9 +392,9 @@ func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
 			t.Fatalf("re-ranked %d candidates, fresh service ranks %d", len(got), len(want))
 		}
 		for i := range want {
-			if got[i].Query.String() != want[i].Query.String() || got[i].Cost != want[i].Cost {
-				t.Fatalf("candidate %d: re-ranked %s @ %g, fresh %s @ %g",
-					i, got[i].Query, got[i].Cost, want[i].Query, want[i].Cost)
+			if got[i].Query.String() != want[i].Query.String() || got[i].Cost != want[i].Cost || got[i].Card != want[i].Card {
+				t.Fatalf("candidate %d: re-ranked %s @ %g (card %g), fresh %s @ %g (card %g)",
+					i, got[i].Query, got[i].Cost, got[i].Card, want[i].Query, want[i].Cost, want[i].Card)
 			}
 		}
 	}

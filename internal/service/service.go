@@ -286,6 +286,10 @@ type Service struct {
 	predictor *LatencyPredictor
 	hists     tierHistograms
 
+	// optimize is the optimizer entry point every flight calls
+	// (optimizer.OptimizeContext; tests substitute a failing one).
+	optimize func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error)
+
 	requests       atomic.Int64
 	errors         atomic.Int64
 	coalesced      atomic.Int64
@@ -323,6 +327,7 @@ func New(opts Options) *Service {
 		table:     newPlanTable(size, shards),
 		metrics:   m,
 		predictor: pred,
+		optimize:  optimizer.OptimizeContext,
 	}
 	s.group.onUpgrade = func(e *planEntry) {
 		// Mark before counting: a caller that sees the counter move
@@ -391,7 +396,7 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 			return landing{e, true}, nil
 		}
 		s.table.misses.Add(1)
-		r, err := optimizer.OptimizeContext(fctx, req.Query, optimizer.Options{
+		r, err := s.optimize(fctx, req.Query, optimizer.Options{
 			Deps:          req.Deps,
 			PhysicalNames: req.PhysicalNames,
 			Stats:         snap.stats,

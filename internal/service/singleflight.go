@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -150,9 +152,10 @@ func (g *flightGroup) join(ctx context.Context, key string, detached bool, fn fu
 // greedyServed happen in one critical section, so a budgeted waiter
 // (waitBudget's timer branch, also under mu) either observes the landing
 // and serves it, or marks greedyServed before the landing is visible —
-// never both, never neither.
+// never both, never neither. A panic in fn is recovered and lands as the
+// flight's error, so it neither kills the process nor strands waiters.
 func (g *flightGroup) run(key string, f *flight, fctx context.Context, fn func(context.Context) (landing, error)) {
-	res, err := fn(fctx)
+	res, err := callFlight(fctx, fn)
 	g.mu.Lock()
 	f.res, f.err = res, err
 	// Remove only our own flight: if every caller left and a fresh
@@ -167,6 +170,17 @@ func (g *flightGroup) run(key string, f *flight, fctx context.Context, fn func(c
 	if upgraded && g.onUpgrade != nil {
 		g.onUpgrade(res.e)
 	}
+}
+
+// callFlight runs fn, turning a panic into an error that carries the
+// panic value and the stack it was raised on.
+func callFlight(ctx context.Context, fn func(context.Context) (landing, error)) (res landing, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = landing{}, fmt.Errorf("service: optimizer panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return fn(ctx)
 }
 
 // wait blocks until the flight completes or the caller's own context is
