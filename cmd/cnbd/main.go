@@ -24,6 +24,11 @@
 // per-tier latency histograms (reset each scrape with
 // -hist-reset-on-scrape).
 //
+// On SIGINT or SIGTERM the server stops accepting connections, lets the
+// requests in flight finish and exits 0. A request still running after
+// drainTimeout is cut off and the server exits 1; a second signal during
+// the drain kills the process at once.
+//
 // Usage:
 //
 //	cnbd [-addr :8343] [-parallelism N] [-cache-size N] [-cost-bounded]
@@ -42,7 +47,10 @@ import (
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only via -pprof-addr
+	"os"
+	"os/signal"
 	"strconv"
+	"syscall"
 	"time"
 
 	"cnb/internal/core"
@@ -180,7 +188,42 @@ func main() {
 
 	log.Printf("cnbd listening on %s (parallelism=%d cost-bounded=%v max-plan-latency=%v)", *addr, *parallelism, *costBounded, *maxPlanLat)
 	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	log.Fatal(srv.ListenAndServe())
+	if err := serve(srv); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("cnbd stopped")
+}
+
+// drainTimeout bounds how long requests in flight get to finish after
+// SIGINT or SIGTERM.
+const drainTimeout = 10 * time.Second
+
+// serve runs srv until it fails or the process gets SIGINT or SIGTERM.
+// Then it shuts srv down: the listener closes at once and requests in
+// flight get up to drainTimeout to finish; any still running after that
+// are closed and serve reports the timeout. The signals are released
+// when the first one arrives, so a second one kills the process as
+// usual. It returns nil on a clean shutdown. Detached backchase flights
+// (the two-tier mode) are not waited for.
+func serve(srv *http.Server) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	stop()
+	log.Printf("cnbd shutting down; draining requests for up to %v", drainTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		srv.Close()
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return nil
 }
 
 // handleOptimize parses the posted cnb document and optimizes every query

@@ -73,6 +73,15 @@ type Options struct {
 	// builds its own. The index is a pure function of the dependency set
 	// and never changes results.
 	Index *chase.DepIndex
+	// Goal is the query the root was chased from (the optimizer passes
+	// the user's query; the root is its universal plan). It must be
+	// equivalent to the root under the dependencies. A candidate's
+	// S ⊑ root direction is then proved by mapping Goal, which has a
+	// fraction of the root's bindings, into a goal-directed chase of S
+	// (chase.ContainedIn). Nil means the root itself. Results are the
+	// same either way whenever the candidates' chases terminate within
+	// the budget.
+	Goal *core.Query
 }
 
 func (o Options) withDefaults() Options {
@@ -524,9 +533,7 @@ func containedIndexed(ctx context.Context, q1, q2 *core.Query, ix *chase.DepInde
 	// Freshen q2 apart from the chased q1 to avoid variable capture.
 	avoid := res.Query.BoundVars()
 	q2f := q2.RenameVars(core.FreshRenaming("h_", avoid))
-	cn := opts.NewCanon(res.Query)
-	homs := cn.HomsOfQueryInto(q2f, res.Query.Out, 1)
-	return len(homs) > 0, nil
+	return opts.NewCanon(res.Query).MapsQueryInto(q2f, res.Query.Out, nil), nil
 }
 
 // Equivalent is the exported chase-based equivalence test under

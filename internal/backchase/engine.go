@@ -505,8 +505,9 @@ func (e *engine) cachedSubquery(key string, grown map[string]bool) *core.Query {
 // equivalent to the root", single-flighted so a canonically identical
 // subquery is never re-chased: the first worker to claim the key runs
 // the chase-based check, concurrent workers for the same key block until
-// it lands. Budget exhaustion on a candidate means the removal cannot be
-// verified and is treated as unsound (matching the serial engine).
+// it lands. Budget exhaustion before the goal maps into the candidate's
+// chase means the removal cannot be verified and is treated as unsound;
+// a goal that maps in before the budget runs out is accepted.
 func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Query) (bool, error) {
 	sh := e.shard(fullKey)
 	sh.mu.Lock()
@@ -527,10 +528,8 @@ func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Quer
 	eq, err := e.equivalentToRoot(ctx, sub)
 	if err != nil {
 		if _, budget := err.(*chase.ErrBudget); budget {
-			ent.eq = false
 			return false, nil
 		}
-		ent.eq = false
 		return false, err
 	}
 	ent.eq = eq
@@ -538,18 +537,38 @@ func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Quer
 }
 
 // equivalentToRoot checks sub ≡ root under the dependencies.
-// Direction root ⊑ sub: containment mapping from sub into a pristine
+//
+// Direction root ⊑ sub: a containment mapping from sub into a pristine
 // clone of the precomputed chase(root) — cloning keeps the shared canon
-// immutable and the check independent of concurrent checks.
-// Direction sub ⊑ root: chase(sub), then map root into it.
+// immutable and the check independent of concurrent checks. sub is a
+// subquery of the root, so the identity on its variables is tried first;
+// only if it fails does the backtracking search run, over a copy of sub
+// renamed apart.
+//
+// Direction sub ⊑ root: the goal (Options.Goal, else the root) maps into
+// a goal-directed chase of sub, which stops at the first state the goal
+// maps into. Only a budget exhausted before that counts as unsound.
 func (e *engine) equivalentToRoot(ctx context.Context, sub *core.Query) (bool, error) {
 	cn := e.rootCanon.Clone()
-	avoid := cn.Q.BoundVars()
-	subF := sub.RenameVars(core.FreshRenaming("h_", avoid))
-	if len(cn.HomsOfQueryInto(subF, cn.Q.Out, 1)) == 0 {
-		return false, nil
+	id := make(chase.Hom, len(sub.Bindings))
+	for _, b := range sub.Bindings {
+		id[b.Var] = core.V(b.Var)
 	}
-	return containedIndexed(ctx, sub, e.root, e.depIndex, e.opts.Chase)
+	if !cn.MapsQueryInto(sub, cn.Q.Out, id) {
+		subF := sub.RenameVars(core.FreshRenaming("h_", cn.Q.BoundVars()))
+		if !cn.MapsQueryInto(subF, cn.Q.Out, nil) {
+			return false, nil
+		}
+	}
+	return chase.ContainedIn(ctx, sub, e.goal(), e.depIndex, e.opts.Chase)
+}
+
+// goal is the query the candidates' chases are directed at.
+func (e *engine) goal() *core.Query {
+	if e.opts.Goal != nil {
+		return e.opts.Goal
+	}
+	return e.root
 }
 
 // buildCandidate constructs the candidate state for removing the named

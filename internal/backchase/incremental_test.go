@@ -16,6 +16,7 @@ import (
 // run naive or delta-driven, at Parallelism 1, 2 and 8 — and the
 // incremental engine must never do more chase steps than the naive one
 // (the step sequences are equal per chase, so the totals must agree).
+// Both hold with and without the user's query as the goal.
 func TestIncrementalBackchaseDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	type scenario struct {
@@ -64,9 +65,45 @@ func TestIncrementalBackchaseDifferential(t *testing.T) {
 		want = resultFingerprint(ref)
 		wantSteps = naiveMetrics.ChaseSteps.Load()
 
+		// With the user's query as the goal, the candidates' chases stop
+		// earlier, but both engines stop at the same step: the totals
+		// still agree, and the search is unchanged.
+		goalNaive := &chase.Metrics{}
+		refGoal, err := Enumerate(chased.Query, sc.deps, Options{
+			Parallelism: 1,
+			Goal:        sc.q,
+			Chase:       chase.Options{Naive: true, Metrics: goalNaive},
+		})
+		if err != nil {
+			t.Fatalf("%s naive with goal: %v", sc.label, err)
+		}
+		if got := resultFingerprint(refGoal); got != want {
+			t.Errorf("%s: naive result with goal differs:\nwithout:\n%s\nwith:\n%s", sc.label, want, got)
+		}
+		wantGoalSteps := goalNaive.ChaseSteps.Load()
+		if wantGoalSteps > wantSteps {
+			t.Errorf("%s: goal-directed chase steps %d exceed the root-directed %d", sc.label, wantGoalSteps, wantSteps)
+		}
+
 		for _, par := range []int{1, 2, 8} {
-			m := &chase.Metrics{}
+			gm := &chase.Metrics{}
 			res, err := Enumerate(chased.Query, sc.deps, Options{
+				Parallelism: par,
+				Goal:        sc.q,
+				Chase:       chase.Options{Metrics: gm},
+			})
+			if err != nil {
+				t.Fatalf("%s incremental with goal p=%d: %v", sc.label, par, err)
+			}
+			if got := resultFingerprint(res); got != want {
+				t.Errorf("%s p=%d: incremental result with goal differs from naive reference", sc.label, par)
+			}
+			if got := gm.ChaseSteps.Load(); got != wantGoalSteps {
+				t.Errorf("%s p=%d: chase steps with goal = %d, naive reference = %d", sc.label, par, got, wantGoalSteps)
+			}
+
+			m := &chase.Metrics{}
+			res, err = Enumerate(chased.Query, sc.deps, Options{
 				Parallelism: par,
 				Chase:       chase.Options{Metrics: m},
 			})

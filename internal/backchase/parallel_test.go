@@ -174,7 +174,8 @@ func matchUpToEquivalence(t *testing.T, label string, a, b []*core.Query, deps [
 // implementations share only Subquery and the chase-based containment
 // primitive, and search the lattice in entirely different ways, so
 // agreement is a strong differential oracle (Ba & Rigger's
-// independent-implementations principle).
+// independent-implementations principle). Each case also runs on its
+// universal plan with the query as the goal (see Options.Goal).
 func TestDifferentialEnumerateVsBruteForce(t *testing.T) {
 	const cases = 120
 	r := rand.New(rand.NewSource(42))
@@ -201,6 +202,38 @@ func TestDifferentialEnumerateVsBruteForce(t *testing.T) {
 		label := fmt.Sprintf("case %d (query:\n%s\n)", i, q)
 		matchUpToEquivalence(t, label+" enumerate⊆bruteforce", en.Plans, bfNorm, deps)
 		matchUpToEquivalence(t, label+" bruteforce⊆enumerate", bfNorm, en.Plans, deps)
+
+		// The optimizer's shape: enumerate the universal plan U with q as
+		// the goal. The search must be the root-directed one exactly, and
+		// its plans must be the brute-force minimal subqueries of U, which
+		// the oracle finds with full-fixpoint containment tests.
+		chased, err := chase.Chase(q, deps, chase.Options{})
+		if err != nil || chased.Inconsistent {
+			continue
+		}
+		u := chased.Query
+		root, err := Enumerate(u, deps, opts)
+		if err != nil {
+			t.Fatalf("case %d: Enumerate(U): %v", i, err)
+		}
+		goalOpts := opts
+		goalOpts.Goal = q
+		withGoal, err := Enumerate(u, deps, goalOpts)
+		if err != nil {
+			t.Fatalf("case %d: Enumerate(U) with goal: %v", i, err)
+		}
+		if got, want := resultFingerprint(withGoal), resultFingerprint(root); got != want {
+			t.Fatalf("%s: Enumerate(U) with goal differs from without:\nwith:\n%s\nwithout:\n%s", label, got, want)
+		}
+		bfU, err := BruteForceMinimal(u, deps, opts)
+		if err != nil {
+			t.Fatalf("case %d: BruteForceMinimal(U): %v", i, err)
+		}
+		for j, p := range bfU {
+			bfU[j] = Normalize(p, deps, chase.Options{})
+		}
+		matchUpToEquivalence(t, label+" goal enumerate⊆bruteforce(U)", withGoal.Plans, bfU, deps)
+		matchUpToEquivalence(t, label+" bruteforce(U)⊆goal enumerate", bfU, withGoal.Plans, deps)
 	}
 }
 

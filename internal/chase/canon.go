@@ -359,16 +359,34 @@ func (cn *Canon) ExtendsToConclusion(d *core.Dependency, h Hom) bool {
 // HomsOfQueryInto enumerates containment mappings from query src into this
 // canonical database: homomorphisms of src's bindings and conditions whose
 // transported output is congruent to out. Used for containment checks.
+// The search streams homomorphisms and stops at the limit-th match
+// (limit <= 0 means no limit); only matches are copied.
 func (cn *Canon) HomsOfQueryInto(src *core.Query, out *core.Term, limit int) []Hom {
-	homs := cn.FindHoms(src.Bindings, src.Conds, nil, 0)
 	var ok []Hom
-	for _, h := range homs {
-		if cn.CC.Same(h.Apply(src.Out), out) {
-			ok = append(ok, h)
-			if limit > 0 && len(ok) >= limit {
-				break
-			}
-		}
-	}
+	cn.visitQueryHoms(src, out, nil, func(h Hom) bool {
+		ok = append(ok, h.Clone())
+		return limit > 0 && len(ok) >= limit
+	})
 	return ok
+}
+
+// MapsQueryInto reports whether some containment mapping from src into
+// this canonical database extends init (which may be nil): the first
+// match ends the search, and nothing is copied.
+func (cn *Canon) MapsQueryInto(src *core.Query, out *core.Term, init Hom) bool {
+	found := false
+	cn.visitQueryHoms(src, out, init, func(Hom) bool {
+		found = true
+		return true
+	})
+	return found
+}
+
+// visitQueryHoms streams the homomorphisms of src extending init whose
+// transported output is congruent to out, stopping when visit returns
+// true.
+func (cn *Canon) visitQueryHoms(src *core.Query, out *core.Term, init Hom, visit func(Hom) bool) {
+	cn.VisitHoms(src.Bindings, src.Conds, init, func(h Hom) bool {
+		return cn.CC.Same(h.Apply(src.Out), out) && visit(h)
+	})
 }

@@ -55,6 +55,9 @@ type Result struct {
 	// constants: no database satisfies the dependencies and the query
 	// facts simultaneously, so the query is empty on all valid instances.
 	Inconsistent bool
+	// goalMapped is set when a goal-directed run (ContainedIn) stopped
+	// because its goal mapped into Query.
+	goalMapped bool
 }
 
 // ErrBudget is returned when the chase exceeds its step or size budget
@@ -172,6 +175,58 @@ func applyStep(q *core.Query, d *core.Dependency, h Hom) *core.Query {
 		next.Conds = append(next.Conds, core.Cond{L: c.L.Subst(sub), R: c.R.Subst(sub)})
 	}
 	return next
+}
+
+// ContainedIn decides s ⊑ goal under the indexed dependencies (every
+// answer of s is an answer of goal on every instance satisfying them)
+// with a goal-directed chase. It runs the chase of s, selected engine and
+// all, but before each step it tests whether goal has a containment
+// mapping into the current state with the outputs matched, and answers
+// true at the first state that has one. Reaching the fixpoint without a
+// mapping answers false; an inconsistent chase (s is empty on every
+// valid instance) answers true.
+//
+// The answer is exact whenever the plain chase of s terminates within the
+// budget: a mapping into a chase prefix persists into the fixpoint, where
+// the classical containment test looks for it. A mapping found before the
+// budget runs out is sound even when the chase would not terminate, so
+// only a budget exhausted before the goal maps in is an error
+// (*ErrBudget).
+func ContainedIn(ctx context.Context, s, goal *core.Query, ix *DepIndex, opts Options) (bool, error) {
+	res, err := chaseIndexed(ctx, s, ix, opts, &goalTest{goal: goal})
+	if err != nil {
+		return false, err
+	}
+	return res.goalMapped || res.Inconsistent, nil
+}
+
+// goalTest is the goal of a goal-directed chase, kept renamed apart from
+// every variable of the chased query.
+type goalTest struct {
+	goal    *core.Query
+	renamed *core.Query
+	vars    map[string]bool // renamed's bound variables
+}
+
+// mapsInto reports whether the goal has a containment mapping into the
+// canonical database with the outputs matched. The chase introduces
+// fresh variables as it goes, so the goal is renamed apart again whenever
+// one of them collides with its own.
+func (g *goalTest) mapsInto(cn *Canon) bool {
+	if g.renamed == nil || g.collides(cn.Q) {
+		g.renamed = g.goal.RenameVars(core.FreshRenaming("h_", cn.Q.BoundVars()))
+		g.vars = g.renamed.BoundVars()
+	}
+	return cn.MapsQueryInto(g.renamed, cn.Q.Out, nil)
+}
+
+func (g *goalTest) collides(q *core.Query) bool {
+	for _, b := range q.Bindings {
+		if g.vars[b.Var] {
+			return true
+		}
+	}
+	return false
 }
 
 // Applicable reports whether any dependency is applicable to the query —

@@ -215,21 +215,64 @@ func (ix *DepIndex) findApplicable(cn *Canon, order []int, st []depState) (*core
 // amount of homomorphism-search work differs (Options.Metrics measures
 // it). Options.Naive selects the naive engine for differential testing.
 func ChaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options) (*Result, error) {
+	return chaseIndexed(ctx, q, ix, opts, nil)
+}
+
+// chaseIndexed dispatches to the selected engine; a non-nil goal makes
+// the run goal-directed (see ContainedIn).
+func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Metrics != nil {
 		opts.Metrics.Runs.Add(1)
 	}
 	if opts.Naive {
-		return chaseNaive(ctx, q, ix, opts)
+		return chaseNaive(ctx, q, ix, opts, goal)
 	}
-	return chaseIncremental(ctx, q, ix, opts)
+	return chaseIncremental(ctx, q, ix, opts, goal)
+}
+
+// checkpoint runs the tests both engines make before every step:
+// cancellation, a constant clash, in a goal-directed run a containment
+// mapping of the goal, and last the step and size budgets. A clash or a
+// mapping is a proof whatever the budget: every chase prefix is
+// equivalent to the input under the dependencies, so the last affordable
+// state still decides. done reports that the run ends here, with res
+// filled in or err set.
+func checkpoint(ctx context.Context, cn *Canon, goal *goalTest, steps int, lastDep string, opts Options, res *Result) (done bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return true, err
+	}
+	if _, _, clash := cn.CC.ConstantClash(); clash {
+		res.Query, res.Inconsistent = cn.Q, true
+		return true, nil
+	}
+	if goal != nil && goal.mapsInto(cn) {
+		res.Query, res.goalMapped = cn.Q, true
+		return true, nil
+	}
+	if steps >= opts.MaxSteps || len(cn.Q.Bindings) > opts.MaxBindings {
+		return true, &ErrBudget{Steps: steps, Bindings: len(cn.Q.Bindings), Dep: lastDep}
+	}
+	return false, nil
+}
+
+// extend appends the facts next adds over cn.Q to the canonical database
+// and makes next its query.
+func (cn *Canon) extend(next *core.Query) {
+	for _, b := range next.Bindings[len(cn.Q.Bindings):] {
+		cn.CC.Add(b.Range)
+		cn.CC.Add(core.V(b.Var))
+	}
+	for _, c := range next.Conds[len(cn.Q.Conds):] {
+		cn.CC.Merge(c.L, c.R)
+	}
+	cn.Q = next
 }
 
 // chaseIncremental runs the delta-driven fixpoint.
-func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Options) (*Result, error) {
-	cur := q.Clone()
+func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
 	res := &Result{}
-	cn := NewCanon(cur)
+	cn := NewCanon(q.Clone())
 	cn.Metrics = opts.Metrics
 	cn.CC.TrackFeatures()
 	// The input query's own facts are the initial delta: everything is
@@ -241,18 +284,10 @@ func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Opt
 	}
 	lastDep := ""
 	for steps := 0; ; steps++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if steps >= opts.MaxSteps {
-			return nil, &ErrBudget{Steps: steps, Bindings: len(cur.Bindings), Dep: lastDep}
-		}
-		if len(cur.Bindings) > opts.MaxBindings {
-			return nil, &ErrBudget{Steps: steps, Bindings: len(cur.Bindings), Dep: lastDep}
-		}
-		if _, _, clash := cn.CC.ConstantClash(); clash {
-			res.Query = cur
-			res.Inconsistent = true
+		if done, err := checkpoint(ctx, cn, goal, steps, lastDep, opts, res); done {
+			if err != nil {
+				return nil, err
+			}
 			return res, nil
 		}
 		dep, di, hom := ix.findApplicable(cn, ix.egds, st)
@@ -260,21 +295,11 @@ func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Opt
 			dep, di, hom = ix.findApplicable(cn, ix.tgds, st)
 		}
 		if dep == nil {
-			res.Query = cur
+			res.Query = cn.Q
 			return res, nil
 		}
-		next := applyStep(cur, dep, hom)
-		oldBindings := len(cur.Bindings)
-		// Extend the canonical database with the new facts only.
-		for _, b := range next.Bindings[oldBindings:] {
-			cn.CC.Add(b.Range)
-			cn.CC.Add(core.V(b.Var))
-		}
-		for _, c := range next.Conds[len(cur.Conds):] {
-			cn.CC.Merge(c.L, c.R)
-		}
-		cur = next
-		cn.Q = cur
+		oldBindings := len(cn.Q.Bindings)
+		cn.extend(applyStep(cn.Q, dep, hom))
 		res.Steps = append(res.Steps, Step{Dep: dep.Name, Hom: hom})
 		lastDep = dep.Name
 		if opts.Metrics != nil {
@@ -289,7 +314,7 @@ func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Opt
 		if touched := cn.CC.TakeTouched(); touched != nil {
 			ix.markUnion(st, touched)
 		}
-		for _, b := range cur.Bindings[oldBindings:] {
+		for _, b := range cn.Q.Bindings[oldBindings:] {
 			ix.markNewBinding(st, cn.CC, b.Range, oldBindings)
 		}
 		st[di] = depState{dirty: true, deltaStart: -1}
@@ -299,27 +324,18 @@ func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Opt
 // chaseNaive is the textbook fixpoint (every dependency rescanned, full
 // homomorphism search each step), kept as the differential reference and
 // the baseline E15 measures against.
-func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options) (*Result, error) {
-	cur := q.Clone()
+func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
 	res := &Result{}
 	egds, tgds := splitEGDs(ix.deps)
-	cn := NewCanon(cur)
+	cn := NewCanon(q.Clone())
 	cn.Metrics = opts.Metrics
 	cn.LinearScan = true // measure the full backtracking cost
 	lastDep := ""
 	for steps := 0; ; steps++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if steps >= opts.MaxSteps {
-			return nil, &ErrBudget{Steps: steps, Bindings: len(cur.Bindings), Dep: lastDep}
-		}
-		if len(cur.Bindings) > opts.MaxBindings {
-			return nil, &ErrBudget{Steps: steps, Bindings: len(cur.Bindings), Dep: lastDep}
-		}
-		if _, _, clash := cn.CC.ConstantClash(); clash {
-			res.Query = cur
-			res.Inconsistent = true
+		if done, err := checkpoint(ctx, cn, goal, steps, lastDep, opts, res); done {
+			if err != nil {
+				return nil, err
+			}
 			return res, nil
 		}
 		dep, hom := findApplicableMetered(cn, egds)
@@ -327,20 +343,10 @@ func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options) 
 			dep, hom = findApplicableMetered(cn, tgds)
 		}
 		if dep == nil {
-			res.Query = cur
+			res.Query = cn.Q
 			return res, nil
 		}
-		next := applyStep(cur, dep, hom)
-		// Extend the canonical database with the new facts only.
-		for _, b := range next.Bindings[len(cur.Bindings):] {
-			cn.CC.Add(b.Range)
-			cn.CC.Add(core.V(b.Var))
-		}
-		for _, c := range next.Conds[len(cur.Conds):] {
-			cn.CC.Merge(c.L, c.R)
-		}
-		cur = next
-		cn.Q = cur
+		cn.extend(applyStep(cn.Q, dep, hom))
 		res.Steps = append(res.Steps, Step{Dep: dep.Name, Hom: hom})
 		lastDep = dep.Name
 		if opts.Metrics != nil {

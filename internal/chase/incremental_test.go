@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -60,6 +61,44 @@ func assertSameChase(t *testing.T, label string, q *core.Query, deps []*core.Dep
 	}
 }
 
+// assertSameContainment runs the goal-directed containment test s ⊑ goal
+// on the naive and the incremental engine: both must give the same
+// answer (or the same error class) after the same number of chase steps,
+// since they apply the same steps and test the goal at the same points.
+func assertSameContainment(t *testing.T, label string, s, goal *core.Query, deps []*core.Dependency, opts Options) {
+	t.Helper()
+	ix := NewDepIndex(deps)
+	naiveOpts := opts
+	naiveOpts.Naive = true
+	naiveOpts.Metrics = &Metrics{}
+	incOpts := opts
+	incOpts.Naive = false
+	incOpts.Metrics = &Metrics{}
+	okN, errN := ContainedIn(context.Background(), s, goal, ix, naiveOpts)
+	okI, errI := ContainedIn(context.Background(), s, goal, ix, incOpts)
+	if (errN == nil) != (errI == nil) || okN != okI {
+		t.Fatalf("%s: containment differs: naive=%v/%v incremental=%v/%v", label, okN, errN, okI, errI)
+	}
+	if ns, is := naiveOpts.Metrics.ChaseSteps.Load(), incOpts.Metrics.ChaseSteps.Load(); ns != is {
+		t.Fatalf("%s: containment chase steps differ: naive=%d incremental=%d", label, ns, is)
+	}
+}
+
+// assertSameGoalDirected runs assertSameContainment on the containment
+// tests a chase input q offers: q against its own chase (which maps in
+// only once the chase has produced enough of it), and q and a mutated q
+// against each other (mutations drop or add conditions, so either
+// answer occurs).
+func assertSameGoalDirected(t *testing.T, r *rand.Rand, label string, q *core.Query, deps []*core.Dependency, opts Options) {
+	t.Helper()
+	if full, err := Chase(q, deps, opts); err == nil && !full.Inconsistent {
+		assertSameContainment(t, label+" ⊑ chase", q, full.Query, deps, opts)
+	}
+	m := mutateQuery(r, q)
+	assertSameContainment(t, label+" mutated ⊑ original", m, q, deps, opts)
+	assertSameContainment(t, label+" original ⊑ mutated", q, m, deps, opts)
+}
+
 // mutateQuery derives a chase input from a workload query: occasionally
 // drop a condition (the chase re-derives structure differently) or equate
 // two row variables (exercises EGD-heavy merge cascades in the delta
@@ -87,9 +126,13 @@ func mutateQuery(r *rand.Rand, q *core.Query) *core.Query {
 // gate over the chain/star/snowflake dependency families: >= 100
 // randomized cases, each requiring byte-identical chase results and step
 // sequences. Covers terminating chases, EGD merge cascades (mutated
-// queries), and budget-tripping runs.
+// queries), and budget-tripping runs, each also as goal-directed
+// containment tests (same answers after the same number of steps).
 func TestIncrementalChaseDifferentialRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	// A separate source for the containment cases keeps the chase cases
+	// the same as without them.
+	rg := rand.New(rand.NewSource(8))
 	cases := 0
 
 	// Chain family: n-way joins with adjacent-pair views.
@@ -103,6 +146,7 @@ func TestIncrementalChaseDifferentialRandomized(t *testing.T) {
 			opts := Options{MaxSteps: 2048, MaxBindings: 2048}
 			assertSameChase(t, label, c.Q, c.Deps, opts)
 			assertSameChase(t, label+" mutated", mutateQuery(r, c.Q), c.Deps, opts)
+			assertSameGoalDirected(t, rg, label, c.Q, c.Deps, opts)
 			cases += 2
 		}
 	}
@@ -118,6 +162,7 @@ func TestIncrementalChaseDifferentialRandomized(t *testing.T) {
 		label := fmt.Sprintf("star case %d (%+v)", i, cfg)
 		assertSameChase(t, label, s.Q, s.Deps, Options{})
 		assertSameChase(t, label+" mutated", mutateQuery(r, s.Q), s.Deps, Options{})
+		assertSameGoalDirected(t, rg, label, s.Q, s.Deps, Options{})
 		cases += 2
 	}
 
@@ -134,6 +179,11 @@ func TestIncrementalChaseDifferentialRandomized(t *testing.T) {
 		Bindings: []core.Binding{{Var: "r", Range: core.Name("R")}},
 	}
 	assertSameChase(t, "budget", divergent, []*core.Dependency{inf}, Options{MaxSteps: 20})
+	assertSameContainment(t, "budget, goal never maps", divergent, &core.Query{
+		Out:      core.C(true),
+		Bindings: []core.Binding{{Var: "r", Range: core.Name("R")}},
+		Conds:    []core.Cond{{L: core.Prj(core.V("r"), "Next"), R: core.V("r")}},
+	}, []*core.Dependency{inf}, Options{MaxSteps: 20})
 	cases++
 
 	if cases < 100 {

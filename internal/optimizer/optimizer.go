@@ -135,6 +135,7 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 	bopts := opts.Backchase
 	bopts.Chase = opts.Chase
 	bopts.Index = depIndex
+	bopts.Goal = q
 	if bopts.Parallelism == 0 {
 		bopts.Parallelism = opts.Parallelism
 	}
