@@ -123,13 +123,14 @@ func BenchmarkChaseNaiveVsIncremental(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name  string
-		naive bool
-	}{{"naive", true}, {"incremental", false}} {
+		name     string
+		newIndex func([]*core.Dependency) *chase.DepIndex
+	}{{"naive", chase.NewNaiveIndex}, {"incremental", chase.NewDepIndex}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Chase(s.Q, s.Deps, chase.Options{Naive: mode.naive}); err != nil {
+				ix := mode.newIndex(s.Deps)
+				if _, err := chase.ChaseIndexed(context.Background(), s.Q, ix, chase.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -265,12 +266,12 @@ func BenchmarkBackchasePrunedTight(b *testing.B) {
 		stats := cost.FromInstance(s.Generate(workload.StarGenOptions{
 			NumFact: 6000, NumDim: 3000, NumSub: 1000, DomA: 1000, Seed: 1,
 		}))
-		run := func(b *testing.B, opts backchase.Options) {
+		run := func(b *testing.B, enumerate func(*core.Query, []*core.Dependency, backchase.Options) (*backchase.Result, error)) {
 			b.ReportAllocs()
 			var states, pruned int
 			var best float64
 			for i := 0; i < b.N; i++ {
-				res, err := backchase.Enumerate(chased.Query, s.Deps, opts)
+				res, err := enumerate(chased.Query, s.Deps, backchase.Options{Stats: stats})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -281,10 +282,10 @@ func BenchmarkBackchasePrunedTight(b *testing.B) {
 			b.ReportMetric(best, "best-cost")
 		}
 		b.Run(wl.name+"/scanfloor", func(b *testing.B) {
-			run(b, backchase.Options{Stats: stats, ScanOnlyBound: true})
+			run(b, backchase.EnumerateScanFloor)
 		})
 		b.Run(wl.name+"/tight", func(b *testing.B) {
-			run(b, backchase.Options{Stats: stats})
+			run(b, backchase.Enumerate)
 		})
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 
-	"cnb/internal/core"
 	"cnb/internal/parser"
 	"cnb/internal/service"
 )
@@ -85,16 +84,12 @@ func main() {
 		fatal("%v", err)
 	}
 
-	design := pickDesign(doc, *designName)
-	var deps []*core.Dependency
-	var physNames map[string]bool
-	if design != nil {
-		deps = append(deps, design.Deps...)
-		physNames = design.Physical.NameSet()
-		fmt.Printf("physical design %s: %v\n\n", design.Name, design.Physical.Names())
+	target, err := doc.Target(*designName)
+	if err != nil {
+		fatal("%v", err)
 	}
-	for _, s := range doc.Schemas {
-		deps = append(deps, s.Dependencies()...)
+	if d := target.Design; d != nil {
+		fmt.Printf("physical design %s: %v\n\n", d.Name, d.Physical.Names())
 	}
 
 	// One service across every query in the file: its plan table serves
@@ -106,8 +101,8 @@ func main() {
 		fmt.Printf("--- query %s ---\n%s\n\n", name, q)
 		resp, err := svc.Optimize(context.Background(), service.Request{
 			Query:         q,
-			Deps:          deps,
-			PhysicalNames: physNames,
+			Deps:          target.Deps,
+			PhysicalNames: target.PhysicalNames,
 		})
 		if err != nil {
 			fatal("optimizing %s: %v", name, err)
@@ -133,22 +128,6 @@ func main() {
 			fmt.Println("note: the query is empty on all instances satisfying the constraints")
 		}
 	}
-}
-
-func pickDesign(doc *parser.Document, name string) *parser.DesignResult {
-	if name != "" {
-		d := doc.Designs[name]
-		if d == nil {
-			fatal("unknown design %q", name)
-		}
-		return d
-	}
-	if len(doc.Designs) == 1 {
-		for _, d := range doc.Designs {
-			return d
-		}
-	}
-	return nil
 }
 
 func fatal(format string, args ...any) {

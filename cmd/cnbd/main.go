@@ -53,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"cnb/internal/core"
 	"cnb/internal/cost"
 	"cnb/internal/parser"
 	"cnb/internal/service"
@@ -233,13 +232,13 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	doc, deps, physNames, design, ok := parseDocument(w, r, src)
+	doc, target, ok := parseDocument(w, r, src)
 	if !ok {
 		return
 	}
 	resp := optimizeResponse{}
-	if design != nil {
-		resp.Design = design.Name
+	if target.Design != nil {
+		resp.Design = target.Design.Name
 	}
 
 	for _, name := range doc.QueryOrder {
@@ -247,8 +246,8 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		res, err := s.svc.Optimize(r.Context(), service.Request{
 			Query:         q,
-			Deps:          deps,
-			PhysicalNames: physNames,
+			Deps:          target.Deps,
+			PhysicalNames: target.PhysicalNames,
 		})
 		if err != nil {
 			httpError(w, errStatus(r, err), "query %s: %v", name, err)
@@ -312,7 +311,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = time.Duration(n) * time.Millisecond
 	}
-	doc, deps, physNames, design, ok := parseDocument(w, r, src)
+	doc, target, ok := parseDocument(w, r, src)
 	if !ok {
 		return
 	}
@@ -325,16 +324,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := execResponse{Instance: instName}
-	if design != nil {
-		resp.Design = design.Name
+	if target.Design != nil {
+		resp.Design = target.Design.Name
 	}
 	for _, name := range doc.QueryOrder {
 		start := time.Now()
 		qres, err := s.svc.Query(ctx, service.QueryRequest{
 			Request: service.Request{
 				Query:         doc.Queries[name],
-				Deps:          deps,
-				PhysicalNames: physNames,
+				Deps:          target.Deps,
+				PhysicalNames: target.PhysicalNames,
 			},
 			Instance: instName,
 			MaxRows:  maxRows,
@@ -564,33 +563,26 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseDocument parses a cnb source body and assembles the dependency
-// set shared by /optimize and /query: the picked design's deps plus
-// every schema's. On failure it writes the HTTP error itself and
-// returns ok=false.
-func parseDocument(w http.ResponseWriter, r *http.Request, src []byte) (doc *parser.Document, deps []*core.Dependency, physNames map[string]bool, design *parser.DesignResult, ok bool) {
+// parseDocument parses a cnb source body and resolves the target shared
+// by /optimize and /query: the design named by ?design (see
+// parser.Document.Target). On failure it writes the HTTP error itself
+// and returns ok=false.
+func parseDocument(w http.ResponseWriter, r *http.Request, src []byte) (*parser.Document, *parser.Target, bool) {
 	doc, err := parser.Parse(string(src))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "parse: %v", err)
-		return nil, nil, nil, nil, false
+		return nil, nil, false
 	}
-	design, err = pickDesign(doc, r.URL.Query().Get("design"))
+	target, err := doc.Target(r.URL.Query().Get("design"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return nil, nil, nil, nil, false
-	}
-	if design != nil {
-		deps = append(deps, design.Deps...)
-		physNames = design.Physical.NameSet()
-	}
-	for _, sc := range doc.Schemas {
-		deps = append(deps, sc.Dependencies()...)
+		return nil, nil, false
 	}
 	if len(doc.QueryOrder) == 0 {
 		httpError(w, http.StatusBadRequest, "document declares no queries")
-		return nil, nil, nil, nil, false
+		return nil, nil, false
 	}
-	return doc, deps, physNames, design, true
+	return doc, target, true
 }
 
 // errStatus maps a service error onto its HTTP status: an unknown
@@ -608,25 +600,6 @@ func errStatus(r *http.Request, err error) int {
 	default:
 		return http.StatusUnprocessableEntity
 	}
-}
-
-// pickDesign mirrors cmd/cnb: an explicit name must exist; with exactly
-// one design it is implied; with none (or several and no name) queries
-// are optimized against the logical constraints only.
-func pickDesign(doc *parser.Document, name string) (*parser.DesignResult, error) {
-	if name != "" {
-		d := doc.Designs[name]
-		if d == nil {
-			return nil, fmt.Errorf("unknown design %q", name)
-		}
-		return d, nil
-	}
-	if len(doc.Designs) == 1 {
-		for _, d := range doc.Designs {
-			return d, nil
-		}
-	}
-	return nil, nil
 }
 
 // readBody reads a bounded request body (1 MiB: documents are source

@@ -533,3 +533,45 @@ func TestMetricsHistResetOnScrape(t *testing.T) {
 		t.Fatalf("reset touched the counters: requests = %v", second["requests"])
 	}
 }
+
+// multiSchemaDoc declares its constraints across three schemas, so the
+// dependency list a request carries is assembled from several of them.
+const multiSchemaDoc = `
+schema A {
+  R : set<{K: int, V: int}>;
+  constraint KeyR: forall (x in R, y in R) x.K = y.K -> x = y;
+}
+schema B {
+  S : set<{K: int, W: int}>;
+  constraint KeyS: forall (x in S, y in S) x.K = y.K -> x = y;
+}
+schema C {
+  T : set<{K: int, U: int}>;
+  constraint KeyT: forall (x in T, y in T) x.K = y.K -> x = y;
+}
+query Q:
+  select struct(V: r.V, W: s.W)
+  from R r, S s, T t
+  where r.K = s.K and s.K = t.K;
+`
+
+// TestMultiSchemaDocumentHitsPlanCache: identical multi-schema documents
+// must assemble identical dependency lists, so N posts run one flight and
+// hit the plan cache N-1 times, holding one plan table entry.
+func TestMultiSchemaDocumentHitsPlanCache(t *testing.T) {
+	ts := testServer(t)
+	const n = 40
+	for i := 0; i < n; i++ {
+		if status, body := postJSON(t, ts.URL+"/optimize", multiSchemaDoc); status != http.StatusOK {
+			t.Fatalf("post %d: HTTP %d: %v", i, status, body)
+		}
+	}
+	_, metrics := getJSON(t, ts.URL+"/metrics")
+	cache := metrics["cache"].(map[string]any)
+	if cache["hits"].(float64) != n-1 || cache["misses"].(float64) != 1 || cache["entries"].(float64) != 1 {
+		t.Fatalf("cache = %v, want %d hits, 1 miss, 1 entry", cache, n-1)
+	}
+	if flights := metrics["flights"].(float64); flights != 1 {
+		t.Fatalf("flights = %v, want 1", flights)
+	}
+}

@@ -59,14 +59,6 @@ type Options struct {
 	// result and can vary across schedules. Nil (the default) keeps the
 	// exhaustive, fully deterministic order.
 	Stats *cost.Stats
-	// ScanOnlyBound reverts pruning to the PR-2 scan-only floor
-	// (cost.Stats.ScanFloor) instead of the dictionary-aware
-	// cost.Stats.LowerBound. Both bounds are admissible, so the cheapest
-	// plan is identical either way; the scan-only bound explores more
-	// states. Kept for A/B measurement (E14, BenchmarkBackchasePrunedTight)
-	// — production callers should leave it false. Only meaningful with
-	// Stats.
-	ScanOnlyBound bool
 	// Index is a prebuilt chase dependency index over the same dependency
 	// set passed to Enumerate (chase.NewDepIndex(deps)); the optimizer
 	// shares the index of its chase phase this way. Nil means the engine
@@ -145,6 +137,25 @@ func EnumerateContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 	e, err := newEngine(ctx, q, deps, opts)
 	if err != nil {
 		return nil, err
+	}
+	return e.enumerate(ctx, opts.parallelismOrDefault())
+}
+
+// EnumerateScanFloor is Enumerate with cost-bounded pruning driven by the
+// PR-2 scan-only floor (cost.Stats.ScanFloor) instead of the
+// dictionary-aware cost.Stats.LowerBound. Both bounds are admissible, so
+// the cheapest plan is the same; the scan-only bound prunes less and
+// explores more states. It exists for E14's A/B measurement only;
+// product code uses Enumerate. Without opts.Stats it is Enumerate.
+func EnumerateScanFloor(q *core.Query, deps []*core.Dependency, opts Options) (*Result, error) {
+	ctx := context.Background()
+	opts = opts.withDefaults()
+	e, err := newEngine(ctx, q, deps, opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Stats != nil {
+		e.lowerBound = opts.Stats.ScanFloor
 	}
 	return e.enumerate(ctx, opts.parallelismOrDefault())
 }
@@ -401,7 +412,7 @@ func normalizeIndexed(ctx context.Context, q *core.Query, ix *chase.DepIndex, op
 			if err != nil || res.Inconsistent {
 				continue
 			}
-			cn := opts.NewCanon(res.Query)
+			cn := ix.NewCanon(res.Query, opts.Metrics)
 			if cn.CC.Same(cond.L, cond.R) {
 				cur = cand
 				changed = true
@@ -412,7 +423,7 @@ func normalizeIndexed(ctx context.Context, q *core.Query, ix *chase.DepIndex, op
 	// Output normalization against the chased plan's congruence classes.
 	res, err := chase.ChaseIndexed(ctx, cur, ix, opts)
 	if err == nil && !res.Inconsistent {
-		cn := opts.NewCanon(res.Query)
+		cn := ix.NewCanon(res.Query, opts.Metrics)
 		own := cur.BoundVars()
 		cur.Out = normalizeTerm(cur.Out, cn, own)
 	}
@@ -499,14 +510,10 @@ func topoSortBindings(bs []core.Binding) ([]core.Binding, bool) {
 	return out, true
 }
 
-// equivalentContext decides Q1 ≡ Q2 under deps with chase-based
-// containment in both directions: Qi ⊑ Qj iff there is a containment
-// mapping (homomorphism with output match) from Qj into chase(Qi).
-func equivalentContext(ctx context.Context, q1, q2 *core.Query, deps []*core.Dependency, opts chase.Options) (bool, error) {
-	return equivalentIndexed(ctx, q1, q2, chase.NewDepIndex(deps), opts)
-}
-
-// equivalentIndexed is equivalentContext over a prebuilt dependency index.
+// equivalentIndexed decides Q1 ≡ Q2 under the indexed dependencies with
+// chase-based containment in both directions: Qi ⊑ Qj iff there is a
+// containment mapping (homomorphism with output match) from Qj into
+// chase(Qi).
 func equivalentIndexed(ctx context.Context, q1, q2 *core.Query, ix *chase.DepIndex, opts chase.Options) (bool, error) {
 	c1, err := containedIndexed(ctx, q1, q2, ix, opts)
 	if err != nil || !c1 {
@@ -515,13 +522,8 @@ func equivalentIndexed(ctx context.Context, q1, q2 *core.Query, ix *chase.DepInd
 	return containedIndexed(ctx, q2, q1, ix, opts)
 }
 
-// containedContext decides Q1 ⊑ Q2 under deps (every answer of Q1 is an
-// answer of Q2 on instances satisfying deps).
-func containedContext(ctx context.Context, q1, q2 *core.Query, deps []*core.Dependency, opts chase.Options) (bool, error) {
-	return containedIndexed(ctx, q1, q2, chase.NewDepIndex(deps), opts)
-}
-
-// containedIndexed is containedContext over a prebuilt dependency index.
+// containedIndexed decides Q1 ⊑ Q2 under the indexed dependencies (every
+// answer of Q1 is an answer of Q2 on instances satisfying them).
 func containedIndexed(ctx context.Context, q1, q2 *core.Query, ix *chase.DepIndex, opts chase.Options) (bool, error) {
 	res, err := chase.ChaseIndexed(ctx, q1, ix, opts)
 	if err != nil {
@@ -533,19 +535,19 @@ func containedIndexed(ctx context.Context, q1, q2 *core.Query, ix *chase.DepInde
 	// Freshen q2 apart from the chased q1 to avoid variable capture.
 	avoid := res.Query.BoundVars()
 	q2f := q2.RenameVars(core.FreshRenaming("h_", avoid))
-	return opts.NewCanon(res.Query).MapsQueryInto(q2f, res.Query.Out, nil), nil
+	return ix.NewCanon(res.Query, opts.Metrics).MapsQueryInto(q2f, res.Query.Out, nil), nil
 }
 
 // Equivalent is the exported chase-based equivalence test under
 // dependencies.
 func Equivalent(q1, q2 *core.Query, deps []*core.Dependency, opts chase.Options) (bool, error) {
-	return equivalentContext(context.Background(), q1, q2, deps, opts)
+	return equivalentIndexed(context.Background(), q1, q2, chase.NewDepIndex(deps), opts)
 }
 
 // Contained is the exported chase-based containment test under
 // dependencies: Q1 ⊑ Q2.
 func Contained(q1, q2 *core.Query, deps []*core.Dependency, opts chase.Options) (bool, error) {
-	return containedContext(context.Background(), q1, q2, deps, opts)
+	return containedIndexed(context.Background(), q1, q2, chase.NewDepIndex(deps), opts)
 }
 
 // BruteForceMinimal enumerates all subsets of q's bindings directly

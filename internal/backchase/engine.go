@@ -219,6 +219,14 @@ type engine struct {
 	// construction.
 	rootCC *congruence.Closure
 	queue  *workQueue
+	// lowerBound is the admissible floor used by push/pop pruning (set
+	// only with Stats): the dictionary-aware cost.Stats.LowerBound, or
+	// cost.Stats.ScanFloor for EnumerateScanFloor's A/B reference. The
+	// admissibility argument lives on LowerBound: min fanouts and
+	// groundability survive every rewrite the backchase performs, because
+	// rewrites only re-route access paths along equalities the state
+	// already implies — they never shrink the answer or invent equalities.
+	lowerBound func(*core.Query) float64
 
 	shards [numShards]shard
 	seed   maphash.Seed
@@ -261,11 +269,14 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		deps:      deps,
 		depIndex:  ix,
 		opts:      opts,
-		rootCanon: opts.Chase.NewCanon(res.Query),
+		rootCanon: ix.NewCanon(res.Query, opts.Chase.Metrics),
 		rootCC:    rootClosure(q),
 		queue:     newWorkQueue(opts.Stats != nil),
 		seed:      maphash.MakeSeed(),
 		plans:     map[string]planEntry{},
+	}
+	if opts.Stats != nil {
+		e.lowerBound = opts.Stats.LowerBound
 	}
 	e.bound.Store(math.Float64bits(math.Inf(1)))
 	e.best.Store(math.Float64bits(math.Inf(1)))
@@ -287,20 +298,6 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 // this one metric so they are mutually comparable.
 func (e *engine) costPlan(q *core.Query) float64 {
 	return e.opts.Stats.EstimateQuick(planrewrite.SimplifyLookups(q))
-}
-
-// lowerBound is the admissible floor used by push/pop pruning: the
-// dictionary-aware cost.Stats.LowerBound by default, or the PR-2
-// scan-only cost.Stats.ScanFloor when Options.ScanOnlyBound asks for the
-// A/B comparison. The admissibility argument lives on LowerBound: min
-// fanouts and groundability survive every rewrite the backchase performs,
-// because rewrites only re-route access paths along equalities the state
-// already implies — they never shrink the answer or invent equalities.
-func (e *engine) lowerBound(q *core.Query) float64 {
-	if e.opts.ScanOnlyBound {
-		return e.opts.Stats.ScanFloor(q)
-	}
-	return e.opts.Stats.LowerBound(q)
 }
 
 // cachedLowerBound memoizes lowerBound per canonical state key: the

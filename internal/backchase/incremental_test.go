@@ -54,10 +54,12 @@ func TestIncrementalBackchaseDifferential(t *testing.T) {
 		}
 		var want string
 		var wantSteps int64
+		naiveIndex := chase.NewNaiveIndex(sc.deps)
 		naiveMetrics := &chase.Metrics{}
 		ref, err := Enumerate(chased.Query, sc.deps, Options{
 			Parallelism: 1,
-			Chase:       chase.Options{Naive: true, Metrics: naiveMetrics},
+			Index:       naiveIndex,
+			Chase:       chase.Options{Metrics: naiveMetrics},
 		})
 		if err != nil {
 			t.Fatalf("%s naive: %v", sc.label, err)
@@ -71,8 +73,9 @@ func TestIncrementalBackchaseDifferential(t *testing.T) {
 		goalNaive := &chase.Metrics{}
 		refGoal, err := Enumerate(chased.Query, sc.deps, Options{
 			Parallelism: 1,
+			Index:       naiveIndex,
 			Goal:        sc.q,
-			Chase:       chase.Options{Naive: true, Metrics: goalNaive},
+			Chase:       chase.Options{Metrics: goalNaive},
 		})
 		if err != nil {
 			t.Fatalf("%s naive with goal: %v", sc.label, err)
@@ -141,7 +144,7 @@ func TestIncrementalReducesHomTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	naive, inc := &chase.Metrics{}, &chase.Metrics{}
-	if _, err := Enumerate(chased.Query, s.Deps, Options{Parallelism: 1, Chase: chase.Options{Naive: true, Metrics: naive}}); err != nil {
+	if _, err := Enumerate(chased.Query, s.Deps, Options{Parallelism: 1, Index: chase.NewNaiveIndex(s.Deps), Chase: chase.Options{Metrics: naive}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Enumerate(chased.Query, s.Deps, Options{Parallelism: 1, Chase: chase.Options{Metrics: inc}}); err != nil {

@@ -55,7 +55,9 @@ func cheapestEncountered(stats *cost.Stats, res *Result) (float64, *core.Query) 
 // must (a) never claim more states than the exhaustive search, (b) reach
 // a cheapest plan at least as cheap as the exhaustive cheapest under the
 // engine's own metric, and (c) produce a cheapest plan chase-equivalent
-// to the exhaustive cheapest — all across Parallelism 1/2/8.
+// to the exhaustive cheapest — all across Parallelism 1/2/8, under both
+// the dictionary-aware bound (Enumerate) and the scan-only reference
+// (EnumerateScanFloor).
 func TestPruningSoundnessRandomized(t *testing.T) {
 	const cases = 60
 	r := rand.New(rand.NewSource(1234))
@@ -73,51 +75,56 @@ func TestPruningSoundnessRandomized(t *testing.T) {
 		}
 		exBest, exPlan := cheapestEncountered(stats, ex)
 
-		for _, par := range []int{1, 2, 8} {
-			pr, err := Enumerate(q, deps, Options{Parallelism: par, Stats: stats})
-			if err != nil {
-				t.Fatalf("case %d par %d: pruned: %v\nquery:\n%s", i, par, err, q)
-			}
-			if pr.Truncated {
-				t.Fatalf("case %d par %d: unexpected truncation", i, par)
-			}
-			// Explored states are verified-equivalent and reached through
-			// verified parents, so they are a subset of the exhaustive
-			// reachable set. (States + Pruned can legitimately exceed
-			// ex.States: pruning also skips candidates whose equivalence
-			// was never verified and which the exhaustive search rejects.)
-			if pr.States > ex.States {
-				t.Errorf("case %d par %d: pruned run explored %d states, exhaustive %d\nquery:\n%s",
-					i, par, pr.States, ex.States, q)
-			}
-			prBest, prPlan := cheapestEncountered(stats, pr)
-			// Soundness: pruning must never lose the cheapest plan. (It may
-			// find a cheaper normalized rendering of a state the exhaustive
-			// search left un-normalized, hence <=, not ==.)
-			const eps = 1e-6
-			if prBest > exBest*(1+eps)+eps {
-				t.Errorf("case %d par %d: pruned cheapest %.6f worse than exhaustive %.6f\nquery:\n%s",
-					i, par, prBest, exBest, q)
-			}
-			// BestCost is the minimum over every achieved cost, including
-			// discarded isomorphic plan variants whose quick estimate can
-			// undercut the stored rendering's — so it lower-bounds the
-			// recomputation but never exceeds it.
-			if pr.BestCost > prBest*(1+eps)+eps {
-				t.Errorf("case %d par %d: Result.BestCost %.6f exceeds recomputed %.6f",
-					i, par, pr.BestCost, prBest)
-			}
-			if prPlan == nil || exPlan == nil {
-				t.Fatalf("case %d par %d: missing cheapest plan (pruned %v exhaustive %v)",
-					i, par, prPlan != nil, exPlan != nil)
-			}
-			eq, err := Equivalent(prPlan, exPlan, deps, chase.Options{})
-			if err != nil {
-				t.Fatalf("case %d par %d: equivalence: %v", i, par, err)
-			}
-			if !eq {
-				t.Errorf("case %d par %d: cheapest plans not chase-equivalent\npruned:\n%s\nexhaustive:\n%s",
-					i, par, prPlan, exPlan)
+		for _, run := range []struct {
+			bound     string
+			enumerate func(*core.Query, []*core.Dependency, Options) (*Result, error)
+		}{{"tight", Enumerate}, {"scanfloor", EnumerateScanFloor}} {
+			for _, par := range []int{1, 2, 8} {
+				pr, err := run.enumerate(q, deps, Options{Parallelism: par, Stats: stats})
+				if err != nil {
+					t.Fatalf("case %d par %d %s: pruned: %v\nquery:\n%s", i, par, run.bound, err, q)
+				}
+				if pr.Truncated {
+					t.Fatalf("case %d par %d %s: unexpected truncation", i, par, run.bound)
+				}
+				// Explored states are verified-equivalent and reached through
+				// verified parents, so they are a subset of the exhaustive
+				// reachable set. (States + Pruned can legitimately exceed
+				// ex.States: pruning also skips candidates whose equivalence
+				// was never verified and which the exhaustive search rejects.)
+				if pr.States > ex.States {
+					t.Errorf("case %d par %d %s: pruned run explored %d states, exhaustive %d\nquery:\n%s",
+						i, par, run.bound, pr.States, ex.States, q)
+				}
+				prBest, prPlan := cheapestEncountered(stats, pr)
+				// Soundness: pruning must never lose the cheapest plan. (It may
+				// find a cheaper normalized rendering of a state the exhaustive
+				// search left un-normalized, hence <=, not ==.)
+				const eps = 1e-6
+				if prBest > exBest*(1+eps)+eps {
+					t.Errorf("case %d par %d %s: pruned cheapest %.6f worse than exhaustive %.6f\nquery:\n%s",
+						i, par, run.bound, prBest, exBest, q)
+				}
+				// BestCost is the minimum over every achieved cost, including
+				// discarded isomorphic plan variants whose quick estimate can
+				// undercut the stored rendering's — so it lower-bounds the
+				// recomputation but never exceeds it.
+				if pr.BestCost > prBest*(1+eps)+eps {
+					t.Errorf("case %d par %d %s: Result.BestCost %.6f exceeds recomputed %.6f",
+						i, par, run.bound, pr.BestCost, prBest)
+				}
+				if prPlan == nil || exPlan == nil {
+					t.Fatalf("case %d par %d %s: missing cheapest plan (pruned %v exhaustive %v)",
+						i, par, run.bound, prPlan != nil, exPlan != nil)
+				}
+				eq, err := Equivalent(prPlan, exPlan, deps, chase.Options{})
+				if err != nil {
+					t.Fatalf("case %d par %d %s: equivalence: %v", i, par, run.bound, err)
+				}
+				if !eq {
+					t.Errorf("case %d par %d %s: cheapest plans not chase-equivalent\npruned:\n%s\nexhaustive:\n%s",
+						i, par, run.bound, prPlan, exPlan)
+				}
 			}
 		}
 	}

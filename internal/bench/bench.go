@@ -21,6 +21,7 @@ import (
 	"cnb/internal/engine"
 	"cnb/internal/instance"
 	"cnb/internal/optimizer"
+	"cnb/internal/planrewrite"
 	"cnb/internal/workload"
 )
 
@@ -779,7 +780,7 @@ func e13Cheapest(stats *cost.Stats, res *backchase.Result) float64 {
 	best := math.Inf(1)
 	for _, qs := range [][]*core.Query{res.Plans, res.Explored} {
 		for _, p := range qs {
-			if c := stats.EstimateQuick(optimizer.SimplifyLookups(p)); c < best {
+			if c := stats.EstimateQuick(planrewrite.SimplifyLookups(p)); c < best {
 				best = c
 			}
 		}
@@ -917,8 +918,8 @@ func E14() (*Table, error) {
 			return nil, err
 		}
 		exBest := e13Cheapest(stats, ex)
-		scan, err := backchase.Enumerate(chased.Query, s.Deps,
-			backchase.Options{Parallelism: 1, Stats: stats, ScanOnlyBound: true})
+		scan, err := backchase.EnumerateScanFloor(chased.Query, s.Deps,
+			backchase.Options{Parallelism: 1, Stats: stats})
 		if err != nil {
 			return nil, err
 		}
@@ -1040,14 +1041,18 @@ func E15() (*Table, error) {
 		}
 		runEngine := func(naive bool) (*outcome, error) {
 			o := &outcome{m: &chase.Metrics{}}
-			copts := chase.Options{Naive: naive, Metrics: o.m}
+			copts := chase.Options{Metrics: o.m}
 			start := time.Now()
-			chased, err := chase.Chase(s.Q, s.Deps, copts)
+			ix := chase.NewDepIndex(s.Deps)
+			if naive {
+				ix = chase.NewNaiveIndex(s.Deps)
+			}
+			chased, err := chase.ChaseIndexed(context.Background(), s.Q, ix, copts)
 			if err != nil {
 				return nil, err
 			}
 			enum, err := backchase.Enumerate(chased.Query, s.Deps,
-				backchase.Options{Parallelism: Parallelism, Chase: copts})
+				backchase.Options{Parallelism: Parallelism, Chase: copts, Index: ix})
 			if err != nil {
 				return nil, err
 			}

@@ -56,13 +56,13 @@ type Canon struct {
 	// Shared (not deep-copied) by Clone; safe because all fields are
 	// atomic.
 	Metrics *Metrics
-	// LinearScan disables the rep-keyed target index: every homomorphism
+	// linearScan disables the rep-keyed target index: every homomorphism
 	// search level scans all target bindings, re-resolving representatives
-	// per candidate (the textbook behavior). Enabled only by the naive
-	// chase engine so that naive-vs-incremental measurements compare the
+	// per candidate (the textbook behavior). Set only on the canons of a
+	// NewNaiveIndex so that naive-vs-incremental measurements compare the
 	// full backtracking cost against the seeded search; results are
 	// identical either way.
-	LinearScan bool
+	linearScan bool
 	// tix caches target bindings grouped by the congruence representative
 	// of their range; rebuilt lazily whenever the closure version or the
 	// binding list moves on. Never shared by Clone (clones diverge).
@@ -82,7 +82,7 @@ type targetIndex struct {
 // copied. Concurrent Clones of one Canon are safe provided no goroutine
 // mutates it at the same time.
 func (cn *Canon) Clone() *Canon {
-	return &Canon{Q: cn.Q, CC: cn.CC.Clone(), Metrics: cn.Metrics, LinearScan: cn.LinearScan}
+	return &Canon{Q: cn.Q, CC: cn.CC.Clone(), Metrics: cn.Metrics, linearScan: cn.linearScan}
 }
 
 // targetCandidates returns the positions of the target bindings whose
@@ -104,19 +104,6 @@ func (cn *Canon) targetCandidates(want *core.Term) ([]int, int64) {
 		cn.tix = &targetIndex{version: cn.CC.Version(), n: len(cn.Q.Bindings), byRep: byRep}
 	}
 	return cn.tix.byRep[rw], tested
-}
-
-// NewCanon builds the canonical database of a query, configured from the
-// chase options: work done in it counts toward opts.Metrics, and the
-// naive flag selects the linear (unseeded) homomorphism scan so that
-// naive-vs-incremental measurements stay comparable. Use this for any
-// canon whose searches belong to a chase pipeline; the bare NewCanon is
-// for standalone use.
-func (o Options) NewCanon(q *core.Query) *Canon {
-	cn := NewCanon(q)
-	cn.Metrics = o.Metrics
-	cn.LinearScan = o.Naive
-	return cn
 }
 
 // NewCanon builds the canonical database of a query.
@@ -278,7 +265,7 @@ func (cn *Canon) visitHoms(srcBindings []core.Binding, srcConds []core.Cond, ini
 		// so a version bump mid-level falls back to the linear scan for
 		// the remaining positions.
 		linearFrom := 0
-		if !cn.LinearScan {
+		if !cn.linearScan {
 			cands, rebuildCost := cn.targetCandidates(want)
 			tested += rebuildCost
 			ver := cn.CC.Version()

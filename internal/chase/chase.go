@@ -21,14 +21,6 @@ type Options struct {
 	// steps) across runs. Safe to share between concurrent chases; has no
 	// effect on results, so it does not participate in cache keys.
 	Metrics *Metrics
-	// Naive forces the textbook fixpoint that rescans every dependency
-	// and restarts homomorphism search from scratch at each step, instead
-	// of the delta-driven incremental engine. The two produce byte-
-	// identical results and step sequences (the naive-vs-incremental
-	// differential suite gates this); the flag exists for that suite and
-	// for A/B work measurements (E15). It does not participate in cache
-	// keys.
-	Naive bool
 }
 
 func (o Options) withDefaults() Options {
@@ -121,28 +113,6 @@ func splitEGDs(deps []*core.Dependency) (egds, tgds []*core.Dependency) {
 	return egds, tgds
 }
 
-// findApplicable returns the first dependency (in order) with a premise
-// homomorphism that does not extend to its conclusion, together with that
-// homomorphism. Determinism: dependencies are scanned in slice order and
-// homomorphisms in the backtracking order of VisitHoms. The search streams
-// homomorphisms and stops at the first applicable one.
-func findApplicable(cn *Canon, deps []*core.Dependency) (*core.Dependency, Hom) {
-	for _, d := range deps {
-		var found Hom
-		cn.VisitHoms(d.Premise, d.PremiseConds, nil, func(h Hom) bool {
-			if !cn.ExtendsToConclusion(d, h) {
-				found = h.Clone()
-				return true
-			}
-			return false
-		})
-		if found != nil {
-			return d, found
-		}
-	}
-	return nil, nil
-}
-
 // applyStep applies one chase step, returning the extended query. For a
 // TGD it adds the conclusion bindings (with fresh variables) and
 // conditions; for an EGD it adds the equalities. Constant clashes caused
@@ -179,12 +149,12 @@ func applyStep(q *core.Query, d *core.Dependency, h Hom) *core.Query {
 
 // ContainedIn decides s ⊑ goal under the indexed dependencies (every
 // answer of s is an answer of goal on every instance satisfying them)
-// with a goal-directed chase. It runs the chase of s, selected engine and
-// all, but before each step it tests whether goal has a containment
-// mapping into the current state with the outputs matched, and answers
-// true at the first state that has one. Reaching the fixpoint without a
-// mapping answers false; an inconsistent chase (s is empty on every
-// valid instance) answers true.
+// with a goal-directed chase. It runs the chase of s over ix, on the
+// index's engine, but before each step it tests whether goal has a
+// containment mapping into the current state with the outputs matched,
+// and answers true at the first state that has one. Reaching the
+// fixpoint without a mapping answers false; an inconsistent chase (s is
+// empty on every valid instance) answers true.
 //
 // The answer is exact whenever the plain chase of s terminates within the
 // budget: a mapping into a chase prefix persists into the fixpoint, where
@@ -232,8 +202,7 @@ func (g *goalTest) collides(q *core.Query) bool {
 // Applicable reports whether any dependency is applicable to the query —
 // i.e. whether the query is not yet a chase fixpoint.
 func Applicable(q *core.Query, deps []*core.Dependency) bool {
-	cn := NewCanon(q)
-	d, _ := findApplicable(cn, deps)
+	d, _ := findApplicable(NewCanon(q), deps)
 	return d != nil
 }
 

@@ -98,18 +98,19 @@ func TestContainedInInconsistent(t *testing.T) {
 		Bindings: []core.Binding{{Var: "t", Range: core.Name("S")}},
 	}
 	for _, naive := range []bool{false, true} {
-		ok, err := ContainedIn(context.Background(), s, goal, NewDepIndex([]*core.Dependency{egd}), Options{Naive: naive})
+		ix := engineIndex(naive, []*core.Dependency{egd})
+		ok, err := ContainedIn(context.Background(), s, goal, ix, Options{})
 		if err != nil || !ok {
 			t.Errorf("naive=%v: inconsistent s ⊑ goal = %v, %v; want true", naive, ok, err)
 		}
 		// The clash appears after the one step the budget allows: it is
 		// a proof, so it wins over the budget, with or without a goal.
-		opts := Options{Naive: naive, MaxSteps: 1}
-		ok, err = ContainedIn(context.Background(), s, goal, NewDepIndex([]*core.Dependency{egd}), opts)
+		opts := Options{MaxSteps: 1}
+		ok, err = ContainedIn(context.Background(), s, goal, ix, opts)
 		if err != nil || !ok {
 			t.Errorf("naive=%v: inconsistent s ⊑ goal at the budget = %v, %v; want true", naive, ok, err)
 		}
-		res, err := ChaseIndexed(context.Background(), s, NewDepIndex([]*core.Dependency{egd}), opts)
+		res, err := ChaseIndexed(context.Background(), s, ix, opts)
 		if err != nil || !res.Inconsistent {
 			t.Errorf("naive=%v: chase clashing at the budget = %+v, %v; want inconsistent", naive, res, err)
 		}
@@ -120,9 +121,9 @@ func TestContainedInInconsistent(t *testing.T) {
 // terminates still proves containment if the goal maps in before the
 // budget runs out, and only a budget exhausted first is an error.
 func TestContainedInBudget(t *testing.T) {
-	ix := NewDepIndex([]*core.Dependency{infDep()})
+	deps := []*core.Dependency{infDep()}
 	opts := Options{MaxSteps: 25}
-	if _, err := ChaseIndexed(context.Background(), oneR(), ix, opts); err == nil {
+	if _, err := ChaseIndexed(context.Background(), oneR(), NewDepIndex(deps), opts); err == nil {
 		t.Fatal("fixture chase must exhaust its budget")
 	}
 	// One step adds a predecessor of r.
@@ -141,7 +142,7 @@ func TestContainedInBudget(t *testing.T) {
 		Conds:    []core.Cond{{L: core.Prj(core.V("r"), "Next"), R: core.V("r")}},
 	}
 	for _, naive := range []bool{false, true} {
-		opts.Naive = naive
+		ix := engineIndex(naive, deps)
 		m := &Metrics{}
 		opts.Metrics = m
 		ok, err := ContainedIn(context.Background(), oneR(), pred, ix, opts)

@@ -82,6 +82,8 @@ type DepIndex struct {
 	// byFeat inverts feats: feature key -> positions of dependencies whose
 	// premise carries it.
 	byFeat map[string][]int
+	// naive selects the textbook reference engine (see NewNaiveIndex).
+	naive bool
 }
 
 // NewDepIndex builds the premise index for the dependency set. The slice
@@ -105,6 +107,30 @@ func NewDepIndex(deps []*core.Dependency) *DepIndex {
 		}
 	}
 	return ix
+}
+
+// NewNaiveIndex builds a reference index over the dependency set:
+// chasing over it runs the textbook fixpoint, which rescans every
+// dependency and restarts homomorphism search from scratch at each step,
+// and its canons (see NewCanon) use the unseeded linear scan. Results and
+// step sequences are byte-identical to NewDepIndex's; only the work
+// differs. It exists for the naive-vs-incremental differential suites
+// and E15's A/B measurement; product code uses NewDepIndex.
+func NewNaiveIndex(deps []*core.Dependency) *DepIndex {
+	ix := NewDepIndex(deps)
+	ix.naive = true
+	return ix
+}
+
+// NewCanon builds the canonical database of q for searches that belong
+// to chases over ix: their work counts toward m (which may be nil), and
+// a naive index's canons use the linear homomorphism scan so that
+// naive-vs-incremental measurements stay comparable.
+func (ix *DepIndex) NewCanon(q *core.Query, m *Metrics) *Canon {
+	cn := NewCanon(q)
+	cn.Metrics = m
+	cn.linearScan = ix.naive
+	return cn
 }
 
 // Deps returns the indexed dependency slice (read-only).
@@ -182,7 +208,7 @@ func (ix *DepIndex) markNewBinding(st []depState, cc *congruence.Closure, rng *c
 // findApplicable scans the given dependency positions in order, skipping
 // clean ones, and returns the first dependency with a premise
 // homomorphism that does not extend to its conclusion. Dependencies
-// searched without success are marked clean. Mirrors the naive
+// searched without success are marked clean. Mirrors the naive engine's
 // findApplicable exactly on the dirty set.
 func (ix *DepIndex) findApplicable(cn *Canon, order []int, st []depState) (*core.Dependency, int, Hom) {
 	for _, di := range order {
@@ -210,22 +236,23 @@ func (ix *DepIndex) findApplicable(cn *Canon, order []int, st []depState) (*core
 	return nil, -1, nil
 }
 
-// ChaseIndexed is ChaseContext over a prebuilt dependency index. Results
-// and step sequences are byte-identical to the naive fixpoint; only the
-// amount of homomorphism-search work differs (Options.Metrics measures
-// it). Options.Naive selects the naive engine for differential testing.
+// ChaseIndexed is ChaseContext over a prebuilt dependency index. The
+// index selects the engine: the delta-driven fixpoint for NewDepIndex,
+// the textbook one for NewNaiveIndex. Results and step sequences are
+// byte-identical; only the amount of homomorphism-search work differs
+// (Options.Metrics measures it).
 func ChaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options) (*Result, error) {
 	return chaseIndexed(ctx, q, ix, opts, nil)
 }
 
-// chaseIndexed dispatches to the selected engine; a non-nil goal makes
+// chaseIndexed dispatches to the index's engine; a non-nil goal makes
 // the run goal-directed (see ContainedIn).
 func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Metrics != nil {
 		opts.Metrics.Runs.Add(1)
 	}
-	if opts.Naive {
+	if ix.naive {
 		return chaseNaive(ctx, q, ix, opts, goal)
 	}
 	return chaseIncremental(ctx, q, ix, opts, goal)
@@ -272,8 +299,7 @@ func (cn *Canon) extend(next *core.Query) {
 // chaseIncremental runs the delta-driven fixpoint.
 func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
 	res := &Result{}
-	cn := NewCanon(q.Clone())
-	cn.Metrics = opts.Metrics
+	cn := ix.NewCanon(q.Clone(), opts.Metrics)
 	cn.CC.TrackFeatures()
 	// The input query's own facts are the initial delta: everything is
 	// dirty for a full search, and the feature log starts drained.
@@ -327,9 +353,7 @@ func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Opt
 func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
 	res := &Result{}
 	egds, tgds := splitEGDs(ix.deps)
-	cn := NewCanon(q.Clone())
-	cn.Metrics = opts.Metrics
-	cn.LinearScan = true // measure the full backtracking cost
+	cn := ix.NewCanon(q.Clone(), opts.Metrics) // linear scan: the full backtracking cost
 	lastDep := ""
 	for steps := 0; ; steps++ {
 		if done, err := checkpoint(ctx, cn, goal, steps, lastDep, opts, res); done {
@@ -338,9 +362,9 @@ func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, 
 			}
 			return res, nil
 		}
-		dep, hom := findApplicableMetered(cn, egds)
+		dep, hom := findApplicable(cn, egds)
 		if dep == nil {
-			dep, hom = findApplicableMetered(cn, tgds)
+			dep, hom = findApplicable(cn, tgds)
 		}
 		if dep == nil {
 			res.Query = cn.Q
@@ -355,9 +379,14 @@ func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, 
 	}
 }
 
-// findApplicableMetered is findApplicable with per-dependency search
-// counting, so naive-vs-incremental comparisons measure the same events.
-func findApplicableMetered(cn *Canon, deps []*core.Dependency) (*core.Dependency, Hom) {
+// findApplicable returns the first dependency (in order) with a premise
+// homomorphism that does not extend to its conclusion, together with that
+// homomorphism. Determinism: dependencies are scanned in slice order and
+// homomorphisms in the backtracking order of VisitHoms; the search stops
+// at the first applicable one. Each dependency searched counts toward
+// cn.Metrics, so naive-vs-incremental comparisons measure the same
+// events.
+func findApplicable(cn *Canon, deps []*core.Dependency) (*core.Dependency, Hom) {
 	for _, d := range deps {
 		if cn.Metrics != nil {
 			cn.Metrics.DepSearches.Add(1)

@@ -20,12 +20,10 @@ import (
 func assertSameChase(t *testing.T, label string, q *core.Query, deps []*core.Dependency, opts Options) {
 	t.Helper()
 	naiveOpts := opts
-	naiveOpts.Naive = true
 	naiveOpts.Metrics = &Metrics{}
 	incOpts := opts
-	incOpts.Naive = false
 	incOpts.Metrics = &Metrics{}
-	rn, errN := Chase(q, deps, naiveOpts)
+	rn, errN := ChaseIndexed(context.Background(), q, NewNaiveIndex(deps), naiveOpts)
 	ri, errI := Chase(q, deps, incOpts)
 	if (errN == nil) != (errI == nil) {
 		t.Fatalf("%s: error mismatch: naive=%v incremental=%v", label, errN, errI)
@@ -61,21 +59,27 @@ func assertSameChase(t *testing.T, label string, q *core.Query, deps []*core.Dep
 	}
 }
 
+// engineIndex builds the reference index when naive is set and the
+// product index otherwise, for tests that run one check on both engines.
+func engineIndex(naive bool, deps []*core.Dependency) *DepIndex {
+	if naive {
+		return NewNaiveIndex(deps)
+	}
+	return NewDepIndex(deps)
+}
+
 // assertSameContainment runs the goal-directed containment test s ⊑ goal
 // on the naive and the incremental engine: both must give the same
 // answer (or the same error class) after the same number of chase steps,
 // since they apply the same steps and test the goal at the same points.
 func assertSameContainment(t *testing.T, label string, s, goal *core.Query, deps []*core.Dependency, opts Options) {
 	t.Helper()
-	ix := NewDepIndex(deps)
 	naiveOpts := opts
-	naiveOpts.Naive = true
 	naiveOpts.Metrics = &Metrics{}
 	incOpts := opts
-	incOpts.Naive = false
 	incOpts.Metrics = &Metrics{}
-	okN, errN := ContainedIn(context.Background(), s, goal, ix, naiveOpts)
-	okI, errI := ContainedIn(context.Background(), s, goal, ix, incOpts)
+	okN, errN := ContainedIn(context.Background(), s, goal, NewNaiveIndex(deps), naiveOpts)
+	okI, errI := ContainedIn(context.Background(), s, goal, NewDepIndex(deps), incOpts)
 	if (errN == nil) != (errI == nil) || okN != okI {
 		t.Fatalf("%s: containment differs: naive=%v/%v incremental=%v/%v", label, okN, errN, okI, errI)
 	}
@@ -548,7 +552,8 @@ func TestErrBudgetReportsFiringDep(t *testing.T) {
 		Bindings: []core.Binding{{Var: "r", Range: core.Name("R")}},
 	}
 	for _, naive := range []bool{false, true} {
-		_, err := Chase(q, []*core.Dependency{inf}, Options{MaxSteps: 10, Naive: naive})
+		ix := engineIndex(naive, []*core.Dependency{inf})
+		_, err := ChaseIndexed(context.Background(), q, ix, Options{MaxSteps: 10})
 		be, ok := err.(*ErrBudget)
 		if !ok {
 			t.Fatalf("naive=%v: error = %v, want *ErrBudget", naive, err)

@@ -31,8 +31,8 @@ import (
 )
 
 // ScanFloor is the PR-2 admissible bound, kept for A/B comparison (E14,
-// BenchmarkBackchasePrunedTight) and selectable through
-// backchase.Options.ScanOnlyBound: the minimum over the state's bindings
+// BenchmarkBackchasePrunedTight) and reachable only through
+// backchase.EnumerateScanFloor: the minimum over the state's bindings
 // of the bare-scan floor, where a binding whose range is a KName (or
 // dom(KName)) floors at its cardinality and every other range floors
 // at 0. See LowerBound for the strictly tighter replacement.

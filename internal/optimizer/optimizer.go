@@ -43,14 +43,10 @@ type Options struct {
 	// enumeration for speed). No-op when Stats is nil. Opt-in so that the
 	// default pipeline keeps the fully deterministic exhaustive order.
 	CostBounded bool
-	// Chase and Backchase tune the two phases. Backchase.Stats passes
-	// through to the engine; CostBounded fills it from Stats when it is
-	// unset.
-	Chase     chase.Options
-	Backchase backchase.Options
+	// Chase tunes the chase phase and every chase the backchase runs.
+	Chase chase.Options
 	// Parallelism is the worker count for the backchase phase
-	// (0 = all cores). It is copied into Backchase.Parallelism unless
-	// that is already set explicitly.
+	// (0 = all cores).
 	Parallelism int
 	// MinimalOnly restricts the candidate plans to backchase normal forms.
 	// By default every explored backchase state (each of which is an
@@ -86,11 +82,12 @@ type Result struct {
 	// States is the number of subqueries the backchase explored.
 	States int
 	// Pruned is the number of backchase states skipped by cost-bound
-	// pruning (0 unless Options.CostBounded or Backchase.Stats is set).
+	// pruning (0 unless Options.CostBounded is set).
 	Pruned int
-	// Truncated reports that the backchase cap (Backchase.MaxStates)
-	// stopped the enumeration early, so Minimal and the candidate pool
-	// may be incomplete.
+	// Truncated reports that the backchase state cap
+	// (backchase.Options.MaxStates, at its default) stopped the
+	// enumeration early, so Minimal and the candidate pool may be
+	// incomplete.
 	Truncated bool
 	// Fallback reports that the physical-only restriction was lifted
 	// because no minimal plan satisfied it.
@@ -112,12 +109,9 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 		return nil, fmt.Errorf("optimizer: %w", err)
 	}
 	// Phase 1: chase. The premise index is a pure function of the
-	// dependency set, so one index serves the chase phase and — via
-	// Backchase.Index — every equivalence chase of the backchase lattice.
-	depIndex := opts.Backchase.Index
-	if depIndex == nil {
-		depIndex = chase.NewDepIndex(opts.Deps)
-	}
+	// dependency set, so one index serves the chase phase and every
+	// equivalence chase of the backchase lattice.
+	depIndex := chase.NewDepIndex(opts.Deps)
 	chased, err := chase.ChaseIndexed(ctx, q, depIndex, opts.Chase)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: chase: %w", err)
@@ -132,14 +126,13 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 	}
 
 	// Phase 2: backchase.
-	bopts := opts.Backchase
-	bopts.Chase = opts.Chase
-	bopts.Index = depIndex
-	bopts.Goal = q
-	if bopts.Parallelism == 0 {
-		bopts.Parallelism = opts.Parallelism
+	bopts := backchase.Options{
+		Chase:       opts.Chase,
+		Parallelism: opts.Parallelism,
+		Index:       depIndex,
+		Goal:        q,
 	}
-	if opts.CostBounded && bopts.Stats == nil {
+	if opts.CostBounded {
 		bopts.Stats = opts.Stats
 	}
 	enum, err := backchase.EnumerateContext(ctx, chased.Query, opts.Deps, bopts)
@@ -187,7 +180,7 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 	// simplified forms.
 	seen := map[string]bool{}
 	for _, p := range plans {
-		s := SimplifyLookups(p)
+		s := planrewrite.SimplifyLookups(p)
 		sig := s.CanonicalSignature()
 		if !seen[sig] {
 			seen[sig] = true
@@ -218,12 +211,4 @@ func (r *Result) rank(st *cost.Stats) {
 	if len(r.Candidates) > 0 {
 		r.Best = &r.Candidates[0]
 	}
-}
-
-// SimplifyLookups rewrites guarded dictionary-domain loops into
-// non-failing lookups; it lives in internal/planrewrite so the
-// cost-bounded backchase can apply the same rewrite before costing a
-// candidate. Kept here as an alias for the optimizer's public surface.
-func SimplifyLookups(q *core.Query) *core.Query {
-	return planrewrite.SimplifyLookups(q)
 }

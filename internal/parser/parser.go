@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"sort"
 
 	"cnb/internal/core"
 	"cnb/internal/physical"
@@ -30,6 +31,52 @@ type DesignResult struct {
 	Physical *schema.Schema
 	Combined *schema.Schema
 	Deps     []*core.Dependency
+}
+
+// Target is what a document's queries are optimized against.
+type Target struct {
+	// Design is the picked design, nil when the queries are optimized
+	// against the logical constraints only.
+	Design *DesignResult
+	// Deps is D ∪ D′: the design's dependencies, then every schema's in
+	// schema-name order.
+	Deps []*core.Dependency
+	// PhysicalNames are the design's physical schema names (nil without
+	// a design).
+	PhysicalNames map[string]bool
+}
+
+// Target picks the design named by design and assembles the dependency
+// set. An explicit name must exist; with exactly one design it is
+// implied; with none (or several and no name) the queries are optimized
+// against the logical constraints only. The dependency order is a
+// function of the document alone, so identical documents give identical
+// dependency lists — and hence identical plan-cache keys.
+func (d *Document) Target(design string) (*Target, error) {
+	t := &Target{}
+	if design != "" {
+		t.Design = d.Designs[design]
+		if t.Design == nil {
+			return nil, fmt.Errorf("unknown design %q", design)
+		}
+	} else if len(d.Designs) == 1 {
+		for _, dr := range d.Designs {
+			t.Design = dr
+		}
+	}
+	if t.Design != nil {
+		t.Deps = append(t.Deps, t.Design.Deps...)
+		t.PhysicalNames = t.Design.Physical.NameSet()
+	}
+	names := make([]string, 0, len(d.Schemas))
+	for name := range d.Schemas {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Deps = append(t.Deps, d.Schemas[name].Dependencies()...)
+	}
+	return t, nil
 }
 
 type parser struct {

@@ -346,3 +346,47 @@ query Q1: select r.A from R r;
 		t.Errorf("QueryOrder = %v", doc.QueryOrder)
 	}
 }
+
+// TestDocumentTarget: the only design is implied, an unknown name is an
+// error, and the dependency list is the design's followed by every
+// schema's in schema-name order, whatever the declaration order.
+func TestDocumentTarget(t *testing.T) {
+	doc, err := Parse(projDeptSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := doc.Target("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := doc.Designs["Phys"]
+	if target.Design != phys || !target.PhysicalNames["SI"] {
+		t.Fatalf("implied design = %v, physical names %v; want Phys", target.Design, target.PhysicalNames)
+	}
+	if want := len(phys.Deps) + len(doc.Schemas["Logical"].Dependencies()); len(target.Deps) != want {
+		t.Errorf("deps = %d, want %d", len(target.Deps), want)
+	}
+	if _, err := doc.Target("Nope"); err == nil || !strings.Contains(err.Error(), `unknown design "Nope"`) {
+		t.Errorf("unknown design: err = %v", err)
+	}
+
+	multi, err := Parse(`
+schema Z { R : set<{A: int}>; constraint KZ: forall (x in R, y in R) x.A = y.A -> x = y; }
+schema Y { S : set<{A: int}>; constraint KY: forall (x in S, y in S) x.A = y.A -> x = y; }
+schema X { T : set<{A: int}>; constraint KX: forall (x in T, y in T) x.A = y.A -> x = y; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err = multi.Target("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range target.Deps {
+		names = append(names, d.Name)
+	}
+	if got := strings.Join(names, ","); got != "KX,KY,KZ" || target.Design != nil || target.PhysicalNames != nil {
+		t.Errorf("deps = %s (design %v), want KX,KY,KZ with no design", got, target.Design)
+	}
+}
