@@ -168,6 +168,54 @@ func BenchmarkOptimizeProjDept(b *testing.B) {
 	}
 }
 
+// BenchmarkSubqueryProjDept measures candidate construction alone: every
+// induced subquery one ProjDept backchase run builds — one per nonempty
+// removal set of the universal plan's 8 bindings, 255 in all — through
+// one SubqueryBuilder, as the engine does.
+func BenchmarkSubqueryProjDept(b *testing.B) {
+	pd := projDept(b)
+	chased, err := chase.Chase(pd.Q, pd.AllDeps(), chase.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := chased.Query
+	var removals []map[string]bool
+	for mask := 1; mask < 1<<len(u.Bindings); mask++ {
+		removed := map[string]bool{}
+		for i, bd := range u.Bindings {
+			if mask&(1<<i) != 0 {
+				removed[bd.Var] = true
+			}
+		}
+		removals = append(removals, removed)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb := backchase.NewSubqueryBuilder(u)
+		for _, removed := range removals {
+			sb.Subquery(removed)
+		}
+	}
+}
+
+// BenchmarkRankProjDept measures phase 3 alone: reorder and cost the
+// executable candidate pool of one cold ProjDept Optimize under the
+// default statistics, as Optimize does.
+func BenchmarkRankProjDept(b *testing.B) {
+	pd := projDept(b)
+	res, err := optimizer.Optimize(pd.Q, optimizer.Options{Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := cost.NewStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Rank(res.Executable)
+	}
+}
+
 // BenchmarkBackchaseParallel measures the worker-pool enumeration against
 // the serial engine on a multi-scan workload: a chain query with
 // adjacent-pair views, whose universal plan has many redundant scans and

@@ -425,14 +425,25 @@ func (s *server) handleInstanceList(w http.ResponseWriter, r *http.Request) {
 
 // handleStats installs a new statistics snapshot. The body is a JSON
 // object using internal/cost.Stats field names; omitted fields keep
-// NewStats defaults.
+// NewStats defaults. Unknown fields, trailing data and statistics
+// cost.Stats.Validate rejects are a 400 naming the field.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
 	st := cost.NewStats()
-	if err := json.Unmarshal(body, st); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(st); err != nil {
+		httpError(w, http.StatusBadRequest, "stats: %v", err)
+		return
+	}
+	if dec.More() {
+		httpError(w, http.StatusBadRequest, "stats: trailing data after the JSON object")
+		return
+	}
+	if err := st.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "stats: %v", err)
 		return
 	}

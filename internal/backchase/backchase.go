@@ -224,12 +224,34 @@ func IsMinimalContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 // implied equalities over surviving terms; the new output is a congruent
 // rewriting of the old.
 func Subquery(q *core.Query, removedVars map[string]bool) (*core.Query, bool) {
-	return subqueryFrom(q, rootClosure(q), removedVars)
+	return NewSubqueryBuilder(q).Subquery(removedVars)
+}
+
+// SubqueryBuilder constructs the induced subqueries of one query. It
+// builds the query's congruence closure once and freezes it, so each
+// Subquery call pays only for its own rewriting, and any number of
+// goroutines may call Subquery concurrently. The backchase engine builds
+// every candidate of a run through one SubqueryBuilder.
+type SubqueryBuilder struct {
+	q  *core.Query
+	cc *congruence.Closure
+}
+
+// NewSubqueryBuilder returns a builder of q's induced subqueries.
+func NewSubqueryBuilder(q *core.Query) *SubqueryBuilder {
+	return &SubqueryBuilder{q: q, cc: rootClosure(q)}
+}
+
+// Subquery is the package-level Subquery of the builder's query.
+func (b *SubqueryBuilder) Subquery(removedVars map[string]bool) (*core.Query, bool) {
+	return subqueryFrom(b.q, b.cc, removedVars)
 }
 
 // rootClosure is the congruence closure every subquery of q is built
 // from: all of q's terms, grouped by its conditions. It does not depend
-// on the removal set, so the engine builds it once per run.
+// on the removal set, so the engine builds it once per run; it is
+// returned frozen, so every subquery construction of the run can read it
+// concurrently.
 func rootClosure(q *core.Query) *congruence.Closure {
 	cc := congruence.New()
 	for _, t := range q.AllTerms() {
@@ -238,12 +260,13 @@ func rootClosure(q *core.Query) *congruence.Closure {
 	for _, c := range q.Conds {
 		cc.Merge(c.L, c.R)
 	}
+	cc.Freeze()
 	return cc
 }
 
-// subqueryFrom is Subquery over cc, q's rootClosure. It consults cc
-// (queries path-compress it), so a closure shared across calls must be
-// handed in as a Clone.
+// subqueryFrom is Subquery over cc, q's frozen rootClosure. It only
+// reads cc — every term it rewrites is looked up, never interned — so
+// any number of calls may share one closure concurrently.
 func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]bool) (*core.Query, bool) {
 	removed := make(map[string]bool, len(removedVars))
 	for v := range removedVars {

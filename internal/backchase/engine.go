@@ -19,10 +19,11 @@
 // get explored depends on scheduling; only then can results differ.
 //
 // Each equivalence check works on a pristine Clone of the root's
-// canonical database (congruence closures mutate even on reads — see the
-// congruence package comment), which both makes concurrent checks safe
-// and keeps every check independent of what other checks interned before
-// it.
+// canonical database (a mutable congruence closure changes even on reads
+// — see the congruence package comment), which both makes concurrent
+// checks safe and keeps every check independent of what other checks
+// interned before it. Candidate construction only reads the root's
+// congruence closure, so it shares one frozen closure instead.
 package backchase
 
 import (
@@ -39,7 +40,6 @@ import (
 	"sync/atomic"
 
 	"cnb/internal/chase"
-	"cnb/internal/congruence"
 	"cnb/internal/core"
 	"cnb/internal/planrewrite"
 )
@@ -215,10 +215,10 @@ type engine struct {
 	depIndex  *chase.DepIndex // premise index shared by every chase of the run
 	opts      Options
 	rootCanon *chase.Canon // pristine; cloned per equivalence check
-	// rootCC is rootClosure(root), pristine; cloned per Subquery
-	// construction.
-	rootCC *congruence.Closure
-	queue  *workQueue
+	// subs builds every candidate of the run over one frozen closure of
+	// root, which all workers read concurrently, without a copy.
+	subs  *SubqueryBuilder
+	queue *workQueue
 	// lowerBound is the admissible floor used by push/pop pruning (set
 	// only with Stats): the dictionary-aware cost.Stats.LowerBound, or
 	// cost.Stats.ScanFloor for EnumerateScanFloor's A/B reference. The
@@ -270,7 +270,7 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		depIndex:  ix,
 		opts:      opts,
 		rootCanon: ix.NewCanon(res.Query, opts.Chase.Metrics),
-		rootCC:    rootClosure(q),
+		subs:      NewSubqueryBuilder(q),
 		queue:     newWorkQueue(opts.Stats != nil),
 		seed:      maphash.MakeSeed(),
 		plans:     map[string]planEntry{},
@@ -472,10 +472,9 @@ func (e *engine) addPlan(cur *core.Query) {
 }
 
 // cachedSubquery memoizes Subquery(root, grown) per canonical key, built
-// on a Clone of the run's root closure. Two
-// workers may race to compute the same construction; the first stored
-// value wins (both compute identical results — Subquery is
-// deterministic).
+// by the run's SubqueryBuilder. Two workers may race to compute the same
+// construction; the first stored value wins (both compute identical
+// results — Subquery is deterministic).
 func (e *engine) cachedSubquery(key string, grown map[string]bool) *core.Query {
 	sh := e.shard(key)
 	sh.mu.Lock()
@@ -484,7 +483,7 @@ func (e *engine) cachedSubquery(key string, grown map[string]bool) *core.Query {
 		return ent.sub
 	}
 	sh.mu.Unlock()
-	sub, ok := subqueryFrom(e.root, e.rootCC.Clone(), grown)
+	sub, ok := e.subs.Subquery(grown)
 	if !ok {
 		sub = nil
 	}

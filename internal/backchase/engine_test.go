@@ -3,9 +3,11 @@ package backchase
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"cnb/internal/chase"
+	"cnb/internal/congruence"
 	"cnb/internal/core"
 )
 
@@ -30,10 +32,11 @@ func removalSet(q *core.Query, mask int) map[string]bool {
 	return removed
 }
 
-// TestSubqueryOnClonedRootClosure: the engine's construction — a Clone
-// of one root closure per candidate, reused across every removal set —
-// yields exactly what Subquery builds from scratch, for every subset of
-// the ProjDept universal plan's bindings.
+// TestSubqueryOnClonedRootClosure: the engine's construction — every
+// candidate built over one frozen root closure, shared across every
+// removal set — and construction over a (mutable) Clone of that closure
+// both yield exactly what Subquery builds from scratch, for every subset
+// of the ProjDept universal plan's bindings.
 func TestSubqueryOnClonedRootClosure(t *testing.T) {
 	root := chasedProjDept(t)
 	cc := rootClosure(root)
@@ -42,16 +45,20 @@ func TestSubqueryOnClonedRootClosure(t *testing.T) {
 	for mask := 0; mask < 1<<n; mask++ {
 		removed := removalSet(root, mask)
 		want, wantOK := Subquery(root, removed)
-		got, gotOK := subqueryFrom(root, cc.Clone(), removed)
-		if gotOK != wantOK {
-			t.Fatalf("mask %b: clone ok=%v, rebuild ok=%v", mask, gotOK, wantOK)
+		for _, path := range []struct {
+			name string
+			cc   *congruence.Closure
+		}{{"shared", cc}, {"clone", cc.Clone()}} {
+			got, gotOK := subqueryFrom(root, path.cc, removed)
+			if gotOK != wantOK {
+				t.Fatalf("mask %b: %s ok=%v, rebuild ok=%v", mask, path.name, gotOK, wantOK)
+			}
+			if wantOK && got.String() != want.String() {
+				t.Fatalf("mask %b: %s built\n%s\nrebuild built\n%s", mask, path.name, got, want)
+			}
 		}
-		if !wantOK {
-			continue
-		}
-		built++
-		if got.String() != want.String() {
-			t.Fatalf("mask %b: clone built\n%s\nrebuild built\n%s", mask, got, want)
+		if wantOK {
+			built++
 		}
 	}
 	if built == 0 {
@@ -59,10 +66,48 @@ func TestSubqueryOnClonedRootClosure(t *testing.T) {
 	}
 }
 
+// TestConcurrentSubqueriesShareFrozenClosure runs every candidate
+// construction of the ProjDept universal plan from several goroutines
+// over one SubqueryBuilder (one frozen root closure) under the race
+// detector, and checks each against the serial construction.
+func TestConcurrentSubqueriesShareFrozenClosure(t *testing.T) {
+	root := chasedProjDept(t)
+	n := len(root.Bindings)
+	want := make([]string, 1<<n)
+	for mask := range want {
+		if sub, ok := Subquery(root, removalSet(root, mask)); ok {
+			want[mask] = sub.String()
+		}
+	}
+	b := NewSubqueryBuilder(root)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker walks the lattice from a different offset, so
+			// the same closure is read by several constructions at once.
+			for i := 0; i < len(want); i++ {
+				mask := (i + w*len(want)/4) % len(want)
+				got := ""
+				if sub, ok := b.Subquery(removalSet(root, mask)); ok {
+					got = sub.String()
+				}
+				if got != want[mask] {
+					t.Errorf("worker %d, mask %b: built\n%s\nwant\n%s", w, mask, got, want[mask])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // BenchmarkSubqueryProjDept: one candidate construction on the chased
 // ProjDept root, removing its first binding. "rebuild" is the exported
-// Subquery, which interns the root's terms and merges its conditions
-// first; "clone" is the engine's path, which clones a closure built once.
+// Subquery, which interns the root's terms, merges its conditions and
+// freezes the closure first; "shared" is the engine's path, which reads
+// one frozen closure built once.
 func BenchmarkSubqueryProjDept(b *testing.B) {
 	root := chasedProjDept(b)
 	removed := removalSet(root, 1)
@@ -75,12 +120,12 @@ func BenchmarkSubqueryProjDept(b *testing.B) {
 			Subquery(root, removed)
 		}
 	})
-	b.Run("clone", func(b *testing.B) {
-		cc := rootClosure(root)
+	b.Run("shared", func(b *testing.B) {
+		sb := NewSubqueryBuilder(root)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			subqueryFrom(root, cc.Clone(), removed)
+			sb.Subquery(removed)
 		}
 	})
 }

@@ -19,15 +19,20 @@
 //
 // # Concurrency
 //
-// A Closure is NOT safe for concurrent use, not even for apparently
-// read-only queries: Same, Rep, Contains-then-query sequences and
-// ClassMembers intern their argument terms, and find performs path
-// compression. Callers that need to consult one closure from several
-// goroutines must give each goroutine its own copy via Clone.
-// Clone itself performs only reads, so any number of goroutines may
-// Clone the same closure concurrently provided no goroutine mutates it
-// at the same time — this is the sharing discipline the parallel
-// backchase uses for the root canonical database.
+// A mutable Closure is NOT safe for concurrent use, not even for
+// apparently read-only queries: Same, Rep, Contains-then-query sequences
+// and ClassMembers intern their argument terms, and find performs path
+// compression. Callers that need to extend one closure from several
+// goroutines must give each goroutine its own copy via Clone. Clone
+// itself performs only reads, so any number of goroutines may Clone the
+// same closure concurrently provided no goroutine mutates it at the same
+// time.
+//
+// A frozen Closure (see Freeze) is safe for any number of concurrent
+// readers: every query on it only reads, and any operation that would
+// intern a new term or merge two classes panics instead. The parallel
+// backchase shares one frozen closure of the root query across all its
+// workers' subquery constructions.
 package congruence
 
 import (
@@ -77,6 +82,16 @@ type Closure struct {
 	// two sets over-approximate "which premise shapes may newly match".
 	feats   map[int]map[string]bool // class rep -> feature keys of members
 	touched map[string]bool
+
+	// frozen is set by Freeze; nil while the closure is mutable.
+	frozen *frozenClasses
+}
+
+// frozenClasses is the class partition Freeze computes once: the
+// classes in Classes order, and each node's index into them.
+type frozenClasses struct {
+	classes [][]*core.Term
+	classOf []int // node id -> index into classes
 }
 
 // New returns an empty closure.
@@ -93,7 +108,8 @@ func New() *Closure {
 // Clone returns an independent deep copy of the closure: subsequent
 // mutations (interning, merges, path compression) of either copy never
 // affect the other. Terms themselves are immutable and shared, as are
-// the per-node argument lists (never mutated after interning).
+// the per-node argument lists (never mutated after interning). The copy
+// of a frozen closure is mutable.
 //
 // Clone only reads the receiver, so concurrent Clones of one closure are
 // safe as long as no concurrent mutation runs; see the package comment.
@@ -129,6 +145,7 @@ func (c *Closure) TrackFeatures() {
 	if c.feats != nil {
 		return
 	}
+	c.mustBeMutable("TrackFeatures")
 	c.feats = make(map[int]map[string]bool, len(c.nodes))
 	c.touched = map[string]bool{}
 	for id := range c.nodes {
@@ -202,6 +219,9 @@ func (c *Closure) intern(t *core.Term) int {
 	key := t.HashKey()
 	if id, ok := c.byKey[key]; ok {
 		return id
+	}
+	if c.frozen != nil {
+		panic("congruence: interning " + key + " into a frozen closure")
 	}
 	var n node
 	n.term = t
@@ -287,6 +307,10 @@ func (c *Closure) signature(id int) string {
 }
 
 func (c *Closure) find(x int) int {
+	if c.frozen != nil {
+		// Freeze compressed every path: parent is the representative.
+		return c.parent[x]
+	}
 	for c.parent[x] != x {
 		c.parent[x] = c.parent[c.parent[x]]
 		x = c.parent[x]
@@ -394,6 +418,7 @@ func (c *Closure) drain() {
 // Merge asserts the equality of two terms (interning them if needed) and
 // propagates all consequences.
 func (c *Closure) Merge(a, b *core.Term) {
+	c.mustBeMutable("Merge")
 	ia := c.intern(a)
 	ib := c.intern(b)
 	c.pending = append(c.pending, [2]int{ia, ib})
@@ -431,8 +456,13 @@ func (c *Closure) Rep(t *core.Term) int {
 }
 
 // ClassMembers returns every interned term in the same class as t, sorted
-// by HashKey for determinism. t itself is included.
+// by HashKey for determinism. t itself is included. On a frozen closure
+// the result is the shared precomputed class: callers must treat it as
+// read-only.
 func (c *Closure) ClassMembers(t *core.Term) []*core.Term {
+	if c.frozen != nil {
+		return c.frozen.classes[c.frozen.classOf[c.intern(t)]]
+	}
 	r := c.Rep(t)
 	var out []*core.Term
 	for id := range c.nodes {
@@ -463,8 +493,13 @@ func (c *Closure) Version() uint64 { return c.version }
 
 // Classes returns the congruence classes as slices of terms, each sorted
 // by HashKey, the classes sorted by their first member. Useful for
-// diagnostics and deterministic output.
+// diagnostics and deterministic output. On a frozen closure the result
+// is the shared precomputed partition: callers must treat it as
+// read-only.
 func (c *Closure) Classes() [][]*core.Term {
+	if c.frozen != nil {
+		return c.frozen.classes
+	}
 	groups := make(map[int][]*core.Term)
 	for id := range c.nodes {
 		r := c.find(id)
@@ -477,6 +512,39 @@ func (c *Closure) Classes() [][]*core.Term {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0].HashKey() < out[j][0].HashKey() })
 	return out
+}
+
+// Freeze makes the closure read-only: it drains pending merges, fully
+// compresses every union-find path, and computes the class partition and
+// each class's members once, in the order Classes and ClassMembers
+// return them. Afterwards find never writes, ClassMembers and Classes
+// return the precomputed slices, and any operation that would intern a
+// new term or merge two classes panics, so the closure may be shared by
+// any number of concurrent readers. Freezing a frozen closure is a no-op.
+func (c *Closure) Freeze() {
+	if c.frozen != nil {
+		return
+	}
+	c.drain()
+	for id := range c.parent {
+		c.parent[id] = c.find(id)
+	}
+	classes := c.Classes()
+	classOf := make([]int, len(c.nodes))
+	for i, class := range classes {
+		for _, t := range class {
+			classOf[c.byKey[t.HashKey()]] = i
+		}
+	}
+	c.frozen = &frozenClasses{classes: classes, classOf: classOf}
+}
+
+// mustBeMutable panics when the closure is frozen: a caller sharing a
+// frozen closure that asks it to grow has a bug, not a bad input.
+func (c *Closure) mustBeMutable(op string) {
+	if c.frozen != nil {
+		panic("congruence: " + op + " on a frozen closure")
+	}
 }
 
 // RewriteVariants returns distinct terms congruent to t that avoid the

@@ -344,9 +344,25 @@ func (t *Term) MentionsAnyVar(vars map[string]bool) bool {
 	if len(vars) == 0 {
 		return false
 	}
-	for v := range t.Vars() {
-		if vars[v] {
-			return true
+	return t.mentionsAny(vars)
+}
+
+func (t *Term) mentionsAny(vars map[string]bool) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Kind {
+	case KVar:
+		return vars[t.Name]
+	case KProj, KDom:
+		return t.Base.mentionsAny(vars)
+	case KLookup:
+		return t.Base.mentionsAny(vars) || t.Key.mentionsAny(vars)
+	case KStruct:
+		for _, f := range t.Fields {
+			if f.Term.mentionsAny(vars) {
+				return true
+			}
 		}
 	}
 	return false

@@ -86,6 +86,61 @@ func NewStats() *Stats {
 	}
 }
 
+// Validate reports the first statistic the estimator cannot use, naming
+// its field: a cardinality, fanout, distinct count, LookupCost or
+// LookupFloor that is negative, NaN or infinite; a DefaultSelectivity
+// outside [0, 1]; or a LookupFloor above LookupCost+1, which would make
+// LowerBound inadmissible. Non-negative statistics are also what lets
+// the exhaustive reorder prune.
+func (s *Stats) Validate() error {
+	for _, m := range []struct {
+		name string
+		vals map[string]float64
+	}{
+		{"Card", s.Card},
+		{"EntryFanout", s.EntryFanout},
+		{"EntryFanoutMin", s.EntryFanoutMin},
+		{"FieldFanout", s.FieldFanout},
+		{"FieldFanoutMin", s.FieldFanoutMin},
+		{"Distinct", s.Distinct},
+	} {
+		keys := make([]string, 0, len(m.vals))
+		for k := range m.vals {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if err := checkNonNegative(fmt.Sprintf("%s[%q]", m.name, k), m.vals[k]); err != nil {
+				return err
+			}
+		}
+	}
+	if err := checkNonNegative("DefaultSelectivity", s.DefaultSelectivity); err != nil {
+		return err
+	}
+	if s.DefaultSelectivity > 1 {
+		return fmt.Errorf("cost: DefaultSelectivity = %g is above 1", s.DefaultSelectivity)
+	}
+	if err := checkNonNegative("LookupCost", s.LookupCost); err != nil {
+		return err
+	}
+	if err := checkNonNegative("LookupFloor", s.LookupFloor); err != nil {
+		return err
+	}
+	if s.LookupFloor > s.LookupCost+1 {
+		return fmt.Errorf("cost: LookupFloor = %g is above LookupCost+1 = %g", s.LookupFloor, s.LookupCost+1)
+	}
+	return nil
+}
+
+// checkNonNegative rejects a statistic that is negative, NaN or infinite.
+func checkNonNegative(field string, v float64) error {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("cost: %s = %g is not a finite non-negative number", field, v)
+	}
+	return nil
+}
+
 // FromInstance derives statistics from actual data: cardinalities of all
 // bound sets and dictionaries, average entry fanouts, per-field distinct
 // counts of relations, and average set-valued field fanouts.
@@ -203,14 +258,7 @@ func (s *Stats) Estimate(q *core.Query) (costTotal, outCard float64) {
 // compute them once per plan instead of once per permutation.
 func (s *Stats) estimate(q *core.Query, sels []float64) (costTotal, outCard float64) {
 	mult := 1.0 // running multiplicity of the loop nest
-	total := 0.0
-
-	// Charge hash-table builds once per structure used.
-	for n := range q.Names() {
-		if s.HashBuildNames[n] {
-			total += s.card(n) * s.entryFanout(n)
-		}
-	}
+	total := s.hashBuildCost(q)
 
 	// Condition bookkeeping: a condition filters at the first binding
 	// index where all its variables are bound.
@@ -248,9 +296,26 @@ func (s *Stats) estimate(q *core.Query, sels []float64) (costTotal, outCard floa
 			mult = 1e-9
 		}
 	}
-	// Producing each output row costs one unit plus its lookups.
-	total += mult * (1 + s.lookupCount(q.Out)*s.LookupCost)
+	total += mult * s.outputFactor(q)
 	return total, mult
+}
+
+// hashBuildCost charges the hash-table builds of the plan, once per
+// structure used.
+func (s *Stats) hashBuildCost(q *core.Query) float64 {
+	total := 0.0
+	for n := range q.Names() {
+		if s.HashBuildNames[n] {
+			total += s.card(n) * s.entryFanout(n)
+		}
+	}
+	return total
+}
+
+// outputFactor is the cost of producing one output row: one unit plus
+// its lookups.
+func (s *Stats) outputFactor(q *core.Query) float64 {
+	return 1 + s.lookupCount(q.Out)*s.LookupCost
 }
 
 // rangeCost returns (cost of producing the range once, expected number of
@@ -509,9 +574,10 @@ func (s *Stats) selectivity(q *core.Query, c core.Cond) float64 {
 // Reorder returns a copy of the plan with its bindings reordered to
 // minimize estimated cost — the paper's "conventional optimization"
 // join-reordering step applied to plans. Plans with at most
-// exhaustiveReorderLimit bindings are ordered by exhaustive search over
-// all valid permutations (backchase output plans are small); larger plans
-// fall back to a greedy heuristic.
+// exhaustiveReorderLimit bindings get the cheapest of all valid
+// permutations, found by branch-and-bound (backchase output plans are
+// small); larger plans, and plans with no valid order, fall back to a
+// greedy heuristic.
 func (s *Stats) Reorder(q *core.Query) *core.Query {
 	n := len(q.Bindings)
 	if n <= 1 {
@@ -527,54 +593,148 @@ func (s *Stats) Reorder(q *core.Query) *core.Query {
 
 const exhaustiveReorderLimit = 6
 
-// reorderExhaustive tries every scope-valid binding permutation and keeps
-// the cheapest. Returns nil if no valid order exists (cyclic scoping).
+// reorderExhaustive finds the cheapest scope-valid binding permutation
+// by depth-first branch-and-bound over the orders, in the order an
+// exhaustive enumeration would visit them. Returns nil if no valid order
+// exists (cyclic scoping, or a range over a variable no binding
+// introduces), and nil when no order costs less than +Inf. Binding
+// variables must be distinct (core.Query.Validate).
+//
+// Everything estimate derives from a binding or a condition alone is
+// computed once per plan; the search carries each prefix's running
+// (total, mult) and extends it with the same float operations, in the
+// same order, that estimate applies to a full order, so a leaf's cost is
+// bit-identical to estimate of that order. When every increment is
+// non-negative, a prefix's total only grows toward its leaves, so the
+// search abandons a prefix once its total reaches the best cost so far;
+// leaves compare strictly, so ties keep the first order visited, as
+// exhaustive enumeration does.
 func (s *Stats) reorderExhaustive(q *core.Query) *core.Query {
+	o, ok := s.newOrderSearch(q)
+	if !ok {
+		return nil
+	}
+	o.search(0, 0, s.hashBuildCost(q), 1)
+	if o.best == nil {
+		return nil
+	}
+	cand := q.Clone()
+	cand.Bindings = make([]core.Binding, len(o.best))
+	for i, bi := range o.best {
+		cand.Bindings[i] = q.Bindings[bi]
+	}
+	return cand
+}
+
+// orderSearch is the per-plan state of reorderExhaustive. Bindings are
+// numbered by their position in the plan; a uint bitmask holds a set of
+// them.
+type orderSearch struct {
+	need        []uint    // per binding: the bindings its range mentions
+	scan, count []float64 // per binding: rangeCost
+	conds       []orderCond
+	out         float64 // outputFactor
+	prune       bool    // every increment is non-negative
+
+	order    []int // the current prefix
+	best     []int // the cheapest full order so far; nil while none
+	bestCost float64
+}
+
+// orderCond is a condition over at least one binding variable. A
+// condition over none is never charged by estimate and is left out.
+type orderCond struct {
+	vars      uint // the bindings whose variables it mentions
+	eval, sel float64
+}
+
+// newOrderSearch precomputes the per-binding and per-condition terms of
+// estimate. It reports false when some range mentions a variable no
+// binding introduces: no order can place that binding.
+func (s *Stats) newOrderSearch(q *core.Query) (*orderSearch, bool) {
 	n := len(q.Bindings)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	order := make([]core.Binding, 0, n)
-	var best *core.Query
-	bestCost := math.Inf(1)
-	// Selectivities are order-independent; share them across permutations.
-	sels := s.condSelectivities(q)
-	var rec func()
-	rec = func() {
-		if len(order) == n {
-			cand := q.Clone()
-			cand.Bindings = append([]core.Binding(nil), order...)
-			c, _ := s.estimate(cand, sels)
-			if c < bestCost {
-				bestCost = c
-				best = cand
+	pos := make(map[string]int, n)
+	for i, b := range q.Bindings {
+		pos[b.Var] = i
+	}
+	o := &orderSearch{
+		need:     make([]uint, n),
+		scan:     make([]float64, n),
+		count:    make([]float64, n),
+		out:      s.outputFactor(q),
+		order:    make([]int, n),
+		bestCost: math.Inf(1),
+	}
+	nonNeg := o.out >= 0
+	for i, b := range q.Bindings {
+		for v := range b.Range.Vars() {
+			p, ok := pos[v]
+			if !ok {
+				return nil, false
 			}
-			return
+			o.need[i] |= 1 << p
 		}
-		for i, b := range q.Bindings {
-			if used[i] {
-				continue
-			}
-			ok := true
-			for v := range b.Range.Vars() {
-				if !bound[v] {
-					ok = false
-					break
+		o.scan[i], o.count[i] = s.rangeCost(b.Range)
+		nonNeg = nonNeg && o.scan[i] >= 0 && o.count[i] >= 0
+	}
+	sels := s.condSelectivities(q)
+	for ci, c := range q.Conds {
+		var vars uint
+		for _, t := range [2]*core.Term{c.L, c.R} {
+			for v := range t.Vars() {
+				if p, ok := pos[v]; ok {
+					vars |= 1 << p
 				}
 			}
-			if !ok {
-				continue
-			}
-			used[i] = true
-			bound[b.Var] = true
-			order = append(order, b)
-			rec()
-			order = order[:len(order)-1]
-			delete(bound, b.Var)
-			used[i] = false
 		}
+		if vars == 0 {
+			continue
+		}
+		oc := orderCond{vars: vars, eval: s.condEvalCost(c), sel: sels[ci]}
+		nonNeg = nonNeg && oc.eval >= 0 && oc.sel >= 0
+		o.conds = append(o.conds, oc)
 	}
-	rec()
-	return best
+	o.prune = nonNeg
+	return o, true
+}
+
+// search extends the prefix order[:depth], whose bindings are bound and
+// whose running cost and multiplicity are total and mult, by every
+// placeable binding in plan order.
+func (o *orderSearch) search(depth int, bound uint, total, mult float64) {
+	if depth == len(o.order) {
+		total += mult * o.out
+		if total < o.bestCost {
+			o.bestCost = total
+			o.best = append(o.best[:0], o.order...)
+		}
+		return
+	}
+	if o.prune && total >= o.bestCost {
+		return
+	}
+	for i := range o.order {
+		bit := uint(1) << i
+		if bound&bit != 0 || o.need[i]&^bound != 0 {
+			continue
+		}
+		t := total + mult*o.scan[i]
+		m := mult * o.count[i]
+		nb := bound | bit
+		// A condition filters at the binding that completes its
+		// variables, in condition order.
+		for _, c := range o.conds {
+			if c.vars&bit != 0 && c.vars&^nb == 0 {
+				t += m * c.eval
+				m *= c.sel
+			}
+		}
+		if m < 1e-9 {
+			m = 1e-9
+		}
+		o.order[depth] = i
+		o.search(depth+1, nb, t, m)
+	}
 }
 
 // reorderGreedy picks, at each step, the valid next binding with the

@@ -4,6 +4,8 @@
 package cost_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"cnb/internal/core"
@@ -207,5 +209,29 @@ func TestEstimateDomScan(t *testing.T) {
 	}
 	if c < 1000 {
 		t.Errorf("dom scan cost = %v, want >= 1000", c)
+	}
+}
+
+// TestStatsValidate: the defaults and statistics derived from an
+// instance validate; a negative count, a NaN, a selectivity above 1 and
+// an inadmissible LookupFloor do not, and the error names the field.
+func TestStatsValidate(t *testing.T) {
+	for name, s := range map[string]*cost.Stats{"defaults": cost.NewStats(), "from instance": projDeptStats(t)} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for field, mutate := range map[string]func(*cost.Stats){
+		`Card["Proj"]`:           func(s *cost.Stats) { s.Card["Proj"] = -1 },
+		`FieldFanout["DProjs"]`:  func(s *cost.Stats) { s.FieldFanout["DProjs"] = math.NaN() },
+		`EntryFanoutMin["SI"]`:   func(s *cost.Stats) { s.EntryFanoutMin["SI"] = math.Inf(1) },
+		"DefaultSelectivity = 2": func(s *cost.Stats) { s.DefaultSelectivity = 2 },
+		"LookupFloor = 3":        func(s *cost.Stats) { s.LookupFloor = 3 },
+	} {
+		s := cost.NewStats()
+		mutate(s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: Validate = %v, want an error naming it", field, err)
+		}
 	}
 }
