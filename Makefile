@@ -2,9 +2,10 @@
 #
 #   make ci         - everything a regression gate needs: vet, build, the
 #                     full test suite, a race-detector pass over the
-#                     concurrency-heavy packages, a one-iteration
-#                     benchmark smoke so the benchmark harness itself
-#                     cannot rot, bench-build, and examples.
+#                     concurrency-heavy packages, a 10-second fuzz run,
+#                     a one-iteration benchmark smoke so the benchmark
+#                     harness itself cannot rot, bench-build, and
+#                     examples.
 #   make bench-build - vet and test the cnbbench module. It is a module
 #                     of its own, so the root `go test ./...` never
 #                     compiles it; without this an API break in a
@@ -41,7 +42,12 @@
 #                     equivalent of revive's "exported" rule) over the
 #                     packages whose exported API is documented
 #                     contractually (engine, service, core, cost,
-#                     greedy).
+#                     greedy, instance, eval).
+#   make fuzz-smoke - run the FuzzEqualMatchesKey fuzz target (the
+#                     value model's Equal and Hash against its canonical
+#                     keys) for 10 seconds on two workers, beyond its
+#                     committed seed corpus, which plain `go test`
+#                     already replays.
 #   make serve-load - race-instrumented serving gate: the 16-worker load
 #                     harnesses (plan-only and end-to-end /query) plus
 #                     the singleflight storm/cancellation suites and the
@@ -99,9 +105,9 @@ CNBD_ADDR ?= 127.0.0.1:18343
 EXEC_ROWS ?= 100000
 EXEC_TIMEOUT ?= 600
 
-.PHONY: ci vet build test race bench-smoke bench-build examples bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
+.PHONY: ci vet build test race fuzz-smoke bench-smoke bench-build examples bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
 
-ci: vet build test race bench-smoke bench-build examples
+ci: vet build test race fuzz-smoke bench-smoke bench-build examples
 
 vet:
 	$(GO) vet ./...
@@ -114,6 +120,9 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEqualMatchesKey$$' -fuzztime 10s -parallel 2 ./internal/instance
 
 # Skipped under GOFLAGS=-short: a docs-only or fast-lane run should not
 # pay for compiling and executing every benchmark.
@@ -164,7 +173,7 @@ bench-exec:
 # lint job next to staticcheck; the tool is in-repo because the gate
 # cannot install third-party linters.
 lint-docs:
-	$(GO) run ./cmd/lintdoc ./internal/engine ./internal/service ./internal/core ./internal/cost ./internal/greedy
+	$(GO) run ./cmd/lintdoc ./internal/engine ./internal/service ./internal/core ./internal/cost ./internal/greedy ./internal/instance ./internal/eval
 
 # The CI service-load gate: the closed-loop load harnesses (16 workers
 # replaying the star/snowflake mix against one Service, plan-only and

@@ -216,6 +216,52 @@ func BenchmarkRankProjDept(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryScan100k measures one warm service.Query of the
+// non-selective Proj ⋈ depts join over 10^5 Proj rows (20 000 depts ×
+// 5): a plan-table hit whose delivered plan, after RIC2 and KEY1 remove
+// depts, is a single scan of Proj. Execution, the result set and the
+// default 1000-row cap (capRows) do the work — the in-process half of
+// the cnbd scan_exec workload.
+func BenchmarkQueryScan100k(b *testing.B) {
+	pd := projDept(b)
+	in := pd.Generate(workload.GenOptions{NumDepts: 20000, ProjsPerDept: 5, NumCustomers: 5, CitiBankShare: 0.3, Seed: 1})
+	svc := service.New(service.Options{Parallelism: 1})
+	if _, err := svc.InstallInstance("pd", in); err != nil {
+		b.Fatal(err)
+	}
+	v, prj := core.V, core.Prj
+	q := &core.Query{
+		Out: core.Struct(
+			core.SF("PN", prj(v("p"), "PName")),
+			core.SF("PB", prj(v("p"), "Budg")),
+			core.SF("DN", prj(v("d"), "DName")),
+		),
+		Bindings: []core.Binding{
+			{Var: "p", Range: core.Name("Proj")},
+			{Var: "d", Range: core.Name("depts")},
+		},
+		Conds: []core.Cond{{L: prj(v("p"), "PDept"), R: prj(v("d"), "DName")}},
+	}
+	req := service.QueryRequest{
+		Request:  service.Request{Query: q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()},
+		Instance: "pd",
+	}
+	ctx := context.Background()
+	if _, err := svc.Query(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		qr, err := svc.Query(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !qr.Optimize.CacheHit || qr.ResultRows != 100000 || len(qr.Rows) != service.DefaultMaxResultRows {
+			b.Fatalf("cache hit %v, %d rows (%d returned)", qr.Optimize.CacheHit, qr.ResultRows, len(qr.Rows))
+		}
+	}
+}
+
 // BenchmarkBackchaseParallel measures the worker-pool enumeration against
 // the serial engine on a multi-scan workload: a chain query with
 // adjacent-pair views, whose universal plan has many redundant scans and

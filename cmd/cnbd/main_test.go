@@ -275,6 +275,34 @@ func TestInstanceSpecValidation(t *testing.T) {
 	}
 }
 
+// TestInstanceDictMustBeFunction: a $dict entry list that is not a
+// finite function — a key given twice, or an entry without its value —
+// is a 400 naming the key or the field, and installs nothing.
+func TestInstanceDictMustBeFunction(t *testing.T) {
+	cases := []struct {
+		name, dict, want string
+	}{
+		{"repeated key", `[{"key": "a", "value": 1}, {"key": "b", "value": 2}, {"key": "a", "value": 3}]`, `$dict key "a" repeats`},
+		{"missing value", `[{"key": 1, "valu": 2}]`, `$dict entry has no "value" field`},
+		{"missing key", `[{"kee": 1, "value": 2}]`, `$dict entry has no "key" field`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ts := testServer(t)
+			status, out := postJSON(t, ts.URL+"/instance?name=m", `{"data": {"M": {"$dict": `+c.dict+`}}}`)
+			if status != http.StatusBadRequest {
+				t.Fatalf("HTTP %d, want 400: %v", status, out)
+			}
+			if msg, _ := out["error"].(string); !strings.Contains(msg, c.want) {
+				t.Fatalf("error %q does not contain %q", msg, c.want)
+			}
+			if _, list := getJSON(t, ts.URL+"/instance"); len(list["instances"].([]any)) != 0 {
+				t.Fatalf("a rejected spec installed an instance: %v", list)
+			}
+		})
+	}
+}
+
 // TestTieredOptimizeEndToEnd: with -max-plan-latency below the cold
 // planning time a cold /optimize is served by the greedy tier; the
 // detached flight upgrades the cache, /metrics counts both sides, and a

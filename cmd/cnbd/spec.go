@@ -178,6 +178,11 @@ func convertDict(v any) (instance.Value, error) {
 		if !ok || len(m) != 2 {
 			return nil, fmt.Errorf("$dict entry wants exactly {key, value}")
 		}
+		for _, f := range []string{"key", "value"} {
+			if _, ok := m[f]; !ok {
+				return nil, fmt.Errorf("$dict entry has no %q field", f)
+			}
+		}
 		k, err := convertValue(m["key"])
 		if err != nil {
 			return nil, fmt.Errorf("$dict key: %w", err)
@@ -185,6 +190,10 @@ func convertDict(v any) (instance.Value, error) {
 		val, err := convertValue(m["value"])
 		if err != nil {
 			return nil, fmt.Errorf("$dict value: %w", err)
+		}
+		// A dictionary is a finite function: one value per key.
+		if _, dup := d.Get(k); dup {
+			return nil, fmt.Errorf("$dict key %s repeats", k)
 		}
 		d.Put(k, val)
 	}

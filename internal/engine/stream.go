@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -42,16 +41,6 @@ type StreamOperator interface {
 	schema() *batchSchema
 }
 
-// appendHashKey appends one component of a composite hash-join key: the
-// value's canonical key behind a fixed-width length prefix, so composite
-// keys cannot collide across component boundaries.
-func appendHashKey(buf []byte, v instance.Value) []byte {
-	mark := len(buf)
-	buf = instance.AppendKey(append(buf, 0, 0, 0, 0), v)
-	binary.BigEndian.PutUint32(buf[mark:], uint32(len(buf)-mark-4))
-	return buf
-}
-
 // condHolds evaluates an equality condition against row i of b.
 func condHolds(c core.Cond, b *Batch, i int, in *instance.Instance) (bool, error) {
 	l, err := batchEval(c.L, b, i, in)
@@ -62,7 +51,7 @@ func condHolds(c core.Cond, b *Batch, i int, in *instance.Instance) (bool, error
 	if err != nil {
 		return false, err
 	}
-	return l.Key() == r.Key(), nil
+	return instance.Equal(l, r), nil
 }
 
 // --- batch scan over a binding range ------------------------------------
@@ -290,10 +279,12 @@ func (f *batchFilter) Describe(indent string) string {
 // hashJoin binds a variable ranging over an input-independent collection
 // (a base relation or a dictionary domain) by hashing instead of
 // rescanning: at Open it evaluates the range once, filters build rows
-// against build-side pushed predicates, and indexes them by the
-// composite key of the build-side join terms — pre-sizing the table from
-// cost.Stats cardinalities when available. Each probe row then extends
-// by exactly its matching build rows.
+// against build-side pushed predicates, and groups them by the values of
+// the build-side join terms — one group per distinct composite key,
+// found by its hash (instance.Hash) and told apart from a colliding key
+// by instance.Equal, with the group's rows in build order. The key table
+// is pre-sized from cost.Stats cardinalities when available. Each probe
+// row then extends by exactly its group's rows.
 //
 // Counter semantics: the build pass costs one Eval for the range
 // evaluation plus one Eval per build row keyed (hash insert work, the
@@ -313,12 +304,23 @@ type hashJoin struct {
 	// buildPreds are single-variable predicates pushed into the build pass.
 	buildPreds []core.Cond
 
-	sch      *batchSchema
-	ctx      context.Context
-	batch    int
-	presize  int // hint from cost.Stats; 0 = unknown
-	table    map[string][]instance.Value
-	built    bool
+	sch     *batchSchema
+	ctx     context.Context
+	batch   int
+	presize int // hint from cost.Stats; 0 = unknown
+
+	// The build table. heads maps a key hash to its newest group; next
+	// chains the groups that share a hash. Group g's key values are
+	// keys[g*len(buildTerms):][:len(buildTerms)] and its rows are
+	// rows[start[g]:start[g+1]].
+	heads map[uint64]int32
+	next  []int32
+	keys  []instance.Value
+	start []int32
+	rows  []instance.Value
+	built bool
+
+	probeKey []instance.Value
 	cur      *Batch
 	row      int
 	matches  []instance.Value
@@ -326,11 +328,44 @@ type hashJoin struct {
 	ctrs     Counters
 }
 
+// keyHash folds the hashes of a composite key's values in order.
+func keyHash(vals []instance.Value) uint64 {
+	var h uint64
+	for _, v := range vals {
+		h = (h ^ instance.Hash(v)) * 0x100000001b3
+	}
+	return h
+}
+
+// group returns the build group whose key equals kv, whose hash is hk,
+// or -1.
+func (h *hashJoin) group(kv []instance.Value, hk uint64) int32 {
+	g, ok := h.heads[hk]
+	if !ok {
+		return -1
+	}
+	nk := len(kv)
+	for ; g >= 0; g = h.next[g] {
+		gk := h.keys[int(g)*nk : int(g+1)*nk]
+		eq := true
+		for j := range kv {
+			if !instance.Equal(gk[j], kv[j]) {
+				eq = false
+				break
+			}
+		}
+		if eq {
+			return g
+		}
+	}
+	return -1
+}
+
 func (h *hashJoin) schema() *batchSchema { return h.sch }
 
 func (h *hashJoin) Open(ctx context.Context) error {
 	h.ctx = ctx
-	h.table = nil
+	h.heads, h.next, h.keys, h.start, h.rows = nil, nil, nil, nil, nil
 	h.built = false
 	h.cur = nil
 	h.row = 0
@@ -343,7 +378,9 @@ func (h *hashJoin) Open(ctx context.Context) error {
 func (h *hashJoin) Close() error       { return h.child.Close() }
 func (h *hashJoin) Counters() Counters { return h.ctrs }
 
-// build evaluates the range once and indexes it by the build-key terms.
+// build evaluates the range once and groups its rows by the values of
+// the build-key terms: a first pass assigns each kept row its group, a
+// second lays the groups' rows out contiguously in build order.
 func (h *hashJoin) build() error {
 	empty := &Batch{schema: newBatchSchema(nil)}
 	h.ctrs.Evals++
@@ -360,9 +397,13 @@ func (h *hashJoin) build() error {
 	if h.presize > 0 && h.presize < size {
 		size = h.presize
 	}
-	h.table = make(map[string][]instance.Value, size)
+	h.heads = make(map[uint64]int32, size)
+	nk := len(h.buildTerms)
+	kv := make([]instance.Value, nk)
+	kept := make([]instance.Value, 0, len(elems))
+	groupOf := make([]int32, 0, len(elems))
+	var count []int32
 	one := newBatch(newBatchSchema([]string{h.v}), 1)
-	var key []byte
 	for _, elem := range elems {
 		if err := h.ctx.Err(); err != nil {
 			return err
@@ -383,17 +424,41 @@ func (h *hashJoin) build() error {
 		if !keep {
 			continue
 		}
-		key = key[:0]
-		for _, bt := range h.buildTerms {
-			v, err := batchEval(bt, one, 0, h.in)
-			if err != nil {
+		for j, bt := range h.buildTerms {
+			if kv[j], err = batchEval(bt, one, 0, h.in); err != nil {
 				return err
 			}
-			key = appendHashKey(key, v)
 		}
-		k := string(key)
-		h.table[k] = append(h.table[k], elem)
+		hk := keyHash(kv)
+		g := h.group(kv, hk)
+		if g < 0 {
+			g = int32(len(count))
+			head, ok := h.heads[hk]
+			if !ok {
+				head = -1
+			}
+			h.next = append(h.next, head)
+			h.heads[hk] = g
+			h.keys = append(h.keys, kv...)
+			count = append(count, 0)
+		}
+		count[g]++
+		kept = append(kept, elem)
+		groupOf = append(groupOf, g)
 	}
+	h.start = make([]int32, len(count)+1)
+	for g, c := range count {
+		h.start[g+1] = h.start[g] + c
+	}
+	// count becomes each group's fill cursor.
+	copy(count, h.start)
+	h.rows = make([]instance.Value, len(kept))
+	for i, elem := range kept {
+		g := groupOf[i]
+		h.rows[count[g]] = elem
+		count[g]++
+	}
+	h.probeKey = make([]instance.Value, len(h.probeTerms))
 	h.built = true
 	return nil
 }
@@ -405,7 +470,6 @@ func (h *hashJoin) Next() (*Batch, error) {
 		}
 	}
 	out := newBatch(h.sch, h.batch)
-	var key []byte
 	for {
 		if err := h.ctx.Err(); err != nil {
 			return nil, err
@@ -424,15 +488,17 @@ func (h *hashJoin) Next() (*Batch, error) {
 				continue
 			}
 			h.ctrs.Evals++
-			key = key[:0]
-			for _, pt := range h.probeTerms {
+			for j, pt := range h.probeTerms {
 				v, err := batchEval(pt, h.cur, h.row, h.in)
 				if err != nil {
 					return nil, err
 				}
-				key = appendHashKey(key, v)
+				h.probeKey[j] = v
 			}
-			h.matches = h.table[string(key)]
+			h.matches = nil
+			if g := h.group(h.probeKey, keyHash(h.probeKey)); g >= 0 {
+				h.matches = h.rows[h.start[g]:h.start[g+1]]
+			}
 			h.matchPos = 0
 			h.row++
 			continue

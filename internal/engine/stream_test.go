@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -170,6 +172,119 @@ func TestHashJoinStraddle(t *testing.T) {
 	if hc, nc := hash.Measure().Cost(), nested.Measure().Cost(); hc >= nc {
 		t.Fatalf("hash join cost %v not below nested scan cost %v", hc, nc)
 	}
+}
+
+// TestHashJoinKeyEquality joins on keys whose equality is subtle: Int(1),
+// Float(1) and Str("1") never match, 0 and -0 differ, every NaN matches
+// every NaN, and records differing only in field names share a hash but
+// not a key. Each probe row must extend by exactly the build rows whose
+// key renders the same (counted here by Key(), independently of the
+// hashing the engine does), on every stream variant.
+func TestHashJoinKeyEquality(t *testing.T) {
+	keys := []instance.Value{
+		instance.Int(1), instance.Float(1), instance.Str("1"),
+		instance.Float(0), instance.Float(math.Copysign(0, -1)),
+		instance.Float(math.NaN()), instance.Float(math.Float64frombits(0x7ff8000000000001)),
+		instance.StructOf("A", instance.Int(1)), instance.StructOf("B", instance.Int(1)),
+	}
+	r, s := instance.NewSet(), instance.NewSet()
+	for i, k := range keys {
+		r.Add(instance.StructOf("K", k))
+		s.Add(instance.StructOf("K", k, "B", instance.Int(int64(i))))
+	}
+	in := instance.NewInstance().Bind("R", r).Bind("S", s)
+	q := &core.Query{
+		Out: core.Struct(
+			core.SF("K", core.Prj(core.V("f"), "K")),
+			core.SF("B", core.Prj(core.V("s"), "B")),
+		),
+		Bindings: []core.Binding{
+			{Var: "f", Range: core.Name("R")},
+			{Var: "s", Range: core.Name("S")},
+		},
+		Conds: []core.Cond{{L: core.Prj(core.V("s"), "K"), R: core.Prj(core.V("f"), "K")}},
+	}
+	want := 0
+	for _, f := range r.Elems() {
+		fk, _ := f.(*instance.Struct).Field("K")
+		for _, e := range s.Elems() {
+			if ek, _ := e.(*instance.Struct).Field("K"); ek.Key() == fk.Key() {
+				want++
+			}
+		}
+	}
+	if want != len(keys) {
+		t.Fatalf("reference join has %d rows, want %d (the two NaNs are one R row matching two S rows)", want, len(keys))
+	}
+	for vi, opts := range streamVariants() {
+		got, err := StreamExecute(context.Background(), q, in, opts)
+		if err != nil {
+			t.Fatalf("variant %d: %v", vi, err)
+		}
+		if got.Len() != want {
+			t.Fatalf("variant %d: %d rows, want %d: %s", vi, got.Len(), want, got)
+		}
+	}
+	checkAgainstEval(t, q, in)
+}
+
+// TestCondHoldsNoAlloc pins an equality test between two Str values at
+// zero allocations: it compares the values, not their rendered keys.
+func TestCondHoldsNoAlloc(t *testing.T) {
+	b := newBatch(newBatchSchema([]string{"a", "b"}), 1)
+	b.cols[0] = append(b.cols[0], instance.Str("P000123"))
+	b.cols[1] = append(b.cols[1], instance.Str(fmt.Sprintf("P%06d", 123)))
+	c := core.Cond{L: core.V("a"), R: core.V("b")}
+	in := instance.NewInstance()
+	allocs := testing.AllocsPerRun(100, func() {
+		if ok, err := condHolds(c, b, 0, in); !ok || err != nil {
+			t.Fatalf("condHolds = %v, %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("condHolds made %v allocs, want 0", allocs)
+	}
+}
+
+// TestCollapsingProjectionRetainsDistinctRows: a record output whose
+// rows collapse to a few distinct values keeps only those, not the
+// batches they were built in. Proj's 10^4 rows project onto 5
+// customers plus CitiBank, so the result must retain far less than one 1024-row
+// batch of records (~80 KB).
+func TestCollapsingProjectionRetainsDistinctRows(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pd.Generate(workload.GenOptions{NumDepts: 2000, ProjsPerDept: 5, NumCustomers: 5, CitiBankShare: 0.3, Seed: 1})
+	q := &core.Query{
+		Out:      core.Struct(core.SF("C", core.Prj(core.V("p"), "CustName"))),
+		Bindings: []core.Binding{{Var: "p", Range: core.Name("Proj")}},
+	}
+	p, err := CompileStream(q, in, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background()); err != nil { // fills Proj's cached order
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	out, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	if out.Len() > 6 {
+		t.Fatalf("%d distinct rows, want at most 6", out.Len())
+	}
+	if kept := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); kept > 16<<10 {
+		t.Errorf("result of %d rows retains %d bytes, want <= 16 KiB", out.Len(), kept)
+	}
+	runtime.KeepAlive(out)
+	runtime.KeepAlive(in)
 }
 
 // TestStreamEmptyInputs exercises the degenerate shapes: empty base

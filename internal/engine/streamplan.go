@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cnb/internal/core"
 	"cnb/internal/cost"
@@ -37,12 +38,14 @@ type StreamPlan struct {
 	root       StreamOperator
 	ops        []StreamOperator // counter-owning operators (excludes buffers)
 	out        *core.Term
+	outNames   []string // field names of a record output, nil otherwise
 	in         *instance.Instance
 	query      *core.Query
 	constConds []core.Cond
 
 	constEvals int64
 	outRows    int64
+	blockRows  bool // the last batch added at least half its rows (addRecords)
 }
 
 // CompileStream builds a streaming operator tree for the plan's binding
@@ -169,6 +172,13 @@ func CompileStream(q *core.Query, in *instance.Instance, opts StreamOptions) (*S
 			ops = append(ops, f)
 		}
 	}
+	var outNames []string
+	if q.Out.Kind == core.KStruct {
+		outNames = make([]string, len(q.Out.Fields))
+		for i, f := range q.Out.Fields {
+			outNames[i] = f.Name
+		}
+	}
 	if opts.Buffer > 0 {
 		// Not appended to ops: a buffer owns no counters of its own
 		// (Counters delegates to its child, which is already listed).
@@ -178,6 +188,7 @@ func CompileStream(q *core.Query, in *instance.Instance, opts StreamOptions) (*S
 		root:       root,
 		ops:        ops,
 		out:        q.Out,
+		outNames:   outNames,
 		in:         in,
 		query:      q,
 		constConds: condAt[0],
@@ -191,6 +202,7 @@ func CompileStream(q *core.Query, in *instance.Instance, opts StreamOptions) (*S
 // so Measure reflects the latest Run only.
 func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 	p.outRows = 0
+	p.blockRows = false
 	p.constEvals = 0
 	out := instance.NewSet()
 	// Variable-free conditions decide the whole run once.
@@ -220,6 +232,12 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 		if b == nil {
 			return out, nil
 		}
+		if p.outNames != nil {
+			if err := p.addRecords(out, b); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		for i := 0; i < b.Len(); i++ {
 			v, err := batchEval(p.out, b, i, p.in)
 			if err != nil {
@@ -229,6 +247,44 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 			out.Add(v)
 		}
 	}
+}
+
+// addRecords projects a batch onto a record output: it evaluates every
+// row's fields into one value slab and, while batches keep adding at
+// least half their rows as new, builds the batch's records together by
+// instance.NewStructs over the plan's shared field names. A record kept
+// in the result holds its whole batch (records and slab) alive, so after
+// a batch that adds fewer, as in a projection that collapses many rows
+// into few, the next batch's records are built one by one, each with its
+// own copy of its values. A block that turns out to add few rows follows
+// a batch that added at least half of its rows, so the result retains at
+// most a few times its distinct rows.
+func (p *StreamPlan) addRecords(out *instance.Set, b *Batch) error {
+	n, m := b.Len(), len(p.outNames)
+	vals := make([]instance.Value, n*m)
+	for i := 0; i < n; i++ {
+		for fi, f := range p.out.Fields {
+			v, err := batchEval(f.Term, b, i, p.in)
+			if err != nil {
+				return err
+			}
+			vals[i*m+fi] = v
+		}
+	}
+	p.outRows += int64(n)
+	before := out.Len()
+	if p.blockRows {
+		rs := instance.NewStructs(p.outNames, vals, n)
+		for i := range rs {
+			out.Add(&rs[i])
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			out.Add(instance.NewStruct(p.outNames, slices.Clone(vals[i*m:(i+1)*m])))
+		}
+	}
+	p.blockRows = 2*(out.Len()-before) >= n
+	return nil
 }
 
 // Measure returns the work profile accumulated by the last Run. Its

@@ -36,6 +36,7 @@ type ErrLookupFailed struct {
 	Key  instance.Value
 }
 
+// Error implements error, naming the lookup term and the missing key.
 func (e *ErrLookupFailed) Error() string {
 	return fmt.Sprintf("eval: lookup %s failed: key %s not in domain", e.Term, e.Key)
 }
@@ -145,7 +146,7 @@ func Query(q *core.Query, in *instance.Instance) (*instance.Set, error) {
 				if err != nil {
 					return err
 				}
-				if l.Key() != r.Key() {
+				if !instance.Equal(l, r) {
 					return nil
 				}
 			}
@@ -222,7 +223,7 @@ func QueryEager(q *core.Query, in *instance.Instance) (*instance.Set, error) {
 			if err != nil {
 				return false, err
 			}
-			if l.Key() != r.Key() {
+			if !instance.Equal(l, r) {
 				return false, nil
 			}
 		}
@@ -294,7 +295,7 @@ func Satisfies(d *core.Dependency, in *instance.Instance) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			if l.Key() != r.Key() {
+			if !instance.Equal(l, r) {
 				return false, nil
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -97,6 +98,68 @@ func TestFirstNMatchesElemsPrefix(t *testing.T) {
 				if got[i].Key() != prefix[i].Key() {
 					t.Fatalf("trial %d k=%d: row %d = %s, want %s", trial, k, i, got[i], prefix[i])
 				}
+			}
+		}
+	}
+}
+
+// TestKeySortMemoryBoundedByKeys: sorting a set, in full or only its
+// first k members, allocates in proportion to the total length of the
+// member keys, however unevenly that length is spread. The sets are
+// sets of sets, one member holding thousands of ints (a key tens of KB
+// long) among thousands of one-element sets, with the long key first in
+// insertion order and with it in the middle.
+func TestKeySortMemoryBoundedByKeys(t *testing.T) {
+	const small, wide, k = 2000, 5000, 1000
+	big := NewSet()
+	for i := 0; i < wide; i++ {
+		big.Add(Int(int64(i)))
+	}
+	members := []Value{big}
+	for i := 0; i < small; i++ {
+		members = append(members, NewSet(Int(int64(-i))))
+	}
+	for _, v := range members {
+		v.Key() // caches each member's own order outside the measurement
+	}
+	for _, bigFirst := range []bool{true, false} {
+		build := func() *Set {
+			s := NewSet()
+			if bigFirst {
+				s.Add(big)
+			}
+			for i, v := range members[1:] {
+				s.Add(v)
+				if !bigFirst && i == small/2 {
+					s.Add(big)
+				}
+			}
+			return s
+		}
+		total := 0
+		for _, v := range build().Elems() {
+			total += len(v.Key())
+		}
+		// Each key is rendered through a growing buffer into a string
+		// (a set's Key) and copied into a slab that grows by doubling,
+		// about 8 bytes per key byte; the rest is a few words per member.
+		// The bound leaves twice that.
+		bound := uint64(16*total + 128*(small+1))
+		for _, tc := range []struct {
+			name string
+			run  func(*Set)
+		}{
+			{"Elems", func(s *Set) { s.Elems() }},
+			{"FirstN", func(s *Set) { s.FirstN(k) }},
+		} {
+			s := build()
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			tc.run(s)
+			runtime.ReadMemStats(&m1)
+			if got := m1.TotalAlloc - m0.TotalAlloc; got > bound {
+				t.Errorf("bigFirst=%v %s: allocated %d bytes for %d bytes of keys, want <= %d", bigFirst, tc.name, got, total, bound)
 			}
 		}
 	}
