@@ -42,12 +42,15 @@
 #                     equivalent of revive's "exported" rule) over the
 #                     packages whose exported API is documented
 #                     contractually (engine, service, core, cost,
-#                     greedy, instance, eval).
-#   make fuzz-smoke - run the FuzzEqualMatchesKey fuzz target (the
-#                     value model's Equal and Hash against its canonical
-#                     keys) for 10 seconds on two workers, beyond its
-#                     committed seed corpus, which plain `go test`
-#                     already replays.
+#                     greedy, instance, eval, parser).
+#   make fuzz-smoke - run each fuzz target for 10 seconds on two
+#                     workers, beyond its committed seed corpus, which
+#                     plain `go test` already replays:
+#                     FuzzEqualMatchesKey (the value model's Equal and
+#                     Hash against its canonical keys), FuzzParse (Parse
+#                     and Target never panic) and
+#                     FuzzCachedParseMatchesParse (a parse through a
+#                     warm design cache equals a fresh Parse).
 #   make serve-load - race-instrumented serving gate: the 16-worker load
 #                     harnesses (plan-only and end-to-end /query) plus
 #                     the singleflight storm/cancellation suites and the
@@ -94,8 +97,9 @@ BENCH_GATE_FLAGS = -parallelism 1
 # canonicalization property/stress suite that every concurrent cache key
 # depends on. instance and engine ride along for the key order a Set or
 # Dict caches on first read, which concurrent plans over one installed
-# instance race to fill.
-RACE_PKGS = ./internal/backchase/... ./internal/chase/... ./internal/congruence/... ./internal/optimizer/... ./internal/service/... ./internal/core/... ./internal/instance/... ./internal/engine/...
+# instance race to fill. parser rides along for the design cache every
+# cnbd request goes through.
+RACE_PKGS = ./internal/backchase/... ./internal/chase/... ./internal/congruence/... ./internal/optimizer/... ./internal/service/... ./internal/core/... ./internal/instance/... ./internal/engine/... ./internal/parser/...
 
 # Where serve-smoke binds its throwaway server.
 CNBD_ADDR ?= 127.0.0.1:18343
@@ -118,11 +122,16 @@ build:
 test:
 	$(GO) test ./...
 
+# The cnbd design-cache churn test rides along: concurrent requests
+# through one server's design cache against an uncached server.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run '^TestDesignCache' ./cmd/cnbd
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualMatchesKey$$' -fuzztime 10s -parallel 2 ./internal/instance
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -parallel 2 ./internal/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzCachedParseMatchesParse$$' -fuzztime 10s -parallel 2 ./internal/parser
 
 # Skipped under GOFLAGS=-short: a docs-only or fast-lane run should not
 # pay for compiling and executing every benchmark.
@@ -173,7 +182,7 @@ bench-exec:
 # lint job next to staticcheck; the tool is in-repo because the gate
 # cannot install third-party linters.
 lint-docs:
-	$(GO) run ./cmd/lintdoc ./internal/engine ./internal/service ./internal/core ./internal/cost ./internal/greedy ./internal/instance ./internal/eval
+	$(GO) run ./cmd/lintdoc ./internal/engine ./internal/service ./internal/core ./internal/cost ./internal/greedy ./internal/instance ./internal/eval ./internal/parser
 
 # The CI service-load gate: the closed-loop load harnesses (16 workers
 # replaying the star/snowflake mix against one Service, plan-only and

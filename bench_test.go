@@ -21,6 +21,7 @@ import (
 	"cnb/internal/eval"
 	"cnb/internal/instance"
 	"cnb/internal/optimizer"
+	"cnb/internal/parser"
 	"cnb/internal/service"
 	"cnb/internal/workload"
 )
@@ -507,5 +508,84 @@ func BenchmarkCostEstimate(b *testing.B) {
 		stats.Estimate(p2)
 		stats.Estimate(p3)
 		stats.Estimate(p4)
+	}
+}
+
+// --- parser -----------------------------------------------------------------
+
+// projDeptDesign is the paper's ProjDept document without its query, as
+// a cnbd client sends it: the logical schema with its constraints and
+// the physical design of Figure 3.
+const projDeptDesign = `schema Logical {
+  Proj  : set<{PName: string, CustName: string, PDept: string, Budg: int}>;
+  depts : set<{DName: string, DProjs: set<string>, MgrName: string}>;
+
+  constraint RIC1:
+    forall (d in depts, s in d.DProjs) exists (p in Proj) s = p.PName;
+  constraint RIC2:
+    forall (p in Proj) exists (d in depts) p.PDept = d.DName;
+  constraint INV1:
+    forall (d in depts, s in d.DProjs, p in Proj) s = p.PName -> p.PDept = d.DName;
+  constraint INV2:
+    forall (p in Proj, d in depts) p.PDept = d.DName -> exists (s in d.DProjs) p.PName = s;
+  constraint KEY1:
+    forall (a in depts, b in depts) a.DName = b.DName -> a = b;
+  constraint KEY2:
+    forall (a in Proj, b in Proj) a.PName = b.PName -> a = b;
+}
+
+design Phys over Logical {
+  store Proj;
+  classdict Dept for depts oid Doid;
+  primary index I on Proj(PName);
+  secondary index SI on Proj(CustName);
+  view JI: select struct(DOID: dd, PN: p.PName)
+           from dom(Dept) dd, Dept[dd].DProjs s, Proj p
+           where s = p.PName;
+}
+`
+
+// BenchmarkParseProjDept measures a cold parse of the whole ProjDept
+// document: lexing, the schema and design statements (type checks and
+// the design's compilation into dependencies) and the §1 query.
+func BenchmarkParseProjDept(b *testing.B) {
+	src := projDeptDesign + `
+query Q:
+  select struct(PN: s, PB: p.Budg, DN: d.DName)
+  from depts d, d.DProjs s, Proj p
+  where s = p.PName and p.CustName = "CitiBank";
+`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := parser.Parse(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseCachedProjDept measures what cnbd pays per request for a
+// design it has seen: the ProjDept document with an alpha-renamed §1
+// query, parsed through a DesignCache that holds the design, so only
+// the query is lexed, parsed and type-checked.
+func BenchmarkParseCachedProjDept(b *testing.B) {
+	c := parser.NewDesignCache()
+	if _, err := c.Parse(projDeptDesign + "\nquery Q: select struct(PN: s) from Proj p, depts d, d.DProjs s where s = p.PName;\n"); err != nil {
+		b.Fatal(err)
+	}
+	src := projDeptDesign + `
+query Q:
+  select struct(PN: v2, PB: v3.Budg, DN: v1.DName)
+  from depts v1, Proj v3, v1.DProjs v2
+  where v3.CustName = "CitiBank" and v3.PName = v2;
+`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		doc, err := c.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(doc.Queries) != 1 {
+			b.Fatal("query missing")
+		}
 	}
 }

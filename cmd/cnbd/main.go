@@ -126,6 +126,9 @@ type server struct {
 	// per-tier latency histograms and then zero them, so each scrape
 	// reports the interval since the previous one (-hist-reset-on-scrape).
 	histResetOnScrape bool
+	// parse parses a request body: a DesignCache's Parse, so a design
+	// sent again is not parsed again.
+	parse func(src string) (*parser.Document, error)
 }
 
 // newServer builds the shared service and its HTTP mux; split from main
@@ -135,6 +138,7 @@ func newServer(opts service.Options, queryTimeout time.Duration) (*server, *http
 		svc:          service.New(opts),
 		queryTimeout: queryTimeout,
 		start:        time.Now(),
+		parse:        parser.NewDesignCache().Parse,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /optimize", s.handleOptimize)
@@ -232,7 +236,7 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	doc, target, ok := parseDocument(w, r, src)
+	doc, target, ok := s.parseDocument(w, r, src)
 	if !ok {
 		return
 	}
@@ -311,7 +315,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = time.Duration(n) * time.Millisecond
 	}
-	doc, target, ok := parseDocument(w, r, src)
+	doc, target, ok := s.parseDocument(w, r, src)
 	if !ok {
 		return
 	}
@@ -574,12 +578,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseDocument parses a cnb source body and resolves the target shared
-// by /optimize and /query: the design named by ?design (see
-// parser.Document.Target). On failure it writes the HTTP error itself
-// and returns ok=false.
-func parseDocument(w http.ResponseWriter, r *http.Request, src []byte) (*parser.Document, *parser.Target, bool) {
-	doc, err := parser.Parse(string(src))
+// parseDocument parses a cnb source body through the server's design
+// cache and resolves the target shared by /optimize and /query: the
+// design named by ?design (see parser.Document.Target). On failure it
+// writes the HTTP error itself and returns ok=false.
+func (s *server) parseDocument(w http.ResponseWriter, r *http.Request, src []byte) (*parser.Document, *parser.Target, bool) {
+	doc, err := s.parse(string(src))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "parse: %v", err)
 		return nil, nil, false

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Dependency is an embedded path-conjunctive dependency (EPCD, §5):
@@ -14,6 +15,9 @@ import (
 // first-order formula). An EPCD with no existential bindings is an EGD
 // (equality-generating dependency); functional dependencies such as the
 // paper's KEY constraints are EGDs.
+//
+// Like a Term, a dependency must not be modified once built and must not
+// be copied by value: it memoizes its String.
 type Dependency struct {
 	// Name identifies the dependency in traces and error messages
 	// (e.g. "RIC1", "ΦSI", "ΦV'").
@@ -24,6 +28,11 @@ type Dependency struct {
 
 	Conclusion      []Binding
 	ConclusionConds []Cond
+
+	// str memoizes String. It is filled on first use, so composite
+	// literals need not set it; concurrent first uses render the same
+	// string and either store wins.
+	str atomic.Pointer[string]
 }
 
 // IsEGD reports whether the dependency has no existential bindings, i.e.
@@ -88,7 +97,20 @@ func (d *Dependency) IsFull() bool {
 // String renders the dependency in the assertion syntax of the paper, e.g.
 //
 //	∀(p ∈ Proj, i ∈ dom(I)) i = p.PName and I[i] = p → ...
+//
+// The string is rendered on the first call and kept on the dependency:
+// later calls cost one atomic load.
 func (d *Dependency) String() string {
+	if s := d.str.Load(); s != nil {
+		return *s
+	}
+	s := d.render()
+	d.str.Store(&s)
+	return s
+}
+
+// render builds the String of d.
+func (d *Dependency) render() string {
 	var b strings.Builder
 	if d.Name != "" {
 		b.WriteString(d.Name)

@@ -30,7 +30,6 @@ package parser
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 )
 
@@ -48,12 +47,15 @@ const (
 
 type token struct {
 	kind tokKind
+	// text is the token's source text, sliced from the input; for a
+	// string literal it is the unescaped value.
 	text string
 	// literal values
 	i int64
 	f float64
-	s string
 
+	// off is the byte offset of the token's first character.
+	off       int
 	line, col int
 }
 
@@ -62,7 +64,7 @@ func (t token) String() string {
 	case tokEOF:
 		return "end of input"
 	case tokString:
-		return fmt.Sprintf("string %q", t.s)
+		return fmt.Sprintf("string %q", t.text)
 	default:
 		return fmt.Sprintf("%q", t.text)
 	}
@@ -74,6 +76,7 @@ type Error struct {
 	Msg       string
 }
 
+// Error renders the error as "parse error at LINE:COL: MSG".
 func (e *Error) Error() string {
 	return fmt.Sprintf("parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
@@ -83,10 +86,6 @@ type lexer struct {
 	pos  int
 	line int
 	col  int
-}
-
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
 }
 
 func (lx *lexer) errf(format string, args ...any) *Error {
@@ -119,7 +118,7 @@ func (lx *lexer) skipSpaceAndComments() error {
 			return nil
 		}
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+		case isSpace(c):
 			lx.advance()
 		case c == '-' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '-':
 			// -- line comment
@@ -144,6 +143,10 @@ func (lx *lexer) skipSpaceAndComments() error {
 	}
 }
 
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
+}
+
 func isIdentStart(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c))
 }
@@ -152,29 +155,29 @@ func isIdentPart(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
-// next returns the next token.
+// next returns the next token. Identifier, number and punctuation text
+// is sliced from the source; only a string literal with escapes builds
+// a new string.
 func (lx *lexer) next() (token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
 		return token{}, err
 	}
-	startLine, startCol := lx.line, lx.col
+	start, startLine, startCol := lx.pos, lx.line, lx.col
 	c, ok := lx.peekByte()
 	if !ok {
-		return token{kind: tokEOF, line: startLine, col: startCol}, nil
+		return token{kind: tokEOF, off: start, line: startLine, col: startCol}, nil
 	}
 	switch {
 	case isIdentStart(c):
-		var b strings.Builder
 		for {
 			c, ok := lx.peekByte()
 			if !ok || !isIdentPart(c) {
 				break
 			}
-			b.WriteByte(lx.advance())
+			lx.advance()
 		}
-		return token{kind: tokIdent, text: b.String(), line: startLine, col: startCol}, nil
+		return token{kind: tokIdent, text: lx.src[start:lx.pos], off: start, line: startLine, col: startCol}, nil
 	case unicode.IsDigit(rune(c)):
-		var b strings.Builder
 		isFloat := false
 		for {
 			c, ok := lx.peekByte()
@@ -183,40 +186,52 @@ func (lx *lexer) next() (token, error) {
 			}
 			if c == '.' && lx.pos+1 < len(lx.src) && unicode.IsDigit(rune(lx.src[lx.pos+1])) && !isFloat {
 				isFloat = true
-				b.WriteByte(lx.advance())
+				lx.advance()
 				continue
 			}
 			if !unicode.IsDigit(rune(c)) {
 				break
 			}
-			b.WriteByte(lx.advance())
+			lx.advance()
 		}
-		text := b.String()
+		text := lx.src[start:lx.pos]
 		if isFloat {
 			f, err := strconv.ParseFloat(text, 64)
 			if err != nil {
 				return token{}, lx.errf("bad float literal %q", text)
 			}
-			return token{kind: tokFloat, text: text, f: f, line: startLine, col: startCol}, nil
+			return token{kind: tokFloat, text: text, f: f, off: start, line: startLine, col: startCol}, nil
 		}
 		i, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
 			return token{}, lx.errf("bad integer literal %q", text)
 		}
-		return token{kind: tokInt, text: text, i: i, line: startLine, col: startCol}, nil
+		return token{kind: tokInt, text: text, i: i, off: start, line: startLine, col: startCol}, nil
 	case c == '"':
 		lx.advance()
-		var b strings.Builder
+		from := lx.pos
+		// val holds the unescaped value once the first escape is seen;
+		// until then the value is the source slice from..pos.
+		var val []byte
+		escaped := false
 		for {
 			c, ok := lx.peekByte()
 			if !ok {
 				return token{}, lx.errf("unterminated string literal")
 			}
 			if c == '"' {
+				text := lx.src[from:lx.pos]
+				if escaped {
+					text = string(val)
+				}
 				lx.advance()
-				return token{kind: tokString, text: b.String(), s: b.String(), line: startLine, col: startCol}, nil
+				return token{kind: tokString, text: text, off: start, line: startLine, col: startCol}, nil
 			}
 			if c == '\\' {
+				if !escaped {
+					val = append(val, lx.src[from:lx.pos]...)
+					escaped = true
+				}
 				lx.advance()
 				e, ok := lx.peekByte()
 				if !ok {
@@ -224,41 +239,56 @@ func (lx *lexer) next() (token, error) {
 				}
 				switch e {
 				case 'n':
-					b.WriteByte('\n')
+					val = append(val, '\n')
 				case 't':
-					b.WriteByte('\t')
+					val = append(val, '\t')
 				case '"':
-					b.WriteByte('"')
+					val = append(val, '"')
 				case '\\':
-					b.WriteByte('\\')
+					val = append(val, '\\')
 				default:
 					return token{}, lx.errf("unknown escape \\%c", e)
 				}
 				lx.advance()
 				continue
 			}
-			b.WriteByte(lx.advance())
+			if escaped {
+				val = append(val, c)
+			}
+			lx.advance()
 		}
 	default:
 		// Two-character punctuation.
 		if c == '-' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '>' {
 			lx.advance()
 			lx.advance()
-			return token{kind: tokPunct, text: "->", line: startLine, col: startCol}, nil
+			return token{kind: tokPunct, text: lx.src[start:lx.pos], off: start, line: startLine, col: startCol}, nil
 		}
 		switch c {
 		case '(', ')', '{', '}', '<', '>', '[', ']', ',', ':', ';', '=', '.':
 			lx.advance()
-			return token{kind: tokPunct, text: string(c), line: startLine, col: startCol}, nil
+			return token{kind: tokPunct, text: lx.src[start:lx.pos], off: start, line: startLine, col: startCol}, nil
 		}
 		return token{}, lx.errf("unexpected character %q", string(c))
 	}
 }
 
+// bytesPerToken sizes the token slice up front. cnb source averages
+// about 3.6 bytes per token (the ProjDept document: 1 223 bytes, 338
+// tokens), so a slice of len/3 tokens rarely needs to grow.
+const bytesPerToken = 3
+
 // lexAll tokenizes the whole input (including the trailing EOF token).
 func lexAll(src string) ([]token, error) {
-	lx := newLexer(src)
-	var out []token
+	return lexFrom(src, 0, 1, 1)
+}
+
+// lexFrom tokenizes src from byte offset pos, which lies at line:col,
+// to the end (including the trailing EOF token). Positions in tokens
+// and errors are those of the whole src.
+func lexFrom(src string, pos, line, col int) ([]token, error) {
+	lx := lexer{src: src, pos: pos, line: line, col: col}
+	out := make([]token, 0, (len(src)-pos)/bytesPerToken+1)
 	for {
 		t, err := lx.next()
 		if err != nil {

@@ -22,15 +22,24 @@ type Document struct {
 	Queries map[string]*core.Query
 	// Order preserves declaration order of queries.
 	QueryOrder []string
+
+	// env is the shared design environment the document's queries were
+	// parsed against when it came from a DesignCache, nil otherwise.
+	env *designEnv
 }
 
 // DesignResult is a compiled "design ... over ..." block.
 type DesignResult struct {
-	Name     string
-	Base     *schema.Schema
+	// Name is the design's name.
+	Name string
+	// Base is the logical schema the design is over.
+	Base *schema.Schema
+	// Physical declares the design's physical structures.
 	Physical *schema.Schema
+	// Combined is Base ∪ Physical, used for typing queries and plans.
 	Combined *schema.Schema
-	Deps     []*core.Dependency
+	// Deps is D′: the implementation-mapping dependencies.
+	Deps []*core.Dependency
 }
 
 // Target is what a document's queries are optimized against.
@@ -52,7 +61,20 @@ type Target struct {
 // against the logical constraints only. The dependency order is a
 // function of the document alone, so identical documents give identical
 // dependency lists — and hence identical plan-cache keys.
+//
+// For a document from a DesignCache the target of each design name is
+// built once per cached design and shared by every document parsed
+// against it, so its Deps and PhysicalNames must be treated as
+// read-only.
 func (d *Document) Target(design string) (*Target, error) {
+	if d.env != nil {
+		return d.env.target(design)
+	}
+	return d.target(design)
+}
+
+// target builds the document's target afresh (see Target).
+func (d *Document) target(design string) (*Target, error) {
 	t := &Target{}
 	if design != "" {
 		t.Design = d.Designs[design]
@@ -91,10 +113,33 @@ type parser struct {
 	// the design block currently being parsed (whose types are only
 	// computed when the block is built). Used to resolve identifiers.
 	known map[string]bool
+
+	// cut is the token index of the first top-level query, -1 before
+	// one is seen. decls records a schema or design statement before
+	// the cut, declAfterCut one after it: the statements before the cut
+	// can be cached (DesignCache) only when there is one and nothing
+	// after the cut declares more.
+	cut                 int
+	decls, declAfterCut bool
+	// shared marks a parser that continues from a cached design
+	// environment: all, known and the document's schemas and designs
+	// belong to the cache, so a schema or design statement stops the
+	// parse with errSharedEnv instead of modifying them.
+	shared bool
 }
 
 // Parse parses a source file.
 func Parse(src string) (*Document, error) {
+	p, err := parseAll(src)
+	if err != nil {
+		return nil, err
+	}
+	return p.doc, nil
+}
+
+// parseAll lexes and parses the whole of src and returns the parser,
+// whose final state a DesignCache may keep.
+func parseAll(src string) (*parser, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
@@ -108,11 +153,12 @@ func Parse(src string) (*Document, error) {
 		},
 		all:   schema.New("document"),
 		known: map[string]bool{},
+		cut:   -1,
 	}
 	if err := p.parseDocument(); err != nil {
 		return nil, err
 	}
-	return p.doc, nil
+	return p, nil
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -166,15 +212,26 @@ func (p *parser) parseDocument() error {
 			return nil
 		}
 		switch {
-		case p.at("schema"):
-			if err := p.parseSchema(); err != nil {
-				return err
+		case p.at("schema"), p.at("design"):
+			if p.shared {
+				return errSharedEnv
 			}
-		case p.at("design"):
-			if err := p.parseDesign(); err != nil {
+			if p.cut < 0 {
+				p.decls = true
+			} else {
+				p.declAfterCut = true
+			}
+			parse := p.parseSchema
+			if p.at("design") {
+				parse = p.parseDesign
+			}
+			if err := parse(); err != nil {
 				return err
 			}
 		case p.at("query"):
+			if p.cut < 0 {
+				p.cut = p.pos
+			}
 			if err := p.parseQuery(); err != nil {
 				return err
 			}
@@ -500,6 +557,7 @@ func (p *parser) parsePrimary(scope map[string]bool) (*core.Term, error) {
 			return nil, err
 		}
 		var fields []core.StructField
+		seen := map[string]bool{}
 		for !p.accept(")") {
 			if len(fields) > 0 {
 				if err := p.expect(","); err != nil {
@@ -510,6 +568,10 @@ func (p *parser) parsePrimary(scope map[string]bool) (*core.Term, error) {
 			if err != nil {
 				return nil, err
 			}
+			if seen[fname] {
+				return nil, p.errHere("duplicate field %q", fname)
+			}
+			seen[fname] = true
 			if err := p.expect(":"); err != nil {
 				return nil, err
 			}
@@ -532,7 +594,7 @@ func (p *parser) parsePrimary(scope map[string]bool) (*core.Term, error) {
 		return core.C(t.f), nil
 	case t.kind == tokString:
 		p.advance()
-		return core.C(t.s), nil
+		return core.C(t.text), nil
 	case p.accept("("):
 		inner, err := p.parseTerm(scope)
 		if err != nil {

@@ -187,7 +187,12 @@ func (s *Schema) TypeOfTerm(t *core.Term, env map[string]*types.Type) (*types.Ty
 		return bt.Elem, nil
 	case core.KStruct:
 		fs := make([]types.Field, len(t.Fields))
+		seen := map[string]bool{}
 		for i, f := range t.Fields {
+			if seen[f.Name] {
+				return nil, fmt.Errorf("schema %s: duplicate struct field %q in %s", s.Name, f.Name, t)
+			}
+			seen[f.Name] = true
 			ft, err := s.TypeOfTerm(f.Term, env)
 			if err != nil {
 				return nil, err
