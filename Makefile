@@ -45,7 +45,9 @@
 #                     greedy, instance, eval, parser).
 #   make fuzz-smoke - run each fuzz target for 10 seconds on two
 #                     workers, beyond its committed seed corpus, which
-#                     plain `go test` already replays:
+#                     plain `go test` already replays; a new input is
+#                     minimized for at most 2 s (the 60 s default would
+#                     eat most of the window):
 #                     FuzzEqualMatchesKey (the value model's Equal and
 #                     Hash against its canonical keys), FuzzParse (Parse
 #                     and Target never panic) and
@@ -129,9 +131,9 @@ race:
 	$(GO) test -race -run '^TestDesignCache' ./cmd/cnbd
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzEqualMatchesKey$$' -fuzztime 10s -parallel 2 ./internal/instance
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -parallel 2 ./internal/parser
-	$(GO) test -run '^$$' -fuzz '^FuzzCachedParseMatchesParse$$' -fuzztime 10s -parallel 2 ./internal/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzEqualMatchesKey$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/instance
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzCachedParseMatchesParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
 
 # Skipped under GOFLAGS=-short: a docs-only or fast-lane run should not
 # pay for compiling and executing every benchmark.
@@ -213,7 +215,7 @@ serve-cold:
 # order, all race-instrumented.
 serve-adaptive:
 	$(GO) test -race -count=1 \
-		-run 'TestE21Adaptive|TestPredictor|TestClassify|TestFastPlan|TestPredicted|TestSynchronousReason|TestHistogram|TestServiceHistograms|TestQueryHistograms|TestMetricsKeyOrder|TestOptimizeTierReason|TestMetricsHistResetOnScrape' \
+		-run 'TestE21Adaptive|TestPredictor|TestClassify|TestPredicted|TestSynchronousReason|TestHistogram|TestServiceHistograms|TestQueryHistograms|TestMetricsKeyOrder|TestOptimizeTierReason|TestMetricsHistResetOnScrape' \
 		./internal/bench ./internal/service ./cmd/cnbd
 
 # End-to-end smoke of the cnbd server: start it, run the example client

@@ -2,10 +2,10 @@
 // registered data instance, the queries themselves — over HTTP: the
 // paper's universal-plan optimizer as persistent infrastructure rather
 // than a one-shot CLI. Requests from any number of concurrent clients
-// share one internal/service.Service — a sharded plan table of finished
-// plans, singleflight coalescing of alpha-equivalent queries, hot-swappable statistics and
-// named hot-swappable instances, with delivered plans executed on the
-// streaming batch engine.
+// share one internal/service.Service — a sharded plan table that stores
+// finished plans and coalesces alpha-equivalent queries onto one flight,
+// hot-swappable statistics and named hot-swappable instances, with
+// delivered plans executed on the streaming batch engine.
 //
 // Endpoints: POST /optimize, POST /stats, POST /instance, GET /instance,
 // POST /query, GET /metrics, GET /healthz. The request/response schemas,
@@ -32,8 +32,8 @@
 // Usage:
 //
 //	cnbd [-addr :8343] [-parallelism N] [-cache-size N] [-cost-bounded]
-//	     [-query-timeout 30s] [-max-plan-latency 0] [-fast-plan-latency 0]
-//	     [-hist-reset-on-scrape] [-pprof-addr addr]
+//	     [-query-timeout 30s] [-max-plan-latency 0] [-hist-reset-on-scrape]
+//	     [-pprof-addr addr]
 package main
 
 import (
@@ -158,23 +158,19 @@ func main() {
 		addr         = flag.String("addr", ":8343", "listen address")
 		parallelism  = flag.Int("parallelism", 0, "backchase worker count per flight (0 = all cores)")
 		cacheSize    = flag.Int("cache-size", 0, "plan cache entry bound (0 = default, <0 = unbounded)")
-		cacheShards  = flag.Int("cache-shards", 0, "plan cache stripe count (0 = default)")
 		costBounded  = flag.Bool("cost-bounded", false, "cost-bounded best-first backchase once stats are installed")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "server-side execution deadline per /query request (0 = none)")
 		maxPlanLat   = flag.Duration("max-plan-latency", 0, "plan-latency SLO: serve the greedy tier when the backchase flight misses this budget (0 = synchronous)")
-		fastPlanLat  = flag.Duration("fast-plan-latency", 0, "predicted flight latency at or below which a shape skips the budgeted wait and serves synchronously (0 = max-plan-latency)")
 		histReset    = flag.Bool("hist-reset-on-scrape", false, "zero the per-tier latency histograms after every GET /metrics, so each scrape reports the interval since the previous one")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	)
 	flag.Parse()
 
 	srv0, mux := newServer(service.Options{
-		Parallelism:       *parallelism,
-		CacheSize:         *cacheSize,
-		CacheShards:       *cacheShards,
-		CostBounded:       *costBounded,
-		MaxPlanLatency:    *maxPlanLat,
-		FastPlanThreshold: *fastPlanLat,
+		Parallelism:    *parallelism,
+		CacheSize:      *cacheSize,
+		CostBounded:    *costBounded,
+		MaxPlanLatency: *maxPlanLat,
 	}, *queryTimeout)
 	srv0.histResetOnScrape = *histReset
 

@@ -1,7 +1,7 @@
 // Renaming-invariant query canonicalization.
 //
 // The optimizer's serving story rests on canonical query signatures: they
-// key the cross-call plan cache and the singleflight flight group, so two
+// key the service's plan table, its stored plans and live flights, so two
 // alpha-equivalent queries that canonicalize apart cost a full backchase
 // instead of a cache hit. NormalizeBindingOrder therefore must pick the
 // same binding order for every member of a query's isomorphism class —
@@ -60,8 +60,8 @@ import (
 // of the query: the minimum of Signature over every dependency-valid
 // binding order. Two queries have equal canonical signatures iff they are
 // identical up to variable renaming, binding reorder, condition
-// reorder/flip/duplication — the equivalence the plan cache and the
-// singleflight group key on. Prefer this over
+// reorder/flip/duplication — the equivalence the plan cache and its
+// coalesced flights key on. Prefer this over
 // NormalizeBindingOrder().Signature(), which performs the same search but
 // also materializes the reordered query.
 //

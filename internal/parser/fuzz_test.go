@@ -13,6 +13,7 @@ var fuzzSeeds = []string{
 	"schema S { R : set<{A: int, B: string}>; }\n-- c\nquery Q: select r.A from R r where r.B = \"x\\\"y\";\nschema T { U : set<{A: int}>; }",
 	"schema S { R : set<{A: int}>; }query Q: select r.A from R r;",
 	"schema S { R : set<{A: float}>; }\n\nquery Q: select r.A from R r where r.A = 1.5;\nquery Q: select r.A from R r;",
+	"schema S { R : set<{A: int}>; }\ndesign D over S { store R; }\ndesign D over S { view V: select struct(A: r.A) from R r; }\nquery Q: select r.A from R r;",
 }
 
 // FuzzParse checks that Parse and Target never panic, whatever the input.

@@ -747,6 +747,9 @@ func (p *parser) parseDesign() error {
 	if err != nil {
 		return err
 	}
+	if _, dup := p.doc.Designs[name]; dup {
+		return p.errHere("duplicate design %q", name)
+	}
 	if err := p.expect("over"); err != nil {
 		return err
 	}

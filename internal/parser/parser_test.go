@@ -252,6 +252,7 @@ func TestParseErrors(t *testing.T) {
 		{"bogus", "expected schema"},
 		{"schema S { R: set<{A:int}>; } design D over Missing { store R; }", "unknown base schema"},
 		{"schema S { R: set<{A:int}>; } design D over S { primary index I on R(Nope); }", "no attribute"},
+		{"schema S { R: set<{A:int}>; } design D over S { store R; } design D over S { store R; }", "duplicate design"},
 		{`schema S { R: set<{A:int}>; } query Q: select r.A from R r where r.A = 1e5;`, `expected ";"`},
 		{`schema S { R: set<{A:int}>; } query Q: select r.A from R r where r.A = @;`, "unexpected character"},
 		{`query`, "expected identifier"},

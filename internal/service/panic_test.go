@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,10 +14,10 @@ import (
 
 const panicValue = "optimizer exploded"
 
-// panicking returns a flight function that blocks until release is
-// closed and then panics.
-func panicking(release <-chan struct{}) func(context.Context) (landing, error) {
-	return func(context.Context) (landing, error) {
+// panicking returns an optimizer that blocks until release is closed
+// and then panics.
+func panicking(release <-chan struct{}) func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error) {
+	return func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error) {
 		<-release
 		panic(panicValue)
 	}
@@ -37,132 +36,90 @@ func checkPanicErr(t *testing.T, err error) {
 	}
 }
 
-// waitRefs blocks until the flight for key has want interested callers.
-func waitRefs(t *testing.T, g *flightGroup, key string, want int) {
+// liveFlight returns the table's flight for key, or nil.
+func liveFlight(tab *planTable, key string) *flight {
+	s := tab.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[key].f
+}
+
+// waitEmpty blocks until the table holds no record at all: no flight and
+// no entry.
+func waitEmpty(t *testing.T, tab *planTable) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		g.mu.Lock()
-		f := g.flights[key]
+	waitUntil(t, "an empty plan table", func() bool {
 		n := 0
-		if f != nil {
-			n = f.refs
+		for _, s := range tab.shards {
+			s.mu.Lock()
+			n += len(s.m)
+			s.mu.Unlock()
 		}
-		g.mu.Unlock()
-		if n == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("flight %q has %d callers, want %d", key, n, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return n == 0
+	})
 }
 
-// waitEmpty blocks until the group holds no flight.
-func waitEmpty(t *testing.T, g *flightGroup) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		g.mu.Lock()
-		n := len(g.flights)
-		g.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d flights left in the group after the panic", n)
-		}
-		time.Sleep(time.Millisecond)
+// TestFlightPanic: under each of the three wait budgets — none, the
+// latency budget, and zero — a flight whose optimizer panics lands the
+// panic as its error, delivers it to every caller still waiting, strands
+// no caller, leaves the table empty and counts no upgrade. Zero-budget
+// callers were served the greedy tier before the panic.
+func TestFlightPanic(t *testing.T) {
+	req := scanRequest("R")
+	key := flightKey(req, "")
+	slow := NewLatencyPredictor(0)
+	slow.observe(key, time.Hour)
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		reason TierReason
+	}{
+		{"none", Options{}, ReasonSynchronous},
+		{"budgeted", Options{MaxPlanLatency: time.Minute}, ReasonBudgeted},
+		{"zero", Options{MaxPlanLatency: time.Minute, Predictor: slow}, ReasonPredictedSlow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(tc.opts)
+			release := make(chan struct{})
+			svc.optimize = panicking(release)
+			const callers = 3
+			resps := make([]*Response, callers)
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			for i := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resps[i], errs[i] = svc.Optimize(context.Background(), req)
+				}()
+			}
+			waitUntil(t, "every caller to join the flight", func() bool {
+				c := svc.Counters()
+				return c.Flights == 1 && c.Coalesced == callers-1
+			})
+			f := liveFlight(svc.table, key)
+			if f == nil {
+				t.Fatal("no live flight for the shape")
+			}
+			close(release)
+			wg.Wait()
+			<-f.done
+			checkPanicErr(t, f.err)
+			for i := range callers {
+				if tc.reason == ReasonPredictedSlow {
+					if errs[i] != nil || resps[i].Tier != TierGreedy {
+						t.Fatalf("caller %d: err=%v, want an immediate greedy response", i, errs[i])
+					}
+					continue
+				}
+				checkPanicErr(t, errs[i])
+			}
+			waitEmpty(t, svc.table)
+			if c := svc.Counters(); c.Upgraded != 0 || c.BackchaseRuns != 0 {
+				t.Fatalf("a panicked flight counted %d upgrades, %d backchase runs", c.Upgraded, c.BackchaseRuns)
+			}
+		})
 	}
-}
-
-// TestFlightPanicDo: a flight whose function panics lands the panic as
-// every waiter's error, and leaves the group empty.
-func TestFlightPanicDo(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	const waiters = 4
-	errs := make([]error, waiters)
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = g.do(context.Background(), "k", panicking(release))
-		}(i)
-	}
-	waitRefs(t, &g, "k", waiters)
-	close(release)
-	wg.Wait()
-	for _, err := range errs {
-		checkPanicErr(t, err)
-	}
-	waitEmpty(t, &g)
-}
-
-// TestFlightPanicDoDetached: budgeted waiters still inside their budget
-// get the panic as their error; a waiter whose budget expired was served
-// greedy and the panicking flight is not counted as an upgrade.
-func TestFlightPanicDoDetached(t *testing.T) {
-	var g flightGroup
-	var upgrades atomic.Int64
-	g.onUpgrade = func(*planEntry) { upgrades.Add(1) }
-	release := make(chan struct{})
-	const waiters = 3
-	errs := make([]error, waiters)
-	landedAll := make([]bool, waiters)
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, landedAll[i], errs[i] = g.doDetached(context.Background(), "k", time.Minute, panicking(release))
-		}(i)
-	}
-	waitRefs(t, &g, "k", waiters)
-
-	// One more caller whose budget expires before the panic.
-	_, _, landed, err := g.doDetached(context.Background(), "k", time.Millisecond, panicking(release))
-	if landed || err != nil {
-		t.Fatalf("expired budget: landed=%v err=%v, want greedy service", landed, err)
-	}
-	close(release)
-	wg.Wait()
-	for i, err := range errs {
-		if !landedAll[i] {
-			t.Fatalf("waiter %d: flight did not land within a minute", i)
-		}
-		checkPanicErr(t, err)
-	}
-	waitEmpty(t, &g)
-	if n := upgrades.Load(); n != 0 {
-		t.Fatalf("a panicked flight counted %d upgrades", n)
-	}
-}
-
-// TestFlightPanicDoImmediate: a detached flight nobody waits for panics
-// without taking the process down, and is removed from the group; a
-// waiter that joined it through do still receives the panic.
-func TestFlightPanicDoImmediate(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	_, _, landed, err := g.doImmediate(context.Background(), "k", panicking(release))
-	if landed || err != nil {
-		t.Fatalf("doImmediate: landed=%v err=%v, want an immediate greedy return", landed, err)
-	}
-	var wg sync.WaitGroup
-	var waitErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, waitErr = g.do(context.Background(), "k", panicking(release))
-	}()
-	waitRefs(t, &g, "k", 1)
-	close(release)
-	wg.Wait()
-	checkPanicErr(t, waitErr)
-	waitEmpty(t, &g)
 }
 
 // TestQueryCountsOptimizerPanic: a panicking optimizer fails the /query
@@ -179,7 +136,7 @@ func TestQueryCountsOptimizerPanic(t *testing.T) {
 	if qc.PlanErrors != 1 || qc.Queries != 0 || qc.ExecErrors != 0 {
 		t.Fatalf("counters = %+v, want exactly one plan error", qc)
 	}
-	waitEmpty(t, &svc.group)
+	waitEmpty(t, svc.table)
 
 	svc.optimize = optimizer.OptimizeContext
 	if _, err := svc.Query(context.Background(), QueryRequest{Request: req, Instance: "pd"}); err != nil {

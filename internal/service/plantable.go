@@ -1,22 +1,34 @@
-// The plan table: the service's one cache of finished optimizations.
+// The plan table: the service's one table of query shapes.
 //
 // Algorithm 1 — chase, backchase, cost-based ranking — is a pure function
 // of the query, the dependency set, the physical restriction and the
-// statistics, so the table stores its finished, ranked outcome under the
-// request's flight key and consults it before any flight starts: a warm
-// request is a canonical signature and a lookup, with no chase, no
-// backchase and no ranking. The table is split into mutex-striped shards
-// keyed by a hash of the key, each keeping true LRU recency, so
+// statistics, so a shape, named by its flight key, has one lifecycle:
+// absent, in flight, stored, then evicted or invalidated. The table holds
+// one record per shape that is not absent: the live flight computing it,
+// or its finished, ranked outcome. A request makes one locked
+// lookup-or-join. A stored entry is a hit — a canonical signature and a
+// lookup, with no chase, no backchase and no ranking — a live flight is
+// joined, and otherwise the request starts the flight. So K concurrent
+// requests for one shape trigger exactly one optimizer run, and no
+// flight can start while the shape's entry is stored. The flight
+// publishes under the same lock, in one step: the entry replaces the
+// flight in the shape's record and every waiter is released.
+//
+// The table is split into mutex-striped shards keyed by a hash of the
+// key, each keeping true LRU recency over its stored entries, so
 // concurrent requests for different shapes do not contend on one lock
 // and a churn of never-repeating shapes evicts the coldest entry.
+// Flights never count against the capacity and are never evicted.
 
 package service
 
 import (
 	"container/list"
+	"context"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cnb/internal/core"
 	"cnb/internal/cost"
@@ -28,11 +40,11 @@ import (
 // not accumulate entries without limit.
 const DefaultCacheSize = 1024
 
-// DefaultCacheShards is the stripe count when Options.CacheShards is
-// zero. Sixteen shards keep lock hold times short under the 16-worker
-// load profiles the serving layer is gated on, while every shard still
-// holds enough entries (64 at the default size) for per-shard LRU to
-// approximate global LRU closely.
+// DefaultCacheShards is the plan table's stripe count. Sixteen shards
+// keep lock hold times short under the 16-worker load profiles the
+// serving layer is gated on, while every shard still holds enough
+// entries (64 at the default size) for per-shard LRU to approximate
+// global LRU closely.
 const DefaultCacheShards = 16
 
 // minShardCapacity is the smallest per-shard entry budget striping may
@@ -41,6 +53,17 @@ const DefaultCacheShards = 16
 // sit empty, so small tables collapse toward fewer (ultimately one)
 // shard, where eviction order is globally exact.
 const minShardCapacity = 8
+
+// noBudget is the wait budget of a caller that waits for its flight
+// however long it takes.
+const noBudget time.Duration = -1
+
+// expiredBudget is the expiry channel of a zero budget: already fired.
+var expiredBudget = func() <-chan time.Time {
+	c := make(chan time.Time)
+	close(c)
+	return c
+}()
 
 // CacheCounters is a snapshot of the plan table's lifetime counters,
 // each maintained with an atomic so it is counted exactly once under
@@ -73,8 +96,8 @@ type planEntry struct {
 	// statistics snapshot; a hit under another snapshot re-ranks the
 	// executable pool once and replaces it (see result).
 	ranked atomic.Pointer[ranking]
-	// upgraded marks an entry landed by a detached flight after at least
-	// one of its callers was served the greedy tier.
+	// upgraded marks an entry published by a flight after at least one
+	// of its callers was served the greedy tier.
 	upgraded atomic.Bool
 }
 
@@ -129,17 +152,55 @@ func (e *planEntry) result(snap *statsSnapshot) *optimizer.Result {
 	return next.res
 }
 
-// tableShard is one mutex-striped slice of the table: a map for lookup
-// plus a recency list (front = most recently used).
+// flight is one in-progress optimization, shared by every request for
+// its shape that arrives before it publishes.
+type flight struct {
+	key string
+	// ctx is the optimizer run's context: detached from every caller's
+	// cancellation (context.WithoutCancel of the first caller's, so
+	// request-scoped values still flow), and cancelled when the flight
+	// publishes or is abandoned (see planTable.wait).
+	ctx    context.Context
+	cancel context.CancelFunc
+	// done is closed at publish, after e and err are set.
+	done chan struct{}
+	e    *planEntry
+	err  error
+
+	// The fields below are guarded by the shard's mutex.
+
+	// refs counts the callers still waiting on the outcome.
+	refs int
+	// detached marks a flight a budgeted caller left before it landed:
+	// it runs to completion whatever its other callers do, since the
+	// shape's later requests are owed its entry.
+	detached bool
+	// greedyServed records that a caller's budget expired and it was
+	// served the greedy tier; publishing such a flight without error is
+	// an upgrade.
+	greedyServed bool
+}
+
+// record is the table's state for one shape: exactly one of el (the
+// stored entry, an element of the shard's LRU list holding a
+// *planEntry) and f (the live flight) is set.
+type record struct {
+	el *list.Element
+	f  *flight
+}
+
+// tableShard is one mutex-striped slice of the table: the shapes' records
+// plus a recency list of the stored entries (front = most recently
+// used).
 type tableShard struct {
 	mu         sync.Mutex
-	m          map[string]*list.Element // value: *planEntry
+	m          map[string]record
 	ll         *list.List
 	maxEntries int // <= 0 means unbounded
 }
 
-// planTable is the sharded LRU of finished optimizations. Safe for
-// concurrent use.
+// planTable is the sharded table of query shapes. Safe for concurrent
+// use.
 type planTable struct {
 	shards []*tableShard
 	seed   maphash.Seed
@@ -150,18 +211,16 @@ type planTable struct {
 	invalidated atomic.Int64
 }
 
-// newPlanTable returns an empty table bounded to n entries (n <= 0 means
-// unbounded) split across the given number of shards (values < 1 mean
-// 1). With a bounded size the shard count is clamped so every shard
-// holds at least minShardCapacity entries, and n is distributed so the
-// shard capacities sum to exactly n. A single shard makes recency and
-// eviction order globally exact.
-func newPlanTable(n, shards int) *planTable {
-	if shards < 1 {
-		shards = 1
-	}
-	if n > 0 && shards > n/minShardCapacity {
-		shards = max(n/minShardCapacity, 1)
+// newPlanTable returns an empty table bounded to n stored entries
+// (n <= 0 means unbounded) across DefaultCacheShards shards. With a
+// bounded size the shard count is clamped so every shard holds at least
+// minShardCapacity entries, and n is distributed so the shard capacities
+// sum to exactly n. A single shard makes recency and eviction order
+// globally exact.
+func newPlanTable(n int) *planTable {
+	shards := DefaultCacheShards
+	if n > 0 {
+		shards = min(shards, max(n/minShardCapacity, 1))
 	}
 	t := &planTable{shards: make([]*tableShard, shards), seed: maphash.MakeSeed()}
 	for i := range t.shards {
@@ -172,7 +231,7 @@ func newPlanTable(n, shards int) *planTable {
 				capacity++
 			}
 		}
-		t.shards[i] = &tableShard{m: map[string]*list.Element{}, ll: list.New(), maxEntries: capacity}
+		t.shards[i] = &tableShard{m: map[string]record{}, ll: list.New(), maxEntries: capacity}
 	}
 	return t
 }
@@ -185,43 +244,127 @@ func (t *planTable) shard(key string) *tableShard {
 	return t.shards[maphash.String(t.seed, key)%uint64(len(t.shards))]
 }
 
-// get returns the entry for key, refreshing its recency and counting a
-// hit, or nil. A miss is not counted here: the flight that then runs the
-// optimizer counts it, so a request that coalesces onto another's flight
-// is neither.
-func (t *planTable) get(key string) *planEntry {
+// lookup is a request's one locked step into the table. A stored entry
+// is a hit: its recency is refreshed and it is returned. Otherwise the
+// request joins the shape's live flight (owner false: it is coalesced)
+// or, when there is none, registers a new flight — the miss — that the
+// caller must run and publish (owner true); ctx seeds its context.
+func (t *planTable) lookup(ctx context.Context, key string) (e *planEntry, f *flight, owner bool) {
 	s := t.shard(key)
 	s.mu.Lock()
-	el, ok := s.m[key]
-	if !ok {
+	rec := s.m[key]
+	switch {
+	case rec.el != nil:
+		s.ll.MoveToFront(rec.el)
 		s.mu.Unlock()
-		return nil
+		t.hits.Add(1)
+		return rec.el.Value.(*planEntry), nil, false
+	case rec.f != nil:
+		rec.f.refs++
+		s.mu.Unlock()
+		return nil, rec.f, false
 	}
-	s.ll.MoveToFront(el)
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	f = &flight{key: key, ctx: fctx, cancel: cancel, done: make(chan struct{}), refs: 1}
+	s.m[key] = record{f: f}
 	s.mu.Unlock()
-	t.hits.Add(1)
-	return el.Value.(*planEntry)
+	t.misses.Add(1)
+	return nil, f, true
 }
 
-// put stores e and returns the entry now held for its key. First writer
-// wins: a racing flight for the same key computed an equivalent result,
-// so overwriting would only churn. A full shard evicts its
-// least-recently-used entry first.
-func (t *planTable) put(e *planEntry) *planEntry {
-	s := t.shard(e.key)
+// wait blocks until f publishes, the caller's budget expires or ctx is
+// cancelled, and reports whether the flight's own outcome (e, err) is
+// returned. A budget of noBudget never expires; zero expires at once.
+//
+// A caller that leaves early gets (nil, false, ctx.Err()) on
+// cancellation, and (nil, false, nil) on budget expiry after marking the
+// flight greedy-served: it serves the greedy tier. A budgeted caller
+// that leaves detaches the flight, which then runs to completion and
+// stores its entry. When the last caller leaves a flight that is not
+// detached, the flight is cancelled and its record dropped: nobody would
+// consume the outcome. Leaving and publishing both hold the shard's
+// lock, so a caller either sees the flight published and serves its
+// outcome, or marks it before publish reads the marks — never both,
+// never neither.
+func (t *planTable) wait(ctx context.Context, f *flight, budget time.Duration) (*planEntry, bool, error) {
+	var expired <-chan time.Time
+	switch {
+	case budget == 0:
+		expired = expiredBudget
+	case budget > 0:
+		timer := time.NewTimer(budget)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	var err error
+	select {
+	case <-f.done:
+		return f.e, true, f.err
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-expired:
+	}
+	s := t.shard(f.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.m[e.key]; ok {
-		return el.Value.(*planEntry)
+	select {
+	case <-f.done:
+		// Published while this caller was leaving: serve the outcome.
+		return f.e, true, f.err
+	default:
 	}
-	if s.maxEntries > 0 && s.ll.Len() >= s.maxEntries {
-		back := s.ll.Back()
-		s.ll.Remove(back)
-		delete(s.m, back.Value.(*planEntry).key)
-		t.evictions.Add(1)
+	f.refs--
+	if budget != noBudget {
+		f.detached = true
 	}
-	s.m[e.key] = s.ll.PushFront(e)
-	return e
+	if err == nil {
+		f.greedyServed = true
+	}
+	if f.refs == 0 && !f.detached {
+		// Unpublished, so the shape's record is still this flight's.
+		f.cancel()
+		delete(s.m, f.key)
+	}
+	return nil, false, err
+}
+
+// publish ends f in one step under its shard's lock. It stores e as the
+// shape's entry — unless the run errored, a cap truncated it, or it is a
+// cost-bounded entry whose fingerprint is no longer the current
+// snapshot's — and otherwise drops the shape's record; marks e upgraded
+// when a caller was served the greedy tier; and releases every waiter.
+// It reports whether the landing is an upgrade. An abandoned flight
+// (its record already dropped) stores nothing.
+//
+// The fingerprint is read under the lock, and SetStats installs its
+// snapshot before sweeping: a stale entry either sees the new
+// fingerprint here and is refused, or is stored before the sweep
+// reaches its shard and is dropped by it.
+func (t *planTable) publish(f *flight, e *planEntry, err error, stats *atomic.Pointer[statsSnapshot]) bool {
+	s := t.shard(f.key)
+	s.mu.Lock()
+	f.e, f.err = e, err
+	upgraded := f.greedyServed && err == nil
+	if upgraded {
+		e.upgraded.Store(true)
+	}
+	if s.m[f.key].f == f {
+		if err == nil && !e.ranked.Load().res.Truncated && (e.statsFP == "" || e.statsFP == stats.Load().fp) {
+			if s.maxEntries > 0 && s.ll.Len() >= s.maxEntries {
+				back := s.ll.Back()
+				s.ll.Remove(back)
+				delete(s.m, back.Value.(*planEntry).key)
+				t.evictions.Add(1)
+			}
+			s.m[f.key] = record{el: s.ll.PushFront(e)}
+		} else {
+			delete(s.m, f.key)
+		}
+	}
+	close(f.done)
+	s.mu.Unlock()
+	f.cancel()
+	return upgraded
 }
 
 // invalidate drops every cost-bounded entry enumerated under statistics
@@ -254,7 +397,7 @@ func (t *planTable) size() int {
 	n := 0
 	for _, s := range t.shards {
 		s.mu.Lock()
-		n += len(s.m)
+		n += s.ll.Len()
 		s.mu.Unlock()
 	}
 	return n

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cnb/internal/chase"
@@ -19,11 +21,41 @@ func testEntry(key, statsFP string) *planEntry {
 	return newPlanEntry(key, statsFP, &optimizer.Result{}, statsFP)
 }
 
+// store runs e's shape through the table the way a request does: a
+// lookup that misses starts a flight, which publishes e under the
+// statistics fingerprint fp. It returns the entry the table serves for
+// the key — the stored one when the lookup hits.
+func store(tab *planTable, e *planEntry, fp string) *planEntry {
+	hit, f, owner := tab.lookup(context.Background(), e.key)
+	if hit != nil {
+		return hit
+	}
+	if !owner {
+		panic("store: joined another caller's flight")
+	}
+	var stats atomic.Pointer[statsSnapshot]
+	stats.Store(&statsSnapshot{fp: fp})
+	tab.publish(f, e, nil, &stats)
+	return e
+}
+
+// get looks key up, returning its stored entry or nil. A miss leaves no
+// flight behind.
+func get(tab *planTable, key string) *planEntry {
+	e, f, _ := tab.lookup(context.Background(), key)
+	if f != nil {
+		var stats atomic.Pointer[statsSnapshot]
+		stats.Store(&statsSnapshot{})
+		tab.publish(f, nil, errors.New("probe"), &stats)
+	}
+	return e
+}
+
 // TestPlanTableEvictsWhenFull: the entry cap evicts rather than grows.
 func TestPlanTableEvictsWhenFull(t *testing.T) {
-	tab := newPlanTable(2, 1)
+	tab := newPlanTable(2)
 	for _, k := range []string{"a", "b", "c"} {
-		tab.put(testEntry(k, ""))
+		store(tab, testEntry(k, ""), "")
 	}
 	if n := tab.size(); n != 2 {
 		t.Fatalf("table holds %d entries, want 2", n)
@@ -34,27 +66,28 @@ func TestPlanTableEvictsWhenFull(t *testing.T) {
 }
 
 // TestPlanTableLRUSingleShard pins the exact LRU and counter semantics
-// on a single shard: a get refreshes recency, so the untouched entry is
-// the victim; first writer wins; only gets count hits.
+// on a single shard: a hit refreshes recency, so the untouched entry is
+// the victim; a stored shape is a hit, never a second flight; every
+// lookup is exactly one hit or one miss.
 func TestPlanTableLRUSingleShard(t *testing.T) {
-	tab := newPlanTable(2, 1)
-	a := tab.put(testEntry("a", ""))
-	tab.put(testEntry("b", ""))
-	if got := tab.get("a"); got != a {
-		t.Fatal("get returned a different entry than the one stored")
+	tab := newPlanTable(2)
+	a := store(tab, testEntry("a", ""), "")
+	store(tab, testEntry("b", ""), "")
+	if got := get(tab, "a"); got != a {
+		t.Fatal("lookup returned a different entry than the one stored")
 	}
-	if again := tab.put(testEntry("a", "")); again != a {
-		t.Fatal("second put for a key must keep (and return) the first entry")
+	if again := store(tab, testEntry("a", ""), ""); again != a {
+		t.Fatal("a stored shape must serve (and keep) its first entry")
 	}
-	tab.put(testEntry("c", "")) // evicts b, the least recently used
-	if tab.get("b") != nil {
+	store(tab, testEntry("c", ""), "") // evicts b, the least recently used
+	if get(tab, "b") != nil {
 		t.Fatal("b should have been evicted")
 	}
-	if tab.get("a") == nil || tab.get("c") == nil {
+	if get(tab, "a") == nil || get(tab, "c") == nil {
 		t.Fatal("a and c must survive")
 	}
-	if c := tab.counters(); c.Hits != 3 || c.Misses != 0 || c.Evictions != 1 {
-		t.Fatalf("counters = %+v, want 3 hits, 0 misses, 1 eviction", c)
+	if c := tab.counters(); c.Hits != 4 || c.Misses != 4 || c.Evictions != 1 {
+		t.Fatalf("counters = %+v, want 4 hits, 4 misses, 1 eviction", c)
 	}
 }
 
@@ -62,11 +95,11 @@ func TestPlanTableLRUSingleShard(t *testing.T) {
 // few shards so no shard drops below minShardCapacity, and the shard
 // capacities always sum to exactly the configured bound.
 func TestPlanTableSmallSizeSingleShard(t *testing.T) {
-	if n := len(newPlanTable(4, DefaultCacheShards).shards); n != 1 {
+	if n := len(newPlanTable(4).shards); n != 1 {
 		t.Fatalf("4-entry table has %d shards, want 1", n)
 	}
 	for _, size := range []int{4, 9, 100, 1000, 1024} {
-		tab := newPlanTable(size, DefaultCacheShards)
+		tab := newPlanTable(size)
 		total := 0
 		for _, s := range tab.shards {
 			if s.maxEntries < minShardCapacity && len(tab.shards) > 1 {
@@ -78,37 +111,43 @@ func TestPlanTableSmallSizeSingleShard(t *testing.T) {
 			t.Errorf("size %d: shard capacities sum to %d", size, total)
 		}
 	}
-	if n := len(newPlanTable(-1, DefaultCacheShards).shards); n != DefaultCacheShards {
+	if n := len(newPlanTable(-1).shards); n != DefaultCacheShards {
 		t.Errorf("unbounded table has %d shards, want %d", n, DefaultCacheShards)
 	}
 }
 
 // TestPlanTableInvalidateStats: only cost-bounded entries enumerated
 // under a differing fingerprint are dropped; exhaustive entries (empty
-// fingerprint) and current-fingerprint entries stay.
+// fingerprint) and current-fingerprint entries stay. A cost-bounded
+// entry published under a fingerprint that is no longer current is
+// refused.
 func TestPlanTableInvalidateStats(t *testing.T) {
-	tab := newPlanTable(8, 4)
-	tab.put(testEntry("free", ""))
-	tab.put(testEntry("old", "fpA"))
-	tab.put(testEntry("cur", "fpB"))
+	tab := newPlanTable(8)
+	store(tab, testEntry("free", ""), "fpA")
+	store(tab, testEntry("old", "fpA"), "fpA")
+	store(tab, testEntry("cur", "fpB"), "fpB")
 	if n := tab.invalidate("fpB"); n != 1 {
 		t.Fatalf("invalidated %d, want 1", n)
 	}
-	if tab.get("old") != nil {
+	if get(tab, "old") != nil {
 		t.Fatal("stale-fingerprint entry survived")
 	}
-	if tab.get("free") == nil || tab.get("cur") == nil {
+	if get(tab, "free") == nil || get(tab, "cur") == nil {
 		t.Fatal("exhaustive and current entries must survive")
+	}
+	store(tab, testEntry("late", "fpA"), "fpB")
+	if get(tab, "late") != nil {
+		t.Fatal("an entry published under an obsolete fingerprint was stored")
 	}
 	if c := tab.counters(); c.Invalidated != 1 || c.Evictions != 0 {
 		t.Fatalf("counters = %+v, want 1 invalidated, 0 evictions", c)
 	}
 }
 
-// TestPlanTableConcurrentAccess hammers get/put/invalidate across shards
-// (meaningful under -race) and checks the bound holds throughout.
+// TestPlanTableConcurrentAccess hammers lookup/publish/invalidate across
+// shards (meaningful under -race) and checks the bound holds throughout.
 func TestPlanTableConcurrentAccess(t *testing.T) {
-	tab := newPlanTable(64, DefaultCacheShards)
+	tab := newPlanTable(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -116,8 +155,15 @@ func TestPlanTableConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (w*31+i)%200)
-				if tab.get(key) == nil {
-					tab.put(testEntry(key, fmt.Sprintf("fp%d", i%3)))
+				fp := fmt.Sprintf("fp%d", i%3)
+				if e, f, owner := tab.lookup(context.Background(), key); e == nil {
+					if owner {
+						var stats atomic.Pointer[statsSnapshot]
+						stats.Store(&statsSnapshot{fp: fp})
+						tab.publish(f, testEntry(key, fp), nil, &stats)
+					} else {
+						tab.wait(context.Background(), f, noBudget)
+					}
 				}
 				if i%100 == 0 {
 					tab.invalidate("fp0")
@@ -198,16 +244,19 @@ func TestPlanTableSkipsTruncatedRuns(t *testing.T) {
 		t.Fatalf("errored run stored %d entries", n)
 	}
 
-	svc := New(Options{})
-	snap := svc.stats.Load()
-	if e := svc.land("truncated", "", snap, &optimizer.Result{Truncated: true}); e == nil {
-		t.Fatal("a truncated run must still yield an entry to serve")
+	tab := newPlanTable(0)
+	_, f, _ := tab.lookup(context.Background(), "truncated")
+	var stats atomic.Pointer[statsSnapshot]
+	stats.Store(&statsSnapshot{})
+	tab.publish(f, newPlanEntry("truncated", "", &optimizer.Result{Truncated: true}, ""), nil, &stats)
+	if e, landed, err := tab.wait(context.Background(), f, noBudget); e == nil || !landed || err != nil {
+		t.Fatalf("a truncated run must still yield an entry to serve: e=%v landed=%v err=%v", e, landed, err)
 	}
-	if n := svc.CacheLen(); n != 0 {
+	if n := tab.size(); n != 0 {
 		t.Fatalf("truncated run stored %d entries", n)
 	}
-	svc.land("complete", "", snap, &optimizer.Result{})
-	if n := svc.CacheLen(); n != 1 {
+	store(tab, testEntry("complete", ""), "")
+	if n := tab.size(); n != 1 {
 		t.Fatalf("complete run stored %d entries, want 1", n)
 	}
 }
@@ -399,7 +448,7 @@ func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
 		}
 	}
 
-	stored := svc.table.get(flightKey(req, "")).ranked.Load().res
+	stored := get(svc.table, flightKey(req, "")).ranked.Load().res
 	again, err := svc.Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)

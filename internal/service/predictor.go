@@ -105,13 +105,8 @@ func (p *LatencyPredictor) shard(key string) *predShard {
 	return &p.shards[h.Sum32()&(predictorShards-1)]
 }
 
-// observe folds one landed flight's latency into the key's entry. cached
-// reports that the flight found its plan table entry already stored
-// (another flight for the key landed first) instead of optimizing: such
-// a landing overwrites the EWMA outright instead of averaging, because
-// the stored entry — not the enumeration history — now decides how the
-// family is served.
-func (p *LatencyPredictor) observe(key string, d time.Duration, cached bool) {
+// observe folds one landed flight's latency into the key's entry.
+func (p *LatencyPredictor) observe(key string, d time.Duration) {
 	s := p.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -128,8 +123,6 @@ func (p *LatencyPredictor) observe(key string, d time.Duration, cached bool) {
 		e = &predEntry{ewma: d}
 		s.entries[key] = e
 		s.order = append(s.order, key)
-	} else if cached {
-		e.ewma = d
 	} else {
 		e.ewma = time.Duration(predictorAlpha*float64(d) + (1-predictorAlpha)*float64(e.ewma))
 	}

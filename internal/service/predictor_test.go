@@ -34,23 +34,21 @@ func TestPredictorColdStart(t *testing.T) {
 }
 
 // TestPredictorEWMARules pins the update discipline: a first observation
-// seeds the EWMA, fresh enumerations average in with weight 1/2, and a
-// cache-hit landing overwrites outright — after any landing the plan
-// cache holds the entry, so the cache-hit latency is the best predictor
-// of the family's next flight. Max tracks the worst case either way.
+// seeds the EWMA, and later ones average in with weight 1/2. Max tracks
+// the worst case.
 func TestPredictorEWMARules(t *testing.T) {
 	p := NewLatencyPredictor(0)
-	p.observe("k", 100*time.Millisecond, false)
+	p.observe("k", 100*time.Millisecond)
 	if got, ok := p.predict("k"); !ok || got != 100*time.Millisecond {
 		t.Fatalf("after seed: ewma=%v ok=%v, want 100ms", got, ok)
 	}
-	p.observe("k", 200*time.Millisecond, false)
+	p.observe("k", 200*time.Millisecond)
 	if got, _ := p.predict("k"); got != 150*time.Millisecond {
 		t.Fatalf("after averaging: ewma=%v, want 150ms", got)
 	}
-	p.observe("k", time.Millisecond, true)
-	if got, _ := p.predict("k"); got != time.Millisecond {
-		t.Fatalf("after cache-hit overwrite: ewma=%v, want 1ms", got)
+	p.observe("k", 2*time.Millisecond)
+	if got, _ := p.predict("k"); got != 76*time.Millisecond {
+		t.Fatalf("after a fast landing: ewma=%v, want 76ms", got)
 	}
 	e := p.shard("k").entries["k"]
 	if e.max != 200*time.Millisecond {
@@ -118,8 +116,8 @@ func TestPredictorEvictionAtCapacity(t *testing.T) {
 		}
 		seen[s] = k
 	}
-	p.observe(first, time.Millisecond, false)
-	p.observe(second, 2*time.Millisecond, false)
+	p.observe(first, time.Millisecond)
+	p.observe(second, 2*time.Millisecond)
 	if _, ok := p.predict(first); ok {
 		t.Fatalf("oldest key %q not evicted at capacity", first)
 	}
@@ -173,37 +171,43 @@ func TestPredictorStatsSwapInvalidates(t *testing.T) {
 	}
 }
 
-// TestClassifyUpgradedOverridesSlowEWMA: a shape whose (upgraded) plan
-// table entry is present routes predicted-fast even while the EWMA still
-// remembers the slow enumeration — answering it is a lookup.
+// TestClassifyUpgradedOverridesSlowEWMA: a shape whose plan table entry
+// is present is served predicted-fast from it even while the EWMA
+// remembers a slow enumeration — answering it is a lookup.
 func TestClassifyUpgradedOverridesSlowEWMA(t *testing.T) {
-	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 2 * time.Millisecond})
-	const key = "some-shape"
-	svc.predictor.observe(key, time.Minute, false)
-	if got := svc.classify(key, false); got != ReasonPredictedSlow {
+	req, _ := projDeptRequest(t)
+	key := flightKey(req, "")
+	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 30 * time.Second})
+	if _, err := svc.Optimize(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	for range 8 {
+		svc.predictor.observe(key, time.Hour)
+	}
+	if got, _ := svc.classify(key); got != ReasonPredictedSlow {
 		t.Fatalf("slow EWMA classifies %q, want predicted-slow", got)
 	}
-	if got := svc.classify(key, true); got != ReasonPredictedFast {
-		t.Fatalf("shape with a table entry classifies %q, want predicted-fast", got)
+	resp, err := svc.Optimize(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.TierReason != ReasonPredictedFast || !resp.CacheHit {
+		t.Fatalf("shape with a table entry: reason=%q cacheHit=%v, want predicted-fast/true", resp.TierReason, resp.CacheHit)
 	}
 }
 
-// TestFastPlanThresholdSplitsBudget: with FastPlanThreshold below
-// MaxPlanLatency, a shape whose EWMA lands between the two routes
-// predicted-slow — the budget alone no longer decides.
-func TestFastPlanThresholdSplitsBudget(t *testing.T) {
-	svc := New(Options{
-		MinimalOnly:       true,
-		MaxPlanLatency:    100 * time.Millisecond,
-		FastPlanThreshold: 10 * time.Millisecond,
-	})
-	svc.predictor.observe("between", 50*time.Millisecond, false)
-	if got := svc.classify("between", false); got != ReasonPredictedSlow {
-		t.Fatalf("EWMA between threshold and budget classifies %q, want predicted-slow", got)
+// TestClassifySplitsAtBudget: MaxPlanLatency alone splits the trained
+// shapes — an EWMA above the budget routes predicted-slow, one within it
+// predicted-fast.
+func TestClassifySplitsAtBudget(t *testing.T) {
+	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 10 * time.Millisecond})
+	svc.predictor.observe("over", 50*time.Millisecond)
+	if got, _ := svc.classify("over"); got != ReasonPredictedSlow {
+		t.Fatalf("EWMA over the budget classifies %q, want predicted-slow", got)
 	}
-	svc.predictor.observe("under", 5*time.Millisecond, true)
-	if got := svc.classify("under", false); got != ReasonPredictedFast {
-		t.Fatalf("EWMA under threshold classifies %q, want predicted-fast", got)
+	svc.predictor.observe("under", 5*time.Millisecond)
+	if got, _ := svc.classify("under"); got != ReasonPredictedFast {
+		t.Fatalf("EWMA under the budget classifies %q, want predicted-fast", got)
 	}
 }
 
@@ -214,7 +218,7 @@ func TestPredictedSlowServesGreedyInstantly(t *testing.T) {
 	req := coldStarRequest(t)
 	pred := NewLatencyPredictor(0)
 	key := flightKey(req, "")
-	pred.observe(key, time.Minute, false)
+	pred.observe(key, time.Minute)
 
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 10 * time.Second, Predictor: pred})
 	resp, err := svc.Optimize(context.Background(), req)

@@ -31,8 +31,7 @@ var ErrNoExecutablePlan = errors.New("no executable plan")
 // registered instance.
 type QueryRequest struct {
 	// Request is the optimization request (query, deps, physical names);
-	// it goes through the plan table and singleflight exactly like
-	// Optimize.
+	// it goes through the plan table exactly like Optimize.
 	Request
 	// Instance names the registered instance to execute against.
 	Instance string
@@ -76,9 +75,9 @@ type QueryResponse struct {
 	ExecDur time.Duration
 }
 
-// Query optimizes the request through the plan table/singleflight
-// and executes the delivered plan against the named instance on the
-// streaming batch engine. The ranked candidate pool is walked cheapest
+// Query optimizes the request through the plan table and executes the
+// delivered plan against the named instance on the streaming batch
+// engine. The ranked candidate pool is walked cheapest
 // first, skipping candidates whose unguarded failing lookups error on
 // this instance's data — the same delivery rule E18 gates. ctx bounds
 // the whole request: cancellation aborts both the optimizer wait and the

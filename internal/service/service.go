@@ -5,19 +5,19 @@
 // logical queries and physical access paths rather than as a one-shot
 // library call.
 //
-// Three mechanisms make it serve rather than serialize:
+// Two mechanisms make it serve rather than serialize:
 //
-//   - the plan table (plantable.go) is a sharded true-LRU of finished,
-//     ranked optimizations keyed by the flight key — the canonical,
-//     renaming-invariant query signature, the dependency set and the
-//     physical restriction — and consulted before any flight starts, so
-//     a repeated (even alpha-renamed) query shape runs no chase, no
-//     backchase and no ranking, and concurrent shapes do not contend on
-//     one lock;
-//   - singleflight coalescing: K concurrent requests for alpha-equivalent
-//     queries that miss the table trigger exactly one optimizer run and
-//     K-1 waiters, each cancellable without cancelling the flight or
-//     poisoning the table;
+//   - the plan table (plantable.go) holds one record per query shape,
+//     keyed by the flight key — the canonical, renaming-invariant query
+//     signature, the dependency set and the physical restriction: the
+//     shape's finished, ranked optimization in a sharded true-LRU, or
+//     the live flight computing it. A request makes one locked
+//     lookup-or-join, so a repeated (even alpha-renamed) query shape
+//     runs no chase, no backchase and no ranking; K concurrent requests
+//     for a shape that is not stored trigger exactly one optimizer run
+//     and K-1 waiters, each cancellable without cancelling the flight or
+//     poisoning the table; and concurrent shapes do not contend on one
+//     lock;
 //   - atomic statistics hot-swap: SetStats installs a new cost.Stats
 //     snapshot with one pointer store. Entries of cost-bounded searches,
 //     whose enumeration depended on the old statistics, are dropped;
@@ -52,6 +52,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -66,8 +67,8 @@ import (
 )
 
 // Options configures a Service. The zero value is usable: uniform cost
-// defaults, exhaustive backchase, a DefaultCacheSize plan table across
-// DefaultCacheShards shards, all cores.
+// defaults, exhaustive backchase, a DefaultCacheSize plan table, all
+// cores.
 type Options struct {
 	// Parallelism is the backchase worker count per flight
 	// (0 = all cores, 1 = serial).
@@ -75,9 +76,6 @@ type Options struct {
 	// CacheSize bounds the plan table (0 = DefaultCacheSize,
 	// < 0 = unbounded).
 	CacheSize int
-	// CacheShards is the plan table stripe count
-	// (0 = DefaultCacheShards).
-	CacheShards int
 	// CostBounded switches the backchase to cost-bounded best-first search
 	// whenever a statistics snapshot is installed. The enumeration then
 	// depends on the statistics, so the flight key — and with it the plan
@@ -111,19 +109,13 @@ type Options struct {
 	// With the budget set, serving is additionally adaptive: the latency
 	// predictor (see Predictor) learns each shape family's flight latency,
 	// and Optimize consults it for every request the table cannot answer.
-	// A shape predicted to land within FastPlanThreshold skips the
+	// A shape predicted to land within the budget skips the
 	// budgeted machinery entirely — no greedy detour, no timer, a plain
 	// synchronous wait. A shape predicted to miss is served the greedy
 	// tier immediately with no timed wait at all, while its flight
 	// proceeds detached exactly as on a budget expiry. Only unknown shapes
 	// pay the budgeted wait.
 	MaxPlanLatency time.Duration
-	// FastPlanThreshold is the predicted flight latency at or below which
-	// a shape family is served synchronously instead of through the
-	// budgeted machinery (only meaningful with MaxPlanLatency > 0).
-	// Zero defaults it to MaxPlanLatency itself: "predicted to land
-	// within the budget" then means "the timer would not have fired".
-	FastPlanThreshold time.Duration
 	// Predictor, when non-nil, is the latency side table the adaptive
 	// tier decisions consult and train; nil gives the Service its own
 	// private table (capacity DefaultPredictorCapacity). Supplying one
@@ -160,7 +152,7 @@ const (
 	ReasonBudgeted TierReason = "budgeted"
 	// ReasonPredictedFast: the shape's finished plan was in the plan
 	// table, or the predictor expected the flight to land within
-	// FastPlanThreshold, so the request was served synchronously with no
+	// MaxPlanLatency, so the request was served synchronously with no
 	// timer and no greedy detour.
 	ReasonPredictedFast TierReason = "predicted-fast"
 	// ReasonPredictedSlow: the predictor expected the flight to miss the
@@ -187,8 +179,8 @@ type Response struct {
 	// one entry or one flight share it — treat it as read-only (the
 	// package-wide convention for plans anyway).
 	Result *optimizer.Result
-	// Coalesced reports that this request was served as a singleflight
-	// waiter on another request's optimizer run.
+	// Coalesced reports that this request joined another request's
+	// live flight and was served its outcome.
 	Coalesced bool
 	// CacheHit reports that the finished plan was served from the plan
 	// table: nothing re-ran — no chase, no backchase, no ranking (unless
@@ -218,7 +210,8 @@ type Counters struct {
 	// Errors counts Optimize calls that returned an error, including
 	// waiter cancellations.
 	Errors int64
-	// Coalesced counts requests served as singleflight waiters.
+	// Coalesced counts requests that joined another request's live
+	// flight.
 	Coalesced int64
 	// Flights counts optimizer executions started (requests minus plan
 	// table hits, minus coalesced waiters) — the plan table's misses.
@@ -266,14 +259,13 @@ type Service struct {
 	table   *planTable
 	metrics *chase.Metrics
 	stats   atomic.Pointer[statsSnapshot]
-	group   flightGroup
 
-	// swapMu serializes plan table invalidation sweeps (SetStats and the
-	// post-flight re-sweep) against snapshot installation, so a sweep
-	// always runs with the truly current fingerprint — without it a
-	// delayed sweep could carry a fingerprint already obsoleted by a
-	// later swap and drop entries that are valid under the newest
-	// snapshot. Optimize's hot path never touches it.
+	// swapMu serializes SetStats calls, each installing its snapshot and
+	// sweeping the table under it. Two unserialized swaps could sweep in
+	// the opposite order of their installs, and the later sweep, carrying
+	// an obsoleted fingerprint, would drop entries valid under the
+	// newest snapshot. Publishing a flight needs no part of it: it
+	// re-reads the snapshot under its shard's lock (planTable.publish).
 	swapMu sync.Mutex
 
 	// instanceRegistry holds the named data instances Query executes
@@ -309,10 +301,6 @@ func New(opts Options) *Service {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	shards := opts.CacheShards
-	if shards == 0 {
-		shards = DefaultCacheShards
-	}
 	m := opts.Chase.Metrics
 	if m == nil {
 		m = &chase.Metrics{}
@@ -324,16 +312,10 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		opts:      opts,
-		table:     newPlanTable(size, shards),
+		table:     newPlanTable(size),
 		metrics:   m,
 		predictor: pred,
 		optimize:  optimizer.OptimizeContext,
-	}
-	s.group.onUpgrade = func(e *planEntry) {
-		// Mark before counting: a caller that sees the counter move
-		// must also see the mark on its next hit.
-		e.upgraded.Store(true)
-		s.upgraded.Add(1)
 	}
 	s.stats.Store(newSnapshot(opts.Stats))
 	return s
@@ -375,81 +357,24 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 		boundFP = snap.fp
 	}
 	key := flightKey(req, boundFP)
-	e := s.table.get(key)
-	reason := ReasonSynchronous
-	if s.opts.MaxPlanLatency > 0 {
-		reason = s.classify(key, e != nil)
-	}
+	e, f, owner := s.table.lookup(ctx, key)
 	if e != nil {
-		if reason == ReasonPredictedFast {
+		reason := ReasonSynchronous
+		if s.opts.MaxPlanLatency > 0 {
+			// Answering from the table is a lookup, however long the
+			// enumeration that produced the entry took.
+			reason = ReasonPredictedFast
 			s.predictedFast.Add(1)
 		}
 		return s.respond(e, snap, start, true, false, reason), nil
 	}
-
-	fly := func(fctx context.Context) (landing, error) {
-		flyStart := time.Now()
-		// A flight for key may have landed between the lookup above and
-		// this flight's start; its entry serves without a second run.
-		if e := s.table.get(key); e != nil {
-			s.predictor.observe(key, time.Since(flyStart), true)
-			return landing{e, true}, nil
-		}
-		s.table.misses.Add(1)
-		r, err := s.optimize(fctx, req.Query, optimizer.Options{
-			Deps:          req.Deps,
-			PhysicalNames: req.PhysicalNames,
-			Stats:         snap.stats,
-			CostBounded:   boundFP != "",
-			Parallelism:   s.opts.Parallelism,
-			MinimalOnly:   s.opts.MinimalOnly,
-			Chase:         s.opts.Chase,
-		})
-		if err != nil {
-			return landing{}, err
-		}
-		// Train the predictor on every landing — the runner executes
-		// this closure even for a detached flight all callers abandoned,
-		// so shape families learn from exactly the flights that
-		// happened. Runs before the flight's done channel closes, so by
-		// the time any response for this flight is visible the
-		// prediction is too.
-		s.predictor.observe(key, time.Since(flyStart), false)
-		s.backchaseRuns.Add(1)
-		return landing{s.land(key, boundFP, snap, r), false}, nil
-	}
-
-	var (
-		l         landing
-		coalesced bool
-		err       error
-	)
-	landed := true
-	switch reason {
-	case ReasonPredictedFast:
-		// Promised fast: plain synchronous wait, no timer, no greedy
-		// detour. A promise the flight breaks is counted as a miss.
-		s.predictedFast.Add(1)
-		l, coalesced, err = s.group.do(ctx, key, fly)
-		if err == nil && time.Since(start) > s.opts.MaxPlanLatency {
-			s.predictionMiss.Add(1)
-		}
-	case ReasonPredictedSlow:
-		// Promised slow: the timed wait cannot pay off, so skip it and
-		// serve the greedy tier now; the flight proceeds detached and
-		// stores its entry when it lands.
-		s.predictedSlow.Add(1)
-		l, coalesced, landed, err = s.group.doImmediate(ctx, key, fly)
-	case ReasonBudgeted:
-		// Unknown shape: the classic budgeted wait.
-		s.budgetedWaits.Add(1)
-		l, coalesced, landed, err = s.group.doDetached(ctx, key, s.opts.MaxPlanLatency, fly)
-	default:
-		l, coalesced, err = s.group.do(ctx, key, fly)
-	}
-	if coalesced {
+	reason, budget := s.classify(key)
+	if owner {
+		go s.fly(f, req, snap, boundFP)
+	} else {
 		s.coalesced.Add(1)
 	}
+	e, landed, err := s.table.wait(ctx, f, budget)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err
@@ -459,43 +384,59 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 		s.hists.greedy.Record(time.Since(start))
 		return &Response{
 			Result:     s.greedyResult(req, snap.stats),
-			Coalesced:  coalesced,
+			Coalesced:  !owner,
 			Tier:       TierGreedy,
 			TierReason: reason,
 		}, nil
 	}
-	return s.respond(l.e, snap, start, l.hit, coalesced, reason), nil
+	if reason == ReasonPredictedFast && time.Since(start) > s.opts.MaxPlanLatency {
+		// A promise the flight broke.
+		s.predictionMiss.Add(1)
+	}
+	return s.respond(e, snap, start, false, !owner, reason), nil
 }
 
-// land turns a flight's finished result into its plan table entry and
-// stores it — unless a cap truncated the enumeration: such a result is
-// served but not stored, so a later request gets another try at the
-// complete one. The entry returned is the one the table holds (an
-// earlier racing flight's wins).
-func (s *Service) land(key, boundFP string, snap *statsSnapshot, r *optimizer.Result) *planEntry {
-	e := newPlanEntry(key, boundFP, r, snap.fp)
-	if r.Truncated {
-		return e
+// fly runs f's optimization and publishes its outcome, counting an
+// upgrade when a caller was served the greedy tier meanwhile.
+func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, boundFP string) {
+	e, err := s.plan(f, req, snap, boundFP)
+	if s.table.publish(f, e, err, &s.stats) {
+		s.upgraded.Add(1)
 	}
-	e = s.table.put(e)
-	// A SetStats landing mid-flight sweeps the table before this
-	// flight's own put (tagged with the snapshot it started under)
-	// arrives, which would leave an unreachable stale-fingerprint entry
-	// alive until the next swap. Re-sweep when the snapshot moved under
-	// us: every interleaving of put and swap is covered, because
-	// whichever happens last performs an invalidation that sees the
-	// other's work. The sweep itself runs under swapMu with a re-loaded
-	// snapshot, so it always uses the current fingerprint and cannot
-	// drop entries a newer swap made valid. Only cost-bounded entries
-	// carry a fingerprint, so exhaustive serving never pays any of this.
-	if boundFP != "" && s.stats.Load() != snap {
-		s.swapMu.Lock()
-		if cur := s.stats.Load(); cur != snap && cur.fp != snap.fp {
-			s.table.invalidate(cur.fp)
+}
+
+// plan runs Algorithm 1 for f and wraps the result as the shape's plan
+// table entry. A panic is recovered and returned as the error, with the
+// panic value and the stack it was raised on, so it neither kills the
+// process nor strands f's waiters.
+//
+// A successful run trains the predictor before returning — also for a
+// detached flight every caller abandoned, so shape families learn from
+// exactly the flights that happened — and so before publish releases any
+// waiter: by the time a response for the flight is visible, the
+// prediction is too.
+func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, boundFP string) (e *planEntry, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			e, err = nil, fmt.Errorf("service: optimizer panic: %v\n%s", p, debug.Stack())
 		}
-		s.swapMu.Unlock()
+	}()
+	start := time.Now()
+	r, err := s.optimize(f.ctx, req.Query, optimizer.Options{
+		Deps:          req.Deps,
+		PhysicalNames: req.PhysicalNames,
+		Stats:         snap.stats,
+		CostBounded:   boundFP != "",
+		Parallelism:   s.opts.Parallelism,
+		MinimalOnly:   s.opts.MinimalOnly,
+		Chase:         s.opts.Chase,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return e
+	s.predictor.observe(f.key, time.Since(start))
+	s.backchaseRuns.Add(1)
+	return newPlanEntry(f.key, boundFP, r, snap.fp), nil
 }
 
 // respond builds the backchase-tier response for a plan table entry —
@@ -519,32 +460,29 @@ func (s *Service) respond(e *planEntry, snap *statsSnapshot, start time.Time, hi
 	}
 }
 
-// classify picks the adaptive-dispatch branch for a shape family under
-// two-tier serving: a shape whose finished plan is in the table (cached)
-// is predicted-fast — answering it is a lookup, however long the
-// enumeration that produced it took — and any other shape is routed by
-// its flight-latency EWMA, or budgeted when the predictor has never seen
-// it.
-func (s *Service) classify(key string, cached bool) TierReason {
-	if cached {
-		return ReasonPredictedFast
+// classify picks, and counts, the dispatch branch of a request the
+// table could not answer, with the budget its wait gets. Serving
+// without MaxPlanLatency is synchronous: no budget. Under it the shape
+// family's flight-latency EWMA decides: within the budget (its timer
+// would not have fired) is predicted fast, no budget; above it is
+// predicted slow, a zero budget; a family the predictor has never seen
+// gets the budgeted wait.
+func (s *Service) classify(key string) (TierReason, time.Duration) {
+	if s.opts.MaxPlanLatency <= 0 {
+		return ReasonSynchronous, noBudget
 	}
 	ewma, known := s.predictor.predict(key)
-	if !known {
-		return ReasonBudgeted
+	switch {
+	case !known:
+		s.budgetedWaits.Add(1)
+		return ReasonBudgeted, s.opts.MaxPlanLatency
+	case ewma <= s.opts.MaxPlanLatency:
+		s.predictedFast.Add(1)
+		return ReasonPredictedFast, noBudget
+	default:
+		s.predictedSlow.Add(1)
+		return ReasonPredictedSlow, 0
 	}
-	if ewma <= s.fastThreshold() {
-		return ReasonPredictedFast
-	}
-	return ReasonPredictedSlow
-}
-
-// fastThreshold resolves Options.FastPlanThreshold's zero default.
-func (s *Service) fastThreshold() time.Duration {
-	if s.opts.FastPlanThreshold > 0 {
-		return s.opts.FastPlanThreshold
-	}
-	return s.opts.MaxPlanLatency
 }
 
 // PredictorLen reports the number of shape families the latency

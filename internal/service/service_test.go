@@ -3,13 +3,16 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cnb/internal/chase"
 	"cnb/internal/core"
 	"cnb/internal/cost"
+	"cnb/internal/optimizer"
 	"cnb/internal/workload"
 )
 
@@ -27,6 +30,25 @@ func projDeptRequest(t *testing.T) (Request, *cost.Stats) {
 		Deps:          pd.AllDeps(),
 		PhysicalNames: pd.Physical.NameSet(),
 	}, cost.FromInstance(in)
+}
+
+// scanRequest is a one-binding scan of rel: a distinct, cheap shape per
+// relation name.
+func scanRequest(rel string) Request {
+	return Request{Query: &core.Query{
+		Out:      core.Prj(core.V("r"), "A"),
+		Bindings: []core.Binding{{Var: "r", Range: core.Name(rel)}},
+	}}
+}
+
+// checkPartition asserts that every accepted request was exactly one of
+// a plan table hit, a miss (the flight's owner) or a coalesced waiter.
+func checkPartition(t *testing.T, svc *Service) {
+	t.Helper()
+	c, cc := svc.Counters(), svc.CacheCounters()
+	if cc.Hits+cc.Misses+c.Coalesced != c.Requests {
+		t.Fatalf("hits %d + misses %d + coalesced %d != requests %d", cc.Hits, cc.Misses, c.Coalesced, c.Requests)
+	}
 }
 
 // TestSingleflightStorm: 8 concurrent requests for the identical query
@@ -215,10 +237,16 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // flightRefs reads the current waiter count of the (single) in-progress
 // flight, 0 when none.
 func flightRefs(s *Service) int {
-	s.group.mu.Lock()
-	defer s.group.mu.Unlock()
-	for _, f := range s.group.flights {
-		return f.refs
+	for _, sh := range s.table.shards {
+		sh.mu.Lock()
+		for _, rec := range sh.m {
+			if rec.f != nil {
+				refs := rec.f.refs
+				sh.mu.Unlock()
+				return refs
+			}
+		}
+		sh.mu.Unlock()
 	}
 	return 0
 }
@@ -278,6 +306,50 @@ func TestWaiterCancellationMidFlight(t *testing.T) {
 	if c := svc.Counters(); c.BackchaseRuns != 1 {
 		t.Errorf("backchase runs = %d, want 1 (owner's only)", c.BackchaseRuns)
 	}
+	checkPartition(t, svc)
+}
+
+// TestSingleflightStaggeredStorm: requests arriving just before, during
+// and just after a flight publishes share its one optimizer run. The
+// lookup-or-join is one locked step, so there is no window between "no
+// entry stored" and "no flight live" in which a second flight could
+// start. Repeated 200 times; meaningful under -race.
+func TestSingleflightStaggeredStorm(t *testing.T) {
+	req := scanRequest("R")
+	const reps, callers = 200, 8
+	var hits, coalesced int64
+	for rep := range reps {
+		svc := New(Options{})
+		svc.optimize = func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error) {
+			time.Sleep(200 * time.Microsecond)
+			return &optimizer.Result{}, nil
+		}
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				time.Sleep(time.Duration(i) * 50 * time.Microsecond)
+				_, errs[i] = svc.Optimize(context.Background(), req)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("rep %d request %d: %v", rep, i, err)
+			}
+		}
+		if c := svc.Counters(); c.BackchaseRuns != 1 || c.Flights != 1 {
+			t.Fatalf("rep %d: backchase runs = %d, flights = %d, want 1 and 1", rep, c.BackchaseRuns, c.Flights)
+		}
+		checkPartition(t, svc)
+		hits += svc.CacheCounters().Hits
+		coalesced += svc.Counters().Coalesced
+	}
+	if hits == 0 || coalesced == 0 {
+		t.Fatalf("the stagger never straddled a publish: %d hits, %d coalesced over %d reps", hits, coalesced, reps)
+	}
 }
 
 // TestLastCallerCancellationAbortsFlight: when the only interested caller
@@ -298,11 +370,7 @@ func TestLastCallerCancellationAbortsFlight(t *testing.T) {
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("sole caller returned %v, want context.Canceled", err)
 	}
-	waitUntil(t, "aborted flight to drain", func() bool {
-		svc.group.mu.Lock()
-		defer svc.group.mu.Unlock()
-		return len(svc.group.flights) == 0
-	})
+	waitEmpty(t, svc.table)
 
 	resp, err := svc.Optimize(context.Background(), req)
 	if err != nil {
@@ -425,6 +493,73 @@ func TestStatsSwapMidFlightLeavesNoStaleEntry(t *testing.T) {
 	if !resp.CacheHit {
 		t.Error("refreshed entry must serve subsequent requests")
 	}
+}
+
+// TestStatsSwapFlipStorm: SetStats flipping between two snapshots, A/B/A,
+// while cost-bounded flights for many shapes run and publish, leaves
+// only entries that carry the current fingerprint once everything has
+// landed: publish refuses an entry whose fingerprint is no longer
+// current, and a sweep drops any stored before it. Meaningful under
+// -race.
+func TestStatsSwapFlipStorm(t *testing.T) {
+	statsA, statsB := cost.NewStats(), cost.NewStats()
+	statsB.LookupCost = 2
+	if statsA.Fingerprint() == statsB.Fingerprint() {
+		t.Fatal("test needs two distinct statistics snapshots")
+	}
+	svc := New(Options{CostBounded: true, Stats: statsA})
+	svc.optimize = func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error) {
+		time.Sleep(50 * time.Microsecond)
+		return &optimizer.Result{}, nil
+	}
+	// Many shapes, so most requests start a flight rather than hit.
+	const workers, flips, shapes = 4, 200, 1024
+	var flipping atomic.Bool
+	flipping.Store(true)
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; flipping.Load(); i++ {
+				if _, err := svc.Optimize(context.Background(), scanRequest(fmt.Sprintf("R%d", (w*shapes/workers+i)%shapes))); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}()
+	}
+	// Flip B, A, B, ..., A; the workers stop only after the last swap,
+	// so flights started under the old snapshot publish after it.
+	for i := range flips {
+		if i > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if i%2 == 0 {
+			svc.SetStats(statsB)
+		} else {
+			svc.SetStats(statsA)
+		}
+	}
+	flipping.Store(false)
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	if svc.Stats() != statsA {
+		t.Fatal("the storm must end on snapshot A")
+	}
+	for _, sh := range svc.table.shards {
+		for el := sh.ll.Front(); el != nil; el = el.Next() {
+			if e := el.Value.(*planEntry); e.statsFP != statsA.Fingerprint() {
+				t.Fatalf("an entry enumerated under snapshot B outlived the swap back to A (%d swaps)", svc.Counters().StatsSwaps)
+			}
+		}
+	}
+	checkPartition(t, svc)
 }
 
 // TestStatsSwapKeepsStatsFreeEntries: without cost-bounded search the

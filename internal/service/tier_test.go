@@ -195,6 +195,7 @@ func TestTieredStormCoalescesOntoOneFlight(t *testing.T) {
 	if c := svc.Counters(); c.Upgraded != 1 {
 		t.Fatalf("Upgraded = %d, want exactly 1", c.Upgraded)
 	}
+	checkPartition(t, svc)
 	waitGoroutines(t, before)
 }
 
