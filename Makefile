@@ -50,9 +50,14 @@
 #                     eat most of the window):
 #                     FuzzEqualMatchesKey (the value model's Equal and
 #                     Hash against its canonical keys), FuzzParse (Parse
-#                     and Target never panic) and
+#                     and Target never panic),
 #                     FuzzCachedParseMatchesParse (a parse through a
-#                     warm design cache equals a fresh Parse).
+#                     warm design cache equals a fresh Parse),
+#                     FuzzCompiledHomsMatchReference (the compiled
+#                     homomorphism search against the Subst-and-intern
+#                     reference) and FuzzCanonicalSignature (invariance
+#                     under renaming, binding shuffle, condition reorder
+#                     and flip).
 #   make serve-load - race-instrumented serving gate: the 16-worker load
 #                     harnesses (plan-only and end-to-end /query) plus
 #                     the singleflight storm/cancellation suites and the
@@ -134,6 +139,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualMatchesKey$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/instance
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedParseMatchesParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledHomsMatchReference$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/chase
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalSignature$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/core
 
 # Skipped under GOFLAGS=-short: a docs-only or fast-lane run should not
 # pay for compiling and executing every benchmark.

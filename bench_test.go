@@ -200,6 +200,46 @@ func BenchmarkSubqueryProjDept(b *testing.B) {
 	}
 }
 
+// BenchmarkContainedInProjDept measures the backchase's goal-directed
+// containment test alone: one dependency index, then chase.ContainedIn
+// of every one of the 255 candidates a SubqueryBuilder builds from the
+// ProjDept universal plan against the query itself.
+func BenchmarkContainedInProjDept(b *testing.B) {
+	pd := projDept(b)
+	deps := pd.AllDeps()
+	chased, err := chase.Chase(pd.Q, deps, chase.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := chased.Query
+	sb := backchase.NewSubqueryBuilder(u)
+	var subs []*core.Query
+	for mask := 1; mask < 1<<len(u.Bindings); mask++ {
+		removed := map[string]bool{}
+		for i, bd := range u.Bindings {
+			if mask&(1<<i) != 0 {
+				removed[bd.Var] = true
+			}
+		}
+		if sub, ok := sb.Subquery(removed); ok && len(sub.Bindings) > 0 {
+			subs = append(subs, sub)
+		}
+	}
+	ix := chase.NewDepIndex(deps)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sub := range subs {
+			if _, err := chase.ContainedIn(ctx, sub, pd.Q, ix, chase.Options{}); err != nil {
+				if _, budget := err.(*chase.ErrBudget); !budget {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkRankProjDept measures phase 3 alone: reorder and cost the
 // executable candidate pool of one cold ProjDept Optimize under the
 // default statistics, as Optimize does.

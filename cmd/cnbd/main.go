@@ -548,6 +548,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"predicted_slow", c.PredictedSlow},
 		{"prediction_miss", c.PredictionMiss},
 		{"budgeted_waits", c.BudgetedWaits},
+		{"slot_waits", c.SlotWaits},
 		{"predictor_entries", s.svc.PredictorLen()},
 		{"cache", orderedObj{
 			{"hits", cc.Hits},

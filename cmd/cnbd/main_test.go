@@ -469,7 +469,7 @@ func TestMetricsKeyOrder(t *testing.T) {
 		"uptime_seconds", "requests", "errors", "coalesced", "flights",
 		"backchase_runs", "stats_swaps", "greedy_served", "upgraded_flights",
 		"predicted_fast", "predicted_slow", "prediction_miss", "budgeted_waits",
-		"predictor_entries", "cache", "chase", "histograms", "instances",
+		"slot_waits", "predictor_entries", "cache", "chase", "histograms", "instances",
 	}
 	got := keyOrder(t, raw, "")
 	if len(got) != len(wantTop) {

@@ -555,10 +555,9 @@ func containedIndexed(ctx context.Context, q1, q2 *core.Query, ix *chase.DepInde
 	if res.Inconsistent {
 		return true, nil // Q1 empty on all valid instances
 	}
-	// Freshen q2 apart from the chased q1 to avoid variable capture.
-	avoid := res.Query.BoundVars()
-	q2f := q2.RenameVars(core.FreshRenaming("h_", avoid))
-	return ix.NewCanon(res.Query, opts.Metrics).MapsQueryInto(q2f, res.Query.Out, nil), nil
+	// A read-only test: q2's variables are slots, so they cannot capture
+	// the chased q1's.
+	return ix.NewCanon(res.Query, opts.Metrics).MapsCompiledInto(chase.CompileQuery(q2), res.Query.Out, nil), nil
 }
 
 // Equivalent is the exported chase-based equivalence test under

@@ -18,12 +18,12 @@
 // runs. Under the MaxStates cap or cancellation, *which* states
 // get explored depends on scheduling; only then can results differ.
 //
-// Each equivalence check works on a pristine Clone of the root's
-// canonical database (a mutable congruence closure changes even on reads
-// — see the congruence package comment), which both makes concurrent
-// checks safe and keeps every check independent of what other checks
-// interned before it. Candidate construction only reads the root's
-// congruence closure, so it shares one frozen closure instead.
+// Every equivalence check tests root ⊑ candidate against one frozen
+// canonical database of the root, shared by all workers with its target
+// index prebuilt: the test is read-only (terms the closure lacks get
+// virtual ids instead of being interned), so no check changes what
+// another sees and none needs a copy. Candidate construction only reads
+// the root's congruence closure, so it shares one frozen closure too.
 package backchase
 
 import (
@@ -214,7 +214,8 @@ type engine struct {
 	deps      []*core.Dependency
 	depIndex  *chase.DepIndex // premise index shared by every chase of the run
 	opts      Options
-	rootCanon *chase.Canon // pristine; cloned per equivalence check
+	rootCanon *chase.Canon         // frozen; read by every equivalence check
+	goalC     *chase.CompiledQuery // the goal, compiled once per run
 	// subs builds every candidate of the run over one frozen closure of
 	// root, which all workers read concurrently, without a copy.
 	subs  *SubqueryBuilder
@@ -264,17 +265,23 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 	if err != nil {
 		return nil, err
 	}
+	goal := q
+	if opts.Goal != nil {
+		goal = opts.Goal
+	}
 	e := &engine{
 		root:      q,
 		deps:      deps,
 		depIndex:  ix,
 		opts:      opts,
 		rootCanon: ix.NewCanon(res.Query, opts.Chase.Metrics),
+		goalC:     chase.CompileQuery(goal),
 		subs:      NewSubqueryBuilder(q),
 		queue:     newWorkQueue(opts.Stats != nil),
 		seed:      maphash.MakeSeed(),
 		plans:     map[string]planEntry{},
 	}
+	e.rootCanon.Freeze()
 	if opts.Stats != nil {
 		e.lowerBound = opts.Stats.LowerBound
 	}
@@ -534,37 +541,27 @@ func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Quer
 
 // equivalentToRoot checks sub ≡ root under the dependencies.
 //
-// Direction root ⊑ sub: a containment mapping from sub into a pristine
-// clone of the precomputed chase(root) — cloning keeps the shared canon
-// immutable and the check independent of concurrent checks. sub is a
-// subquery of the root, so the identity on its variables is tried first;
-// only if it fails does the backtracking search run, over a copy of sub
-// renamed apart.
+// Direction root ⊑ sub: a containment mapping from sub into the frozen
+// chase(root), a read-only test every worker runs on the shared canon.
+// sub is a subquery of the root, so the identity on its variables is
+// tried first; only if it fails does the backtracking search run. The
+// search binds sub's variables to slots, not names, so sub needs no
+// renaming apart from the root's.
 //
 // Direction sub ⊑ root: the goal (Options.Goal, else the root) maps into
 // a goal-directed chase of sub, which stops at the first state the goal
 // maps into. Only a budget exhausted before that counts as unsound.
 func (e *engine) equivalentToRoot(ctx context.Context, sub *core.Query) (bool, error) {
-	cn := e.rootCanon.Clone()
+	cn := e.rootCanon
+	subC := chase.CompileQuery(sub)
 	id := make(chase.Hom, len(sub.Bindings))
 	for _, b := range sub.Bindings {
-		id[b.Var] = core.V(b.Var)
+		id[b.Var] = cn.BindingVar(cn.Q.BindingOf(b.Var))
 	}
-	if !cn.MapsQueryInto(sub, cn.Q.Out, id) {
-		subF := sub.RenameVars(core.FreshRenaming("h_", cn.Q.BoundVars()))
-		if !cn.MapsQueryInto(subF, cn.Q.Out, nil) {
-			return false, nil
-		}
+	if !cn.MapsCompiledInto(subC, cn.Q.Out, id) && !cn.MapsCompiledInto(subC, cn.Q.Out, nil) {
+		return false, nil
 	}
-	return chase.ContainedIn(ctx, sub, e.goal(), e.depIndex, e.opts.Chase)
-}
-
-// goal is the query the candidates' chases are directed at.
-func (e *engine) goal() *core.Query {
-	if e.opts.Goal != nil {
-		return e.opts.Goal
-	}
-	return e.root
+	return chase.ContainedInCompiled(ctx, sub, e.goalC, e.depIndex, e.opts.Chase)
 }
 
 // buildCandidate constructs the candidate state for removing the named

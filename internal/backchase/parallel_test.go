@@ -400,46 +400,74 @@ func TestDeterminismSymmetricPlans(t *testing.T) {
 	}
 }
 
-// TestSharedCanonCloneStress exercises the documented sharing discipline
-// under the race detector: many goroutines concurrently Clone one
-// chase.Canon / congruence closure and hammer homomorphism searches and
-// congruence queries on their clones, while the shared original is never
-// mutated.
-func TestSharedCanonCloneStress(t *testing.T) {
+// TestSharedFrozenCanonStress runs the engine's read-only containment
+// test, root ⊑ candidate, for all 255 candidates of the ProjDept
+// universal plan from 8 goroutines over one frozen root canon, as the
+// engine's workers do. Every answer must equal the one a private,
+// unfrozen canon gives, and no test may grow the shared closure. Run it
+// under the race detector.
+func TestSharedFrozenCanonStress(t *testing.T) {
 	deps := projDeptDeps()
 	chased, err := chase.Chase(projDeptQuery(), deps, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := chase.NewCanon(chased.Query)
-	sub, ok := Subquery(chased.Query, map[string]bool{chased.Query.Bindings[0].Var: true})
-	if !ok {
-		// Fall back to the root itself; the stress only needs some query.
-		sub = chased.Query
+	u := chased.Query
+	sb := NewSubqueryBuilder(u)
+	var queries []*core.Query
+	var subs []*chase.CompiledQuery
+	var want []bool
+	for mask := 1; mask < 1<<len(u.Bindings); mask++ {
+		removed := map[string]bool{}
+		for i, b := range u.Bindings {
+			if mask&(1<<i) != 0 {
+				removed[b.Var] = true
+			}
+		}
+		sub, ok := sb.Subquery(removed)
+		if !ok || len(sub.Bindings) == 0 {
+			continue
+		}
+		sc := chase.CompileQuery(sub)
+		queries = append(queries, sub)
+		subs = append(subs, sc)
+		want = append(want, chase.NewCanon(u).MapsCompiledInto(sc, u.Out, nil))
 	}
+	if len(subs) < 100 {
+		t.Fatalf("only %d candidates built", len(subs))
+	}
+	shared := chase.NewCanon(u)
+	shared.Freeze()
+	n, ver := shared.CC.Len(), shared.CC.Version()
 
 	const workers = 8
 	var wg sync.WaitGroup
+	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				cn := shared.Clone()
-				avoid := cn.Q.BoundVars()
-				subF := sub.RenameVars(core.FreshRenaming("h_", avoid))
-				cn.HomsOfQueryInto(subF, cn.Q.Out, 1)
-				for _, b := range cn.Q.Bindings {
-					cn.CC.Same(core.V(b.Var), b.Range)
+			for k := range subs {
+				i := (k + w*len(subs)/workers) % len(subs)
+				if got := shared.MapsCompiledInto(subs[i], u.Out, nil); got != want[i] {
+					errs <- fmt.Sprintf("candidate %s: shared answer %v, private %v", queries[i], got, want[i])
+					return
 				}
 			}
-		}(int64(w))
+		}(w)
 	}
 	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if shared.CC.Len() != n || shared.CC.Version() != ver {
+		t.Errorf("read-only tests changed the shared closure: len %d -> %d, version %d -> %d", n, shared.CC.Len(), ver, shared.CC.Version())
+	}
 
-	// The full engine at high parallelism shares the root canon the same
-	// way (clone per equivalence check); run it through for good measure.
-	if _, err := Enumerate(chased.Query, deps, Options{Parallelism: workers}); err != nil {
+	// The full engine at high parallelism shares its root canon the same
+	// way; run it through for good measure.
+	if _, err := Enumerate(u, deps, Options{Parallelism: workers}); err != nil {
 		t.Fatal(err)
 	}
 }

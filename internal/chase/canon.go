@@ -27,7 +27,7 @@ import (
 type Metrics struct {
 	// HomTests counts candidate membership tests during homomorphism
 	// search: each comparison of a target binding against a transported
-	// source range (the inner loop of VisitHoms). This is the backtracking
+	// source range (the inner loop of every search). This is the backtracking
 	// work the delta discipline exists to avoid.
 	HomTests atomic.Int64
 	// DepSearches counts premise searches: one per dependency actually
@@ -45,78 +45,123 @@ type Metrics struct {
 // Canon is the canonical database of a query: its congruence closure plus
 // the membership facts contributed by the from clause.
 //
-// A Canon is not safe for concurrent use: homomorphism search interns the
-// transported source terms into CC, mutating it (see the congruence
-// package comment). Concurrent consumers — e.g. the workers of the
-// parallel backchase — must each operate on their own Clone.
+// A mutable Canon is not safe for concurrent use: even a read-only search
+// path-compresses the closure and may rebuild the target index, and a
+// chase's premise searches intern transported terms. A frozen Canon (see
+// Freeze) serves any number of concurrent read-only containment tests
+// (MapsCompiledInto, MapsQueryInto, HomsOfQueryInto).
 type Canon struct {
 	Q  *core.Query
 	CC *congruence.Closure
 	// Metrics, when non-nil, accumulates homomorphism-search counters.
-	// Shared (not deep-copied) by Clone; safe because all fields are
-	// atomic.
+	// Safe to share because all fields are atomic.
 	Metrics *Metrics
-	// linearScan disables the rep-keyed target index: every homomorphism
-	// search level scans all target bindings, re-resolving representatives
-	// per candidate (the textbook behavior). Set only on the canons of a
-	// NewNaiveIndex so that naive-vs-incremental measurements compare the
-	// full backtracking cost against the seeded search; results are
-	// identical either way.
+	// linearScan disables the class-keyed target index: every
+	// homomorphism search level scans all target bindings, re-resolving
+	// classes per candidate (the textbook behavior). Set only on the
+	// canons of a NewNaiveIndex so that naive-vs-incremental measurements
+	// compare the full backtracking cost against the seeded search;
+	// results are identical either way.
 	linearScan bool
-	// tix caches target bindings grouped by the congruence representative
-	// of their range; rebuilt lazily whenever the closure version or the
-	// binding list moves on. Never shared by Clone (clones diverge).
+	// rangeNode and varNode hold, per binding of Q, the closure node ids
+	// of its range and of its variable. Node ids never change; their
+	// classes do.
+	rangeNode, varNode []int
+	// tix caches the class of every target binding's range; rebuilt
+	// lazily whenever the closure version or the binding list moves on,
+	// and built once by Freeze.
 	tix *targetIndex
+	// premise and query are the search objects premise searches and
+	// query searches reuse on a mutable canon (see spareSearch).
+	premise, query *search
 }
 
-// targetIndex groups target binding positions by the representative of
-// their range, valid for one (closure version, binding count) snapshot.
+// targetIndex holds the class of every target binding's range, valid
+// for one (closure version, binding count) snapshot.
 type targetIndex struct {
 	version uint64
 	n       int
-	byRep   map[int][]int
+	reps    []int // binding index -> class of its range
 }
 
-// Clone returns an independent copy of the canonical database. The query
-// is shared (Canon never mutates it); the congruence closure is deep
-// copied. Concurrent Clones of one Canon are safe provided no goroutine
-// mutates it at the same time.
-func (cn *Canon) Clone() *Canon {
-	return &Canon{Q: cn.Q, CC: cn.CC.Clone(), Metrics: cn.Metrics, linearScan: cn.linearScan}
-}
-
-// targetCandidates returns the positions of the target bindings whose
-// range is congruent to want, in ascending binding order, as of the
-// current closure version. The index is rebuilt lazily; the rebuild cost
-// is charged to Metrics.HomTests like any other membership work. Callers
-// must stop trusting the slice once the closure version changes (a merge
-// can add candidates) — visitHoms falls back to the linear scan then.
-func (cn *Canon) targetCandidates(want *core.Term) ([]int, int64) {
-	rw := cn.CC.Rep(want) // may trigger derived unions; bump handled below
-	tested := int64(0)
-	if cn.tix == nil || cn.tix.version != cn.CC.Version() || cn.tix.n != len(cn.Q.Bindings) {
-		byRep := make(map[int][]int, len(cn.Q.Bindings))
-		for i, tb := range cn.Q.Bindings {
-			r := cn.CC.Rep(tb.Range) // interned already: no union possible
-			byRep[r] = append(byRep[r], i)
-		}
-		tested += int64(len(cn.Q.Bindings))
-		cn.tix = &targetIndex{version: cn.CC.Version(), n: len(cn.Q.Bindings), byRep: byRep}
+// clone returns a private mutable copy of the canonical database; the
+// query is shared (Canon never mutates it). Read-only searches that meet
+// an ambiguous lookup rerun on one.
+func (cn *Canon) clone() *Canon {
+	return &Canon{
+		Q: cn.Q, CC: cn.CC.Clone(), Metrics: cn.Metrics, linearScan: cn.linearScan,
+		rangeNode: cn.rangeNode, varNode: cn.varNode,
 	}
-	return cn.tix.byRep[rw], tested
 }
 
-// NewCanon builds the canonical database of a query.
+// Freeze makes the canonical database read-only and shareable: it
+// freezes the closure and builds the target index once, so read-only
+// searches never write to it. Freezing twice is a no-op.
+func (cn *Canon) Freeze() {
+	cn.CC.Freeze()
+	cn.targetReps()
+}
+
+// targetReps returns the class of every target binding's range as of
+// the current closure version: the target bindings a level may match are
+// those whose class equals the transported range's, in ascending binding
+// order. The index is rebuilt lazily, in place; the rebuild cost is
+// returned so the search charges it to Metrics.HomTests like any other
+// membership work. Callers must stop trusting the slice once the closure
+// version changes (a merge can add candidates) — the search falls back
+// to the linear scan then.
+func (cn *Canon) targetReps() ([]int, int64) {
+	if cn.tix != nil && cn.tix.version == cn.CC.Version() && cn.tix.n == len(cn.Q.Bindings) {
+		return cn.tix.reps, 0
+	}
+	if cn.tix == nil {
+		cn.tix = &targetIndex{}
+	}
+	reps := cn.tix.reps[:0]
+	for _, id := range cn.rangeNode {
+		reps = append(reps, cn.CC.Find(id))
+	}
+	*cn.tix = targetIndex{version: cn.CC.Version(), n: len(cn.Q.Bindings), reps: reps}
+	return reps, int64(len(cn.Q.Bindings))
+}
+
+// NewCanon builds the canonical database of a query. Terms are interned
+// in the order of q.AllTerms: each binding's range then its variable,
+// the conditions' sides, the output.
 func NewCanon(q *core.Query) *Canon {
-	cc := congruence.New()
-	for _, t := range q.AllTerms() {
-		cc.Add(t)
+	n := len(q.Bindings) + q.Out.Size()
+	for _, b := range q.Bindings {
+		n += b.Range.Size()
 	}
 	for _, c := range q.Conds {
-		cc.Merge(c.L, c.R)
+		n += c.L.Size() + c.R.Size()
 	}
-	return &Canon{Q: q, CC: cc}
+	cn := &Canon{Q: q, CC: congruence.NewSized(n)}
+	cn.addBindings(q.Bindings)
+	for _, c := range q.Conds {
+		cn.CC.Add(c.L)
+		cn.CC.Add(c.R)
+	}
+	cn.CC.Add(q.Out)
+	for _, c := range q.Conds {
+		cn.CC.Merge(c.L, c.R)
+	}
+	return cn
 }
+
+// addBindings interns the ranges and variables of appended bindings and
+// records their node ids.
+func (cn *Canon) addBindings(bs []core.Binding) {
+	for _, b := range bs {
+		cn.rangeNode = append(cn.rangeNode, cn.CC.Add(b.Range))
+		cn.varNode = append(cn.varNode, cn.CC.Add(core.V(b.Var)))
+	}
+}
+
+// BindingVar returns the interned variable term of Q's binding i: the
+// value a homomorphism maps a source variable to when it matches that
+// binding.
+func (cn *Canon) BindingVar(i int) *core.Term { return cn.CC.Term(cn.varNode[i]) }
 
 // Hom is a homomorphism: a mapping from source variables to target terms
 // (in practice target binding variables) such that memberships and
@@ -132,11 +177,8 @@ func (h Hom) Clone() Hom {
 	return n
 }
 
-// subst converts the homomorphism into a term substitution.
-func (h Hom) subst() map[string]*core.Term { return h }
-
 // Apply applies the homomorphism to a term.
-func (h Hom) Apply(t *core.Term) *core.Term { return t.Subst(h.subst()) }
+func (h Hom) Apply(t *core.Term) *core.Term { return t.Subst(h) }
 
 // Key returns a canonical string for deduplicating homomorphisms.
 func (h Hom) Key() string {
@@ -152,10 +194,24 @@ func (h Hom) Key() string {
 	return s
 }
 
-// Holds reports whether the condition, transported along h, is implied by
-// the canonical database.
-func (cn *Canon) Holds(h Hom, c core.Cond) bool {
-	return cn.CC.Same(h.Apply(c.L), h.Apply(c.R))
+// initVars lists the variables of init absent from the bindings, which
+// a compiled source must give slots too.
+func initVars(bs []core.Binding, init Hom) []string {
+	var extra []string
+	for v := range init {
+		bound := false
+		for _, b := range bs {
+			if b.Var == v {
+				bound = true
+				break
+			}
+		}
+		if !bound {
+			extra = append(extra, v)
+		}
+	}
+	sort.Strings(extra)
+	return extra
 }
 
 // FindHoms enumerates homomorphisms of the given source bindings and
@@ -167,7 +223,7 @@ func (cn *Canon) Holds(h Hom, c core.Cond) bool {
 func (cn *Canon) FindHoms(srcBindings []core.Binding, srcConds []core.Cond, init Hom, limit int) []Hom {
 	var out []Hom
 	cn.VisitHoms(srcBindings, srcConds, init, func(h Hom) bool {
-		out = append(out, h.Clone())
+		out = append(out, h)
 		return limit > 0 && len(out) >= limit
 	})
 	return out
@@ -176,154 +232,14 @@ func (cn *Canon) FindHoms(srcBindings []core.Binding, srcConds []core.Cond, init
 // VisitHoms streams homomorphisms to the visitor, stopping when the
 // visitor returns true. It avoids materializing the full (possibly
 // exponential) homomorphism set when the caller needs only the first
-// match — the chase's applicability test is the hot path.
+// match. The sources are compiled per call; the search interns only the
+// terms of an ambiguous projection (see congruence.Ambiguous).
 func (cn *Canon) VisitHoms(srcBindings []core.Binding, srcConds []core.Cond, init Hom, visit func(Hom) bool) {
-	cn.visitHoms(srcBindings, srcConds, init, -1, visit)
-}
-
-// visitHoms is VisitHoms with an optional semi-naive delta restriction:
-// with deltaStart >= 0, only homomorphisms that assign at least one source
-// variable to a target binding of index >= deltaStart are visited, in the
-// same lexicographic backtracking order as the full enumeration (the
-// visited sequence is a subsequence of the full one). The incremental
-// chase uses this for dependencies whose only relevant change since their
-// last exhausted search is a batch of appended bindings: every older
-// homomorphism has already been searched and found conclusion-satisfied,
-// a state that is monotone under chase extension, so skipping it is
-// sound. deltaStart must only be combined with a nil init (the premise
-// search); pre-assigned variables do not pick a target index.
-func (cn *Canon) visitHoms(srcBindings []core.Binding, srcConds []core.Cond, init Hom, deltaStart int, visit func(Hom) bool) {
-	h := Hom{}
-	for k, v := range init {
-		h[k] = v
-	}
-	tested := int64(0)
-	var rec func(i int, usedDelta bool) bool // returns true to stop early
-	rec = func(i int, usedDelta bool) bool {
-		if i == len(srcBindings) {
-			if deltaStart >= 0 && !usedDelta {
-				return false
-			}
-			for _, c := range srcConds {
-				if !cn.Holds(h, c) {
-					return false
-				}
-			}
-			return visit(h)
-		}
-		sb := srcBindings[i]
-		if _, pre := h[sb.Var]; pre {
-			// Variable pre-assigned by init (or by an earlier level when a
-			// premise repeats a variable): verify membership — some target
-			// binding must have a congruent range and a congruent variable.
-			// A witness at a delta index counts as delta use: if the first
-			// witness is old, the homomorphism existed at the last
-			// exhausted search and skipping it stays sound; if only a delta
-			// binding witnesses the membership, the homomorphism is new.
-			want := h.Apply(sb.Range)
-			witness := -1
-			got := h[sb.Var]
-			for ti, tb := range cn.Q.Bindings {
-				tested++
-				if cn.CC.Same(tb.Range, want) && cn.CC.Same(core.V(tb.Var), got) {
-					witness = ti
-					break
-				}
-			}
-			if witness < 0 {
-				return false
-			}
-			return rec(i+1, usedDelta || (deltaStart >= 0 && witness >= deltaStart))
-		}
-		// On the last level of a delta-restricted search a homomorphism
-		// that has not yet used a delta binding can only complete through
-		// one, so older targets are skipped wholesale.
-		first := 0
-		if deltaStart >= 0 && !usedDelta && i == len(srcBindings)-1 {
-			first = deltaStart
-		}
-		want := h.Apply(sb.Range)
-		// tryTarget assigns the candidate, applies early condition pruning
-		// (conditions all of whose variables are assigned), and descends.
-		tryTarget := func(ti int) bool {
-			tb := cn.Q.Bindings[ti]
-			h[sb.Var] = core.V(tb.Var)
-			if cn.condsOK(h, srcConds) {
-				if rec(i+1, usedDelta || (deltaStart >= 0 && ti >= deltaStart)) {
-					return true
-				}
-			}
-			delete(h, sb.Var)
-			return false
-		}
-		// Seeded scan: only the targets whose range representative matches
-		// want's, looked up in the rep-keyed index, instead of backtracking
-		// over the whole canonical database. Descending into a candidate
-		// can merge classes (condition checks and deeper levels intern
-		// transported terms), which may make further targets congruent to
-		// want — exactly what the naive re-resolving scan would observe —
-		// so a version bump mid-level falls back to the linear scan for
-		// the remaining positions.
-		linearFrom := 0
-		if !cn.linearScan {
-			cands, rebuildCost := cn.targetCandidates(want)
-			tested += rebuildCost
-			ver := cn.CC.Version()
-			linearFrom = len(cn.Q.Bindings)
-			for _, ti := range cands {
-				if ti < first {
-					continue
-				}
-				tested++
-				if tryTarget(ti) {
-					return true
-				}
-				if cn.CC.Version() != ver {
-					linearFrom = ti + 1
-					break
-				}
-			}
-		}
-		for ti := linearFrom; ti < len(cn.Q.Bindings); ti++ {
-			if ti < first {
-				continue
-			}
-			tested++
-			if cn.CC.Rep(cn.Q.Bindings[ti].Range) != cn.CC.Rep(want) {
-				continue
-			}
-			if tryTarget(ti) {
-				return true
-			}
-		}
-		return false
-	}
-	rec(0, false)
-	if cn.Metrics != nil && tested > 0 {
-		cn.Metrics.HomTests.Add(tested)
-	}
-}
-
-// condsOK checks the conditions whose variables are fully assigned by h.
-func (cn *Canon) condsOK(h Hom, conds []core.Cond) bool {
-	for _, c := range conds {
-		if !assigned(h, c.L) || !assigned(h, c.R) {
-			continue
-		}
-		if !cn.Holds(h, c) {
-			return false
-		}
-	}
-	return true
-}
-
-func assigned(h Hom, t *core.Term) bool {
-	for v := range t.Vars() {
-		if _, ok := h[v]; !ok {
-			return false
-		}
-	}
-	return true
+	cq := compileQuery(srcBindings, srcConds, nil, initVars(srcBindings, init))
+	s := cn.newSearch(cq.prog, cq.atoms, cq.conds, modeLookup)
+	s.assignInit(init)
+	s.fn = func(s *search) bool { return visit(s.hom()) }
+	s.run(nil)
 }
 
 // ExtendsToConclusion reports whether the homomorphism of a dependency's
@@ -331,49 +247,95 @@ func assigned(h Hom, t *core.Term) bool {
 // is an assignment of the conclusion variables to target bindings making
 // all conclusion conditions hold.
 func (cn *Canon) ExtendsToConclusion(d *core.Dependency, h Hom) bool {
-	if d.IsEGD() {
-		for _, c := range d.ConclusionConds {
-			if !cn.Holds(h, c) {
+	dp := compileDep(d, nil)
+	s := cn.newSearch(dp.prog, dp.premise, dp.pconds, modeLookup)
+	s.assignInit(h)
+	return cn.extends(dp, s)
+}
+
+// extends reports whether the premise assignment of s extends to the
+// conclusion of dp, by a modeLookup search over the conclusion atoms.
+func (cn *Canon) extends(dp *depProg, s *search) bool {
+	c := s.conclusion(dp)
+	if len(dp.concl) == 0 {
+		for i := range dp.cconds {
+			if !c.holds(&dp.cconds[i]) {
 				return false
 			}
 		}
 		return true
 	}
-	ext := cn.FindHoms(d.Conclusion, d.ConclusionConds, h, 1)
-	return len(ext) > 0
+	c.leafDo = leafConclusion
+	checkAt := dp.conclAt
+	if s.init != nil {
+		checkAt = nil // init slots beyond the premise's: schedule afresh
+	}
+	c.run(checkAt)
+	return c.hit
 }
 
 // HomsOfQueryInto enumerates containment mappings from query src into this
 // canonical database: homomorphisms of src's bindings and conditions whose
 // transported output is congruent to out. Used for containment checks.
 // The search streams homomorphisms and stops at the limit-th match
-// (limit <= 0 means no limit); only matches are copied.
+// (limit <= 0 means no limit); only matches are materialized. Like
+// MapsCompiledInto it is read-only.
 func (cn *Canon) HomsOfQueryInto(src *core.Query, out *core.Term, limit int) []Hom {
 	var ok []Hom
-	cn.visitQueryHoms(src, out, nil, func(h Hom) bool {
-		ok = append(ok, h.Clone())
+	collect := func(s *search) bool {
+		ok = append(ok, s.hom())
 		return limit > 0 && len(ok) >= limit
-	})
+	}
+	cq := CompileQuery(src)
+	if _, void := cn.queryHoms(cq, out, nil, modePure, collect); void {
+		ok = nil
+		cn.clone().queryHoms(cq, out, nil, modeLookup, collect)
+	}
 	return ok
 }
 
 // MapsQueryInto reports whether some containment mapping from src into
 // this canonical database extends init (which may be nil): the first
-// match ends the search, and nothing is copied.
+// match ends the search. It compiles src per call; see MapsCompiledInto.
 func (cn *Canon) MapsQueryInto(src *core.Query, out *core.Term, init Hom) bool {
-	found := false
-	cn.visitQueryHoms(src, out, init, func(Hom) bool {
-		found = true
-		return true
-	})
-	return found
+	return cn.MapsCompiledInto(compileQuery(src.Bindings, src.Conds, src.Out, initVars(src.Bindings, init)), out, init)
 }
 
-// visitQueryHoms streams the homomorphisms of src extending init whose
-// transported output is congruent to out, stopping when visit returns
-// true.
-func (cn *Canon) visitQueryHoms(src *core.Query, out *core.Term, init Hom, visit func(Hom) bool) {
-	cn.VisitHoms(src.Bindings, src.Conds, init, func(h Hom) bool {
-		return cn.CC.Same(h.Apply(src.Out), out) && visit(h)
-	})
+// MapsCompiledInto reports whether some containment mapping from the
+// compiled query into this canonical database, with its output congruent
+// to out, extends init (which may be nil). The test is read-only: terms
+// the closure lacks get virtual ids, so it changes neither the closure's
+// Len nor its Version, and on a frozen canon any number of tests may run
+// concurrently. Only a projection whose class holds constructors with
+// that field in different classes (congruence.Ambiguous) has no
+// read-only answer; the test then reruns on a private clone, interning.
+// init's variables outside the query's bindings must have been compiled
+// in (MapsQueryInto does that).
+func (cn *Canon) MapsCompiledInto(src *CompiledQuery, out *core.Term, init Hom) bool {
+	hit, void := cn.queryHoms(src, out, init, modePure, nil)
+	if void {
+		hit, _ = cn.clone().queryHoms(src, out, init, modeLookup, nil)
+	}
+	return hit
+}
+
+// queryHoms searches the homomorphisms of src extending init whose
+// transported output is congruent to out. With fn nil it stops at the
+// first and reports hit; otherwise it hands each to fn until fn returns
+// true. void reports a modePure search that met an ambiguous lookup: its
+// outcome, and what fn saw, must be discarded.
+func (cn *Canon) queryHoms(src *CompiledQuery, out *core.Term, init Hom, m mode, fn func(*search) bool) (hit, void bool) {
+	s := cn.spareSearch(&cn.query, src.prog, src.atoms, src.conds, m)
+	s.assignInit(init)
+	s.outID = s.termID(out)
+	if s.void {
+		return false, true
+	}
+	s.leafDo, s.out, s.fn = leafQuery, src.out, fn
+	checkAt := src.checkAt
+	if init != nil {
+		checkAt = nil
+	}
+	s.run(checkAt)
+	return s.hit, s.void
 }

@@ -102,17 +102,6 @@ func ChaseContext(ctx context.Context, q *core.Query, deps []*core.Dependency, o
 	return ChaseIndexed(ctx, q, NewDepIndex(deps), opts)
 }
 
-func splitEGDs(deps []*core.Dependency) (egds, tgds []*core.Dependency) {
-	for _, d := range deps {
-		if d.IsEGD() {
-			egds = append(egds, d)
-		} else {
-			tgds = append(tgds, d)
-		}
-	}
-	return egds, tgds
-}
-
 // applyStep applies one chase step, returning the extended query. For a
 // TGD it adds the conclusion bindings (with fresh variables) and
 // conditions; for an EGD it adds the equalities. Constant clashes caused
@@ -162,47 +151,30 @@ func applyStep(q *core.Query, d *core.Dependency, h Hom) *core.Query {
 // budget runs out is sound even when the chase would not terminate, so
 // only a budget exhausted before the goal maps in is an error
 // (*ErrBudget).
+//
+// The goal is compiled per call; ContainedInCompiled takes a goal
+// compiled once for many tests.
 func ContainedIn(ctx context.Context, s, goal *core.Query, ix *DepIndex, opts Options) (bool, error) {
-	res, err := chaseIndexed(ctx, s, ix, opts, &goalTest{goal: goal})
+	return ContainedInCompiled(ctx, s, CompileQuery(goal), ix, opts)
+}
+
+// ContainedInCompiled is ContainedIn with a compiled goal. The goal test
+// before each step is read-only (see MapsCompiledInto): it interns
+// nothing into the chase's closure, and its variables are slots, so the
+// goal needs no renaming apart from the variables the chase introduces.
+func ContainedInCompiled(ctx context.Context, s *core.Query, goal *CompiledQuery, ix *DepIndex, opts Options) (bool, error) {
+	res, err := chaseIndexed(ctx, s, ix, opts, goal)
 	if err != nil {
 		return false, err
 	}
 	return res.goalMapped || res.Inconsistent, nil
 }
 
-// goalTest is the goal of a goal-directed chase, kept renamed apart from
-// every variable of the chased query.
-type goalTest struct {
-	goal    *core.Query
-	renamed *core.Query
-	vars    map[string]bool // renamed's bound variables
-}
-
-// mapsInto reports whether the goal has a containment mapping into the
-// canonical database with the outputs matched. The chase introduces
-// fresh variables as it goes, so the goal is renamed apart again whenever
-// one of them collides with its own.
-func (g *goalTest) mapsInto(cn *Canon) bool {
-	if g.renamed == nil || g.collides(cn.Q) {
-		g.renamed = g.goal.RenameVars(core.FreshRenaming("h_", cn.Q.BoundVars()))
-		g.vars = g.renamed.BoundVars()
-	}
-	return cn.MapsQueryInto(g.renamed, cn.Q.Out, nil)
-}
-
-func (g *goalTest) collides(q *core.Query) bool {
-	for _, b := range q.Bindings {
-		if g.vars[b.Var] {
-			return true
-		}
-	}
-	return false
-}
-
 // Applicable reports whether any dependency is applicable to the query —
 // i.e. whether the query is not yet a chase fixpoint.
 func Applicable(q *core.Query, deps []*core.Dependency) bool {
-	d, _ := findApplicable(NewCanon(q), deps)
+	ix := NewDepIndex(deps)
+	d, _ := findApplicable(ix.NewCanon(q, nil), ix.progs)
 	return d != nil
 }
 

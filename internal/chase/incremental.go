@@ -7,8 +7,11 @@
 //
 //   - A DepIndex maps premise feature keys (schema names plus var-rooted
 //     shape keys, see core.FeatureKeys) to the dependencies whose premise
-//     mentions them. It is a pure function of the dependency set, built
-//     once and shared read-only across every chase of one backchase run.
+//     mentions them, and holds every dependency compiled for
+//     homomorphism search (compile.go). It is a pure function of the
+//     dependency set, built once and shared read-only across every chase
+//     of one backchase run. The closure tracks class features as bitsets
+//     over the index's feature universe.
 //
 //   - Each fixpoint iteration maintains per-dependency dirtiness. A
 //     dependency whose premise search came up empty is marked clean and
@@ -20,7 +23,8 @@
 //
 //   - A dependency dirtied only by appended bindings gets a homomorphism
 //     search seeded at the delta: only assignments using at least one of
-//     the new target bindings are enumerated (visitHoms with deltaStart).
+//     the new target bindings are enumerated (premiseSearch with
+//     deltaStart).
 //     Dependencies dirtied by a union — or the dependency that just fired
 //     — are re-searched in full.
 //
@@ -32,31 +36,43 @@
 //     its dependency applicable again.
 //  2. Premise homomorphisms appear only through relevant changes. A
 //     membership or premise-condition test flips from false to true only
-//     when a union joins the classes of the two tested terms — and the
-//     transported premise term carries a subset of the dependency's own
-//     premise features (homomorphisms substitute variables for
-//     variables, preserving shape; a repeated premise variable's var≡var
-//     witness test is covered by indexing the dependency under FeatVar,
-//     see core.PremiseFeatureKeys), so that union's feature log
-//     intersects the dependency's features — or when a new binding
-//     supplies a previously nonexistent target. The membership test
-//     compares the new range to the transported premise range up to
-//     congruence, so the range is matched against the index through the
-//     feature keys of its whole congruence class (which contain the
-//     features of every interned term it can stand in for), not just its
-//     own term features; bare-variable or featureless ranges
-//     conservatively dirty everything.
+//     when a union joins the classes of the two tested terms, or when a
+//     new binding supplies a previously nonexistent target. The argument
+//     needs the union to log the transported premise term's features,
+//     which are the premise term's own (homomorphisms substitute
+//     variables for variables, preserving shape; a repeated premise
+//     variable's var≡var witness test is covered by indexing the
+//     dependency under FeatVar, see core.PremiseFeatureKeys), so every
+//     term a premise search tests must have a class that carries them.
+//     That is the frontier rule of the compiled search (modeIntern in
+//     match.go): a transported term is resolved by lookups over class
+//     ids, and one whose signature has no node yet — say x′.F, with no
+//     node over x′'s class — is built and interned right there, because
+//     without that node an EGD union x′ = t logs only x′'s features ("?")
+//     and never wakes a premise y in x.F; a compound term resolved to an
+//     existing node's class has its features added to that class. Then
+//     each union of a tested term's class logs features intersecting the
+//     dependency's. Conclusion tests and containment tests intern
+//     nothing (their outcomes decide no wake-up). A new binding's range
+//     is matched against the index through the features of its whole
+//     congruence class (which contain those of every term it can stand
+//     in for), not just its own; a bare-variable range conservatively
+//     dirties everything.
 //  3. Hence a clean dependency has no applicable homomorphism, and a
 //     binding-delta-dirty dependency has applicable homomorphisms only
 //     among those using a delta binding; scanning dependencies in the
-//     naive order (EGDs before TGDs, slice order, visitHoms order) finds
+//     naive order (EGDs before TGDs, slice order, backtracking order) finds
 //     exactly the naive engine's next step.
 //
 // Derived congruences materialize lazily (interning a term can trigger
-// signature-collision unions), but they are consequences of equalities
-// already asserted: any search that needs one triggers it while testing,
-// so laziness never changes a test's outcome — it only adds conservative
-// entries to the feature log, which cost a spurious re-search at most.
+// signature-collision unions, and a projection x.F whose base class holds
+// constructors with field F in different classes merges them), but they
+// are consequences of equalities already asserted: any search that needs
+// one triggers it while testing — a lookup that could only be answered by
+// that merge (congruence.Ambiguous) interns the term, on a private clone
+// in a read-only test — so laziness never changes a test's outcome; it
+// only adds conservative entries to the feature log, which cost a
+// spurious re-search at most.
 package chase
 
 import (
@@ -74,37 +90,49 @@ import (
 // equivalence chase of an Optimize call.
 type DepIndex struct {
 	deps []*core.Dependency
+	// progs[i] is deps[i] compiled for homomorphism search.
+	progs []*depProg
 	// egds and tgds list dependency positions in original slice order,
 	// preserving the naive engine's EGD-before-TGD scan discipline.
 	egds, tgds []int
-	// feats[i] is the premise feature set of deps[i].
-	feats []map[string]bool
-	// byFeat inverts feats: feature key -> positions of dependencies whose
-	// premise carries it.
-	byFeat map[string][]int
+	// feats numbers the premise features of all the dependencies: the
+	// universe the chase's closures track class features over.
+	feats *congruence.Features
+	// byBit inverts the premise feature sets: feature bit -> positions of
+	// the dependencies whose premise carries it.
+	byBit [][]int
 	// naive selects the textbook reference engine (see NewNaiveIndex).
 	naive bool
 }
 
-// NewDepIndex builds the premise index for the dependency set. The slice
-// is captured, not copied; callers must not mutate it afterwards.
+// NewDepIndex builds the premise index for the dependency set and
+// compiles every dependency's premise ranges and conditions, conclusion
+// and conclusion conditions into pattern programs. The slice is
+// captured, not copied; callers must not mutate it afterwards.
 func NewDepIndex(deps []*core.Dependency) *DepIndex {
-	ix := &DepIndex{
-		deps:   deps,
-		feats:  make([]map[string]bool, len(deps)),
-		byFeat: map[string][]int{},
-	}
+	ix := &DepIndex{deps: deps, progs: make([]*depProg, len(deps))}
+	premise := make([]map[string]bool, len(deps))
+	var keys []string
 	for i, d := range deps {
 		if d.IsEGD() {
 			ix.egds = append(ix.egds, i)
 		} else {
 			ix.tgds = append(ix.tgds, i)
 		}
-		fs := d.PremiseFeatureKeys()
-		ix.feats[i] = fs
-		for f := range fs {
-			ix.byFeat[f] = append(ix.byFeat[f], i)
+		premise[i] = d.PremiseFeatureKeys()
+		for f := range premise[i] {
+			keys = append(keys, f)
 		}
+	}
+	ix.feats = congruence.NewFeatures(keys)
+	ix.byBit = make([][]int, ix.feats.Len())
+	for i, d := range deps {
+		for b := 0; b < ix.feats.Len(); b++ {
+			if premise[i][ix.feats.Key(b)] {
+				ix.byBit[b] = append(ix.byBit[b], i)
+			}
+		}
+		ix.progs[i] = compileDep(d, ix.feats)
 	}
 	return ix
 }
@@ -142,7 +170,13 @@ func (ix *DepIndex) Len() int { return len(ix.deps) }
 // DepsForFeature returns the positions of the dependencies indexed under
 // the feature key, in dependency order. Exposed for the index-correctness
 // tests; the result must be treated as read-only.
-func (ix *DepIndex) DepsForFeature(feat string) []int { return ix.byFeat[feat] }
+func (ix *DepIndex) DepsForFeature(feat string) []int {
+	b, ok := ix.feats.Bit(feat)
+	if !ok {
+		return nil
+	}
+	return ix.byBit[b]
+}
 
 // depState is the per-run dirtiness of one dependency.
 type depState struct {
@@ -159,42 +193,38 @@ type depState struct {
 // markUnion dirties, for a full re-search, every dependency whose premise
 // features intersect the touched-feature set of this step's congruence
 // unions.
-func (ix *DepIndex) markUnion(st []depState, touched map[string]bool) {
-	for f := range touched {
-		for _, di := range ix.byFeat[f] {
+func (ix *DepIndex) markUnion(st []depState, touched congruence.FeatureSet) {
+	touched.Each(func(b int) {
+		for _, di := range ix.byBit[b] {
 			st[di] = depState{dirty: true, deltaStart: -1}
 		}
-	}
+	})
 }
 
 // markNewBinding dirties dependencies that may match the newly appended
 // binding range, seeding their next search at the delta (binding index
 // from). Premise membership tests compare ranges up to congruence, so the
-// range's term features are unioned with the feature keys of its whole
-// congruence class (the range must already be interned in cc): a binding
-// with range d.A can satisfy a premise atom v in d.B when d.A ≡ d.B, and
-// only the class features carry ".B". When the class contains a bare
-// variable the union includes FeatVar, waking dependencies with
-// bare-variable premise shapes. Ranges with no features, or bare-variable
-// ranges, conservatively dirty every dependency. Union-dirty (full)
-// states are never downgraded, and an older (smaller) delta seed is kept.
+// range is matched through the features of its whole congruence class
+// (the range must already be interned in cc), which include its own: a
+// binding with range d.A can satisfy a premise atom v in d.B when
+// d.A ≡ d.B, and only the class features carry ".B". When the class
+// contains a bare variable they include FeatVar, waking dependencies with
+// bare-variable premise shapes. A bare-variable range — the one shape
+// with no feature key of its own beyond FeatVar, see core.FeatureKeys —
+// conservatively dirties every dependency. Union-dirty (full) states are
+// never downgraded, and an older (smaller) delta seed is kept.
 func (ix *DepIndex) markNewBinding(st []depState, cc *congruence.Closure, rng *core.Term, from int) {
-	fs := rng.FeatureKeys()
-	// The conservative fallback is decided on the range's own term
-	// features, BEFORE the class union: a range that is featureless on
-	// its own terms can stand in for any premise shape, and a featured
-	// class must not talk it out of dirtying everything.
-	if len(fs) == 0 || rng.Kind == core.KVar {
+	// The conservative fallback is decided on the range's own term, before
+	// the class: a bare variable can stand in for any premise shape, and a
+	// featured class must not talk it out of dirtying everything.
+	if rng.Kind == core.KVar {
 		for i := range st {
 			st[i] = depState{dirty: true, deltaStart: -1}
 		}
 		return
 	}
-	for f := range cc.ClassFeatures(rng) {
-		fs[f] = true
-	}
-	for f := range fs {
-		for _, di := range ix.byFeat[f] {
+	cc.ClassFeatures(rng).Each(func(b int) {
+		for _, di := range ix.byBit[b] {
 			s := &st[di]
 			if !s.dirty {
 				*s = depState{dirty: true, deltaStart: from}
@@ -202,7 +232,7 @@ func (ix *DepIndex) markNewBinding(st []depState, cc *congruence.Closure, rng *c
 			// Already dirty: a full (-1) search subsumes the delta, and an
 			// existing delta seed is from an earlier step, hence <= from.
 		}
-	}
+	})
 }
 
 // findApplicable scans the given dependency positions in order, skipping
@@ -216,20 +246,11 @@ func (ix *DepIndex) findApplicable(cn *Canon, order []int, st []depState) (*core
 		if !s.dirty {
 			continue
 		}
-		d := ix.deps[di]
 		if cn.Metrics != nil {
 			cn.Metrics.DepSearches.Add(1)
 		}
-		var found Hom
-		cn.visitHoms(d.Premise, d.PremiseConds, nil, s.deltaStart, func(h Hom) bool {
-			if !cn.ExtendsToConclusion(d, h) {
-				found = h.Clone()
-				return true
-			}
-			return false
-		})
-		if found != nil {
-			return d, di, found
+		if found := cn.premiseSearch(ix.progs[di], s.deltaStart); found != nil {
+			return ix.deps[di], di, found
 		}
 		*s = depState{}
 	}
@@ -247,7 +268,7 @@ func ChaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options
 
 // chaseIndexed dispatches to the index's engine; a non-nil goal makes
 // the run goal-directed (see ContainedIn).
-func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
+func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *CompiledQuery) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Metrics != nil {
 		opts.Metrics.Runs.Add(1)
@@ -265,7 +286,7 @@ func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options
 // equivalent to the input under the dependencies, so the last affordable
 // state still decides. done reports that the run ends here, with res
 // filled in or err set.
-func checkpoint(ctx context.Context, cn *Canon, goal *goalTest, steps int, lastDep string, opts Options, res *Result) (done bool, err error) {
+func checkpoint(ctx context.Context, cn *Canon, goal *CompiledQuery, steps int, lastDep string, opts Options, res *Result) (done bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return true, err
 	}
@@ -273,7 +294,7 @@ func checkpoint(ctx context.Context, cn *Canon, goal *goalTest, steps int, lastD
 		res.Query, res.Inconsistent = cn.Q, true
 		return true, nil
 	}
-	if goal != nil && goal.mapsInto(cn) {
+	if goal != nil && cn.MapsCompiledInto(goal, cn.Q.Out, nil) {
 		res.Query, res.goalMapped = cn.Q, true
 		return true, nil
 	}
@@ -286,10 +307,7 @@ func checkpoint(ctx context.Context, cn *Canon, goal *goalTest, steps int, lastD
 // extend appends the facts next adds over cn.Q to the canonical database
 // and makes next its query.
 func (cn *Canon) extend(next *core.Query) {
-	for _, b := range next.Bindings[len(cn.Q.Bindings):] {
-		cn.CC.Add(b.Range)
-		cn.CC.Add(core.V(b.Var))
-	}
+	cn.addBindings(next.Bindings[len(cn.Q.Bindings):])
 	for _, c := range next.Conds[len(cn.Q.Conds):] {
 		cn.CC.Merge(c.L, c.R)
 	}
@@ -297,10 +315,10 @@ func (cn *Canon) extend(next *core.Query) {
 }
 
 // chaseIncremental runs the delta-driven fixpoint.
-func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
+func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *CompiledQuery) (*Result, error) {
 	res := &Result{}
 	cn := ix.NewCanon(q.Clone(), opts.Metrics)
-	cn.CC.TrackFeatures()
+	cn.CC.TrackFeatures(ix.feats)
 	// The input query's own facts are the initial delta: everything is
 	// dirty for a full search, and the feature log starts drained.
 	cn.CC.TakeTouched()
@@ -350,9 +368,15 @@ func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Opt
 // chaseNaive is the textbook fixpoint (every dependency rescanned, full
 // homomorphism search each step), kept as the differential reference and
 // the baseline E15 measures against.
-func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goalTest) (*Result, error) {
+func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *CompiledQuery) (*Result, error) {
 	res := &Result{}
-	egds, tgds := splitEGDs(ix.deps)
+	var egds, tgds []*depProg
+	for _, di := range ix.egds {
+		egds = append(egds, ix.progs[di])
+	}
+	for _, di := range ix.tgds {
+		tgds = append(tgds, ix.progs[di])
+	}
 	cn := ix.NewCanon(q.Clone(), opts.Metrics) // linear scan: the full backtracking cost
 	lastDep := ""
 	for steps := 0; ; steps++ {
@@ -382,26 +406,37 @@ func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, 
 // findApplicable returns the first dependency (in order) with a premise
 // homomorphism that does not extend to its conclusion, together with that
 // homomorphism. Determinism: dependencies are scanned in slice order and
-// homomorphisms in the backtracking order of VisitHoms; the search stops
-// at the first applicable one. Each dependency searched counts toward
+// homomorphisms in the backtracking order of the compiled search, which
+// stops at the first applicable one. Each dependency searched counts toward
 // cn.Metrics, so naive-vs-incremental comparisons measure the same
 // events.
-func findApplicable(cn *Canon, deps []*core.Dependency) (*core.Dependency, Hom) {
-	for _, d := range deps {
+func findApplicable(cn *Canon, deps []*depProg) (*core.Dependency, Hom) {
+	for _, dp := range deps {
 		if cn.Metrics != nil {
 			cn.Metrics.DepSearches.Add(1)
 		}
-		var found Hom
-		cn.VisitHoms(d.Premise, d.PremiseConds, nil, func(h Hom) bool {
-			if !cn.ExtendsToConclusion(d, h) {
-				found = h.Clone()
-				return true
-			}
-			return false
-		})
-		if found != nil {
-			return d, found
+		if found := cn.premiseSearch(dp, -1); found != nil {
+			return dp.d, found
 		}
 	}
 	return nil, nil
+}
+
+// premiseSearch returns the first premise homomorphism of dp, in the
+// backtracking order of the compiled search, that does not extend to the
+// conclusion, or nil. With deltaStart >= 0 only homomorphisms using a
+// target binding of index >= deltaStart are visited, in the same order
+// as the full enumeration (the visited sequence is a subsequence of the
+// full one): the incremental chase uses this for dependencies whose only
+// relevant change since their last exhausted search is a batch of
+// appended bindings. Every older homomorphism has already been searched
+// and found conclusion-satisfied, a state that is monotone under chase
+// extension, so skipping it is sound.
+func (cn *Canon) premiseSearch(dp *depProg, deltaStart int) Hom {
+	s := cn.spareSearch(&cn.premise, dp.prog, dp.premise, dp.pconds, modeIntern)
+	s.bits = dp.bits
+	s.deltaStart = deltaStart
+	s.leafDo, s.dp = leafPremise, dp
+	s.run(dp.premiseAt)
+	return s.found
 }

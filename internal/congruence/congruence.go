@@ -28,32 +28,38 @@
 // same closure concurrently provided no goroutine mutates it at the same
 // time.
 //
+// Lookups never intern: Lookup, LookupLeaf and a Probe resolve a term,
+// given as an operator over child class ids (virtual ids for terms the
+// closure lacks), to the class it would join, without building or
+// rendering it. Interning happens only through Add, Merge, Same, Rep and
+// ClassMembers, which the chase calls when a step fires, when a premise
+// search meets a signature with no node yet, and for the one term no
+// lookup can answer (see Ambiguous).
+//
 // A frozen Closure (see Freeze) is safe for any number of concurrent
 // readers: every query on it only reads, and any operation that would
 // intern a new term or merge two classes panics instead. The parallel
 // backchase shares one frozen closure of the root query across all its
-// workers' subquery constructions.
+// workers' subquery constructions and read-only containment tests, each
+// test resolving its terms through a Probe of its own.
 package congruence
 
 import (
 	"maps"
 	"sort"
-	"strconv"
-	"strings"
 
 	"cnb/internal/core"
 )
 
 type node struct {
 	term *core.Term
-	// op is the operator tag: leaves use the full HashKey; interior nodes
-	// use "proj:<field>", "dom", "lk", "lknf", "struct:<f1>,<f2>,...".
+	// op is the operator tag of an interior node (see Op); empty for a
+	// leaf, which takes no part in signatures: two leaves are congruent
+	// only when they are the same term, hence the same node.
 	op string
-	// args are node ids of children, in order.
+	// args are node ids of children, in order. A constructor's field
+	// names are its term's, parallel to args.
 	args []int
-	// fieldNames holds struct field names (parallel to args) when the
-	// node is a struct constructor.
-	fieldNames []string
 }
 
 // Closure is a congruence closure over a growing set of terms.
@@ -63,7 +69,7 @@ type Closure struct {
 	parent []int
 	rank   []int
 
-	sigTable  map[string]int // current signature -> node id
+	sigTable  map[sigKey]int // current signature -> node id
 	parentsOf map[int][]int  // class rep -> ids of nodes with a child in the class
 	structsIn map[int][]int  // class rep -> struct-constructor nodes in the class
 	projsOn   map[int][]int  // class rep -> projection nodes whose base is in the class
@@ -75,13 +81,9 @@ type Closure struct {
 	// is what lets the chase's rep-keyed target index detect staleness.
 	version uint64
 
-	// Feature tracking for the incremental chase (nil maps = disabled, the
-	// default). feats holds the union of core.Term feature keys over each
-	// class; touched accumulates the features of every class changed by a
-	// union since the last TakeTouched. See core.FeatureKeys for why these
-	// two sets over-approximate "which premise shapes may newly match".
-	feats   map[int]map[string]bool // class rep -> feature keys of members
-	touched map[string]bool
+	// Feature tracking for the incremental chase (nil = disabled, the
+	// default); see features.go.
+	feats *featureState
 
 	// frozen is set by Freeze; nil while the closure is mutable.
 	frozen *frozenClasses
@@ -95,10 +97,16 @@ type frozenClasses struct {
 }
 
 // New returns an empty closure.
-func New() *Closure {
+func New() *Closure { return NewSized(0) }
+
+// NewSized returns an empty closure with room for about n terms.
+func NewSized(n int) *Closure {
 	return &Closure{
-		byKey:     make(map[string]int),
-		sigTable:  make(map[string]int),
+		nodes:     make([]node, 0, n),
+		parent:    make([]int, 0, n),
+		rank:      make([]int, 0, n),
+		byKey:     make(map[string]int, n),
+		sigTable:  make(map[sigKey]int, n/2),
 		parentsOf: make(map[int][]int),
 		structsIn: make(map[int][]int),
 		projsOn:   make(map[int][]int),
@@ -127,76 +135,9 @@ func (c *Closure) Clone() *Closure {
 		pending:   append([][2]int(nil), c.pending...),
 	}
 	if c.feats != nil {
-		n.feats = make(map[int]map[string]bool, len(c.feats))
-		for r, fs := range c.feats {
-			n.feats[r] = maps.Clone(fs)
-		}
-		n.touched = maps.Clone(c.touched)
+		n.feats = c.feats.clone()
 	}
 	return n
-}
-
-// TrackFeatures enables union feature logging: from now on every union
-// records the feature keys of both merged classes into a touched set that
-// TakeTouched drains. Existing nodes are indexed retroactively, so
-// enabling on a populated closure is sound. Used by the incremental chase
-// to decide which dependencies a chase step may have (re-)enabled.
-func (c *Closure) TrackFeatures() {
-	if c.feats != nil {
-		return
-	}
-	c.mustBeMutable("TrackFeatures")
-	c.feats = make(map[int]map[string]bool, len(c.nodes))
-	c.touched = map[string]bool{}
-	for id := range c.nodes {
-		c.noteFeatures(id)
-	}
-}
-
-// TakeTouched returns the feature keys of every class changed by a union
-// since the last call and resets the set. Returns nil while feature
-// tracking is disabled or when nothing was touched.
-func (c *Closure) TakeTouched() map[string]bool {
-	if c.feats == nil || len(c.touched) == 0 {
-		return nil
-	}
-	t := c.touched
-	c.touched = map[string]bool{}
-	return t
-}
-
-// ClassFeatures returns the recorded feature keys of the term's whole
-// congruence class — the union of core.Term feature keys over every
-// interned member. Returns nil when feature tracking is disabled or the
-// term has not been interned. The returned map is the live internal set:
-// callers must treat it as read-only and must not retain it across
-// mutations of the closure.
-//
-// The incremental chase consults this when a new binding is appended:
-// premise membership tests compare ranges up to congruence, so the
-// binding can wake up any dependency whose premise shape occurs anywhere
-// in the range's class, not only dependencies matching the range's own
-// syntactic shape.
-func (c *Closure) ClassFeatures(t *core.Term) map[string]bool {
-	if c.feats == nil {
-		return nil
-	}
-	id, ok := c.byKey[t.HashKey()]
-	if !ok {
-		return nil
-	}
-	return c.feats[c.find(id)]
-}
-
-// noteFeatures registers a node's term features with its current class.
-func (c *Closure) noteFeatures(id int) {
-	r := c.find(id)
-	fs := c.feats[r]
-	if fs == nil {
-		fs = map[string]bool{}
-		c.feats[r] = fs
-	}
-	c.nodes[id].term.CollectFeatureKeys(fs)
 }
 
 func cloneIntSliceMap(m map[int][]int) map[int][]int {
@@ -226,31 +167,18 @@ func (c *Closure) intern(t *core.Term) int {
 	var n node
 	n.term = t
 	switch t.Kind {
-	case core.KVar, core.KConst, core.KName:
-		n.op = key
-	case core.KProj:
-		n.op = "proj:" + t.Name
-		n.args = []int{c.intern(t.Base)}
-	case core.KDom:
-		n.op = "dom"
+	case core.KProj, core.KDom:
 		n.args = []int{c.intern(t.Base)}
 	case core.KLookup:
-		if t.NonFailing {
-			n.op = "lknf"
-		} else {
-			n.op = "lk"
-		}
 		n.args = []int{c.intern(t.Base), c.intern(t.Key)}
 	case core.KStruct:
-		names := make([]string, len(t.Fields))
-		args := make([]int, len(t.Fields))
+		n.args = make([]int, len(t.Fields))
 		for i, f := range t.Fields {
-			names[i] = f.Name
-			args[i] = c.intern(f.Term)
+			n.args[i] = c.intern(f.Term)
 		}
-		n.op = "struct:" + strings.Join(names, ",")
-		n.args = args
-		n.fieldNames = names
+	}
+	if n.args != nil {
+		n.op = opTag(t)
 	}
 	id := len(c.nodes)
 	c.nodes = append(c.nodes, n)
@@ -258,7 +186,7 @@ func (c *Closure) intern(t *core.Term) int {
 	c.rank = append(c.rank, 0)
 	c.byKey[key] = id
 	if c.feats != nil {
-		c.noteFeatures(id)
+		c.feats.noteNode(c, id)
 	}
 
 	// Register with parents-of lists and the signature table.
@@ -266,11 +194,13 @@ func (c *Closure) intern(t *core.Term) int {
 		ra := c.find(a)
 		c.parentsOf[ra] = append(c.parentsOf[ra], id)
 	}
-	sig := c.signature(id)
-	if other, ok := c.sigTable[sig]; ok && c.find(other) != id {
-		c.pending = append(c.pending, [2]int{id, other})
-	} else {
-		c.sigTable[sig] = id
+	if n.args != nil {
+		sig := c.signature(id)
+		if other, ok := c.sigTable[sig]; ok && c.find(other) != id {
+			c.pending = append(c.pending, [2]int{id, other})
+		} else {
+			c.sigTable[sig] = id
+		}
 	}
 
 	// Axiom bookkeeping.
@@ -288,22 +218,14 @@ func (c *Closure) intern(t *core.Term) int {
 }
 
 // signature computes the current congruence signature of a node.
-func (c *Closure) signature(id int) string {
+func (c *Closure) signature(id int) sigKey {
 	n := &c.nodes[id]
-	if len(n.args) == 0 {
-		return n.op
-	}
-	var b strings.Builder
-	b.WriteString(n.op)
-	b.WriteByte('(')
+	var k sigKey
+	k.op = n.op
 	for i, a := range n.args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c.find(a)))
+		k.setArg(i, c.find(a))
 	}
-	b.WriteByte(')')
-	return b.String()
+	return k
 }
 
 func (c *Closure) find(x int) int {
@@ -328,11 +250,11 @@ func (c *Closure) fireBeta(r int) {
 		return
 	}
 	for _, p := range projs {
-		field := strings.TrimPrefix(c.nodes[p].op, "proj:")
+		field := c.nodes[p].term.Name
 		for _, s := range structs {
 			sn := &c.nodes[s]
-			for i, fn := range sn.fieldNames {
-				if fn == field {
+			for i, f := range sn.term.Fields {
+				if f.Name == field {
 					c.pending = append(c.pending, [2]int{p, sn.args[i]})
 				}
 			}
@@ -356,19 +278,7 @@ func (c *Closure) union(a, b int) {
 	}
 	c.version++
 	if c.feats != nil {
-		dst := c.feats[ra]
-		if dst == nil {
-			dst = map[string]bool{}
-			c.feats[ra] = dst
-		}
-		for f := range dst {
-			c.touched[f] = true
-		}
-		for f := range c.feats[rb] {
-			dst[f] = true
-			c.touched[f] = true
-		}
-		delete(c.feats, rb)
+		c.feats.union(ra, rb)
 	}
 
 	// Recompute signatures of nodes that used a member of rb as a child.
@@ -679,10 +589,11 @@ func (c *Closure) rewrite(t *core.Term, avoid, busy map[string]bool) (*core.Term
 			if n.term.Kind != core.KStruct {
 				continue
 			}
-			for i, fname := range n.fieldNames {
+			for i, f := range n.term.Fields {
 				if c.find(n.args[i]) != tr {
 					continue
 				}
+				fname := f.Name
 				for _, m := range c.ClassMembers(n.term) {
 					if m.Kind == core.KStruct {
 						continue

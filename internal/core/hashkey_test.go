@@ -265,6 +265,35 @@ func TestHashConsQuery(t *testing.T) {
 	}
 }
 
+// TestHashConsSharesEqualQueries: Equal queries come back as one query,
+// a query differing only in binding order shares its condition slice,
+// and different queries stay apart.
+func TestHashConsSharesEqualQueries(t *testing.T) {
+	mk := func(order []int, k string) *Query {
+		bs := []Binding{{Var: "a", Range: Name("R")}, {Var: "b", Range: Name("S")}}
+		q := &Query{Out: Prj(V("a"), "A"), Conds: []Cond{{L: Prj(V("a"), "B"), R: C(k)}}}
+		for _, i := range order {
+			q.Bindings = append(q.Bindings, bs[i])
+		}
+		return q
+	}
+	h := NewHashCons()
+	q1 := h.Query(mk([]int{0, 1}, "x"))
+	if h.Query(mk([]int{0, 1}, "x")) != q1 {
+		t.Fatal("Equal queries came back as two queries")
+	}
+	q2 := h.Query(mk([]int{1, 0}, "x"))
+	if q2 == q1 || q2.String() != mk([]int{1, 0}, "x").String() {
+		t.Fatalf("reordered query = %s, want a query of its own", q2)
+	}
+	if &q2.Conds[0] != &q1.Conds[0] {
+		t.Fatal("equal condition lists are not one slice")
+	}
+	if q3 := h.Query(mk([]int{0, 1}, "y")); q3 == q1 || &q3.Bindings[0] != &q1.Bindings[0] || q3.Conds[0].R.Equal(q1.Conds[0].R) {
+		t.Fatal("a query with another constant must share only its binding list")
+	}
+}
+
 // benchTerm is a ProjDept-shaped output term.
 func benchTerm() *Term {
 	return Struct(

@@ -39,7 +39,11 @@
 // predicted-slow shapes serve the greedy tier immediately with no wait;
 // only unknown shapes pay the budgeted wait. Response.TierReason names the branch taken, and
 // per-tier latency histograms (Histograms) expose the resulting
-// distributions.
+// distributions. A flight whose first caller was routed budgeted or
+// predicted-slow — one that may run detached — first takes a slot of a
+// service-wide semaphore of max(1, GOMAXPROCS−1) slots and runs with one
+// backchase worker, so detached flights never hold every CPU and a
+// request's greedy answer is not queued behind them.
 //
 // Beyond planning, the Service also answers queries: InstallInstance
 // registers named data instances (hot-swappable exactly like SetStats),
@@ -52,6 +56,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -71,7 +76,9 @@ import (
 // cores.
 type Options struct {
 	// Parallelism is the backchase worker count per flight
-	// (0 = all cores, 1 = serial).
+	// (0 = all cores, 1 = serial). Under MaxPlanLatency, a flight that
+	// may run detached takes a slot of the detached-flight semaphore
+	// and runs serially instead (see the package comment).
 	Parallelism int
 	// CacheSize bounds the plan table (0 = DefaultCacheSize,
 	// < 0 = unbounded).
@@ -243,6 +250,10 @@ type Counters struct {
 	// shape families that paid the classic timed wait. Under a trained
 	// predictor this is the number E21 gates to zero.
 	BudgetedWaits int64
+	// SlotWaits counts flights that waited for a slot of the
+	// detached-flight semaphore before optimizing: every slot was held
+	// by another budgeted or predicted-slow flight.
+	SlotWaits int64
 }
 
 // statsSnapshot pairs a statistics pointer with its precomputed
@@ -282,6 +293,13 @@ type Service struct {
 	// (optimizer.OptimizeContext; tests substitute a failing one).
 	optimize func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error)
 
+	// slots is the detached-flight semaphore: a flight whose first caller
+	// was routed budgeted or predicted-slow holds one of its
+	// max(1, GOMAXPROCS−1) slots while it optimizes, serially. The
+	// flights that may run detached therefore leave a CPU to the request
+	// path, however many shapes are cold at once.
+	slots chan struct{}
+
 	requests       atomic.Int64
 	errors         atomic.Int64
 	coalesced      atomic.Int64
@@ -293,6 +311,7 @@ type Service struct {
 	predictedSlow  atomic.Int64
 	predictionMiss atomic.Int64
 	budgetedWaits  atomic.Int64
+	slotWaits      atomic.Int64
 }
 
 // New builds a Service.
@@ -316,6 +335,7 @@ func New(opts Options) *Service {
 		metrics:   m,
 		predictor: pred,
 		optimize:  optimizer.OptimizeContext,
+		slots:     make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1)),
 	}
 	s.stats.Store(newSnapshot(opts.Stats))
 	return s
@@ -370,7 +390,7 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 	}
 	reason, budget := s.classify(key)
 	if owner {
-		go s.fly(f, req, snap, boundFP)
+		go s.fly(f, req, snap, boundFP, reason)
 	} else {
 		s.coalesced.Add(1)
 	}
@@ -397,12 +417,39 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 }
 
 // fly runs f's optimization and publishes its outcome, counting an
-// upgrade when a caller was served the greedy tier meanwhile.
-func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, boundFP string) {
-	e, err := s.plan(f, req, snap, boundFP)
+// upgrade when a caller was served the greedy tier meanwhile. reason is
+// the routing of f's first caller: a budgeted or predicted-slow flight
+// may run detached, so it optimizes serially inside a slot of the
+// detached-flight semaphore.
+func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, boundFP string, reason TierReason) {
+	var e *planEntry
+	var err error
+	if reason == ReasonBudgeted || reason == ReasonPredictedSlow {
+		e, err = s.planInSlot(f, req, snap, boundFP)
+	} else {
+		e, err = s.plan(f, req, snap, boundFP, s.opts.Parallelism)
+	}
 	if s.table.publish(f, e, err, &s.stats) {
 		s.upgraded.Add(1)
 	}
+}
+
+// planInSlot is plan with one backchase worker inside a slot of the
+// detached-flight semaphore, counting a wait when no slot is free. It
+// fails without planning only when f's context ends first.
+func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot, boundFP string) (*planEntry, error) {
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		s.slotWaits.Add(1)
+		select {
+		case s.slots <- struct{}{}:
+		case <-f.ctx.Done():
+			return nil, f.ctx.Err()
+		}
+	}
+	defer func() { <-s.slots }()
+	return s.plan(f, req, snap, boundFP, 1)
 }
 
 // plan runs Algorithm 1 for f and wraps the result as the shape's plan
@@ -415,7 +462,7 @@ func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, boundFP strin
 // exactly the flights that happened — and so before publish releases any
 // waiter: by the time a response for the flight is visible, the
 // prediction is too.
-func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, boundFP string) (e *planEntry, err error) {
+func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, boundFP string, parallelism int) (e *planEntry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e, err = nil, fmt.Errorf("service: optimizer panic: %v\n%s", p, debug.Stack())
@@ -427,7 +474,7 @@ func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, boundFP stri
 		PhysicalNames: req.PhysicalNames,
 		Stats:         snap.stats,
 		CostBounded:   boundFP != "",
-		Parallelism:   s.opts.Parallelism,
+		Parallelism:   parallelism,
 		MinimalOnly:   s.opts.MinimalOnly,
 		Chase:         s.opts.Chase,
 	})
@@ -550,6 +597,7 @@ func (s *Service) Counters() Counters {
 		PredictedSlow:  s.predictedSlow.Load(),
 		PredictionMiss: s.predictionMiss.Load(),
 		BudgetedWaits:  s.budgetedWaits.Load(),
+		SlotWaits:      s.slotWaits.Load(),
 	}
 }
 

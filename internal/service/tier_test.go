@@ -3,11 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"cnb/internal/core"
+	"cnb/internal/optimizer"
 	"cnb/internal/workload"
 )
 
@@ -222,5 +225,95 @@ func TestWarmShapeUnaffectedByBudget(t *testing.T) {
 	}
 	if c := svc.Counters(); c.GreedyServed != 0 || c.Upgraded != 0 {
 		t.Fatalf("tier counters moved on warm path: %+v", c)
+	}
+}
+
+// customerRequest is the ProjDept query over the customer name c: one
+// cold shape per distinct c.
+func customerRequest(t *testing.T, c string) Request {
+	t.Helper()
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := pd.Q.Clone()
+	for i, cd := range q.Conds {
+		if cd.R.Kind == core.KConst {
+			q.Conds[i].R = core.C(c)
+		}
+	}
+	return Request{Query: q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()}
+}
+
+// TestDetachedFlightsShareSlots: under a latency budget, flights whose
+// first request was budgeted optimize serially inside the service-wide
+// slots — never more at once than the semaphore holds, each with one
+// backchase worker — and a flight finding every slot taken is counted in
+// SlotWaits. A synchronous service takes no slot and keeps its
+// Parallelism.
+func TestDetachedFlightsShareSlots(t *testing.T) {
+	release := make(chan struct{})
+	var mu sync.Mutex
+	running, peak := 0, 0
+	var workers []int
+	blocking := func(ctx context.Context, q *core.Query, o optimizer.Options) (*optimizer.Result, error) {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		workers = append(workers, o.Parallelism)
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return optimizer.OptimizeContext(ctx, q, o)
+	}
+
+	svc := New(Options{MinimalOnly: true, Parallelism: 4, MaxPlanLatency: time.Millisecond})
+	svc.optimize = blocking
+	slots := cap(svc.slots)
+	shapes := slots + 2
+	for i := 0; i < shapes; i++ {
+		resp, err := svc.Optimize(context.Background(), customerRequest(t, fmt.Sprintf("C%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Tier != TierGreedy || resp.TierReason != ReasonBudgeted {
+			t.Fatalf("shape %d: tier %q (%s), want greedy (budgeted)", i, resp.Tier, resp.TierReason)
+		}
+	}
+	waitCounter(t, svc, int64(shapes-slots), func(c Counters) int64 { return c.SlotWaits })
+	waitUntil(t, "every slot taken", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return running == slots
+	})
+	close(release)
+	waitCounter(t, svc, int64(shapes), func(c Counters) int64 { return c.Upgraded })
+	mu.Lock()
+	if peak != slots {
+		t.Errorf("peak concurrent flights = %d, want the %d slots", peak, slots)
+	}
+	for _, w := range workers {
+		if w != 1 {
+			t.Errorf("detached-capable flight ran with Parallelism %d, want 1", w)
+		}
+	}
+	mu.Unlock()
+	if c := svc.Counters(); c.SlotWaits != int64(shapes-slots) {
+		t.Errorf("SlotWaits = %d, want %d", c.SlotWaits, shapes-slots)
+	}
+
+	syncSvc := New(Options{MinimalOnly: true, Parallelism: 4})
+	var syncWorkers []int
+	syncSvc.optimize = func(ctx context.Context, q *core.Query, o optimizer.Options) (*optimizer.Result, error) {
+		syncWorkers = append(syncWorkers, o.Parallelism)
+		return optimizer.OptimizeContext(ctx, q, o)
+	}
+	if _, err := syncSvc.Optimize(context.Background(), customerRequest(t, "C0")); err != nil {
+		t.Fatal(err)
+	}
+	if len(syncWorkers) != 1 || syncWorkers[0] != 4 || syncSvc.Counters().SlotWaits != 0 {
+		t.Errorf("synchronous flight: Parallelism %v, SlotWaits %d; want [4], 0", syncWorkers, syncSvc.Counters().SlotWaits)
 	}
 }
