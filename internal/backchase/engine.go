@@ -24,6 +24,24 @@
 // virtual ids instead of being interned), so no check changes what
 // another sees and none needs a copy. Candidate construction only reads
 // the root's congruence closure, so it shares one frozen closure too.
+//
+// Subsumption certificates: the exhaustive search (no Stats) proves most
+// candidates' candidate ⊑ root direction without a chase. Before any
+// worker starts, serial seed dives walk the lattice greedily, each
+// taking the first chase-verified removal until none is left; the normal
+// forms they reach are the seeds. Dive k starts from the root minus X_k,
+// where X_0 = ∅ and X_{k+1} adds the first binding, in root order, of
+// the seed dive k reached, so no two dives reach the same seed. Every
+// dive evaluation goes through the single-flight cache, where the walk,
+// which makes nearly all of them too, finds it. Then a candidate S that
+// passes root ⊑ S and keeps a strict superset of some seed T's bindings
+// is certified when the identity on T's variables is a containment
+// mapping of T into S's unchased canonical database with S's output:
+// S ⊑ T needs no dependencies, and the dive proved T ⊑ root, so
+// S ≡ root. Only a candidate no seed certifies is chased. The seeds are fixed before
+// exploration starts, so whether a state is chased or certified depends
+// on the state alone, and chase.Metrics stay identical across every
+// Parallelism value.
 package backchase
 
 import (
@@ -32,6 +50,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -185,6 +204,18 @@ type eqEntry struct {
 	eq   bool
 }
 
+// seed is a normal form a seed dive reached, ready to certify the
+// states above it: mask holds the root positions of its bindings and q
+// is the plan compiled for containment-mapping search.
+type seed struct {
+	mask uint64
+	q    *chase.CompiledQuery
+}
+
+// maxSeedBindings bounds the root size seed dives run on: a seed's
+// bindings are a bitmask over the root's.
+const maxSeedBindings = 64
+
 // subEntry caches a Subquery construction (sub == nil: construction
 // failed or cascaded to the empty query).
 type subEntry struct {
@@ -231,6 +262,14 @@ type engine struct {
 
 	shards [numShards]shard
 	seed   maphash.Seed
+
+	// pos maps each root binding variable to its position in the root.
+	pos map[string]int
+	// seeds are the dives' normal forms, fixed before any worker starts
+	// and read-only afterwards (nil under Stats and while diving).
+	seeds     []seed
+	certified atomic.Int64 // states proved equivalent by a seed
+	chased    atomic.Int64 // states that ran a goal-directed chase
 
 	states    atomic.Int64 // claimed states (visited-set size)
 	pruned    atomic.Int64 // claimed states skipped by the cost bound
@@ -279,7 +318,11 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		subs:      NewSubqueryBuilder(q),
 		queue:     newWorkQueue(opts.Stats != nil),
 		seed:      maphash.MakeSeed(),
+		pos:       make(map[string]int, len(q.Bindings)),
 		plans:     map[string]planEntry{},
+	}
+	for i, b := range q.Bindings {
+		e.pos[b.Var] = i
 	}
 	e.rootCanon.Freeze()
 	if opts.Stats != nil {
@@ -548,8 +591,9 @@ func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Quer
 // search binds sub's variables to slots, not names, so sub needs no
 // renaming apart from the root's.
 //
-// Direction sub ⊑ root: the goal (Options.Goal, else the root) maps into
-// a goal-directed chase of sub, which stops at the first state the goal
+// Direction sub ⊑ root: a seed's certificate (see certify) when one
+// applies; otherwise the goal (Options.Goal, else the root) maps into a
+// goal-directed chase of sub, which stops at the first state the goal
 // maps into. Only a budget exhausted before that counts as unsound.
 func (e *engine) equivalentToRoot(ctx context.Context, sub *core.Query) (bool, error) {
 	cn := e.rootCanon
@@ -561,7 +605,53 @@ func (e *engine) equivalentToRoot(ctx context.Context, sub *core.Query) (bool, e
 	if !cn.MapsCompiledInto(subC, cn.Q.Out, id) && !cn.MapsCompiledInto(subC, cn.Q.Out, nil) {
 		return false, nil
 	}
+	if e.certify(sub) {
+		e.certified.Add(1)
+		return true, nil
+	}
+	e.chased.Add(1)
 	return chase.ContainedInCompiled(ctx, sub, e.goalC, e.depIndex, e.opts.Chase)
+}
+
+// certify reports whether some seed whose bindings are a strict subset
+// of sub's proves sub ⊑ root: the identity on the seed's variables is a
+// containment mapping of the seed into sub's canonical database, built
+// once and not chased, with the output matched to sub's. That proves
+// sub ⊑ seed without dependencies, and the seed's dive proved
+// seed ⊑ root by chase.
+func (e *engine) certify(sub *core.Query) bool {
+	if len(e.seeds) == 0 {
+		return false
+	}
+	m := e.mask(sub)
+	var cn *chase.Canon
+	var id chase.Hom
+	for _, sd := range e.seeds {
+		if sd.mask&^m != 0 || sd.mask == m {
+			continue
+		}
+		if cn == nil {
+			cn = e.depIndex.NewCanon(sub, e.opts.Chase.Metrics)
+			id = make(chase.Hom, len(sub.Bindings))
+			for i, b := range sub.Bindings {
+				id[b.Var] = cn.BindingVar(i)
+			}
+		}
+		if cn.MapsCompiledInto(sd.q, sub.Out, id) {
+			return true
+		}
+	}
+	return false
+}
+
+// mask returns the root positions of q's bindings as a bitmask; q is a
+// subquery of a root of at most maxSeedBindings bindings.
+func (e *engine) mask(q *core.Query) uint64 {
+	var m uint64
+	for _, b := range q.Bindings {
+		m |= 1 << e.pos[b.Var]
+	}
+	return m
 }
 
 // buildCandidate constructs the candidate state for removing the named
@@ -575,7 +665,12 @@ func (e *engine) buildCandidate(removed map[string]bool, v string) (map[string]b
 		grown[r] = true
 	}
 	grown[v] = true
+	return e.buildState(grown)
+}
 
+// buildState constructs the state for removing the given set, as
+// buildCandidate does for one more removal.
+func (e *engine) buildState(grown map[string]bool) (map[string]bool, string, *core.Query) {
 	sub := e.cachedSubquery(e.stateKey(grown), grown)
 	if sub == nil || len(sub.Bindings) == 0 {
 		return nil, "", nil
@@ -700,11 +795,7 @@ type worker struct {
 // escaping one would take the whole process down, past any recover of
 // the caller.
 func (e *engine) run(ctx context.Context, w *worker) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.fail(fmt.Errorf("backchase: worker panic: %v\n%s", p, debug.Stack()))
-		}
-	}()
+	defer e.recoverPanic()
 	for {
 		it, ok := e.queue.pop()
 		if !ok {
@@ -719,9 +810,78 @@ func (e *engine) run(ctx context.Context, w *worker) {
 	}
 }
 
+// recoverPanic, deferred by a goroutine of the run, turns a panic into
+// the run's error.
+func (e *engine) recoverPanic() {
+	if p := recover(); p != nil {
+		e.fail(fmt.Errorf("backchase: worker panic: %v\n%s", p, debug.Stack()))
+	}
+}
+
+// plantSeeds runs the seed dives (see the package comment) and fixes
+// e.seeds, before any worker starts. It honours ctx and recovers a
+// panic like a worker: either aborts the run.
+func (e *engine) plantSeeds(ctx context.Context) {
+	defer e.recoverPanic()
+	if err := e.dive(ctx); err != nil {
+		e.fail(err)
+	}
+}
+
+// dive runs the seed dives serially, on the memoized chase-verified
+// equivalence (e.seeds is still nil, so nothing is certified), and sets
+// e.seeds to the normal forms they reach.
+func (e *engine) dive(ctx context.Context) error {
+	n := len(e.root.Bindings)
+	if n > maxSeedBindings {
+		return nil
+	}
+	var seeds []seed
+	x := map[string]bool{}
+	for k := 0; k < n; k++ {
+		removed, cur := map[string]bool{}, e.root
+		if k > 0 {
+			full, key, sub := e.buildState(x)
+			if sub == nil {
+				break
+			}
+			eq, err := e.equivalence(ctx, key, sub)
+			if err != nil {
+				return err
+			}
+			if !eq {
+				break
+			}
+			removed, cur = full, sub
+		}
+		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			next, nextQ, err := e.firstRemoval(ctx, 1, removed, cur)
+			if err != nil {
+				return err
+			}
+			if next == nil {
+				break
+			}
+			removed, cur = next, nextQ
+		}
+		m := e.mask(cur)
+		seeds = append(seeds, seed{mask: m, q: chase.CompileQuery(cur)})
+		x[e.root.Bindings[bits.TrailingZeros64(m)].Var] = true
+	}
+	e.seeds = seeds
+	return nil
+}
+
 // enumerate drives the full parallel exploration from the root and
-// assembles the deterministic Result.
+// assembles the deterministic Result. In exhaustive mode the seed dives
+// run first.
 func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error) {
+	if e.opts.Stats == nil {
+		e.plantSeeds(ctx)
+	}
 	rootItem := stateItem{key: "", removed: map[string]bool{}, q: e.root}
 	if e.opts.Stats != nil {
 		// The root (the universal plan) is itself a complete equivalent
@@ -755,6 +915,9 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 		States:    len(all),
 		Pruned:    int(e.pruned.Load()),
 		Truncated: e.truncated.Load(),
+		Seeds:     len(e.seeds),
+		Certified: int(e.certified.Load()),
+		Chased:    int(e.chased.Load()),
 	}
 	for _, it := range all {
 		res.Explored = append(res.Explored, it.q)

@@ -128,14 +128,19 @@ func (cn *Canon) targetReps() ([]int, int64) {
 // NewCanon builds the canonical database of a query. Terms are interned
 // in the order of q.AllTerms: each binding's range then its variable,
 // the conditions' sides, the output.
-func NewCanon(q *core.Query) *Canon {
+func NewCanon(q *core.Query) *Canon { return newCanon(q, 25) }
+
+// newCanon is NewCanon with room for about grow percent more terms
+// than q's own, which a chase adds. The closure is sized from the
+// bindings' variables and ranges and the output: the conditions' sides
+// mostly restate subterms of those, and repeat across conditions, so
+// counting them would reserve about twice the distinct terms.
+func newCanon(q *core.Query, grow int) *Canon {
 	n := len(q.Bindings) + q.Out.Size()
 	for _, b := range q.Bindings {
 		n += b.Range.Size()
 	}
-	for _, c := range q.Conds {
-		n += c.L.Size() + c.R.Size()
-	}
+	n += n * grow / 100
 	cn := &Canon{Q: q, CC: congruence.NewSized(n)}
 	cn.addBindings(q.Bindings)
 	for _, c := range q.Conds {

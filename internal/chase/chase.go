@@ -47,9 +47,9 @@ type Result struct {
 	// constants: no database satisfies the dependencies and the query
 	// facts simultaneously, so the query is empty on all valid instances.
 	Inconsistent bool
-	// goalMapped is set when a goal-directed run (ContainedIn) stopped
-	// because its goal mapped into Query.
-	goalMapped bool
+	// goalReached is set when a goal-directed run (ContainedIn,
+	// ImpliesEquality) stopped because its goal held in Query.
+	goalReached bool
 }
 
 // ErrBudget is returned when the chase exceeds its step or size budget
@@ -162,12 +162,27 @@ func ContainedIn(ctx context.Context, s, goal *core.Query, ix *DepIndex, opts Op
 // before each step is read-only (see MapsCompiledInto): it interns
 // nothing into the chase's closure, and its variables are slots, so the
 // goal needs no renaming apart from the variables the chase introduces.
-func ContainedInCompiled(ctx context.Context, s *core.Query, goal *CompiledQuery, ix *DepIndex, opts Options) (bool, error) {
-	res, err := chaseIndexed(ctx, s, ix, opts, goal)
+func ContainedInCompiled(ctx context.Context, s *core.Query, g *CompiledQuery, ix *DepIndex, opts Options) (bool, error) {
+	res, err := chaseIndexed(ctx, s, ix, opts, &goal{q: g})
 	if err != nil {
 		return false, err
 	}
-	return res.goalMapped || res.Inconsistent, nil
+	return res.goalReached || res.Inconsistent, nil
+}
+
+// ImpliesEquality reports whether the chase of q under the indexed
+// dependencies puts l and r, terms over q's variables, in one congruence
+// class. It stops at the first chase state where they are: congruence
+// only grows along a chase, so that is the answer the fixpoint gives
+// whenever the chase terminates within the budget. An inconsistent
+// chase reached before that answers false, and a budget exhausted
+// before that is an error (*ErrBudget).
+func ImpliesEquality(ctx context.Context, q *core.Query, l, r *core.Term, ix *DepIndex, opts Options) (bool, error) {
+	res, err := chaseIndexed(ctx, q, ix, opts, &goal{l: l, r: r})
+	if err != nil {
+		return false, err
+	}
+	return res.goalReached, nil
 }
 
 // Applicable reports whether any dependency is applicable to the query —

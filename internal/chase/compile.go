@@ -21,8 +21,8 @@ import (
 
 // pnode is one node of a compiled term.
 type pnode struct {
-	term *core.Term    // the source subterm, for materializing
-	op   congruence.Op // the operator of a compound node
+	term *core.Term // the source subterm, for materializing
+	op   int        // a compound node's operator, an index into program.ops
 	// slot is the slot of a variable leaf bound by the source, else -1.
 	slot int
 	args []int // child node indexes
@@ -34,8 +34,9 @@ type pnode struct {
 // program is the node table of one compiled source and its slot naming.
 type program struct {
 	nodes []pnode
-	kids  []int    // the slab every node's args are cut from
-	vars  []string // slot -> variable name
+	kids  []int           // the slab every node's args are cut from
+	ops   []congruence.Op // the compound nodes' operators, which leaves lack
+	vars  []string        // slot -> variable name
 }
 
 // atom is a compiled source binding: its variable's slot and its range.
@@ -59,28 +60,50 @@ type compiler struct {
 	slotOf map[string]int
 }
 
-// newCompiler returns a compiler with room for size term nodes.
-func newCompiler(size int) *compiler {
+// newCompiler returns a compiler with room for the counted nodes.
+func newCompiler(n sizes) *compiler {
 	return &compiler{
-		p:      &program{nodes: make([]pnode, 0, size), kids: make([]int, 0, size)},
+		p: &program{
+			nodes: make([]pnode, 0, n.nodes),
+			kids:  make([]int, 0, n.nodes),
+			ops:   make([]congruence.Op, 0, n.ops),
+		},
 		slotOf: map[string]int{},
 	}
 }
 
-// size counts the nodes compiling the bindings, conditions and extra
-// terms takes.
-func size(bs []core.Binding, cs []core.Cond, ts ...*core.Term) int {
-	n := 0
+// sizes counts the nodes a compilation takes, and the compound ones
+// among them, which carry an operator.
+type sizes struct{ nodes, ops int }
+
+// add counts the bindings' ranges and the conditions.
+func (n *sizes) add(bs []core.Binding, cs []core.Cond) {
 	for _, b := range bs {
-		n += b.Range.Size()
+		n.term(b.Range)
 	}
 	for _, c := range cs {
-		n += c.L.Size() + c.R.Size()
+		n.term(c.L)
+		n.term(c.R)
 	}
-	for _, t := range ts {
-		n += t.Size()
+}
+
+// term counts t's nodes.
+func (n *sizes) term(t *core.Term) {
+	n.nodes++
+	switch t.Kind {
+	case core.KVar, core.KConst, core.KName:
+		return
+	case core.KProj, core.KDom:
+		n.term(t.Base)
+	case core.KLookup:
+		n.term(t.Base)
+		n.term(t.Key)
+	case core.KStruct:
+		for _, f := range t.Fields {
+			n.term(f.Term)
+		}
 	}
-	return n
+	n.ops++
 }
 
 // bind returns the slot of v, numbering it if new.
@@ -104,7 +127,8 @@ func (c *compiler) term(t *core.Term) int {
 		}
 	case core.KConst, core.KName:
 	default:
-		n.op = congruence.OpOf(t)
+		n.op = len(c.p.ops)
+		c.p.ops = append(c.p.ops, congruence.OpOf(t))
 		var args [2]int
 		var kids []int
 		switch t.Kind {
@@ -201,7 +225,10 @@ type depProg struct {
 }
 
 func compileDep(d *core.Dependency, u *congruence.Features) *depProg {
-	c := newCompiler(size(d.Premise, d.PremiseConds) + size(d.Conclusion, d.ConclusionConds))
+	var n sizes
+	n.add(d.Premise, d.PremiseConds)
+	n.add(d.Conclusion, d.ConclusionConds)
+	c := newCompiler(n)
 	dp := &depProg{d: d, prog: c.p}
 	dp.premise = c.atoms(d.Premise, nil)
 	dp.pconds = c.conds(d.PremiseConds)
@@ -247,9 +274,10 @@ func CompileQuery(q *core.Query) *CompiledQuery {
 // compileQuery compiles a source; extra names the variables an init
 // homomorphism assigns beyond the bindings', and out may be nil.
 func compileQuery(bs []core.Binding, cs []core.Cond, out *core.Term, extra []string) *CompiledQuery {
-	n := size(bs, cs)
+	var n sizes
+	n.add(bs, cs)
 	if out != nil {
-		n += out.Size()
+		n.term(out)
 	}
 	c := newCompiler(n)
 	cq := &CompiledQuery{prog: c.p}

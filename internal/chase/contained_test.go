@@ -240,3 +240,46 @@ func TestHomsOfQueryIntoMatchesFilter(t *testing.T) {
 		t.Error("x ↦ b must not match the output")
 	}
 }
+
+// TestImpliesEqualityStopsAtFirstState: the equality goal ends the chase
+// at the first state that equates its sides. A key EGD on R makes r = s
+// in one step; the non-terminating infDep would exhaust the budget of a
+// full chase, so only the early stop can answer. An equality the chase
+// never derives answers false through that budget error, on both
+// engines.
+func TestImpliesEqualityStopsAtFirstState(t *testing.T) {
+	v, prj := core.V, core.Prj
+	key := &core.Dependency{
+		Name:            "key",
+		Premise:         []core.Binding{{Var: "x", Range: core.Name("R")}, {Var: "y", Range: core.Name("R")}},
+		PremiseConds:    []core.Cond{{L: prj(v("x"), "K"), R: prj(v("y"), "K")}},
+		ConclusionConds: []core.Cond{{L: v("x"), R: v("y")}},
+	}
+	deps := []*core.Dependency{key, infDep()}
+	q := &core.Query{
+		Out:      core.C(true),
+		Bindings: []core.Binding{{Var: "r", Range: core.Name("R")}, {Var: "s", Range: core.Name("R")}},
+		Conds:    []core.Cond{{L: prj(v("r"), "K"), R: prj(v("s"), "K")}},
+	}
+	budget := Options{MaxSteps: 20}
+	if _, err := ChaseIndexed(context.Background(), q, NewDepIndex(deps), budget); err == nil {
+		t.Fatal("fixture: the full chase must exhaust its budget")
+	}
+	for _, ix := range []*DepIndex{NewDepIndex(deps), NewNaiveIndex(deps)} {
+		m := &Metrics{}
+		ok, err := ImpliesEquality(context.Background(), q, v("r"), v("s"), ix, Options{MaxSteps: 20, Metrics: m})
+		if err != nil || !ok {
+			t.Fatalf("r = s: %v, %v; want true", ok, err)
+		}
+		if got := m.ChaseSteps.Load(); got != 1 {
+			t.Errorf("r = s took %d chase steps, want 1", got)
+		}
+		ok, err = ImpliesEquality(context.Background(), q, prj(v("r"), "A"), core.C(1), ix, budget)
+		if ok {
+			t.Errorf("r.A = 1: %v, %v; want false", ok, err)
+		}
+		if _, budget := err.(*ErrBudget); !budget {
+			t.Errorf("r.A = 1: err = %v, want *ErrBudget", err)
+		}
+	}
+}

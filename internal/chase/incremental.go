@@ -155,7 +155,13 @@ func NewNaiveIndex(deps []*core.Dependency) *DepIndex {
 // a naive index's canons use the linear homomorphism scan so that
 // naive-vs-incremental measurements stay comparable.
 func (ix *DepIndex) NewCanon(q *core.Query, m *Metrics) *Canon {
-	cn := NewCanon(q)
+	return ix.newCanon(q, m, 25)
+}
+
+// newCanon is NewCanon with room for grow percent more terms (see
+// newCanon), for a chase to add.
+func (ix *DepIndex) newCanon(q *core.Query, m *Metrics, grow int) *Canon {
+	cn := newCanon(q, grow)
 	cn.Metrics = m
 	cn.linearScan = ix.naive
 	return cn
@@ -266,9 +272,28 @@ func ChaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options
 	return chaseIndexed(ctx, q, ix, opts, nil)
 }
 
+// goal is what a goal-directed run stops at: a containment mapping of q
+// with the outputs matched (ContainedIn), or else the equality l = r
+// (ImpliesEquality).
+type goal struct {
+	q    *CompiledQuery
+	l, r *core.Term
+}
+
+// reached reports whether the goal holds in the canonical database.
+// The equality test interns l and r into the chase's closure; interning
+// only adds consequences of equalities already asserted, so it changes
+// no later step (see the file comment).
+func (g *goal) reached(cn *Canon) bool {
+	if g.q != nil {
+		return cn.MapsCompiledInto(g.q, cn.Q.Out, nil)
+	}
+	return cn.CC.Same(g.l, g.r)
+}
+
 // chaseIndexed dispatches to the index's engine; a non-nil goal makes
 // the run goal-directed (see ContainedIn).
-func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *CompiledQuery) (*Result, error) {
+func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goal) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Metrics != nil {
 		opts.Metrics.Runs.Add(1)
@@ -280,13 +305,12 @@ func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options
 }
 
 // checkpoint runs the tests both engines make before every step:
-// cancellation, a constant clash, in a goal-directed run a containment
-// mapping of the goal, and last the step and size budgets. A clash or a
-// mapping is a proof whatever the budget: every chase prefix is
-// equivalent to the input under the dependencies, so the last affordable
-// state still decides. done reports that the run ends here, with res
-// filled in or err set.
-func checkpoint(ctx context.Context, cn *Canon, goal *CompiledQuery, steps int, lastDep string, opts Options, res *Result) (done bool, err error) {
+// cancellation, a constant clash, in a goal-directed run the goal, and
+// last the step and size budgets. A clash or a reached goal is a proof
+// whatever the budget: every chase prefix is equivalent to the input
+// under the dependencies, so the last affordable state still decides.
+// done reports that the run ends here, with res filled in or err set.
+func checkpoint(ctx context.Context, cn *Canon, goal *goal, steps int, lastDep string, opts Options, res *Result) (done bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return true, err
 	}
@@ -294,8 +318,8 @@ func checkpoint(ctx context.Context, cn *Canon, goal *CompiledQuery, steps int, 
 		res.Query, res.Inconsistent = cn.Q, true
 		return true, nil
 	}
-	if goal != nil && cn.MapsCompiledInto(goal, cn.Q.Out, nil) {
-		res.Query, res.goalMapped = cn.Q, true
+	if goal != nil && goal.reached(cn) {
+		res.Query, res.goalReached = cn.Q, true
 		return true, nil
 	}
 	if steps >= opts.MaxSteps || len(cn.Q.Bindings) > opts.MaxBindings {
@@ -315,9 +339,9 @@ func (cn *Canon) extend(next *core.Query) {
 }
 
 // chaseIncremental runs the delta-driven fixpoint.
-func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *CompiledQuery) (*Result, error) {
+func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goal) (*Result, error) {
 	res := &Result{}
-	cn := ix.NewCanon(q.Clone(), opts.Metrics)
+	cn := ix.newCanon(q.Clone(), opts.Metrics, 150)
 	cn.CC.TrackFeatures(ix.feats)
 	// The input query's own facts are the initial delta: everything is
 	// dirty for a full search, and the feature log starts drained.
@@ -368,7 +392,7 @@ func chaseIncremental(ctx context.Context, q *core.Query, ix *DepIndex, opts Opt
 // chaseNaive is the textbook fixpoint (every dependency rescanned, full
 // homomorphism search each step), kept as the differential reference and
 // the baseline E15 measures against.
-func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *CompiledQuery) (*Result, error) {
+func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goal) (*Result, error) {
 	res := &Result{}
 	var egds, tgds []*depProg
 	for _, di := range ix.egds {
@@ -377,7 +401,7 @@ func chaseNaive(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, 
 	for _, di := range ix.tgds {
 		tgds = append(tgds, ix.progs[di])
 	}
-	cn := ix.NewCanon(q.Clone(), opts.Metrics) // linear scan: the full backtracking cost
+	cn := ix.newCanon(q.Clone(), opts.Metrics, 150) // linear scan: the full backtracking cost
 	lastDep := ""
 	for steps := 0; ; steps++ {
 		if done, err := checkpoint(ctx, cn, goal, steps, lastDep, opts, res); done {

@@ -234,7 +234,7 @@ func (s *search) eval(i int) (id int, miss, ok bool) {
 		args = append(args, r)
 	}
 	if s.mode == modeIntern {
-		r, st := s.cn.CC.Lookup(n.op, args)
+		r, st := s.cn.CC.Lookup(s.p.ops[n.op], args)
 		if st != congruence.Hit {
 			return 0, true, true
 		}
@@ -243,7 +243,7 @@ func (s *search) eval(i int) (id int, miss, ok bool) {
 		}
 		return r, false, true
 	}
-	r, ok := s.probe.Apply(n.op, args)
+	r, ok := s.probe.Apply(s.p.ops[n.op], args)
 	return r, false, ok
 }
 
