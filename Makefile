@@ -55,9 +55,13 @@
 #                     warm design cache equals a fresh Parse),
 #                     FuzzCompiledHomsMatchReference (the compiled
 #                     homomorphism search against the Subst-and-intern
-#                     reference) and FuzzCanonicalSignature (invariance
+#                     reference), FuzzCanonicalSignature (invariance
 #                     under renaming, binding shuffle, condition reorder
-#                     and flip).
+#                     and flip), FuzzHashKeyMatchesFresh (a memoized or
+#                     hash-consed HashKey against a fresh render of a
+#                     deep copy) and FuzzRewriteMatchesReference (the
+#                     class-id subquery construction and output
+#                     normalization against the string-keyed reference).
 #   make serve-load - race-instrumented serving gate: the 16-worker load
 #                     harnesses (plan-only and end-to-end /query) plus
 #                     the singleflight storm/cancellation suites and the
@@ -141,6 +145,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedParseMatchesParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledHomsMatchReference$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/chase
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalSignature$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzHashKeyMatchesFresh$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRewriteMatchesReference$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/backchase
 
 # Skipped under GOFLAGS=-short: a docs-only or fast-lane run should not
 # pay for compiling and executing every benchmark.

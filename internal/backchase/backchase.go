@@ -21,6 +21,7 @@ package backchase
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -278,39 +279,36 @@ func rootClosure(q *core.Query) *congruence.Closure {
 }
 
 // subqueryFrom is Subquery over cc, q's frozen rootClosure. It only
-// reads cc — every term it rewrites is looked up, never interned — so
-// any number of calls may share one closure concurrently.
+// reads cc — every rewrite is a congruence.Rewriter pass over its class
+// ids — so any number of calls may share one closure concurrently.
 func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]bool) (*core.Query, bool) {
-	removed := make(map[string]bool, len(removedVars))
-	for v := range removedVars {
-		removed[v] = true
+	removed := maps.Collect(maps.All(removedVars)) // grown by the cascade
+	isRemoved := func(v string) bool { return removed[v] }
+	rw := cc.Rewriter(cc.VarSet(isRemoved))
+	rewrite := func(t *core.Term) (*core.Term, bool) {
+		id, ok := cc.ID(t)
+		if !ok {
+			return nil, false
+		}
+		return rw.Rewrite(id)
 	}
 
 	// Cascade: a surviving binding whose range cannot avoid the removed
 	// variables is removed as well (paper's footnote 6 alternative).
-	type rebound struct {
-		v     string
-		rng   *core.Term
-		order int
-	}
-	var survivors []rebound
-	for {
-		survivors = survivors[:0]
-		grown := false
-		for idx, b := range q.Bindings {
+	var survivors []core.Binding
+	for grown := true; grown; {
+		survivors, grown = survivors[:0], false
+		for _, b := range q.Bindings {
 			if removed[b.Var] {
 				continue
 			}
-			rng, ok := cc.Rewrite(b.Range, removed)
+			rng, ok := rewrite(b.Range)
 			if !ok {
-				removed[b.Var] = true
-				grown = true
+				removed[b.Var], grown = true, true
+				rw = cc.Rewriter(cc.VarSet(isRemoved))
 				break
 			}
-			survivors = append(survivors, rebound{v: b.Var, rng: rng, order: idx})
-		}
-		if !grown {
-			break
+			survivors = append(survivors, core.Binding{Var: b.Var, Range: rng})
 		}
 	}
 	if len(survivors) == 0 {
@@ -318,82 +316,47 @@ func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]
 	}
 
 	// Output must be re-expressible.
-	out, ok := cc.Rewrite(q.Out, removed)
+	out, ok := rewrite(q.Out)
 	if !ok {
 		return nil, false
 	}
 
 	// Maximal implied conditions over surviving terms: for every
-	// congruence class, equate the distinct rewritten representatives.
+	// congruence class, equate the distinct rewritten variants — rebuilt
+	// terms too, not only interned members: plans like the paper's P4
+	// need derived conditions such as I[j.PN].CustName = "CitiBank".
 	var conds []core.Cond
-	condSeen := map[string]bool{}
-	addCond := func(l, r *core.Term) {
-		if l.Equal(r) {
-			return
-		}
-		k1, k2 := l.HashKey(), r.HashKey()
-		if k1 > k2 {
-			k1, k2 = k2, k1
-		}
-		key := k1 + "=" + k2
-		if condSeen[key] {
-			return
-		}
-		condSeen[key] = true
-		conds = append(conds, core.Cond{L: l, R: r})
-	}
-	for _, class := range cc.Classes() {
-		var reps []*core.Term
-		repSeen := map[string]bool{}
-		for _, m := range class {
-			// Include rebuilt variants, not only interned members: plans
-			// like the paper's P4 need derived conditions such as
-			// I[j.PN].CustName = "CitiBank".
-			for _, r := range cc.RewriteVariants(m, removed) {
-				k := r.HashKey()
-				if !repSeen[k] {
-					repSeen[k] = true
-					reps = append(reps, r)
-				}
+	condSeen := map[[2]string]bool{}
+	for class := range cc.Classes() {
+		reps := rw.ClassVariants(class)
+		for _, r := range reps[min(1, len(reps)):] {
+			key := [2]string{reps[0].HashKey(), r.HashKey()}
+			if key[0] > key[1] {
+				key[0], key[1] = key[1], key[0]
 			}
-		}
-		for k := 1; k < len(reps); k++ {
-			addCond(reps[0], reps[k])
+			if !reps[0].Equal(r) && !condSeen[key] {
+				condSeen[key] = true
+				conds = append(conds, core.Cond{L: reps[0], R: r})
+			}
 		}
 	}
 
 	// Keep only conditions over surviving variables (rewriting can in
 	// principle still produce removed vars through class members that
 	// mention them — filter defensively).
-	surviving := make(map[string]bool, len(survivors))
-	for _, s := range survivors {
-		surviving[s.v] = true
-	}
-	okVars := func(t *core.Term) bool {
-		for v := range t.Vars() {
-			if !surviving[v] {
-				return false
-			}
-		}
-		return true
-	}
+	surviving := cc.VarSet(func(v string) bool { return !removed[v] && q.BindingOf(v) >= 0 })
 	kept := conds[:0]
 	for _, c := range conds {
-		if okVars(c.L) && okVars(c.R) {
+		if cc.Covers(surviving, c.L) && cc.Covers(surviving, c.R) {
 			kept = append(kept, c)
 		}
 	}
-	conds = kept
-	if !okVars(out) {
+	if !cc.Covers(surviving, out) {
 		return nil, false
 	}
 
 	// Assemble and re-establish binding scope by topological order.
-	sub := &core.Query{Out: out}
-	for _, s := range survivors {
-		sub.Bindings = append(sub.Bindings, core.Binding{Var: s.v, Range: s.rng})
-	}
-	sub.Conds = conds
+	sub := &core.Query{Out: out, Bindings: survivors, Conds: kept}
 	sorted, ok := topoSortBindings(sub.Bindings)
 	if !ok {
 		return nil, false
@@ -457,18 +420,19 @@ func normalizeIndexed(ctx context.Context, q *core.Query, ix *chase.DepIndex, op
 	res, err := chase.ChaseIndexed(ctx, cur, ix, opts)
 	if err == nil && !res.Inconsistent {
 		cn := ix.NewCanon(res.Query, opts.Metrics)
-		own := cur.BoundVars()
-		cur.Out = normalizeTerm(cur.Out, cn, own)
+		cn.CC.Freeze()
+		cur.Out = normalizeTerm(cur.Out, cn, cur.BoundVars())
 	}
 	return cur
 }
 
 // normalizeTerm picks the smallest congruent representative of t (by term
-// size, then HashKey) among rewritings of the canon's class members into
-// the plan's own variables. Considering rebuilt forms — not only interned
-// members — lets two plans that express the same value through different
-// access paths (Dept[j.DOID].DName vs I[j.PN].PDept) converge to one
-// canonical output. Struct constructors are normalized field-wise.
+// size, then HashKey) among the variants of its class in the canon's
+// frozen closure over the plan's own variables. Considering rebuilt forms
+// — not only interned members — lets two plans that express the same
+// value through different access paths (Dept[j.DOID].DName vs
+// I[j.PN].PDept) converge to one canonical output. Struct constructors
+// are normalized field-wise.
 func normalizeTerm(t *core.Term, cn *chase.Canon, own map[string]bool) *core.Term {
 	if t.Kind == core.KStruct {
 		fs := make([]core.StructField, len(t.Fields))
@@ -477,31 +441,18 @@ func normalizeTerm(t *core.Term, cn *chase.Canon, own map[string]bool) *core.Ter
 		}
 		return core.Struct(fs...)
 	}
-	if !cn.CC.Contains(t) {
+	id, ok := cn.CC.ID(t)
+	if !ok {
 		return t
 	}
 	// Variables to avoid: everything bound by the chased query that is not
 	// the plan's own.
-	avoid := map[string]bool{}
-	for v := range cn.Q.BoundVars() {
-		if !own[v] {
-			avoid[v] = true
-		}
-	}
+	avoid := cn.CC.VarSet(func(v string) bool { return !own[v] && cn.Q.BindingOf(v) >= 0 })
+	ownVars := cn.CC.VarSet(func(v string) bool { return own[v] })
 	best := t
-	consider := func(m *core.Term) {
-		for v := range m.Vars() {
-			if !own[v] {
-				return
-			}
-		}
-		if m.Size() < best.Size() || (m.Size() == best.Size() && m.HashKey() < best.HashKey()) {
+	for _, m := range cn.CC.Rewriter(avoid).ClassVariants(cn.CC.ClassOf(id)) {
+		if cn.CC.Covers(ownVars, m) && (m.Size() < best.Size() || (m.Size() == best.Size() && m.HashKey() < best.HashKey())) {
 			best = m
-		}
-	}
-	for _, m := range cn.CC.ClassMembers(t) {
-		for _, r := range cn.CC.RewriteVariants(m, avoid) {
-			consider(r)
 		}
 	}
 	return best

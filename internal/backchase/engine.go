@@ -430,38 +430,29 @@ func (e *engine) stateKey(removed map[string]bool) string {
 // true exactly once per state; the caller then owns enqueueing it. The
 // budget slot is reserved with a compare-and-swap so concurrent claims
 // on different shards can never overshoot MaxStates.
-func (e *engine) claim(key string) bool {
-	sh := e.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.seen[key] {
-		return false
-	}
-	for {
-		n := e.states.Load()
-		if n >= int64(e.opts.MaxStates) {
-			e.truncated.Store(true)
-			return false
-		}
-		if e.states.CompareAndSwap(n, n+1) {
-			break
-		}
-	}
-	sh.seen[key] = true
-	return true
-}
+func (e *engine) claim(key string) bool { return e.mark(key, true) }
 
 // markPruned marks a cost-pruned candidate state visited WITHOUT
 // consuming the MaxStates budget: the state is never explored (no chase,
 // no successors), so charging it against the exploration budget would
 // make the engine report truncation while the explored count is far
 // below MaxStates. Returns true exactly once per state, like claim.
-func (e *engine) markPruned(key string) bool {
+func (e *engine) markPruned(key string) bool { return e.mark(key, false) }
+
+func (e *engine) mark(key string, charge bool) bool {
 	sh := e.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.seen[key] {
 		return false
+	}
+	for charge {
+		n := e.states.Load()
+		if n >= int64(e.opts.MaxStates) {
+			e.truncated.Store(true)
+			return false
+		}
+		charge = !e.states.CompareAndSwap(n, n+1)
 	}
 	sh.seen[key] = true
 	return true

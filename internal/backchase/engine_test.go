@@ -32,11 +32,18 @@ func removalSet(q *core.Query, mask int) map[string]bool {
 	return removed
 }
 
+// frozenClone returns a frozen copy of cc.
+func frozenClone(cc *congruence.Closure) *congruence.Closure {
+	cl := cc.Clone()
+	cl.Freeze()
+	return cl
+}
+
 // TestSubqueryOnClonedRootClosure: the engine's construction — every
 // candidate built over one frozen root closure, shared across every
-// removal set — and construction over a (mutable) Clone of that closure
-// both yield exactly what Subquery builds from scratch, for every subset
-// of the ProjDept universal plan's bindings.
+// removal set — and construction over a Clone of that closure, frozen
+// again, both yield exactly what Subquery builds from scratch, for every
+// subset of the ProjDept universal plan's bindings.
 func TestSubqueryOnClonedRootClosure(t *testing.T) {
 	root := chasedProjDept(t)
 	cc := rootClosure(root)
@@ -48,7 +55,7 @@ func TestSubqueryOnClonedRootClosure(t *testing.T) {
 		for _, path := range []struct {
 			name string
 			cc   *congruence.Closure
-		}{{"shared", cc}, {"clone", cc.Clone()}} {
+		}{{"shared", cc}, {"clone", frozenClone(cc)}} {
 			got, gotOK := subqueryFrom(root, path.cc, removed)
 			if gotOK != wantOK {
 				t.Fatalf("mask %b: %s ok=%v, rebuild ok=%v", mask, path.name, gotOK, wantOK)

@@ -22,11 +22,9 @@
 // A mutable Closure is NOT safe for concurrent use, not even for
 // apparently read-only queries: Same, Rep, Contains-then-query sequences
 // and ClassMembers intern their argument terms, and find performs path
-// compression. Callers that need to extend one closure from several
-// goroutines must give each goroutine its own copy via Clone. Clone
-// itself performs only reads, so any number of goroutines may Clone the
-// same closure concurrently provided no goroutine mutates it at the same
-// time.
+// compression. Give each goroutine that extends one closure its own
+// Clone; Clone only reads, so concurrent Clones of a closure no
+// goroutine mutates are safe.
 //
 // Lookups never intern: Lookup, LookupLeaf and a Probe resolve a term,
 // given as an operator over child class ids (virtual ids for terms the
@@ -40,8 +38,10 @@
 // readers: every query on it only reads, and any operation that would
 // intern a new term or merge two classes panics instead. The parallel
 // backchase shares one frozen closure of the root query across all its
-// workers' subquery constructions and read-only containment tests, each
-// test resolving its terms through a Probe of its own.
+// workers: read-only containment tests resolve terms through a Probe
+// each, and every subquery is built by a Rewriter of its own — one pass
+// over class and node ids with variable bitsets (the string-keyed
+// rewrite it replaced is kept as a test reference in package backchase).
 package congruence
 
 import (
@@ -89,11 +89,17 @@ type Closure struct {
 	frozen *frozenClasses
 }
 
-// frozenClasses is the class partition Freeze computes once: the
-// classes in Classes order, and each node's index into them.
+// frozenClasses is what Freeze computes once: the classes in Classes
+// order, each node's index into them and each class's member node ids,
+// the constructor nodes, and each node's variables as a bitset.
 type frozenClasses struct {
 	classes [][]*core.Term
-	classOf []int // node id -> index into classes
+	classOf []int   // node id -> index into classes
+	members [][]int // class index -> member node ids, in class order
+	structs []int   // struct-constructor node ids, ascending
+	varBit  map[string]int
+	words   int      // uint64 words per VarSet
+	vars    []uint64 // node id -> its variables, words per node
 }
 
 // New returns an empty closure.
@@ -425,12 +431,14 @@ func (c *Closure) Classes() [][]*core.Term {
 }
 
 // Freeze makes the closure read-only: it drains pending merges, fully
-// compresses every union-find path, and computes the class partition and
-// each class's members once, in the order Classes and ClassMembers
-// return them. Afterwards find never writes, ClassMembers and Classes
-// return the precomputed slices, and any operation that would intern a
-// new term or merge two classes panics, so the closure may be shared by
-// any number of concurrent readers. Freezing a frozen closure is a no-op.
+// compresses every union-find path, and computes once the class
+// partition and each class's members, in the order Classes and
+// ClassMembers return them, and what a Rewriter reads: member ids,
+// constructor nodes and each node's variables. Afterwards find never
+// writes, ClassMembers and Classes return the precomputed slices, and
+// any operation that would intern a new term or merge two classes
+// panics, so the closure may be shared by any number of concurrent
+// readers. Freezing a frozen closure is a no-op.
 func (c *Closure) Freeze() {
 	if c.frozen != nil {
 		return
@@ -440,13 +448,36 @@ func (c *Closure) Freeze() {
 		c.parent[id] = c.find(id)
 	}
 	classes := c.Classes()
-	classOf := make([]int, len(c.nodes))
+	f := &frozenClasses{classes: classes, classOf: make([]int, len(c.nodes)),
+		members: make([][]int, len(classes)), varBit: map[string]int{}}
 	for i, class := range classes {
 		for _, t := range class {
-			classOf[c.byKey[t.HashKey()]] = i
+			id := c.byKey[t.HashKey()]
+			f.classOf[id], f.members[i] = i, append(f.members[i], id)
 		}
 	}
-	c.frozen = &frozenClasses{classes: classes, classOf: classOf}
+	for id, n := range c.nodes {
+		switch n.term.Kind {
+		case core.KVar:
+			f.varBit[n.term.Name] = len(f.varBit)
+		case core.KStruct:
+			f.structs = append(f.structs, id)
+		}
+	}
+	// Children are interned before their parents: one ascending pass.
+	f.words = (len(f.varBit) + 63) / 64
+	f.vars = make([]uint64, len(c.nodes)*f.words)
+	for id, n := range c.nodes {
+		if n.term.Kind == core.KVar {
+			f.varsOf(id).add(f.varBit[n.term.Name])
+		}
+		for _, a := range n.args {
+			for i, w := range f.varsOf(a) {
+				f.vars[id*f.words+i] |= w
+			}
+		}
+	}
+	c.frozen = f
 }
 
 // mustBeMutable panics when the closure is frozen: a caller sharing a
@@ -455,55 +486,6 @@ func (c *Closure) mustBeMutable(op string) {
 	if c.frozen != nil {
 		panic("congruence: " + op + " on a frozen closure")
 	}
-}
-
-// RewriteVariants returns distinct terms congruent to t that avoid the
-// given variables: every interned class member free of them, plus the
-// structural rebuild of t with rewritten children (which can produce terms
-// outside the interned universe, e.g. I[i].CustName from p.CustName when
-// p = I[i]). The variants are deduplicated and sorted by HashKey. An empty
-// result means t cannot be re-expressed.
-//
-// The backchase needs these derived terms: the paper's plan P4 carries the
-// condition I[j.PN].CustName = "CitiBank", whose left side never occurs
-// syntactically in the universal plan.
-func (c *Closure) RewriteVariants(t *core.Term, avoid map[string]bool) []*core.Term {
-	seen := map[string]bool{}
-	var out []*core.Term
-	add := func(u *core.Term) {
-		k := u.HashKey()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, u)
-		}
-	}
-	if !t.MentionsAnyVar(avoid) {
-		add(t)
-	}
-	if c.Contains(t) {
-		for _, m := range c.ClassMembers(t) {
-			if !m.MentionsAnyVar(avoid) {
-				add(m)
-			}
-		}
-	}
-	if r, ok := c.Rewrite(t, avoid); ok {
-		add(r)
-	}
-	// The structural rebuild must be offered even when an interned class
-	// member exists: p.CustName with p = I[i] yields I[i].CustName, which
-	// typically has no interned equivalent.
-	if r, ok := c.rewriteStructural(t, avoid); ok {
-		add(r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].HashKey() < out[j].HashKey() })
-	return out
-}
-
-// rewriteStructural rebuilds t bottom-up, rewriting each child, without
-// first consulting t's own congruence class.
-func (c *Closure) rewriteStructural(t *core.Term, avoid map[string]bool) (*core.Term, bool) {
-	return c.rebuildChildren(t, avoid, map[string]bool{t.HashKey(): true})
 }
 
 // ConstantClash returns a pair of distinct constants that have been forced
@@ -527,131 +509,4 @@ func (c *Closure) ConstantClash() (a, b *core.Term, clash bool) {
 		reps[r] = t
 	}
 	return nil, nil, false
-}
-
-// Rewrite attempts to produce a term congruent to t that mentions none of
-// the variables in avoid. It prefers an interned class member free of the
-// avoided variables; otherwise it rebuilds t (or a class member of t)
-// recursively with rewritten children. Returns (term, true) on success.
-//
-// This is the procedure of the backchase step: re-express the output and
-// the conditions of the query without the eliminated binding (§3,
-// conditions (1) and (2)). The member-rebuild case matters for chains like
-// d = Dept[dd], dd = j.DOID: rewriting the bare variable d away from
-// {d, dd} yields Dept[j.DOID].
-func (c *Closure) Rewrite(t *core.Term, avoid map[string]bool) (*core.Term, bool) {
-	return c.rewrite(t, avoid, map[string]bool{})
-}
-
-// rewrite is Rewrite with a cycle guard: busy holds the HashKeys of terms
-// currently being rewritten higher up the recursion, so mutually congruent
-// compound terms cannot recurse forever.
-func (c *Closure) rewrite(t *core.Term, avoid, busy map[string]bool) (*core.Term, bool) {
-	if !t.MentionsAnyVar(avoid) {
-		return t, true
-	}
-	key := t.HashKey()
-	if busy[key] {
-		return nil, false
-	}
-	busy[key] = true
-	defer delete(busy, key)
-
-	if c.Contains(t) {
-		for _, m := range c.ClassMembers(t) {
-			if !m.MentionsAnyVar(avoid) {
-				return m, true
-			}
-		}
-	}
-	if r, ok := c.rebuildChildren(t, avoid, busy); ok {
-		return r, true
-	}
-	if c.Contains(t) {
-		for _, m := range c.ClassMembers(t) {
-			if m.HashKey() == key {
-				continue
-			}
-			if r, ok := c.rebuildChildren(m, avoid, busy); ok {
-				return r, true
-			}
-		}
-	}
-	// Inverse beta: if some struct constructor struct(..., F: u, ...) with
-	// u ≡ t has a congruent non-constructor member X expressible without
-	// the avoided variables, then t ≡ X.F. This is how gmap and view
-	// entries re-express base-row fields: from e = struct(B: r.B, C: r.C),
-	// rewriting r.B away from r yields e.B.
-	if tid, ok := c.byKey[key]; ok {
-		tr := c.find(tid)
-		for id := 0; id < len(c.nodes); id++ {
-			n := &c.nodes[id]
-			if n.term.Kind != core.KStruct {
-				continue
-			}
-			for i, f := range n.term.Fields {
-				if c.find(n.args[i]) != tr {
-					continue
-				}
-				fname := f.Name
-				for _, m := range c.ClassMembers(n.term) {
-					if m.Kind == core.KStruct {
-						continue
-					}
-					if r, ok := c.rewrite(m, avoid, busy); ok {
-						return core.Prj(r, fname), true
-					}
-				}
-			}
-		}
-	}
-	return nil, false
-}
-
-// rebuildChildren reconstructs t with every child rewritten to avoid the
-// given variables. Leaves that still mention avoided variables fail.
-func (c *Closure) rebuildChildren(t *core.Term, avoid, busy map[string]bool) (*core.Term, bool) {
-	switch t.Kind {
-	case core.KVar:
-		if avoid[t.Name] {
-			return nil, false
-		}
-		return t, true
-	case core.KConst, core.KName:
-		return t, true
-	case core.KProj:
-		b, ok := c.rewrite(t.Base, avoid, busy)
-		if !ok {
-			return nil, false
-		}
-		return core.Prj(b, t.Name), true
-	case core.KDom:
-		b, ok := c.rewrite(t.Base, avoid, busy)
-		if !ok {
-			return nil, false
-		}
-		return core.Dom(b), true
-	case core.KLookup:
-		b, ok := c.rewrite(t.Base, avoid, busy)
-		if !ok {
-			return nil, false
-		}
-		k, ok := c.rewrite(t.Key, avoid, busy)
-		if !ok {
-			return nil, false
-		}
-		nt := &core.Term{Kind: core.KLookup, Base: b, Key: k, NonFailing: t.NonFailing}
-		return nt, true
-	case core.KStruct:
-		fs := make([]core.StructField, len(t.Fields))
-		for i, f := range t.Fields {
-			ft, ok := c.rewrite(f.Term, avoid, busy)
-			if !ok {
-				return nil, false
-			}
-			fs[i] = core.StructField{Name: f.Name, Term: ft}
-		}
-		return core.Struct(fs...), true
-	}
-	return nil, false
 }

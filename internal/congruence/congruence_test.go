@@ -1,6 +1,7 @@
 package congruence
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -213,12 +214,19 @@ func TestContainsAndLen(t *testing.T) {
 	}
 }
 
+// rewrite interns t, freezes c and rewrites t away from avoid.
+func rewrite(c *Closure, t *core.Term, avoid ...string) (*core.Term, bool) {
+	id := c.Add(t)
+	c.Freeze()
+	return c.Rewriter(c.VarSet(func(v string) bool { return slices.Contains(avoid, v) })).Rewrite(id)
+}
+
 func TestRewriteAvoidsVariable(t *testing.T) {
 	c := New()
 	// From the P2 derivation: d.DName = p.PDept, so the output field DN
 	// can be rewritten from d.DName to p.PDept, avoiding d.
 	c.Merge(core.Prj(core.V("d"), "DName"), core.Prj(core.V("p"), "PDept"))
-	got, ok := c.Rewrite(core.Prj(core.V("d"), "DName"), map[string]bool{"d": true})
+	got, ok := rewrite(c, core.Prj(core.V("d"), "DName"), "d")
 	if !ok {
 		t.Fatal("rewrite should succeed")
 	}
@@ -233,7 +241,7 @@ func TestRewriteRecursive(t *testing.T) {
 	// congruent key even though the full term has no direct class member.
 	c.Merge(core.V("d"), core.Prj(core.V("j"), "DOID"))
 	in := core.Prj(core.Lk(core.Name("Dept"), core.V("d")), "DName")
-	got, ok := c.Rewrite(in, map[string]bool{"d": true})
+	got, ok := rewrite(c, in, "d")
 	if !ok {
 		t.Fatal("recursive rewrite should succeed")
 	}
@@ -246,7 +254,7 @@ func TestRewriteRecursive(t *testing.T) {
 func TestRewriteFails(t *testing.T) {
 	c := New()
 	c.Add(core.V("x"))
-	if _, ok := c.Rewrite(core.V("x"), map[string]bool{"x": true}); ok {
+	if _, ok := rewrite(c, core.V("x"), "x"); ok {
 		t.Error("rewrite of an isolated avoided variable must fail")
 	}
 }
@@ -255,7 +263,7 @@ func TestRewriteStruct(t *testing.T) {
 	c := New()
 	c.Merge(core.V("s"), core.Prj(core.V("p"), "PName"))
 	in := core.Struct(core.SF("PN", core.V("s")), core.SF("PB", core.Prj(core.V("p"), "Budg")))
-	got, ok := c.Rewrite(in, map[string]bool{"s": true})
+	got, ok := rewrite(c, in, "s")
 	if !ok {
 		t.Fatal("struct rewrite should succeed")
 	}
@@ -268,7 +276,7 @@ func TestRewriteStruct(t *testing.T) {
 func TestRewriteNoAvoidNeeded(t *testing.T) {
 	c := New()
 	tm := core.Prj(core.V("p"), "A")
-	got, ok := c.Rewrite(tm, map[string]bool{"z": true})
+	got, ok := rewrite(c, tm, "z")
 	if !ok || got != tm {
 		t.Error("terms free of avoided vars rewrite to themselves")
 	}

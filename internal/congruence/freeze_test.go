@@ -144,7 +144,7 @@ func TestFreezeKeepsClasses(t *testing.T) {
 func TestFrozenConcurrentReaders(t *testing.T) {
 	c, terms := randomClosure(rand.New(rand.NewSource(11)))
 	c.Freeze()
-	avoid := map[string]bool{"a": true}
+	avoid := c.VarSet(func(v string) bool { return v == "a" })
 	wantClasses := len(c.Classes())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -158,7 +158,8 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 						return
 					}
 					c.Rep(tm)
-					c.RewriteVariants(tm, avoid)
+					id, _ := c.ID(tm)
+					c.Rewriter(avoid).ClassVariants(c.ClassOf(id))
 				}
 				if len(c.Classes()) != wantClasses {
 					t.Error("frozen partition changed")

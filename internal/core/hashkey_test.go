@@ -328,3 +328,71 @@ func BenchmarkTermHashKey(b *testing.B) {
 		}
 	})
 }
+
+// deepCopy copies every node of t, so the copy renders its key from
+// scratch.
+func deepCopy(t *Term) *Term {
+	cp := &Term{Kind: t.Kind, Name: t.Name, Val: t.Val, NonFailing: t.NonFailing}
+	if t.Base != nil {
+		cp.Base = deepCopy(t.Base)
+	}
+	if t.Key != nil {
+		cp.Key = deepCopy(t.Key)
+	}
+	for _, f := range t.Fields {
+		cp.Fields = append(cp.Fields, StructField{Name: f.Name, Term: deepCopy(f.Term)})
+	}
+	return cp
+}
+
+// FuzzHashKeyMatchesFresh: for random terms whose subterms are shared
+// and memoized in random order, the memoized HashKey equals a fresh
+// render of a deep copy, at every node; so does the key of the node a
+// HashCons returns, which may carry a key stored on a copy, and a deep
+// copy passed through the same table comes back as that node.
+func FuzzHashKeyMatchesFresh(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		// Later terms reuse earlier ones as subterms, so one node is
+		// reached, and memoized, through several parents.
+		pool := []*Term{randomTerm(rng, 1+int(shape%4))}
+		for i := 0; i < 1+int(shape/4%8); i++ {
+			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			switch rng.Intn(4) {
+			case 0:
+				pool = append(pool, Prj(a, "A"))
+			case 1:
+				pool = append(pool, Lk(a, b))
+			case 2:
+				pool = append(pool, Struct(SF("P", a), SF("Q", b)))
+			default:
+				pool = append(pool, randomTerm(rng, 3))
+			}
+		}
+		// Memoize a random subset first.
+		for _, tm := range pool {
+			if rng.Intn(2) == 0 {
+				tm.HashKey()
+			}
+		}
+		h := NewHashCons()
+		for _, tm := range pool {
+			for _, sub := range tm.Subterms() {
+				fresh := deepCopy(sub).HashKey()
+				if got := sub.HashKey(); got != fresh {
+					t.Fatalf("memoized key %q, fresh render %q", got, fresh)
+				}
+				hc := h.Term(sub)
+				if got := hc.HashKey(); got != fresh {
+					t.Fatalf("hash-consed key %q, fresh render %q", got, fresh)
+				}
+				if h.Term(deepCopy(sub)) != hc {
+					t.Fatalf("a deep copy of %s hash-conses to another node", sub)
+				}
+			}
+		}
+	})
+}

@@ -578,17 +578,25 @@ func (s *Stats) selectivity(q *core.Query, c core.Cond) float64 {
 // permutations, found by branch-and-bound (backchase output plans are
 // small); larger plans, and plans with no valid order, fall back to a
 // greedy heuristic.
-func (s *Stats) Reorder(q *core.Query) *core.Query {
+func (s *Stats) Reorder(q *core.Query) *core.Query { return s.reorder(q, nil) }
+
+// reorder is Reorder over the plan's condition selectivities, computed
+// here when sels is nil. A reorder permutes only bindings, so the
+// selectivities serve the reordered plan too.
+func (s *Stats) reorder(q *core.Query, sels []float64) *core.Query {
 	n := len(q.Bindings)
 	if n <= 1 {
 		return q.Clone()
 	}
+	if sels == nil {
+		sels = s.condSelectivities(q)
+	}
 	if n <= exhaustiveReorderLimit {
-		if best := s.reorderExhaustive(q); best != nil {
+		if best := s.reorderExhaustive(q, sels); best != nil {
 			return best
 		}
 	}
-	return s.reorderGreedy(q)
+	return s.reorderGreedySels(q, sels)
 }
 
 const exhaustiveReorderLimit = 6
@@ -609,8 +617,8 @@ const exhaustiveReorderLimit = 6
 // search abandons a prefix once its total reaches the best cost so far;
 // leaves compare strictly, so ties keep the first order visited, as
 // exhaustive enumeration does.
-func (s *Stats) reorderExhaustive(q *core.Query) *core.Query {
-	o, ok := s.newOrderSearch(q)
+func (s *Stats) reorderExhaustive(q *core.Query, sels []float64) *core.Query {
+	o, ok := s.newOrderSearch(q, sels)
 	if !ok {
 		return nil
 	}
@@ -651,7 +659,7 @@ type orderCond struct {
 // newOrderSearch precomputes the per-binding and per-condition terms of
 // estimate. It reports false when some range mentions a variable no
 // binding introduces: no order can place that binding.
-func (s *Stats) newOrderSearch(q *core.Query) (*orderSearch, bool) {
+func (s *Stats) newOrderSearch(q *core.Query, sels []float64) (*orderSearch, bool) {
 	n := len(q.Bindings)
 	pos := make(map[string]int, n)
 	for i, b := range q.Bindings {
@@ -677,7 +685,6 @@ func (s *Stats) newOrderSearch(q *core.Query) (*orderSearch, bool) {
 		o.scan[i], o.count[i] = s.rangeCost(b.Range)
 		nonNeg = nonNeg && o.scan[i] >= 0 && o.count[i] >= 0
 	}
-	sels := s.condSelectivities(q)
 	for ci, c := range q.Conds {
 		var vars uint
 		for _, t := range [2]*core.Term{c.L, c.R} {
@@ -737,15 +744,8 @@ func (o *orderSearch) search(depth int, bound uint, total, mult float64) {
 	}
 }
 
-// reorderGreedy picks, at each step, the valid next binding with the
-// smallest filtered iteration count.
-func (s *Stats) reorderGreedy(q *core.Query) *core.Query {
-	return s.reorderGreedySels(q, s.condSelectivities(q))
-}
-
-// reorderGreedySels is reorderGreedy with precomputed selectivities, so
-// EstimateQuick shares one computation between the reorder and the final
-// estimate (the cost-bounded backchase calls it per enqueued state).
+// reorderGreedySels picks, at each step, the valid next binding with
+// the smallest filtered iteration count under the plan's selectivities.
 func (s *Stats) reorderGreedySels(q *core.Query, sels []float64) *core.Query {
 	n := len(q.Bindings)
 	used := make([]bool, n)
@@ -871,20 +871,25 @@ func (s *Stats) Fingerprint() string {
 
 // RankedPlan is one entry of a cost-ranked candidate pool: a plan with
 // its bindings already reordered by Reorder, together with its
-// estimated cost and output cardinality.
+// estimated cost and output cardinality, and the index in the ranked
+// pool of the plan it reorders.
 type RankedPlan struct {
 	Query *core.Query
 	Cost  float64
 	Card  float64
+	Pool  int
 }
 
-// Rank reorders and costs every plan, returning them sorted by cost.
+// Rank reorders and costs every plan, returning them sorted by cost —
+// Reorder then Estimate per plan, over one computation of the plan's
+// condition selectivities.
 func (s *Stats) Rank(plans []*core.Query) []RankedPlan {
 	out := make([]RankedPlan, 0, len(plans))
-	for _, p := range plans {
-		r := s.Reorder(p)
-		c, card := s.Estimate(r)
-		out = append(out, RankedPlan{Query: r, Cost: c, Card: card})
+	for i, p := range plans {
+		sels := s.condSelectivities(p)
+		r := s.reorder(p, sels)
+		c, card := s.estimate(r, sels)
+		out = append(out, RankedPlan{Query: r, Cost: c, Card: card, Pool: i})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
 	return out

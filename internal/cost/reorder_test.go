@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cnb/internal/core"
@@ -166,7 +167,7 @@ func randomReorderStats(r *rand.Rand) *Stats {
 // the same order, and a cost bit-identical to the oracle's.
 func checkReorder(t *testing.T, trial int, s *Stats, q *core.Query) (placed bool) {
 	t.Helper()
-	got := s.reorderExhaustive(q)
+	got := s.reorderExhaustive(q, s.condSelectivities(q))
 	want, wantCost := bruteForceOrder(s, q)
 	if (got == nil) != (want == nil) {
 		t.Fatalf("trial %d: reorderExhaustive = %v, oracle = %v\nplan: %s", trial, got, want, q)
@@ -181,7 +182,7 @@ func checkReorder(t *testing.T, trial int, s *Stats, q *core.Query) (placed bool
 		t.Fatalf("trial %d: cost %v, oracle %v", trial, c, wantCost)
 	}
 	// The search's own running cost of the winning order is Estimate's.
-	o, _ := s.newOrderSearch(q)
+	o, _ := s.newOrderSearch(q, s.condSelectivities(q))
 	o.search(0, 0, s.hashBuildCost(q), 1)
 	if math.Float64bits(o.bestCost) != math.Float64bits(wantCost) {
 		t.Fatalf("trial %d: search cost %v, Estimate %v", trial, o.bestCost, wantCost)
@@ -208,7 +209,7 @@ func TestReorderExhaustiveMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		unplaced++
-		if got, want := s.Reorder(q).String(), s.reorderGreedy(q).String(); len(q.Bindings) > 1 && got != want {
+		if got, want := s.Reorder(q).String(), s.reorderGreedySels(q, s.condSelectivities(q)).String(); len(q.Bindings) > 1 && got != want {
 			t.Fatalf("trial %d: Reorder of an unplaceable plan = %s, want the greedy %s", trial, got, want)
 		}
 	}
@@ -240,6 +241,37 @@ func TestReorderExhaustiveNegativeStats(t *testing.T) {
 // searchPrunes reports whether the branch-and-bound search of q under s
 // prunes (true for unplaceable plans, which it never searches).
 func searchPrunes(s *Stats, q *core.Query) bool {
-	o, ok := s.newOrderSearch(q)
+	o, ok := s.newOrderSearch(q, s.condSelectivities(q))
 	return !ok || o.prune
+}
+
+// TestRankMatchesReorderThenEstimate: Rank, which computes each plan's
+// selectivities once for its reorder and its estimate, ranks exactly
+// like Reorder then Estimate per plan — the same orders, bit-identical
+// costs and cards, the same ranked order — and records each candidate's
+// pool index.
+func TestRankMatchesReorderThenEstimate(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 100; trial++ {
+		s := randomReorderStats(r)
+		var plans []*core.Query
+		for i := 0; i < 6; i++ {
+			plans = append(plans, randomReorderPlan(r, trial%5 == 4))
+		}
+		var want []RankedPlan
+		for i, p := range plans {
+			q := s.Reorder(p)
+			c, card := s.Estimate(q)
+			want = append(want, RankedPlan{Query: q, Cost: c, Card: card, Pool: i})
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Cost < want[j].Cost })
+		got := s.Rank(plans)
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Query.String() != w.Query.String() || g.Pool != w.Pool ||
+				math.Float64bits(g.Cost) != math.Float64bits(w.Cost) || math.Float64bits(g.Card) != math.Float64bits(w.Card) {
+				t.Fatalf("trial %d, rank %d: %v %v %v pool %d\nwant %v %v %v pool %d", trial, i, g.Query, g.Cost, g.Card, g.Pool, w.Query, w.Cost, w.Card, w.Pool)
+			}
+		}
+	}
 }

@@ -71,8 +71,12 @@ type Result struct {
 	// Executable is the candidate pool after lookup simplification and
 	// deduplication, in pool order and before binding reorder: the input
 	// Candidates ranks, kept so Rerank can rank it again under other
-	// statistics.
+	// statistics. It is nil on a result whose pool CompactPool folded
+	// into Candidates; Pool rebuilds it.
 	Executable []*core.Query
+	// poolOrder is a compacted pool: for each candidate in turn, the pool
+	// position of each of its bindings.
+	poolOrder []uint8
 	// Candidates are the cost-ranked executable plans after lookup
 	// simplification and binding reorder, cheapest first.
 	Candidates []cost.RankedPlan
@@ -197,8 +201,58 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 // not depend on statistics. r itself is not modified.
 func (r *Result) Rerank(st *cost.Stats) *Result {
 	cp := *r
+	cp.Executable = r.Pool()
 	cp.rank(st)
+	if r.Executable == nil {
+		cp.CompactPool()
+	}
 	return &cp
+}
+
+// CompactPool drops Executable, keeping each of its plans as the binding
+// order of the candidate that ranks it: a candidate is its pool plan
+// with the bindings permuted (cost.Stats.Reorder), and Candidates must
+// rank Executable, as Optimize and Rerank leave them. Pool and Rerank
+// rebuild the plans. A result without a pool, or with a plan of more
+// than 256 bindings, is left as it is.
+func (r *Result) CompactPool() {
+	if r.Executable == nil || len(r.Candidates) != len(r.Executable) {
+		return
+	}
+	n := 0
+	for _, c := range r.Candidates {
+		n += len(c.Query.Bindings)
+	}
+	order := make([]uint8, 0, n)
+	for _, c := range r.Candidates {
+		p := r.Executable[c.Pool]
+		if len(p.Bindings) > 256 {
+			return
+		}
+		for _, b := range c.Query.Bindings {
+			order = append(order, uint8(p.BindingOf(b.Var)))
+		}
+	}
+	r.Executable, r.poolOrder = nil, order
+}
+
+// Pool returns the executable pool: Executable, or the plans a
+// compacted result rebuilds from its candidates, in pool order.
+func (r *Result) Pool() []*core.Query {
+	if r.Executable != nil || r.poolOrder == nil {
+		return r.Executable
+	}
+	pool := make([]*core.Query, len(r.Candidates))
+	at := 0
+	for _, c := range r.Candidates {
+		bs := make([]core.Binding, len(c.Query.Bindings))
+		for _, b := range c.Query.Bindings {
+			bs[r.poolOrder[at]] = b
+			at++
+		}
+		pool[c.Pool] = &core.Query{Out: c.Query.Out, Bindings: bs, Conds: c.Query.Conds}
+	}
+	return pool
 }
 
 // rank fills Candidates and Best from Executable.

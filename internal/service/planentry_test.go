@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -44,7 +45,7 @@ func render(r *optimizer.Result) rendering {
 	for _, q := range r.Minimal {
 		out.minimal = append(out.minimal, q.String())
 	}
-	for _, q := range r.Executable {
+	for _, q := range r.Pool() {
 		out.executable = append(out.executable, q.String())
 	}
 	for _, c := range r.Candidates {
@@ -86,7 +87,7 @@ func sameRendering(t *testing.T, got, want rendering) {
 func resultQueries(r *optimizer.Result) []*core.Query {
 	qs := []*core.Query{r.Universal}
 	qs = append(qs, r.Minimal...)
-	qs = append(qs, r.Executable...)
+	qs = append(qs, r.Pool()...)
 	for _, c := range r.Candidates {
 		qs = append(qs, c.Query)
 	}
@@ -168,6 +169,81 @@ func TestPlanEntryHashConsed(t *testing.T) {
 			walk(c.L)
 			walk(c.R)
 		}
+	}
+}
+
+// sameQuery reports whether two queries are Equal binding for binding,
+// condition for condition and in their outputs.
+func sameQuery(a, b *core.Query) bool {
+	if !a.Out.Equal(b.Out) || len(a.Bindings) != len(b.Bindings) || len(a.Conds) != len(b.Conds) {
+		return false
+	}
+	for i, bd := range a.Bindings {
+		if bd.Var != b.Bindings[i].Var || !bd.Range.Equal(b.Bindings[i].Range) {
+			return false
+		}
+	}
+	for i, c := range a.Conds {
+		if !c.L.Equal(b.Conds[i].L) || !c.R.Equal(b.Conds[i].R) {
+			return false
+		}
+	}
+	return true
+}
+
+// samePool fails unless pool is Equal, plan for plan and in order, to
+// want.
+func samePool(t *testing.T, what string, pool, want []*core.Query) {
+	t.Helper()
+	if len(pool) != len(want) {
+		t.Fatalf("%s: %d pool plans, want %d", what, len(pool), len(want))
+	}
+	for i := range want {
+		if !sameQuery(pool[i], want[i]) {
+			t.Fatalf("%s: pool plan %d\n%s\nwant\n%s", what, i, pool[i], want[i])
+		}
+	}
+}
+
+// TestPlanEntryPoolRebuilds: a stored entry keeps its executable pool
+// only as its candidates' binding orders, and the pool it rebuilds is
+// Equal, in order, to the flight's Executable.
+func TestPlanEntryPoolRebuilds(t *testing.T) {
+	r := projDeptResult(t, nil)
+	stored := newPlanEntry("k", "", r, "").ranked.Load().res
+	if stored.Executable != nil {
+		t.Fatal("the stored entry keeps the executable pool's plans")
+	}
+	samePool(t, "stored", stored.Pool(), r.Executable)
+}
+
+// TestPlanEntryRerankMatchesPool: re-ranking a stored entry under two
+// different statistics snapshots gives exactly the candidates ranking
+// the flight's own pool gives, and the re-ranked result stays compact
+// and rebuilds the same pool.
+func TestPlanEntryRerankMatchesPool(t *testing.T) {
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := projDeptResult(t, nil)
+	stored := newPlanEntry("k", "", r, "").ranked.Load().res
+	for i, st := range []*cost.Stats{
+		cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.1, Seed: 1})),
+		cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 400, ProjsPerDept: 2, CitiBankShare: 0.9, Seed: 2})),
+	} {
+		got, want := stored.Rerank(st), r.Rerank(st)
+		what := fmt.Sprintf("snapshot %d", i)
+		sameRendering(t, render(got), render(want))
+		for j, c := range got.Candidates {
+			if c.Pool != want.Candidates[j].Pool {
+				t.Fatalf("%s: candidate %d reorders pool plan %d, want %d", what, j, c.Pool, want.Candidates[j].Pool)
+			}
+		}
+		if got.Executable != nil {
+			t.Fatalf("%s: re-ranking a stored entry expanded its pool", what)
+		}
+		samePool(t, what, got.Pool(), r.Executable)
 	}
 }
 

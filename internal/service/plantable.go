@@ -109,29 +109,35 @@ type ranking struct {
 }
 
 // newPlanEntry wraps a finished optimizer result. Explored is dropped:
-// the stored outcome is the ranked pool, not the lattice walk. The
-// stored plans are hash-consed through one table per entry, so a subterm
-// that recurs across the universal plan, the minimal plans, the pool and
-// its ranked copies is one node holding one memoized key. New queries are
-// built; res itself is not modified.
+// the stored outcome is the ranked pool, not the lattice walk, and the
+// executable pool itself is folded into the ranked candidates
+// (optimizer.Result.CompactPool). The stored plans are hash-consed
+// through one table per entry, so a subterm that recurs across the
+// universal plan, the minimal plans and the candidates is one node
+// holding one memoized key. New queries are built; res itself is not
+// modified.
 func newPlanEntry(key, statsFP string, res *optimizer.Result, rankFP string) *planEntry {
 	stored := *res
 	stored.Explored = nil
 	hc := core.NewHashCons()
 	stored.Universal = hc.Query(res.Universal)
 	stored.Minimal = hc.Queries(res.Minimal)
-	stored.Executable = hc.Queries(res.Executable)
 	stored.Candidates = nil
 	stored.Best = nil
 	if res.Candidates != nil {
 		stored.Candidates = make([]cost.RankedPlan, len(res.Candidates))
 		for i, c := range res.Candidates {
-			stored.Candidates[i] = cost.RankedPlan{Query: hc.Query(c.Query), Cost: c.Cost, Card: c.Card}
+			c.Query = hc.Query(c.Query)
+			stored.Candidates[i] = c
 		}
 		if res.Best != nil {
 			stored.Best = &stored.Candidates[0]
 		}
 	}
+	// The pool is kept as the candidates' binding orders when it can be;
+	// Rerank rebuilds it.
+	stored.CompactPool()
+	stored.Executable = hc.Queries(stored.Executable)
 	e := &planEntry{key: key, statsFP: statsFP}
 	e.ranked.Store(&ranking{res: &stored, fp: rankFP})
 	return e

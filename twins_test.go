@@ -14,16 +14,21 @@ import (
 // referenceTwins maps each reference engine's entry point to its defining
 // package. The twins are test fixtures and A/B baselines, not product
 // paths: only tests, the experiments in internal/bench and the defining
-// package may name them.
+// package may name them. A twin whose home is "" lives in test files
+// only: the string-keyed term rewriting, which the backchase's class-id
+// construction (congruence.Rewriter) is checked against.
 var referenceTwins = map[string]string{
 	"NewNaiveIndex":      "internal/chase",
 	"EnumerateScanFloor": "internal/backchase",
+	"RewriteVariants":    "",
+	"rewriteStructural":  "",
+	"rebuildChildren":    "",
 }
 
 // TestReferenceTwinsStayFixtures parses every non-test Go file of the
 // module and fails on any mention of a reference twin outside the
 // allowed places, so no product caller (or cache key) can reach the
-// naive chase or the scan-only bound.
+// naive chase, the scan-only bound or the string-keyed rewriting.
 func TestReferenceTwinsStayFixtures(t *testing.T) {
 	fset := token.NewFileSet()
 	checked := 0
@@ -57,11 +62,21 @@ func TestReferenceTwinsStayFixtures(t *testing.T) {
 		}
 		checked++
 		ast.Inspect(f, func(n ast.Node) bool {
+			// Closure.Rewrite, the string-keyed rewrite's entry point.
+			if fd, ok := n.(*ast.FuncDecl); ok && fd.Name.Name == "Rewrite" && fd.Recv != nil {
+				if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+					if recv, ok := star.X.(*ast.Ident); ok && recv.Name == "Closure" {
+						t.Errorf("%s: reference twin Closure.Rewrite outside tests", fset.Position(fd.Pos()))
+					}
+				}
+			}
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			if home, twin := referenceTwins[id.Name]; twin && dir != home {
+			if home, twin := referenceTwins[id.Name]; twin && home == "" {
+				t.Errorf("%s: reference twin %s used outside tests", fset.Position(id.Pos()), id.Name)
+			} else if twin && dir != home {
 				t.Errorf("%s: reference twin %s used outside tests, internal/bench and %s",
 					fset.Position(id.Pos()), id.Name, home)
 			}
