@@ -59,7 +59,7 @@ func BenchmarkE9OptTime(b *testing.B)       { benchExperiment(b, "E9") }
 func BenchmarkE10Gmap(b *testing.B)         { benchExperiment(b, "E10") }
 func BenchmarkE11Semantic(b *testing.B)     { benchExperiment(b, "E11") }
 func BenchmarkE12Parallel(b *testing.B)     { benchExperiment(b, "E12") }
-func BenchmarkE13CostBounded(b *testing.B)  { benchExperiment(b, "E13") }
+func BenchmarkE13Certified(b *testing.B)    { benchExperiment(b, "E13") }
 func BenchmarkE15IncChase(b *testing.B)     { benchExperiment(b, "E15") }
 func BenchmarkE16ServeLoad(b *testing.B)    { benchExperiment(b, "E16") }
 
@@ -330,97 +330,6 @@ func BenchmarkBackchaseParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkBackchasePruned compares exhaustive enumeration against the
-// cost-bounded best-first search on the star workload: same cheapest
-// plan cost, strictly fewer lattice states chased. The pruned/exhaustive
-// state counts are reported as custom metrics.
-func BenchmarkBackchasePruned(b *testing.B) {
-	s, err := workload.NewStar(workload.StarConfig{
-		Dims: 2, Views: 2, FactIndexes: 1, DimIndex: true,
-		Select: true, SelectA: 3, FKConstraints: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	chased, err := chase.Chase(s.Q, s.Deps, chase.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	stats := cost.FromInstance(s.Generate(workload.StarGenOptions{
-		NumFact: 6000, NumDim: 3000, NumSub: 1000, DomA: 1000, Seed: 1,
-	}))
-	run := func(b *testing.B, opts backchase.Options) {
-		b.ReportAllocs()
-		var states, pruned int
-		for i := 0; i < b.N; i++ {
-			res, err := backchase.Enumerate(chased.Query, s.Deps, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			states, pruned = res.States, res.Pruned
-		}
-		b.ReportMetric(float64(states), "states")
-		b.ReportMetric(float64(pruned), "pruned")
-	}
-	b.Run("exhaustive", func(b *testing.B) { run(b, backchase.Options{}) })
-	b.Run("pruned", func(b *testing.B) { run(b, backchase.Options{Stats: stats}) })
-}
-
-// BenchmarkBackchasePrunedTight A/B-tests the PR-3 dictionary-aware
-// admissible bound against PR 2's scan-only floor on the star and
-// snowflake workloads: identical cheapest cost, strictly fewer lattice
-// states chased under the tight bound. States/pruned are reported as
-// custom metrics for the nightly perf trajectory.
-func BenchmarkBackchasePrunedTight(b *testing.B) {
-	workloads := []struct {
-		name string
-		cfg  workload.StarConfig
-	}{
-		{"star", workload.StarConfig{
-			Dims: 2, Views: 2, FactIndexes: 1, DimIndex: true,
-			Select: true, SelectA: 3, FKConstraints: true,
-		}},
-		{"snowflake", workload.StarConfig{
-			Dims: 2, Views: 1, FactIndexes: 1, DimIndex: true, Snowflake: true,
-			Select: true, SelectA: 3, FKConstraints: true,
-		}},
-	}
-	for _, wl := range workloads {
-		s, err := workload.NewStar(wl.cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		chased, err := chase.Chase(s.Q, s.Deps, chase.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats := cost.FromInstance(s.Generate(workload.StarGenOptions{
-			NumFact: 6000, NumDim: 3000, NumSub: 1000, DomA: 1000, Seed: 1,
-		}))
-		run := func(b *testing.B, enumerate func(*core.Query, []*core.Dependency, backchase.Options) (*backchase.Result, error)) {
-			b.ReportAllocs()
-			var states, pruned int
-			var best float64
-			for i := 0; i < b.N; i++ {
-				res, err := enumerate(chased.Query, s.Deps, backchase.Options{Stats: stats})
-				if err != nil {
-					b.Fatal(err)
-				}
-				states, pruned, best = res.States, res.Pruned, res.BestCost
-			}
-			b.ReportMetric(float64(states), "states")
-			b.ReportMetric(float64(pruned), "pruned")
-			b.ReportMetric(best, "best-cost")
-		}
-		b.Run(wl.name+"/scanfloor", func(b *testing.B) {
-			run(b, backchase.EnumerateScanFloor)
-		})
-		b.Run(wl.name+"/tight", func(b *testing.B) {
-			run(b, backchase.Enumerate)
 		})
 	}
 }

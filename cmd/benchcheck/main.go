@@ -4,19 +4,18 @@
 //
 // Rules, per experiment present in the baseline:
 //
-//   - every metric whose name ends in "_states" (except pruned counters,
-//     which grow when the bound improves) may grow by at most
+//   - every metric whose name ends in "_states" may grow by at most
 //     -state-tolerance (default 10%) — more lattice states explored for
 //     the same workload is a search regression;
 //   - every metric whose name ends in "_hom_tests" may grow by at most
 //     the same tolerance — more homomorphism-search work for the same
 //     workload is a chase regression, gated exactly like state counts;
 //   - every metric whose name starts with "cheapest_cost" must not
-//     change beyond float noise (relative 1e-6) — the admissible bound
-//     guarantees the cheapest plan cost is schedule- and
-//     pruning-independent, so any drift means a soundness or cost-model
-//     change that must be reviewed (and the baseline regenerated
-//     deliberately);
+//     change beyond float noise (relative 1e-6) — the backchase lists
+//     every minimal plan whatever the schedule, so the cheapest plan
+//     cost is a pure function of the code, and any drift means a
+//     soundness or cost-model change that must be reviewed (and the
+//     baseline regenerated deliberately);
 //   - the "chase_steps" metric is held exactly: chase step counts are
 //     deterministic, and both chase engines are pinned to the same step
 //     sequence, so any drift means the chase itself changed behavior;
@@ -191,9 +190,7 @@ func main() {
 			continue
 		}
 		for name, base := range exp.Metric {
-			// Pruned counters grow when the bound improves; they are not
-			// exploration work and are never gated.
-			gatedStates := strings.HasSuffix(name, "_states") && !strings.Contains(name, "pruned")
+			gatedStates := strings.HasSuffix(name, "_states")
 			gatedWork := strings.HasSuffix(name, "_hom_tests")
 			gatedCost := strings.HasPrefix(name, "cheapest_cost") || exactCounters[name] || exactSuffix(name)
 			if !gatedStates && !gatedWork && !gatedCost {

@@ -31,7 +31,7 @@
 //
 // Usage:
 //
-//	cnbd [-addr :8343] [-parallelism N] [-cache-size N] [-cost-bounded]
+//	cnbd [-addr :8343] [-parallelism N] [-cache-size N]
 //	     [-query-timeout 30s] [-max-plan-latency 0] [-hist-reset-on-scrape]
 //	     [-pprof-addr addr]
 package main
@@ -158,7 +158,6 @@ func main() {
 		addr         = flag.String("addr", ":8343", "listen address")
 		parallelism  = flag.Int("parallelism", 0, "backchase worker count per flight (0 = all cores)")
 		cacheSize    = flag.Int("cache-size", 0, "plan cache entry bound (0 = default, <0 = unbounded)")
-		costBounded  = flag.Bool("cost-bounded", false, "cost-bounded best-first backchase once stats are installed")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "server-side execution deadline per /query request (0 = none)")
 		maxPlanLat   = flag.Duration("max-plan-latency", 0, "plan-latency SLO: serve the greedy tier when the backchase flight misses this budget (0 = synchronous)")
 		histReset    = flag.Bool("hist-reset-on-scrape", false, "zero the per-tier latency histograms after every GET /metrics, so each scrape reports the interval since the previous one")
@@ -169,7 +168,6 @@ func main() {
 	srv0, mux := newServer(service.Options{
 		Parallelism:    *parallelism,
 		CacheSize:      *cacheSize,
-		CostBounded:    *costBounded,
 		MaxPlanLatency: *maxPlanLat,
 	}, *queryTimeout)
 	srv0.histResetOnScrape = *histReset
@@ -185,7 +183,7 @@ func main() {
 		}()
 	}
 
-	log.Printf("cnbd listening on %s (parallelism=%d cost-bounded=%v max-plan-latency=%v)", *addr, *parallelism, *costBounded, *maxPlanLat)
+	log.Printf("cnbd listening on %s (parallelism=%d max-plan-latency=%v)", *addr, *parallelism, *maxPlanLat)
 	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	if err := serve(srv); err != nil {
 		log.Fatal(err)
@@ -447,11 +445,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "stats: %v", err)
 		return
 	}
-	invalidated := s.svc.SetStats(st)
+	s.svc.SetStats(st)
 	writeJSON(w, map[string]any{
 		"installed":   true,
 		"fingerprint": st.Fingerprint(),
-		"invalidated": invalidated,
 	})
 }
 
@@ -554,7 +551,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			{"hits", cc.Hits},
 			{"misses", cc.Misses},
 			{"evictions", cc.Evictions},
-			{"invalidated", cc.Invalidated},
 			{"entries", s.svc.CacheLen()},
 		}},
 		{"chase", orderedObj{

@@ -483,6 +483,10 @@ func TestMetricsKeyOrder(t *testing.T) {
 	if inst := keyOrder(t, raw, "instances"); len(inst) != 2 || inst[0] != "alpha" || inst[1] != "zeta" {
 		t.Fatalf("instance order %v, want [alpha zeta]", inst)
 	}
+	wantCache := []string{"hits", "misses", "evictions", "entries"}
+	if cache := keyOrder(t, raw, "cache"); strings.Join(cache, ",") != strings.Join(wantCache, ",") {
+		t.Fatalf("cache keys %v, want %v", cache, wantCache)
+	}
 	wantHists := []string{"bucket_unit", "greedy", "backchase_sync", "backchase_upgraded", "query_plan", "query_exec"}
 	if hists := keyOrder(t, raw, "histograms"); strings.Join(hists, ",") != strings.Join(wantHists, ",") {
 		t.Fatalf("histogram keys %v, want %v", hists, wantHists)

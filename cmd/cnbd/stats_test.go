@@ -16,16 +16,15 @@ func TestStatsValidation(t *testing.T) {
 	}{
 		{"negative card", `{"Card": {"Proj": -5}}`, `Card["Proj"]`},
 		{"negative entry fanout", `{"EntryFanout": {"SI": -1}}`, `EntryFanout["SI"]`},
-		{"negative entry fanout min", `{"EntryFanoutMin": {"SI": -1}}`, `EntryFanoutMin["SI"]`},
 		{"negative field fanout", `{"FieldFanout": {"DProjs": -2}}`, `FieldFanout["DProjs"]`},
-		{"negative field fanout min", `{"FieldFanoutMin": {"DProjs": -2}}`, `FieldFanoutMin["DProjs"]`},
 		{"negative distinct", `{"Distinct": {"Proj.CustName": -3}}`, `Distinct["Proj.CustName"]`},
 		{"negative default selectivity", `{"DefaultSelectivity": -0.1}`, "DefaultSelectivity"},
 		{"default selectivity above 1", `{"DefaultSelectivity": 1.5}`, "DefaultSelectivity"},
-		{"negative lookup cost", `{"LookupCost": -1, "LookupFloor": 0}`, "LookupCost"},
-		{"negative lookup floor", `{"LookupFloor": -1}`, "LookupFloor"},
-		{"inadmissible lookup floor", `{"LookupCost": 1, "LookupFloor": 2.5}`, "LookupFloor"},
+		{"negative lookup cost", `{"LookupCost": -1}`, "LookupCost"},
 		{"unknown field", `{"Cards": {"Proj": 5}}`, `"Cards"`},
+		{"retired entry fanout min", `{"EntryFanoutMin": {"SI": 1}}`, `"EntryFanoutMin"`},
+		{"retired field fanout min", `{"FieldFanoutMin": {"DProjs": 1}}`, `"FieldFanoutMin"`},
+		{"retired lookup floor", `{"LookupFloor": 1}`, `"LookupFloor"`},
 		{"trailing data", `{"Card": {"Proj": 5}} x`, "trailing data"},
 	} {
 		status, out := postJSON(t, ts.URL+"/stats", tc.body)
@@ -38,7 +37,7 @@ func TestStatsValidation(t *testing.T) {
 		t.Fatalf("rejected snapshots were installed: stats_swaps = %v", m["stats_swaps"])
 	}
 
-	status, out := postJSON(t, ts.URL+"/stats", `{"Card": {"Proj": 5000}, "LookupCost": 1, "LookupFloor": 2}`)
+	status, out := postJSON(t, ts.URL+"/stats", `{"Card": {"Proj": 5000}, "LookupCost": 1}`)
 	if status != http.StatusOK || out["installed"] != true {
 		t.Fatalf("valid snapshot: HTTP %d %v", status, out)
 	}

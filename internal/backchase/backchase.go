@@ -29,7 +29,6 @@ import (
 	"cnb/internal/chase"
 	"cnb/internal/congruence"
 	"cnb/internal/core"
-	"cnb/internal/cost"
 )
 
 // Options tunes the backchase.
@@ -39,27 +38,13 @@ type Options struct {
 	// MaxStates caps the number of distinct intermediate subqueries
 	// explored (0 = default 100000), a safety valve for adversarial
 	// inputs — the search space is exponential in the number of
-	// redundant bindings (§5). Under Stats, candidates pruned before
-	// their equivalence check do not count against the cap; a state
-	// pruned after being enqueued does (it was claimed while still
-	// eligible for exploration).
+	// redundant bindings (§5).
 	MaxStates int
 	// Parallelism is the number of workers exploring the subquery
 	// lattice concurrently (0 = runtime.GOMAXPROCS(0), 1 = serial).
 	// For runs that finish without truncation the result is identical
 	// for every value.
 	Parallelism int
-	// Stats switches Enumerate to cost-bounded best-first search: lattice
-	// states are popped cheapest-estimated-first, a shared bound tracks
-	// the cheapest complete plan found so far, and states whose admissible
-	// lower bound (cost.Stats.LowerBound) exceeds the bound are pruned
-	// without being chased. The returned cheapest plan always has the same
-	// estimated cost as exhaustive enumeration's cheapest (the bound is
-	// admissible), but more expensive plans and lattice regions may be
-	// skipped, so Plans/Explored are generally subsets of the exhaustive
-	// result and can vary across schedules. Nil (the default) keeps the
-	// exhaustive, fully deterministic order.
-	Stats *cost.Stats
 	// Index is a prebuilt chase dependency index over the same dependency
 	// set passed to Enumerate (chase.NewDepIndex(deps)); the optimizer
 	// shares the index of its chase phase this way. Nil means the engine
@@ -75,7 +60,7 @@ type Options struct {
 	// same either way whenever the candidates' chases terminate within
 	// the budget.
 	//
-	// Without Stats most candidates skip that chase: a seed dive's normal
+	// Most candidates skip that chase: a seed dive's normal
 	// form T, proved T ⊑ Goal by chase once, certifies every candidate S
 	// above it whose unchased canonical database T maps into by the
 	// identity (S ⊑ T ⊑ Goal). A certified candidate is equivalent even
@@ -107,21 +92,11 @@ type Result struct {
 	Explored []*core.Query
 	// States is the number of distinct subqueries explored.
 	States int
-	// Pruned is the number of claimed states skipped by cost-bound
-	// pruning (always 0 without Options.Stats).
-	Pruned int
-	// BestCost is the estimated executable cost (lookup-simplified, best
-	// binding order) of the cheapest equivalent plan encountered — state
-	// or normal form — when Options.Stats is set. It matches the
-	// exhaustive search's cheapest: pruning only discards states whose
-	// admissible lower bound exceeds a cost already achieved. +Inf if
-	// nothing was explored, 0 without Stats.
-	BestCost float64
 	// Truncated reports whether a cap stopped the enumeration early.
 	Truncated bool
 	// Seeds is the number of normal forms the seed dives reached, and
 	// Certified the number of candidates one of them proved equivalent
-	// by a containment mapping, without a chase (both 0 under Stats).
+	// by a containment mapping, without a chase.
 	// Chased is the number of candidates whose equivalence needed a
 	// goal-directed chase. A candidate that fails the root ⊑ candidate
 	// test is neither.
@@ -151,25 +126,6 @@ func EnumerateContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 	e, err := newEngine(ctx, q, deps, opts)
 	if err != nil {
 		return nil, err
-	}
-	return e.enumerate(ctx, opts.parallelismOrDefault())
-}
-
-// EnumerateScanFloor is Enumerate with cost-bounded pruning driven by the
-// PR-2 scan-only floor (cost.Stats.ScanFloor) instead of the
-// dictionary-aware cost.Stats.LowerBound. Both bounds are admissible, so
-// the cheapest plan is the same; the scan-only bound prunes less and
-// explores more states. It exists for E14's A/B measurement only;
-// product code uses Enumerate. Without opts.Stats it is Enumerate.
-func EnumerateScanFloor(q *core.Query, deps []*core.Dependency, opts Options) (*Result, error) {
-	ctx := context.Background()
-	opts = opts.withDefaults()
-	e, err := newEngine(ctx, q, deps, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Stats != nil {
-		e.lowerBound = opts.Stats.ScanFloor
 	}
 	return e.enumerate(ctx, opts.parallelismOrDefault())
 }

@@ -25,9 +25,9 @@
 // another sees and none needs a copy. Candidate construction only reads
 // the root's congruence closure, so it shares one frozen closure too.
 //
-// Subsumption certificates: the exhaustive search (no Stats) proves most
-// candidates' candidate ⊑ root direction without a chase. Before any
-// worker starts, serial seed dives walk the lattice greedily, each
+// Subsumption certificates: the search proves most candidates'
+// candidate ⊑ root direction without a chase. Before any worker
+// starts, serial seed dives walk the lattice greedily, each
 // taking the first chase-verified removal until none is left; the normal
 // forms they reach are the seeds. Dive k starts from the root minus X_k,
 // where X_0 = ∅ and X_{k+1} adds the first binding, in root order, of
@@ -49,10 +49,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"math"
+	"maps"
 	"math/bits"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -60,7 +61,6 @@ import (
 
 	"cnb/internal/chase"
 	"cnb/internal/core"
-	"cnb/internal/planrewrite"
 )
 
 const numShards = 32
@@ -70,68 +70,24 @@ type stateItem struct {
 	key     string          // canonical stateKey of removed
 	removed map[string]bool // removed binding variables of the root
 	q       *core.Query     // Subquery(root, removed)
-	prio    float64         // estimated cost (best-first mode only)
-	lb      float64         // admissible lower bound, fixed per state (best-first mode only)
 }
 
-// workQueue is an unbounded work pool with done-tracking: pending counts
-// items enqueued but not yet fully processed, so workers can distinguish
-// "queue momentarily empty" from "exploration finished". In FIFO mode
-// (exhaustive search) items come out in insertion order; in ordered mode
-// (cost-bounded best-first search) they come out cheapest-priority first,
-// ties broken by state key so serial runs stay deterministic.
+// workQueue is an unbounded FIFO work pool with done-tracking: pending
+// counts items enqueued but not yet fully processed, so workers can
+// distinguish "queue momentarily empty" from "exploration finished".
 type workQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	ordered bool
-	items   []stateItem // FIFO backlog, or a binary min-heap when ordered
-	head    int         // FIFO read position (unused when ordered)
+	items   []stateItem
+	head    int // read position
 	pending int
 	stopped bool
 }
 
-func newWorkQueue(ordered bool) *workQueue {
-	wq := &workQueue{ordered: ordered}
+func newWorkQueue() *workQueue {
+	wq := &workQueue{}
 	wq.cond = sync.NewCond(&wq.mu)
 	return wq
-}
-
-func (wq *workQueue) less(i, j int) bool {
-	a, b := wq.items[i], wq.items[j]
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.key < b.key
-}
-
-func (wq *workQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !wq.less(i, parent) {
-			return
-		}
-		wq.items[i], wq.items[parent] = wq.items[parent], wq.items[i]
-		i = parent
-	}
-}
-
-func (wq *workQueue) down(i int) {
-	n := len(wq.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && wq.less(l, min) {
-			min = l
-		}
-		if r < n && wq.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		wq.items[i], wq.items[min] = wq.items[min], wq.items[i]
-		i = min
-	}
 }
 
 func (wq *workQueue) push(it stateItem) {
@@ -141,9 +97,6 @@ func (wq *workQueue) push(it stateItem) {
 		return
 	}
 	wq.items = append(wq.items, it)
-	if wq.ordered {
-		wq.up(len(wq.items) - 1)
-	}
 	wq.pending++
 	wq.cond.Signal()
 }
@@ -157,16 +110,7 @@ func (wq *workQueue) pop() (stateItem, bool) {
 		if wq.stopped {
 			return stateItem{}, false
 		}
-		if wq.ordered && len(wq.items) > 0 {
-			it := wq.items[0]
-			last := len(wq.items) - 1
-			wq.items[0] = wq.items[last]
-			wq.items[last] = stateItem{} // release for GC
-			wq.items = wq.items[:last]
-			wq.down(0)
-			return it, true
-		}
-		if !wq.ordered && wq.head < len(wq.items) {
+		if wq.head < len(wq.items) {
 			it := wq.items[wq.head]
 			wq.items[wq.head] = stateItem{} // release for GC
 			wq.head++
@@ -229,14 +173,6 @@ type shard struct {
 	seen map[string]bool
 	eq   map[string]*eqEntry
 	sub  map[string]*subEntry
-	lb   map[string]float64
-}
-
-// planEntry is a registered normal form with its estimated cost (NaN when
-// the engine runs without Stats).
-type planEntry struct {
-	q    *core.Query
-	cost float64
 }
 
 // engine is the shared state of one parallel backchase run.
@@ -251,14 +187,6 @@ type engine struct {
 	// root, which all workers read concurrently, without a copy.
 	subs  *SubqueryBuilder
 	queue *workQueue
-	// lowerBound is the admissible floor used by push/pop pruning (set
-	// only with Stats): the dictionary-aware cost.Stats.LowerBound, or
-	// cost.Stats.ScanFloor for EnumerateScanFloor's A/B reference. The
-	// admissibility argument lives on LowerBound: min fanouts and
-	// groundability survive every rewrite the backchase performs, because
-	// rewrites only re-route access paths along equalities the state
-	// already implies — they never shrink the answer or invent equalities.
-	lowerBound func(*core.Query) float64
 
 	shards [numShards]shard
 	seed   maphash.Seed
@@ -266,27 +194,16 @@ type engine struct {
 	// pos maps each root binding variable to its position in the root.
 	pos map[string]int
 	// seeds are the dives' normal forms, fixed before any worker starts
-	// and read-only afterwards (nil under Stats and while diving).
+	// and read-only afterwards (nil while diving).
 	seeds     []seed
 	certified atomic.Int64 // states proved equivalent by a seed
 	chased    atomic.Int64 // states that ran a goal-directed chase
 
 	states    atomic.Int64 // claimed states (visited-set size)
-	pruned    atomic.Int64 // claimed states skipped by the cost bound
 	truncated atomic.Bool
 
-	// bound is the float64 bits of the pruning bound: the cheapest
-	// complete-plan cost found so far. It only ever decreases. Unused
-	// (+Inf) without Stats.
-	bound atomic.Uint64
-	// best is the float64 bits of the cheapest cost achieved by an
-	// explored state or by any variant of a registered normal form's
-	// isomorphism class (variants of one plan can quick-estimate
-	// slightly differently) — it is what Result.BestCost reports.
-	best atomic.Uint64
-
 	plansMu sync.Mutex
-	plans   map[string]planEntry // normalized signature -> plan
+	plans   map[string]*core.Query // normalized signature -> plan
 
 	errMu sync.Mutex
 	err   error // first hard error; aborts the run
@@ -316,98 +233,21 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		rootCanon: ix.NewCanon(res.Query, opts.Chase.Metrics),
 		goalC:     chase.CompileQuery(goal),
 		subs:      NewSubqueryBuilder(q),
-		queue:     newWorkQueue(opts.Stats != nil),
+		queue:     newWorkQueue(),
 		seed:      maphash.MakeSeed(),
 		pos:       make(map[string]int, len(q.Bindings)),
-		plans:     map[string]planEntry{},
+		plans:     map[string]*core.Query{},
 	}
 	for i, b := range q.Bindings {
 		e.pos[b.Var] = i
 	}
 	e.rootCanon.Freeze()
-	if opts.Stats != nil {
-		e.lowerBound = opts.Stats.LowerBound
-	}
-	e.bound.Store(math.Float64bits(math.Inf(1)))
-	e.best.Store(math.Float64bits(math.Inf(1)))
 	for i := range e.shards {
 		e.shards[i].seen = map[string]bool{}
 		e.shards[i].eq = map[string]*eqEntry{}
 		e.shards[i].sub = map[string]*subEntry{}
-		e.shards[i].lb = map[string]float64{}
 	}
 	return e, nil
-}
-
-// costPlan estimates the executable cost of a state or plan the way the
-// optimizer's conventional phase will see it: guarded dom-loops collapsed
-// into non-failing lookups, then a greedy binding reorder (the quick
-// estimate — this runs for every enqueued lattice state, so the
-// exhaustive small-plan permutation search would dominate the search
-// itself). Pruning bound, queue priorities and Result.BestCost all use
-// this one metric so they are mutually comparable.
-func (e *engine) costPlan(q *core.Query) float64 {
-	return e.opts.Stats.EstimateQuick(planrewrite.SimplifyLookups(q))
-}
-
-// cachedLowerBound memoizes lowerBound per canonical state key: the
-// dictionary-aware bound builds a congruence closure per call, and every
-// parent of an already-generated candidate would otherwise recompute it
-// on the search hot path (the bound is a pure function of the state, so
-// the first stored value wins).
-func (e *engine) cachedLowerBound(key string, q *core.Query) float64 {
-	sh := e.shard(key)
-	sh.mu.Lock()
-	if v, ok := sh.lb[key]; ok {
-		sh.mu.Unlock()
-		return v
-	}
-	sh.mu.Unlock()
-	v := e.lowerBound(q)
-	sh.mu.Lock()
-	if prev, ok := sh.lb[key]; ok {
-		v = prev
-	} else {
-		sh.lb[key] = v
-	}
-	sh.mu.Unlock()
-	return v
-}
-
-// boundValue reads the current pruning bound.
-func (e *engine) boundValue() float64 {
-	return math.Float64frombits(e.bound.Load())
-}
-
-// noteCandidate lowers the pruning bound to the cost of a verified
-// equivalent plan that has been enqueued but not yet explored. The cost
-// is genuinely achievable, so it may prune — but it must not yet count
-// as Result.BestCost: the state may never be explored (a cheaper
-// candidate can prune it at pop, or MaxStates or cancellation can stop
-// the run first), and BestCost only reports what the Result actually
-// contains.
-func (e *engine) noteCandidate(c float64) {
-	shrinkAtomicMin(&e.bound, c)
-}
-
-// noteAchieved lowers both the pruning bound and the best-seen cost: the
-// plan with this cost is part of the Result (an explored state or a
-// registered normal form).
-func (e *engine) noteAchieved(c float64) {
-	shrinkAtomicMin(&e.bound, c)
-	shrinkAtomicMin(&e.best, c)
-}
-
-func shrinkAtomicMin(a *atomic.Uint64, c float64) {
-	for {
-		old := a.Load()
-		if math.Float64frombits(old) <= c {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(c)) {
-			return
-		}
-	}
 }
 
 func (e *engine) shard(key string) *shard {
@@ -430,29 +270,22 @@ func (e *engine) stateKey(removed map[string]bool) string {
 // true exactly once per state; the caller then owns enqueueing it. The
 // budget slot is reserved with a compare-and-swap so concurrent claims
 // on different shards can never overshoot MaxStates.
-func (e *engine) claim(key string) bool { return e.mark(key, true) }
-
-// markPruned marks a cost-pruned candidate state visited WITHOUT
-// consuming the MaxStates budget: the state is never explored (no chase,
-// no successors), so charging it against the exploration budget would
-// make the engine report truncation while the explored count is far
-// below MaxStates. Returns true exactly once per state, like claim.
-func (e *engine) markPruned(key string) bool { return e.mark(key, false) }
-
-func (e *engine) mark(key string, charge bool) bool {
+func (e *engine) claim(key string) bool {
 	sh := e.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.seen[key] {
 		return false
 	}
-	for charge {
+	for {
 		n := e.states.Load()
 		if n >= int64(e.opts.MaxStates) {
 			e.truncated.Store(true)
 			return false
 		}
-		charge = !e.states.CompareAndSwap(n, n+1)
+		if e.states.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
 	sh.seen[key] = true
 	return true
@@ -482,33 +315,15 @@ func (e *engine) firstErr() error {
 // arrived first, so the reported plan set is independent of scheduling.
 func (e *engine) addPlan(cur *core.Query) {
 	plan := normalizeIndexed(context.Background(), cur, e.depIndex, e.opts.Chase)
-	cost := math.NaN()
-	if e.opts.Stats != nil {
-		cost = e.costPlan(plan)
-	}
 	psig := plan.CanonicalSignature()
 	e.plansMu.Lock()
-	if prev, dup := e.plans[psig]; dup {
-		// Isomorphic variants of one plan carry different variable
-		// names (their canonical orders agree up to renaming); the
-		// entry keeps the representative with the lexicographically
-		// smallest normalized rendering but the cheapest cost seen for
-		// the class, so the plan ordering and BestCost stay
-		// schedule-independent.
-		ent := prev
-		if plan.NormalizeBindingOrder().String() < prev.q.NormalizeBindingOrder().String() {
-			ent.q = plan
-		}
-		if e.opts.Stats != nil && cost < ent.cost {
-			ent.cost = cost
-		}
-		e.plans[psig] = ent
-	} else {
-		e.plans[psig] = planEntry{q: plan, cost: cost}
-	}
-	e.plansMu.Unlock()
-	if e.opts.Stats != nil {
-		e.noteAchieved(cost)
+	defer e.plansMu.Unlock()
+	// Isomorphic variants of one plan carry different variable names
+	// (their canonical orders agree up to renaming); the entry keeps the
+	// representative with the lexicographically smallest normalized
+	// rendering, so the plan set stays schedule-independent.
+	if prev, dup := e.plans[psig]; !dup || plan.NormalizeBindingOrder().String() < prev.NormalizeBindingOrder().String() {
+		e.plans[psig] = plan
 	}
 }
 
@@ -696,39 +511,8 @@ func (e *engine) tryRemove(ctx context.Context, removed map[string]bool, v strin
 // process explores one claimed state: record it, try every single-binding
 // removal, enqueue unseen sound successors, and register the state as a
 // normal form if no removal applies.
-//
-// In cost-bounded mode the state is first re-checked against the pruning
-// bound (it may have shrunk since the state was enqueued): every plan
-// reachable below it costs at least it.lb, the admissible floor computed
-// once when the state was claimed (removals only shrink the binding set
-// and monotonically shrink the congruence the floor is derived from — see
-// the admissibility argument on cost.Stats.LowerBound) — so when that
-// exceeds the cheapest complete plan already known the whole subtree is
-// skipped without a single chase. Candidate
-// successors get the same treatment before their equivalence check: a
-// candidate whose lower bound beats the bound is claimed, counted as
-// pruned and never chased. The bound itself shrinks from two sources:
-// every verified state is a complete equivalent plan (the backchase is an
-// anytime rewriting, §4), so both enqueued states and registered normal
-// forms lower it. The bound only ever shrinks, so a state pruned now
-// would also be pruned later — pruning is never retried.
-//
-// Cost-skipping an unverified candidate means its parent can no longer
-// tell whether that removal was sound, so the parent may register itself
-// as a "normal form" conservatively; under Stats, Result.Plans is
-// therefore "cheapest plans found" rather than "all minimal plans" (the
-// skipped candidate costs more than the bound, so the cheapest plan is
-// unaffected).
 func (e *engine) process(ctx context.Context, w *worker, it stateItem) error {
-	costed := e.opts.Stats != nil
-	if costed && it.lb > e.boundValue() {
-		e.pruned.Add(1)
-		return nil
-	}
 	w.explored = append(w.explored, it)
-	if costed {
-		e.noteAchieved(it.prio)
-	}
 	normal := true
 	for _, b := range it.q.Bindings {
 		if err := ctx.Err(); err != nil {
@@ -737,19 +521,6 @@ func (e *engine) process(ctx context.Context, w *worker, it stateItem) error {
 		full, fullKey, sub := e.buildCandidate(it.removed, b.Var)
 		if sub == nil {
 			continue
-		}
-		var subLB float64
-		if costed {
-			subLB = e.cachedLowerBound(fullKey, sub)
-			if subLB > e.boundValue() {
-				// Too expensive to ever matter: mark it visited so no other
-				// parent re-considers it, skip the chase-based equivalence
-				// check, and leave the MaxStates budget untouched.
-				if e.markPruned(fullKey) {
-					e.pruned.Add(1)
-				}
-				continue
-			}
 		}
 		eq, err := e.equivalence(ctx, fullKey, sub)
 		if err != nil {
@@ -760,12 +531,7 @@ func (e *engine) process(ctx context.Context, w *worker, it stateItem) error {
 		}
 		normal = false
 		if e.claim(fullKey) {
-			next := stateItem{key: fullKey, removed: full, q: sub, lb: subLB}
-			if costed {
-				next.prio = e.costPlan(sub)
-				e.noteCandidate(next.prio)
-			}
-			e.queue.push(next)
+			e.queue.push(stateItem{key: fullKey, removed: full, q: sub})
 		}
 	}
 	if normal {
@@ -866,21 +632,11 @@ func (e *engine) dive(ctx context.Context) error {
 	return nil
 }
 
-// enumerate drives the full parallel exploration from the root and
-// assembles the deterministic Result. In exhaustive mode the seed dives
-// run first.
+// enumerate runs the seed dives, then drives the full parallel
+// exploration from the root and assembles the deterministic Result.
 func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error) {
-	if e.opts.Stats == nil {
-		e.plantSeeds(ctx)
-	}
+	e.plantSeeds(ctx)
 	rootItem := stateItem{key: "", removed: map[string]bool{}, q: e.root}
-	if e.opts.Stats != nil {
-		// The root (the universal plan) is itself a complete equivalent
-		// plan; its cost seeds the pruning bound.
-		rootItem.prio = e.costPlan(e.root)
-		rootItem.lb = e.lowerBound(e.root)
-		e.noteCandidate(rootItem.prio)
-	}
 	e.claim(rootItem.key)
 	e.queue.push(rootItem)
 
@@ -904,7 +660,6 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 
 	res := &Result{
 		States:    len(all),
-		Pruned:    int(e.pruned.Load()),
 		Truncated: e.truncated.Load(),
 		Seeds:     len(e.seeds),
 		Certified: int(e.certified.Load()),
@@ -914,9 +669,6 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 		res.Explored = append(res.Explored, it.q)
 	}
 	res.Plans = e.sortedPlans()
-	if e.opts.Stats != nil {
-		res.BestCost = math.Float64frombits(e.best.Load())
-	}
 
 	err := e.firstErr()
 	switch {
@@ -933,37 +685,18 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 	}
 }
 
-// sortedPlans returns the collected normal forms in canonical order.
-// Without Stats the order is ascending size then renaming-invariant
-// signature (a pure function of the plan set, stable across worker
-// interleavings); with Stats plans come cheapest first (ties by size
-// then signature).
+// sortedPlans returns the collected normal forms in canonical order:
+// ascending size then renaming-invariant signature (a pure function of
+// the plan set, stable across worker interleavings).
 func (e *engine) sortedPlans() []*core.Query {
 	e.plansMu.Lock()
 	defer e.plansMu.Unlock()
-	type entry struct {
-		sig string
-		p   planEntry
+	sigs := slices.Sorted(maps.Keys(e.plans))
+	out := make([]*core.Query, len(sigs))
+	for i, sig := range sigs {
+		out[i] = e.plans[sig]
 	}
-	entries := make([]entry, 0, len(e.plans))
-	for sig, p := range e.plans {
-		entries = append(entries, entry{sig, p})
-	}
-	costed := e.opts.Stats != nil
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if costed && a.p.cost != b.p.cost {
-			return a.p.cost < b.p.cost
-		}
-		if len(a.p.q.Bindings) != len(b.p.q.Bindings) {
-			return len(a.p.q.Bindings) < len(b.p.q.Bindings)
-		}
-		return a.sig < b.sig
-	})
-	out := make([]*core.Query, len(entries))
-	for i, en := range entries {
-		out[i] = en.p.q
-	}
+	slices.SortStableFunc(out, func(a, b *core.Query) int { return len(a.Bindings) - len(b.Bindings) })
 	return out
 }
 

@@ -100,8 +100,8 @@ func All() []Experiment {
 		{"E10", "Plan-space comparison vs views-only baseline (§4, §6)", E10},
 		{"E11", "Semantic optimization: constraints enable plans (§2)", E11},
 		{"E12", "Parallel backchase: serial vs worker-pool wall clock", E12},
-		{"E13", "Cost-bounded best-first backchase vs exhaustive (star/snowflake)", E13},
-		{"E14", "Dictionary-aware bound vs scan-only bound + measured-cost calibration", E14},
+		{"E13", "Certified exhaustive backchase on the star/snowflake family", E13},
+		{"E14", "Measured-cost calibration of the estimator (star/snowflake)", E14},
 		{"E15", "Incremental chase: hom tests naive vs delta-indexed (star/snowflake)", E15},
 		{"E16", "Optimizer-as-a-service: load replay at 1/4/16 workers", E16},
 		{"E17", "Serving under order-shuffling alpha-renames (canonicalization gate)", E17},
@@ -745,9 +745,9 @@ func E12() (*Table, error) {
 }
 
 // e13Workloads returns the star/snowflake scenarios E13 measures,
-// paired with instance sizes whose statistics make the scan floors
-// (fact, dimensions, views) dwarf the index-navigation plan that the
-// FK constraints enable — the regime where the admissible bound prunes.
+// paired with instance sizes whose statistics make the scans (fact,
+// dimensions, views) dwarf the index-navigation plan that the FK
+// constraints enable.
 func e13Workloads() []struct {
 	Name string
 	Cfg  workload.StarConfig
@@ -773,9 +773,9 @@ func e13Workloads() []struct {
 	}
 }
 
-// e13Cheapest recomputes the engine's BestCost metric from the outside:
-// cheapest quick-estimated executable cost over every explored state and
-// plan of the result.
+// e13Cheapest is the cheapest quick-estimated executable cost over
+// every explored state and plan of the result — the pool the optimizer
+// ranks.
 func e13Cheapest(stats *cost.Stats, res *backchase.Result) float64 {
 	best := math.Inf(1)
 	for _, qs := range [][]*core.Query{res.Plans, res.Explored} {
@@ -788,19 +788,19 @@ func e13Cheapest(stats *cost.Stats, res *backchase.Result) float64 {
 	return best
 }
 
-// E13 compares the cost-bounded best-first backchase against exhaustive
-// enumeration on the star/snowflake family: the pruned search must
-// explore strictly fewer states while reaching a plan of identical
-// estimated cost.
+// E13 runs the exhaustive backchase on the star/snowflake family and
+// reports what the search costs: states explored, minimal plans, how
+// the candidates' equivalence was proved — by a seed's certificate or
+// by a chase — and the cheapest estimated cost in the candidate pool.
 func E13() (*Table, error) {
 	tb := &Table{
 		ID:      "E13",
-		Title:   "Cost-bounded best-first backchase vs exhaustive (star/snowflake)",
-		Columns: []string{"workload", "U bindings", "mode", "states", "pruned", "plans", "time", "best cost", "agree"},
+		Title:   "Certified exhaustive backchase on the star/snowflake family",
+		Columns: []string{"workload", "U bindings", "states", "plans", "seeds", "certified", "chased", "time", "best cost"},
 		Metrics: map[string]float64{},
 	}
-	var totalEx, totalPr, totalPruned, totalBest float64
-	var totalExT, totalPrT time.Duration
+	var totalStates, totalBest float64
+	var totalT time.Duration
 	for _, wl := range e13Workloads() {
 		s, err := workload.NewStar(wl.Cfg)
 		if err != nil {
@@ -818,41 +818,22 @@ func E13() (*Table, error) {
 			return nil, err
 		}
 		exT := time.Since(t0)
-		exBest := e13Cheapest(stats, ex)
+		best := e13Cheapest(stats, ex)
 
-		t1 := time.Now()
-		pr, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{Parallelism: Parallelism, Stats: stats})
-		if err != nil {
-			return nil, err
-		}
-		prT := time.Since(t1)
-
-		agree := pr.States < ex.States && costsAgree(pr.BestCost, exBest)
-		tb.Rows = append(tb.Rows,
-			[]string{wl.Name, fmt.Sprintf("%d", len(chased.Query.Bindings)), "exhaustive",
-				fmt.Sprintf("%d", ex.States), "-", fmt.Sprintf("%d", len(ex.Plans)),
-				exT.Round(time.Millisecond).String(), fmt.Sprintf("%.1f", exBest), ""},
-			[]string{wl.Name, fmt.Sprintf("%d", len(chased.Query.Bindings)), "cost-bounded",
-				fmt.Sprintf("%d", pr.States), fmt.Sprintf("%d", pr.Pruned), fmt.Sprintf("%d", len(pr.Plans)),
-				prT.Round(time.Millisecond).String(), fmt.Sprintf("%.1f", pr.BestCost),
-				fmt.Sprintf("%v", agree)})
-		totalEx += float64(ex.States)
-		totalPr += float64(pr.States)
-		totalPruned += float64(pr.Pruned)
-		totalBest += pr.BestCost
-		totalExT += exT
-		totalPrT += prT
+		tb.Rows = append(tb.Rows, []string{wl.Name, fmt.Sprintf("%d", len(chased.Query.Bindings)),
+			fmt.Sprintf("%d", ex.States), fmt.Sprintf("%d", len(ex.Plans)),
+			fmt.Sprintf("%d", ex.Seeds), fmt.Sprintf("%d", ex.Certified), fmt.Sprintf("%d", ex.Chased),
+			exT.Round(time.Millisecond).String(), fmt.Sprintf("%.1f", best)})
+		totalStates += float64(ex.States)
+		totalBest += best
+		totalT += exT
 	}
-	tb.Metrics["exhaustive_states"] = totalEx
-	tb.Metrics["cost_bounded_states"] = totalPr
-	tb.Metrics["pruned_states"] = totalPruned
+	tb.Metrics["exhaustive_states"] = totalStates
 	tb.Metrics["cheapest_cost_total"] = totalBest
-	tb.Metrics["exhaustive_ms"] = float64(totalExT.Milliseconds())
-	tb.Metrics["cost_bounded_ms"] = float64(totalPrT.Milliseconds())
+	tb.Metrics["exhaustive_ms"] = float64(totalT.Milliseconds())
 	tb.Notes = append(tb.Notes,
-		"agree = fewer states explored AND identical best cost (engine metric, 1e-9 relative tolerance)",
-		fmt.Sprintf("totals: exhaustive %v over %.0f states, cost-bounded %v over %.0f (+%.0f pruned without a chase)",
-			totalExT.Round(time.Millisecond), totalEx, totalPrT.Round(time.Millisecond), totalPr, totalPruned))
+		"best cost = cheapest quick estimate over every explored state and minimal plan, under the workload's instance statistics",
+		fmt.Sprintf("totals: %.0f states in %v", totalStates, totalT.Round(time.Millisecond)))
 	return tb, nil
 }
 
@@ -863,39 +844,23 @@ func e14ExecGen() workload.StarGenOptions {
 	return workload.StarGenOptions{NumFact: 400, NumDim: 160, NumSub: 60, DomA: 40, Seed: 2}
 }
 
-// E14 closes the loop PR 3 opened: it A/B-tests the dictionary-aware
-// admissible bound (cost.Stats.LowerBound) against PR 2's scan-only floor
-// (cost.Stats.ScanFloor) on the E13 workloads, and calibrates the cost
-// model against measured executions — every exhaustive minimal plan is
-// compiled and run on the streaming engine on a generated instance,
-// recording measured work (probes + rows) and wall time next to the
-// estimate.
+// E14 calibrates the cost model against measured executions on the E13
+// workloads: every minimal plan of the exhaustive search is compiled
+// and run on the streaming engine on a generated instance, recording
+// measured work (probes + rows) and wall time next to the estimate.
 //
-// Headline expectations (gated by TestE14TightBoundAndCalibration):
-//
-//   - the tight bound explores strictly fewer states than the scan-only
-//     bound, which explores strictly fewer than exhaustive, at identical
-//     cheapest estimated cost;
-//   - a pruned search driven by the execution instance's own statistics
-//     never worsens the delivered plan: the minimum-estimate candidate of
-//     the pruned pool (normal forms + explored states) measures no worse
-//     than the exhaustive pool's;
-//   - estimated-cost ordering correlates positively with measured cost
-//     (Spearman rank correlation) on every workload.
+// Headline expectation (gated by TestE14Calibration): estimated-cost
+// ordering correlates positively with measured cost (Spearman rank
+// correlation) on every workload.
 func E14() (*Table, error) {
 	tb := &Table{
 		ID:      "E14",
-		Title:   "Dictionary-aware bound vs scan-only bound + measured-cost calibration",
-		Columns: []string{"workload", "bound", "states", "pruned", "plans", "best cost", "agree"},
+		Title:   "Measured-cost calibration of the estimator (star/snowflake)",
+		Columns: []string{"workload", "states", "plans", "best cost", "executed", "skipped", "spearman", "delivered measured"},
 		Metrics: map[string]float64{},
 	}
-	var totals struct {
-		ex, scan, tight, pruned, best float64
-	}
+	var totalStates, totalBest, totalSkipped float64
 	spearmanMin := math.Inf(1)
-	measuredKept := 1.0
-	estAgree := 1.0
-	totalSkipped := 0.0
 	for _, wl := range e13Workloads() {
 		s, err := workload.NewStar(wl.Cfg)
 		if err != nil {
@@ -905,107 +870,42 @@ func E14() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats := cost.FromInstance(s.Generate(wl.Gen))
-
-		// Exhaustive enumeration is deterministic at any worker count, but
-		// which states a cost-bounded run explores is schedule-dependent:
-		// the scan-only and dictionary-aware runs are pinned to a serial
-		// search so E14's strict three-way state comparison (and the
-		// bench-check gate built on its metrics) cannot flake under a
-		// lucky parallel schedule.
 		ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{Parallelism: Parallelism})
 		if err != nil {
 			return nil, err
 		}
-		exBest := e13Cheapest(stats, ex)
-		scan, err := backchase.EnumerateScanFloor(chased.Query, s.Deps,
-			backchase.Options{Parallelism: 1, Stats: stats})
-		if err != nil {
-			return nil, err
-		}
-		tight, err := backchase.Enumerate(chased.Query, s.Deps,
-			backchase.Options{Parallelism: 1, Stats: stats})
-		if err != nil {
-			return nil, err
-		}
-		agree := tight.States < scan.States && scan.States < ex.States &&
-			costsAgree(tight.BestCost, exBest) && costsAgree(scan.BestCost, exBest)
-		if !costsAgree(tight.BestCost, exBest) || !costsAgree(scan.BestCost, exBest) {
-			estAgree = 0
-		}
+		best := e13Cheapest(cost.FromInstance(s.Generate(wl.Gen)), ex)
 
-		// Calibration: execute the exhaustive minimal plans on an
-		// execution-sized instance, then check a pruned search driven by
-		// that instance's own statistics keeps the measured-cheapest plan.
 		execIn := s.Generate(e14ExecGen())
 		execStats := cost.FromInstance(execIn)
 		pts, skipped, err := CalibratePlans(execStats, ex.Plans, execIn)
 		if err != nil {
 			return nil, err
 		}
-		totalSkipped += float64(skipped)
 		rho := SpearmanEstVsMeasured(pts)
-		if rho < spearmanMin {
-			spearmanMin = rho
-		}
-		prExec, err := backchase.Enumerate(chased.Query, s.Deps,
-			backchase.Options{Parallelism: 1, Stats: execStats})
-		if err != nil {
-			return nil, err
-		}
-		// Delivered-plan comparison over the full candidate pools (normal
-		// forms plus explored states — what the optimizer actually ranks):
-		// pruning must not worsen the plan the optimizer picks.
-		exMeas, err := DeliveredMeasured(execStats, CandidatePool(ex), execIn)
-		if err != nil {
-			return nil, err
-		}
-		prMeas, err := DeliveredMeasured(execStats, CandidatePool(prExec), execIn)
-		if err != nil {
-			return nil, err
-		}
-		if prMeas > exMeas && !costsAgree(prMeas, exMeas) {
-			measuredKept = 0
-		}
+		spearmanMin = min(spearmanMin, rho)
 		var execWall time.Duration
 		for _, p := range pts {
 			execWall += p.Wall
 		}
 
-		tb.Rows = append(tb.Rows,
-			[]string{wl.Name, "none (exhaustive)", fmt.Sprintf("%d", ex.States), "-",
-				fmt.Sprintf("%d", len(ex.Plans)), fmt.Sprintf("%.1f", exBest), ""},
-			[]string{wl.Name, "scan-only (PR2)", fmt.Sprintf("%d", scan.States), fmt.Sprintf("%d", scan.Pruned),
-				fmt.Sprintf("%d", len(scan.Plans)), fmt.Sprintf("%.1f", scan.BestCost), ""},
-			[]string{wl.Name, "dictionary-aware", fmt.Sprintf("%d", tight.States), fmt.Sprintf("%d", tight.Pruned),
-				fmt.Sprintf("%d", len(tight.Plans)), fmt.Sprintf("%.1f", tight.BestCost),
-				fmt.Sprintf("%v", agree)})
-		tb.Notes = append(tb.Notes, fmt.Sprintf(
-			"%s calibration: %d plans executed in %v (%d non-executable candidates skipped), spearman(est, measured)=%.2f, delivered plan measured %.0f (exhaustive pool) vs %.0f (pruned pool)",
-			wl.Name, len(pts), execWall.Round(time.Millisecond), skipped, rho, exMeas, prMeas))
-
-		totals.ex += float64(ex.States)
-		totals.scan += float64(scan.States)
-		totals.tight += float64(tight.States)
-		totals.pruned += float64(tight.Pruned)
-		totals.best += tight.BestCost
+		tb.Rows = append(tb.Rows, []string{wl.Name, fmt.Sprintf("%d", ex.States), fmt.Sprintf("%d", len(ex.Plans)),
+			fmt.Sprintf("%.1f", best), fmt.Sprintf("%d", len(pts)), fmt.Sprintf("%d", skipped),
+			fmt.Sprintf("%.2f", rho), fmt.Sprintf("%.0f", PickedMeasured(pts))})
+		tb.Notes = append(tb.Notes, fmt.Sprintf("%s: %d plans executed in %v", wl.Name, len(pts), execWall.Round(time.Microsecond)))
+		totalStates += float64(ex.States)
+		totalBest += best
+		totalSkipped += float64(skipped)
 	}
-	tb.Metrics["exhaustive_states"] = totals.ex
-	tb.Metrics["scanfloor_states"] = totals.scan
-	tb.Metrics["tight_states"] = totals.tight
-	tb.Metrics["tight_pruned"] = totals.pruned
-	tb.Metrics["cheapest_cost_total"] = totals.best
+	tb.Metrics["exhaustive_states"] = totalStates
+	tb.Metrics["cheapest_cost_total"] = totalBest
 	tb.Metrics["spearman_min"] = spearmanMin
-	tb.Metrics["measured_cheapest_kept"] = measuredKept
-	tb.Metrics["est_cost_agree"] = estAgree
 	// Candidates CalibratePlans refused to execute (unguarded failing
 	// lookups). Gated exactly in benchcheck: executor coverage loss would
 	// silently shrink the calibration profile otherwise.
 	tb.Metrics["calibration_skipped"] = totalSkipped
 	tb.Notes = append(tb.Notes,
-		"agree = dictionary-aware states < scan-only states < exhaustive states AND identical best cost across all three",
-		fmt.Sprintf("totals: exhaustive %.0f states, scan-only bound %.0f, dictionary-aware %.0f (+%.0f pruned)",
-			totals.ex, totals.scan, totals.tight, totals.pruned))
+		"delivered measured = measured cost of the minimal plan with the lowest estimate (estimate ties resolved to the costliest)")
 	return tb, nil
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -57,11 +58,11 @@ func TestE7AllAgree(t *testing.T) {
 	}
 }
 
-// TestE13PrunesWithIdenticalCost pins the headline claim of the
-// cost-bounded backchase: on every star/snowflake workload the pruned
-// search explores strictly fewer states than exhaustive enumeration and
-// reaches a cheapest plan of identical estimated cost.
-func TestE13PrunesWithIdenticalCost(t *testing.T) {
+// TestE13CertifiesMostStates pins what E13 measures: on every
+// star/snowflake workload the exhaustive search reaches a finite
+// cheapest plan, and the seed dives' certificates prove more candidates
+// equivalent than the chase has to.
+func TestE13CertifiesMostStates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E13 runs full lattice enumerations")
 	}
@@ -69,28 +70,32 @@ func TestE13PrunesWithIdenticalCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tb.Rows) != len(e13Workloads()) {
+		t.Fatalf("E13 reports %d rows, want one per workload (%d)", len(tb.Rows), len(e13Workloads()))
+	}
+	total := 0.0
 	for _, row := range tb.Rows {
-		if row[2] == "cost-bounded" && row[len(row)-1] != "true" {
-			t.Errorf("workload %q: pruned search did not agree with exhaustive: %v", row[0], row)
+		states, _ := strconv.Atoi(row[2])
+		certified, _ := strconv.Atoi(row[5])
+		chased, _ := strconv.Atoi(row[6])
+		best, err := strconv.ParseFloat(row[8], 64)
+		if err != nil || math.IsInf(best, 0) || best <= 0 {
+			t.Errorf("workload %q: best cost %q, want a finite positive cost", row[0], row[8])
 		}
+		if certified <= chased {
+			t.Errorf("workload %q: %d candidates certified, %d chased — want certificates to carry the search", row[0], certified, chased)
+		}
+		total += float64(states)
 	}
-	if tb.Metrics["cost_bounded_states"] >= tb.Metrics["exhaustive_states"] {
-		t.Errorf("cost-bounded explored %v states, exhaustive %v — expected strictly fewer",
-			tb.Metrics["cost_bounded_states"], tb.Metrics["exhaustive_states"])
-	}
-	if tb.Metrics["pruned_states"] == 0 {
-		t.Error("no states were pruned on the star/snowflake family")
+	if tb.Metrics["exhaustive_states"] != total {
+		t.Errorf("exhaustive_states = %v, rows sum to %v", tb.Metrics["exhaustive_states"], total)
 	}
 }
 
-// TestE14TightBoundAndCalibration pins the headline claims of the
-// dictionary-aware bound: on every star/snowflake workload it explores
-// strictly fewer states than PR 2's scan-only bound (which in turn beats
-// exhaustive) at identical cheapest estimated cost, the pruned search
-// driven by the execution instance's statistics keeps the
-// measured-cheapest plan, and estimated cost ordering correlates
-// positively with measured cost.
-func TestE14TightBoundAndCalibration(t *testing.T) {
+// TestE14Calibration pins E14's headline claim: estimated cost ordering
+// correlates positively with measured cost on every star/snowflake
+// workload, over the same exhaustive search E13 runs.
+func TestE14Calibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E14 runs full lattice enumerations and plan executions")
 	}
@@ -98,24 +103,14 @@ func TestE14TightBoundAndCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tb.Rows {
-		if row[1] == "dictionary-aware" && row[len(row)-1] != "true" {
-			t.Errorf("workload %q: tight bound did not agree: %v", row[0], row)
+	e13, err := E13()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"exhaustive_states", "cheapest_cost_total"} {
+		if tb.Metrics[m] != e13.Metrics[m] {
+			t.Errorf("E14 %s = %v, E13 reports %v over the same workloads", m, tb.Metrics[m], e13.Metrics[m])
 		}
-	}
-	if tb.Metrics["tight_states"] >= tb.Metrics["scanfloor_states"] {
-		t.Errorf("tight bound explored %v states, scan-only %v — expected strictly fewer",
-			tb.Metrics["tight_states"], tb.Metrics["scanfloor_states"])
-	}
-	if tb.Metrics["scanfloor_states"] >= tb.Metrics["exhaustive_states"] {
-		t.Errorf("scan-only bound explored %v states, exhaustive %v — expected strictly fewer",
-			tb.Metrics["scanfloor_states"], tb.Metrics["exhaustive_states"])
-	}
-	if tb.Metrics["est_cost_agree"] != 1 {
-		t.Error("cheapest estimated cost differed across bounds")
-	}
-	if tb.Metrics["measured_cheapest_kept"] != 1 {
-		t.Error("a measured-cheapest plan was pruned on a star/snowflake workload")
 	}
 	if tb.Metrics["spearman_min"] <= 0 {
 		t.Errorf("spearman_min = %v, want > 0 (estimates must correlate with measurement)",

@@ -1,10 +1,10 @@
 // Measured-cost calibration: execute candidate plans on the streaming
 // engine that serves /query and put the measured work profile next to
-// the cost model's estimate. This closes the loop the cost-bounded
-// backchase depends on — pruning is only as trustworthy as the estimates
-// backing the bound, so E14 and the randomized calibration suite check
-// that (a) pruning never discards the measured-cheapest plan and (b) the
-// estimated-cost ordering correlates with measured execution.
+// the cost model's estimate. Statistics only rank the backchase's
+// candidates, so the ranking is only as good as the estimates: E14 and
+// the randomized calibration suite check that the estimated-cost
+// ordering correlates with measured execution and that equivalent
+// candidates agree on their results.
 package bench
 
 import (
@@ -25,18 +25,18 @@ import (
 )
 
 // costsAgree compares two plan costs under the single 1e-9 relative
-// tolerance used by every E13/E14 gate and tie test, so a future
-// tolerance change cannot drift between gates.
+// tolerance used by every estimate tie test, so a future tolerance
+// change cannot drift between them.
 func costsAgree(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(a, b))
 }
 
 // CandidatePool returns the deduplicated candidate plans of a backchase
 // result: the normal forms plus every explored state. This is the pool
-// the optimizer ranks (optimizer.Options.MinimalOnly unset) — under
-// cost-bound pruning the cheapest candidate can be an explored
-// intermediate state whose only successors were pruned as more expensive,
-// so calibration must measure the whole pool, not Plans alone.
+// the optimizer ranks (optimizer.Options.MinimalOnly unset), and its
+// cheapest candidate can be an explored intermediate state (§4's
+// view+index plan), so calibration measures the whole pool, not Plans
+// alone.
 func CandidatePool(res *backchase.Result) []*core.Query {
 	seen := map[string]bool{}
 	var pool []*core.Query
@@ -112,77 +112,22 @@ func CalibratePlans(stats *cost.Stats, plans []*core.Query, in *instance.Instanc
 	return pts, skipped, nil
 }
 
-// DeliveredMeasured returns the measured cost of the plan the optimizer
-// would deliver from the pool: candidates are ranked by estimated cost
-// (ties broken by canonical rendering, so the pick is deterministic) and
-// the first executable one is run — a candidate carrying an unguarded
-// failing lookup is passed over exactly as a real deployment would be
-// forced to. Only the picked candidates are executed, so the pool can be
-// the full explored-state set without paying for executing all of it.
-// Returns +Inf when nothing in the pool executes.
-func DeliveredMeasured(stats *cost.Stats, pool []*core.Query, in *instance.Instance) (float64, error) {
-	type cand struct {
-		exec *core.Query
-		est  float64
-		sig  string
-	}
-	cands := make([]cand, 0, len(pool))
-	for _, q := range pool {
-		exec := stats.Reorder(planrewrite.SimplifyLookups(q))
-		est, _ := stats.Estimate(exec)
-		cands = append(cands, cand{exec: exec, est: est, sig: exec.CanonicalSignature()})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].est != cands[j].est {
-			return cands[i].est < cands[j].est
-		}
-		return cands[i].sig < cands[j].sig
-	})
-	for _, c := range cands {
-		plan, err := engine.CompileStream(c.exec, in, engine.StreamOptions{})
-		if err != nil {
-			return 0, fmt.Errorf("delivered plan: %w", err)
-		}
-		if _, err := plan.Run(context.Background()); err != nil {
-			var lookupErr *eval.ErrLookupFailed
-			if errors.As(err, &lookupErr) {
-				continue
-			}
-			return 0, fmt.Errorf("delivered plan: %w", err)
-		}
-		return plan.Measure().Cost(), nil
-	}
-	return math.Inf(1), nil
-}
-
 // PickedMeasured returns the measured cost of the plan the optimizer
 // would deliver from these points — the one with the minimum estimate.
-// Estimate ties within 1e-9 relative are resolved pessimistically
-// (largest measured cost) or optimistically per worstTie, so a pruned
-// pool's worst defensible pick can be compared against an exhaustive
-// pool's best one. Returns +Inf for an empty slice.
-func PickedMeasured(pts []CalibrationPoint, worstTie bool) float64 {
+// Estimate ties within 1e-9 relative are resolved pessimistically, to
+// the largest measured cost. Returns +Inf for an empty slice.
+func PickedMeasured(pts []CalibrationPoint) float64 {
+	if len(pts) == 0 {
+		return math.Inf(1)
+	}
 	estMin := math.Inf(1)
 	for _, p := range pts {
-		if p.Est < estMin {
-			estMin = p.Est
-		}
+		estMin = min(estMin, p.Est)
 	}
-	picked := math.Inf(1)
-	first := true
+	picked := math.Inf(-1)
 	for _, p := range pts {
-		if p.Est > estMin && !costsAgree(p.Est, estMin) {
-			continue
-		}
-		c := p.Measured.Cost()
-		switch {
-		case first:
-			picked = c
-			first = false
-		case worstTie && c > picked:
-			picked = c
-		case !worstTie && c < picked:
-			picked = c
+		if p.Est <= estMin || costsAgree(p.Est, estMin) {
+			picked = max(picked, p.Measured.Cost())
 		}
 	}
 	return picked

@@ -38,18 +38,9 @@ type Stats struct {
 	// EntryFanout maps a dictionary name to the average size of its
 	// set-valued entries (1 for primary indexes and class dictionaries).
 	EntryFanout map[string]float64
-	// EntryFanoutMin maps a dictionary name to the smallest size of any of
-	// its entries. Unlike the average, the minimum survives every plan
-	// rewrite — no access path can make a bucket smaller than its smallest
-	// instance — so LowerBound may use it as a sound per-probe floor.
-	EntryFanoutMin map[string]float64
 	// FieldFanout maps "field name" to the average cardinality of
 	// set-valued record fields reached by projection (e.g. DProjs -> 5).
 	FieldFanout map[string]float64
-	// FieldFanoutMin maps "field name" to the smallest observed
-	// cardinality of that set-valued field, the dependent-range analogue
-	// of EntryFanoutMin.
-	FieldFanoutMin map[string]float64
 	// Distinct maps "name.field" to the number of distinct values of that
 	// field, used for equality selectivities.
 	Distinct map[string]float64
@@ -57,13 +48,6 @@ type Stats struct {
 	DefaultSelectivity float64
 	// LookupCost is the unit cost of one dictionary lookup.
 	LookupCost float64
-	// LookupFloor is the conservative per-probe floor LowerBound charges
-	// for a lookup into a dictionary with no statistics entry at all: even
-	// an unknown dictionary must be probed at least once, so the floor is
-	// not 0. It must stay at most LookupCost+1 (the estimator charges
-	// LookupCost plus a default fanout of 1 for unknown dictionaries) for
-	// the bound to remain admissible; the default is 1.
-	LookupFloor float64
 	// HashBuildNames lists transient structures (hash tables) whose
 	// construction must be charged once per plan that uses them: cost
 	// Card[name] * EntryFanout[name].
@@ -75,23 +59,19 @@ func NewStats() *Stats {
 	return &Stats{
 		Card:               map[string]float64{},
 		EntryFanout:        map[string]float64{},
-		EntryFanoutMin:     map[string]float64{},
 		FieldFanout:        map[string]float64{},
-		FieldFanoutMin:     map[string]float64{},
 		Distinct:           map[string]float64{},
 		DefaultSelectivity: 0.1,
 		LookupCost:         1,
-		LookupFloor:        1,
 		HashBuildNames:     map[string]bool{},
 	}
 }
 
 // Validate reports the first statistic the estimator cannot use, naming
-// its field: a cardinality, fanout, distinct count, LookupCost or
-// LookupFloor that is negative, NaN or infinite; a DefaultSelectivity
-// outside [0, 1]; or a LookupFloor above LookupCost+1, which would make
-// LowerBound inadmissible. Non-negative statistics are also what lets
-// the exhaustive reorder prune.
+// its field: a cardinality, fanout, distinct count or LookupCost that is
+// negative, NaN or infinite, or a DefaultSelectivity outside [0, 1].
+// Non-negative statistics are also what lets the exhaustive reorder
+// prune.
 func (s *Stats) Validate() error {
 	for _, m := range []struct {
 		name string
@@ -99,9 +79,7 @@ func (s *Stats) Validate() error {
 	}{
 		{"Card", s.Card},
 		{"EntryFanout", s.EntryFanout},
-		{"EntryFanoutMin", s.EntryFanoutMin},
 		{"FieldFanout", s.FieldFanout},
-		{"FieldFanoutMin", s.FieldFanoutMin},
 		{"Distinct", s.Distinct},
 	} {
 		keys := make([]string, 0, len(m.vals))
@@ -121,16 +99,7 @@ func (s *Stats) Validate() error {
 	if s.DefaultSelectivity > 1 {
 		return fmt.Errorf("cost: DefaultSelectivity = %g is above 1", s.DefaultSelectivity)
 	}
-	if err := checkNonNegative("LookupCost", s.LookupCost); err != nil {
-		return err
-	}
-	if err := checkNonNegative("LookupFloor", s.LookupFloor); err != nil {
-		return err
-	}
-	if s.LookupFloor > s.LookupCost+1 {
-		return fmt.Errorf("cost: LookupFloor = %g is above LookupCost+1 = %g", s.LookupFloor, s.LookupCost+1)
-	}
-	return nil
+	return checkNonNegative("LookupCost", s.LookupCost)
 }
 
 // checkNonNegative rejects a statistic that is negative, NaN or infinite.
@@ -148,13 +117,9 @@ func FromInstance(in *instance.Instance) *Stats {
 	s := NewStats()
 	fieldTotals := map[string]float64{}
 	fieldCounts := map[string]float64{}
-	fieldMins := map[string]float64{}
 	noteField := func(f string, n float64) {
 		fieldTotals[f] += n
 		fieldCounts[f]++
-		if min, ok := fieldMins[f]; !ok || n < min {
-			fieldMins[f] = n
-		}
 	}
 	for _, name := range in.Names() {
 		v, _ := in.Lookup(name)
@@ -185,15 +150,10 @@ func FromInstance(in *instance.Instance) *Stats {
 		case *instance.Dict:
 			s.Card[name] = float64(t.Len())
 			total, cnt := 0.0, 0.0
-			min := math.Inf(1)
 			for _, e := range t.Entries() {
 				if set, ok := e[1].(*instance.Set); ok {
-					n := float64(set.Len())
-					total += n
+					total += float64(set.Len())
 					cnt++
-					if n < min {
-						min = n
-					}
 					continue
 				}
 				// Record entries: fanout 1; also collect set fields.
@@ -207,20 +167,15 @@ func FromInstance(in *instance.Instance) *Stats {
 				}
 				total++
 				cnt++
-				if 1 < min {
-					min = 1
-				}
 			}
 			if cnt > 0 {
 				s.EntryFanout[name] = total / cnt
-				s.EntryFanoutMin[name] = min
 			}
 		}
 	}
 	for f, total := range fieldTotals {
 		if fieldCounts[f] > 0 {
 			s.FieldFanout[f] = total / fieldCounts[f]
-			s.FieldFanoutMin[f] = fieldMins[f]
 		}
 	}
 	return s
@@ -822,10 +777,9 @@ func (s *Stats) EstimateBest(q *core.Query) float64 {
 
 // EstimateQuick estimates the plan's cost under the greedy binding order
 // only, skipping the exhaustive small-plan permutation search of Reorder.
-// It is the metric of the cost-bounded backchase, which estimates every
-// enqueued lattice state: the greedy order is an achievable execution
-// order, so the value is a true (achievable) plan cost and a sound
-// pruning bound — just not always the cheapest order the final
+// It suits scoring a whole pool of backchase states: the greedy order is
+// an achievable execution order, so the value is a true (achievable)
+// plan cost — just not always the cheapest order the final
 // conventional-optimization phase will find.
 func (s *Stats) EstimateQuick(q *core.Query) float64 {
 	sels := s.condSelectivities(q)
@@ -856,16 +810,14 @@ func (s *Stats) Fingerprint() string {
 	}
 	writeMap("card:", s.Card)
 	writeMap("entry:", s.EntryFanout)
-	writeMap("entrymin:", s.EntryFanoutMin)
 	writeMap("field:", s.FieldFanout)
-	writeMap("fieldmin:", s.FieldFanoutMin)
 	writeMap("distinct:", s.Distinct)
 	hb := make([]string, 0, len(s.HashBuildNames))
 	for k := range s.HashBuildNames {
 		hb = append(hb, k)
 	}
 	sort.Strings(hb)
-	fmt.Fprintf(&b, "hash:%s\nsel=%g lookup=%g floor=%g\n", strings.Join(hb, ";"), s.DefaultSelectivity, s.LookupCost, s.LookupFloor)
+	fmt.Fprintf(&b, "hash:%s\nsel=%g lookup=%g\n", strings.Join(hb, ";"), s.DefaultSelectivity, s.LookupCost)
 	return b.String()
 }
 

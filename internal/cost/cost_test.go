@@ -213,8 +213,8 @@ func TestEstimateDomScan(t *testing.T) {
 }
 
 // TestStatsValidate: the defaults and statistics derived from an
-// instance validate; a negative count, a NaN, a selectivity above 1 and
-// an inadmissible LookupFloor do not, and the error names the field.
+// instance validate; a negative count, a NaN, an infinity and a
+// selectivity above 1 do not, and the error names the field.
 func TestStatsValidate(t *testing.T) {
 	for name, s := range map[string]*cost.Stats{"defaults": cost.NewStats(), "from instance": projDeptStats(t)} {
 		if err := s.Validate(); err != nil {
@@ -224,9 +224,10 @@ func TestStatsValidate(t *testing.T) {
 	for field, mutate := range map[string]func(*cost.Stats){
 		`Card["Proj"]`:           func(s *cost.Stats) { s.Card["Proj"] = -1 },
 		`FieldFanout["DProjs"]`:  func(s *cost.Stats) { s.FieldFanout["DProjs"] = math.NaN() },
-		`EntryFanoutMin["SI"]`:   func(s *cost.Stats) { s.EntryFanoutMin["SI"] = math.Inf(1) },
+		`EntryFanout["SI"]`:      func(s *cost.Stats) { s.EntryFanout["SI"] = math.Inf(1) },
+		`Distinct["Proj.PName"]`: func(s *cost.Stats) { s.Distinct["Proj.PName"] = -3 },
 		"DefaultSelectivity = 2": func(s *cost.Stats) { s.DefaultSelectivity = 2 },
-		"LookupFloor = 3":        func(s *cost.Stats) { s.LookupFloor = 3 },
+		"LookupCost":             func(s *cost.Stats) { s.LookupCost = math.NaN() },
 	} {
 		s := cost.NewStats()
 		mutate(s)

@@ -15,9 +15,7 @@ func unitSelStats() *Stats {
 	s.Card["DK0"] = 100
 	s.Card["SD0"] = 10
 	s.EntryFanout["DK0"] = 1
-	s.EntryFanoutMin["DK0"] = 1
 	s.EntryFanout["SD0"] = 10
-	s.EntryFanoutMin["SD0"] = 8
 	return s
 }
 

@@ -4,7 +4,7 @@
 // statistics — and answers in microseconds with a correct, executable
 // plan.
 //
-// The full optimizer (chase to the universal plan, cost-bounded
+// The full optimizer (chase to the universal plan, exhaustive
 // backchase over the rewrite lattice) finds the cheapest plan the
 // physical schema admits, but a cold query shape pays tens to hundreds
 // of milliseconds before the first candidate exists. At serving scale

@@ -32,17 +32,9 @@ type Options struct {
 	// qualifies, in which case all plans are kept and Result.Fallback is
 	// set — soundness never depends on the restriction).
 	PhysicalNames map[string]bool
-	// Stats drives cost estimation; when nil, uniform defaults are used.
+	// Stats ranks the candidate plans; when nil, uniform defaults are
+	// used. It never changes which plans the backchase finds.
 	Stats *cost.Stats
-	// CostBounded switches the backchase phase to cost-bounded best-first
-	// search driven by Stats: lattice states whose admissible cost lower
-	// bound exceeds the cheapest complete plan found so far are pruned
-	// without being chased. The cheapest plan keeps the same estimated
-	// cost as exhaustive search, but Result.Minimal/Explored become
-	// subsets of the exhaustive sets (cost-bounded search trades complete
-	// enumeration for speed). No-op when Stats is nil. Opt-in so that the
-	// default pipeline keeps the fully deterministic exhaustive order.
-	CostBounded bool
 	// Chase tunes the chase phase and every chase the backchase runs.
 	Chase chase.Options
 	// Parallelism is the worker count for the backchase phase
@@ -85,9 +77,6 @@ type Result struct {
 	Best *cost.RankedPlan
 	// States is the number of subqueries the backchase explored.
 	States int
-	// Pruned is the number of backchase states skipped by cost-bound
-	// pruning (0 unless Options.CostBounded is set).
-	Pruned int
 	// Truncated reports that the backchase state cap
 	// (backchase.Options.MaxStates, at its default) stopped the
 	// enumeration early, so Minimal and the candidate pool may be
@@ -136,15 +125,11 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 		Index:       depIndex,
 		Goal:        q,
 	}
-	if opts.CostBounded {
-		bopts.Stats = opts.Stats
-	}
 	enum, err := backchase.EnumerateContext(ctx, chased.Query, opts.Deps, bopts)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: backchase: %w", err)
 	}
 	res.States = enum.States
-	res.Pruned = enum.Pruned
 	res.Truncated = enum.Truncated
 	res.Minimal = enum.Plans
 	res.Explored = enum.Explored

@@ -1,9 +1,9 @@
-// Package planrewrite holds plan-level rewrites that are shared between
-// the optimizer's conventional-optimization phase and the cost-bounded
-// backchase: both need to see a candidate in its executable form —
+// Package planrewrite holds plan-level rewrites shared by the optimizer's
+// conventional-optimization phase, the greedy tier and the calibration
+// experiments: each needs to see a candidate in its executable form —
 // guarded dictionary-domain loops collapsed into non-failing lookups —
-// before costing it, and the backchase cannot import the optimizer
-// (which sits above it), so the rewrite lives in this leaf package.
+// before costing or running it, so the rewrite lives in this leaf
+// package.
 package planrewrite
 
 import (

@@ -39,7 +39,7 @@ func parsedKeys(parse func(string) (*parser.Document, error), src string) string
 	}
 	var keys string
 	for _, name := range doc.QueryOrder {
-		keys += flightKey(Request{Query: doc.Queries[name], Deps: target.Deps, PhysicalNames: target.PhysicalNames}, "") + "\n"
+		keys += flightKey(Request{Query: doc.Queries[name], Deps: target.Deps, PhysicalNames: target.PhysicalNames}) + "\n"
 	}
 	return keys
 }

@@ -66,7 +66,7 @@ func waitEmpty(t *testing.T, tab *planTable) {
 // callers were served the greedy tier before the panic.
 func TestFlightPanic(t *testing.T) {
 	req := scanRequest("R")
-	key := flightKey(req, "")
+	key := flightKey(req)
 	slow := NewLatencyPredictor(0)
 	slow.observe(key, time.Hour)
 	for _, tc := range []struct {

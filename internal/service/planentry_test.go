@@ -108,7 +108,7 @@ func TestPlanEntryHashConsed(t *testing.T) {
 	flightQueries := resultQueries(r)
 	flightBest := r.Best
 
-	e := newPlanEntry("k", "", r, st.Fingerprint())
+	e := newPlanEntry("k", r, st.Fingerprint())
 	stored := e.ranked.Load().res
 
 	sameRendering(t, render(stored), want)
@@ -210,7 +210,7 @@ func samePool(t *testing.T, what string, pool, want []*core.Query) {
 // Equal, in order, to the flight's Executable.
 func TestPlanEntryPoolRebuilds(t *testing.T) {
 	r := projDeptResult(t, nil)
-	stored := newPlanEntry("k", "", r, "").ranked.Load().res
+	stored := newPlanEntry("k", r, "").ranked.Load().res
 	if stored.Executable != nil {
 		t.Fatal("the stored entry keeps the executable pool's plans")
 	}
@@ -227,7 +227,7 @@ func TestPlanEntryRerankMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := projDeptResult(t, nil)
-	stored := newPlanEntry("k", "", r, "").ranked.Load().res
+	stored := newPlanEntry("k", r, "").ranked.Load().res
 	for i, st := range []*cost.Stats{
 		cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.1, Seed: 1})),
 		cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 400, ProjsPerDept: 2, CitiBankShare: 0.9, Seed: 2})),
@@ -258,7 +258,7 @@ func BenchmarkPlanEntryRetained(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		entries = append(entries, newPlanEntry("k", "", projDeptResult(b, nil), ""))
+		entries = append(entries, newPlanEntry("k", projDeptResult(b, nil), ""))
 	}
 	b.StopTimer()
 	runtime.GC()

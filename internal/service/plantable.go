@@ -3,7 +3,7 @@
 // Algorithm 1 — chase, backchase, cost-based ranking — is a pure function
 // of the query, the dependency set, the physical restriction and the
 // statistics, so a shape, named by its flight key, has one lifecycle:
-// absent, in flight, stored, then evicted or invalidated. The table holds
+// absent, in flight, stored, then evicted. The table holds
 // one record per shape that is not absent: the live flight computing it,
 // or its finished, ranked outcome. A request makes one locked
 // lookup-or-join. A stored entry is a hit — a canonical signature and a
@@ -75,23 +75,14 @@ type CacheCounters struct {
 	// Misses counts flights that found no entry and ran the optimizer.
 	Misses int64
 	// Evictions counts entries dropped because a shard reached its
-	// capacity (LRU victims). Invalidated entries are not evictions.
+	// capacity (LRU victims).
 	Evictions int64
-	// Invalidated counts entries dropped by SetStats because their
-	// enumeration was cost-bounded under a statistics snapshot that is
-	// no longer current.
-	Invalidated int64
 }
 
 // planEntry is one finished optimization. Its result is shared by every
 // request it serves — read-only, like every plan in the package.
 type planEntry struct {
 	key string
-	// statsFP is the fingerprint of the statistics the enumeration
-	// itself depended on: set only for cost-bounded entries (whose key
-	// carries it too), "" for exhaustive ones, which SetStats never
-	// drops.
-	statsFP string
 	// ranked holds the result with its candidates ranked under one
 	// statistics snapshot; a hit under another snapshot re-ranks the
 	// executable pool once and replaces it (see result).
@@ -116,7 +107,7 @@ type ranking struct {
 // universal plan, the minimal plans and the candidates is one node
 // holding one memoized key. New queries are built; res itself is not
 // modified.
-func newPlanEntry(key, statsFP string, res *optimizer.Result, rankFP string) *planEntry {
+func newPlanEntry(key string, res *optimizer.Result, rankFP string) *planEntry {
 	stored := *res
 	stored.Explored = nil
 	hc := core.NewHashCons()
@@ -138,16 +129,14 @@ func newPlanEntry(key, statsFP string, res *optimizer.Result, rankFP string) *pl
 	// Rerank rebuilds it.
 	stored.CompactPool()
 	stored.Executable = hc.Queries(stored.Executable)
-	e := &planEntry{key: key, statsFP: statsFP}
+	e := &planEntry{key: key}
 	e.ranked.Store(&ranking{res: &stored, fp: rankFP})
 	return e
 }
 
-// result returns the entry's result ranked under snap. An exhaustive
-// entry reached under statistics other than its ranking's re-ranks the
-// stored executable pool and keeps the new ranking for later hits;
-// cost-bounded entries always match, since their key carries the
-// fingerprint.
+// result returns the entry's result ranked under snap. An entry reached
+// under statistics other than its ranking's re-ranks the stored
+// executable pool and keeps the new ranking for later hits.
 func (e *planEntry) result(snap *statsSnapshot) *optimizer.Result {
 	r := e.ranked.Load()
 	if r.fp == snap.fp {
@@ -211,10 +200,9 @@ type planTable struct {
 	shards []*tableShard
 	seed   maphash.Seed
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	evictions   atomic.Int64
-	invalidated atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 }
 
 // newPlanTable returns an empty table bounded to n stored entries
@@ -335,18 +323,12 @@ func (t *planTable) wait(ctx context.Context, f *flight, budget time.Duration) (
 }
 
 // publish ends f in one step under its shard's lock. It stores e as the
-// shape's entry — unless the run errored, a cap truncated it, or it is a
-// cost-bounded entry whose fingerprint is no longer the current
-// snapshot's — and otherwise drops the shape's record; marks e upgraded
-// when a caller was served the greedy tier; and releases every waiter.
-// It reports whether the landing is an upgrade. An abandoned flight
-// (its record already dropped) stores nothing.
-//
-// The fingerprint is read under the lock, and SetStats installs its
-// snapshot before sweeping: a stale entry either sees the new
-// fingerprint here and is refused, or is stored before the sweep
-// reaches its shard and is dropped by it.
-func (t *planTable) publish(f *flight, e *planEntry, err error, stats *atomic.Pointer[statsSnapshot]) bool {
+// shape's entry — unless the run errored or a cap truncated it — and
+// otherwise drops the shape's record; marks e upgraded when a caller was
+// served the greedy tier; and releases every waiter. It reports whether
+// the landing is an upgrade. An abandoned flight (its record already
+// dropped) stores nothing.
+func (t *planTable) publish(f *flight, e *planEntry, err error) bool {
 	s := t.shard(f.key)
 	s.mu.Lock()
 	f.e, f.err = e, err
@@ -355,7 +337,7 @@ func (t *planTable) publish(f *flight, e *planEntry, err error, stats *atomic.Po
 		e.upgraded.Store(true)
 	}
 	if s.m[f.key].f == f {
-		if err == nil && !e.ranked.Load().res.Truncated && (e.statsFP == "" || e.statsFP == stats.Load().fp) {
+		if err == nil && !e.ranked.Load().res.Truncated {
 			if s.maxEntries > 0 && s.ll.Len() >= s.maxEntries {
 				back := s.ll.Back()
 				s.ll.Remove(back)
@@ -373,31 +355,6 @@ func (t *planTable) publish(f *flight, e *planEntry, err error, stats *atomic.Po
 	return upgraded
 }
 
-// invalidate drops every cost-bounded entry enumerated under statistics
-// whose fingerprint differs from fp and returns the number dropped.
-// Exhaustive entries stay: their enumeration does not depend on
-// statistics, and their next hit re-ranks.
-func (t *planTable) invalidate(fp string) int {
-	total := 0
-	for _, s := range t.shards {
-		s.mu.Lock()
-		var next *list.Element
-		for el := s.ll.Front(); el != nil; el = next {
-			next = el.Next()
-			e := el.Value.(*planEntry)
-			if e.statsFP == "" || e.statsFP == fp {
-				continue
-			}
-			s.ll.Remove(el)
-			delete(s.m, e.key)
-			total++
-		}
-		s.mu.Unlock()
-	}
-	t.invalidated.Add(int64(total))
-	return total
-}
-
 // size returns the number of stored entries.
 func (t *planTable) size() int {
 	n := 0
@@ -412,9 +369,8 @@ func (t *planTable) size() int {
 // counters returns a snapshot of the lifetime counters.
 func (t *planTable) counters() CacheCounters {
 	return CacheCounters{
-		Hits:        t.hits.Load(),
-		Misses:      t.misses.Load(),
-		Evictions:   t.evictions.Load(),
-		Invalidated: t.invalidated.Load(),
+		Hits:      t.hits.Load(),
+		Misses:    t.misses.Load(),
+		Evictions: t.evictions.Load(),
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"cnb/internal/chase"
@@ -17,15 +16,15 @@ import (
 
 // testEntry is a plan table entry with an empty result, for the
 // table-level tests.
-func testEntry(key, statsFP string) *planEntry {
-	return newPlanEntry(key, statsFP, &optimizer.Result{}, statsFP)
+func testEntry(key string) *planEntry {
+	return newPlanEntry(key, &optimizer.Result{}, "")
 }
 
 // store runs e's shape through the table the way a request does: a
-// lookup that misses starts a flight, which publishes e under the
-// statistics fingerprint fp. It returns the entry the table serves for
-// the key — the stored one when the lookup hits.
-func store(tab *planTable, e *planEntry, fp string) *planEntry {
+// lookup that misses starts a flight, which publishes e. It returns the
+// entry the table serves for the key — the stored one when the lookup
+// hits.
+func store(tab *planTable, e *planEntry) *planEntry {
 	hit, f, owner := tab.lookup(context.Background(), e.key)
 	if hit != nil {
 		return hit
@@ -33,9 +32,7 @@ func store(tab *planTable, e *planEntry, fp string) *planEntry {
 	if !owner {
 		panic("store: joined another caller's flight")
 	}
-	var stats atomic.Pointer[statsSnapshot]
-	stats.Store(&statsSnapshot{fp: fp})
-	tab.publish(f, e, nil, &stats)
+	tab.publish(f, e, nil)
 	return e
 }
 
@@ -44,9 +41,7 @@ func store(tab *planTable, e *planEntry, fp string) *planEntry {
 func get(tab *planTable, key string) *planEntry {
 	e, f, _ := tab.lookup(context.Background(), key)
 	if f != nil {
-		var stats atomic.Pointer[statsSnapshot]
-		stats.Store(&statsSnapshot{})
-		tab.publish(f, nil, errors.New("probe"), &stats)
+		tab.publish(f, nil, errors.New("probe"))
 	}
 	return e
 }
@@ -55,7 +50,7 @@ func get(tab *planTable, key string) *planEntry {
 func TestPlanTableEvictsWhenFull(t *testing.T) {
 	tab := newPlanTable(2)
 	for _, k := range []string{"a", "b", "c"} {
-		store(tab, testEntry(k, ""), "")
+		store(tab, testEntry(k))
 	}
 	if n := tab.size(); n != 2 {
 		t.Fatalf("table holds %d entries, want 2", n)
@@ -71,15 +66,15 @@ func TestPlanTableEvictsWhenFull(t *testing.T) {
 // lookup is exactly one hit or one miss.
 func TestPlanTableLRUSingleShard(t *testing.T) {
 	tab := newPlanTable(2)
-	a := store(tab, testEntry("a", ""), "")
-	store(tab, testEntry("b", ""), "")
+	a := store(tab, testEntry("a"))
+	store(tab, testEntry("b"))
 	if got := get(tab, "a"); got != a {
 		t.Fatal("lookup returned a different entry than the one stored")
 	}
-	if again := store(tab, testEntry("a", ""), ""); again != a {
+	if again := store(tab, testEntry("a")); again != a {
 		t.Fatal("a stored shape must serve (and keep) its first entry")
 	}
-	store(tab, testEntry("c", ""), "") // evicts b, the least recently used
+	store(tab, testEntry("c")) // evicts b, the least recently used
 	if get(tab, "b") != nil {
 		t.Fatal("b should have been evicted")
 	}
@@ -116,35 +111,7 @@ func TestPlanTableSmallSizeSingleShard(t *testing.T) {
 	}
 }
 
-// TestPlanTableInvalidateStats: only cost-bounded entries enumerated
-// under a differing fingerprint are dropped; exhaustive entries (empty
-// fingerprint) and current-fingerprint entries stay. A cost-bounded
-// entry published under a fingerprint that is no longer current is
-// refused.
-func TestPlanTableInvalidateStats(t *testing.T) {
-	tab := newPlanTable(8)
-	store(tab, testEntry("free", ""), "fpA")
-	store(tab, testEntry("old", "fpA"), "fpA")
-	store(tab, testEntry("cur", "fpB"), "fpB")
-	if n := tab.invalidate("fpB"); n != 1 {
-		t.Fatalf("invalidated %d, want 1", n)
-	}
-	if get(tab, "old") != nil {
-		t.Fatal("stale-fingerprint entry survived")
-	}
-	if get(tab, "free") == nil || get(tab, "cur") == nil {
-		t.Fatal("exhaustive and current entries must survive")
-	}
-	store(tab, testEntry("late", "fpA"), "fpB")
-	if get(tab, "late") != nil {
-		t.Fatal("an entry published under an obsolete fingerprint was stored")
-	}
-	if c := tab.counters(); c.Invalidated != 1 || c.Evictions != 0 {
-		t.Fatalf("counters = %+v, want 1 invalidated, 0 evictions", c)
-	}
-}
-
-// TestPlanTableConcurrentAccess hammers lookup/publish/invalidate across
+// TestPlanTableConcurrentAccess hammers lookup/publish/wait across
 // shards (meaningful under -race) and checks the bound holds throughout.
 func TestPlanTableConcurrentAccess(t *testing.T) {
 	tab := newPlanTable(64)
@@ -155,18 +122,12 @@ func TestPlanTableConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (w*31+i)%200)
-				fp := fmt.Sprintf("fp%d", i%3)
 				if e, f, owner := tab.lookup(context.Background(), key); e == nil {
 					if owner {
-						var stats atomic.Pointer[statsSnapshot]
-						stats.Store(&statsSnapshot{fp: fp})
-						tab.publish(f, testEntry(key, fp), nil, &stats)
+						tab.publish(f, testEntry(key), nil)
 					} else {
 						tab.wait(context.Background(), f, noBudget)
 					}
-				}
-				if i%100 == 0 {
-					tab.invalidate("fp0")
 				}
 			}
 		}(w)
@@ -178,35 +139,32 @@ func TestPlanTableConcurrentAccess(t *testing.T) {
 }
 
 // TestPlanTableKeySensitivity: the flight key — and with it the plan
-// table entry — separates requests that differ in the dependency set,
-// the physical restriction or (for cost-bounded search) the statistics,
-// and nothing else: an alpha-renamed query shares the key.
+// table entry — separates requests that differ in the dependency set or
+// the physical restriction, and nothing else: an alpha-renamed query
+// shares the key.
 func TestPlanTableKeySensitivity(t *testing.T) {
 	req, _ := projDeptRequest(t)
-	base := flightKey(req, "")
+	base := flightKey(req)
 
 	renamed := req
 	renamed.Query = req.Query.RenameVars(func(v string) string { return "q2_" + v })
-	if flightKey(renamed, "") != base {
+	if flightKey(renamed) != base {
 		t.Error("alpha-renamed query must share the key")
 	}
 	fewerDeps := req
 	fewerDeps.Deps = req.Deps[1:]
-	if flightKey(fewerDeps, "") == base {
+	if flightKey(fewerDeps) == base {
 		t.Error("key ignores the dependency set")
 	}
 	noPhys := req
 	noPhys.PhysicalNames = nil
-	if flightKey(noPhys, "") == base {
+	if flightKey(noPhys) == base {
 		t.Error("key ignores the physical restriction")
 	}
 	otherPhys := req
 	otherPhys.PhysicalNames = map[string]bool{"Proj": true}
-	if flightKey(otherPhys, "") == base {
+	if flightKey(otherPhys) == base {
 		t.Error("key ignores which physical names are allowed")
-	}
-	if flightKey(req, "fpA") == base || flightKey(req, "fpA") == flightKey(req, "fpB") {
-		t.Error("key ignores the cost-bounded statistics fingerprint")
 	}
 
 	// End to end on a cheap shape: each variation is a miss of its own,
@@ -246,16 +204,14 @@ func TestPlanTableSkipsTruncatedRuns(t *testing.T) {
 
 	tab := newPlanTable(0)
 	_, f, _ := tab.lookup(context.Background(), "truncated")
-	var stats atomic.Pointer[statsSnapshot]
-	stats.Store(&statsSnapshot{})
-	tab.publish(f, newPlanEntry("truncated", "", &optimizer.Result{Truncated: true}, ""), nil, &stats)
+	tab.publish(f, newPlanEntry("truncated", &optimizer.Result{Truncated: true}, ""), nil)
 	if e, landed, err := tab.wait(context.Background(), f, noBudget); e == nil || !landed || err != nil {
 		t.Fatalf("a truncated run must still yield an entry to serve: e=%v landed=%v err=%v", e, landed, err)
 	}
 	if n := tab.size(); n != 0 {
 		t.Fatalf("truncated run stored %d entries", n)
 	}
-	store(tab, testEntry("complete", ""), "")
+	store(tab, testEntry("complete"))
 	if n := tab.size(); n != 1 {
 		t.Fatalf("complete run stored %d entries, want 1", n)
 	}
@@ -385,8 +341,8 @@ func TestOptimizeReuseAcrossRenaming(t *testing.T) {
 	}
 }
 
-// TestStatsSwapExhaustiveHitReranks: in exhaustive mode a statistics
-// swap keeps the entry; the first hit under the new snapshot re-ranks
+// TestStatsSwapExhaustiveHitReranks: a statistics swap keeps the
+// entry; the first hit under the new snapshot re-ranks
 // the stored (hash-consed) executable pool — no backchase — and yields
 // exactly the candidates, costs and cards a fresh service started with
 // the new statistics ranks.
@@ -405,8 +361,9 @@ func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
 	if _, err := svc.Optimize(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if n := svc.SetStats(statsB); n != 0 {
-		t.Fatalf("swap dropped %d exhaustive entries, want 0", n)
+	svc.SetStats(statsB)
+	if n := svc.CacheLen(); n != 1 {
+		t.Fatalf("swap left %d entries, want the 1 stored", n)
 	}
 	// Concurrent first hits may each re-rank; all must agree.
 	hits := make([]*Response, 4)
@@ -448,7 +405,7 @@ func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
 		}
 	}
 
-	stored := get(svc.table, flightKey(req, "")).ranked.Load().res
+	stored := get(svc.table, flightKey(req)).ranked.Load().res
 	again, err := svc.Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)

@@ -38,23 +38,20 @@ type predEntry struct {
 
 // LatencyPredictor is a bounded, sharded side table mapping shape
 // families — flight keys: canonical query signature + dependency set +
-// physical restriction (+ statistics fingerprint under cost-bounded
-// search) — to their observed flight latency (EWMA + max). The Service updates it whenever
+// physical restriction — to their observed flight latency (EWMA + max).
+// The Service updates it whenever
 // a flight lands, including detached flights every caller abandoned, and
 // consults it under two-tier serving to decide per shape whether to wait
 // synchronously, serve the greedy tier immediately, or fall back to the
 // budgeted wait (see Options.MaxPlanLatency).
 //
-// Under cost-bounded search the key includes the statistics
-// fingerprint, so a stats hot-swap implicitly invalidates every
-// prediction: requests under the new snapshot form new families that
-// start unknown and re-learn. Stale
+// The key carries no statistics fingerprint, so predictions survive a
+// stats hot-swap, like the plan table entries they describe. Stale
 // families age out through the capacity bound (FIFO per shard).
 //
 // A LatencyPredictor may be shared between Services via
 // Options.Predictor — it is keyed by content, not by plan table state,
-// so the learned budgets survive plan table loss (restart, invalidation
-// sweep).
+// so the learned budgets survive plan table loss (a restart).
 // Safe for concurrent use by any number of goroutines.
 type LatencyPredictor struct {
 	shards [predictorShards]predShard

@@ -65,7 +65,7 @@ func TestPredictorEWMARules(t *testing.T) {
 func TestPredictorAbandonedFlightTrains(t *testing.T) {
 	req := coldStarRequest(t)
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 10 * time.Second})
-	key := flightKey(req, "")
+	key := flightKey(req)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -129,15 +129,14 @@ func TestPredictorEvictionAtCapacity(t *testing.T) {
 	}
 }
 
-// TestPredictorStatsSwapInvalidates: the stats fingerprint is part of
-// the shape-family key, so a stats hot-swap makes every trained family
-// unknown — requests under the new snapshot take the budgeted wait and
-// re-learn, instead of trusting latencies measured under old statistics.
-func TestPredictorStatsSwapInvalidates(t *testing.T) {
+// TestPredictorSurvivesStatsSwap: statistics only rank, so the shape
+// family key carries no statistics fingerprint and a stats hot-swap
+// keeps both the plan table entry and the trained prediction — the next
+// request is a predicted-fast hit, re-ranked under the new snapshot.
+func TestPredictorSurvivesStatsSwap(t *testing.T) {
 	req, st := projDeptRequest(t)
 	svc := New(Options{
 		MinimalOnly:    true,
-		CostBounded:    true,
 		Stats:          st,
 		MaxPlanLatency: 30 * time.Second,
 	})
@@ -163,10 +162,13 @@ func TestPredictorStatsSwapInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swapped.TierReason != ReasonBudgeted {
-		t.Fatalf("post-swap reason = %q, want budgeted (new fingerprint = new family)", swapped.TierReason)
+	if swapped.TierReason != ReasonPredictedFast || !swapped.CacheHit {
+		t.Fatalf("post-swap response: reason=%q cacheHit=%v, want predicted-fast/true", swapped.TierReason, swapped.CacheHit)
 	}
-	if c := svc.Counters(); c.BudgetedWaits != 2 || c.PredictedFast != 1 {
+	if got, want := swapped.Result.Best.Cost, warm.Result.Rerank(nil).Best.Cost; got != want {
+		t.Fatalf("post-swap best cost %g, want %g (the pool re-ranked under uniform defaults)", got, want)
+	}
+	if c := svc.Counters(); c.BudgetedWaits != 1 || c.PredictedFast != 2 || c.BackchaseRuns != 1 {
 		t.Fatalf("post-swap counters: %+v", c)
 	}
 }
@@ -176,7 +178,7 @@ func TestPredictorStatsSwapInvalidates(t *testing.T) {
 // remembers a slow enumeration — answering it is a lookup.
 func TestClassifyUpgradedOverridesSlowEWMA(t *testing.T) {
 	req, _ := projDeptRequest(t)
-	key := flightKey(req, "")
+	key := flightKey(req)
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 30 * time.Second})
 	if _, err := svc.Optimize(context.Background(), req); err != nil {
 		t.Fatal(err)
@@ -217,7 +219,7 @@ func TestClassifySplitsAtBudget(t *testing.T) {
 func TestPredictedSlowServesGreedyInstantly(t *testing.T) {
 	req := coldStarRequest(t)
 	pred := NewLatencyPredictor(0)
-	key := flightKey(req, "")
+	key := flightKey(req)
 	pred.observe(key, time.Minute)
 
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 10 * time.Second, Predictor: pred})

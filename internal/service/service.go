@@ -19,10 +19,9 @@
 //     poisoning the table; and concurrent shapes do not contend on one
 //     lock;
 //   - atomic statistics hot-swap: SetStats installs a new cost.Stats
-//     snapshot with one pointer store. Entries of cost-bounded searches,
-//     whose enumeration depended on the old statistics, are dropped;
-//     exhaustive entries stay and re-rank their stored executable pool on
-//     their first hit under the new snapshot, so serving continues
+//     snapshot with one pointer store. The backchase does not depend on
+//     statistics, so every entry stays and re-ranks its stored executable
+//     pool on its first hit under the new snapshot: serving continues
 //     uninterrupted through a stats refresh.
 //
 // With Options.MaxPlanLatency set, serving is additionally two-tiered:
@@ -60,7 +59,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,8 +70,7 @@ import (
 )
 
 // Options configures a Service. The zero value is usable: uniform cost
-// defaults, exhaustive backchase, a DefaultCacheSize plan table, all
-// cores.
+// defaults, a DefaultCacheSize plan table, all cores.
 type Options struct {
 	// Parallelism is the backchase worker count per flight
 	// (0 = all cores, 1 = serial). Under MaxPlanLatency, a flight that
@@ -83,11 +80,6 @@ type Options struct {
 	// CacheSize bounds the plan table (0 = DefaultCacheSize,
 	// < 0 = unbounded).
 	CacheSize int
-	// CostBounded switches the backchase to cost-bounded best-first search
-	// whenever a statistics snapshot is installed. The enumeration then
-	// depends on the statistics, so the flight key — and with it the plan
-	// table entry — carries the snapshot's fingerprint.
-	CostBounded bool
 	// Stats is the initial statistics snapshot (nil = uniform defaults).
 	// Replace it at runtime with SetStats.
 	Stats *cost.Stats
@@ -191,7 +183,7 @@ type Response struct {
 	Coalesced bool
 	// CacheHit reports that the finished plan was served from the plan
 	// table: nothing re-ran — no chase, no backchase, no ranking (unless
-	// a statistics swap made an exhaustive entry re-rank its pool once).
+	// a statistics swap made the entry re-rank its pool once).
 	CacheHit bool
 	// Tier reports which planner answered: TierBackchase for the full
 	// path (synchronous or landed within MaxPlanLatency), TierGreedy when
@@ -270,14 +262,6 @@ type Service struct {
 	table   *planTable
 	metrics *chase.Metrics
 	stats   atomic.Pointer[statsSnapshot]
-
-	// swapMu serializes SetStats calls, each installing its snapshot and
-	// sweeping the table under it. Two unserialized swaps could sweep in
-	// the opposite order of their installs, and the later sweep, carrying
-	// an obsoleted fingerprint, would drop entries valid under the
-	// newest snapshot. Publishing a flight needs no part of it: it
-	// re-reads the snapshot under its shard's lock (planTable.publish).
-	swapMu sync.Mutex
 
 	// instanceRegistry holds the named data instances Query executes
 	// against (instance.go).
@@ -370,13 +354,7 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 	s.requests.Add(1)
 	start := time.Now()
 	snap := s.stats.Load()
-	// boundFP is the fingerprint the enumeration itself depends on: only
-	// a cost-bounded search prunes by statistics.
-	var boundFP string
-	if s.opts.CostBounded {
-		boundFP = snap.fp
-	}
-	key := flightKey(req, boundFP)
+	key := flightKey(req)
 	e, f, owner := s.table.lookup(ctx, key)
 	if e != nil {
 		reason := ReasonSynchronous
@@ -390,7 +368,7 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 	}
 	reason, budget := s.classify(key)
 	if owner {
-		go s.fly(f, req, snap, boundFP, reason)
+		go s.fly(f, req, snap, reason)
 	} else {
 		s.coalesced.Add(1)
 	}
@@ -421,15 +399,15 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 // the routing of f's first caller: a budgeted or predicted-slow flight
 // may run detached, so it optimizes serially inside a slot of the
 // detached-flight semaphore.
-func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, boundFP string, reason TierReason) {
+func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, reason TierReason) {
 	var e *planEntry
 	var err error
 	if reason == ReasonBudgeted || reason == ReasonPredictedSlow {
-		e, err = s.planInSlot(f, req, snap, boundFP)
+		e, err = s.planInSlot(f, req, snap)
 	} else {
-		e, err = s.plan(f, req, snap, boundFP, s.opts.Parallelism)
+		e, err = s.plan(f, req, snap, s.opts.Parallelism)
 	}
-	if s.table.publish(f, e, err, &s.stats) {
+	if s.table.publish(f, e, err) {
 		s.upgraded.Add(1)
 	}
 }
@@ -437,7 +415,7 @@ func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, boundFP strin
 // planInSlot is plan with one backchase worker inside a slot of the
 // detached-flight semaphore, counting a wait when no slot is free. It
 // fails without planning only when f's context ends first.
-func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot, boundFP string) (*planEntry, error) {
+func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot) (*planEntry, error) {
 	select {
 	case s.slots <- struct{}{}:
 	default:
@@ -449,7 +427,7 @@ func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot, boundF
 		}
 	}
 	defer func() { <-s.slots }()
-	return s.plan(f, req, snap, boundFP, 1)
+	return s.plan(f, req, snap, 1)
 }
 
 // plan runs Algorithm 1 for f and wraps the result as the shape's plan
@@ -462,7 +440,7 @@ func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot, boundF
 // exactly the flights that happened — and so before publish releases any
 // waiter: by the time a response for the flight is visible, the
 // prediction is too.
-func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, boundFP string, parallelism int) (e *planEntry, err error) {
+func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, parallelism int) (e *planEntry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e, err = nil, fmt.Errorf("service: optimizer panic: %v\n%s", p, debug.Stack())
@@ -473,7 +451,6 @@ func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, boundFP stri
 		Deps:          req.Deps,
 		PhysicalNames: req.PhysicalNames,
 		Stats:         snap.stats,
-		CostBounded:   boundFP != "",
 		Parallelism:   parallelism,
 		MinimalOnly:   s.opts.MinimalOnly,
 		Chase:         s.opts.Chase,
@@ -483,7 +460,7 @@ func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, boundFP stri
 	}
 	s.predictor.observe(f.key, time.Since(start))
 	s.backchaseRuns.Add(1)
-	return newPlanEntry(f.key, boundFP, r, snap.fp), nil
+	return newPlanEntry(f.key, r, snap.fp), nil
 }
 
 // respond builds the backchase-tier response for a plan table entry —
@@ -542,8 +519,8 @@ func (s *Service) PredictorLen() int {
 // greedyResult builds the instant-tier response body: the greedy plan as
 // the sole candidate, costed under the current statistics snapshot (or
 // uniform defaults) so EstCost-style consumers still see a number. No
-// chase ran, so Universal is the request query itself; States/Pruned
-// stay zero — greedy planning explores nothing.
+// chase ran, so Universal is the request query itself; States stays
+// zero — greedy planning explores nothing.
 func (s *Service) greedyResult(req Request, st *cost.Stats) *optimizer.Result {
 	plan := greedy.Plan(req.Query)
 	if st == nil {
@@ -560,20 +537,14 @@ func (s *Service) greedyResult(req Request, st *cost.Stats) *optimizer.Result {
 }
 
 // SetStats atomically installs a new statistics snapshot (nil reverts to
-// uniform defaults) and drops the plan table entries of cost-bounded
-// searches run under a different fingerprint; it returns the number
-// dropped. In-flight requests finish under the snapshot they started
-// with; requests arriving after the store see the new one. Exhaustive
-// entries survive every swap — their enumeration does not depend on
-// statistics — and their first hit under the new snapshot re-ranks the
-// stored executable pool.
-func (s *Service) SetStats(st *cost.Stats) int {
-	snap := newSnapshot(st)
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	s.stats.Store(snap)
+// uniform defaults). In-flight requests finish under the snapshot they
+// started with; requests arriving after the store see the new one. Plan
+// table entries survive every swap — the enumeration does not depend on
+// statistics — and an entry's first hit under the new snapshot re-ranks
+// its stored executable pool.
+func (s *Service) SetStats(st *cost.Stats) {
+	s.stats.Store(newSnapshot(st))
 	s.statsSwaps.Add(1)
-	return s.table.invalidate(snap.fp)
 }
 
 // Stats returns the current statistics snapshot (nil when serving with
@@ -616,13 +587,11 @@ func (s *Service) ChaseMetrics() *chase.Metrics {
 	return s.metrics
 }
 
-// flightKey renders everything that decides a response — the canonical
-// query signature, the dependency set, the physical restriction and, for
-// cost-bounded search, the statistics fingerprint the enumeration
-// depends on (boundFP) — so two requests share a flight, and a plan
-// table entry, exactly when one result can serve both. Exhaustive keys
-// carry no fingerprint: statistics only rank the pool, and a hit under
-// other statistics re-ranks it (planEntry.result).
+// flightKey renders everything that decides a response's plans — the
+// canonical query signature, the dependency set and the physical
+// restriction — so two requests share a flight, and a plan table entry,
+// exactly when one result can serve both. Statistics only rank the
+// pool, and a hit under other statistics re-ranks it (planEntry.result).
 //
 // The signature comes from CanonicalSignature, which is invariant under
 // arbitrary variable renaming, binding reorder and condition
@@ -632,7 +601,7 @@ func (s *Service) ChaseMetrics() *chase.Metrics {
 // alpha-equivalent requests — including adversarial tie-reordering
 // renames of same-range self-joins — therefore coalesce onto one flight
 // and share one plan table entry.
-func flightKey(req Request, boundFP string) string {
+func flightKey(req Request) string {
 	var b strings.Builder
 	b.WriteString(req.Query.CanonicalSignature())
 	b.WriteString("\x00deps\x00")
@@ -656,7 +625,5 @@ func flightKey(req Request, boundFP string) string {
 	} else {
 		b.WriteString("<nil>")
 	}
-	b.WriteString("\x00stats\x00")
-	b.WriteString(boundFP)
 	return b.String()
 }

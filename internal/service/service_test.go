@@ -384,9 +384,10 @@ func TestLastCallerCancellationAbortsFlight(t *testing.T) {
 	}
 }
 
-// TestSetStatsHotSwap: swapping the statistics snapshot keeps serving,
-// invalidates exactly the cost-bounded entries fingerprinted under the
-// old snapshot, and leaves statistics-independent entries untouched.
+// TestSetStatsHotSwap: swapping the statistics snapshot keeps serving
+// and keeps every plan table entry; the next hit serves the stored pool
+// re-ranked under the new snapshot, and an equal-fingerprint swap
+// changes nothing.
 func TestSetStatsHotSwap(t *testing.T) {
 	pd, err := workload.NewProjDept()
 	if err != nil {
@@ -399,62 +400,62 @@ func TestSetStatsHotSwap(t *testing.T) {
 		t.Fatal("test needs two distinct statistics snapshots")
 	}
 
-	svc := New(Options{CostBounded: true, Stats: statsA, Parallelism: 1})
+	svc := New(Options{Stats: statsA, Parallelism: 1})
 	ctx := context.Background()
 	if _, err := svc.Optimize(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := svc.Optimize(ctx, req)
+	underA, err := svc.Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.CacheHit {
+	if !underA.CacheHit {
 		t.Fatal("repeat under stable stats must hit the plan cache")
 	}
 
-	if n := svc.SetStats(statsB); n != 1 {
-		t.Errorf("swap invalidated %d entries, want 1 (the statsA entry)", n)
+	svc.SetStats(statsB)
+	if n := svc.CacheLen(); n != 1 {
+		t.Fatalf("swap left %d entries, want the 1 stored", n)
 	}
-	resp, err = svc.Optimize(ctx, req)
+	underB, err := svc.Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.CacheHit {
-		t.Error("first request after the swap must recompute under the new stats")
+	if !underB.CacheHit {
+		t.Error("first request after the swap must hit the kept entry")
 	}
-	resp, err = svc.Optimize(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	want := underA.Result.Rerank(statsB).Candidates
+	got := underB.Result.Candidates
+	if len(got) != len(want) {
+		t.Fatalf("post-swap hit ranks %d candidates, want %d", len(got), len(want))
 	}
-	if !resp.CacheHit {
-		t.Error("second request after the swap must hit the refreshed entry")
+	for i := range want {
+		if got[i].Query.String() != want[i].Query.String() || got[i].Cost != want[i].Cost {
+			t.Fatalf("candidate %d: served %s @ %g, want %s @ %g", i, got[i].Query, got[i].Cost, want[i].Query, want[i].Cost)
+		}
 	}
 
-	// Swapping to an equal-fingerprint snapshot invalidates nothing and
-	// keeps serving from the same entries.
+	// Swapping to an equal-fingerprint snapshot serves the same ranking.
 	statsB2 := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 60, ProjsPerDept: 5, CitiBankShare: 0.2, Seed: 2}))
-	if n := svc.SetStats(statsB2); n != 0 {
-		t.Errorf("equal-fingerprint swap invalidated %d entries, want 0", n)
-	}
-	resp, err = svc.Optimize(ctx, req)
+	svc.SetStats(statsB2)
+	again, err := svc.Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.CacheHit {
-		t.Error("equal-fingerprint swap must not drop the cache entry")
+	if !again.CacheHit || again.Result != underB.Result {
+		t.Error("equal-fingerprint swap must serve the stored ranking as it is")
 	}
 
-	if c := svc.Counters(); c.StatsSwaps != 2 {
-		t.Errorf("stats swaps = %d, want 2", c.StatsSwaps)
+	if c := svc.Counters(); c.StatsSwaps != 2 || c.BackchaseRuns != 1 {
+		t.Errorf("counters = %+v, want 2 stats swaps and 1 backchase run", c)
 	}
 }
 
 // TestStatsSwapMidFlightLeavesNoStaleEntry: a SetStats landing while a
-// cost-bounded flight is still running must not leave that flight's
-// cache entry (tagged with the old fingerprint, hence unreachable)
-// behind. Both interleavings — entry stored before or after the swap's
-// sweep — must end with zero stale entries, so the assertion is
-// timing-independent.
+// flight is still running does not discard that flight's entry: it is
+// stored ranked under the old snapshot, and the next request hits it and
+// serves the pool re-ranked under the new one, exactly as a fresh
+// service started with the new statistics ranks it.
 func TestStatsSwapMidFlightLeavesNoStaleEntry(t *testing.T) {
 	pd, err := workload.NewProjDept()
 	if err != nil {
@@ -464,7 +465,7 @@ func TestStatsSwapMidFlightLeavesNoStaleEntry(t *testing.T) {
 	statsA := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.1, Seed: 1}))
 	statsB := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 60, ProjsPerDept: 5, CitiBankShare: 0.2, Seed: 2}))
 
-	svc := New(Options{CostBounded: true, Stats: statsA, Parallelism: 1})
+	svc := New(Options{Stats: statsA, Parallelism: 1})
 	done := make(chan error, 1)
 	go func() {
 		_, err := svc.Optimize(context.Background(), req)
@@ -475,39 +476,39 @@ func TestStatsSwapMidFlightLeavesNoStaleEntry(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := svc.CacheLen(); n != 0 {
-		t.Errorf("cache holds %d entries after a mid-flight swap, want 0 (stale fingerprint)", n)
+	if n := svc.CacheLen(); n != 1 {
+		t.Errorf("cache holds %d entries after a mid-flight swap, want 1", n)
 	}
-	// The next request recomputes under statsB and caches normally.
 	resp, err := svc.Optimize(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.CacheHit {
-		t.Error("request after a mid-flight swap must recompute under the new stats")
+	if !resp.CacheHit {
+		t.Error("request after a mid-flight swap must hit the flight's entry")
 	}
-	resp, err = svc.Optimize(context.Background(), req)
+	fresh, err := New(Options{Stats: statsB, Parallelism: 1}).Optimize(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.CacheHit {
-		t.Error("refreshed entry must serve subsequent requests")
+	if got, want := resp.Result.Best.Cost, fresh.Result.Best.Cost; got != want {
+		t.Errorf("post-swap best cost %g, want %g (ranked under the new stats)", got, want)
+	}
+	if c := svc.Counters(); c.BackchaseRuns != 1 {
+		t.Errorf("backchase runs = %d, want 1", c.BackchaseRuns)
 	}
 }
 
 // TestStatsSwapFlipStorm: SetStats flipping between two snapshots, A/B/A,
-// while cost-bounded flights for many shapes run and publish, leaves
-// only entries that carry the current fingerprint once everything has
-// landed: publish refuses an entry whose fingerprint is no longer
-// current, and a sweep drops any stored before it. Meaningful under
-// -race.
+// while flights for many shapes run and publish, drops no entry: every
+// flight's entry is stored (or evicted by capacity), and once the storm
+// ends on A every hit serves a ranking under A. Meaningful under -race.
 func TestStatsSwapFlipStorm(t *testing.T) {
 	statsA, statsB := cost.NewStats(), cost.NewStats()
 	statsB.LookupCost = 2
 	if statsA.Fingerprint() == statsB.Fingerprint() {
 		t.Fatal("test needs two distinct statistics snapshots")
 	}
-	svc := New(Options{CostBounded: true, Stats: statsA})
+	svc := New(Options{Stats: statsA})
 	svc.optimize = func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error) {
 		time.Sleep(50 * time.Microsecond)
 		return &optimizer.Result{}, nil
@@ -552,36 +553,43 @@ func TestStatsSwapFlipStorm(t *testing.T) {
 	if svc.Stats() != statsA {
 		t.Fatal("the storm must end on snapshot A")
 	}
+	cc := svc.CacheCounters()
+	if stored := int64(svc.CacheLen()) + cc.Evictions; stored != cc.Misses {
+		t.Fatalf("%d flights but %d entries stored or evicted: a swap dropped entries", cc.Misses, stored)
+	}
+	snap := svc.stats.Load()
 	for _, sh := range svc.table.shards {
 		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			if e := el.Value.(*planEntry); e.statsFP != statsA.Fingerprint() {
-				t.Fatalf("an entry enumerated under snapshot B outlived the swap back to A (%d swaps)", svc.Counters().StatsSwaps)
+			e := el.Value.(*planEntry)
+			e.result(snap)
+			if e.ranked.Load().fp != snap.fp {
+				t.Fatalf("an entry served a ranking under another snapshot after the swap back to A (%d swaps)", svc.Counters().StatsSwaps)
 			}
 		}
 	}
 	checkPartition(t, svc)
 }
 
-// TestStatsSwapKeepsStatsFreeEntries: without cost-bounded search the
-// backchase result does not depend on statistics (they only rank
-// candidates per request), so its cache entry is stored stats-free and
-// survives every swap.
+// TestStatsSwapKeepsStatsFreeEntries: the backchase result does not
+// depend on statistics (they only rank candidates), so a plan table
+// entry survives every swap, including the revert to uniform defaults.
 func TestStatsSwapKeepsStatsFreeEntries(t *testing.T) {
 	req, statsA := projDeptRequest(t)
-	svc := New(Options{Stats: statsA}) // CostBounded off: exhaustive backchase
+	svc := New(Options{Stats: statsA})
 	ctx := context.Background()
 	if _, err := svc.Optimize(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if n := svc.SetStats(nil); n != 0 {
-		t.Errorf("swap invalidated %d stats-free entries, want 0", n)
+	svc.SetStats(nil)
+	if n := svc.CacheLen(); n != 1 {
+		t.Errorf("swap left %d entries, want 1", n)
 	}
 	resp, err := svc.Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.CacheHit {
-		t.Error("stats-free entry must serve across the swap")
+		t.Error("the entry must serve across the swap")
 	}
 }
 

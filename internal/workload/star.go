@@ -12,10 +12,9 @@ import (
 )
 
 // Star is the star/snowflake workload family used to exercise the
-// cost-bounded backchase (E13): a fact table joined to Dims dimension
-// tables, with a configurable set of physical access structures whose
-// chase blows the subquery lattice up — exactly the regime where
-// exhaustive enumeration drowns and cost-bound pruning pays off.
+// backchase at scale (E13–E15, E18): a fact table joined to Dims
+// dimension tables, with a configurable set of physical access
+// structures whose chase blows the subquery lattice up.
 //
 //	Fact(K0..K_{d-1}, M)       large
 //	D_i(K, A)                  small, A low-cardinality

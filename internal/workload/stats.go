@@ -15,10 +15,6 @@ import (
 // the only randomness (fact foreign-key draws) has a standard expected
 // distinct-count. Deterministic quantities are exact; the FK-dependent
 // ones are expectations, which is all the planner consumes.
-//
-// Minimum fanouts are set conservatively (1 for randomly filled
-// buckets), so admissible lower bounds derived from them stay sound for
-// any seed and any zipf skew.
 func (s *Star) SyntheticStats(opts StarGenOptions) *cost.Stats {
 	if opts.NumDim <= 0 {
 		opts.NumDim = 1
@@ -63,19 +59,16 @@ func (s *Star) SyntheticStats(opts StarGenOptions) *cost.Stats {
 	for i := 0; i < s.Cfg.FactIndexes; i++ {
 		st.Card[fkIndex(i)] = distinctKeys
 		st.EntryFanout[fkIndex(i)] = nf / distinctKeys
-		st.EntryFanoutMin[fkIndex(i)] = 1
 	}
 	for i := 0; i < s.Cfg.DimKeyIndexes; i++ {
 		st.Card[dkIndex(i)] = nd
 		st.EntryFanout[dkIndex(i)] = 1
-		st.EntryFanoutMin[dkIndex(i)] = 1
 	}
 	if s.Cfg.DimIndex {
 		// SD0 buckets partition the NumDim dimension rows by A = k mod
-		// DomA: bucket sizes are exactly floor or ceil of NumDim/DomA.
+		// DomA.
 		st.Card["SD0"] = da
 		st.EntryFanout["SD0"] = nd / da
-		st.EntryFanoutMin["SD0"] = math.Max(1, math.Floor(nd/da))
 	}
 	for i := 0; i < s.Cfg.Views; i++ {
 		st.Card[view(i)] = nf

@@ -18,17 +18,16 @@ import (
 // only: the string-keyed term rewriting, which the backchase's class-id
 // construction (congruence.Rewriter) is checked against.
 var referenceTwins = map[string]string{
-	"NewNaiveIndex":      "internal/chase",
-	"EnumerateScanFloor": "internal/backchase",
-	"RewriteVariants":    "",
-	"rewriteStructural":  "",
-	"rebuildChildren":    "",
+	"NewNaiveIndex":     "internal/chase",
+	"RewriteVariants":   "",
+	"rewriteStructural": "",
+	"rebuildChildren":   "",
 }
 
 // TestReferenceTwinsStayFixtures parses every non-test Go file of the
 // module and fails on any mention of a reference twin outside the
 // allowed places, so no product caller (or cache key) can reach the
-// naive chase, the scan-only bound or the string-keyed rewriting.
+// naive chase or the string-keyed rewriting.
 func TestReferenceTwinsStayFixtures(t *testing.T) {
 	fset := token.NewFileSet()
 	checked := 0
