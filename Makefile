@@ -72,16 +72,11 @@
 #   make serve-cold - race-instrumented two-tier serving gate: E20's
 #                     cold-shape replay (greedy tier, detached upgrade,
 #                     differential checks) plus the tier/singleflight
-#                     detachment suites and the percentile and greedy
-#                     planner unit tests. Not -short: the cold replay
-#                     IS the gate.
-#   make serve-adaptive - race-instrumented adaptive-promotion gate:
-#                     E21's three-phase predictor replay (train cold,
-#                     serve trained with zero budgeted waits) plus the
-#                     latency-predictor and histogram unit suites and
-#                     the cnbd tier_reason / metrics-ordering handler
-#                     tests. Not -short: the trained replay IS the
-#                     gate.
+#                     detachment and evicted-shape suites, the
+#                     percentile, histogram and greedy planner unit
+#                     tests, and the cnbd metrics-ordering and
+#                     histogram-reset handler tests. Not -short: the
+#                     cold replay IS the gate.
 #   make serve-smoke - build cnbd, start it, optimize the ProjDept
 #                     example twice over HTTP (the second round must be
 #                     a plan-cache hit), install a generated instance
@@ -122,7 +117,7 @@ CNBD_ADDR ?= 127.0.0.1:18343
 EXEC_ROWS ?= 100000
 EXEC_TIMEOUT ?= 600
 
-.PHONY: ci vet build test race fuzz-smoke bench-smoke bench-build examples bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-adaptive serve-smoke
+.PHONY: ci vet build test race fuzz-smoke bench-smoke bench-build examples bench bench-json bench-check bench-baseline bench-exec lint-docs cover serve-load serve-cold serve-smoke
 
 ci: vet build test race fuzz-smoke bench-smoke bench-build examples
 
@@ -212,26 +207,16 @@ serve-load:
 		./internal/bench ./internal/service ./cmd/cnbd
 
 # The CI two-tier serving gate: the E20 cold-shape replay (not -short —
-# the three cold backchases are the point) plus the tiering, detachment
-# and degenerate-percentile suites, all race-instrumented, and the
-# greedy planner package's full suite including its differential check
-# against eval.
+# the three cold backchases are the point) plus the tiering, detachment,
+# evicted-shape and degenerate-percentile suites, the per-tier histogram
+# suites and the cnbd handler tests that pin the /metrics key order and
+# the histogram reset, all race-instrumented, and the greedy planner
+# package's full suite including its differential check against eval.
 serve-cold:
 	$(GO) test -race -count=1 \
-		-run 'TestE20ColdTiered|TestTiered|TestDetachedFlight|TestWarmShape|TestPercentile|TestTieredOptimizeEndToEnd' \
+		-run 'TestE20ColdTiered|TestTiered|TestDetachedFlight|TestWarmShape|TestEvictedShape|TestPercentile|TestTieredOptimizeEndToEnd|TestHistogram|TestServiceHistograms|TestQueryHistograms|TestMetricsKeyOrder|TestMetricsHistResetOnScrape' \
 		./internal/bench ./internal/service ./cmd/cnbd
 	$(GO) test -race -count=1 ./internal/greedy
-
-# The CI adaptive-promotion gate: the E21 replay (not -short — the cold
-# training pass and the zero-wait trained pass are the point) plus the
-# predictor edge-case suite (cold start, EWMA rules, abandoned-flight
-# training, eviction, stats-swap invalidation), the histogram suites,
-# and the cnbd handler tests that pin tier_reason and the /metrics key
-# order, all race-instrumented.
-serve-adaptive:
-	$(GO) test -race -count=1 \
-		-run 'TestE21Adaptive|TestPredictor|TestClassify|TestPredicted|TestSynchronousReason|TestHistogram|TestServiceHistograms|TestQueryHistograms|TestMetricsKeyOrder|TestOptimizeTierReason|TestMetricsHistResetOnScrape' \
-		./internal/bench ./internal/service ./cmd/cnbd
 
 # End-to-end smoke of the cnbd server: start it, run the example client
 # (two optimize rounds — the second must be served from the plan cache —

@@ -50,20 +50,6 @@
 //     per cold shape, one detached-flight upgrade per shape) are held
 //     exactly — drift means the latency-budget tiering, flight
 //     detachment or upgrade accounting changed;
-//   - the adaptive tier-promotion counters (E21's replay:
-//     "train_budgeted_waits", "train_greedy_served",
-//     "train_upgraded_flights" for the cold training pass;
-//     "budgeted_waits", "predicted_fast", "predicted_slow",
-//     "prediction_miss" for the trained serve pass; and the per-tier
-//     histogram totals "hist_greedy_total", "hist_backchase_sync_total",
-//     "hist_backchase_upgraded_total") are held exactly: the replay's
-//     routing is deterministic by construction — in particular
-//     budgeted_waits and prediction_miss are held at zero, the proof
-//     that a trained predictor routes every shape without a timed wait
-//     — so any drift means the predictor's learning or consultation,
-//     the upgraded-shape override, or the histogram recording changed
-//     (the per-bucket hist_*_le_*us metrics are machine-dependent and
-//     never gated; the gated totals are their exact sums);
 //   - experiments and gated metrics present in the baseline must still
 //     exist in the current report.
 //
@@ -120,28 +106,17 @@ const costTolerance = 1e-6 // relative; covers float summation noise only
 // exactCounters are deterministic count metrics held exactly (within
 // costTolerance, which only absorbs float encoding noise): chase step
 // counts, the serving layer's single-worker cache/flight counters and
-// hit rate, E14's calibration skip count, E20's two-tier serving
-// counters, and E21's adaptive tier-promotion counters and histogram
-// totals.
+// hit rate, E14's calibration skip count and E20's two-tier serving
+// counters.
 var exactCounters = map[string]bool{
-	"chase_steps":                   true,
-	"cache_hits":                    true,
-	"cache_misses":                  true,
-	"backchase_runs":                true,
-	"hit_rate":                      true,
-	"calibration_skipped":           true,
-	"greedy_served":                 true,
-	"upgraded_flights":              true,
-	"train_budgeted_waits":          true,
-	"train_greedy_served":           true,
-	"train_upgraded_flights":        true,
-	"budgeted_waits":                true,
-	"predicted_fast":                true,
-	"predicted_slow":                true,
-	"prediction_miss":               true,
-	"hist_greedy_total":             true,
-	"hist_backchase_sync_total":     true,
-	"hist_backchase_upgraded_total": true,
+	"chase_steps":         true,
+	"cache_hits":          true,
+	"cache_misses":        true,
+	"backchase_runs":      true,
+	"hit_rate":            true,
+	"calibration_skipped": true,
+	"greedy_served":       true,
+	"upgraded_flights":    true,
 }
 
 // exactSuffix reports whether a metric name carries one of the

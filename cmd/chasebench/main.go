@@ -1,4 +1,4 @@
-// Command chasebench runs the reproduction experiments (E1–E21 of
+// Command chasebench runs the reproduction experiments (E1–E20 of
 // EXPERIMENTS.md) and prints their tables.
 //
 // Usage:

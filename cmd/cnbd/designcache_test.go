@@ -119,7 +119,7 @@ func testMux(t *testing.T, parse func(string) (*parser.Document, error)) http.Ha
 
 // postNormalized posts body and renders the status and the response
 // without the fields that depend on timing or on which request came
-// first (latencies, cache_hit, coalesced, tier_reason).
+// first (latencies, cache_hit, coalesced).
 func postNormalized(t *testing.T, url, body string) string {
 	t.Helper()
 	resp, err := http.Post(url, "text/plain", strings.NewReader(body))
@@ -136,7 +136,7 @@ func postNormalized(t *testing.T, url, body string) string {
 	var kept []string
 	for _, line := range strings.Split(string(raw), "\n") {
 		switch strings.SplitN(strings.TrimSpace(line), ":", 2)[0] {
-		case `"wall_ms"`, `"plan_ms"`, `"exec_ms"`, `"cache_hit"`, `"coalesced"`, `"tier_reason"`:
+		case `"wall_ms"`, `"plan_ms"`, `"exec_ms"`, `"cache_hit"`, `"coalesced"`:
 			continue
 		}
 		kept = append(kept, line)

@@ -12,16 +12,12 @@
 // error codes and curl examples live in docs/API.md — the single source
 // of truth for the HTTP surface.
 //
-// With -max-plan-latency set, serving is two-tiered and adaptive: a
-// request whose backchase flight misses the budget is answered from the
-// instant greedy tier (tier "greedy" in /optimize and /query results)
-// while the flight continues detached and stores its plan, and a
-// per-shape latency predictor learns from every landing so later
-// requests skip the budgeted wait in both directions (tier_reason
-// "predicted-fast" waits synchronously, "predicted-slow" serves greedy
-// immediately, "budgeted" is the unknown-shape fallback) — /metrics
-// reports greedy_served, upgraded_flights, the prediction counters and
-// per-tier latency histograms (reset each scrape with
+// With -max-plan-latency set, serving is two-tiered: a request whose
+// backchase flight misses the budget is answered from the instant greedy
+// tier (tier "greedy" in /optimize and /query results) while the flight
+// continues detached and stores its plan, so the shape's later requests
+// are plan-cache hits — /metrics reports greedy_served, upgraded_flights,
+// slot_waits and per-tier latency histograms (reset each scrape with
 // -hist-reset-on-scrape).
 //
 // On SIGINT or SIGTERM the server stops accepting connections, lets the
@@ -69,7 +65,6 @@ type queryResult struct {
 	BestPlan          string  `json:"best_plan,omitempty"`
 	BestCost          float64 `json:"best_cost"`
 	Tier              string  `json:"tier"`
-	TierReason        string  `json:"tier_reason"`
 	Upgraded          bool    `json:"upgraded,omitempty"`
 	CacheHit          bool    `json:"cache_hit"`
 	Coalesced         bool    `json:"coalesced"`
@@ -97,7 +92,6 @@ type execResult struct {
 	Plan       string      `json:"plan"`
 	EstCost    float64     `json:"est_cost"`
 	Tier       string      `json:"tier"`
-	TierReason string      `json:"tier_reason"`
 	Upgraded   bool        `json:"upgraded,omitempty"`
 	CacheHit   bool        `json:"cache_hit"`
 	Coalesced  bool        `json:"coalesced"`
@@ -259,7 +253,6 @@ func (s *server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			MinimalPlans:      len(res.Result.Minimal),
 			Candidates:        len(res.Result.Candidates),
 			Tier:              string(res.Tier),
-			TierReason:        string(res.TierReason),
 			Upgraded:          res.Upgraded,
 			CacheHit:          res.CacheHit,
 			Coalesced:         res.Coalesced,
@@ -346,7 +339,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Plan:       qres.Plan,
 			EstCost:    qres.EstCost,
 			Tier:       string(qres.Optimize.Tier),
-			TierReason: string(qres.Optimize.TierReason),
 			Upgraded:   qres.Optimize.Upgraded,
 			CacheHit:   qres.Optimize.CacheHit,
 			Coalesced:  qres.Optimize.Coalesced,
@@ -541,12 +533,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"stats_swaps", c.StatsSwaps},
 		{"greedy_served", c.GreedyServed},
 		{"upgraded_flights", c.Upgraded},
-		{"predicted_fast", c.PredictedFast},
-		{"predicted_slow", c.PredictedSlow},
-		{"prediction_miss", c.PredictionMiss},
-		{"budgeted_waits", c.BudgetedWaits},
 		{"slot_waits", c.SlotWaits},
-		{"predictor_entries", s.svc.PredictorLen()},
 		{"cache", orderedObj{
 			{"hits", cc.Hits},
 			{"misses", cc.Misses},

@@ -468,8 +468,7 @@ func TestMetricsKeyOrder(t *testing.T) {
 	wantTop := []string{
 		"uptime_seconds", "requests", "errors", "coalesced", "flights",
 		"backchase_runs", "stats_swaps", "greedy_served", "upgraded_flights",
-		"predicted_fast", "predicted_slow", "prediction_miss", "budgeted_waits",
-		"slot_waits", "predictor_entries", "cache", "chase", "histograms", "instances",
+		"slot_waits", "cache", "chase", "histograms", "instances",
 	}
 	got := keyOrder(t, raw, "")
 	if len(got) != len(wantTop) {
@@ -506,37 +505,6 @@ func TestMetricsKeyOrder(t *testing.T) {
 	}
 	if strip(raw) != strip(again) {
 		t.Fatalf("idle scrapes differ:\n%s\n----\n%s", raw, again)
-	}
-}
-
-// TestOptimizeTierReason: a synchronous server reports "synchronous" on
-// every response; a budgeted server reports "budgeted" cold and
-// "predicted-fast" warm.
-func TestOptimizeTierReason(t *testing.T) {
-	ts := testServer(t)
-	_, out := postJSON(t, ts.URL+"/optimize", projDeptDoc)
-	q := out["queries"].([]any)[0].(map[string]any)
-	if q["tier_reason"] != "synchronous" {
-		t.Fatalf("sync tier_reason = %v, want synchronous", q["tier_reason"])
-	}
-
-	_, mux := newServer(service.Options{Parallelism: 1, MaxPlanLatency: 30 * time.Second}, 30*time.Second)
-	tts := httptest.NewServer(mux)
-	t.Cleanup(tts.Close)
-	_, out = postJSON(t, tts.URL+"/optimize", projDeptDoc)
-	q = out["queries"].([]any)[0].(map[string]any)
-	if q["tier_reason"] != "budgeted" {
-		t.Fatalf("cold tier_reason = %v, want budgeted", q["tier_reason"])
-	}
-	_, out = postJSON(t, tts.URL+"/optimize", projDeptDoc)
-	q = out["queries"].([]any)[0].(map[string]any)
-	if q["tier_reason"] != "predicted-fast" || q["cache_hit"] != true {
-		t.Fatalf("warm response: tier_reason=%v cache_hit=%v, want predicted-fast/true", q["tier_reason"], q["cache_hit"])
-	}
-
-	_, metrics := getJSON(t, tts.URL+"/metrics")
-	if metrics["budgeted_waits"].(float64) != 1 || metrics["predicted_fast"].(float64) != 1 || metrics["predictor_entries"].(float64) != 1 {
-		t.Fatalf("adaptive metrics off: %v", metrics)
 	}
 }
 

@@ -108,7 +108,6 @@ func All() []Experiment {
 		{"E18", "Measured execution at data scale: optimized vs baseline plan", E18},
 		{"E19", "End-to-end query serving: /query replay against a star instance", E19},
 		{"E20", "Two-tier cold serving: greedy instant tier + detached backchase upgrade", E20},
-		{"E21", "Adaptive tier promotion: learned per-shape budgets route without waits", E21},
 	}
 }
 

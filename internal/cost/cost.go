@@ -767,14 +767,6 @@ func condReady(c core.Cond, bound map[string]bool) bool {
 	return true
 }
 
-// EstimateBest reorders the plan's bindings and returns the estimated
-// cost of the best order found — the cost the optimizer would attribute
-// to the plan.
-func (s *Stats) EstimateBest(q *core.Query) float64 {
-	c, _ := s.Estimate(s.Reorder(q))
-	return c
-}
-
 // EstimateQuick estimates the plan's cost under the greedy binding order
 // only, skipping the exhaustive small-plan permutation search of Reorder.
 // It suits scoring a whole pool of backchase states: the greedy order is

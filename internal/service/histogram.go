@@ -137,7 +137,7 @@ func (s *Service) Histograms() ServiceHistograms {
 }
 
 // ResetHistograms zeroes every per-tier latency distribution (counters
-// and the predictor are untouched). Exposed to cnbd's
+// are untouched). Exposed to cnbd's
 // -hist-reset-on-scrape mode so each scrape reports the interval since
 // the previous one.
 func (s *Service) ResetHistograms() {

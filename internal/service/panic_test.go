@@ -59,38 +59,32 @@ func waitEmpty(t *testing.T, tab *planTable) {
 	})
 }
 
-// TestFlightPanic: under each of the three wait budgets — none, the
-// latency budget, and zero — a flight whose optimizer panics lands the
-// panic as its error, delivers it to every caller still waiting, strands
-// no caller, leaves the table empty and counts no upgrade. Zero-budget
-// callers were served the greedy tier before the panic.
+// TestFlightPanic: under both wait budgets — none and the latency
+// budget — a flight whose optimizer panics lands the panic as its error,
+// delivers it to every caller still waiting, strands no caller, leaves
+// the table empty and counts no upgrade.
 func TestFlightPanic(t *testing.T) {
 	req := scanRequest("R")
 	key := flightKey(req)
-	slow := NewLatencyPredictor(0)
-	slow.observe(key, time.Hour)
 	for _, tc := range []struct {
-		name   string
-		opts   Options
-		reason TierReason
+		name string
+		opts Options
 	}{
-		{"none", Options{}, ReasonSynchronous},
-		{"budgeted", Options{MaxPlanLatency: time.Minute}, ReasonBudgeted},
-		{"zero", Options{MaxPlanLatency: time.Minute, Predictor: slow}, ReasonPredictedSlow},
+		{"none", Options{}},
+		{"budgeted", Options{MaxPlanLatency: time.Minute}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc := New(tc.opts)
 			release := make(chan struct{})
 			svc.optimize = panicking(release)
 			const callers = 3
-			resps := make([]*Response, callers)
 			errs := make([]error, callers)
 			var wg sync.WaitGroup
 			for i := range callers {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					resps[i], errs[i] = svc.Optimize(context.Background(), req)
+					_, errs[i] = svc.Optimize(context.Background(), req)
 				}()
 			}
 			waitUntil(t, "every caller to join the flight", func() bool {
@@ -106,12 +100,6 @@ func TestFlightPanic(t *testing.T) {
 			<-f.done
 			checkPanicErr(t, f.err)
 			for i := range callers {
-				if tc.reason == ReasonPredictedSlow {
-					if errs[i] != nil || resps[i].Tier != TierGreedy {
-						t.Fatalf("caller %d: err=%v, want an immediate greedy response", i, errs[i])
-					}
-					continue
-				}
 				checkPanicErr(t, errs[i])
 			}
 			waitEmpty(t, svc.table)

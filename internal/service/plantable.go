@@ -58,13 +58,6 @@ const minShardCapacity = 8
 // however long it takes.
 const noBudget time.Duration = -1
 
-// expiredBudget is the expiry channel of a zero budget: already fired.
-var expiredBudget = func() <-chan time.Time {
-	c := make(chan time.Time)
-	close(c)
-	return c
-}()
-
 // CacheCounters is a snapshot of the plan table's lifetime counters,
 // each maintained with an atomic so it is counted exactly once under
 // concurrent access; the snapshot is point-in-time consistent per
@@ -268,7 +261,7 @@ func (t *planTable) lookup(ctx context.Context, key string) (e *planEntry, f *fl
 
 // wait blocks until f publishes, the caller's budget expires or ctx is
 // cancelled, and reports whether the flight's own outcome (e, err) is
-// returned. A budget of noBudget never expires; zero expires at once.
+// returned. A budget of noBudget never expires.
 //
 // A caller that leaves early gets (nil, false, ctx.Err()) on
 // cancellation, and (nil, false, nil) on budget expiry after marking the
@@ -282,10 +275,7 @@ func (t *planTable) lookup(ctx context.Context, key string) (e *planEntry, f *fl
 // never neither.
 func (t *planTable) wait(ctx context.Context, f *flight, budget time.Duration) (*planEntry, bool, error) {
 	var expired <-chan time.Time
-	switch {
-	case budget == 0:
-		expired = expiredBudget
-	case budget > 0:
+	if budget != noBudget {
 		timer := time.NewTimer(budget)
 		defer timer.Stop()
 		expired = timer.C

@@ -25,23 +25,17 @@
 //     uninterrupted through a stats refresh.
 //
 // With Options.MaxPlanLatency set, serving is additionally two-tiered:
-// a request whose backchase flight has not landed within the budget is
-// answered immediately from the instant tier (internal/greedy — a
-// statistics-free, always-correct join order built in microseconds),
-// while the flight continues detached and stores its entry when it
-// lands, so the shape's later requests serve the backchase-cheapest
-// plan. Response.Tier says which tier answered. Tiering is adaptive: a
-// bounded latency predictor (LatencyPredictor) learns each shape
-// family's flight latency as flights land, and Optimize uses it to skip
-// the budgeted machinery in both directions — shapes with a table entry
-// or a fast prediction are served synchronously with no timer,
-// predicted-slow shapes serve the greedy tier immediately with no wait;
-// only unknown shapes pay the budgeted wait. Response.TierReason names the branch taken, and
-// per-tier latency histograms (Histograms) expose the resulting
-// distributions. A flight whose first caller was routed budgeted or
-// predicted-slow — one that may run detached — first takes a slot of a
+// a request the plan table cannot answer waits at most the budget for
+// its backchase flight, and otherwise is answered immediately from the
+// instant tier (internal/greedy — a statistics-free, always-correct join
+// order built in microseconds), while the flight continues detached and
+// stores its entry when it lands, so the shape's later requests serve
+// the backchase-cheapest plan. A hit is a hit: it arms no timer.
+// Response.Tier says which tier answered, and per-tier latency
+// histograms (Histograms) expose the resulting distributions. Under a
+// budget every flight may run detached, so each first takes a slot of a
 // service-wide semaphore of max(1, GOMAXPROCS−1) slots and runs with one
-// backchase worker, so detached flights never hold every CPU and a
+// backchase worker: detached flights never hold every CPU, and a
 // request's greedy answer is not queued behind them.
 //
 // Beyond planning, the Service also answers queries: InstallInstance
@@ -73,9 +67,9 @@ import (
 // defaults, a DefaultCacheSize plan table, all cores.
 type Options struct {
 	// Parallelism is the backchase worker count per flight
-	// (0 = all cores, 1 = serial). Under MaxPlanLatency, a flight that
-	// may run detached takes a slot of the detached-flight semaphore
-	// and runs serially instead (see the package comment).
+	// (0 = all cores, 1 = serial). Under MaxPlanLatency, every flight
+	// takes a slot of the detached-flight semaphore and runs serially
+	// instead (see the package comment).
 	Parallelism int
 	// CacheSize bounds the plan table (0 = DefaultCacheSize,
 	// < 0 = unbounded).
@@ -102,26 +96,11 @@ type Options struct {
 	// surviving every caller's cancellation — and stores its plan table
 	// entry when it lands, so subsequent requests for the shape serve the
 	// backchase-cheapest plan. Zero (the default) keeps serving fully
-	// synchronous. Warm shapes are unaffected: a table hit starts no
-	// flight.
-	//
-	// With the budget set, serving is additionally adaptive: the latency
-	// predictor (see Predictor) learns each shape family's flight latency,
-	// and Optimize consults it for every request the table cannot answer.
-	// A shape predicted to land within the budget skips the
-	// budgeted machinery entirely — no greedy detour, no timer, a plain
-	// synchronous wait. A shape predicted to miss is served the greedy
-	// tier immediately with no timed wait at all, while its flight
-	// proceeds detached exactly as on a budget expiry. Only unknown shapes
-	// pay the budgeted wait.
+	// synchronous: every miss waits for its flight. Warm shapes are
+	// unaffected: a table hit starts no flight and arms no timer, so
+	// under a budget only a shape the table does not hold — never
+	// planned, or evicted — pays the budgeted wait.
 	MaxPlanLatency time.Duration
-	// Predictor, when non-nil, is the latency side table the adaptive
-	// tier decisions consult and train; nil gives the Service its own
-	// private table (capacity DefaultPredictorCapacity). Supplying one
-	// lets learned budgets outlive a Service — e.g. across a restart that
-	// re-news the Service and its plan table — and lets tests train on
-	// one Service and serve on another.
-	Predictor *LatencyPredictor
 }
 
 // Tier identifies which optimizer tier produced a Response's plan.
@@ -133,31 +112,6 @@ type Tier string
 const (
 	TierBackchase Tier = "backchase"
 	TierGreedy    Tier = "greedy"
-)
-
-// TierReason explains why a Response was routed to its tier — which
-// branch of the adaptive dispatch the request took, independent of how
-// that branch turned out (a budgeted wait can still land in time and
-// serve the backchase tier).
-type TierReason string
-
-// The four dispatch branches of Service.Optimize.
-const (
-	// ReasonSynchronous: two-tier serving is off (MaxPlanLatency == 0);
-	// the request waited for the flight unconditionally.
-	ReasonSynchronous TierReason = "synchronous"
-	// ReasonBudgeted: the shape family was unknown to the predictor, so
-	// the request took the classic budgeted wait (greedy tier on expiry).
-	ReasonBudgeted TierReason = "budgeted"
-	// ReasonPredictedFast: the shape's finished plan was in the plan
-	// table, or the predictor expected the flight to land within
-	// MaxPlanLatency, so the request was served synchronously with no
-	// timer and no greedy detour.
-	ReasonPredictedFast TierReason = "predicted-fast"
-	// ReasonPredictedSlow: the predictor expected the flight to miss the
-	// budget, so the request was served the greedy tier immediately with
-	// no timed wait, its flight proceeding detached.
-	ReasonPredictedSlow TierReason = "predicted-slow"
 )
 
 // Request is one optimization request. Deps and PhysicalNames play the
@@ -196,9 +150,6 @@ type Response struct {
 	// requests saw only in greedy form. Always false on TierGreedy
 	// responses.
 	Upgraded bool
-	// TierReason records which adaptive-dispatch branch routed the
-	// request (see TierReason). Empty only on errors.
-	TierReason TierReason
 }
 
 // Counters is a point-in-time snapshot of the service's request
@@ -227,24 +178,9 @@ type Counters struct {
 	// least one greedy-tier response — each replaces the shape's greedy
 	// plan with the backchase-cheapest one.
 	Upgraded int64
-	// PredictedFast counts requests routed ReasonPredictedFast: a plan
-	// table entry or the predictor promised a fast answer, so they were
-	// served synchronously with no timer.
-	PredictedFast int64
-	// PredictedSlow counts requests routed ReasonPredictedSlow: served
-	// the greedy tier immediately, no timed wait at all.
-	PredictedSlow int64
-	// PredictionMiss counts ReasonPredictedFast requests whose
-	// synchronous wait then exceeded MaxPlanLatency anyway — the
-	// predictor's broken promises, the adaptive path's error signal.
-	PredictionMiss int64
-	// BudgetedWaits counts requests routed ReasonBudgeted — unknown
-	// shape families that paid the classic timed wait. Under a trained
-	// predictor this is the number E21 gates to zero.
-	BudgetedWaits int64
 	// SlotWaits counts flights that waited for a slot of the
 	// detached-flight semaphore before optimizing: every slot was held
-	// by another budgeted or predicted-slow flight.
+	// by another flight.
 	SlotWaits int64
 }
 
@@ -267,35 +203,29 @@ type Service struct {
 	// against (instance.go).
 	instanceRegistry
 
-	// predictor is the per-shape flight-latency side table behind the
-	// adaptive tier decisions (predictor.go); hists are the per-tier
-	// latency distributions /metrics exports (histogram.go).
-	predictor *LatencyPredictor
-	hists     tierHistograms
+	// hists are the per-tier latency distributions /metrics exports
+	// (histogram.go).
+	hists tierHistograms
 
 	// optimize is the optimizer entry point every flight calls
 	// (optimizer.OptimizeContext; tests substitute a failing one).
 	optimize func(context.Context, *core.Query, optimizer.Options) (*optimizer.Result, error)
 
-	// slots is the detached-flight semaphore: a flight whose first caller
-	// was routed budgeted or predicted-slow holds one of its
-	// max(1, GOMAXPROCS−1) slots while it optimizes, serially. The
-	// flights that may run detached therefore leave a CPU to the request
-	// path, however many shapes are cold at once.
+	// slots is the detached-flight semaphore: under MaxPlanLatency every
+	// flight holds one of its max(1, GOMAXPROCS−1) slots while it
+	// optimizes, serially. The flights that may run detached therefore
+	// leave a CPU to the request path, however many shapes are cold at
+	// once.
 	slots chan struct{}
 
-	requests       atomic.Int64
-	errors         atomic.Int64
-	coalesced      atomic.Int64
-	backchaseRuns  atomic.Int64
-	statsSwaps     atomic.Int64
-	greedyServed   atomic.Int64
-	upgraded       atomic.Int64
-	predictedFast  atomic.Int64
-	predictedSlow  atomic.Int64
-	predictionMiss atomic.Int64
-	budgetedWaits  atomic.Int64
-	slotWaits      atomic.Int64
+	requests      atomic.Int64
+	errors        atomic.Int64
+	coalesced     atomic.Int64
+	backchaseRuns atomic.Int64
+	statsSwaps    atomic.Int64
+	greedyServed  atomic.Int64
+	upgraded      atomic.Int64
+	slotWaits     atomic.Int64
 }
 
 // New builds a Service.
@@ -309,17 +239,12 @@ func New(opts Options) *Service {
 		m = &chase.Metrics{}
 	}
 	opts.Chase.Metrics = m
-	pred := opts.Predictor
-	if pred == nil {
-		pred = NewLatencyPredictor(0)
-	}
 	s := &Service{
-		opts:      opts,
-		table:     newPlanTable(size),
-		metrics:   m,
-		predictor: pred,
-		optimize:  optimizer.OptimizeContext,
-		slots:     make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1)),
+		opts:     opts,
+		table:    newPlanTable(size),
+		metrics:  m,
+		optimize: optimizer.OptimizeContext,
+		slots:    make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1)),
 	}
 	s.stats.Store(newSnapshot(opts.Stats))
 	return s
@@ -357,20 +282,16 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 	key := flightKey(req)
 	e, f, owner := s.table.lookup(ctx, key)
 	if e != nil {
-		reason := ReasonSynchronous
-		if s.opts.MaxPlanLatency > 0 {
-			// Answering from the table is a lookup, however long the
-			// enumeration that produced the entry took.
-			reason = ReasonPredictedFast
-			s.predictedFast.Add(1)
-		}
-		return s.respond(e, snap, start, true, false, reason), nil
+		return s.respond(e, snap, start, true, false), nil
 	}
-	reason, budget := s.classify(key)
 	if owner {
-		go s.fly(f, req, snap, reason)
+		go s.fly(f, req, snap)
 	} else {
 		s.coalesced.Add(1)
+	}
+	budget := noBudget
+	if s.opts.MaxPlanLatency > 0 {
+		budget = s.opts.MaxPlanLatency
 	}
 	e, landed, err := s.table.wait(ctx, f, budget)
 	if err != nil {
@@ -381,28 +302,22 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 		s.greedyServed.Add(1)
 		s.hists.greedy.Record(time.Since(start))
 		return &Response{
-			Result:     s.greedyResult(req, snap.stats),
-			Coalesced:  !owner,
-			Tier:       TierGreedy,
-			TierReason: reason,
+			Result:    s.greedyResult(req, snap.stats),
+			Coalesced: !owner,
+			Tier:      TierGreedy,
 		}, nil
 	}
-	if reason == ReasonPredictedFast && time.Since(start) > s.opts.MaxPlanLatency {
-		// A promise the flight broke.
-		s.predictionMiss.Add(1)
-	}
-	return s.respond(e, snap, start, false, !owner, reason), nil
+	return s.respond(e, snap, start, false, !owner), nil
 }
 
 // fly runs f's optimization and publishes its outcome, counting an
-// upgrade when a caller was served the greedy tier meanwhile. reason is
-// the routing of f's first caller: a budgeted or predicted-slow flight
-// may run detached, so it optimizes serially inside a slot of the
-// detached-flight semaphore.
-func (s *Service) fly(f *flight, req Request, snap *statsSnapshot, reason TierReason) {
+// upgrade when a caller was served the greedy tier meanwhile. Under
+// MaxPlanLatency the flight may run detached, so it optimizes serially
+// inside a slot of the detached-flight semaphore.
+func (s *Service) fly(f *flight, req Request, snap *statsSnapshot) {
 	var e *planEntry
 	var err error
-	if reason == ReasonBudgeted || reason == ReasonPredictedSlow {
+	if s.opts.MaxPlanLatency > 0 {
 		e, err = s.planInSlot(f, req, snap)
 	} else {
 		e, err = s.plan(f, req, snap, s.opts.Parallelism)
@@ -434,19 +349,12 @@ func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot) (*plan
 // table entry. A panic is recovered and returned as the error, with the
 // panic value and the stack it was raised on, so it neither kills the
 // process nor strands f's waiters.
-//
-// A successful run trains the predictor before returning — also for a
-// detached flight every caller abandoned, so shape families learn from
-// exactly the flights that happened — and so before publish releases any
-// waiter: by the time a response for the flight is visible, the
-// prediction is too.
 func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, parallelism int) (e *planEntry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e, err = nil, fmt.Errorf("service: optimizer panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	start := time.Now()
 	r, err := s.optimize(f.ctx, req.Query, optimizer.Options{
 		Deps:          req.Deps,
 		PhysicalNames: req.PhysicalNames,
@@ -458,7 +366,6 @@ func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, parallelism 
 	if err != nil {
 		return nil, err
 	}
-	s.predictor.observe(f.key, time.Since(start))
 	s.backchaseRuns.Add(1)
 	return newPlanEntry(f.key, r, snap.fp), nil
 }
@@ -466,7 +373,7 @@ func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, parallelism 
 // respond builds the backchase-tier response for a plan table entry —
 // ranked under snap, see planEntry.result — and records its latency in
 // the tier histogram the entry's upgrade mark selects.
-func (s *Service) respond(e *planEntry, snap *statsSnapshot, start time.Time, hit, coalesced bool, reason TierReason) *Response {
+func (s *Service) respond(e *planEntry, snap *statsSnapshot, start time.Time, hit, coalesced bool) *Response {
 	res := e.result(snap)
 	upgraded := e.upgraded.Load()
 	if upgraded {
@@ -475,45 +382,12 @@ func (s *Service) respond(e *planEntry, snap *statsSnapshot, start time.Time, hi
 		s.hists.backchaseSync.Record(time.Since(start))
 	}
 	return &Response{
-		Result:     res,
-		Coalesced:  coalesced,
-		CacheHit:   hit,
-		Tier:       TierBackchase,
-		Upgraded:   upgraded,
-		TierReason: reason,
+		Result:    res,
+		Coalesced: coalesced,
+		CacheHit:  hit,
+		Tier:      TierBackchase,
+		Upgraded:  upgraded,
 	}
-}
-
-// classify picks, and counts, the dispatch branch of a request the
-// table could not answer, with the budget its wait gets. Serving
-// without MaxPlanLatency is synchronous: no budget. Under it the shape
-// family's flight-latency EWMA decides: within the budget (its timer
-// would not have fired) is predicted fast, no budget; above it is
-// predicted slow, a zero budget; a family the predictor has never seen
-// gets the budgeted wait.
-func (s *Service) classify(key string) (TierReason, time.Duration) {
-	if s.opts.MaxPlanLatency <= 0 {
-		return ReasonSynchronous, noBudget
-	}
-	ewma, known := s.predictor.predict(key)
-	switch {
-	case !known:
-		s.budgetedWaits.Add(1)
-		return ReasonBudgeted, s.opts.MaxPlanLatency
-	case ewma <= s.opts.MaxPlanLatency:
-		s.predictedFast.Add(1)
-		return ReasonPredictedFast, noBudget
-	default:
-		s.predictedSlow.Add(1)
-		return ReasonPredictedSlow, 0
-	}
-}
-
-// PredictorLen reports the number of shape families the latency
-// predictor currently tracks (exported on /metrics as
-// predictor_entries).
-func (s *Service) PredictorLen() int {
-	return s.predictor.Len()
 }
 
 // greedyResult builds the instant-tier response body: the greedy plan as
@@ -556,19 +430,15 @@ func (s *Service) Stats() *cost.Stats {
 // Counters returns a snapshot of the request accounting.
 func (s *Service) Counters() Counters {
 	return Counters{
-		Requests:       s.requests.Load(),
-		Errors:         s.errors.Load(),
-		Coalesced:      s.coalesced.Load(),
-		Flights:        s.table.misses.Load(),
-		BackchaseRuns:  s.backchaseRuns.Load(),
-		StatsSwaps:     s.statsSwaps.Load(),
-		GreedyServed:   s.greedyServed.Load(),
-		Upgraded:       s.upgraded.Load(),
-		PredictedFast:  s.predictedFast.Load(),
-		PredictedSlow:  s.predictedSlow.Load(),
-		PredictionMiss: s.predictionMiss.Load(),
-		BudgetedWaits:  s.budgetedWaits.Load(),
-		SlotWaits:      s.slotWaits.Load(),
+		Requests:      s.requests.Load(),
+		Errors:        s.errors.Load(),
+		Coalesced:     s.coalesced.Load(),
+		Flights:       s.table.misses.Load(),
+		BackchaseRuns: s.backchaseRuns.Load(),
+		StatsSwaps:    s.statsSwaps.Load(),
+		GreedyServed:  s.greedyServed.Load(),
+		Upgraded:      s.upgraded.Load(),
+		SlotWaits:     s.slotWaits.Load(),
 	}
 }
 

@@ -42,12 +42,20 @@ func scanRequest(rel string) Request {
 }
 
 // checkPartition asserts that every accepted request was exactly one of
-// a plan table hit, a miss (the flight's owner) or a coalesced waiter.
+// a plan table hit, a miss (the flight's owner) or a coalesced waiter,
+// and that it had exactly one outcome: a response recorded in one tier
+// histogram, or an error. Callers send no invalid query, so every error
+// belongs to an accepted request.
 func checkPartition(t *testing.T, svc *Service) {
 	t.Helper()
 	c, cc := svc.Counters(), svc.CacheCounters()
 	if cc.Hits+cc.Misses+c.Coalesced != c.Requests {
 		t.Fatalf("hits %d + misses %d + coalesced %d != requests %d", cc.Hits, cc.Misses, c.Coalesced, c.Requests)
+	}
+	h := svc.Histograms()
+	if h.Greedy.Total+h.BackchaseSync.Total+h.BackchaseUpgraded.Total+c.Errors != c.Requests {
+		t.Fatalf("greedy %d + backchase sync %d + backchase upgraded %d + errors %d != requests %d",
+			h.Greedy.Total, h.BackchaseSync.Total, h.BackchaseUpgraded.Total, c.Errors, c.Requests)
 	}
 }
 

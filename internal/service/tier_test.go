@@ -245,9 +245,8 @@ func customerRequest(t *testing.T, c string) Request {
 	return Request{Query: q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()}
 }
 
-// TestDetachedFlightsShareSlots: under a latency budget, flights whose
-// first request was budgeted optimize serially inside the service-wide
-// slots — never more at once than the semaphore holds, each with one
+// TestDetachedFlightsShareSlots: under a latency budget, every flight
+// optimizes serially inside the service-wide slots — never more at once than the semaphore holds, each with one
 // backchase worker — and a flight finding every slot taken is counted in
 // SlotWaits. A synchronous service takes no slot and keeps its
 // Parallelism.
@@ -278,8 +277,8 @@ func TestDetachedFlightsShareSlots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Tier != TierGreedy || resp.TierReason != ReasonBudgeted {
-			t.Fatalf("shape %d: tier %q (%s), want greedy (budgeted)", i, resp.Tier, resp.TierReason)
+		if resp.Tier != TierGreedy {
+			t.Fatalf("shape %d: tier %q, want greedy", i, resp.Tier)
 		}
 	}
 	waitCounter(t, svc, int64(shapes-slots), func(c Counters) int64 { return c.SlotWaits })
@@ -316,4 +315,72 @@ func TestDetachedFlightsShareSlots(t *testing.T) {
 	if len(syncWorkers) != 1 || syncWorkers[0] != 4 || syncSvc.Counters().SlotWaits != 0 {
 		t.Errorf("synchronous flight: Parallelism %v, SlotWaits %d; want [4], 0", syncWorkers, syncSvc.Counters().SlotWaits)
 	}
+}
+
+// TestEvictedShapeTakesBudgetedWaitAgain: under a budget the plan table
+// is the only memory of a shape that landed, so a shape whose entry was
+// evicted is cold again — a greedy response from the budgeted wait, a
+// second backchase run and a second upgrade. Each flight blocks until
+// the test releases it, so every budget expires before its flight lands
+// and no step depends on timing.
+func TestEvictedShapeTakesBudgetedWaitAgain(t *testing.T) {
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var costs []float64
+	blocking := func(ctx context.Context, q *core.Query, o optimizer.Options) (*optimizer.Result, error) {
+		<-gate
+		r, err := optimizer.OptimizeContext(ctx, q, o)
+		if err == nil {
+			mu.Lock()
+			costs = append(costs, r.Best.Cost)
+			mu.Unlock()
+		}
+		return r, err
+	}
+	svc := New(Options{MinimalOnly: true, CacheSize: 1, MaxPlanLatency: time.Millisecond})
+	svc.optimize = blocking
+	a, b := customerRequest(t, "A"), customerRequest(t, "B")
+
+	// cold serves one shape cold: a greedy response, then the released
+	// flight's upgrade, the n-th of the run.
+	cold := func(name string, req Request, n int64) {
+		t.Helper()
+		resp, err := svc.Optimize(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Tier != TierGreedy || resp.CacheHit {
+			t.Fatalf("cold %s: tier %q, cache hit %v; want a greedy miss", name, resp.Tier, resp.CacheHit)
+		}
+		gate <- struct{}{}
+		waitCounter(t, svc, n, func(c Counters) int64 { return c.Upgraded })
+	}
+
+	cold("A", a, 1)
+	cold("B", b, 2)
+	if cc := svc.CacheCounters(); cc.Evictions != 1 || svc.CacheLen() != 1 {
+		t.Fatalf("after B: %d evictions, %d entries; want B's upgrade to evict A", cc.Evictions, svc.CacheLen())
+	}
+	cold("A", a, 3)
+	if c := svc.Counters(); c.BackchaseRuns != 3 || c.GreedyServed != 3 {
+		t.Fatalf("after A again: %d backchase runs, %d greedy responses; want 3 and 3", c.BackchaseRuns, c.GreedyServed)
+	}
+
+	hit, err := svc.Optimize(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Tier != TierBackchase || !hit.CacheHit || !hit.Upgraded {
+		t.Fatalf("warm A: tier %q, cache hit %v, upgraded %v; want an upgraded backchase hit", hit.Tier, hit.CacheHit, hit.Upgraded)
+	}
+	mu.Lock()
+	first := costs[0]
+	mu.Unlock()
+	if hit.Result.Best.Cost != first {
+		t.Fatalf("warm A cost %v, want the first run's %v", hit.Result.Best.Cost, first)
+	}
+	if c := svc.Counters(); c.Flights != 3 || c.BackchaseRuns != 3 {
+		t.Fatalf("the hit started work: %d flights, %d backchase runs; want 3 and 3", c.Flights, c.BackchaseRuns)
+	}
+	checkPartition(t, svc)
 }
