@@ -59,9 +59,12 @@
 #                     under renaming, binding shuffle, condition reorder
 #                     and flip), FuzzHashKeyMatchesFresh (a memoized or
 #                     hash-consed HashKey against a fresh render of a
-#                     deep copy) and FuzzRewriteMatchesReference (the
+#                     deep copy), FuzzRewriteMatchesReference (the
 #                     class-id subquery construction and output
-#                     normalization against the string-keyed reference).
+#                     normalization against the string-keyed reference)
+#                     and FuzzFastCertificateMatchesCanon (a certificate
+#                     or an equality decided on the frozen root closure
+#                     against the candidate's canonical database).
 #   make serve-load - race-instrumented serving gate: the 16-worker load
 #                     harnesses (plan-only and end-to-end /query) plus
 #                     the singleflight storm/cancellation suites and the
@@ -144,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalSignature$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHashKeyMatchesFresh$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRewriteMatchesReference$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/backchase
+	$(GO) test -run '^$$' -fuzz '^FuzzFastCertificateMatchesCanon$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/backchase
 
 # Skipped under GOFLAGS=-short: a docs-only or fast-lane run should not
 # pay for compiling and executing every benchmark.

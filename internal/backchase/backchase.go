@@ -21,7 +21,6 @@ package backchase
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,14 +149,14 @@ func MinimizeOneContext(ctx context.Context, q *core.Query, deps []*core.Depende
 		return nil, err
 	}
 	par := opts.parallelismOrDefault()
-	removed := map[string]bool{}
+	removed := e.none
 	cur := q.Clone()
 	for {
 		next, nextQ, err := e.firstRemoval(ctx, par, removed, cur)
 		if err != nil {
 			return nil, err
 		}
-		if next == nil {
+		if nextQ == nil {
 			return Normalize(cur, deps, opts.Chase), nil
 		}
 		removed, cur = next, nextQ
@@ -176,7 +175,7 @@ func IsMinimalContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 	if err != nil {
 		return false, err
 	}
-	next, _, err := e.firstRemoval(ctx, opts.parallelismOrDefault(), map[string]bool{}, q)
+	_, next, err := e.firstRemoval(ctx, opts.parallelismOrDefault(), e.none, q)
 	if err != nil {
 		return false, err
 	}
@@ -214,7 +213,32 @@ func NewSubqueryBuilder(q *core.Query) *SubqueryBuilder {
 
 // Subquery is the package-level Subquery of the builder's query.
 func (b *SubqueryBuilder) Subquery(removedVars map[string]bool) (*core.Query, bool) {
-	return subqueryFrom(b.q, b.cc, removedVars)
+	sub, _, ok := b.subquery(positions(b.q, removedVars))
+	return sub, ok
+}
+
+// subquery is Subquery over a removal set of root positions; it also
+// returns the set the cascade grew it to.
+func (b *SubqueryBuilder) subquery(removed posSet) (*core.Query, posSet, bool) {
+	return subqueryFrom(b.q, b.cc, removed)
+}
+
+// rewriter returns a rewriter of the root closure avoiding the removed
+// positions' variables: the one subqueryFrom builds the conditions of
+// Subquery(q, removed) with, when removed is a cascaded set.
+func (b *SubqueryBuilder) rewriter(removed posSet) *congruence.Rewriter {
+	return b.cc.Rewriter(b.cc.VarSet(func(v string) bool { return removed.holds(b.q, v) }))
+}
+
+// positions returns the root positions of the named variables of q.
+func positions(q *core.Query, vars map[string]bool) posSet {
+	s := emptySet(len(q.Bindings))
+	for i, b := range q.Bindings {
+		if vars[b.Var] {
+			s = s.with(i)
+		}
+	}
+	return s
 }
 
 // rootClosure is the congruence closure every subquery of q is built
@@ -234,12 +258,13 @@ func rootClosure(q *core.Query) *congruence.Closure {
 	return cc
 }
 
-// subqueryFrom is Subquery over cc, q's frozen rootClosure. It only
-// reads cc — every rewrite is a congruence.Rewriter pass over its class
-// ids — so any number of calls may share one closure concurrently.
-func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]bool) (*core.Query, bool) {
-	removed := maps.Collect(maps.All(removedVars)) // grown by the cascade
-	isRemoved := func(v string) bool { return removed[v] }
+// subqueryFrom is Subquery over cc, q's frozen rootClosure, for a
+// removal set of q's positions; it also returns the set the cascade grew
+// it to. It only reads cc — every rewrite is a congruence.Rewriter pass
+// over its class ids — so any number of calls may share one closure
+// concurrently.
+func subqueryFrom(q *core.Query, cc *congruence.Closure, removed posSet) (*core.Query, posSet, bool) {
+	isRemoved := func(v string) bool { return removed.holds(q, v) }
 	rw := cc.Rewriter(cc.VarSet(isRemoved))
 	rewrite := func(t *core.Term) (*core.Term, bool) {
 		id, ok := cc.ID(t)
@@ -254,13 +279,13 @@ func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]
 	var survivors []core.Binding
 	for grown := true; grown; {
 		survivors, grown = survivors[:0], false
-		for _, b := range q.Bindings {
-			if removed[b.Var] {
+		for i, b := range q.Bindings {
+			if removed.has(i) {
 				continue
 			}
 			rng, ok := rewrite(b.Range)
 			if !ok {
-				removed[b.Var], grown = true, true
+				removed, grown = removed.with(i), true
 				rw = cc.Rewriter(cc.VarSet(isRemoved))
 				break
 			}
@@ -268,13 +293,13 @@ func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]
 		}
 	}
 	if len(survivors) == 0 {
-		return nil, false
+		return nil, "", false
 	}
 
 	// Output must be re-expressible.
 	out, ok := rewrite(q.Out)
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 
 	// Maximal implied conditions over surviving terms: for every
@@ -300,7 +325,7 @@ func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]
 	// Keep only conditions over surviving variables (rewriting can in
 	// principle still produce removed vars through class members that
 	// mention them — filter defensively).
-	surviving := cc.VarSet(func(v string) bool { return !removed[v] && q.BindingOf(v) >= 0 })
+	surviving := cc.VarSet(func(v string) bool { return !isRemoved(v) && q.BindingOf(v) >= 0 })
 	kept := conds[:0]
 	for _, c := range conds {
 		if cc.Covers(surviving, c.L) && cc.Covers(surviving, c.R) {
@@ -308,20 +333,20 @@ func subqueryFrom(q *core.Query, cc *congruence.Closure, removedVars map[string]
 		}
 	}
 	if !cc.Covers(surviving, out) {
-		return nil, false
+		return nil, "", false
 	}
 
 	// Assemble and re-establish binding scope by topological order.
 	sub := &core.Query{Out: out, Bindings: survivors, Conds: kept}
 	sorted, ok := topoSortBindings(sub.Bindings)
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	sub.Bindings = sorted
 	if err := sub.Validate(); err != nil {
-		return nil, false
+		return nil, "", false
 	}
-	return sub, true
+	return sub, removed, true
 }
 
 // Normalize cleans a plan for presentation and costing without changing

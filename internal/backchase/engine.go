@@ -1,22 +1,26 @@
 // Parallel memoized backchase engine.
 //
 // The subquery lattice explored by the backchase is a DAG of states, each
-// state a removal set of the root's binding variables (canonicalized by
-// stateKey). Exploration order does not affect which states are reachable
-// or which of them are normal forms — soundness of a removal is
-// "equivalence of the induced subquery to the root", a property of the
-// state alone — so the search parallelizes: a pool of workers pops states
-// from a shared unbounded work queue, claims successors in a sharded
-// visited set, and memoizes the expensive chase-based equivalence checks
-// in a sharded single-flight cache so no canonically identical subquery
-// is ever re-chased, even when two workers race to the same state.
+// state a removal set of the root's bindings, held as a bitset over the
+// root's binding positions (posSet) that keys the visited set and the
+// caches as it is, whatever the root's size. Exploration order does not
+// affect which states are reachable or which of them are normal forms —
+// soundness of a removal is "equivalence of the induced subquery to the
+// root", a property of the state alone — so the search parallelizes: a
+// pool of workers pops states from a shared unbounded work queue, claims
+// successors in a sharded visited set, and memoizes the expensive
+// chase-based equivalence checks in a sharded single-flight cache so no
+// canonically identical subquery is ever re-chased, even when two
+// workers race to the same state.
 //
 // Determinism: results are reported in a canonical order (plans sorted by
-// size then renaming-invariant signature, explored states by removal-set
-// key), so for runs that complete without truncation or cancellation the
-// Result is identical for every Parallelism value and across repeated
-// runs. Under the MaxStates cap or cancellation, *which* states
-// get explored depends on scheduling; only then can results differ.
+// size then renaming-invariant signature, explored states by the number
+// of removed bindings, then by the removed variables' names in root
+// order, rendered once at the final sort), so for runs that complete
+// without truncation or cancellation the Result is identical for every
+// Parallelism value and across repeated runs. Under the MaxStates cap or
+// cancellation, *which* states get explored depends on scheduling; only
+// then can results differ.
 //
 // Every equivalence check tests root ⊑ candidate against one frozen
 // canonical database of the root, shared by all workers with its target
@@ -38,10 +42,15 @@
 // is certified when the identity on T's variables is a containment
 // mapping of T into S's unchased canonical database with S's output:
 // S ⊑ T needs no dependencies, and the dive proved T ⊑ root, so
-// S ≡ root. Only a candidate no seed certifies is chased. The seeds are fixed before
-// exploration starts, so whether a state is chased or certified depends
-// on the state alone, and chase.Metrics stay identical across every
-// Parallelism value.
+// S ≡ root. The mapping is decided on the frozen root closure, with a
+// rewriter avoiding S's removed variables: every atom of T must resolve
+// on both sides to one root class in a way that proves both sides equal
+// in S's canonical database (identityResolves, congruence
+// Rewriter.Resolve). Only a mapping that cannot be decided so builds S's
+// canonical database. Only a candidate no seed certifies is chased. The
+// seeds are fixed before exploration starts, so whether a state is
+// chased or certified depends on the state alone, and chase.Metrics stay
+// identical across every Parallelism value.
 package backchase
 
 import (
@@ -54,22 +63,73 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"cnb/internal/chase"
+	"cnb/internal/congruence"
 	"cnb/internal/core"
 )
 
 const numShards = 32
 
+// posSet is a set of root binding positions, bit i%8 of byte i/8 for
+// position i, held in a string so that it keys maps as it is. It is the
+// lattice state (the removal set) for every root size.
+type posSet string
+
+// emptySet returns the empty set over n positions.
+func emptySet(n int) posSet {
+	k := (n + 7) / 8
+	if k <= len(zeros) {
+		return posSet(zeros[:k])
+	}
+	return posSet(make([]byte, k))
+}
+
+// zeros backs the empty sets of up to 256 positions, so that making one
+// allocates nothing.
+var zeros = strings.Repeat("\x00", 32)
+
+func (s posSet) has(i int) bool { return s[i/8]&(1<<(i%8)) != 0 }
+
+// with returns s plus position i.
+func (s posSet) with(i int) posSet {
+	b := []byte(s)
+	b[i/8] |= 1 << (i % 8)
+	return posSet(b)
+}
+
+// holds reports whether v is bound at a position of q in s.
+func (s posSet) holds(q *core.Query, v string) bool {
+	i := q.BindingOf(v)
+	return i >= 0 && s.has(i)
+}
+
+// size returns the number of positions in s.
+func (s posSet) size() int {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		n += bits.OnesCount8(s[i])
+	}
+	return n
+}
+
+// subsetOf reports whether every position of s is in t.
+func (s posSet) subsetOf(t posSet) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i]&^t[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // stateItem is one unit of work: a claimed state of the subquery lattice.
 type stateItem struct {
-	key     string          // canonical stateKey of removed
-	removed map[string]bool // removed binding variables of the root
-	q       *core.Query     // Subquery(root, removed)
+	removed posSet      // removed binding positions of the root
+	q       *core.Query // Subquery(root, removed)
 }
 
 // workQueue is an unbounded FIFO work pool with done-tracking: pending
@@ -149,30 +209,29 @@ type eqEntry struct {
 }
 
 // seed is a normal form a seed dive reached, ready to certify the
-// states above it: mask holds the root positions of its bindings and q
-// is the plan compiled for containment-mapping search.
+// states above it: removed is its state, q the plan and compiled the
+// plan compiled for containment-mapping search.
 type seed struct {
-	mask uint64
-	q    *chase.CompiledQuery
+	removed  posSet
+	q        *core.Query
+	compiled *chase.CompiledQuery
 }
 
-// maxSeedBindings bounds the root size seed dives run on: a seed's
-// bindings are a bitmask over the root's.
-const maxSeedBindings = 64
-
 // subEntry caches a Subquery construction (sub == nil: construction
-// failed or cascaded to the empty query).
+// failed or cascaded to the empty query) and the removal set the
+// cascade grew it to.
 type subEntry struct {
-	sub *core.Query
+	sub  *core.Query
+	full posSet
 }
 
 // shard is one stripe of the engine's shared state, guarded by its own
 // mutex to keep contention off the hot path.
 type shard struct {
 	mu   sync.Mutex
-	seen map[string]bool
-	eq   map[string]*eqEntry
-	sub  map[string]*subEntry
+	seen map[posSet]bool
+	eq   map[posSet]*eqEntry
+	sub  map[posSet]*subEntry
 }
 
 // engine is the shared state of one parallel backchase run.
@@ -191,8 +250,11 @@ type engine struct {
 	shards [numShards]shard
 	seed   maphash.Seed
 
-	// pos maps each root binding variable to its position in the root.
-	pos map[string]int
+	// none is the root's state: nothing removed.
+	none posSet
+	// rootValid records that every variable of the root is bound in it,
+	// which the certificates' fast path needs (see certify).
+	rootValid bool
 	// seeds are the dives' normal forms, fixed before any worker starts
 	// and read-only afterwards (nil while diving).
 	seeds     []seed
@@ -235,42 +297,28 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		subs:      NewSubqueryBuilder(q),
 		queue:     newWorkQueue(),
 		seed:      maphash.MakeSeed(),
-		pos:       make(map[string]int, len(q.Bindings)),
+		none:      emptySet(len(q.Bindings)),
+		rootValid: q.Validate() == nil,
 		plans:     map[string]*core.Query{},
-	}
-	for i, b := range q.Bindings {
-		e.pos[b.Var] = i
 	}
 	e.rootCanon.Freeze()
 	for i := range e.shards {
-		e.shards[i].seen = map[string]bool{}
-		e.shards[i].eq = map[string]*eqEntry{}
-		e.shards[i].sub = map[string]*subEntry{}
+		e.shards[i].seen = map[posSet]bool{}
+		e.shards[i].eq = map[posSet]*eqEntry{}
+		e.shards[i].sub = map[posSet]*subEntry{}
 	}
 	return e, nil
 }
 
-func (e *engine) shard(key string) *shard {
-	return &e.shards[maphash.String(e.seed, key)%numShards]
-}
-
-// stateKey canonicalizes a removal set against the root's binding order.
-func (e *engine) stateKey(removed map[string]bool) string {
-	var sb strings.Builder
-	for _, b := range e.root.Bindings {
-		if removed[b.Var] {
-			sb.WriteString(b.Var)
-			sb.WriteByte(';')
-		}
-	}
-	return sb.String()
+func (e *engine) shard(key posSet) *shard {
+	return &e.shards[maphash.String(e.seed, string(key))%numShards]
 }
 
 // claim marks the state visited, honoring the MaxStates cap. It returns
 // true exactly once per state; the caller then owns enqueueing it. The
 // budget slot is reserved with a compare-and-swap so concurrent claims
 // on different shards can never overshoot MaxStates.
-func (e *engine) claim(key string) bool {
+func (e *engine) claim(key posSet) bool {
 	sh := e.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -327,43 +375,44 @@ func (e *engine) addPlan(cur *core.Query) {
 	}
 }
 
-// cachedSubquery memoizes Subquery(root, grown) per canonical key, built
-// by the run's SubqueryBuilder. Two workers may race to compute the same
-// construction; the first stored value wins (both compute identical
-// results — Subquery is deterministic).
-func (e *engine) cachedSubquery(key string, grown map[string]bool) *core.Query {
-	sh := e.shard(key)
+// cachedSubquery memoizes Subquery(root, grown) per removal set, built
+// by the run's SubqueryBuilder, with the set its cascade grew to. Two
+// workers may race to compute the same construction; the first stored
+// value wins (both compute identical results — Subquery is
+// deterministic).
+func (e *engine) cachedSubquery(grown posSet) *subEntry {
+	sh := e.shard(grown)
 	sh.mu.Lock()
-	if ent, ok := sh.sub[key]; ok {
+	if ent, ok := sh.sub[grown]; ok {
 		sh.mu.Unlock()
-		return ent.sub
+		return ent
 	}
 	sh.mu.Unlock()
-	sub, ok := e.subs.Subquery(grown)
-	if !ok {
-		sub = nil
+	ent := &subEntry{}
+	if sub, full, ok := e.subs.subquery(grown); ok {
+		ent.sub, ent.full = sub, full
 	}
 	sh.mu.Lock()
-	if ent, prev := sh.sub[key]; prev {
-		sub = ent.sub
+	if prev, ok := sh.sub[grown]; ok {
+		ent = prev
 	} else {
-		sh.sub[key] = &subEntry{sub: sub}
+		sh.sub[grown] = ent
 	}
 	sh.mu.Unlock()
-	return sub
+	return ent
 }
 
-// equivalence memoizes "is Subquery(root, removed-set-of-fullKey)
-// equivalent to the root", single-flighted so a canonically identical
+// equivalence memoizes "is sub = Subquery(root, full) equivalent to
+// the root", single-flighted so a canonically identical
 // subquery is never re-chased: the first worker to claim the key runs
 // the chase-based check, concurrent workers for the same key block until
 // it lands. Budget exhaustion before the goal maps into the candidate's
 // chase means the removal cannot be verified and is treated as unsound;
 // a goal that maps in before the budget runs out is accepted.
-func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Query) (bool, error) {
-	sh := e.shard(fullKey)
+func (e *engine) equivalence(ctx context.Context, full posSet, sub *core.Query) (bool, error) {
+	sh := e.shard(full)
 	sh.mu.Lock()
-	if ent, ok := sh.eq[fullKey]; ok {
+	if ent, ok := sh.eq[full]; ok {
 		sh.mu.Unlock()
 		select {
 		case <-ent.done:
@@ -373,11 +422,11 @@ func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Quer
 		}
 	}
 	ent := &eqEntry{done: make(chan struct{})}
-	sh.eq[fullKey] = ent
+	sh.eq[full] = ent
 	sh.mu.Unlock()
 	defer close(ent.done)
 
-	eq, err := e.equivalentToRoot(ctx, sub)
+	eq, err := e.equivalentToRoot(ctx, full, sub)
 	if err != nil {
 		if _, budget := err.(*chase.ErrBudget); budget {
 			return false, nil
@@ -401,7 +450,7 @@ func (e *engine) equivalence(ctx context.Context, fullKey string, sub *core.Quer
 // applies; otherwise the goal (Options.Goal, else the root) maps into a
 // goal-directed chase of sub, which stops at the first state the goal
 // maps into. Only a budget exhausted before that counts as unsound.
-func (e *engine) equivalentToRoot(ctx context.Context, sub *core.Query) (bool, error) {
+func (e *engine) equivalentToRoot(ctx context.Context, removed posSet, sub *core.Query) (bool, error) {
 	cn := e.rootCanon
 	subC := chase.CompileQuery(sub)
 	id := make(chase.Hom, len(sub.Bindings))
@@ -411,7 +460,7 @@ func (e *engine) equivalentToRoot(ctx context.Context, sub *core.Query) (bool, e
 	if !cn.MapsCompiledInto(subC, cn.Q.Out, id) && !cn.MapsCompiledInto(subC, cn.Q.Out, nil) {
 		return false, nil
 	}
-	if e.certify(sub) {
+	if e.certify(removed, sub) {
 		e.certified.Add(1)
 		return true, nil
 	}
@@ -421,89 +470,137 @@ func (e *engine) equivalentToRoot(ctx context.Context, sub *core.Query) (bool, e
 
 // certify reports whether some seed whose bindings are a strict subset
 // of sub's proves sub ⊑ root: the identity on the seed's variables is a
-// containment mapping of the seed into sub's canonical database, built
-// once and not chased, with the output matched to sub's. That proves
-// sub ⊑ seed without dependencies, and the seed's dive proved
-// seed ⊑ root by chase.
-func (e *engine) certify(sub *core.Query) bool {
-	if len(e.seeds) == 0 {
+// containment mapping of the seed into sub's canonical database, not
+// chased, with the output matched to sub's. That proves sub ⊑ seed
+// without dependencies, and the seed's dive proved seed ⊑ root by
+// chase. removed is sub's state. The mappings are decided on the frozen
+// root closure (rootCertifies); only when that proves none is sub's
+// canonical database built (canonCertifies).
+func (e *engine) certify(removed posSet, sub *core.Query) bool {
+	return e.rootCertifies(removed, sub) || e.canonCertifies(removed, sub)
+}
+
+// below reports whether the seed's bindings are a strict subset of
+// those of the state removed.
+func (sd *seed) below(removed posSet) bool {
+	return sd.removed != removed && removed.subsetOf(sd.removed)
+}
+
+// rootCertifies is certify on the frozen root closure, through
+// identityResolves with a rewriter avoiding sub's removed variables. It
+// needs a valid root (see identityResolves).
+func (e *engine) rootCertifies(removed posSet, sub *core.Query) bool {
+	if !e.rootValid {
 		return false
 	}
-	m := e.mask(sub)
-	var cn *chase.Canon
-	var id chase.Hom
-	for _, sd := range e.seeds {
-		if sd.mask&^m != 0 || sd.mask == m {
+	var rw *congruence.Rewriter
+	for i := range e.seeds {
+		if !e.seeds[i].below(removed) {
 			continue
 		}
-		if cn == nil {
-			cn = e.depIndex.NewCanon(sub, e.opts.Chase.Metrics)
-			id = make(chase.Hom, len(sub.Bindings))
-			for i, b := range sub.Bindings {
-				id[b.Var] = cn.BindingVar(i)
-			}
+		if rw == nil {
+			rw = e.subs.rewriter(removed)
 		}
-		if cn.MapsCompiledInto(sd.q, sub.Out, id) {
+		if identityResolves(rw, e.seeds[i].q, sub) {
 			return true
 		}
 	}
 	return false
 }
 
-// mask returns the root positions of q's bindings as a bitmask; q is a
-// subquery of a root of at most maxSeedBindings bindings.
-func (e *engine) mask(q *core.Query) uint64 {
-	var m uint64
-	for _, b := range q.Bindings {
-		m |= 1 << e.pos[b.Var]
+// canonCertifies is certify on sub's unchased canonical database, built
+// once: the identity mapping tried by a containment-mapping search.
+func (e *engine) canonCertifies(removed posSet, sub *core.Query) bool {
+	var cn *chase.Canon
+	var id chase.Hom
+	for i := range e.seeds {
+		if !e.seeds[i].below(removed) {
+			continue
+		}
+		if cn == nil {
+			cn = e.depIndex.NewCanon(sub, e.opts.Chase.Metrics)
+			id = make(chase.Hom, len(sub.Bindings))
+			for j, b := range sub.Bindings {
+				id[b.Var] = cn.BindingVar(j)
+			}
+		}
+		if cn.MapsCompiledInto(e.seeds[i].compiled, sub.Out, id) {
+			return true
+		}
 	}
-	return m
+	return false
 }
 
-// buildCandidate constructs the candidate state for removing the named
-// binding on top of the already-removed set, cascading to dependent
-// bindings that cannot be re-expressed. Returns the grown (canonicalized)
-// removal set, its state key and the subquery, or nils if the
-// construction is impossible. No equivalence check happens here.
-func (e *engine) buildCandidate(removed map[string]bool, v string) (map[string]bool, string, *core.Query) {
-	grown := make(map[string]bool, len(removed)+1)
-	for r := range removed {
-		grown[r] = true
+// identityResolves is the certificate decided on the root closure: it
+// reports that the identity on t's variables maps t into the unchased
+// canonical database of s, where t and s are subqueries of the root
+// built over rw's closure, t's removal set contains s's and rw avoids
+// s's removed variables. Each atom of t — each binding's range against
+// s's range for the same variable, each condition, t's output against
+// s's — must be proved by rw.Equates: both sides one term, or one
+// operator over children so proved, or both placed by Rewriter.Resolve
+// in one root class and proven there.
+//
+// Soundness. s's conditions equate, for every root class, the variants
+// rw.ClassVariants lists for it: subqueryFrom builds them with a rewriter
+// avoiding s's removed variables and keeps each, because a variant
+// mentions only surviving variables and every variable of a valid root
+// is bound (rootCertifies runs this only on a valid root). So, by
+// Resolve's contract, a term proven in class C is congruent in s's
+// canonical database to every variant of C, and two terms proven in one
+// class are congruent to each other; congruence carries that through
+// equal operators. t's removal set contains s's, so every variable of t
+// survives in s. With every range, every condition and the output so
+// matched, the identity is a containment mapping: each binding x ∈ R of
+// t is witnessed by s's binding of x. A term Resolve cannot place or
+// prove — a Miss, an Ambiguous projection, a failed check — or two
+// classes that differ leave the decision to the canonical database.
+func identityResolves(rw *congruence.Rewriter, t, s *core.Query) bool {
+	for _, b := range t.Bindings {
+		i := s.BindingOf(b.Var)
+		if i < 0 || !rw.Equates(b.Range, s.Bindings[i].Range) {
+			return false
+		}
 	}
-	grown[v] = true
-	return e.buildState(grown)
+	for _, c := range t.Conds {
+		if !rw.Equates(c.L, c.R) {
+			return false
+		}
+	}
+	return rw.Equates(t.Out, s.Out)
+}
+
+// buildCandidate constructs the candidate state for removing root
+// position p on top of the already-removed set, cascading to dependent
+// bindings that cannot be re-expressed. Returns the grown (cascaded)
+// removal set and the subquery, or a nil subquery if the construction is
+// impossible. No equivalence check happens here.
+func (e *engine) buildCandidate(removed posSet, p int) (posSet, *core.Query) {
+	return e.buildState(removed.with(p))
 }
 
 // buildState constructs the state for removing the given set, as
 // buildCandidate does for one more removal.
-func (e *engine) buildState(grown map[string]bool) (map[string]bool, string, *core.Query) {
-	sub := e.cachedSubquery(e.stateKey(grown), grown)
-	if sub == nil || len(sub.Bindings) == 0 {
-		return nil, "", nil
+func (e *engine) buildState(grown posSet) (posSet, *core.Query) {
+	ent := e.cachedSubquery(grown)
+	if ent.sub == nil || len(ent.sub.Bindings) == 0 {
+		return "", nil
 	}
-	// The cascade may have removed more variables; canonicalize the set.
-	surviving := sub.BoundVars()
-	full := map[string]bool{}
-	for _, b := range e.root.Bindings {
-		if !surviving[b.Var] {
-			full[b.Var] = true
-		}
-	}
-	return full, e.stateKey(full), sub
+	return ent.full, ent.sub
 }
 
 // tryRemove attempts a backchase step eliminating the named binding:
 // buildCandidate plus the chase-based equivalence check. Returns the
-// grown removal set and the resulting subquery, or nils if the step is
-// unsound or impossible.
-func (e *engine) tryRemove(ctx context.Context, removed map[string]bool, v string) (map[string]bool, *core.Query, error) {
-	full, fullKey, sub := e.buildCandidate(removed, v)
+// grown removal set and the resulting subquery, or a nil subquery if the
+// step is unsound or impossible.
+func (e *engine) tryRemove(ctx context.Context, removed posSet, v string) (posSet, *core.Query, error) {
+	full, sub := e.buildCandidate(removed, e.root.BindingOf(v))
 	if sub == nil {
-		return nil, nil, nil
+		return "", nil, nil
 	}
-	eq, err := e.equivalence(ctx, fullKey, sub)
+	eq, err := e.equivalence(ctx, full, sub)
 	if err != nil || !eq {
-		return nil, nil, err
+		return "", nil, err
 	}
 	return full, sub, nil
 }
@@ -518,11 +615,11 @@ func (e *engine) process(ctx context.Context, w *worker, it stateItem) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		full, fullKey, sub := e.buildCandidate(it.removed, b.Var)
+		full, sub := e.buildCandidate(it.removed, e.root.BindingOf(b.Var))
 		if sub == nil {
 			continue
 		}
-		eq, err := e.equivalence(ctx, fullKey, sub)
+		eq, err := e.equivalence(ctx, full, sub)
 		if err != nil {
 			return err
 		}
@@ -530,8 +627,8 @@ func (e *engine) process(ctx context.Context, w *worker, it stateItem) error {
 			continue
 		}
 		normal = false
-		if e.claim(fullKey) {
-			e.queue.push(stateItem{key: fullKey, removed: full, q: sub})
+		if e.claim(full) {
+			e.queue.push(stateItem{removed: full, q: sub})
 		}
 	}
 	if normal {
@@ -590,19 +687,16 @@ func (e *engine) plantSeeds(ctx context.Context) {
 // e.seeds to the normal forms they reach.
 func (e *engine) dive(ctx context.Context) error {
 	n := len(e.root.Bindings)
-	if n > maxSeedBindings {
-		return nil
-	}
 	var seeds []seed
-	x := map[string]bool{}
+	x := e.none
 	for k := 0; k < n; k++ {
-		removed, cur := map[string]bool{}, e.root
+		removed, cur := x, e.root
 		if k > 0 {
-			full, key, sub := e.buildState(x)
+			full, sub := e.buildState(x)
 			if sub == nil {
 				break
 			}
-			eq, err := e.equivalence(ctx, key, sub)
+			eq, err := e.equivalence(ctx, full, sub)
 			if err != nil {
 				return err
 			}
@@ -619,14 +713,17 @@ func (e *engine) dive(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			if next == nil {
+			if nextQ == nil {
 				break
 			}
 			removed, cur = next, nextQ
 		}
-		m := e.mask(cur)
-		seeds = append(seeds, seed{mask: m, q: chase.CompileQuery(cur)})
-		x[e.root.Bindings[bits.TrailingZeros64(m)].Var] = true
+		seeds = append(seeds, seed{removed: removed, q: cur, compiled: chase.CompileQuery(cur)})
+		first := 0
+		for removed.has(first) {
+			first++
+		}
+		x = x.with(first)
 	}
 	e.seeds = seeds
 	return nil
@@ -636,8 +733,8 @@ func (e *engine) dive(ctx context.Context) error {
 // exploration from the root and assembles the deterministic Result.
 func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error) {
 	e.plantSeeds(ctx)
-	rootItem := stateItem{key: "", removed: map[string]bool{}, q: e.root}
-	e.claim(rootItem.key)
+	rootItem := stateItem{removed: e.none, q: e.root}
+	e.claim(rootItem.removed)
 	e.queue.push(rootItem)
 
 	workers := make([]*worker, parallelism)
@@ -652,11 +749,17 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 	}
 	wg.Wait()
 
+	err := e.firstErr()
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		// A hard error must never be masked by a context that was also
+		// cancelled before the pool drained.
+		return nil, err
+	}
 	var all []stateItem
 	for _, w := range workers {
 		all = append(all, w.explored...)
 	}
-	sortStates(all)
+	e.sortStates(all)
 
 	res := &Result{
 		States:    len(all),
@@ -669,20 +772,9 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 		res.Explored = append(res.Explored, it.q)
 	}
 	res.Plans = e.sortedPlans()
-
-	err := e.firstErr()
-	switch {
-	case err == nil:
-		return res, nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// Cancellation: hand back what was completed along with the
-		// cause, so callers can use the partial result.
-		return res, err
-	default:
-		// A hard error must never be masked by a context that was also
-		// cancelled before the pool drained.
-		return nil, err
-	}
+	// On cancellation err is its cause: callers can use the partial
+	// result.
+	return res, err
 }
 
 // sortedPlans returns the collected normal forms in canonical order:
@@ -701,16 +793,34 @@ func (e *engine) sortedPlans() []*core.Query {
 }
 
 // sortStates orders explored states canonically: fewer removed variables
-// first (the root leads), then by removal-set key.
-func sortStates(items []stateItem) {
-	sort.Slice(items, func(i, j int) bool {
-		a, b := items[i], items[j]
-		ra, rb := strings.Count(a.key, ";"), strings.Count(b.key, ";")
-		if ra != rb {
-			return ra < rb
+// first (the root leads), then by the removed variables' names, each
+// followed by ';', in root order.
+func (e *engine) sortStates(items []stateItem) {
+	type keyed struct {
+		n   int
+		key string
+		it  stateItem
+	}
+	ks := make([]keyed, len(items))
+	for i, it := range items {
+		var sb strings.Builder
+		for p, b := range e.root.Bindings {
+			if it.removed.has(p) {
+				sb.WriteString(b.Var)
+				sb.WriteByte(';')
+			}
 		}
-		return a.key < b.key
+		ks[i] = keyed{it.removed.size(), sb.String(), it}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.n != b.n {
+			return a.n - b.n
+		}
+		return strings.Compare(a.key, b.key)
 	})
+	for i, k := range ks {
+		items[i] = k.it
+	}
 }
 
 // firstRemoval finds the first (in binding order) sound removal from the
@@ -718,22 +828,22 @@ func sortStates(items []stateItem) {
 // serial engine; with more it evaluates all candidates concurrently and
 // keeps the lowest index that succeeds — the same removal either way, so
 // MinimizeOne stays deterministic.
-func (e *engine) firstRemoval(ctx context.Context, parallelism int, removed map[string]bool, cur *core.Query) (map[string]bool, *core.Query, error) {
+func (e *engine) firstRemoval(ctx context.Context, parallelism int, removed posSet, cur *core.Query) (posSet, *core.Query, error) {
 	if parallelism <= 1 || len(cur.Bindings) == 1 {
 		for _, b := range cur.Bindings {
 			next, nextQ, err := e.tryRemove(ctx, removed, b.Var)
 			if err != nil {
-				return nil, nil, err
+				return "", nil, err
 			}
-			if next != nil {
+			if nextQ != nil {
 				return next, nextQ, nil
 			}
 		}
-		return nil, nil, nil
+		return "", nil, nil
 	}
 
 	type outcome struct {
-		next map[string]bool
+		next posSet
 		q    *core.Query
 		err  error
 	}
@@ -764,7 +874,7 @@ func (e *engine) firstRemoval(ctx context.Context, parallelism int, removed map[
 				}
 				next, q, err := e.tryRemove(ctx, removed, cur.Bindings[i].Var)
 				results[i] = outcome{next, q, err}
-				if err == nil && next != nil {
+				if err == nil && q != nil {
 					for {
 						b := best.Load()
 						if int64(i) >= b || best.CompareAndSwap(b, int64(i)) {
@@ -781,13 +891,13 @@ func (e *engine) firstRemoval(ctx context.Context, parallelism int, removed map[
 	// Unevaluated slots above a success are zero-valued and ignored.
 	for _, r := range results {
 		if r.err != nil {
-			return nil, nil, r.err
+			return "", nil, r.err
 		}
-		if r.next != nil {
+		if r.q != nil {
 			return r.next, r.q, nil
 		}
 	}
-	return nil, nil, nil
+	return "", nil, nil
 }
 
 // parallelismOrDefault resolves Options.Parallelism (0 = all cores).

@@ -56,7 +56,7 @@ func TestSubqueryOnClonedRootClosure(t *testing.T) {
 			name string
 			cc   *congruence.Closure
 		}{{"shared", cc}, {"clone", frozenClone(cc)}} {
-			got, gotOK := subqueryFrom(root, path.cc, removed)
+			got, _, gotOK := subqueryFrom(root, path.cc, positions(root, removed))
 			if gotOK != wantOK {
 				t.Fatalf("mask %b: %s ok=%v, rebuild ok=%v", mask, path.name, gotOK, wantOK)
 			}

@@ -192,12 +192,12 @@ func TestEquivalentToRootFallsBackToSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	swapped := root.RenameVars(func(s string) string { return map[string]string{"x": "y", "y": "x"}[s] })
-	if eq, err := e.equivalentToRoot(context.Background(), swapped); err != nil || !eq {
+	if eq, err := e.equivalentToRoot(context.Background(), e.none, swapped); err != nil || !eq {
 		t.Errorf("swapped names: equivalent = %v, %v; want true", eq, err)
 	}
 	stricter := root.Clone()
 	stricter.Conds = append(stricter.Conds, core.Cond{L: prj(v("x"), "B"), R: core.C(1)})
-	if eq, err := e.equivalentToRoot(context.Background(), stricter); err != nil || eq {
+	if eq, err := e.equivalentToRoot(context.Background(), e.none, stricter); err != nil || eq {
 		t.Errorf("extra condition: equivalent = %v, %v; want false", eq, err)
 	}
 }

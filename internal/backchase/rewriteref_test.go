@@ -288,7 +288,7 @@ func refOwnVars(t *core.Term, own map[string]bool) bool {
 // its own chase, frozen, by normalizeTerm and by the reference.
 func checkRewriteMatchesReference(t *testing.T, label string, q *core.Query, cc *congruence.Closure, removed map[string]bool, ix *chase.DepIndex) {
 	t.Helper()
-	got, gotOK := subqueryFrom(q, cc, removed)
+	got, _, gotOK := subqueryFrom(q, cc, positions(q, removed))
 	want, wantOK := refSubquery(q, cc, removed)
 	if gotOK != wantOK || (wantOK && got.String() != want.String()) {
 		t.Fatalf("%s, removed %v: subquery (ok=%v)\n%v\nreference (ok=%v)\n%v\nroot %s", label, removed, gotOK, got, wantOK, want, q)

@@ -119,12 +119,7 @@ func (c *Closure) LookupLeaf(t *core.Term) (int, bool) {
 // rendering it: args are the class representatives of the children, in
 // order. See Status for the outcomes; rep is meaningful for Hit and Beta.
 func (c *Closure) Lookup(op Op, args []int) (rep int, st Status) {
-	var k sigKey
-	k.op = op.Tag
-	for i, a := range args {
-		k.setArg(i, a)
-	}
-	if id, ok := c.sigTable[k]; ok {
+	if id, ok := c.sigNode(op.Tag, args); ok {
 		return c.find(id), Hit
 	}
 	if op.Field == "" || len(args) != 1 {
@@ -145,6 +140,17 @@ func (c *Closure) Lookup(op Op, args []int) (rep int, st Status) {
 		}
 	}
 	return rep, st
+}
+
+// sigNode returns the node with signature tag(args...), if any.
+func (c *Closure) sigNode(tag string, args []int) (int, bool) {
+	var k sigKey
+	k.op = tag
+	for i, a := range args {
+		k.setArg(i, a)
+	}
+	id, ok := c.sigTable[k]
+	return id, ok
 }
 
 // Probe resolves terms against a closure for one read-only search. A

@@ -391,3 +391,31 @@ schema X { T : set<{A: int}>; constraint KX: forall (x in T, y in T) x.A = y.A -
 		t.Errorf("deps = %s (design %v), want KX,KY,KZ with no design", got, target.Design)
 	}
 }
+
+// TestParseRejectsSelfNestingConstructor: the document front end (what
+// cnbd parses) rejects the query on which the backchase's rewriting is
+// exponential. Its binding M[v0] needs a dictionary keyed by v0's record
+// type, which holds the collection v0.A, and no dictionary key may hold a
+// collection; and its condition v0 = struct(A: v1.A, B: struct(A: v0,
+// B: v1)) has no finite type (schema's
+// TestCheckQueryRejectsSelfNestingConstructor).
+func TestParseRejectsSelfNestingConstructor(t *testing.T) {
+	const src = `
+schema Nest {
+  S : set<{A: set<int>, B: int}>;
+  M : dict<int, set<{A: int, B: int}>>;
+}
+
+query Q:
+  select v2.B.B
+  from S v0, M[v0] v1, v0.A v2
+  where struct(A: struct(A: v1, B: v1), B: v0) = struct(A: v1.A, B: v1)
+    and v0 = struct(A: v1.A, B: struct(A: v0, B: v1))
+    and v0.B = struct(A: v0.B, B: v0);
+`
+	doc, err := Parse(src)
+	if err == nil {
+		t.Fatalf("Parse accepted the query:\n%s", doc.Queries["Q"])
+	}
+	t.Log(err)
+}

@@ -244,3 +244,42 @@ func TestSchemaString(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckQueryRejectsSelfNestingConstructor: a condition that equates
+// a variable with a constructor nesting that variable, such as
+// v0 = struct(A: v1.A, B: struct(A: v0, B: v1)), has no finite type —
+// the right side's type holds the left side's as a strict component,
+// and types are finite trees — so CheckQuery rejects it whatever the
+// schema gives v0 and v1. Only an untyped caller of the library can hand
+// such a query to the backchase, where rewriting it is exponential.
+func TestCheckQueryRejectsSelfNestingConstructor(t *testing.T) {
+	v, prj, sf := core.V, core.Prj, core.SF
+	cond := core.Cond{
+		L: v("v0"),
+		R: core.Struct(sf("A", prj(v("v1"), "A")), sf("B", core.Struct(sf("A", v("v0")), sf("B", v("v1"))))),
+	}
+	records := []*types.Type{
+		types.StructOf(types.F("A", types.Int())),
+		types.StructOf(types.F("A", types.StringT()), types.F("B", types.Int())),
+		types.StructOf(types.F("A", types.Int()), types.F("B", types.StructOf(types.F("A", types.Int()), types.F("B", types.Int())))),
+	}
+	for i, r0 := range records {
+		for j, r1 := range records {
+			s := New("nest")
+			s.MustAddElement("S", types.SetOf(r0), "")
+			s.MustAddElement("T", types.SetOf(r1), "")
+			q := &core.Query{
+				Out:      v("v0"),
+				Bindings: []core.Binding{{Var: "v0", Range: core.Name("S")}, {Var: "v1", Range: core.Name("T")}},
+				Conds:    []core.Cond{cond},
+			}
+			if _, err := s.CheckQuery(q); err == nil || !strings.Contains(err.Error(), "compares") {
+				t.Errorf("S of %s, T of %s: CheckQuery = %v, want the condition rejected", r0, r1, err)
+			}
+			q.Conds = nil
+			if _, err := s.CheckQuery(q); err != nil {
+				t.Errorf("S of %s, T of %s: the query without the condition fails: %v", records[i], records[j], err)
+			}
+		}
+	}
+}
