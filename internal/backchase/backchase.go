@@ -9,9 +9,13 @@
 //  1. the remaining conditions C' are implied by C,
 //  2. the output O' is congruent to O and avoids y,
 //  3. the constraint ∀(survivors) C' → ∃ y∈R. C is implied by the
-//     dependencies — equivalently, the reduced query is equivalent to Q
-//     under the dependencies, which we verify with a chase-based
-//     containment check in both directions.
+//     dependencies — equivalently, the reduced query is contained in Q
+//     under the dependencies, which we verify by a subsumption
+//     certificate or a chase-based containment check.
+//
+// Conditions 1 and 2 make the identity a containment mapping of the
+// reduced query into Q, so Q ⊑ reduced holds by construction and only
+// condition 3 needs the dependencies.
 //
 // Theorem 2 (Complete Backchase): the minimal equivalent subqueries of Q
 // are exactly the normal forms of backchasing Q. Enumerate explores every
@@ -42,7 +46,9 @@ type Options struct {
 	// Parallelism is the number of workers exploring the subquery
 	// lattice concurrently (0 = runtime.GOMAXPROCS(0), 1 = serial).
 	// For runs that finish without truncation the result is identical
-	// for every value.
+	// for every value. Only Enumerate (and BruteForceMinimal, the
+	// reference) use it; MinimizeOne and IsMinimal verify one removal at
+	// a time.
 	Parallelism int
 	// Index is a prebuilt chase dependency index over the same dependency
 	// set passed to Enumerate (chase.NewDepIndex(deps)); the optimizer
@@ -97,8 +103,7 @@ type Result struct {
 	// Certified the number of candidates one of them proved equivalent
 	// by a containment mapping, without a chase.
 	// Chased is the number of candidates whose equivalence needed a
-	// goal-directed chase. A candidate that fails the root ⊑ candidate
-	// test is neither.
+	// goal-directed chase; every candidate checked is one or the other.
 	Seeds, Certified, Chased int
 }
 
@@ -131,28 +136,25 @@ func EnumerateContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 
 // MinimizeOne performs a greedy backchase: repeatedly apply the first
 // sound removal until none applies, returning a single (normalized)
-// minimal plan. Deterministic regardless of parallelism: bindings are
-// tried in order and the first sound removal (lowest binding index) is
-// always the one taken.
+// minimal plan. Deterministic: bindings are tried in order and the first
+// sound removal (lowest binding index) is always the one taken, whatever
+// Options.Parallelism says.
 func MinimizeOne(q *core.Query, deps []*core.Dependency, opts Options) (*core.Query, error) {
 	return MinimizeOneContext(context.Background(), q, deps, opts)
 }
 
-// MinimizeOneContext is MinimizeOne with cancellation. With
-// Parallelism > 1 the candidate removals of each greedy round are
-// verified concurrently (sharing the engine's memoized chase-result
-// cache across rounds).
+// MinimizeOneContext is MinimizeOne with cancellation. The rounds share
+// the engine's memoized equivalence cache.
 func MinimizeOneContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (*core.Query, error) {
 	opts = opts.withDefaults()
 	e, err := newEngine(ctx, q, deps, opts)
 	if err != nil {
 		return nil, err
 	}
-	par := opts.parallelismOrDefault()
 	removed := e.none
 	cur := q.Clone()
 	for {
-		next, nextQ, err := e.firstRemoval(ctx, par, removed, cur)
+		next, nextQ, err := e.firstRemoval(ctx, removed, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +177,7 @@ func IsMinimalContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 	if err != nil {
 		return false, err
 	}
-	_, next, err := e.firstRemoval(ctx, opts.parallelismOrDefault(), e.none, q)
+	_, next, err := e.firstRemoval(ctx, e.none, q)
 	if err != nil {
 		return false, err
 	}

@@ -197,7 +197,7 @@ func TestFailedCertificateFallsBackToChase(t *testing.T) {
 	removed, cur := d.none, d.root
 	for cur != nil {
 		plan, planRemoved = cur, removed
-		removed, cur, err = d.firstRemoval(context.Background(), 1, removed, cur)
+		removed, cur, err = d.firstRemoval(context.Background(), removed, cur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestFailedCertificateFallsBackToChase(t *testing.T) {
 
 	check := func(label string, sd *core.Query, wantCertified bool) {
 		e := fresh()
-		e.seeds = []seed{{removed: planRemoved, q: sd, compiled: chase.CompileQuery(sd)}}
+		e.seeds = []seed{{removed: planRemoved, q: sd}}
 		eq, err := e.equivalence(context.Background(), key, state)
 		if err != nil || !eq {
 			t.Fatalf("%s: equivalence = %v, %v; want true", label, eq, err)

@@ -22,12 +22,11 @@
 // cancellation, *which* states get explored depends on scheduling; only
 // then can results differ.
 //
-// Every equivalence check tests root ⊑ candidate against one frozen
-// canonical database of the root, shared by all workers with its target
-// index prebuilt: the test is read-only (terms the closure lacks get
-// virtual ids instead of being interned), so no check changes what
-// another sees and none needs a copy. Candidate construction only reads
-// the root's congruence closure, so it shares one frozen closure too.
+// Every equivalence check is the candidate ⊑ root direction alone: the
+// construction proves root ⊑ candidate (see equivalentToRoot), so no
+// check searches the root, and the engine holds no canonical database.
+// Candidate construction only reads the root's congruence closure, so
+// every worker shares one frozen closure.
 //
 // Subsumption certificates: the search proves most candidates'
 // candidate ⊑ root direction without a chase. Before any worker
@@ -38,19 +37,18 @@
 // the seed dive k reached, so no two dives reach the same seed. Every
 // dive evaluation goes through the single-flight cache, where the walk,
 // which makes nearly all of them too, finds it. Then a candidate S that
-// passes root ⊑ S and keeps a strict superset of some seed T's bindings
-// is certified when the identity on T's variables is a containment
-// mapping of T into S's unchased canonical database with S's output:
-// S ⊑ T needs no dependencies, and the dive proved T ⊑ root, so
-// S ≡ root. The mapping is decided on the frozen root closure, with a
-// rewriter avoiding S's removed variables: every atom of T must resolve
-// on both sides to one root class in a way that proves both sides equal
-// in S's canonical database (identityResolves, congruence
-// Rewriter.Resolve). Only a mapping that cannot be decided so builds S's
-// canonical database. Only a candidate no seed certifies is chased. The
-// seeds are fixed before exploration starts, so whether a state is
-// chased or certified depends on the state alone, and chase.Metrics stay
-// identical across every Parallelism value.
+// keeps a strict superset of some seed T's bindings is certified when
+// the identity on T's variables is a containment mapping of T into S's
+// unchased canonical database with S's output: S ⊑ T needs no
+// dependencies, and the dive proved T ⊑ root, so S ≡ root. The mapping
+// is decided on the frozen root closure, with a rewriter avoiding S's
+// removed variables: every atom of T must resolve on both sides to one
+// root class in a way that proves both sides equal in S's canonical
+// database (identityResolves, congruence Rewriter.Resolve). A candidate
+// no seed certifies is chased. The seeds are fixed before exploration
+// starts, so whether a state is chased or certified depends on the
+// state alone, and chase.Metrics stay identical across every
+// Parallelism value.
 package backchase
 
 import (
@@ -209,12 +207,10 @@ type eqEntry struct {
 }
 
 // seed is a normal form a seed dive reached, ready to certify the
-// states above it: removed is its state, q the plan and compiled the
-// plan compiled for containment-mapping search.
+// states above it: removed is its state, q the plan.
 type seed struct {
-	removed  posSet
-	q        *core.Query
-	compiled *chase.CompiledQuery
+	removed posSet
+	q       *core.Query
 }
 
 // subEntry caches a Subquery construction (sub == nil: construction
@@ -236,12 +232,11 @@ type shard struct {
 
 // engine is the shared state of one parallel backchase run.
 type engine struct {
-	root      *core.Query
-	deps      []*core.Dependency
-	depIndex  *chase.DepIndex // premise index shared by every chase of the run
-	opts      Options
-	rootCanon *chase.Canon         // frozen; read by every equivalence check
-	goalC     *chase.CompiledQuery // the goal, compiled once per run
+	root     *core.Query
+	deps     []*core.Dependency
+	depIndex *chase.DepIndex // premise index shared by every chase of the run
+	opts     Options
+	goalC    *chase.CompiledQuery // the goal, compiled once per run
 	// subs builds every candidate of the run over one frozen closure of
 	// root, which all workers read concurrently, without a copy.
 	subs  *SubqueryBuilder
@@ -272,16 +267,15 @@ type engine struct {
 }
 
 func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (*engine, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// The dependency set is fixed for the whole run, so one premise index
-	// serves the root chase and every lattice state's equivalence chases
-	// (Options.Index lets the optimizer share its own chase phase's index).
+	// serves every lattice state's equivalence chases (Options.Index lets
+	// the optimizer share its own chase phase's index).
 	ix := opts.Index
 	if ix == nil {
 		ix = chase.NewDepIndex(deps)
-	}
-	res, err := chase.ChaseIndexed(ctx, q, ix, opts.Chase)
-	if err != nil {
-		return nil, err
 	}
 	goal := q
 	if opts.Goal != nil {
@@ -292,7 +286,6 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		deps:      deps,
 		depIndex:  ix,
 		opts:      opts,
-		rootCanon: ix.NewCanon(res.Query, opts.Chase.Metrics),
 		goalC:     chase.CompileQuery(goal),
 		subs:      NewSubqueryBuilder(q),
 		queue:     newWorkQueue(),
@@ -301,7 +294,6 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 		rootValid: q.Validate() == nil,
 		plans:     map[string]*core.Query{},
 	}
-	e.rootCanon.Freeze()
 	for i := range e.shards {
 		e.shards[i].seen = map[posSet]bool{}
 		e.shards[i].eq = map[posSet]*eqEntry{}
@@ -437,29 +429,32 @@ func (e *engine) equivalence(ctx context.Context, full posSet, sub *core.Query) 
 	return eq, nil
 }
 
-// equivalentToRoot checks sub ≡ root under the dependencies.
+// equivalentToRoot checks sub ≡ root under the dependencies, where sub
+// is Subquery(root, removed) as subqueryFrom built it.
 //
-// Direction root ⊑ sub: a containment mapping from sub into the frozen
-// chase(root), a read-only test every worker runs on the shared canon.
-// sub is a subquery of the root, so the identity on its variables is
-// tried first; only if it fails does the backtracking search run. The
-// search binds sub's variables to slots, not names, so sub needs no
-// renaming apart from the root's.
+// Direction root ⊑ sub holds by construction (the paper's §3 conditions
+// 1 and 2), so it is not tested: the identity on sub's variables is a
+// containment mapping of sub into the root's unchased canonical
+// database. Every range, condition side and output of sub is a
+// congruence.Rewriter rewrite, or a ClassVariants entry, of a class of
+// the root closure, built from member nodes whose operator and child
+// classes exist in it. By induction over the rewrite each such term is
+// congruent to the members of its class in the root's canonical
+// database: a free member is one; a rebuild applies a member's operator
+// to rewrites of its children, congruent to them; inverse beta gives
+// X.F for a rewrite X of a constructor's class whose field F lies in
+// the class, congruent to it by beta. So each binding x ∈ R' of
+// sub is witnessed by the root's binding x ∈ R with R' ≅ R, each
+// condition relates two variants of one class, and the output is
+// congruent to the root's; no dependency is needed.
+// TestCandidatesContainRoot checks this over every candidate of 614
+// roots.
 //
 // Direction sub ⊑ root: a seed's certificate (see certify) when one
 // applies; otherwise the goal (Options.Goal, else the root) maps into a
 // goal-directed chase of sub, which stops at the first state the goal
 // maps into. Only a budget exhausted before that counts as unsound.
 func (e *engine) equivalentToRoot(ctx context.Context, removed posSet, sub *core.Query) (bool, error) {
-	cn := e.rootCanon
-	subC := chase.CompileQuery(sub)
-	id := make(chase.Hom, len(sub.Bindings))
-	for _, b := range sub.Bindings {
-		id[b.Var] = cn.BindingVar(cn.Q.BindingOf(b.Var))
-	}
-	if !cn.MapsCompiledInto(subC, cn.Q.Out, id) && !cn.MapsCompiledInto(subC, cn.Q.Out, nil) {
-		return false, nil
-	}
 	if e.certify(removed, sub) {
 		e.certified.Add(1)
 		return true, nil
@@ -474,22 +469,9 @@ func (e *engine) equivalentToRoot(ctx context.Context, removed posSet, sub *core
 // chased, with the output matched to sub's. That proves sub ⊑ seed
 // without dependencies, and the seed's dive proved seed ⊑ root by
 // chase. removed is sub's state. The mappings are decided on the frozen
-// root closure (rootCertifies); only when that proves none is sub's
-// canonical database built (canonCertifies).
+// root closure, through identityResolves with a rewriter avoiding sub's
+// removed variables; that needs a valid root (see identityResolves).
 func (e *engine) certify(removed posSet, sub *core.Query) bool {
-	return e.rootCertifies(removed, sub) || e.canonCertifies(removed, sub)
-}
-
-// below reports whether the seed's bindings are a strict subset of
-// those of the state removed.
-func (sd *seed) below(removed posSet) bool {
-	return sd.removed != removed && removed.subsetOf(sd.removed)
-}
-
-// rootCertifies is certify on the frozen root closure, through
-// identityResolves with a rewriter avoiding sub's removed variables. It
-// needs a valid root (see identityResolves).
-func (e *engine) rootCertifies(removed posSet, sub *core.Query) bool {
 	if !e.rootValid {
 		return false
 	}
@@ -508,27 +490,10 @@ func (e *engine) rootCertifies(removed posSet, sub *core.Query) bool {
 	return false
 }
 
-// canonCertifies is certify on sub's unchased canonical database, built
-// once: the identity mapping tried by a containment-mapping search.
-func (e *engine) canonCertifies(removed posSet, sub *core.Query) bool {
-	var cn *chase.Canon
-	var id chase.Hom
-	for i := range e.seeds {
-		if !e.seeds[i].below(removed) {
-			continue
-		}
-		if cn == nil {
-			cn = e.depIndex.NewCanon(sub, e.opts.Chase.Metrics)
-			id = make(chase.Hom, len(sub.Bindings))
-			for j, b := range sub.Bindings {
-				id[b.Var] = cn.BindingVar(j)
-			}
-		}
-		if cn.MapsCompiledInto(e.seeds[i].compiled, sub.Out, id) {
-			return true
-		}
-	}
-	return false
+// below reports whether the seed's bindings are a strict subset of
+// those of the state removed.
+func (sd *seed) below(removed posSet) bool {
+	return sd.removed != removed && removed.subsetOf(sd.removed)
 }
 
 // identityResolves is the certificate decided on the root closure: it
@@ -545,7 +510,7 @@ func (e *engine) canonCertifies(removed posSet, sub *core.Query) bool {
 // rw.ClassVariants lists for it: subqueryFrom builds them with a rewriter
 // avoiding s's removed variables and keeps each, because a variant
 // mentions only surviving variables and every variable of a valid root
-// is bound (rootCertifies runs this only on a valid root). So, by
+// is bound (certify runs this only on a valid root). So, by
 // Resolve's contract, a term proven in class C is congruent in s's
 // canonical database to every variant of C, and two terms proven in one
 // class are congruent to each other; congruence carries that through
@@ -554,7 +519,8 @@ func (e *engine) canonCertifies(removed posSet, sub *core.Query) bool {
 // matched, the identity is a containment mapping: each binding x ∈ R of
 // t is witnessed by s's binding of x. A term Resolve cannot place or
 // prove — a Miss, an Ambiguous projection, a failed check — or two
-// classes that differ leave the decision to the canonical database.
+// classes that differ reject the seed, and without a certificate the
+// candidate is chased.
 func identityResolves(rw *congruence.Rewriter, t, s *core.Query) bool {
 	for _, b := range t.Bindings {
 		i := s.BindingOf(b.Var)
@@ -709,7 +675,7 @@ func (e *engine) dive(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			next, nextQ, err := e.firstRemoval(ctx, 1, removed, cur)
+			next, nextQ, err := e.firstRemoval(ctx, removed, cur)
 			if err != nil {
 				return err
 			}
@@ -718,7 +684,7 @@ func (e *engine) dive(ctx context.Context) error {
 			}
 			removed, cur = next, nextQ
 		}
-		seeds = append(seeds, seed{removed: removed, q: cur, compiled: chase.CompileQuery(cur)})
+		seeds = append(seeds, seed{removed: removed, q: cur})
 		first := 0
 		for removed.has(first) {
 			first++
@@ -824,77 +790,16 @@ func (e *engine) sortStates(items []stateItem) {
 }
 
 // firstRemoval finds the first (in binding order) sound removal from the
-// current state. With one worker it short-circuits sequentially like the
-// serial engine; with more it evaluates all candidates concurrently and
-// keeps the lowest index that succeeds — the same removal either way, so
-// MinimizeOne stays deterministic.
-func (e *engine) firstRemoval(ctx context.Context, parallelism int, removed posSet, cur *core.Query) (posSet, *core.Query, error) {
-	if parallelism <= 1 || len(cur.Bindings) == 1 {
-		for _, b := range cur.Bindings {
-			next, nextQ, err := e.tryRemove(ctx, removed, b.Var)
-			if err != nil {
-				return "", nil, err
-			}
-			if nextQ != nil {
-				return next, nextQ, nil
-			}
+// current state, short-circuiting at it, so MinimizeOne is
+// deterministic.
+func (e *engine) firstRemoval(ctx context.Context, removed posSet, cur *core.Query) (posSet, *core.Query, error) {
+	for _, b := range cur.Bindings {
+		next, nextQ, err := e.tryRemove(ctx, removed, b.Var)
+		if err != nil {
+			return "", nil, err
 		}
-		return "", nil, nil
-	}
-
-	type outcome struct {
-		next posSet
-		q    *core.Query
-		err  error
-	}
-	results := make([]outcome, len(cur.Bindings))
-	var idx atomic.Int64
-	// best tracks the lowest index with a sound removal so far: workers
-	// skip candidates that can no longer win, keeping the total chase
-	// work close to the serial short-circuit (skipped high-index results
-	// would be useless next round anyway — the removal set changes).
-	var best atomic.Int64
-	best.Store(int64(len(cur.Bindings)))
-	var wg sync.WaitGroup
-	n := parallelism
-	if n > len(cur.Bindings) {
-		n = len(cur.Bindings)
-	}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(idx.Add(1)) - 1
-				if i >= len(cur.Bindings) {
-					return
-				}
-				if int64(i) > best.Load() {
-					continue
-				}
-				next, q, err := e.tryRemove(ctx, removed, cur.Bindings[i].Var)
-				results[i] = outcome{next, q, err}
-				if err == nil && q != nil {
-					for {
-						b := best.Load()
-						if int64(i) >= b || best.CompareAndSwap(b, int64(i)) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Scan in binding order: at the first index with an outcome (success
-	// or error), behave exactly like the serial loop would have there.
-	// Unevaluated slots above a success are zero-valued and ignored.
-	for _, r := range results {
-		if r.err != nil {
-			return "", nil, r.err
-		}
-		if r.q != nil {
-			return r.next, r.q, nil
+		if nextQ != nil {
+			return next, nextQ, nil
 		}
 	}
 	return "", nil, nil

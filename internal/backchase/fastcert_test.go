@@ -147,7 +147,9 @@ func (g certGen) term(vars []string) *core.Term {
 // accepting T into S implies that the identity maps T into S's unchased
 // canonical database; and for random terms over all of the root's
 // variables, removed ones included, Rewriter.Equates under S implies
-// that S's canonical database equates them.
+// that S's canonical database equates them. It also holds S to the
+// construction's own guarantee, root ⊑ S by the identity (see
+// TestCandidatesContainRoot).
 func FuzzFastCertificateMatchesCanon(f *testing.F) {
 	for seed := int64(0); seed < 256; seed++ {
 		f.Add(seed, uint8(seed*37))
@@ -164,6 +166,9 @@ func FuzzFastCertificateMatchesCanon(f *testing.F) {
 		sub, s, ok := sb.subquery(positions(q, removalSet(q, sMask)))
 		if !ok {
 			return
+		}
+		if !rootMaps(q)(sub) {
+			t.Fatalf("the identity does not map S into the root's canonical database\nroot %s\nS = %s", q, sub)
 		}
 		rw := sb.rewriter(s)
 		if tq, tk, ok := sb.subquery(positions(q, removalSet(q, sMask|g.r.Intn(1<<n)))); ok && tk != s && s.subsetOf(tk) {
@@ -229,7 +234,8 @@ func certifiedStates(tb testing.TB) (*engine, []posSet) {
 
 // BenchmarkCertifyProjDept runs the certificates of one ProjDept run
 // (199 states): on the frozen root closure, as certify decides them, and
-// by the canonical database of each state, its fallback.
+// by the canonical database of each state, the reference
+// (canonCertifies).
 func BenchmarkCertifyProjDept(b *testing.B) {
 	e, states := certifiedStates(b)
 	subs := make([]*core.Query, len(states))
@@ -246,11 +252,12 @@ func BenchmarkCertifyProjDept(b *testing.B) {
 			}
 		}
 	})
+	compiled := compiledSeeds(e)
 	b.Run("canon", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j, s := range states {
-				if !e.canonCertifies(s, subs[j]) {
+				if !canonCertifies(e, compiled, s, subs[j]) {
 					b.Fatal("certificate lost")
 				}
 			}
@@ -270,23 +277,108 @@ func identityMaps(s *core.Query) func(t *chase.CompiledQuery) bool {
 	return func(t *chase.CompiledQuery) bool { return cn.MapsCompiledInto(t, s.Out, id) }
 }
 
+// canonCertifies is the reference certify is held to: the same
+// certificate decided on sub's unchased canonical database, built once,
+// with each seed below sub (compiled holds them in e.seeds' order)
+// tried by the identity mapping.
+func canonCertifies(e *engine, compiled []*chase.CompiledQuery, removed posSet, sub *core.Query) bool {
+	var maps func(*chase.CompiledQuery) bool
+	for i := range e.seeds {
+		if !e.seeds[i].below(removed) {
+			continue
+		}
+		if maps == nil {
+			maps = identityMaps(sub)
+		}
+		if maps(compiled[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// compiledSeeds compiles e's seeds, for canonCertifies.
+func compiledSeeds(e *engine) []*chase.CompiledQuery {
+	out := make([]*chase.CompiledQuery, len(e.seeds))
+	for i, sd := range e.seeds {
+		out[i] = chase.CompileQuery(sd.q)
+	}
+	return out
+}
+
 // TestProjDeptCertificatesOnRootClosure: every certificate of the
 // paper's example is decided on the frozen root closure; the canonical
-// database, certify's fallback, agrees on each.
+// database, the reference, agrees on each.
 func TestProjDeptCertificatesOnRootClosure(t *testing.T) {
 	e, states := certifiedStates(t)
+	compiled := compiledSeeds(e)
 	fast := 0
 	for _, s := range states {
 		sub := e.cachedSubquery(s).sub
-		if e.rootCertifies(s, sub) {
+		if e.certify(s, sub) {
 			fast++
 		}
-		if !e.canonCertifies(s, sub) {
+		if !canonCertifies(e, compiled, s, sub) {
 			t.Errorf("the canonical database rejects a certified state:\n%s", sub)
 		}
 	}
 	t.Logf("%d certified states, %d decided on the root closure", len(states), fast)
 	if fast != len(states) {
 		t.Errorf("%d of %d certificates decided on the root closure, want all", fast, len(states))
+	}
+}
+
+// rootMaps returns the guarantee subqueryFrom's construction gives every
+// candidate (see equivalentToRoot): whether the identity on s's
+// variables maps s, with its output, into root's unchased canonical
+// database, built once, with the root's output.
+func rootMaps(root *core.Query) func(s *core.Query) bool {
+	cn := chase.NewCanon(root)
+	return func(s *core.Query) bool {
+		id := make(chase.Hom, len(s.Bindings))
+		for _, b := range s.Bindings {
+			id[b.Var] = cn.BindingVar(root.BindingOf(b.Var))
+		}
+		return cn.MapsCompiledInto(chase.CompileQuery(s), root.Out, id)
+	}
+}
+
+// TestCandidatesContainRoot: root ⊑ S by the identity, with no
+// dependencies, for every candidate S that subqueryFrom builds from the
+// 614 roots of TestSubqueryMatchesReference. The engine relies on it
+// instead of testing root ⊑ S per candidate. On the ProjDept universal
+// plan every removal mask is checked, and a backtracking containment
+// search on a fresh canon agrees.
+func TestCandidatesContainRoot(t *testing.T) {
+	labels, roots, _ := rewriteScenarios(t)
+	candidates := 0
+	for i, q := range roots {
+		maps := rootMaps(q)
+		keys, states := latticeStates(NewSubqueryBuilder(q))
+		for _, k := range keys {
+			candidates++
+			if !maps(states[k]) {
+				t.Errorf("%s: the identity does not map S into the root\nroot %s\nS = %s", labels[i], q, states[k])
+			}
+		}
+	}
+	t.Logf("%d candidates over %d roots", candidates, len(roots))
+
+	u := chasedProjDept(t)
+	sb := NewSubqueryBuilder(u)
+	maps := rootMaps(u)
+	built := 0
+	for mask := 1; mask < 1<<len(u.Bindings); mask++ {
+		sub, ok := sb.Subquery(removalSet(u, mask))
+		if !ok || len(sub.Bindings) == 0 {
+			continue
+		}
+		built++
+		if !maps(sub) || !chase.NewCanon(u).MapsCompiledInto(chase.CompileQuery(sub), u.Out, nil) {
+			t.Errorf("ProjDept mask %b: S does not map into the root\nS = %s", mask, sub)
+		}
+	}
+	if built < 100 {
+		t.Fatalf("only %d ProjDept candidates built", built)
 	}
 }

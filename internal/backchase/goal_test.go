@@ -171,33 +171,3 @@ func TestGoalAcceptsRemovalBeforeBudget(t *testing.T) {
 			rootGoal.States, rootGoal.Plans)
 	}
 }
-
-// TestEquivalentToRootFallsBackToSearch covers the root ⊑ S direction
-// when the identity witness does not apply: a candidate whose variable
-// names are swapped against the root's is still equivalent (the
-// backtracking search finds the swap), and one with a condition the
-// root does not imply is not.
-func TestEquivalentToRootFallsBackToSearch(t *testing.T) {
-	v, n, prj := core.V, core.Name, core.Prj
-	root := &core.Query{
-		Out: prj(v("x"), "B"),
-		Bindings: []core.Binding{
-			{Var: "x", Range: n("R")},
-			{Var: "y", Range: n("S")},
-		},
-		Conds: []core.Cond{{L: prj(v("x"), "A"), R: prj(v("y"), "A")}},
-	}
-	e, err := newEngine(context.Background(), root, nil, Options{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped := root.RenameVars(func(s string) string { return map[string]string{"x": "y", "y": "x"}[s] })
-	if eq, err := e.equivalentToRoot(context.Background(), e.none, swapped); err != nil || !eq {
-		t.Errorf("swapped names: equivalent = %v, %v; want true", eq, err)
-	}
-	stricter := root.Clone()
-	stricter.Conds = append(stricter.Conds, core.Cond{L: prj(v("x"), "B"), R: core.C(1)})
-	if eq, err := e.equivalentToRoot(context.Background(), e.none, stricter); err != nil || eq {
-		t.Errorf("extra condition: equivalent = %v, %v; want false", eq, err)
-	}
-}

@@ -45,11 +45,10 @@ type Metrics struct {
 // Canon is the canonical database of a query: its congruence closure plus
 // the membership facts contributed by the from clause.
 //
-// A mutable Canon is not safe for concurrent use: even a read-only search
-// path-compresses the closure and may rebuild the target index, and a
-// chase's premise searches intern transported terms. A frozen Canon (see
-// Freeze) serves any number of concurrent read-only containment tests
-// (MapsCompiledInto, MapsQueryInto, HomsOfQueryInto).
+// A Canon is not safe for concurrent use: even a read-only search
+// path-compresses the closure, rebuilds the target index and reuses the
+// canon's search objects, and a chase's premise searches intern
+// transported terms.
 type Canon struct {
 	Q  *core.Query
 	CC *congruence.Closure
@@ -68,11 +67,10 @@ type Canon struct {
 	// classes do.
 	rangeNode, varNode []int
 	// tix caches the class of every target binding's range; rebuilt
-	// lazily whenever the closure version or the binding list moves on,
-	// and built once by Freeze.
+	// lazily whenever the closure version or the binding list moves on.
 	tix *targetIndex
 	// premise and query are the search objects premise searches and
-	// query searches reuse on a mutable canon (see spareSearch).
+	// query searches reuse (see spareSearch).
 	premise, query *search
 }
 
@@ -92,14 +90,6 @@ func (cn *Canon) clone() *Canon {
 		Q: cn.Q, CC: cn.CC.Clone(), Metrics: cn.Metrics, linearScan: cn.linearScan,
 		rangeNode: cn.rangeNode, varNode: cn.varNode,
 	}
-}
-
-// Freeze makes the canonical database read-only and shareable: it
-// freezes the closure and builds the target index once, so read-only
-// searches never write to it. Freezing twice is a no-op.
-func (cn *Canon) Freeze() {
-	cn.CC.Freeze()
-	cn.targetReps()
 }
 
 // targetReps returns the class of every target binding's range as of
@@ -310,9 +300,8 @@ func (cn *Canon) MapsQueryInto(src *core.Query, out *core.Term, init Hom) bool {
 // compiled query into this canonical database, with its output congruent
 // to out, extends init (which may be nil). The test is read-only: terms
 // the closure lacks get virtual ids, so it changes neither the closure's
-// Len nor its Version, and on a frozen canon any number of tests may run
-// concurrently. Only a projection whose class holds constructors with
-// that field in different classes (congruence.Ambiguous) has no
+// Len nor its Version. Only a projection whose class holds constructors
+// with that field in different classes (congruence.Ambiguous) has no
 // read-only answer; the test then reruns on a private clone, interning.
 // init's variables outside the query's bindings must have been compiled
 // in (MapsQueryInto does that).

@@ -99,12 +99,8 @@ func (cn *Canon) newSearch(p *program, atoms []atom, conds []pcond, m mode) *sea
 }
 
 // spareSearch is newSearch reusing *spare, a search object the canon
-// keeps for one call site; a frozen canon, shared by concurrent
-// searches, allocates instead.
+// keeps for one call site.
 func (cn *Canon) spareSearch(spare **search, p *program, atoms []atom, conds []pcond, m mode) *search {
-	if cn.CC.Frozen() {
-		return cn.newSearch(p, atoms, conds, m)
-	}
 	if *spare == nil {
 		*spare = &search{}
 	}

@@ -186,9 +186,6 @@ func (p *Probe) Reset(c *Closure) {
 	clear(p.structs)
 }
 
-// Frozen reports whether Freeze has been called.
-func (c *Closure) Frozen() bool { return c.frozen != nil }
-
 // Leaf returns the class of a leaf term, or its virtual id.
 func (p *Probe) Leaf(t *core.Term) int {
 	if r, ok := p.c.LookupLeaf(t); ok {
