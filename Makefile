@@ -18,14 +18,15 @@
 #                     them.
 #   make test       - fast feedback: plain test run, no race detector.
 #   make race       - race-detector run of the concurrency-heavy packages
-#                     (the parallel backchase engine and everything it
-#                     shares state with), not the whole module.
+#                     (the serving layer and everything its concurrent
+#                     requests share state through), not the whole
+#                     module.
 #   make cover      - coverage profile over internal/... with a floor:
 #                     fails below $(COVER_FLOOR)%.
 #   make bench      - the real benchmark sweep (longer).
 #   make bench-json - run the experiments and write $(BENCH_JSON), the
 #                     machine-readable perf trajectory CI archives.
-#   make bench-check - regenerate $(BENCH_JSON) at parallelism 1 and gate
+#   make bench-check - regenerate $(BENCH_JSON) and gate
 #                     it against the committed BENCH_BASELINE.json:
 #                     fails on >10% growth of any *_states metric or any
 #                     cheapest-cost change (see cmd/benchcheck). After an
@@ -94,17 +95,12 @@ GO ?= go
 COVER_FLOOR ?= 70
 BENCH_JSON ?= BENCH_PR3.json
 BENCH_BASELINE ?= BENCH_BASELINE.json
-# The backchase's state and work counters are the same at any worker
-# count; the gate still measures at parallelism 1, the setting E18 pins
-# for its serial candidate ranking, so the whole report runs serially
-# and its informational wall times compare across reports.
-BENCH_GATE_FLAGS = -parallelism 1
-
 # The packages whose tests exercise shared mutable state across
-# goroutines: the worker-pool backchase engine, the chase it drives
-# concurrently, the congruence closures cloned across workers, the
-# optimizer that parallelizes both, and the serving layer that coalesces
-# concurrent requests over all of them. core rides along for the
+# goroutines: the serving layer, which coalesces concurrent requests and
+# runs detached flights side by side, and what those flights share or
+# run concurrently — the optimizer, the backchase (a SubqueryBuilder's
+# frozen root closure may serve several goroutines), the chase and the
+# frozen congruence closures. core rides along for the
 # canonicalization property/stress suite that every concurrent cache key
 # depends on. instance and engine ride along for the key order a Set or
 # Dict caches on first read, which concurrent plans over one installed
@@ -178,11 +174,11 @@ bench-json:
 	$(GO) run ./cmd/chasebench -json-out $(BENCH_JSON)
 
 bench-check:
-	$(GO) run ./cmd/chasebench $(BENCH_GATE_FLAGS) -json-out $(BENCH_JSON)
+	$(GO) run ./cmd/chasebench -json-out $(BENCH_JSON)
 	$(GO) run ./cmd/benchcheck -baseline $(BENCH_BASELINE) -current $(BENCH_JSON)
 
 bench-baseline:
-	$(GO) run ./cmd/chasebench $(BENCH_GATE_FLAGS) -json-out $(BENCH_BASELINE)
+	$(GO) run ./cmd/chasebench -json-out $(BENCH_BASELINE)
 
 # Measured execution at data scale: E18 hard-fails internally when the
 # optimized plan does not beat the baseline or the result sets differ,
@@ -192,7 +188,7 @@ bench-baseline:
 bench-exec:
 	@mkdir -p bin
 	$(GO) build -o bin/chasebench ./cmd/chasebench
-	timeout $(EXEC_TIMEOUT) ./bin/chasebench -exp E18 -parallelism 1 -exec-rows $(EXEC_ROWS)
+	timeout $(EXEC_TIMEOUT) ./bin/chasebench -exp E18 -exec-rows $(EXEC_ROWS)
 
 # Godoc gate over the contractually documented packages. Runs in CI's
 # lint job next to staticcheck; the tool is in-repo because the gate

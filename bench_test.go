@@ -8,8 +8,6 @@ package cnb_test
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"cnb/internal/backchase"
@@ -58,7 +56,6 @@ func BenchmarkE8PlanExecution(b *testing.B) { benchExperiment(b, "E8") }
 func BenchmarkE9OptTime(b *testing.B)       { benchExperiment(b, "E9") }
 func BenchmarkE10Gmap(b *testing.B)         { benchExperiment(b, "E10") }
 func BenchmarkE11Semantic(b *testing.B)     { benchExperiment(b, "E11") }
-func BenchmarkE12Parallel(b *testing.B)     { benchExperiment(b, "E12") }
 func BenchmarkE13Certified(b *testing.B)    { benchExperiment(b, "E13") }
 func BenchmarkE15IncChase(b *testing.B)     { benchExperiment(b, "E15") }
 func BenchmarkE16ServeLoad(b *testing.B)    { benchExperiment(b, "E16") }
@@ -70,7 +67,7 @@ func BenchmarkE16ServeLoad(b *testing.B)    { benchExperiment(b, "E16") }
 // per-request planning cost every client after a shape's first pays.
 func BenchmarkServiceWarmOptimize(b *testing.B) {
 	pd := projDept(b)
-	svc := service.New(service.Options{Parallelism: 1, MinimalOnly: true})
+	svc := service.New(service.Options{MinimalOnly: true})
 	req := service.Request{Query: pd.Q, Deps: pd.AllDeps(), PhysicalNames: pd.Physical.NameSet()}
 	if _, err := svc.Optimize(context.Background(), req); err != nil {
 		b.Fatal(err)
@@ -266,7 +263,7 @@ func BenchmarkRankProjDept(b *testing.B) {
 func BenchmarkQueryScan100k(b *testing.B) {
 	pd := projDept(b)
 	in := pd.Generate(workload.GenOptions{NumDepts: 20000, ProjsPerDept: 5, NumCustomers: 5, CitiBankShare: 0.3, Seed: 1})
-	svc := service.New(service.Options{Parallelism: 1})
+	svc := service.New(service.Options{})
 	if _, err := svc.InstallInstance("pd", in); err != nil {
 		b.Fatal(err)
 	}
@@ -300,37 +297,6 @@ func BenchmarkQueryScan100k(b *testing.B) {
 		if !qr.Optimize.CacheHit || qr.ResultRows != 100000 || len(qr.Rows) != service.DefaultMaxResultRows {
 			b.Fatalf("cache hit %v, %d rows (%d returned)", qr.Optimize.CacheHit, qr.ResultRows, len(qr.Rows))
 		}
-	}
-}
-
-// BenchmarkBackchaseParallel measures the worker-pool enumeration against
-// the serial engine on a multi-scan workload: a chain query with
-// adjacent-pair views, whose universal plan has many redundant scans and
-// an exponential subquery lattice. Compare the Parallelism=1 and
-// Parallelism=N sub-benchmarks for the speedup on the optimizer's hot
-// path.
-func BenchmarkBackchaseParallel(b *testing.B) {
-	c, err := workload.NewChain(5, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chased, err := chase.Chase(c.Q, c.Deps, chase.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pars := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		pars = append(pars, n)
-	}
-	for _, par := range pars {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := backchase.Enumerate(chased.Query, c.Deps, backchase.Options{Parallelism: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

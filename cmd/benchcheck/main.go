@@ -54,8 +54,8 @@
 //     exist in the current report.
 //
 // Wall-clock metrics (*_ms), speedup ratios and correlation metrics are
-// informational and never gated: they depend on the machine. Run both
-// reports with -parallelism 1 so state counts are deterministic.
+// informational and never gated: they depend on the machine. The
+// backchase is serial, so state counts are deterministic.
 //
 // Usage:
 //

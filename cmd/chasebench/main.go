@@ -42,21 +42,18 @@ type report struct {
 	GOOS        string   `json:"goos"`
 	GOARCH      string   `json:"goarch"`
 	NumCPU      int      `json:"num_cpu"`
-	Parallelism int      `json:"parallelism"`
 	Experiments []record `json:"experiments"`
 }
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "run a single experiment (e.g. E1)")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		parallelism = flag.Int("parallelism", 0, "backchase worker count (0 = all cores, 1 = serial)")
-		jsonFlag    = flag.Bool("json", false, "write machine-readable results to "+defaultJSONPath)
-		jsonOut     = flag.String("json-out", "", "write machine-readable results to this path (implies -json)")
-		execRows    = flag.Int("exec-rows", 0, "fact rows for the E18 execution experiment (0 = package default, the CI tier)")
+		exp      = flag.String("exp", "", "run a single experiment (e.g. E1)")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		jsonFlag = flag.Bool("json", false, "write machine-readable results to "+defaultJSONPath)
+		jsonOut  = flag.String("json-out", "", "write machine-readable results to this path (implies -json)")
+		execRows = flag.Int("exec-rows", 0, "fact rows for the E18 execution experiment (0 = package default, the CI tier)")
 	)
 	flag.Parse()
-	bench.Parallelism = *parallelism
 	if *execRows > 0 {
 		bench.ExecRows = *execRows
 	}
@@ -74,7 +71,6 @@ func main() {
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
-		Parallelism: *parallelism,
 	}
 	for _, e := range bench.All() {
 		if *exp != "" && !strings.EqualFold(*exp, e.ID) {

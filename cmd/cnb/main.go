@@ -58,10 +58,9 @@ query Q:
 
 func main() {
 	var (
-		designName  = flag.String("design", "", "physical design to optimize against (default: the only one)")
-		showAll     = flag.Bool("all", false, "print every candidate plan, not only the best")
-		example     = flag.Bool("example", false, "run the built-in ProjDept example")
-		parallelism = flag.Int("parallelism", 0, "backchase worker count (0 = all cores, 1 = serial)")
+		designName = flag.String("design", "", "physical design to optimize against (default: the only one)")
+		showAll    = flag.Bool("all", false, "print every candidate plan, not only the best")
+		example    = flag.Bool("example", false, "run the built-in ProjDept example")
 	)
 	flag.Parse()
 
@@ -95,7 +94,7 @@ func main() {
 	// One service across every query in the file: its plan table serves
 	// canonically identical queries (e.g. alpha-renamed repeats) without
 	// optimizing them again.
-	svc := service.New(service.Options{Parallelism: *parallelism})
+	svc := service.New(service.Options{})
 	for _, name := range doc.QueryOrder {
 		q := doc.Queries[name]
 		fmt.Printf("--- query %s ---\n%s\n\n", name, q)

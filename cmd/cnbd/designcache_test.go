@@ -110,7 +110,7 @@ func TestDesignCacheChurnMatchesUncached(t *testing.T) {
 // parse replaces the server's design-cached parser.
 func testMux(t *testing.T, parse func(string) (*parser.Document, error)) http.Handler {
 	t.Helper()
-	s, mux := newServer(service.Options{Parallelism: 1}, 30*time.Second)
+	s, mux := newServer(service.Options{}, 30*time.Second)
 	if parse != nil {
 		s.parse = parse
 	}

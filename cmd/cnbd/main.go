@@ -27,9 +27,12 @@
 //
 // Usage:
 //
-//	cnbd [-addr :8343] [-parallelism N] [-cache-size N]
+//	cnbd [-addr :8343] [-cache-size N]
 //	     [-query-timeout 30s] [-max-plan-latency 0] [-hist-reset-on-scrape]
 //	     [-pprof-addr addr]
+//
+// The backchase is serial. The -parallelism flag is still accepted, so
+// older command lines keep working, and ignored.
 package main
 
 import (
@@ -150,17 +153,16 @@ func newServer(opts service.Options, queryTimeout time.Duration) (*server, *http
 func main() {
 	var (
 		addr         = flag.String("addr", ":8343", "listen address")
-		parallelism  = flag.Int("parallelism", 0, "backchase worker count per flight (0 = all cores)")
 		cacheSize    = flag.Int("cache-size", 0, "plan cache entry bound (0 = default, <0 = unbounded)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "server-side execution deadline per /query request (0 = none)")
 		maxPlanLat   = flag.Duration("max-plan-latency", 0, "plan-latency SLO: serve the greedy tier when the backchase flight misses this budget (0 = synchronous)")
 		histReset    = flag.Bool("hist-reset-on-scrape", false, "zero the per-tier latency histograms after every GET /metrics, so each scrape reports the interval since the previous one")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 	)
+	flag.Int("parallelism", 0, "deprecated: ignored; the backchase is serial")
 	flag.Parse()
 
 	srv0, mux := newServer(service.Options{
-		Parallelism:    *parallelism,
 		CacheSize:      *cacheSize,
 		MaxPlanLatency: *maxPlanLat,
 	}, *queryTimeout)
@@ -177,7 +179,7 @@ func main() {
 		}()
 	}
 
-	log.Printf("cnbd listening on %s (parallelism=%d max-plan-latency=%v)", *addr, *parallelism, *maxPlanLat)
+	log.Printf("cnbd listening on %s (max-plan-latency=%v)", *addr, *maxPlanLat)
 	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	if err := serve(srv); err != nil {
 		log.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // testServer spins the production mux behind httptest.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	_, mux := newServer(service.Options{Parallelism: 1}, 30*time.Second)
+	_, mux := newServer(service.Options{}, 30*time.Second)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -311,7 +311,7 @@ func TestInstanceDictMustBeFunction(t *testing.T) {
 // on any machine speed and under the race detector.
 func TestTieredOptimizeEndToEnd(t *testing.T) {
 	// Synchronous reference: cold planning wall clock and tier tag.
-	_, syncMux := newServer(service.Options{Parallelism: 1}, 30*time.Second)
+	_, syncMux := newServer(service.Options{}, 30*time.Second)
 	syncTS := httptest.NewServer(syncMux)
 	t.Cleanup(syncTS.Close)
 	status, out := postJSON(t, syncTS.URL+"/optimize", projDeptDoc)
@@ -327,7 +327,7 @@ func TestTieredOptimizeEndToEnd(t *testing.T) {
 	// A quarter of the cold time: far below cold (greedy tier on cold
 	// requests), comfortably above the warm path (~cold/10).
 	budget := time.Duration(coldMS/4*1000) * time.Microsecond
-	_, mux := newServer(service.Options{Parallelism: 1, MaxPlanLatency: budget}, 30*time.Second)
+	_, mux := newServer(service.Options{MaxPlanLatency: budget}, 30*time.Second)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
@@ -512,7 +512,7 @@ func TestMetricsKeyOrder(t *testing.T) {
 // reports the interval since the previous one — the second scrape of an
 // idle server shows empty histograms (counters are untouched).
 func TestMetricsHistResetOnScrape(t *testing.T) {
-	srv, mux := newServer(service.Options{Parallelism: 1}, 30*time.Second)
+	srv, mux := newServer(service.Options{}, 30*time.Second)
 	srv.histResetOnScrape = true
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)

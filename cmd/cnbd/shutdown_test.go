@@ -51,6 +51,8 @@ func TestShutdownDrainsInFlightRequest(t *testing.T) {
 		b, _ := os.ReadFile(logFile.Name())
 		return string(b)
 	}
+	// -parallelism is deprecated and ignored, but must still parse:
+	// cnbbench/server.go starts cnbd with it.
 	cmd := exec.Command(os.Args[0], "-addr", addr, "-parallelism", "1")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	cmd.Stdout, cmd.Stderr = logFile, logFile

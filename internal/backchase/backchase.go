@@ -26,8 +26,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cnb/internal/chase"
 	"cnb/internal/congruence"
@@ -43,12 +41,9 @@ type Options struct {
 	// inputs — the search space is exponential in the number of
 	// redundant bindings (§5).
 	MaxStates int
-	// Parallelism is the number of workers exploring the subquery
-	// lattice concurrently (0 = runtime.GOMAXPROCS(0), 1 = serial).
-	// For runs that finish without truncation the result is identical
-	// for every value. Only Enumerate (and BruteForceMinimal, the
-	// reference) use it; MinimizeOne and IsMinimal verify one removal at
-	// a time.
+	// Parallelism is kept so that existing callers still compile.
+	//
+	// Deprecated: ignored; the backchase is serial.
 	Parallelism int
 	// Index is a prebuilt chase dependency index over the same dependency
 	// set passed to Enumerate (chase.NewDepIndex(deps)); the optimizer
@@ -82,9 +77,9 @@ func (o Options) withDefaults() Options {
 
 // Result holds the outcome of a backchase enumeration. Plans and
 // Explored are reported in canonical order (plans by size then
-// signature, states by removal-set key), so complete runs produce
-// byte-identical results regardless of Options.Parallelism or worker
-// scheduling.
+// signature, states by removal-set key); the exploration order is
+// fixed, so repeated runs, truncated ones included, produce
+// byte-identical results.
 type Result struct {
 	// Plans are the distinct normal forms (minimal equivalent subqueries),
 	// deduplicated by renaming-invariant signature.
@@ -121,24 +116,25 @@ func Enumerate(q *core.Query, deps []*core.Dependency, opts Options) (*Result, e
 	return EnumerateContext(context.Background(), q, deps, opts)
 }
 
-// EnumerateContext is Enumerate with cancellation: workers observe the
-// context between candidate checks and inside every embedded chase run,
-// so cancellation terminates the pool promptly. On cancellation it
-// returns the partial Result collected so far together with ctx.Err().
+// EnumerateContext is Enumerate with cancellation: the search observes
+// the context between candidate checks and inside every embedded chase
+// run, so cancellation stops it promptly. On cancellation it returns the
+// partial Result collected so far together with ctx.Err(). The search
+// runs on the caller's goroutine, so a panic inside it reaches the
+// caller.
 func EnumerateContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	e, err := newEngine(ctx, q, deps, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.enumerate(ctx, opts.parallelismOrDefault())
+	return e.enumerate(ctx)
 }
 
 // MinimizeOne performs a greedy backchase: repeatedly apply the first
 // sound removal until none applies, returning a single (normalized)
 // minimal plan. Deterministic: bindings are tried in order and the first
-// sound removal (lowest binding index) is always the one taken, whatever
-// Options.Parallelism says.
+// sound removal (lowest binding index) is always the one taken.
 func MinimizeOne(q *core.Query, deps []*core.Dependency, opts Options) (*core.Query, error) {
 	return MinimizeOneContext(context.Background(), q, deps, opts)
 }
@@ -246,8 +242,7 @@ func positions(q *core.Query, vars map[string]bool) posSet {
 // rootClosure is the congruence closure every subquery of q is built
 // from: all of q's terms, grouped by its conditions. It does not depend
 // on the removal set, so the engine builds it once per run; it is
-// returned frozen, so every subquery construction of the run can read it
-// concurrently.
+// returned frozen, since every subquery construction only reads it.
 func rootClosure(q *core.Query) *congruence.Closure {
 	cc := congruence.New()
 	for _, t := range q.AllTerms() {
@@ -263,8 +258,7 @@ func rootClosure(q *core.Query) *congruence.Closure {
 // subqueryFrom is Subquery over cc, q's frozen rootClosure, for a
 // removal set of q's positions; it also returns the set the cascade grew
 // it to. It only reads cc — every rewrite is a congruence.Rewriter pass
-// over its class ids — so any number of calls may share one closure
-// concurrently.
+// over its class ids — so every call of a run shares one closure.
 func subqueryFrom(q *core.Query, cc *congruence.Closure, removed posSet) (*core.Query, posSet, bool) {
 	isRemoved := func(v string) bool { return removed.holds(q, v) }
 	rw := cc.Rewriter(cc.VarSet(isRemoved))
@@ -525,9 +519,7 @@ func BruteForceMinimal(q *core.Query, deps []*core.Dependency, opts Options) ([]
 }
 
 // BruteForceMinimalContext is BruteForceMinimal with cancellation. The
-// 2^n subset checks are independent, so they are fanned out across
-// Options.Parallelism workers; candidates are collected indexed by mask,
-// keeping the result deterministic.
+// 2^n subsets are checked in mask order.
 func BruteForceMinimalContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) ([]*core.Query, error) {
 	opts = opts.withDefaults()
 	n := len(q.Bindings)
@@ -538,13 +530,16 @@ func BruteForceMinimalContext(ctx context.Context, q *core.Query, deps []*core.D
 		q    *core.Query
 		size int
 	}
-	// One premise index serves every subset's equivalence chases; the
-	// index is immutable, so the worker fan-out below shares it freely.
+	// One premise index serves every subset's equivalence chases.
 	ix := opts.Index
 	if ix == nil {
 		ix = chase.NewDepIndex(deps)
 	}
-	checkMask := func(mask int) (*cand, error) {
+	var equivalents []cand
+	for mask := 0; mask < 1<<n; mask++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		removed := map[string]bool{}
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
@@ -552,82 +547,23 @@ func BruteForceMinimalContext(ctx context.Context, q *core.Query, deps []*core.D
 			}
 		}
 		if len(removed) == n {
-			return nil, nil
+			continue
 		}
 		sub, ok := Subquery(q, removed)
 		if !ok {
-			return nil, nil
+			continue
 		}
 		// The cascade may have removed more than the mask requested; skip
 		// duplicates via signature dedup below.
 		eq, err := equivalentIndexed(ctx, sub, q, ix, opts.Chase)
+		if _, budget := err.(*chase.ErrBudget); budget {
+			continue
+		}
 		if err != nil {
-			if _, budget := err.(*chase.ErrBudget); budget {
-				return nil, nil
-			}
 			return nil, err
 		}
-		if !eq {
-			return nil, nil
-		}
-		return &cand{q: sub, size: len(sub.Bindings)}, nil
-	}
-
-	total := 1 << n
-	byMask := make([]*cand, total)
-	par := opts.parallelismOrDefault()
-	if par > total {
-		par = total
-	}
-	// A hard error on any mask cancels the sweep: without it the other
-	// workers would chase every remaining subset before the error could
-	// be returned.
-	ctx, cancelSweep := context.WithCancel(ctx)
-	defer cancelSweep()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	recordErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancelSweep()
-	}
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mask := int(next.Add(1)) - 1
-				if mask >= total {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					recordErr(err)
-					return
-				}
-				c, err := checkMask(mask)
-				if err != nil {
-					recordErr(err)
-					return
-				}
-				byMask[mask] = c
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	var equivalents []cand
-	for _, c := range byMask {
-		if c != nil {
-			equivalents = append(equivalents, *c)
+		if eq {
+			equivalents = append(equivalents, cand{q: sub, size: len(sub.Bindings)})
 		}
 	}
 	// Keep the minimal ones: no strictly smaller equivalent subquery of

@@ -45,22 +45,20 @@ func acceptedStates(t *testing.T, root *core.Query, deps []*core.Dependency, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.enumerate(context.Background(), opts.parallelismOrDefault())
+	res, err := e.enumerate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []*core.Query
-	for i := range e.shards {
-		for key, ent := range e.shards[i].eq {
-			if !ent.eq {
-				continue
-			}
-			sub, _, ok := e.subs.subquery(key)
-			if !ok {
-				t.Fatalf("accepted state %x cannot be rebuilt", key)
-			}
-			out = append(out, sub)
+	for key, eq := range e.eq {
+		if !eq {
+			continue
 		}
+		sub, _, ok := e.subs.subquery(key)
+		if !ok {
+			t.Fatalf("accepted state %x cannot be rebuilt", key)
+		}
+		out = append(out, sub)
 	}
 	return res, out
 }
@@ -118,7 +116,7 @@ func TestCertificatesAgreeWithChase(t *testing.T) {
 
 	certified := 0
 	for _, sc := range scenarios {
-		opts := Options{Parallelism: 2, Goal: sc.goal}
+		opts := Options{Goal: sc.goal}
 		res, accepted := acceptedStates(t, sc.q, sc.deps, opts)
 		goal := sc.q
 		if sc.goal != nil {
@@ -151,7 +149,7 @@ func TestProjDeptCertificates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Enumerate(u.Query, pd.AllDeps(), Options{Parallelism: 1, Goal: pd.Q})
+	res, err := Enumerate(u.Query, pd.AllDeps(), Options{Goal: pd.Q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +227,7 @@ func TestFailedCertificateFallsBackToChase(t *testing.T) {
 		if err != nil || !eq {
 			t.Fatalf("%s: equivalence = %v, %v; want true", label, eq, err)
 		}
-		certified, chased := e.certified.Load(), e.chased.Load()
+		certified, chased := e.certified, e.chased
 		if wantCertified && (certified != 1 || chased != 0) {
 			t.Errorf("%s: certified %d, chased %d; want 1, 0", label, certified, chased)
 		}
@@ -255,7 +253,7 @@ func TestCancelDuringSeeding(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := newCancelAfter(after)
-		res, err := e.enumerate(ctx, 4)
+		res, err := e.enumerate(ctx)
 		ctx.cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at check %d: err = %v, want context.Canceled", after, err)

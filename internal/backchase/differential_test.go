@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,7 +168,7 @@ func matchUpToEquivalence(t *testing.T, label string, a, b []*core.Query, deps [
 }
 
 // TestDifferentialEnumerateVsBruteForce validates Theorem 2 end to end on
-// randomly generated inputs: the parallel Enumerate must return exactly
+// randomly generated inputs: Enumerate must return exactly
 // the minimal equivalent subqueries that the exponential brute-force
 // oracle finds (as sets of plans up to equivalence). The two
 // implementations share only Subquery and the chase-based containment
@@ -181,7 +182,7 @@ func TestDifferentialEnumerateVsBruteForce(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		q := randomQuery(r)
 		deps := randomDeps(r)
-		opts := Options{Parallelism: 4}
+		opts := Options{}
 
 		en, err := Enumerate(q, deps, opts)
 		if err != nil {
@@ -250,11 +251,10 @@ func resultFingerprint(res *Result) string {
 	return s
 }
 
-// TestDeterminismAcrossParallelism asserts the headline guarantee of the
-// parallel engine: for complete runs the Result — plans, explored states,
-// counters, and their order — is identical for every worker count and
-// across repeated runs.
-func TestDeterminismAcrossParallelism(t *testing.T) {
+// TestDeterminismAcrossRuns asserts the engine's determinism guarantee:
+// the Result — plans, explored states, counters, and their order — is
+// identical across repeated runs.
+func TestDeterminismAcrossRuns(t *testing.T) {
 	deps := projDeptDeps()
 	chased, err := chase.Chase(projDeptQuery(), deps, chase.Options{})
 	if err != nil {
@@ -263,41 +263,38 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	u := chased.Query
 
 	var reference string
-	for _, par := range []int{1, 2, 8} {
-		for run := 0; run < 2; run++ {
-			res, err := Enumerate(u, deps, Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("parallelism %d run %d: %v", par, run, err)
-			}
-			fp := resultFingerprint(res)
-			if reference == "" {
-				reference = fp
-				continue
-			}
-			if fp != reference {
-				t.Errorf("parallelism %d run %d: result differs from reference\ngot:\n%s\nwant:\n%s",
-					par, run, fp, reference)
-			}
+	for run := 0; run < 3; run++ {
+		res, err := Enumerate(u, deps, Options{})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		fp := resultFingerprint(res)
+		if reference == "" {
+			reference = fp
+			continue
+		}
+		if fp != reference {
+			t.Errorf("run %d: result differs from reference\ngot:\n%s\nwant:\n%s", run, fp, reference)
 		}
 	}
 
-	// The random differential cases must also be run-to-run and
-	// cross-parallelism deterministic, not just ProjDept.
+	// The random differential cases must also be run-to-run
+	// deterministic, not just ProjDept.
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 25; i++ {
 		q := randomQuery(r)
 		qdeps := randomDeps(r)
 		var ref string
-		for _, par := range []int{1, 2, 8} {
-			res, err := Enumerate(q, qdeps, Options{Parallelism: par})
+		for run := 0; run < 2; run++ {
+			res, err := Enumerate(q, qdeps, Options{})
 			if err != nil {
-				t.Fatalf("case %d parallelism %d: %v", i, par, err)
+				t.Fatalf("case %d run %d: %v", i, run, err)
 			}
 			fp := resultFingerprint(res)
 			if ref == "" {
 				ref = fp
 			} else if fp != ref {
-				t.Errorf("case %d: parallelism %d differs\nquery:\n%s", i, par, q)
+				t.Errorf("case %d: run %d differs\nquery:\n%s", i, run, q)
 			}
 		}
 	}
@@ -321,13 +318,13 @@ func scramble(q *core.Query, r *rand.Rand) *core.Query {
 	return s
 }
 
-// TestDeterminismRenamedInputsAcrossParallelism extends the determinism
-// guarantee to alpha-renamed inputs: a scrambled variant of a query must
-// itself enumerate deterministically at every worker count, and its plan
-// set must coincide with the original's under the renaming-invariant
-// canonical signature — the invariant the plan cache and singleflight
-// keys rely on.
-func TestDeterminismRenamedInputsAcrossParallelism(t *testing.T) {
+// TestDeterminismRenamedInputs extends the determinism guarantee to
+// alpha-renamed inputs: a scrambled variant of a query must itself
+// enumerate deterministically across runs, and its plan set must
+// coincide with the original's under the renaming-invariant canonical
+// signature — the invariant the plan cache and singleflight keys rely
+// on.
+func TestDeterminismRenamedInputs(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 15; i++ {
 		q := randomQuery(r)
@@ -336,24 +333,24 @@ func TestDeterminismRenamedInputsAcrossParallelism(t *testing.T) {
 
 		var refQ, refS string
 		var qPlans, sPlans []*core.Query
-		for _, par := range []int{1, 2, 8} {
-			resQ, err := Enumerate(q, qdeps, Options{Parallelism: par})
+		for run := 0; run < 2; run++ {
+			resQ, err := Enumerate(q, qdeps, Options{})
 			if err != nil {
-				t.Fatalf("case %d parallelism %d: %v", i, par, err)
+				t.Fatalf("case %d run %d: %v", i, run, err)
 			}
-			resS, err := Enumerate(s, qdeps, Options{Parallelism: par})
+			resS, err := Enumerate(s, qdeps, Options{})
 			if err != nil {
-				t.Fatalf("case %d parallelism %d (scrambled): %v", i, par, err)
+				t.Fatalf("case %d run %d (scrambled): %v", i, run, err)
 			}
 			if fp := resultFingerprint(resQ); refQ == "" {
 				refQ, qPlans = fp, resQ.Plans
 			} else if fp != refQ {
-				t.Errorf("case %d: original query nondeterministic at parallelism %d\nquery:\n%s", i, par, q)
+				t.Errorf("case %d: original query nondeterministic at run %d\nquery:\n%s", i, run, q)
 			}
 			if fp := resultFingerprint(resS); refS == "" {
 				refS, sPlans = fp, resS.Plans
 			} else if fp != refS {
-				t.Errorf("case %d: scrambled query nondeterministic at parallelism %d\nquery:\n%s", i, par, s)
+				t.Errorf("case %d: scrambled query nondeterministic at run %d\nquery:\n%s", i, run, s)
 			}
 		}
 		if !sameSets(planSigs(qPlans), planSigs(sPlans)) {
@@ -362,12 +359,12 @@ func TestDeterminismRenamedInputsAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestDeterminismSymmetricPlans pins the plan-representative choice on a
-// workload built to race: a symmetric self-join where removing x0 and
-// removing x1 yield isomorphic normal forms with the same
-// renaming-invariant signature but different variable names. The engine
-// must keep the canonical representative (smallest rendering), not
-// whichever worker reached the dedup map first.
+// TestDeterminismSymmetricPlans pins the plan-representative choice on
+// a symmetric self-join where removing x0 and removing x1 yield
+// isomorphic normal forms with the same renaming-invariant signature but
+// different variable names. The engine must keep the canonical
+// representative (smallest rendering), not whichever state reached the
+// dedup map first.
 func TestDeterminismSymmetricPlans(t *testing.T) {
 	q := &core.Query{
 		Out: core.Prj(core.V("x0"), "A"),
@@ -379,7 +376,7 @@ func TestDeterminismSymmetricPlans(t *testing.T) {
 	}
 	var ref string
 	for run := 0; run < 8; run++ {
-		res, err := Enumerate(q, nil, Options{Parallelism: 8})
+		res, err := Enumerate(q, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,13 +386,6 @@ func TestDeterminismSymmetricPlans(t *testing.T) {
 		} else if fp != ref {
 			t.Fatalf("run %d: symmetric-plan representative varies\ngot:\n%s\nwant:\n%s", run, fp, ref)
 		}
-	}
-	serial, err := Enumerate(q, nil, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp := resultFingerprint(serial); fp != ref {
-		t.Fatalf("serial differs from parallel on symmetric plans\ngot:\n%s\nwant:\n%s", fp, ref)
 	}
 }
 
@@ -415,11 +405,11 @@ func waitForGoroutines(t *testing.T, baseline int) {
 
 // TestCancellationTerminatesWorkers cancels a large enumeration mid-run:
 // EnumerateContext must return promptly with the context error and the
-// partial results collected so far, leaking no worker goroutines. The
+// partial results collected so far, leaving no goroutine behind. The
 // context cancels itself at its 600th check: the run makes about 1 000
 // (one for the root chase, about 160 in the seed dives, the rest in the
-// workers), so the cancellation lands among the workers however fast
-// the host is.
+// exploration), so the cancellation lands in the exploration however
+// fast the host is.
 func TestCancellationTerminatesWorkers(t *testing.T) {
 	deps := projDeptDeps()
 	chased, err := chase.Chase(projDeptQuery(), deps, chase.Options{})
@@ -431,7 +421,7 @@ func TestCancellationTerminatesWorkers(t *testing.T) {
 	ctx := newCancelAfter(600)
 	defer ctx.cancel()
 	start := time.Now()
-	res, err := EnumerateContext(ctx, chased.Query, deps, Options{Parallelism: 8})
+	res, err := EnumerateContext(ctx, chased.Query, deps, Options{})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -447,49 +437,56 @@ func TestCancellationTerminatesWorkers(t *testing.T) {
 }
 
 // TestCancelledBeforeStart covers the degenerate case: a context that is
-// already cancelled fails fast, before the engine is built, without
-// spawning workers.
+// already cancelled fails fast, before the engine is built.
 func TestCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	baseline := runtime.NumGoroutine()
-	_, err := EnumerateContext(ctx, redundantTriple(), nil, Options{Parallelism: 4})
+	_, err := EnumerateContext(ctx, redundantTriple(), nil, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	waitForGoroutines(t, baseline)
 }
 
-// TestMaxStatesTruncationParallel asserts the state budget stops the
-// worker pool without hanging or leaking, reporting truncation.
-func TestMaxStatesTruncationParallel(t *testing.T) {
+// TestMaxStatesTruncationDeterministic asserts that the state budget
+// stops the search with exactly MaxStates states explored, reporting
+// truncation, and that the exploration order is fixed: two capped runs
+// explore the same states and keep the same plans.
+func TestMaxStatesTruncationDeterministic(t *testing.T) {
 	deps := projDeptDeps()
 	chased, err := chase.Chase(projDeptQuery(), deps, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
-	res, err := Enumerate(chased.Query, deps, Options{MaxStates: 3, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
+	const budget = 50
+	var ref string
+	for run := 0; run < 2; run++ {
+		res, err := Enumerate(chased.Query, deps, Options{MaxStates: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Truncated {
+			t.Errorf("run %d: MaxStates=%d must truncate the ProjDept lattice", run, budget)
+		}
+		if res.States != budget || len(res.Explored) != budget {
+			t.Errorf("run %d: explored %d states (%d listed), want the budget %d", run, res.States, len(res.Explored), budget)
+		}
+		fp := resultFingerprint(res)
+		if ref == "" {
+			ref = fp
+		} else if fp != ref {
+			t.Errorf("run %d: capped result differs\ngot:\n%s\nwant:\n%s", run, fp, ref)
+		}
 	}
-	if !res.Truncated {
-		t.Error("MaxStates=3 must truncate the ProjDept lattice")
-	}
-	if res.States > 3 {
-		t.Errorf("explored %d states, budget was 3", res.States)
-	}
-	waitForGoroutines(t, baseline)
 }
 
 // TestChaseBudgetSkipsCandidates asserts that per-candidate chase budget
 // exhaustion is contained: the removal is treated as unverifiable, the
-// run ends without an error and without hanging the pool, and every
-// plan it keeps is still equivalent to the query.
+// run ends without an error, and every plan it keeps is still
+// equivalent to the query.
 func TestChaseBudgetSkipsCandidates(t *testing.T) {
 	deps := projDeptDeps()
 	q := projDeptQuery()
-	res, err := Enumerate(q, deps, Options{Chase: chase.Options{MaxSteps: 1}, Parallelism: 4})
+	res, err := Enumerate(q, deps, Options{Chase: chase.Options{MaxSteps: 1}})
 	if err != nil {
 		t.Fatalf("err = %v, want none", err)
 	}
@@ -503,58 +500,57 @@ func TestChaseBudgetSkipsCandidates(t *testing.T) {
 	}
 }
 
-// TestMinimizeOneParallelMatchesSerial pins the greedy minimizer's
-// determinism: the same (first-in-binding-order) removal sequence is
-// taken regardless of how many workers verify candidates.
-func TestMinimizeOneParallelMatchesSerial(t *testing.T) {
+// TestMinimizeOneDeterministic pins the greedy minimizer's determinism:
+// repeated runs take the same (first-in-binding-order) removal sequence
+// to the same plan, and IsMinimal rejects the universal plan.
+func TestMinimizeOneDeterministic(t *testing.T) {
 	deps := projDeptDeps()
 	chased, err := chase.Chase(projDeptQuery(), deps, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := MinimizeOne(chased.Query, deps, Options{Parallelism: 1})
+	first, err := MinimizeOne(chased.Query, deps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 8} {
-		got, err := MinimizeOne(chased.Query, deps, Options{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != serial.String() {
-			t.Errorf("parallelism %d: minimized plan differs\ngot:\n%s\nwant:\n%s", par, got, serial)
-		}
+	again, err := MinimizeOne(chased.Query, deps, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// IsMinimal must agree as well.
-	for _, par := range []int{1, 8} {
-		min, err := IsMinimal(chased.Query, deps, Options{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if min {
-			t.Errorf("parallelism %d: universal plan reported minimal", par)
-		}
+	if again.String() != first.String() {
+		t.Errorf("minimized plan differs between runs\ngot:\n%s\nwant:\n%s", again, first)
+	}
+	min, err := IsMinimal(chased.Query, deps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min {
+		t.Error("universal plan reported minimal")
 	}
 }
 
-// TestBruteForceParallelMatchesSerial pins the parallel mask fan-out of
-// the oracle itself.
-func TestBruteForceParallelMatchesSerial(t *testing.T) {
+// TestBruteForceDeterministic pins the oracle itself: repeated runs
+// return the same plans in the same order.
+func TestBruteForceDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 10; i++ {
 		q := randomQuery(r)
 		deps := randomDeps(r)
-		serial, err := BruteForceMinimal(q, deps, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := BruteForceMinimal(q, deps, Options{Parallelism: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSets(planSigs(serial), planSigs(par)) {
-			t.Errorf("case %d: brute force differs across parallelism\nquery:\n%s", i, q)
+		var ref string
+		for run := 0; run < 2; run++ {
+			plans, err := BruteForceMinimal(q, deps, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			for _, p := range plans {
+				got.WriteString(p.String() + "\n")
+			}
+			if run == 0 {
+				ref = got.String()
+			} else if got.String() != ref {
+				t.Errorf("case %d: brute force differs between runs\nquery:\n%s", i, q)
+			}
 		}
 	}
 }

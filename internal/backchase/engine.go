@@ -1,4 +1,4 @@
-// Parallel memoized backchase engine.
+// Memoized backchase engine.
 //
 // The subquery lattice explored by the backchase is a DAG of states, each
 // state a removal set of the root's bindings, held as a bitset over the
@@ -6,71 +6,58 @@
 // caches as it is, whatever the root's size. Exploration order does not
 // affect which states are reachable or which of them are normal forms —
 // soundness of a removal is "equivalence of the induced subquery to the
-// root", a property of the state alone — so the search parallelizes: a
-// pool of workers pops states from a shared unbounded work queue, claims
-// successors in a sharded visited set, and memoizes the expensive
-// chase-based equivalence checks in a sharded single-flight cache so no
-// canonically identical subquery is ever re-chased, even when two
-// workers race to the same state.
+// root", a property of the state alone. The engine explores the lattice
+// breadth-first from the root, in one FIFO on the caller's goroutine, and
+// memoizes the expensive chase-based equivalence checks per state, so no
+// canonically identical subquery is ever re-chased.
 //
 // Determinism: results are reported in a canonical order (plans sorted by
 // size then renaming-invariant signature, explored states by the number
 // of removed bindings, then by the removed variables' names in root
-// order, rendered once at the final sort), so for runs that complete
-// without truncation or cancellation the Result is identical for every
-// Parallelism value and across repeated runs. Under the MaxStates cap or
-// cancellation, *which* states get explored depends on scheduling; only
-// then can results differ.
+// order, rendered once at the final sort). The exploration order is
+// fixed, so repeated runs return identical Results, and so does a run
+// that the MaxStates cap truncates.
 //
 // Every equivalence check is the candidate ⊑ root direction alone: the
 // construction proves root ⊑ candidate (see equivalentToRoot), so no
 // check searches the root, and the engine holds no canonical database.
-// Candidate construction only reads the root's congruence closure, so
-// every worker shares one frozen closure.
+// Candidate construction only reads the root's frozen congruence
+// closure.
 //
 // Subsumption certificates: the search proves most candidates'
-// candidate ⊑ root direction without a chase. Before any worker
-// starts, serial seed dives walk the lattice greedily, each
-// taking the first chase-verified removal until none is left; the normal
-// forms they reach are the seeds. Dive k starts from the root minus X_k,
-// where X_0 = ∅ and X_{k+1} adds the first binding, in root order, of
-// the seed dive k reached, so no two dives reach the same seed. Every
-// dive evaluation goes through the single-flight cache, where the walk,
-// which makes nearly all of them too, finds it. Then a candidate S that
-// keeps a strict superset of some seed T's bindings is certified when
-// the identity on T's variables is a containment mapping of T into S's
-// unchased canonical database with S's output: S ⊑ T needs no
+// candidate ⊑ root direction without a chase. Before the exploration
+// starts, seed dives walk the lattice greedily, each taking the first
+// chase-verified removal until none is left; the normal forms they
+// reach are the seeds. Dive k starts from the root minus X_k, where
+// X_0 = ∅ and X_{k+1} adds the first binding, in root order, of the
+// seed dive k reached, so no two dives reach the same seed. Every dive
+// evaluation goes through the equivalence memo, where the exploration,
+// which makes nearly all of them too, finds it. Then a candidate S
+// that keeps a strict superset of some seed T's bindings is certified
+// when the identity on T's variables is a containment mapping of T
+// into S's unchased canonical database with S's output: S ⊑ T needs no
 // dependencies, and the dive proved T ⊑ root, so S ≡ root. The mapping
 // is decided on the frozen root closure, with a rewriter avoiding S's
 // removed variables: every atom of T must resolve on both sides to one
 // root class in a way that proves both sides equal in S's canonical
-// database (identityResolves, congruence Rewriter.Resolve). A candidate
-// no seed certifies is chased. The seeds are fixed before exploration
-// starts, so whether a state is chased or certified depends on the
-// state alone, and chase.Metrics stay identical across every
-// Parallelism value.
+// database (identityResolves, congruence Rewriter.Resolve). A
+// candidate no seed certifies is chased. The seeds are fixed before
+// exploration starts, so whether a state is chased or certified
+// depends on the state alone.
 package backchase
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"hash/maphash"
 	"maps"
 	"math/bits"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"cnb/internal/chase"
 	"cnb/internal/congruence"
 	"cnb/internal/core"
 )
-
-const numShards = 32
 
 // posSet is a set of root binding positions, bit i%8 of byte i/8 for
 // position i, held in a string so that it keys maps as it is. It is the
@@ -124,86 +111,10 @@ func (s posSet) subsetOf(t posSet) bool {
 	return true
 }
 
-// stateItem is one unit of work: a claimed state of the subquery lattice.
+// stateItem is a state of the subquery lattice.
 type stateItem struct {
 	removed posSet      // removed binding positions of the root
 	q       *core.Query // Subquery(root, removed)
-}
-
-// workQueue is an unbounded FIFO work pool with done-tracking: pending
-// counts items enqueued but not yet fully processed, so workers can
-// distinguish "queue momentarily empty" from "exploration finished".
-type workQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   []stateItem
-	head    int // read position
-	pending int
-	stopped bool
-}
-
-func newWorkQueue() *workQueue {
-	wq := &workQueue{}
-	wq.cond = sync.NewCond(&wq.mu)
-	return wq
-}
-
-func (wq *workQueue) push(it stateItem) {
-	wq.mu.Lock()
-	defer wq.mu.Unlock()
-	if wq.stopped {
-		return
-	}
-	wq.items = append(wq.items, it)
-	wq.pending++
-	wq.cond.Signal()
-}
-
-// pop blocks until an item is available or the exploration is over
-// (stopped, or no items left and none in flight).
-func (wq *workQueue) pop() (stateItem, bool) {
-	wq.mu.Lock()
-	defer wq.mu.Unlock()
-	for {
-		if wq.stopped {
-			return stateItem{}, false
-		}
-		if wq.head < len(wq.items) {
-			it := wq.items[wq.head]
-			wq.items[wq.head] = stateItem{} // release for GC
-			wq.head++
-			return it, true
-		}
-		if wq.pending == 0 {
-			return stateItem{}, false
-		}
-		wq.cond.Wait()
-	}
-}
-
-// taskDone marks one popped item fully processed (its successors pushed).
-func (wq *workQueue) taskDone() {
-	wq.mu.Lock()
-	defer wq.mu.Unlock()
-	wq.pending--
-	if wq.pending == 0 {
-		wq.cond.Broadcast()
-	}
-}
-
-// stop aborts the exploration: blocked workers wake and exit.
-func (wq *workQueue) stop() {
-	wq.mu.Lock()
-	defer wq.mu.Unlock()
-	wq.stopped = true
-	wq.cond.Broadcast()
-}
-
-// eqEntry is a single-flight slot of the equivalence cache: the first
-// worker to claim a state computes, everyone else waits on done.
-type eqEntry struct {
-	done chan struct{}
-	eq   bool
 }
 
 // seed is a normal form a seed dive reached, ready to certify the
@@ -221,49 +132,33 @@ type subEntry struct {
 	full posSet
 }
 
-// shard is one stripe of the engine's shared state, guarded by its own
-// mutex to keep contention off the hot path.
-type shard struct {
-	mu   sync.Mutex
-	seen map[posSet]bool
-	eq   map[posSet]*eqEntry
-	sub  map[posSet]*subEntry
-}
-
-// engine is the shared state of one parallel backchase run.
+// engine is the state of one backchase run.
 type engine struct {
 	root     *core.Query
-	deps     []*core.Dependency
 	depIndex *chase.DepIndex // premise index shared by every chase of the run
 	opts     Options
 	goalC    *chase.CompiledQuery // the goal, compiled once per run
 	// subs builds every candidate of the run over one frozen closure of
-	// root, which all workers read concurrently, without a copy.
-	subs  *SubqueryBuilder
-	queue *workQueue
-
-	shards [numShards]shard
-	seed   maphash.Seed
+	// root.
+	subs *SubqueryBuilder
 
 	// none is the root's state: nothing removed.
 	none posSet
 	// rootValid records that every variable of the root is bound in it,
 	// which the certificates' fast path needs (see certify).
 	rootValid bool
-	// seeds are the dives' normal forms, fixed before any worker starts
-	// and read-only afterwards (nil while diving).
+	// seeds are the dives' normal forms, fixed before the exploration
+	// starts (nil while diving).
 	seeds     []seed
-	certified atomic.Int64 // states proved equivalent by a seed
-	chased    atomic.Int64 // states that ran a goal-directed chase
+	certified int // states proved equivalent by a seed
+	chased    int // states that ran a goal-directed chase
 
-	states    atomic.Int64 // claimed states (visited-set size)
-	truncated atomic.Bool
+	seen      map[posSet]bool      // claimed states (the visited set)
+	eq        map[posSet]bool      // equivalence to the root, per cascaded state
+	sub       map[posSet]*subEntry // candidate construction, per removal set
+	truncated bool
 
-	plansMu sync.Mutex
-	plans   map[string]*core.Query // normalized signature -> plan
-
-	errMu sync.Mutex
-	err   error // first hard error; aborts the run
+	plans map[string]*core.Query // normalized signature -> plan
 }
 
 func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (*engine, error) {
@@ -281,151 +176,80 @@ func newEngine(ctx context.Context, q *core.Query, deps []*core.Dependency, opts
 	if opts.Goal != nil {
 		goal = opts.Goal
 	}
-	e := &engine{
+	return &engine{
 		root:      q,
-		deps:      deps,
 		depIndex:  ix,
 		opts:      opts,
 		goalC:     chase.CompileQuery(goal),
 		subs:      NewSubqueryBuilder(q),
-		queue:     newWorkQueue(),
-		seed:      maphash.MakeSeed(),
 		none:      emptySet(len(q.Bindings)),
 		rootValid: q.Validate() == nil,
+		seen:      map[posSet]bool{},
+		eq:        map[posSet]bool{},
+		sub:       map[posSet]*subEntry{},
 		plans:     map[string]*core.Query{},
-	}
-	for i := range e.shards {
-		e.shards[i].seen = map[posSet]bool{}
-		e.shards[i].eq = map[posSet]*eqEntry{}
-		e.shards[i].sub = map[posSet]*subEntry{}
-	}
-	return e, nil
-}
-
-func (e *engine) shard(key posSet) *shard {
-	return &e.shards[maphash.String(e.seed, string(key))%numShards]
+	}, nil
 }
 
 // claim marks the state visited, honoring the MaxStates cap. It returns
-// true exactly once per state; the caller then owns enqueueing it. The
-// budget slot is reserved with a compare-and-swap so concurrent claims
-// on different shards can never overshoot MaxStates.
+// true exactly once per state; the caller then owns enqueueing it.
 func (e *engine) claim(key posSet) bool {
-	sh := e.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.seen[key] {
+	if e.seen[key] {
 		return false
 	}
-	for {
-		n := e.states.Load()
-		if n >= int64(e.opts.MaxStates) {
-			e.truncated.Store(true)
-			return false
-		}
-		if e.states.CompareAndSwap(n, n+1) {
-			break
-		}
+	if len(e.seen) >= e.opts.MaxStates {
+		e.truncated = true
+		return false
 	}
-	sh.seen[key] = true
+	e.seen[key] = true
 	return true
-}
-
-// fail records the first hard error and aborts the run.
-func (e *engine) fail(err error) {
-	e.errMu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.errMu.Unlock()
-	e.queue.stop()
-}
-
-func (e *engine) firstErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.err
 }
 
 // addPlan normalizes and registers a normal form, deduplicating by
 // renaming-invariant signature. Two distinct states can normalize to
 // isomorphic plans with the same signature but different variable names
 // (symmetric self-joins); the representative kept is the one with the
-// lexicographically smallest canonical rendering, not whichever worker
-// arrived first, so the reported plan set is independent of scheduling.
+// lexicographically smallest normalized rendering, not the first one
+// found, so the reported plan set does not depend on exploration order.
 func (e *engine) addPlan(cur *core.Query) {
 	plan := normalizeIndexed(context.Background(), cur, e.depIndex, e.opts.Chase)
 	psig := plan.CanonicalSignature()
-	e.plansMu.Lock()
-	defer e.plansMu.Unlock()
-	// Isomorphic variants of one plan carry different variable names
-	// (their canonical orders agree up to renaming); the entry keeps the
-	// representative with the lexicographically smallest normalized
-	// rendering, so the plan set stays schedule-independent.
 	if prev, dup := e.plans[psig]; !dup || plan.NormalizeBindingOrder().String() < prev.NormalizeBindingOrder().String() {
 		e.plans[psig] = plan
 	}
 }
 
 // cachedSubquery memoizes Subquery(root, grown) per removal set, built
-// by the run's SubqueryBuilder, with the set its cascade grew to. Two
-// workers may race to compute the same construction; the first stored
-// value wins (both compute identical results — Subquery is
-// deterministic).
+// by the run's SubqueryBuilder, with the set its cascade grew to.
 func (e *engine) cachedSubquery(grown posSet) *subEntry {
-	sh := e.shard(grown)
-	sh.mu.Lock()
-	if ent, ok := sh.sub[grown]; ok {
-		sh.mu.Unlock()
+	if ent, ok := e.sub[grown]; ok {
 		return ent
 	}
-	sh.mu.Unlock()
 	ent := &subEntry{}
 	if sub, full, ok := e.subs.subquery(grown); ok {
 		ent.sub, ent.full = sub, full
 	}
-	sh.mu.Lock()
-	if prev, ok := sh.sub[grown]; ok {
-		ent = prev
-	} else {
-		sh.sub[grown] = ent
-	}
-	sh.mu.Unlock()
+	e.sub[grown] = ent
 	return ent
 }
 
 // equivalence memoizes "is sub = Subquery(root, full) equivalent to
-// the root", single-flighted so a canonically identical
-// subquery is never re-chased: the first worker to claim the key runs
-// the chase-based check, concurrent workers for the same key block until
-// it lands. Budget exhaustion before the goal maps into the candidate's
-// chase means the removal cannot be verified and is treated as unsound;
-// a goal that maps in before the budget runs out is accepted.
+// the root", so a canonically identical subquery is never re-chased.
+// Budget exhaustion before the goal maps into the candidate's chase
+// means the removal cannot be verified and is treated as unsound; a goal
+// that maps in before the budget runs out is accepted.
 func (e *engine) equivalence(ctx context.Context, full posSet, sub *core.Query) (bool, error) {
-	sh := e.shard(full)
-	sh.mu.Lock()
-	if ent, ok := sh.eq[full]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-ent.done:
-			return ent.eq, nil
-		case <-ctx.Done():
-			return false, ctx.Err()
-		}
+	if eq, ok := e.eq[full]; ok {
+		return eq, nil
 	}
-	ent := &eqEntry{done: make(chan struct{})}
-	sh.eq[full] = ent
-	sh.mu.Unlock()
-	defer close(ent.done)
-
 	eq, err := e.equivalentToRoot(ctx, full, sub)
+	if _, budget := err.(*chase.ErrBudget); budget {
+		eq, err = false, nil
+	}
 	if err != nil {
-		if _, budget := err.(*chase.ErrBudget); budget {
-			return false, nil
-		}
 		return false, err
 	}
-	ent.eq = eq
+	e.eq[full] = eq
 	return eq, nil
 }
 
@@ -456,10 +280,10 @@ func (e *engine) equivalence(ctx context.Context, full posSet, sub *core.Query) 
 // maps into. Only a budget exhausted before that counts as unsound.
 func (e *engine) equivalentToRoot(ctx context.Context, removed posSet, sub *core.Query) (bool, error) {
 	if e.certify(removed, sub) {
-		e.certified.Add(1)
+		e.certified++
 		return true, nil
 	}
-	e.chased.Add(1)
+	e.chased++
 	return chase.ContainedInCompiled(ctx, sub, e.goalC, e.depIndex, e.opts.Chase)
 }
 
@@ -571,86 +395,36 @@ func (e *engine) tryRemove(ctx context.Context, removed posSet, v string) (posSe
 	return full, sub, nil
 }
 
-// process explores one claimed state: record it, try every single-binding
-// removal, enqueue unseen sound successors, and register the state as a
-// normal form if no removal applies.
-func (e *engine) process(ctx context.Context, w *worker, it stateItem) error {
-	w.explored = append(w.explored, it)
+// process explores one claimed state: try every single-binding
+// removal, append unseen sound successors to queue, and register the
+// state as a normal form if no removal applies.
+func (e *engine) process(ctx context.Context, it stateItem, queue []stateItem) ([]stateItem, error) {
 	normal := true
 	for _, b := range it.q.Bindings {
 		if err := ctx.Err(); err != nil {
-			return err
+			return queue, err
 		}
-		full, sub := e.buildCandidate(it.removed, e.root.BindingOf(b.Var))
-		if sub == nil {
-			continue
-		}
-		eq, err := e.equivalence(ctx, full, sub)
+		full, sub, err := e.tryRemove(ctx, it.removed, b.Var)
 		if err != nil {
-			return err
+			return queue, err
 		}
-		if !eq {
+		if sub == nil {
 			continue
 		}
 		normal = false
 		if e.claim(full) {
-			e.queue.push(stateItem{removed: full, q: sub})
+			queue = append(queue, stateItem{removed: full, q: sub})
 		}
 	}
 	if normal {
 		e.addPlan(it.q)
 	}
-	return nil
+	return queue, nil
 }
 
-// worker holds per-goroutine state: the explored-state log, merged after
-// the pool drains (avoids a global lock on the exploration hot path).
-type worker struct {
-	explored []stateItem
-}
-
-// run is the worker loop: pop, process, mark done, until the queue drains
-// or the run aborts. A panic while processing a state aborts the run with
-// the panic as its error: workers are goroutines of their own, so a panic
-// escaping one would take the whole process down, past any recover of
-// the caller.
-func (e *engine) run(ctx context.Context, w *worker) {
-	defer e.recoverPanic()
-	for {
-		it, ok := e.queue.pop()
-		if !ok {
-			return
-		}
-		err := e.process(ctx, w, it)
-		e.queue.taskDone()
-		if err != nil {
-			e.fail(err)
-			return
-		}
-	}
-}
-
-// recoverPanic, deferred by a goroutine of the run, turns a panic into
-// the run's error.
-func (e *engine) recoverPanic() {
-	if p := recover(); p != nil {
-		e.fail(fmt.Errorf("backchase: worker panic: %v\n%s", p, debug.Stack()))
-	}
-}
-
-// plantSeeds runs the seed dives (see the package comment) and fixes
-// e.seeds, before any worker starts. It honours ctx and recovers a
-// panic like a worker: either aborts the run.
-func (e *engine) plantSeeds(ctx context.Context) {
-	defer e.recoverPanic()
-	if err := e.dive(ctx); err != nil {
-		e.fail(err)
-	}
-}
-
-// dive runs the seed dives serially, on the memoized chase-verified
-// equivalence (e.seeds is still nil, so nothing is certified), and sets
-// e.seeds to the normal forms they reach.
+// dive runs the seed dives (see the package comment) on the memoized
+// chase-verified equivalence (e.seeds is still nil, so nothing is
+// certified), and sets e.seeds to the normal forms they reach.
 func (e *engine) dive(ctx context.Context) error {
 	n := len(e.root.Bindings)
 	var seeds []seed
@@ -695,46 +469,36 @@ func (e *engine) dive(ctx context.Context) error {
 	return nil
 }
 
-// enumerate runs the seed dives, then drives the full parallel
-// exploration from the root and assembles the deterministic Result.
-func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error) {
-	e.plantSeeds(ctx)
-	rootItem := stateItem{removed: e.none, q: e.root}
-	e.claim(rootItem.removed)
-	e.queue.push(rootItem)
-
-	workers := make([]*worker, parallelism)
-	var wg sync.WaitGroup
-	for i := range workers {
-		workers[i] = &worker{}
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			e.run(ctx, w)
-		}(workers[i])
+// enumerate runs the seed dives, then explores the lattice from the
+// root in FIFO order and assembles the deterministic Result.
+func (e *engine) enumerate(ctx context.Context) (*Result, error) {
+	var queue []stateItem
+	err := e.dive(ctx)
+	if err == nil {
+		e.claim(e.none)
+		queue = append(queue, stateItem{removed: e.none, q: e.root})
 	}
-	wg.Wait()
-
-	err := e.firstErr()
+	// The first n items of queue are the explored states; a state whose
+	// processing fails counts as explored.
+	n := 0
+	for err == nil && n < len(queue) {
+		n++
+		queue, err = e.process(ctx, queue[n-1], queue)
+	}
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		// A hard error must never be masked by a context that was also
-		// cancelled before the pool drained.
 		return nil, err
 	}
-	var all []stateItem
-	for _, w := range workers {
-		all = append(all, w.explored...)
-	}
-	e.sortStates(all)
+	explored := queue[:n]
+	e.sortStates(explored)
 
 	res := &Result{
-		States:    len(all),
-		Truncated: e.truncated.Load(),
+		States:    len(explored),
+		Truncated: e.truncated,
 		Seeds:     len(e.seeds),
-		Certified: int(e.certified.Load()),
-		Chased:    int(e.chased.Load()),
+		Certified: e.certified,
+		Chased:    e.chased,
 	}
-	for _, it := range all {
+	for _, it := range explored {
 		res.Explored = append(res.Explored, it.q)
 	}
 	res.Plans = e.sortedPlans()
@@ -745,10 +509,8 @@ func (e *engine) enumerate(ctx context.Context, parallelism int) (*Result, error
 
 // sortedPlans returns the collected normal forms in canonical order:
 // ascending size then renaming-invariant signature (a pure function of
-// the plan set, stable across worker interleavings).
+// the plan set).
 func (e *engine) sortedPlans() []*core.Query {
-	e.plansMu.Lock()
-	defer e.plansMu.Unlock()
 	sigs := slices.Sorted(maps.Keys(e.plans))
 	out := make([]*core.Query, len(sigs))
 	for i, sig := range sigs {
@@ -803,12 +565,4 @@ func (e *engine) firstRemoval(ctx context.Context, removed posSet, cur *core.Que
 		}
 	}
 	return "", nil, nil
-}
-
-// parallelismOrDefault resolves Options.Parallelism (0 = all cores).
-func (o Options) parallelismOrDefault() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }

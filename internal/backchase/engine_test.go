@@ -1,8 +1,6 @@
 package backchase
 
 import (
-	"context"
-	"strings"
 	"sync"
 	"testing"
 
@@ -135,22 +133,4 @@ func BenchmarkSubqueryProjDept(b *testing.B) {
 			sb.Subquery(removed)
 		}
 	})
-}
-
-// TestWorkerPanicFailsRun: a panic inside a worker goroutine ends the
-// enumeration with the panic as its error instead of killing the
-// process. The root is cleared after the engine is built, so the first
-// state processed dereferences a nil query.
-func TestWorkerPanicFailsRun(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		e, err := newEngine(context.Background(), chasedProjDept(t), projDeptDeps(), Options{}.withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.root = nil
-		res, err := e.enumerate(context.Background(), par)
-		if err == nil || !strings.Contains(err.Error(), "worker panic") || res != nil {
-			t.Fatalf("parallelism %d: enumerate = %v, %v; want a worker panic error", par, res, err)
-		}
-	}
 }

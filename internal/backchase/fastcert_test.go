@@ -202,27 +202,25 @@ func certifiedStates(tb testing.TB) (*engine, []posSet) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := newEngine(context.Background(), u.Query, pd.AllDeps(), Options{Parallelism: 1, Goal: pd.Q}.withDefaults())
+	e, err := newEngine(context.Background(), u.Query, pd.AllDeps(), Options{Goal: pd.Q}.withDefaults())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.plantSeeds(context.Background())
-	dived := map[posSet]bool{}
-	for i := range e.shards {
-		for key := range e.shards[i].eq {
-			dived[key] = true
-		}
+	if err := e.dive(context.Background()); err != nil {
+		tb.Fatal(err)
 	}
-	res, err := e.enumerate(context.Background(), 1)
+	dived := map[posSet]bool{}
+	for key := range e.eq {
+		dived[key] = true
+	}
+	res, err := e.enumerate(context.Background())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var out []posSet
-	for i := range e.shards {
-		for key, ent := range e.shards[i].eq {
-			if ent.eq && !dived[key] && e.certify(key, e.cachedSubquery(key).sub) {
-				out = append(out, key)
-			}
+	for key, eq := range e.eq {
+		if eq && !dived[key] && e.certify(key, e.cachedSubquery(key).sub) {
+			out = append(out, key)
 		}
 	}
 	if len(out) != res.Certified {

@@ -154,7 +154,7 @@ func TestGoalAcceptsRemovalBeforeBudget(t *testing.T) {
 		t.Fatalf("chase of U must be a 0-step fixpoint, got %v", err)
 	}
 
-	withGoal, err := Enumerate(u, deps, Options{Parallelism: 1, Goal: q, Chase: copts})
+	withGoal, err := Enumerate(u, deps, Options{Goal: q, Chase: copts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestGoalAcceptsRemovalBeforeBudget(t *testing.T) {
 		t.Errorf("goal Q: %d states, plans %v; want 2 states and the single plan {r}",
 			withGoal.States, withGoal.Plans)
 	}
-	rootGoal, err := Enumerate(u, deps, Options{Parallelism: 1, Chase: copts})
+	rootGoal, err := Enumerate(u, deps, Options{Chase: copts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 // TestIncrementalBackchaseDifferential gates the tentpole at the layer
 // that consumes it: for randomized workloads, the full backchase lattice
 // exploration must be identical whether the per-state equivalence chases
-// run naive or delta-driven, at Parallelism 1, 2 and 8 — and the
-// incremental engine must never do more chase steps than the naive one
-// (the step sequences are equal per chase, so the totals must agree).
+// run naive or delta-driven — and the incremental engine must never do
+// more chase steps than the naive one (the step sequences are equal per
+// chase, so the totals must agree).
 // Both hold with and without the user's query as the goal.
 func TestIncrementalBackchaseDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
@@ -57,9 +57,8 @@ func TestIncrementalBackchaseDifferential(t *testing.T) {
 		naiveIndex := chase.NewNaiveIndex(sc.deps)
 		naiveMetrics := &chase.Metrics{}
 		ref, err := Enumerate(chased.Query, sc.deps, Options{
-			Parallelism: 1,
-			Index:       naiveIndex,
-			Chase:       chase.Options{Metrics: naiveMetrics},
+			Index: naiveIndex,
+			Chase: chase.Options{Metrics: naiveMetrics},
 		})
 		if err != nil {
 			t.Fatalf("%s naive: %v", sc.label, err)
@@ -72,10 +71,9 @@ func TestIncrementalBackchaseDifferential(t *testing.T) {
 		// still agree, and the search is unchanged.
 		goalNaive := &chase.Metrics{}
 		refGoal, err := Enumerate(chased.Query, sc.deps, Options{
-			Parallelism: 1,
-			Index:       naiveIndex,
-			Goal:        sc.q,
-			Chase:       chase.Options{Metrics: goalNaive},
+			Index: naiveIndex,
+			Goal:  sc.q,
+			Chase: chase.Options{Metrics: goalNaive},
 		})
 		if err != nil {
 			t.Fatalf("%s naive with goal: %v", sc.label, err)
@@ -88,41 +86,36 @@ func TestIncrementalBackchaseDifferential(t *testing.T) {
 			t.Errorf("%s: goal-directed chase steps %d exceed the root-directed %d", sc.label, wantGoalSteps, wantSteps)
 		}
 
-		for _, par := range []int{1, 2, 8} {
-			gm := &chase.Metrics{}
-			res, err := Enumerate(chased.Query, sc.deps, Options{
-				Parallelism: par,
-				Goal:        sc.q,
-				Chase:       chase.Options{Metrics: gm},
-			})
-			if err != nil {
-				t.Fatalf("%s incremental with goal p=%d: %v", sc.label, par, err)
-			}
-			if got := resultFingerprint(res); got != want {
-				t.Errorf("%s p=%d: incremental result with goal differs from naive reference", sc.label, par)
-			}
-			if got := gm.ChaseSteps.Load(); got != wantGoalSteps {
-				t.Errorf("%s p=%d: chase steps with goal = %d, naive reference = %d", sc.label, par, got, wantGoalSteps)
-			}
+		gm := &chase.Metrics{}
+		res, err := Enumerate(chased.Query, sc.deps, Options{
+			Goal:  sc.q,
+			Chase: chase.Options{Metrics: gm},
+		})
+		if err != nil {
+			t.Fatalf("%s incremental with goal: %v", sc.label, err)
+		}
+		if got := resultFingerprint(res); got != want {
+			t.Errorf("%s: incremental result with goal differs from naive reference", sc.label)
+		}
+		if got := gm.ChaseSteps.Load(); got != wantGoalSteps {
+			t.Errorf("%s: chase steps with goal = %d, naive reference = %d", sc.label, got, wantGoalSteps)
+		}
 
-			m := &chase.Metrics{}
-			res, err = Enumerate(chased.Query, sc.deps, Options{
-				Parallelism: par,
-				Chase:       chase.Options{Metrics: m},
-			})
-			if err != nil {
-				t.Fatalf("%s incremental p=%d: %v", sc.label, par, err)
-			}
-			if got := resultFingerprint(res); got != want {
-				t.Errorf("%s p=%d: incremental result differs from naive reference:\nnaive:\n%s\nincremental:\n%s",
-					sc.label, par, want, got)
-			}
-			// The single-flight cache makes total chase work identical for
-			// every worker count, and the per-chase step sequences are
-			// byte-identical across engines, so the totals must match.
-			if got := m.ChaseSteps.Load(); got != wantSteps {
-				t.Errorf("%s p=%d: chase steps = %d, naive reference = %d", sc.label, par, got, wantSteps)
-			}
+		m := &chase.Metrics{}
+		res, err = Enumerate(chased.Query, sc.deps, Options{
+			Chase: chase.Options{Metrics: m},
+		})
+		if err != nil {
+			t.Fatalf("%s incremental: %v", sc.label, err)
+		}
+		if got := resultFingerprint(res); got != want {
+			t.Errorf("%s: incremental result differs from naive reference:\nnaive:\n%s\nincremental:\n%s",
+				sc.label, want, got)
+		}
+		// The per-chase step sequences are byte-identical across
+		// engines, so the totals must match.
+		if got := m.ChaseSteps.Load(); got != wantSteps {
+			t.Errorf("%s: chase steps = %d, naive reference = %d", sc.label, got, wantSteps)
 		}
 	}
 }
@@ -144,10 +137,10 @@ func TestIncrementalReducesHomTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	naive, inc := &chase.Metrics{}, &chase.Metrics{}
-	if _, err := Enumerate(chased.Query, s.Deps, Options{Parallelism: 1, Index: chase.NewNaiveIndex(s.Deps), Chase: chase.Options{Metrics: naive}}); err != nil {
+	if _, err := Enumerate(chased.Query, s.Deps, Options{Index: chase.NewNaiveIndex(s.Deps), Chase: chase.Options{Metrics: naive}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Enumerate(chased.Query, s.Deps, Options{Parallelism: 1, Chase: chase.Options{Metrics: inc}}); err != nil {
+	if _, err := Enumerate(chased.Query, s.Deps, Options{Chase: chase.Options{Metrics: inc}}); err != nil {
 		t.Fatal(err)
 	}
 	n, i := naive.HomTests.Load(), inc.HomTests.Load()

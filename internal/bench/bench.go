@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -24,12 +23,6 @@ import (
 	"cnb/internal/planrewrite"
 	"cnb/internal/workload"
 )
-
-// Parallelism is the backchase worker count used by the experiments
-// (0 = all cores, 1 = serial). cmd/chasebench sets it from the
-// -parallelism flag; the results are identical for every value, only the
-// wall-clock changes.
-var Parallelism int
 
 // Table is a rendered experiment result.
 type Table struct {
@@ -99,7 +92,6 @@ func All() []Experiment {
 		{"E9", "Optimization time: chase polynomial, backchase exponential (§5)", E9},
 		{"E10", "Plan-space comparison vs views-only baseline (§4, §6)", E10},
 		{"E11", "Semantic optimization: constraints enable plans (§2)", E11},
-		{"E12", "Parallel backchase: serial vs worker-pool wall clock", E12},
 		{"E13", "Certified exhaustive backchase on the star/snowflake family", E13},
 		{"E14", "Measured-cost calibration of the estimator (star/snowflake)", E14},
 		{"E15", "Incremental chase: hom tests naive vs delta-indexed (star/snowflake)", E15},
@@ -159,7 +151,6 @@ func E1() (*Table, error) {
 		Deps:          pd.AllDeps(),
 		PhysicalNames: pd.Physical.NameSet(),
 		Stats:         stats,
-		Parallelism:   Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -249,7 +240,7 @@ func E3() (*Table, error) {
 	for n := 3; n <= 7; n++ {
 		q := redundantChain(n)
 		start := time.Now()
-		min, err := backchase.MinimizeOne(q, nil, backchase.Options{Parallelism: Parallelism})
+		min, err := backchase.MinimizeOne(q, nil, backchase.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +287,7 @@ func E4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimizer.Optimize(sc.Q, optimizer.Options{Deps: sc.Deps, Parallelism: Parallelism})
+	res, err := optimizer.Optimize(sc.Q, optimizer.Options{Deps: sc.Deps})
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +319,7 @@ func E5() (*Table, error) {
 	}
 	in := sc.Generate(2000, 2000, 4000, 3) // selective join: V is small
 	stats := cost.FromInstance(in)
-	res, err := optimizer.Optimize(sc.Q, optimizer.Options{Deps: sc.Deps, Stats: stats, Parallelism: Parallelism})
+	res, err := optimizer.Optimize(sc.Q, optimizer.Options{Deps: sc.Deps, Stats: stats})
 	if err != nil {
 		return nil, err
 	}
@@ -403,11 +394,11 @@ func E7() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		enum, err := backchase.Enumerate(chased.Query, c.Deps, backchase.Options{Parallelism: Parallelism})
+		enum, err := backchase.Enumerate(chased.Query, c.Deps, backchase.Options{})
 		if err != nil {
 			return nil, err
 		}
-		bf, err := backchase.BruteForceMinimal(chased.Query, c.Deps, backchase.Options{Parallelism: Parallelism})
+		bf, err := backchase.BruteForceMinimal(chased.Query, c.Deps, backchase.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -556,7 +547,7 @@ func E9() (*Table, error) {
 		}
 		chaseTime := time.Since(t0)
 		t1 := time.Now()
-		enum, err := backchase.Enumerate(chased.Query, c.Deps, backchase.Options{Parallelism: Parallelism})
+		enum, err := backchase.Enumerate(chased.Query, c.Deps, backchase.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -578,7 +569,7 @@ func E10() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimizer.Optimize(sc.Q, optimizer.Options{Deps: sc.Deps, Parallelism: Parallelism})
+	res, err := optimizer.Optimize(sc.Q, optimizer.Options{Deps: sc.Deps})
 	if err != nil {
 		return nil, err
 	}
@@ -659,11 +650,11 @@ func E11() (*Table, error) {
 		},
 		Conds: []core.Cond{{L: core.Prj(core.V("p"), "PDept"), R: core.Prj(core.V("d"), "DName")}},
 	}
-	withC, err := backchase.MinimizeOne(q, pd.LogicalDeps, backchase.Options{Parallelism: Parallelism})
+	withC, err := backchase.MinimizeOne(q, pd.LogicalDeps, backchase.Options{})
 	if err != nil {
 		return nil, err
 	}
-	withoutC, err := backchase.MinimizeOne(q, nil, backchase.Options{Parallelism: Parallelism})
+	withoutC, err := backchase.MinimizeOne(q, nil, backchase.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -676,70 +667,6 @@ func E11() (*Table, error) {
 			{"none", fmt.Sprintf("%d", len(withoutC.Bindings))},
 		},
 	}
-	return tb, nil
-}
-
-// E12 measures the parallel backchase against the serial engine on the
-// hottest workloads: chain queries with adjacent-pair views (many
-// redundant scans, exponential lattice) and the ProjDept running example.
-// The plan sets must agree exactly — the parallel engine is the same
-// search, just scheduled across workers.
-func E12() (*Table, error) {
-	tb := &Table{
-		ID:      "E12",
-		Title:   fmt.Sprintf("Parallel backchase (workers=%d) vs serial, same plan sets", runtime.GOMAXPROCS(0)),
-		Columns: []string{"workload", "states", "plans", "serial", "parallel", "speedup", "agree"},
-	}
-	addRow := func(name string, u *core.Query, deps []*core.Dependency) error {
-		t0 := time.Now()
-		serial, err := backchase.Enumerate(u, deps, backchase.Options{Parallelism: 1})
-		if err != nil {
-			return err
-		}
-		serialT := time.Since(t0)
-		t1 := time.Now()
-		par, err := backchase.Enumerate(u, deps, backchase.Options{})
-		if err != nil {
-			return err
-		}
-		parT := time.Since(t1)
-		agree := sameSigSets(serial.Plans, par.Plans) && serial.States == par.States
-		tb.Rows = append(tb.Rows, []string{
-			name,
-			fmt.Sprintf("%d", par.States),
-			fmt.Sprintf("%d", len(par.Plans)),
-			serialT.Round(time.Microsecond).String(),
-			parT.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2fx", float64(serialT)/float64(parT)),
-			fmt.Sprintf("%v", agree),
-		})
-		return nil
-	}
-	for _, n := range []int{4, 5} {
-		c, err := workload.NewChain(n, n-1)
-		if err != nil {
-			return nil, err
-		}
-		chased, err := chase.Chase(c.Q, c.Deps, chase.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := addRow(fmt.Sprintf("chain n=%d", n), chased.Query, c.Deps); err != nil {
-			return nil, err
-		}
-	}
-	pd, err := workload.NewProjDept()
-	if err != nil {
-		return nil, err
-	}
-	chased, err := chase.Chase(pd.Q, pd.AllDeps(), chase.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := addRow("ProjDept", chased.Query, pd.AllDeps()); err != nil {
-		return nil, err
-	}
-	tb.Notes = append(tb.Notes, "equivalence checks dominate; the worker pool hides their latency while the single-flight cache keeps total chase work identical")
 	return tb, nil
 }
 
@@ -812,7 +739,7 @@ func E13() (*Table, error) {
 		stats := cost.FromInstance(s.Generate(wl.Gen))
 
 		t0 := time.Now()
-		ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{Parallelism: Parallelism})
+		ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -869,7 +796,7 @@ func E14() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{Parallelism: Parallelism})
+		ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -954,7 +881,7 @@ func E15() (*Table, error) {
 				return nil, err
 			}
 			enum, err := backchase.Enumerate(chased.Query, s.Deps,
-				backchase.Options{Parallelism: Parallelism, Chase: copts, Index: ix})
+				backchase.Options{Chase: copts, Index: ix})
 			if err != nil {
 				return nil, err
 			}
@@ -1005,18 +932,4 @@ func E15() (*Table, error) {
 		fmt.Sprintf("totals: %0.f naive vs %0.f indexed hom tests (%.2fx; min per-workload %.2fx) over %.0f chase steps",
 			totalNaive, totalIndexed, totalNaive/totalIndexed, minRatio, totalSteps))
 	return tb, nil
-}
-
-// RunAll runs every experiment and returns the rendered tables; the first
-// error aborts. Used by cmd/chasebench and the final EXPERIMENTS capture.
-func RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, e := range All() {
-		t, err := e.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

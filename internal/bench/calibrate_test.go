@@ -65,8 +65,7 @@ func TestCalibrationMeasuresServingEngine(t *testing.T) {
 // star/snowflake scenarios with consistent generated instances, every
 // executable candidate of the exhaustive search's pool returns the same
 // result set — they are equivalent rewrites on a dependency-satisfying
-// instance — and the pool, hence the plan the optimizer delivers from
-// it, is the same at Parallelism 1, 2 and 8.
+// instance.
 func TestCalibrationSoundnessRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many enumerations and plan executions")
@@ -86,7 +85,7 @@ func TestCalibrationSoundnessRandomized(t *testing.T) {
 		in := s.Generate(gen)
 		stats := cost.FromInstance(in)
 
-		ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{Parallelism: 2})
+		ex, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{})
 		if err != nil {
 			t.Fatalf("case %d: exhaustive: %v", i, err)
 		}
@@ -104,17 +103,6 @@ func TestCalibrationSoundnessRandomized(t *testing.T) {
 			if p.Rows != exPts[0].Rows {
 				t.Fatalf("case %d: candidate %d returned %d rows, candidate 0 returned %d — equivalent plans must agree\ncfg %+v",
 					i, j, p.Rows, exPts[0].Rows, cfg)
-			}
-		}
-
-		want := searchFingerprint(ex)
-		for _, par := range []int{1, 8} {
-			res, err := backchase.Enumerate(chased.Query, s.Deps, backchase.Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("case %d par %d: %v", i, par, err)
-			}
-			if got := searchFingerprint(res); got != want {
-				t.Fatalf("case %d par %d: search differs from Parallelism 2:\n%s\nvs\n%s\ncfg %+v", i, par, got, want, cfg)
 			}
 		}
 	}

@@ -44,10 +44,9 @@ const (
 var e20Gen = workload.StarGenOptions{NumFact: 1500, NumDim: 300, NumSub: 200, DomA: 50, Seed: 2025}
 
 // e20Shapes builds the E13 star/snowflake family as cold request shapes
-// — the shapes whose synchronous cold plan takes 21–130 ms each at
-// -parallelism 1 (five chasebench -exp E20 runs on a 2-vCPU host, cold
-// p99 91–130 ms), i.e. exactly the cold-shape p99 problem the two-tier
-// path exists for.
+// — the shapes whose synchronous cold plan takes 21–130 ms each (five
+// chasebench -exp E20 runs on a 2-vCPU host, cold p99 91–130 ms), i.e.
+// exactly the cold-shape p99 problem the two-tier path exists for.
 func e20Shapes() ([]*e20Shape, error) {
 	var shapes []*e20Shape
 	for _, wl := range e13Workloads() {
@@ -65,11 +64,9 @@ func e20Shapes() ([]*e20Shape, error) {
 }
 
 // e20Service builds a fresh E16-configuration service (MinimalOnly,
-// exhaustive backchase, experiment parallelism) with the given latency
-// budget (0 = synchronous).
+// exhaustive backchase) with the given latency budget (0 = synchronous).
 func e20Service(budget time.Duration) *service.Service {
 	return service.New(service.Options{
-		Parallelism:    Parallelism,
 		MinimalOnly:    true,
 		MaxPlanLatency: budget,
 	})

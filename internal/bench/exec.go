@@ -121,7 +121,6 @@ func E18() (*Table, error) {
 			Deps:          s.Deps,
 			PhysicalNames: s.Physical.NameSet(),
 			Stats:         stats,
-			Parallelism:   1, // deterministic candidate ranking for exact gates
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E18 %s: optimize: %w", wl.Name, err)

@@ -27,7 +27,7 @@ func TestGoalDirectedSearchUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// E1, E2, E8, E12: the paper's running example.
+	// E1, E2, E8: the paper's running example.
 	scenarios := []scenario{{label: "ProjDept", q: pd.Q, deps: pd.AllDeps()}}
 	// E3: tableau minimization, no dependencies.
 	for n := 3; n <= 7; n++ {
@@ -45,7 +45,7 @@ func TestGoalDirectedSearchUnchanged(t *testing.T) {
 	scenarios = append(scenarios,
 		scenario{label: "index-only", q: io.Q, deps: io.Deps},
 		scenario{label: "view-index", q: vi.Q, deps: vi.Deps})
-	// E6, E7, E9, E12: chains with adjacent-pair views.
+	// E6, E7, E9: chains with adjacent-pair views.
 	for n := 2; n <= 5; n++ {
 		c, err := workload.NewChain(n, n-1)
 		if err != nil {
@@ -70,9 +70,8 @@ func TestGoalDirectedSearchUnchanged(t *testing.T) {
 		run := func(goal *core.Query) (*backchase.Result, int64) {
 			m := &chase.Metrics{}
 			res, err := backchase.Enumerate(chased.Query, sc.deps, backchase.Options{
-				Parallelism: 1,
-				Goal:        goal,
-				Chase:       chase.Options{Metrics: m},
+				Goal:  goal,
+				Chase: chase.Options{Metrics: m},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", sc.label, err)

@@ -379,7 +379,7 @@ func serveLoadTable(id, title string, mix []LoadQuery, cfg LoadConfig) (*Table, 
 		// but a cache-hit request skips re-ranking hundreds of explored
 		// lattice states it will never execute — the difference between
 		// ~50ms and ~1ms warm latency on this mix.
-		svc := service.New(service.Options{Parallelism: Parallelism, MinimalOnly: true})
+		svc := service.New(service.Options{MinimalOnly: true})
 		cfg.Workers = workers
 		res, err := RunLoad(context.Background(), svc, mix, cfg)
 		if err != nil {

@@ -25,7 +25,7 @@ func TestServiceLoadHarness(t *testing.T) {
 	if testing.Short() {
 		requests = 160
 	}
-	svc := service.New(service.Options{Parallelism: 1})
+	svc := service.New(service.Options{})
 	res, err := RunLoad(context.Background(), svc, mix, LoadConfig{
 		Workers:   16,
 		Requests:  requests,
@@ -71,7 +71,7 @@ func TestRunLoadDeterministicAtOneWorker(t *testing.T) {
 	cfg := LoadConfig{Workers: 1, Requests: 60, AlphaRate: 0.5, Seed: 11}
 	run := func() *LoadResult {
 		t.Helper()
-		svc := service.New(service.Options{Parallelism: 1})
+		svc := service.New(service.Options{})
 		res, err := RunLoad(context.Background(), svc, mix, cfg)
 		if err != nil {
 			t.Fatal(err)

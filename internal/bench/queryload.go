@@ -158,12 +158,9 @@ func e19Setup() (*e19Scenario, error) {
 
 // e19Service builds a fresh serving-configuration Service with the
 // scenario's instance installed and its synthetic statistics ranking
-// candidates. Parallelism 1 keeps the candidate ranking — and hence the
-// executed plan and its work counters — deterministic for the exact
-// gates, mirroring E18.
+// candidates.
 func (sc *e19Scenario) service() (*service.Service, error) {
 	svc := service.New(service.Options{
-		Parallelism: 1,
 		MinimalOnly: true,
 		Stats:       sc.Star.SyntheticStats(sc.Gen),
 	})

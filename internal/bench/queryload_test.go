@@ -96,7 +96,7 @@ func TestRunQueryLoadUnknownInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(service.Options{Parallelism: 1})
+	svc := service.New(service.Options{})
 	res, err := RunQueryLoad(context.Background(), svc, sc.Mix, LoadConfig{
 		Workers: 4, Requests: 16, Seed: 1,
 	}, "nope")

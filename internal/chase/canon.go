@@ -21,8 +21,9 @@ import (
 )
 
 // Metrics accumulates work counters across chase runs and homomorphism
-// searches. All fields are atomic so one Metrics may be shared by the
-// concurrent equivalence checks of the parallel backchase; attach it via
+// searches. All fields are atomic so one Metrics may be shared by
+// concurrent chases (a service's flights share the one in its
+// Options.Chase); attach it via
 // Options.Metrics (chase runs) or Canon.Metrics (direct hom searches).
 type Metrics struct {
 	// HomTests counts candidate membership tests during homomorphism

@@ -36,9 +36,9 @@
 //
 // A frozen Closure (see Freeze) is safe for any number of concurrent
 // readers: every query on it only reads, and any operation that would
-// intern a new term or merge two classes panics instead. The parallel
-// backchase shares one frozen closure of the root query across all its
-// workers: read-only containment tests resolve terms through a Probe
+// intern a new term or merge two classes panics instead. The backchase
+// freezes one closure of the root query and reads it for every
+// candidate: read-only containment tests resolve terms through a Probe
 // each, and every subquery is built by a Rewriter of its own — one pass
 // over class and node ids with variable bitsets (the string-keyed
 // rewrite it replaced is kept as a test reference in package backchase).

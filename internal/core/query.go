@@ -319,29 +319,6 @@ func FreshRenaming(prefix string, avoid map[string]bool) func(string) string {
 	}
 }
 
-// HasBinding reports whether the query contains a binding var over a range
-// equal to r.
-func (q *Query) HasBinding(v string, r *Term) bool {
-	for _, b := range q.Bindings {
-		if b.Var == v && b.Range.Equal(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// CondsMentioning returns the indices of the conditions that mention any
-// of the given variables.
-func (q *Query) CondsMentioning(vars map[string]bool) []int {
-	var out []int
-	for i, c := range q.Conds {
-		if c.L.MentionsAnyVar(vars) || c.R.MentionsAnyVar(vars) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // SortedNames returns the schema names of the query in sorted order.
 func (q *Query) SortedNames() []string {
 	ns := q.Names()

@@ -8,7 +8,7 @@ import (
 )
 
 // TestProjDeptSearchCounters pins one cold Optimize of the paper's
-// ProjDept example at Parallelism 1: the search itself (228 states, 6
+// ProjDept example: the search itself (228 states, 6
 // minimal plans, best cost 3.0) and the chase work it costs. Each
 // backchase candidate is tested with a goal-directed chase against the
 // user's query, which stops as soon as the query maps in; the ceilings
@@ -24,7 +24,6 @@ func TestProjDeptSearchCounters(t *testing.T) {
 	res, err := Optimize(pd.Q, Options{
 		Deps:          pd.AllDeps(),
 		PhysicalNames: pd.Physical.NameSet(),
-		Parallelism:   1,
 		Chase:         chase.Options{Metrics: m},
 	})
 	if err != nil {

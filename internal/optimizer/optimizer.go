@@ -37,9 +37,6 @@ type Options struct {
 	Stats *cost.Stats
 	// Chase tunes the chase phase and every chase the backchase runs.
 	Chase chase.Options
-	// Parallelism is the worker count for the backchase phase
-	// (0 = all cores).
-	Parallelism int
 	// MinimalOnly restricts the candidate plans to backchase normal forms.
 	// By default every explored backchase state (each of which is an
 	// equivalent plan — "we can stop this rewriting anytime") is also
@@ -96,7 +93,7 @@ func Optimize(q *core.Query, opts Options) (*Result, error) {
 }
 
 // OptimizeContext is Optimize with cancellation, propagated through both
-// the chase and the (parallel) backchase phase.
+// the chase and the backchase phase.
 func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("optimizer: %w", err)
@@ -120,10 +117,9 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 
 	// Phase 2: backchase.
 	bopts := backchase.Options{
-		Chase:       opts.Chase,
-		Parallelism: opts.Parallelism,
-		Index:       depIndex,
-		Goal:        q,
+		Chase: opts.Chase,
+		Index: depIndex,
+		Goal:  q,
 	}
 	enum, err := backchase.EnumerateContext(ctx, chased.Query, opts.Deps, bopts)
 	if err != nil {

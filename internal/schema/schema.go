@@ -105,13 +105,6 @@ func (s *Schema) AddDependency(d *core.Dependency) error {
 	return nil
 }
 
-// MustAddDependency is AddDependency that panics on error.
-func (s *Schema) MustAddDependency(d *core.Dependency) {
-	if err := s.AddDependency(d); err != nil {
-		panic(err)
-	}
-}
-
 // Dependencies returns the schema's constraints in declaration order.
 func (s *Schema) Dependencies() []*core.Dependency {
 	return append([]*core.Dependency(nil), s.deps...)

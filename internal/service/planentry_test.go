@@ -23,7 +23,6 @@ func projDeptResult(tb testing.TB, st *cost.Stats) *optimizer.Result {
 		Deps:          pd.AllDeps(),
 		PhysicalNames: pd.Physical.NameSet(),
 		Stats:         st,
-		Parallelism:   1,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -357,7 +357,7 @@ func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
 	statsB := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 60, ProjsPerDept: 5, CitiBankShare: 0.2, Seed: 2}))
 	ctx := context.Background()
 
-	svc := New(Options{Stats: statsA, Parallelism: 1})
+	svc := New(Options{Stats: statsA})
 	if _, err := svc.Optimize(ctx, req); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestStatsSwapExhaustiveHitReranks(t *testing.T) {
 		t.Fatalf("backchase runs = %d, want 1", c.BackchaseRuns)
 	}
 
-	fresh, err := New(Options{Stats: statsB, Parallelism: 1}).Optimize(ctx, req)
+	fresh, err := New(Options{Stats: statsB}).Optimize(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}

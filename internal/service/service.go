@@ -34,9 +34,9 @@
 // Response.Tier says which tier answered, and per-tier latency
 // histograms (Histograms) expose the resulting distributions. Under a
 // budget every flight may run detached, so each first takes a slot of a
-// service-wide semaphore of max(1, GOMAXPROCS−1) slots and runs with one
-// backchase worker: detached flights never hold every CPU, and a
-// request's greedy answer is not queued behind them.
+// service-wide semaphore of max(1, GOMAXPROCS−1) slots (a flight's
+// backchase is serial, one CPU): detached flights never hold every CPU,
+// and a request's greedy answer is not queued behind them.
 //
 // Beyond planning, the Service also answers queries: InstallInstance
 // registers named data instances (hot-swappable exactly like SetStats),
@@ -64,12 +64,11 @@ import (
 )
 
 // Options configures a Service. The zero value is usable: uniform cost
-// defaults, a DefaultCacheSize plan table, all cores.
+// defaults and a DefaultCacheSize plan table.
 type Options struct {
-	// Parallelism is the backchase worker count per flight
-	// (0 = all cores, 1 = serial). Under MaxPlanLatency, every flight
-	// takes a slot of the detached-flight semaphore and runs serially
-	// instead (see the package comment).
+	// Parallelism is kept so that existing callers still compile.
+	//
+	// Deprecated: ignored; the backchase is serial.
 	Parallelism int
 	// CacheSize bounds the plan table (0 = DefaultCacheSize,
 	// < 0 = unbounded).
@@ -213,7 +212,7 @@ type Service struct {
 
 	// slots is the detached-flight semaphore: under MaxPlanLatency every
 	// flight holds one of its max(1, GOMAXPROCS−1) slots while it
-	// optimizes, serially. The flights that may run detached therefore
+	// optimizes. The flights that may run detached therefore
 	// leave a CPU to the request path, however many shapes are cold at
 	// once.
 	slots chan struct{}
@@ -312,24 +311,24 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 
 // fly runs f's optimization and publishes its outcome, counting an
 // upgrade when a caller was served the greedy tier meanwhile. Under
-// MaxPlanLatency the flight may run detached, so it optimizes serially
-// inside a slot of the detached-flight semaphore.
+// MaxPlanLatency the flight may run detached, so it optimizes inside a
+// slot of the detached-flight semaphore.
 func (s *Service) fly(f *flight, req Request, snap *statsSnapshot) {
 	var e *planEntry
 	var err error
 	if s.opts.MaxPlanLatency > 0 {
 		e, err = s.planInSlot(f, req, snap)
 	} else {
-		e, err = s.plan(f, req, snap, s.opts.Parallelism)
+		e, err = s.plan(f, req, snap)
 	}
 	if s.table.publish(f, e, err) {
 		s.upgraded.Add(1)
 	}
 }
 
-// planInSlot is plan with one backchase worker inside a slot of the
-// detached-flight semaphore, counting a wait when no slot is free. It
-// fails without planning only when f's context ends first.
+// planInSlot is plan inside a slot of the detached-flight semaphore,
+// counting a wait when no slot is free. It fails without planning only
+// when f's context ends first.
 func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot) (*planEntry, error) {
 	select {
 	case s.slots <- struct{}{}:
@@ -342,14 +341,14 @@ func (s *Service) planInSlot(f *flight, req Request, snap *statsSnapshot) (*plan
 		}
 	}
 	defer func() { <-s.slots }()
-	return s.plan(f, req, snap, 1)
+	return s.plan(f, req, snap)
 }
 
 // plan runs Algorithm 1 for f and wraps the result as the shape's plan
 // table entry. A panic is recovered and returned as the error, with the
 // panic value and the stack it was raised on, so it neither kills the
 // process nor strands f's waiters.
-func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, parallelism int) (e *planEntry, err error) {
+func (s *Service) plan(f *flight, req Request, snap *statsSnapshot) (e *planEntry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e, err = nil, fmt.Errorf("service: optimizer panic: %v\n%s", p, debug.Stack())
@@ -359,7 +358,6 @@ func (s *Service) plan(f *flight, req Request, snap *statsSnapshot, parallelism 
 		Deps:          req.Deps,
 		PhysicalNames: req.PhysicalNames,
 		Stats:         snap.stats,
-		Parallelism:   parallelism,
 		MinimalOnly:   s.opts.MinimalOnly,
 		Chase:         s.opts.Chase,
 	})

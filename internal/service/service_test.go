@@ -408,7 +408,7 @@ func TestSetStatsHotSwap(t *testing.T) {
 		t.Fatal("test needs two distinct statistics snapshots")
 	}
 
-	svc := New(Options{Stats: statsA, Parallelism: 1})
+	svc := New(Options{Stats: statsA})
 	ctx := context.Background()
 	if _, err := svc.Optimize(ctx, req); err != nil {
 		t.Fatal(err)
@@ -473,7 +473,7 @@ func TestStatsSwapMidFlightLeavesNoStaleEntry(t *testing.T) {
 	statsA := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 30, ProjsPerDept: 8, CitiBankShare: 0.1, Seed: 1}))
 	statsB := cost.FromInstance(pd.Generate(workload.GenOptions{NumDepts: 60, ProjsPerDept: 5, CitiBankShare: 0.2, Seed: 2}))
 
-	svc := New(Options{Stats: statsA, Parallelism: 1})
+	svc := New(Options{Stats: statsA})
 	done := make(chan error, 1)
 	go func() {
 		_, err := svc.Optimize(context.Background(), req)
@@ -494,7 +494,7 @@ func TestStatsSwapMidFlightLeavesNoStaleEntry(t *testing.T) {
 	if !resp.CacheHit {
 		t.Error("request after a mid-flight swap must hit the flight's entry")
 	}
-	fresh, err := New(Options{Stats: statsB, Parallelism: 1}).Optimize(context.Background(), req)
+	fresh, err := New(Options{Stats: statsB}).Optimize(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

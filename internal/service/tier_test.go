@@ -151,12 +151,19 @@ func TestDetachedFlightSurvivesCallerCancellation(t *testing.T) {
 // TestTieredStormCoalescesOntoOneFlight: 8 concurrent cold requests
 // under a tiny budget all get the greedy tier, yet start exactly one
 // detached flight — and that single flight records exactly one upgrade.
+// The flight blocks until every greedy response has returned, so every
+// request provably enters before it lands.
 func TestTieredStormCoalescesOntoOneFlight(t *testing.T) {
 	req := coldStarRequest(t)
 	before := runtime.NumGoroutine()
 
 	const storm = 8
 	svc := New(Options{MinimalOnly: true, MaxPlanLatency: 2 * time.Millisecond})
+	gate := make(chan struct{})
+	svc.optimize = func(ctx context.Context, q *core.Query, o optimizer.Options) (*optimizer.Result, error) {
+		<-gate
+		return optimizer.OptimizeContext(ctx, q, o)
+	}
 	var (
 		start sync.WaitGroup
 		done  sync.WaitGroup
@@ -194,6 +201,7 @@ func TestTieredStormCoalescesOntoOneFlight(t *testing.T) {
 	if c.GreedyServed != storm {
 		t.Fatalf("GreedyServed = %d, want %d", c.GreedyServed, storm)
 	}
+	close(gate)
 	waitCounter(t, svc, 1, func(c Counters) int64 { return c.Upgraded })
 	if c := svc.Counters(); c.Upgraded != 1 {
 		t.Fatalf("Upgraded = %d, want exactly 1", c.Upgraded)
@@ -246,20 +254,17 @@ func customerRequest(t *testing.T, c string) Request {
 }
 
 // TestDetachedFlightsShareSlots: under a latency budget, every flight
-// optimizes serially inside the service-wide slots — never more at once than the semaphore holds, each with one
-// backchase worker — and a flight finding every slot taken is counted in
-// SlotWaits. A synchronous service takes no slot and keeps its
-// Parallelism.
+// optimizes inside the service-wide slots — never more at once than the
+// semaphore holds — and a flight finding every slot taken is counted in
+// SlotWaits. A synchronous service takes no slot.
 func TestDetachedFlightsShareSlots(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	running, peak := 0, 0
-	var workers []int
 	blocking := func(ctx context.Context, q *core.Query, o optimizer.Options) (*optimizer.Result, error) {
 		mu.Lock()
 		running++
 		peak = max(peak, running)
-		workers = append(workers, o.Parallelism)
 		mu.Unlock()
 		<-release
 		mu.Lock()
@@ -268,7 +273,7 @@ func TestDetachedFlightsShareSlots(t *testing.T) {
 		return optimizer.OptimizeContext(ctx, q, o)
 	}
 
-	svc := New(Options{MinimalOnly: true, Parallelism: 4, MaxPlanLatency: time.Millisecond})
+	svc := New(Options{MinimalOnly: true, MaxPlanLatency: time.Millisecond})
 	svc.optimize = blocking
 	slots := cap(svc.slots)
 	shapes := slots + 2
@@ -293,27 +298,22 @@ func TestDetachedFlightsShareSlots(t *testing.T) {
 	if peak != slots {
 		t.Errorf("peak concurrent flights = %d, want the %d slots", peak, slots)
 	}
-	for _, w := range workers {
-		if w != 1 {
-			t.Errorf("detached-capable flight ran with Parallelism %d, want 1", w)
-		}
-	}
 	mu.Unlock()
 	if c := svc.Counters(); c.SlotWaits != int64(shapes-slots) {
 		t.Errorf("SlotWaits = %d, want %d", c.SlotWaits, shapes-slots)
 	}
 
-	syncSvc := New(Options{MinimalOnly: true, Parallelism: 4})
-	var syncWorkers []int
+	syncSvc := New(Options{MinimalOnly: true})
+	var heldSlots []int
 	syncSvc.optimize = func(ctx context.Context, q *core.Query, o optimizer.Options) (*optimizer.Result, error) {
-		syncWorkers = append(syncWorkers, o.Parallelism)
+		heldSlots = append(heldSlots, len(syncSvc.slots))
 		return optimizer.OptimizeContext(ctx, q, o)
 	}
 	if _, err := syncSvc.Optimize(context.Background(), customerRequest(t, "C0")); err != nil {
 		t.Fatal(err)
 	}
-	if len(syncWorkers) != 1 || syncWorkers[0] != 4 || syncSvc.Counters().SlotWaits != 0 {
-		t.Errorf("synchronous flight: Parallelism %v, SlotWaits %d; want [4], 0", syncWorkers, syncSvc.Counters().SlotWaits)
+	if len(heldSlots) != 1 || heldSlots[0] != 0 || syncSvc.Counters().SlotWaits != 0 {
+		t.Errorf("synchronous flight: slots held %v, SlotWaits %d; want [0], 0", heldSlots, syncSvc.Counters().SlotWaits)
 	}
 }
 
