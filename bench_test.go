@@ -166,6 +166,40 @@ func BenchmarkOptimizeProjDept(b *testing.B) {
 	}
 }
 
+// projDeptPool returns the pool one ProjDept Optimize hands phase 3: its
+// minimal plans and explored states over physical names, in pool order.
+func projDeptPool(b *testing.B) []*core.Query {
+	pd := projDept(b)
+	phys := pd.Physical.NameSet()
+	res, err := optimizer.Optimize(pd.Q, optimizer.Options{Deps: pd.AllDeps(), PhysicalNames: phys})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pool []*core.Query
+	for _, p := range append(append([]*core.Query(nil), res.Minimal...), res.Explored...) {
+		physical := true
+		for n := range p.Names() {
+			physical = physical && phys[n]
+		}
+		if physical {
+			pool = append(pool, p)
+		}
+	}
+	return pool
+}
+
+// BenchmarkPoolDedupProjDept measures phase 3's per-plan half alone:
+// optimizer.ExecutablePool over ProjDept's pool — lookup simplification
+// of its 111 plans plus their shape-key deduplication.
+func BenchmarkPoolDedupProjDept(b *testing.B) {
+	pool := projDeptPool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		optimizer.ExecutablePool(pool)
+	}
+}
+
 // BenchmarkSubqueryProjDept measures candidate construction alone: every
 // induced subquery one ProjDept backchase run builds — one per nonempty
 // removal set of the universal plan's 8 bindings, 255 in all — through

@@ -366,33 +366,42 @@ func Normalize(q *core.Query, deps []*core.Dependency, opts chase.Options) *core
 // lattice.
 func normalizeIndexed(ctx context.Context, q *core.Query, ix *chase.DepIndex, opts chase.Options) *core.Query {
 	cur := q.Clone()
-	for changed := true; changed; {
-		changed = false
-		// Try pruning the largest conditions first so that small key
-		// equalities (e.g. k = "CitiBank", which later enables the
-		// non-failing-lookup simplification of P3) are the ones kept when
-		// two conditions imply each other.
-		order := make([]int, len(cur.Conds))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ca, cb := cur.Conds[order[a]], cur.Conds[order[b]]
-			return ca.L.Size()+ca.R.Size() > cb.L.Size()+cb.R.Size()
-		})
-		for _, i := range order {
-			// The drop-test chase stops at the first state that equates
-			// the condition's sides (chase.ImpliesEquality).
-			cand := cur.Clone()
-			cond := cand.Conds[i]
-			cand.Conds = append(cand.Conds[:i:i], cand.Conds[i+1:]...)
-			if implied, err := chase.ImpliesEquality(ctx, cand, cond.L, cond.R, ix, opts); err == nil && implied {
-				cur = cand
-				changed = true
-				break
+	// Try pruning the largest conditions first so that small key
+	// equalities (e.g. k = "CitiBank", which later enables the
+	// non-failing-lookup simplification of P3) are the ones kept when two
+	// conditions imply each other. One pass in that order suffices: a
+	// drop only weakens the plan, so a condition its remaining conditions
+	// did not imply is not implied after a later drop either.
+	order := make([]int, len(cur.Conds))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ca, cb := cur.Conds[order[a]], cur.Conds[order[b]]
+		return ca.L.Size()+ca.R.Size() > cb.L.Size()+cb.R.Size()
+	})
+	dropped := make([]bool, len(cur.Conds))
+	for _, i := range order {
+		// The drop-test chase stops at the first state that equates the
+		// condition's sides (chase.ImpliesEquality).
+		cand := &core.Query{Out: cur.Out, Bindings: cur.Bindings}
+		for j, c := range cur.Conds {
+			if j != i && !dropped[j] {
+				cand.Conds = append(cand.Conds, c)
 			}
 		}
+		cond := cur.Conds[i]
+		if implied, err := chase.ImpliesEquality(ctx, cand, cond.L, cond.R, ix, opts); err == nil && implied {
+			dropped[i] = true
+		}
 	}
+	kept := cur.Conds[:0]
+	for i, c := range cur.Conds {
+		if !dropped[i] {
+			kept = append(kept, c)
+		}
+	}
+	cur.Conds = kept
 	// Output normalization against the chased plan's congruence classes.
 	res, err := chase.ChaseIndexed(ctx, cur, ix, opts)
 	if err == nil && !res.Inconsistent {

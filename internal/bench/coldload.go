@@ -80,7 +80,8 @@ func e20Service(budget time.Duration) *service.Service {
 //     baseline. The plan-latency budget is then set adaptively to
 //     sync_p99/20 (clamped to [2ms, 200ms]): far under the cold flight,
 //     far over the warm path, and machine-speed independent.
-//  2. tiered pass — every shape cold on a fresh service with the budget:
+//  2. tiered pass — every shape cold on a fresh service with the budget,
+//     each sent once the previous shape's detached flight has landed:
 //     each response MUST come from the greedy tier, and each greedy plan
 //     is differentially checked through the full /query execution path
 //     (streaming engine) against the reference evaluator's result for the
@@ -139,10 +140,15 @@ func E20() (*Table, error) {
 		budget = e20MaxBudget
 	}
 
-	// Phase 2: tiered cold pass on a fresh service.
+	// Phase 2: tiered cold pass on a fresh service. Each shape is sent
+	// only after the previous shape's detached flight has landed, so no
+	// flight of this pass competes for a CPU with the measured request.
 	svc := e20Service(budget)
 	tierLat := make([]time.Duration, 0, len(shapes))
-	for _, sh := range shapes {
+	for i, sh := range shapes {
+		if err := e20AwaitUpgrades(svc, i); err != nil {
+			return nil, err
+		}
 		t0 := time.Now()
 		resp, err := svc.Optimize(ctx, sh.Req)
 		sh.tieredLatency = time.Since(t0)
@@ -197,14 +203,10 @@ func E20() (*Table, error) {
 	// snapshot the gated counters BEFORE phase 3: phase-3 retries (a warm
 	// flight exceeding the budget under heavy instrumentation) may serve
 	// extra greedy responses, which must not perturb the exact gates.
-	deadline := time.Now().Add(2 * time.Minute)
-	for svc.Counters().Upgraded < int64(len(shapes)) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if err := e20AwaitUpgrades(svc, len(shapes)); err != nil {
+		return nil, err
 	}
 	counters := svc.Counters()
-	if counters.Upgraded < int64(len(shapes)) {
-		return nil, fmt.Errorf("E20: only %d/%d detached flights upgraded within deadline", counters.Upgraded, len(shapes))
-	}
 
 	// Phase 3: upgraded entries serve the synchronous cheapest cost.
 	var upgradedCostTotal float64
@@ -269,6 +271,19 @@ func E20() (*Table, error) {
 		})
 	}
 	return tb, nil
+}
+
+// e20AwaitUpgrades waits up to two minutes for svc to count n upgraded
+// detached flights.
+func e20AwaitUpgrades(svc *service.Service, n int) error {
+	deadline := time.Now().Add(2 * time.Minute)
+	for svc.Counters().Upgraded < int64(n) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("E20: only %d/%d detached flights upgraded within deadline", svc.Counters().Upgraded, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // sortDurations sorts in place ascending (the shape percentile expects).

@@ -51,6 +51,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -339,6 +340,122 @@ func (q *Query) swapIsAutomorphism(a, b string) bool {
 		}
 	}
 	return true
+}
+
+// ShapeKey returns a 64-bit hash of the query's renaming-invariant shape:
+// the binding count, the multiset of the bindings' name-erased range
+// shapes and the output's name-erased shape. A name-erased shape keeps
+// schema names, constants, projected and struct field names and lookup
+// kinds, and renders every variable alike. Queries with equal
+// CanonicalSignatures have equal shape keys, so a key no other query has
+// proves a query isomorphic to none; equal keys prove nothing, and only
+// CanonicalSignature decides them. Conditions are left out, because
+// Signature deduplicates them: a duplicated condition must not change
+// the key. The multiset is an order-free sum of mixed range hashes, so
+// the key needs no sort and allocates nothing.
+func (q *Query) ShapeKey() uint64 {
+	var ranges uint64
+	for _, b := range q.Bindings {
+		ranges += shapeMix(termShape(shapeSeed, b.Range))
+	}
+	h := shapeCombine(shapeSeed, uint64(len(q.Bindings)))
+	h = shapeCombine(h, ranges)
+	return termShape(h, q.Out)
+}
+
+// The FNV-1a 64-bit offset basis and prime.
+const (
+	shapeSeed  uint64 = 14695981039346656037
+	shapePrime uint64 = 1099511628211
+)
+
+// Shape hash tags: one per term kind and constant type.
+const (
+	shapeTagNil uint64 = iota
+	shapeTagVar
+	shapeTagName
+	shapeTagProj
+	shapeTagDom
+	shapeTagLookup
+	shapeTagLookupNF
+	shapeTagStruct
+	shapeTagInt
+	shapeTagFloat
+	shapeTagString
+	shapeTagBool
+)
+
+// shapeMix is the splitmix64 finalizer: every input bit reaches every
+// output bit.
+func shapeMix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// shapeCombine folds x into h.
+func shapeCombine(h, x uint64) uint64 {
+	return (h ^ shapeMix(x)) * shapePrime
+}
+
+// shapeString folds s, length first, into h byte by byte (FNV-1a).
+func shapeString(h uint64, s string) uint64 {
+	h = shapeCombine(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * shapePrime
+	}
+	return h
+}
+
+// termShape folds t's name-erased shape into h. A constant is hashed by
+// type and value, with every NaN alike, because HashKey renders every
+// NaN alike.
+func termShape(h uint64, t *Term) uint64 {
+	if t == nil {
+		return shapeCombine(h, shapeTagNil)
+	}
+	switch t.Kind {
+	case KVar:
+		return shapeCombine(h, shapeTagVar)
+	case KName:
+		return shapeString(shapeCombine(h, shapeTagName), t.Name)
+	case KConst:
+		switch v := t.Val.(type) {
+		case int64:
+			return shapeCombine(shapeCombine(h, shapeTagInt), uint64(v))
+		case float64:
+			if v != v {
+				v = math.NaN()
+			}
+			return shapeCombine(shapeCombine(h, shapeTagFloat), math.Float64bits(v))
+		case string:
+			return shapeString(shapeCombine(h, shapeTagString), v)
+		case bool:
+			b := uint64(0)
+			if v {
+				b = 1
+			}
+			return shapeCombine(shapeCombine(h, shapeTagBool), b)
+		}
+	case KProj:
+		return shapeString(termShape(shapeCombine(h, shapeTagProj), t.Base), t.Name)
+	case KDom:
+		return termShape(shapeCombine(h, shapeTagDom), t.Base)
+	case KLookup:
+		tag := shapeTagLookup
+		if t.NonFailing {
+			tag = shapeTagLookupNF
+		}
+		return termShape(termShape(shapeCombine(h, tag), t.Base), t.Key)
+	case KStruct:
+		h = shapeCombine(shapeCombine(h, shapeTagStruct), uint64(len(t.Fields)))
+		for _, f := range t.Fields {
+			h = termShape(shapeString(h, f.Name), f.Term)
+		}
+	}
+	return h
 }
 
 // refineBindingColors partitions the bindings by iterative WL-style color

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -402,5 +403,127 @@ func TestCanonicalSignatureNoRawNames(t *testing.T) {
 				t.Fatalf("canonical signature leaks raw variable %q: %s", b.Var, sig)
 			}
 		}
+	}
+}
+
+// --- shape key -----------------------------------------------------------
+
+// withDuplicatedCond returns q with one of its conditions appended again,
+// flipped at random: Signature deduplicates conditions, so the copy is
+// isomorphic to q.
+func withDuplicatedCond(q *Query, rng *rand.Rand) *Query {
+	d := q.Clone()
+	if len(d.Conds) == 0 {
+		return d
+	}
+	c := d.Conds[rng.Intn(len(d.Conds))]
+	if rng.Intn(2) == 0 {
+		c = c.Flip()
+	}
+	d.Conds = append(d.Conds, c)
+	return d
+}
+
+// TestShapeKeyInvariance: alpha-renaming, binding shuffles, condition
+// reorders and flips (scrambled) and a duplicated condition never change
+// the shape key — every variant the canonical signature equates keeps
+// its key.
+func TestShapeKeyInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 300; trial++ {
+		q := randomQuery(rng)
+		want := q.ShapeKey()
+		for variant := 0; variant < 4; variant++ {
+			s := scrambled(q, rng)
+			if got := s.ShapeKey(); got != want {
+				t.Fatalf("trial %d variant %d: shape key changed\noriginal: %s\nvariant:  %s", trial, variant, q, s)
+			}
+		}
+		d := withDuplicatedCond(scrambled(q, rng), rng)
+		if d.CanonicalSignature() != q.CanonicalSignature() {
+			t.Fatalf("trial %d: a duplicated condition changed the canonical signature\n%s", trial, d)
+		}
+		if got := d.ShapeKey(); got != want {
+			t.Fatalf("trial %d: a duplicated condition changed the shape key\noriginal: %s\nvariant:  %s", trial, q, d)
+		}
+	}
+}
+
+// TestShapeKeyFollowsCanonicalSignature: over a corpus of random
+// queries, equal canonical signatures imply equal shape keys, and the
+// key still separates most distinct shapes (a constant key would pass
+// the invariance test and send every plan to the canonical search).
+func TestShapeKeyFollowsCanonicalSignature(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	keyOf := map[string]uint64{}
+	sigsOf := map[uint64]int{}
+	for trial := 0; trial < 200; trial++ {
+		q := randomQuery(rng)
+		if rng.Intn(2) == 0 {
+			q = withDuplicatedCond(scrambled(q, rng), rng)
+		}
+		sig, key := q.CanonicalSignature(), q.ShapeKey()
+		if k, ok := keyOf[sig]; ok {
+			if k != key {
+				t.Fatalf("trial %d: equal canonical signatures, shape keys %x and %x\n%s", trial, k, key, q)
+			}
+			continue
+		}
+		keyOf[sig] = key
+		sigsOf[key]++
+	}
+	if len(sigsOf)*2 < len(keyOf) {
+		t.Fatalf("%d shape keys for %d canonical signatures — the key barely separates shapes", len(sigsOf), len(keyOf))
+	}
+	t.Logf("%d canonical signatures, %d shape keys", len(keyOf), len(sigsOf))
+}
+
+// TestShapeKeySeparatesRigidParts: the key sees schema names, constants
+// (by type and value), projected and struct field names and the lookup
+// kind, but no variable name; every NaN constant hashes alike, as
+// HashKey renders them alike.
+func TestShapeKeySeparatesRigidParts(t *testing.T) {
+	one := func(r, out *Term) *Query {
+		return &Query{Out: out, Bindings: []Binding{{Var: "x", Range: r}}}
+	}
+	base := one(Name("R"), Prj(V("x"), "A"))
+	for _, c := range []struct {
+		name string
+		q    *Query
+	}{
+		{"schema name", one(Name("S"), Prj(V("x"), "A"))},
+		{"projected field", one(Name("R"), Prj(V("x"), "B"))},
+		{"struct output", one(Name("R"), Struct(SF("A", Prj(V("x"), "A"))))},
+		{"lookup kind", one(LkNF(Name("M"), C("k")), Prj(V("x"), "A"))},
+		{"binding count", &Query{Out: Prj(V("x"), "A"), Bindings: []Binding{{Var: "x", Range: Name("R")}, {Var: "y", Range: Name("R")}}}},
+	} {
+		if c.q.ShapeKey() == base.ShapeKey() {
+			t.Errorf("%s: shape key does not separate %s from %s", c.name, c.q, base)
+		}
+	}
+	if one(Lk(Name("M"), C("k")), V("x")).ShapeKey() == one(LkNF(Name("M"), C("k")), V("x")).ShapeKey() {
+		t.Error("failing and non-failing lookups share a shape key")
+	}
+	if one(Lk(Name("M"), C(1)), V("x")).ShapeKey() == one(Lk(Name("M"), C(1.0)), V("x")).ShapeKey() {
+		t.Error("int and float constants share a shape key")
+	}
+	if one(Lk(Name("M"), C(1)), V("x")).ShapeKey() == one(Lk(Name("M"), C(2)), V("x")).ShapeKey() {
+		t.Error("distinct constants share a shape key")
+	}
+	if one(Name("R"), Prj(V("y"), "A")).ShapeKey() != one(Name("R"), Prj(V("x"), "A")).ShapeKey() {
+		t.Error("a variable name changed the shape key")
+	}
+	nan1, nan2 := math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())|1)
+	a, b := one(Lk(Name("M"), C(nan1)), V("x")), one(Lk(Name("M"), C(nan2)), V("x"))
+	if a.Signature() != b.Signature() || a.ShapeKey() != b.ShapeKey() {
+		t.Error("NaN constants with different bits render alike but hash apart")
+	}
+}
+
+// TestShapeKeyNoAlloc: the key is computed without allocating.
+func TestShapeKeyNoAlloc(t *testing.T) {
+	q := randomQuery(rand.New(rand.NewSource(71)))
+	if n := testing.AllocsPerRun(100, func() { q.ShapeKey() }); n != 0 {
+		t.Fatalf("ShapeKey allocates %v times per call", n)
 	}
 }

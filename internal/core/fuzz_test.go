@@ -9,7 +9,8 @@ import (
 // under variable renaming, dependency-valid binding shuffles and
 // condition reordering or flipping: the seed picks a random star,
 // snowflake or chain query (randomQuery) and the scramble seed an
-// isomorphic variant of it (scrambled).
+// isomorphic variant of it (scrambled). The variant's ShapeKey must
+// equal the original's too.
 func FuzzCanonicalSignature(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, seed*7+1)
@@ -22,6 +23,9 @@ func FuzzCanonicalSignature(f *testing.F) {
 		}
 		if got, want := s.CanonicalSignature(), q.CanonicalSignature(); got != want {
 			t.Fatalf("canonical signature not invariant\noriginal: %s\nsig:      %s\nvariant:  %s\nsig:      %s", q, want, s, got)
+		}
+		if s.ShapeKey() != q.ShapeKey() {
+			t.Fatalf("shape key not invariant\noriginal: %s\nvariant:  %s", q, s)
 		}
 	})
 }

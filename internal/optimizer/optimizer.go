@@ -161,19 +161,58 @@ func OptimizeContext(ctx context.Context, q *core.Query, opts Options) (*Result,
 		res.Fallback = opts.PhysicalNames != nil
 	}
 
-	// Phase 3: conventional optimization per plan, deduplicating the
-	// simplified forms.
-	seen := map[string]bool{}
-	for _, p := range plans {
-		s := planrewrite.SimplifyLookups(p)
-		sig := s.CanonicalSignature()
-		if !seen[sig] {
-			seen[sig] = true
-			res.Executable = append(res.Executable, s)
-		}
-	}
+	// Phase 3: conventional optimization per plan (ExecutablePool), then
+	// the cost-based binding reorder and ranking.
+	res.Executable = ExecutablePool(plans)
 	res.rank(opts.Stats)
 	return res, nil
+}
+
+// ExecutablePool is the per-plan half of phase 3: it simplifies the
+// lookups of each plan (planrewrite.SimplifyLookups) and keeps, in pool
+// order, the first of each set of simplified plans that share a
+// CanonicalSignature. Plans are bucketed by their ShapeKey, which
+// isomorphic plans share; only a plan that lands in a bucket already
+// holding a plan is canonicalized, together with the bucket's earlier
+// members, so equal canonical signatures still decide every duplicate.
+// It returns nil for an empty pool.
+func ExecutablePool(plans []*core.Query) []*core.Query {
+	if len(plans) == 0 {
+		return nil
+	}
+	out := make([]*core.Query, 0, len(plans))
+	// last maps a shape key to 1 + the position in out of its bucket's
+	// latest member; prev[i] links out[i] to the bucket member before it
+	// the same way (0 ends the chain).
+	last := make(map[uint64]int, len(plans))
+	prev := make([]int, 0, len(plans))
+	// sigs holds the canonical signatures computed so far, parallel to
+	// out ("" = not computed).
+	sigs := make([]string, 0, len(plans))
+	for _, p := range plans {
+		s := planrewrite.SimplifyLookups(p)
+		k := s.ShapeKey()
+		head := last[k]
+		sig := ""
+		if head != 0 {
+			sig = s.CanonicalSignature()
+			dup := false
+			for m := head; m != 0 && !dup; m = prev[m-1] {
+				if sigs[m-1] == "" {
+					sigs[m-1] = out[m-1].CanonicalSignature()
+				}
+				dup = sigs[m-1] == sig
+			}
+			if dup {
+				continue
+			}
+		}
+		prev = append(prev, head)
+		last[k] = len(out) + 1
+		out = append(out, s)
+		sigs = append(sigs, sig)
+	}
+	return out
 }
 
 // Rerank returns a copy of r whose Candidates and Best rank r.Executable

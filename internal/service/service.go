@@ -288,9 +288,14 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 	} else {
 		s.coalesced.Add(1)
 	}
+	// Under a budget the greedy answer is built before the wait starts,
+	// so the timer only chooses between two finished answers and a
+	// budget-expired request returns at once.
 	budget := noBudget
+	var greedyRes *optimizer.Result
 	if s.opts.MaxPlanLatency > 0 {
 		budget = s.opts.MaxPlanLatency
+		greedyRes = s.greedyResult(req, snap.stats)
 	}
 	e, landed, err := s.table.wait(ctx, f, budget)
 	if err != nil {
@@ -301,7 +306,7 @@ func (s *Service) Optimize(ctx context.Context, req Request) (*Response, error) 
 		s.greedyServed.Add(1)
 		s.hists.greedy.Record(time.Since(start))
 		return &Response{
-			Result:    s.greedyResult(req, snap.stats),
+			Result:    greedyRes,
 			Coalesced: !owner,
 			Tier:      TierGreedy,
 		}, nil

@@ -16,12 +16,15 @@ import (
 // paths: only tests, the experiments in internal/bench and the defining
 // package may name them. A twin whose home is "" lives in test files
 // only: the string-keyed term rewriting, which the backchase's class-id
-// construction (congruence.Rewriter) is checked against.
+// construction (congruence.Rewriter) is checked against, and the
+// all-canonical pool deduplication optimizer.ExecutablePool is checked
+// against.
 var referenceTwins = map[string]string{
-	"NewNaiveIndex":     "internal/chase",
-	"RewriteVariants":   "",
-	"rewriteStructural": "",
-	"rebuildChildren":   "",
+	"NewNaiveIndex":           "internal/chase",
+	"RewriteVariants":         "",
+	"rewriteStructural":       "",
+	"rebuildChildren":         "",
+	"referenceExecutablePool": "",
 }
 
 // TestReferenceTwinsStayFixtures parses every non-test Go file of the
