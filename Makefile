@@ -50,7 +50,10 @@
 #                     minimized for at most 2 s (the 60 s default would
 #                     eat most of the window):
 #                     FuzzEqualMatchesKey (the value model's Equal and
-#                     Hash against its canonical keys), FuzzParse (Parse
+#                     Hash against its canonical keys),
+#                     FuzzRowSetMatchesSet (the query-result accumulator
+#                     against a Set of the records or scalars its rows
+#                     stand for), FuzzParse (Parse
 #                     and Target never panic),
 #                     FuzzCachedParseMatchesParse (a parse through a
 #                     warm design cache equals a fresh Parse),
@@ -137,6 +140,7 @@ race:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEqualMatchesKey$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/instance
+	$(GO) test -run '^$$' -fuzz '^FuzzRowSetMatchesSet$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/instance
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedParseMatchesParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledHomsMatchReference$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/chase

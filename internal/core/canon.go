@@ -52,6 +52,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -344,23 +345,80 @@ func (q *Query) swapIsAutomorphism(a, b string) bool {
 
 // ShapeKey returns a 64-bit hash of the query's renaming-invariant shape:
 // the binding count, the multiset of the bindings' name-erased range
-// shapes and the output's name-erased shape. A name-erased shape keeps
-// schema names, constants, projected and struct field names and lookup
-// kinds, and renders every variable alike. Queries with equal
-// CanonicalSignatures have equal shape keys, so a key no other query has
-// proves a query isomorphic to none; equal keys prove nothing, and only
-// CanonicalSignature decides them. Conditions are left out, because
-// Signature deduplicates them: a duplicated condition must not change
-// the key. The multiset is an order-free sum of mixed range hashes, so
-// the key needs no sort and allocates nothing.
+// shapes, the set of its distinct conditions' name-erased shapes and the
+// output's name-erased shape. A name-erased shape keeps schema names,
+// constants, projected and struct field names and lookup kinds, and
+// renders every variable alike. Queries with equal CanonicalSignatures
+// have equal shape keys, so a key no other query has proves a query
+// isomorphic to none; equal keys prove nothing, and only
+// CanonicalSignature decides them. Conditions are deduplicated as
+// Signature deduplicates them, by structural equality up to flipping
+// their sides, and each side pair is hashed symmetrically: a
+// duplicated, reordered or flipped condition leaves the key unchanged.
+// The multisets are order-free sums of mixed hashes, so the key needs
+// no sort and allocates nothing.
 func (q *Query) ShapeKey() uint64 {
 	var ranges uint64
 	for _, b := range q.Bindings {
 		ranges += shapeMix(termShape(shapeSeed, b.Range))
 	}
+	var conds uint64
+	for i, c := range q.Conds {
+		if slices.ContainsFunc(q.Conds[:i], c.sameUpToFlip) {
+			continue
+		}
+		conds += shapeMix(shapeMix(termShape(shapeSeed, c.L)) + shapeMix(termShape(shapeSeed, c.R)))
+	}
 	h := shapeCombine(shapeSeed, uint64(len(q.Bindings)))
 	h = shapeCombine(h, ranges)
+	h = shapeCombine(h, conds)
 	return termShape(h, q.Out)
+}
+
+// sameUpToFlip reports whether d is c or c with its sides swapped, in
+// the structural equality that Signature's rendered keys decide.
+func (c Cond) sameUpToFlip(d Cond) bool {
+	return sameKey(c.L, d.L) && sameKey(c.R, d.R) || sameKey(c.L, d.R) && sameKey(c.R, d.L)
+}
+
+// sameKey reports whether t and u have equal HashKeys without rendering
+// them: Equal, except that constants compare as HashKey renders them,
+// every NaN alike and 0 apart from -0.
+func sameKey(t, u *Term) bool {
+	if t == u {
+		return true
+	}
+	if t == nil || u == nil || t.Kind != u.Kind {
+		return false
+	}
+	switch t.Kind {
+	case KVar, KName:
+		return t.Name == u.Name
+	case KConst:
+		x, ok1 := t.Val.(float64)
+		y, ok2 := u.Val.(float64)
+		if ok1 && ok2 {
+			return math.Float64bits(x) == math.Float64bits(y) || x != x && y != y
+		}
+		return t.Val == u.Val
+	case KProj:
+		return t.Name == u.Name && sameKey(t.Base, u.Base)
+	case KDom:
+		return sameKey(t.Base, u.Base)
+	case KLookup:
+		return t.NonFailing == u.NonFailing && sameKey(t.Base, u.Base) && sameKey(t.Key, u.Key)
+	case KStruct:
+		if len(t.Fields) != len(u.Fields) {
+			return false
+		}
+		for i := range t.Fields {
+			if t.Fields[i].Name != u.Fields[i].Name || !sameKey(t.Fields[i].Term, u.Fields[i].Term) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // The FNV-1a 64-bit offset basis and prime.

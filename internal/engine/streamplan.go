@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"cnb/internal/core"
 	"cnb/internal/cost"
@@ -45,7 +44,7 @@ type StreamPlan struct {
 
 	constEvals int64
 	outRows    int64
-	blockRows  bool // the last batch added at least half its rows (addRecords)
+	row        []instance.Value // the sink's scratch row
 }
 
 // CompileStream builds a streaming operator tree for the plan's binding
@@ -173,7 +172,9 @@ func CompileStream(q *core.Query, in *instance.Instance, opts StreamOptions) (*S
 		}
 	}
 	var outNames []string
+	width := 1
 	if q.Out.Kind == core.KStruct {
+		width = len(q.Out.Fields)
 		outNames = make([]string, len(q.Out.Fields))
 		for i, f := range q.Out.Fields {
 			outNames[i] = f.Name
@@ -192,19 +193,30 @@ func CompileStream(q *core.Query, in *instance.Instance, opts StreamOptions) (*S
 		in:         in,
 		query:      q,
 		constConds: condAt[0],
+		row:        make([]instance.Value, width),
 	}, nil
 }
 
 // Run executes the plan under ctx and returns its deduplicated result
-// set. Cancelling ctx aborts the run between rows with ctx.Err(); all
-// operators — including any background prefetch goroutine — are closed
-// before Run returns, whatever the outcome. Counters reset at each Run,
-// so Measure reflects the latest Run only.
+// set: RunRows's rows, materialized by RowSet.Set.
 func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
+	rows, err := p.RunRows(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Set(), nil
+}
+
+// RunRows executes the plan under ctx and returns its distinct output
+// rows, which no record has been built for yet. Cancelling ctx aborts
+// the run between rows with ctx.Err(); all operators — including any
+// background prefetch goroutine — are closed before RunRows returns,
+// whatever the outcome. Counters reset at each run, so Measure reflects
+// the latest run only.
+func (p *StreamPlan) RunRows(ctx context.Context) (*instance.RowSet, error) {
 	p.outRows = 0
-	p.blockRows = false
 	p.constEvals = 0
-	out := instance.NewSet()
+	out := instance.NewRowSet(p.outNames)
 	// Variable-free conditions decide the whole run once.
 	empty := &Batch{schema: newBatchSchema(nil)}
 	for _, c := range p.constConds {
@@ -232,58 +244,35 @@ func (p *StreamPlan) Run(ctx context.Context) (*instance.Set, error) {
 		if b == nil {
 			return out, nil
 		}
-		if p.outNames != nil {
-			if err := p.addRecords(out, b); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for i := 0; i < b.Len(); i++ {
-			v, err := batchEval(p.out, b, i, p.in)
-			if err != nil {
-				return nil, err
-			}
-			p.outRows++
-			out.Add(v)
+		if err := p.sink(out, b); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// addRecords projects a batch onto a record output: it evaluates every
-// row's fields into one value slab and, while batches keep adding at
-// least half their rows as new, builds the batch's records together by
-// instance.NewStructs over the plan's shared field names. A record kept
-// in the result holds its whole batch (records and slab) alive, so after
-// a batch that adds fewer, as in a projection that collapses many rows
-// into few, the next batch's records are built one by one, each with its
-// own copy of its values. A block that turns out to add few rows follows
-// a batch that added at least half of its rows, so the result retains at
-// most a few times its distinct rows.
-func (p *StreamPlan) addRecords(out *instance.Set, b *Batch) error {
-	n, m := b.Len(), len(p.outNames)
-	vals := make([]instance.Value, n*m)
-	for i := 0; i < n; i++ {
-		for fi, f := range p.out.Fields {
-			v, err := batchEval(f.Term, b, i, p.in)
+// sink projects every row of a batch onto the output — a record
+// output's field values, or the one scalar value — and adds it to out,
+// which copies the values of new rows and builds no record.
+func (p *StreamPlan) sink(out *instance.RowSet, b *Batch) error {
+	for i := 0; i < b.Len(); i++ {
+		if p.outNames == nil {
+			v, err := batchEval(p.out, b, i, p.in)
 			if err != nil {
 				return err
 			}
-			vals[i*m+fi] = v
+			p.row[0] = v
+		} else {
+			for fi, f := range p.out.Fields {
+				v, err := batchEval(f.Term, b, i, p.in)
+				if err != nil {
+					return err
+				}
+				p.row[fi] = v
+			}
 		}
+		p.outRows++
+		out.Add(p.row)
 	}
-	p.outRows += int64(n)
-	before := out.Len()
-	if p.blockRows {
-		rs := instance.NewStructs(p.outNames, vals, n)
-		for i := range rs {
-			out.Add(&rs[i])
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			out.Add(instance.NewStruct(p.outNames, slices.Clone(vals[i*m:(i+1)*m])))
-		}
-	}
-	p.blockRows = 2*(out.Len()-before) >= n
 	return nil
 }
 

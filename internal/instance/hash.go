@@ -109,43 +109,64 @@ func Equal(a, b Value) bool {
 	return a.Key() == b.Key()
 }
 
-// smallTable is the member count up to which a table is searched by a
-// linear scan of its hash column; past it, Add and Put build the slot
-// index.
+// smallTable is the member count up to which an index is searched by a
+// linear scan of its hash column; past it, add builds the slot index.
 const smallTable = 8
 
-// table is an insertion-ordered list of distinct values (a set's members
-// or a dictionary's keys) found by hash. hashes[i] is Hash(keys[i]).
-// slots, once built, is an open-addressing index over the hash column:
-// slot s holds i+1 for keys[i], 0 when empty, and stays at most half
-// full. Both columns are pointer-free, so the collector never scans
-// them.
-type table struct {
-	keys   []Value
+// index is an insertion-ordered column of member hashes with an
+// open-addressing slot index over it: slot s holds i+1 for member i, 0
+// when empty, and stays at most half full. It stores no members; the
+// caller's equality test tells colliding ones apart. Both columns are
+// pointer-free, so the collector never scans them.
+type index struct {
 	hashes []uint64
 	slots  []uint32
 }
 
-// find returns the index of the member equal to v, whose hash is h, or -1.
-func (t *table) find(v Value, h uint64) int {
-	if t.slots == nil {
-		for i, x := range t.hashes {
-			if x == h && Equal(t.keys[i], v) {
+// probe returns the member whose hash is h and for which eq holds, or -1.
+func (x *index) probe(h uint64, eq func(i int) bool) int {
+	if x.slots == nil {
+		for i, y := range x.hashes {
+			if y == h && eq(i) {
 				return i
 			}
 		}
 		return -1
 	}
-	mask := uint64(len(t.slots) - 1)
+	mask := uint64(len(x.slots) - 1)
 	for p := h & mask; ; p = (p + 1) & mask {
-		s := t.slots[p]
+		s := x.slots[p]
 		if s == 0 {
 			return -1
 		}
-		if i := int(s - 1); t.hashes[i] == h && Equal(t.keys[i], v) {
+		if i := int(s - 1); x.hashes[i] == h && eq(i) {
 			return i
 		}
 	}
+}
+
+// add appends a member whose hash is h and indexes it.
+func (x *index) add(h uint64) {
+	i := len(x.hashes)
+	x.hashes = append(grow(x.hashes), h)
+	switch {
+	case x.slots != nil && 2*len(x.hashes) <= len(x.slots):
+		x.place(i)
+	case x.slots != nil || len(x.hashes) > smallTable:
+		x.rehash()
+	}
+}
+
+// table is an insertion-ordered list of distinct values (a set's members
+// or a dictionary's keys) found by hash: hashes[i] is Hash(keys[i]).
+type table struct {
+	index
+	keys []Value
+}
+
+// find returns the index of the member equal to v, whose hash is h, or -1.
+func (t *table) find(v Value, h uint64) int {
+	return t.probe(h, func(i int) bool { return Equal(t.keys[i], v) })
 }
 
 // insert adds v, whose hash is h, unless an equal member exists, and
@@ -154,16 +175,9 @@ func (t *table) insert(v Value, h uint64) (int, bool) {
 	if i := t.find(v, h); i >= 0 {
 		return i, false
 	}
-	i := len(t.keys)
 	t.keys = append(grow(t.keys), v)
-	t.hashes = append(grow(t.hashes), h)
-	switch {
-	case t.slots != nil && 2*len(t.keys) <= len(t.slots):
-		t.place(i)
-	case t.slots != nil || len(t.keys) > smallTable:
-		t.rehash()
-	}
-	return i, true
+	t.add(h)
+	return len(t.keys) - 1, true
 }
 
 // grow doubles a full column's capacity. append grows a large slice by
@@ -178,34 +192,38 @@ func grow[T any](s []T) []T {
 
 // rehash rebuilds the slot index at twice the member count, rounded up
 // to a power of two.
-func (t *table) rehash() {
+func (x *index) rehash() {
 	n := 16
-	for n < 2*len(t.keys) {
+	for n < 2*len(x.hashes) {
 		n *= 2
 	}
-	t.slots = make([]uint32, n)
-	for i := range t.keys {
-		t.place(i)
+	x.slots = make([]uint32, n)
+	for i := range x.hashes {
+		x.place(i)
 	}
 }
 
 // place puts member i in the first free slot of its probe sequence.
-func (t *table) place(i int) {
-	mask := uint64(len(t.slots) - 1)
-	p := t.hashes[i] & mask
-	for t.slots[p] != 0 {
+func (x *index) place(i int) {
+	mask := uint64(len(x.slots) - 1)
+	p := x.hashes[i] & mask
+	for x.slots[p] != 0 {
 		p = (p + 1) & mask
 	}
-	t.slots[p] = uint32(i + 1)
+	x.slots[p] = uint32(i + 1)
+}
+
+// clone copies the index, so the copy can be shared while x grows.
+func (x *index) clone() index {
+	return index{
+		hashes: append([]uint64(nil), x.hashes...),
+		slots:  append([]uint32(nil), x.slots...),
+	}
 }
 
 // clone copies the table, so the copy can be shared while t grows.
 func (t *table) clone() table {
-	return table{
-		keys:   append([]Value(nil), t.keys...),
-		hashes: append([]uint64(nil), t.hashes...),
-		slots:  append([]uint32(nil), t.slots...),
-	}
+	return table{index: t.index.clone(), keys: append([]Value(nil), t.keys...)}
 }
 
 // hashOf is the order-independent hash of the members: a sum of their

@@ -191,32 +191,6 @@ func TestStructHashCollisionsStayDistinct(t *testing.T) {
 	}
 }
 
-// TestNewStructs: records built together equal records built one by
-// one, share the names and key identically.
-func TestNewStructs(t *testing.T) {
-	names := []string{"PN", "PB"}
-	vals := []Value{Str("p1"), Int(1), Str("p2"), Int(2), Str("p1"), Int(1)}
-	rs := NewStructs(names, vals, 3)
-	for i := range rs {
-		want := NewStruct(names, vals[2*i:2*i+2])
-		if !Equal(&rs[i], want) || Hash(&rs[i]) != Hash(want) || rs[i].Key() != want.Key() {
-			t.Errorf("record %d = %s, want %s", i, &rs[i], want)
-		}
-	}
-	if s := NewSet(&rs[0], &rs[1], &rs[2]); s.Len() != 2 {
-		t.Errorf("dedup: Len = %d, want 2", s.Len())
-	}
-	if got := NewStructs(names, nil, 0); len(got) != 0 {
-		t.Errorf("zero records: %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch must panic")
-		}
-	}()
-	NewStructs(names, vals, 2)
-}
-
 // TestStructKeyOneAlloc pins the first Key() of a record at exactly one
 // allocation (the kept key), and later calls at none.
 func TestStructKeyOneAlloc(t *testing.T) {

@@ -199,25 +199,6 @@ func NewStruct(names []string, vals []Value) *Struct {
 	return &Struct{names: names, vals: vals, hash: structHash(vals)}
 }
 
-// NewStructs builds n records that share the field names in one
-// allocation: record i holds vals[i*len(names) : (i+1)*len(names)]. The
-// records keep names and vals, so callers must not modify either
-// afterwards.
-func NewStructs(names []string, vals []Value, n int) []Struct {
-	m := len(names)
-	if len(vals) != m*n {
-		panic("instance: NewStructs field/value length mismatch")
-	}
-	rs := make([]Struct, n)
-	for i := range rs {
-		r := &rs[i]
-		r.names = names
-		r.vals = vals[i*m : (i+1)*m : (i+1)*m]
-		r.hash = structHash(r.vals)
-	}
-	return rs
-}
-
 // StructOf builds a record from alternating name, value pairs in field
 // order: StructOf("A", Int(1), "B", Str("x")).
 func StructOf(pairs ...any) *Struct {
@@ -245,6 +226,13 @@ func (s *Struct) Field(name string) (Value, bool) {
 
 // Names returns the field names in order.
 func (s *Struct) Names() []string { return append([]string(nil), s.names...) }
+
+// NumFields returns the number of fields.
+func (s *Struct) NumFields() int { return len(s.vals) }
+
+// FieldAt returns the name and value of field i, 0 <= i < NumFields(),
+// without allocating.
+func (s *Struct) FieldAt(i int) (string, Value) { return s.names[i], s.vals[i] }
 
 // Key implements Value. The first call renders the key through a stack
 // buffer into a single allocation and publishes it; racing first calls
@@ -343,14 +331,24 @@ func (s *Struct) String() string {
 	return b.String()
 }
 
-// keyOrder returns the permutation that sorts vals by key. Every key is
-// rendered once into one scratch slab that is dropped on return, so
-// sorting records leaves none of their keys behind.
-func keyOrder(vals []Value) []int {
-	ends := make([]int, len(vals))
+// keyFunc appends member i's key to b and reports true. Given a non-nil
+// bound it may stop as soon as the key is known not to sort below bound,
+// and report false with only a prefix of the key appended.
+type keyFunc func(b []byte, i int, bound []byte) ([]byte, bool)
+
+// valueKeys renders the keys of vals.
+func valueKeys(vals []Value) keyFunc {
+	return func(b []byte, i int, _ []byte) ([]byte, bool) { return AppendKey(b, vals[i]), true }
+}
+
+// keyOrder returns the permutation that sorts n members by key. Every
+// key is rendered once into one scratch slab that is dropped on return,
+// so sorting records leaves none of their keys behind.
+func keyOrder(n int, appendKey keyFunc) []int {
+	ends := make([]int, n)
 	var slab []byte
-	for i, v := range vals {
-		slab = AppendKey(slab, v)
+	for i := range n {
+		slab, _ = appendKey(slab, i, nil)
 		ends[i] = len(slab)
 	}
 	key := func(i int) []byte {
@@ -359,12 +357,77 @@ func keyOrder(vals []Value) []int {
 		}
 		return slab[ends[i-1]:ends[i]]
 	}
-	perm := make([]int, len(vals))
+	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
 	slices.SortFunc(perm, func(a, b int) int { return bytes.Compare(key(a), key(b)) })
 	return perm
+}
+
+// firstN returns the positions of the k members with the smallest keys
+// among n, 0 <= k < n, in key order. It is a bounded max-heap selection,
+// O(n log k), that neither sorts nor keeps every key: each member's key
+// is rendered into one reused buffer, and only the keys the heap keeps
+// are copied out. Once the heap is full, appendKey gets the largest key
+// it holds as the bound.
+func firstN(n, k int, appendKey keyFunc) []int {
+	if k == 0 {
+		return []int{}
+	}
+	// h is a max-heap on key holding the k smallest members seen. The
+	// first k keys are appended to one slab, each clipped to its own
+	// length so that overwriting it in place cannot reach its neighbour.
+	// A key that enters the heap later overwrites the one it evicts.
+	type cand struct {
+		key []byte
+		i   int
+	}
+	h := make([]cand, 0, k)
+	var slab, scratch []byte
+	for i := range n {
+		if len(h) < k {
+			scratch, _ = appendKey(scratch[:0], i, nil)
+			lo := len(slab)
+			slab = append(slab, scratch...)
+			h = append(h, cand{slab[lo:len(slab):len(slab)], i})
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if bytes.Compare(h[p].key, h[c].key) >= 0 {
+					break
+				}
+				h[p], h[c] = h[c], h[p]
+				c = p
+			}
+			continue
+		}
+		var below bool
+		scratch, below = appendKey(scratch[:0], i, h[0].key)
+		if !below || bytes.Compare(scratch, h[0].key) >= 0 {
+			continue
+		}
+		h[0] = cand{append(h[0].key[:0], scratch...), i}
+		for p := 0; ; {
+			c := 2*p + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && bytes.Compare(h[c+1].key, h[c].key) > 0 {
+				c++
+			}
+			if bytes.Compare(h[p].key, h[c].key) >= 0 {
+				break
+			}
+			h[p], h[c] = h[c], h[p]
+			p = c
+		}
+	}
+	slices.SortFunc(h, func(a, b cand) int { return bytes.Compare(a.key, b.key) })
+	out := make([]int, len(h))
+	for j, c := range h {
+		out[j] = c.i
+	}
+	return out
 }
 
 // Set is a finite set of values with set semantics (duplicates collapse).
@@ -407,7 +470,7 @@ func (s *Set) Elems() []Value {
 	if o := s.order.Load(); o != nil {
 		return *o
 	}
-	perm := keyOrder(s.t.keys)
+	perm := keyOrder(s.Len(), valueKeys(s.t.keys))
 	vals := make([]Value, len(perm))
 	for i, p := range perm {
 		vals[i] = s.t.keys[p]
@@ -419,9 +482,8 @@ func (s *Set) Elems() []Value {
 // FirstN returns the k elements with the smallest keys, in key order:
 // exactly Elems()[:min(k, Len())], and all of Elems() when k < 0. Unless
 // the key order is already known, a k below Len is answered by a bounded
-// max-heap selection, O(n log k), that neither sorts nor caches the
-// whole set: each member's key is rendered into one reused buffer, and
-// only the keys the heap keeps are copied out. The result is read-only.
+// heap selection (see firstN) that neither sorts nor caches the whole
+// set. The result is read-only.
 func (s *Set) FirstN(k int) []Value {
 	if o := s.order.Load(); o != nil || k < 0 || k >= s.Len() {
 		vals := s.Elems()
@@ -430,58 +492,10 @@ func (s *Set) FirstN(k int) []Value {
 		}
 		return vals
 	}
-	if k == 0 {
-		return []Value{}
-	}
-	// h is a max-heap on key holding the k smallest members seen. The
-	// first k keys are appended to one slab, each clipped to its own
-	// length so that overwriting it in place cannot reach its neighbour.
-	// A key that enters the heap later overwrites the one it evicts.
-	type cand struct {
-		key []byte
-		i   int
-	}
-	h := make([]cand, 0, k)
-	var slab, scratch []byte
-	for i, v := range s.t.keys {
-		scratch = AppendKey(scratch[:0], v)
-		if len(h) == k && bytes.Compare(scratch, h[0].key) >= 0 {
-			continue
-		}
-		if len(h) < k {
-			lo := len(slab)
-			slab = append(slab, scratch...)
-			h = append(h, cand{slab[lo:len(slab):len(slab)], i})
-			for c := len(h) - 1; c > 0; {
-				p := (c - 1) / 2
-				if bytes.Compare(h[p].key, h[c].key) >= 0 {
-					break
-				}
-				h[p], h[c] = h[c], h[p]
-				c = p
-			}
-			continue
-		}
-		h[0] = cand{append(h[0].key[:0], scratch...), i}
-		for p := 0; ; {
-			c := 2*p + 1
-			if c >= k {
-				break
-			}
-			if c+1 < k && bytes.Compare(h[c+1].key, h[c].key) > 0 {
-				c++
-			}
-			if bytes.Compare(h[p].key, h[c].key) >= 0 {
-				break
-			}
-			h[p], h[c] = h[c], h[p]
-			p = c
-		}
-	}
-	slices.SortFunc(h, func(a, b cand) int { return bytes.Compare(a.key, b.key) })
-	out := make([]Value, len(h))
-	for i, c := range h {
-		out[i] = s.t.keys[c.i]
+	first := firstN(s.Len(), k, valueKeys(s.t.keys))
+	out := make([]Value, len(first))
+	for j, i := range first {
+		out[j] = s.t.keys[i]
 	}
 	return out
 }
@@ -597,7 +611,7 @@ func (d *Dict) Entries() [][2]Value {
 	if o := d.order.Load(); o != nil {
 		return *o
 	}
-	perm := keyOrder(d.t.keys)
+	perm := keyOrder(d.Len(), valueKeys(d.t.keys))
 	es := make([][2]Value, len(perm))
 	for i, p := range perm {
 		es[i] = [2]Value{d.t.keys[p], d.vals[p]}

@@ -147,7 +147,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (qr *QueryRespons
 		if err != nil {
 			return nil, fmt.Errorf("service: compile: %w", err)
 		}
-		out, err := p.Run(ctx)
+		out, err := p.RunRows(ctx)
 		if err != nil {
 			var lf *eval.ErrLookupFailed
 			if errors.As(err, &lf) && ctx.Err() == nil {
@@ -172,10 +172,10 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (qr *QueryRespons
 
 // capRows renders the result slice under the row cap: 0 means
 // DefaultMaxResultRows, negative means unlimited. The rows are the first
-// maxRows of Set.Elems order (sorted by canonical key), so the retained
-// prefix is deterministic; Set.FirstN selects them without sorting the
-// whole result.
-func capRows(out *instance.Set, maxRows int) []instance.Value {
+// maxRows in canonical key order, so the retained prefix is
+// deterministic; RowSet.FirstN selects them without sorting the whole
+// result and builds records for those rows only.
+func capRows(out *instance.RowSet, maxRows int) []instance.Value {
 	if maxRows == 0 {
 		maxRows = DefaultMaxResultRows
 	}
@@ -201,10 +201,13 @@ func ValueJSON(v instance.Value) any {
 	case instance.OID:
 		return t.String()
 	case *instance.Struct:
-		m := make(map[string]any, len(t.Names()))
-		for _, n := range t.Names() {
-			f, _ := t.Field(n)
-			m[n] = ValueJSON(f)
+		m := make(map[string]any, t.NumFields())
+		for i := range t.NumFields() {
+			// A repeated name keeps its first field's value, as Field does.
+			n, f := t.FieldAt(i)
+			if _, seen := m[n]; !seen {
+				m[n] = ValueJSON(f)
+			}
 		}
 		return m
 	case *instance.Set:
