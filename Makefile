@@ -59,7 +59,9 @@
 #                     warm design cache equals a fresh Parse),
 #                     FuzzCompiledHomsMatchReference (the compiled
 #                     homomorphism search against the Subst-and-intern
-#                     reference), FuzzCanonicalSignature (invariance
+#                     reference), FuzzIncrementalChaseMatchesNaive (the
+#                     delta-driven chase applies the naive chase's steps
+#                     byte for byte), FuzzCanonicalSignature (invariance
 #                     under renaming, binding shuffle, condition reorder
 #                     and flip), FuzzHashKeyMatchesFresh (a memoized or
 #                     hash-consed HashKey against a fresh render of a
@@ -108,8 +110,9 @@ BENCH_BASELINE ?= BENCH_BASELINE.json
 # depends on. instance and engine ride along for the key order a Set or
 # Dict caches on first read, which concurrent plans over one installed
 # instance race to fill. parser rides along for the design cache every
-# cnbd request goes through.
-RACE_PKGS = ./internal/backchase/... ./internal/chase/... ./internal/congruence/... ./internal/optimizer/... ./internal/service/... ./internal/core/... ./internal/instance/... ./internal/engine/... ./internal/parser/...
+# cnbd request goes through. baseline rides along for BucketRewrite,
+# which concurrent callers may run side by side.
+RACE_PKGS = ./internal/backchase/... ./internal/chase/... ./internal/congruence/... ./internal/optimizer/... ./internal/service/... ./internal/core/... ./internal/instance/... ./internal/engine/... ./internal/parser/... ./internal/baseline/...
 
 # Where serve-smoke binds its throwaway server.
 CNBD_ADDR ?= 127.0.0.1:18343
@@ -144,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzCachedParseMatchesParse$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/parser
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledHomsMatchReference$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/chase
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalChaseMatchesNaive$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/chase
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalSignature$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHashKeyMatchesFresh$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRewriteMatchesReference$$' -fuzztime 10s -fuzzminimizetime 2s -parallel 2 ./internal/backchase

@@ -232,9 +232,10 @@ func BenchmarkSubqueryProjDept(b *testing.B) {
 }
 
 // BenchmarkContainedInProjDept measures the backchase's goal-directed
-// containment test alone: one dependency index, then chase.ContainedIn
-// of every one of the 255 candidates a SubqueryBuilder builds from the
-// ProjDept universal plan against the query itself.
+// containment test alone: one dependency index and the query compiled
+// once as the goal, as the backchase engine does, then
+// chase.ContainedInCompiled of every one of the 255 candidates a
+// SubqueryBuilder builds from the ProjDept universal plan against it.
 func BenchmarkContainedInProjDept(b *testing.B) {
 	pd := projDept(b)
 	deps := pd.AllDeps()
@@ -257,12 +258,13 @@ func BenchmarkContainedInProjDept(b *testing.B) {
 		}
 	}
 	ix := chase.NewDepIndex(deps)
+	goal := chase.CompileQuery(pd.Q)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sub := range subs {
-			if _, err := chase.ContainedIn(ctx, sub, pd.Q, ix, chase.Options{}); err != nil {
+			if _, err := chase.ContainedInCompiled(ctx, sub, goal, ix, chase.Options{}); err != nil {
 				if _, budget := err.(*chase.ErrBudget); !budget {
 					b.Fatal(err)
 				}

@@ -56,9 +56,9 @@ type Options struct {
 	// equivalent to the root under the dependencies. A candidate's
 	// S ⊑ root direction is then proved by mapping Goal, which has a
 	// fraction of the root's bindings, into a goal-directed chase of S
-	// (chase.ContainedIn). Nil means the root itself. Results are the
-	// same either way whenever the candidates' chases terminate within
-	// the budget.
+	// (chase.ContainedInCompiled). Nil means the root itself. Results are
+	// the same either way whenever the candidates' chases terminate
+	// within the budget.
 	//
 	// Most candidates skip that chase: a seed dive's normal
 	// form T, proved T ⊑ Goal by chase once, certifies every candidate S
@@ -134,14 +134,10 @@ func EnumerateContext(ctx context.Context, q *core.Query, deps []*core.Dependenc
 // MinimizeOne performs a greedy backchase: repeatedly apply the first
 // sound removal until none applies, returning a single (normalized)
 // minimal plan. Deterministic: bindings are tried in order and the first
-// sound removal (lowest binding index) is always the one taken.
+// sound removal (lowest binding index) is always the one taken. The
+// rounds share the engine's memoized equivalence cache.
 func MinimizeOne(q *core.Query, deps []*core.Dependency, opts Options) (*core.Query, error) {
-	return MinimizeOneContext(context.Background(), q, deps, opts)
-}
-
-// MinimizeOneContext is MinimizeOne with cancellation. The rounds share
-// the engine's memoized equivalence cache.
-func MinimizeOneContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (*core.Query, error) {
+	ctx := context.Background()
 	opts = opts.withDefaults()
 	e, err := newEngine(ctx, q, deps, opts)
 	if err != nil {
@@ -159,25 +155,6 @@ func MinimizeOneContext(ctx context.Context, q *core.Query, deps []*core.Depende
 		}
 		removed, cur = next, nextQ
 	}
-}
-
-// IsMinimal reports whether no backchase step applies to q under deps.
-func IsMinimal(q *core.Query, deps []*core.Dependency, opts Options) (bool, error) {
-	return IsMinimalContext(context.Background(), q, deps, opts)
-}
-
-// IsMinimalContext is IsMinimal with cancellation.
-func IsMinimalContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (bool, error) {
-	opts = opts.withDefaults()
-	e, err := newEngine(ctx, q, deps, opts)
-	if err != nil {
-		return false, err
-	}
-	_, next, err := e.firstRemoval(ctx, e.none, q)
-	if err != nil {
-		return false, err
-	}
-	return next == nil, nil
 }
 
 // Subquery computes the induced subquery of q after removing the bindings
@@ -513,23 +490,13 @@ func Equivalent(q1, q2 *core.Query, deps []*core.Dependency, opts chase.Options)
 	return equivalentIndexed(context.Background(), q1, q2, chase.NewDepIndex(deps), opts)
 }
 
-// Contained is the exported chase-based containment test under
-// dependencies: Q1 ⊑ Q2.
-func Contained(q1, q2 *core.Query, deps []*core.Dependency, opts chase.Options) (bool, error) {
-	return containedIndexed(context.Background(), q1, q2, chase.NewDepIndex(deps), opts)
-}
-
 // BruteForceMinimal enumerates all subsets of q's bindings directly
 // (exponential!) and returns the minimal equivalent subqueries. It is the
 // reference implementation used to validate Theorem 2 in tests and the E7
-// experiment; use Enumerate in production.
+// experiment; use Enumerate in production. The 2^n subsets are checked
+// in mask order.
 func BruteForceMinimal(q *core.Query, deps []*core.Dependency, opts Options) ([]*core.Query, error) {
-	return BruteForceMinimalContext(context.Background(), q, deps, opts)
-}
-
-// BruteForceMinimalContext is BruteForceMinimal with cancellation. The
-// 2^n subsets are checked in mask order.
-func BruteForceMinimalContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) ([]*core.Query, error) {
+	ctx := context.Background()
 	opts = opts.withDefaults()
 	n := len(q.Bindings)
 	if n > 20 {
@@ -546,9 +513,6 @@ func BruteForceMinimalContext(ctx context.Context, q *core.Query, deps []*core.D
 	}
 	var equivalents []cand
 	for mask := 0; mask < 1<<n; mask++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		removed := map[string]bool{}
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {

@@ -502,7 +502,7 @@ func TestChaseBudgetSkipsCandidates(t *testing.T) {
 
 // TestMinimizeOneDeterministic pins the greedy minimizer's determinism:
 // repeated runs take the same (first-in-binding-order) removal sequence
-// to the same plan, and IsMinimal rejects the universal plan.
+// to the same plan, which is smaller than the universal plan.
 func TestMinimizeOneDeterministic(t *testing.T) {
 	deps := projDeptDeps()
 	chased, err := chase.Chase(projDeptQuery(), deps, chase.Options{})
@@ -520,11 +520,7 @@ func TestMinimizeOneDeterministic(t *testing.T) {
 	if again.String() != first.String() {
 		t.Errorf("minimized plan differs between runs\ngot:\n%s\nwant:\n%s", again, first)
 	}
-	min, err := IsMinimal(chased.Query, deps, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min {
+	if len(first.Bindings) >= len(chased.Query.Bindings) {
 		t.Error("universal plan reported minimal")
 	}
 }

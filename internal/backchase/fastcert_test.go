@@ -269,8 +269,8 @@ func BenchmarkCertifyProjDept(b *testing.B) {
 func identityMaps(s *core.Query) func(t *chase.CompiledQuery) bool {
 	cn := chase.NewCanon(s)
 	id := make(chase.Hom, len(s.Bindings))
-	for i, b := range s.Bindings {
-		id[b.Var] = cn.BindingVar(i)
+	for _, b := range s.Bindings {
+		id[b.Var] = core.V(b.Var)
 	}
 	return func(t *chase.CompiledQuery) bool { return cn.MapsCompiledInto(t, s.Out, id) }
 }
@@ -335,7 +335,7 @@ func rootMaps(root *core.Query) func(s *core.Query) bool {
 	return func(s *core.Query) bool {
 		id := make(chase.Hom, len(s.Bindings))
 		for _, b := range s.Bindings {
-			id[b.Var] = cn.BindingVar(root.BindingOf(b.Var))
+			id[b.Var] = core.V(b.Var)
 		}
 		return cn.MapsCompiledInto(chase.CompileQuery(s), root.Out, id)
 	}

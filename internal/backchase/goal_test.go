@@ -15,7 +15,7 @@ import (
 // TestGoalDirectedContainmentMatchesFixpoint is the differential oracle
 // for the goal-directed check: on every candidate subquery S of the
 // universal plan U of ProjDept, star/snowflake and chain workloads, the
-// goal-directed tests S ⊑ Q and S ⊑ U (chase.ContainedIn) must answer
+// goal-directed tests S ⊑ Q and S ⊑ U (chase.ContainedInCompiled) must answer
 // exactly like the full-fixpoint test S ⊑ U (containedIndexed), which
 // chases S to its fixpoint and only then maps U in.
 func TestGoalDirectedContainmentMatchesFixpoint(t *testing.T) {
@@ -82,7 +82,7 @@ func TestGoalDirectedContainmentMatchesFixpoint(t *testing.T) {
 				name string
 				q    *core.Query
 			}{{"Q", sc.q}, {"U", u}} {
-				got, err := chase.ContainedIn(ctx, sub, goal.q, ix, chase.Options{})
+				got, err := chase.ContainedInCompiled(ctx, sub, chase.CompileQuery(goal.q), ix, chase.Options{})
 				if (err == nil) != (errWant == nil) || got != want {
 					t.Fatalf("%s: S ⊑ %s goal-directed = %v/%v, full fixpoint S ⊑ U = %v/%v\nS:\n%s",
 						sc.label, goal.name, got, err, want, errWant, sub)

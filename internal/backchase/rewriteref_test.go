@@ -20,12 +20,32 @@ import (
 // checked against, byte for byte, and is written over the closure's
 // exported API only.
 
+// mentionsAny reports whether any of the variables occurs in t.
+func mentionsAny(t *core.Term, vars map[string]bool) bool {
+	for v := range vars {
+		if t.MentionsVar(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// closureLen counts the terms interned in c: its node ids are 0 to
+// closureLen(c)-1.
+func closureLen(c *congruence.Closure) int {
+	n := 0
+	for _, class := range c.Classes() {
+		n += len(class)
+	}
+	return n
+}
+
 // refRewrite produces a term congruent to t that mentions none of the
 // avoided variables, preferring an interned class member, then a rebuild
 // of t or of a class member over rewritten children, then inverse beta.
 // busy holds the HashKeys of the terms being rewritten higher up.
 func refRewrite(c *congruence.Closure, t *core.Term, avoid, busy map[string]bool) (*core.Term, bool) {
-	if !t.MentionsAnyVar(avoid) {
+	if !mentionsAny(t, avoid) {
 		return t, true
 	}
 	key := t.HashKey()
@@ -37,7 +57,7 @@ func refRewrite(c *congruence.Closure, t *core.Term, avoid, busy map[string]bool
 
 	if c.Contains(t) {
 		for _, m := range c.ClassMembers(t) {
-			if !m.MentionsAnyVar(avoid) {
+			if !mentionsAny(m, avoid) {
 				return m, true
 			}
 		}
@@ -57,7 +77,7 @@ func refRewrite(c *congruence.Closure, t *core.Term, avoid, busy map[string]bool
 	}
 	if tid, ok := c.ID(t); ok {
 		tr := c.Find(tid)
-		for id := 0; id < c.Len(); id++ {
+		for id, size := 0, closureLen(c); id < size; id++ {
 			n := c.Term(id)
 			if n.Kind != core.KStruct {
 				continue
@@ -135,12 +155,12 @@ func refRewriteVariants(c *congruence.Closure, t *core.Term, avoid map[string]bo
 			out = append(out, u)
 		}
 	}
-	if !t.MentionsAnyVar(avoid) {
+	if !mentionsAny(t, avoid) {
 		add(t)
 	}
 	if c.Contains(t) {
 		for _, m := range c.ClassMembers(t) {
-			if !m.MentionsAnyVar(avoid) {
+			if !mentionsAny(m, avoid) {
 				add(m)
 			}
 		}

@@ -1,27 +1,15 @@
-// Package baseline implements the prior approaches the paper positions
-// itself against (§4, §6):
+// Package baseline implements the prior approach the paper positions
+// itself against (§4, §6): answering queries using views for
+// conjunctive relational queries, in the style of the bucket algorithm
+// (Levy/Mendelzon/Sagiv/Srivastava). BucketRewrite collects, for each
+// query subgoal, the views that can supply it, combines one view choice
+// per subgoal, and keeps the combinations equivalent to the query. It
+// is views-only: it cannot express index lookups, which is the
+// limitation §4 discusses (plan P is discarded because Q is a subquery
+// of P).
 //
-//   - BucketRewrite: answering queries using views for conjunctive
-//     relational queries (Levy/Mendelzon/Sagiv/Srivastava style): for each
-//     query subgoal collect the views that can supply it, combine one
-//     view choice per subgoal, and keep the combinations equivalent to
-//     the query. Views-only: it cannot express index lookups, which is
-//     the limitation §4 discusses (plan P is discarded because Q is a
-//     subquery of P).
-//
-//   - GMapRewrite: the GMAP approach (Tsatalos/Solomon/Ioannidis):
-//     physical structures are materialized PSJ views over the logical
-//     schema and rewriting replaces logical scans with gmap scans. Its
-//     output is again a PSJ query — value-based joins only — so index
-//     navigation stays out of reach of the plan language.
-//
-//   - HeuristicIndexer: the conventional ad-hoc rule ("if a selection
-//     column has an index, use it") that relational optimizers used
-//     instead of a systematic search; it handles single-table selections
-//     and misses index-only and view+index combinations.
-//
-// The E7/E10 experiments compare the chase & backchase plan space against
-// these baselines.
+// The E10 experiment compares the chase & backchase plan space against
+// BucketRewrite's on the §4 scenario.
 package baseline
 
 import (
@@ -138,7 +126,7 @@ func buildCandidate(q *core.Query, chosen []RelView) *core.Query {
 	// variable x_i by (view row).F when the view's output has a field F
 	// equal (in the view's own canonical database) to the corresponding
 	// base-row field.
-	sub := map[string]*core.Term{}
+	projMaps := map[string]map[string]*core.Term{}
 	cand := &core.Query{}
 	for i, b := range q.Bindings {
 		v := chosen[i]
@@ -173,20 +161,18 @@ func buildCandidate(q *core.Query, chosen []RelView) *core.Query {
 				}
 			}
 		}
-		sub[b.Var] = nil // mark; substitution handled via substProj
-		substProjRegister(b.Var, fieldMap)
+		projMaps[b.Var] = fieldMap
 	}
-	defer substProjClear()
 
 	for _, c := range q.Conds {
-		l := substProj(c.L)
-		r := substProj(c.R)
+		l := substProj(projMaps, c.L)
+		r := substProj(projMaps, c.R)
 		if l == nil || r == nil {
 			return nil
 		}
 		cand.Conds = append(cand.Conds, core.Cond{L: l, R: r})
 	}
-	cand.Out = substProj(q.Out)
+	cand.Out = substProj(projMaps, q.Out)
 	if cand.Out == nil {
 		return nil
 	}
@@ -234,15 +220,10 @@ func rowFields(q *core.Query, v string) []string {
 	return out
 }
 
-// substProj rewrites x.F via the registered per-variable field maps. It is
-// package-level state because buildCandidate's recursion is single-
-// threaded per call; cleared on exit.
-var projMaps = map[string]map[string]*core.Term{}
-
-func substProjRegister(v string, m map[string]*core.Term) { projMaps[v] = m }
-func substProjClear()                                     { projMaps = map[string]map[string]*core.Term{} }
-
-func substProj(t *core.Term) *core.Term {
+// substProj rewrites x.F through projMaps, the field map of each query
+// variable x a view scan replaces; it returns nil when t uses such a
+// variable other than through a mapped field.
+func substProj(projMaps map[string]map[string]*core.Term, t *core.Term) *core.Term {
 	switch t.Kind {
 	case core.KVar:
 		if _, tracked := projMaps[t.Name]; tracked {
@@ -260,20 +241,20 @@ func substProj(t *core.Term) *core.Term {
 				return nil
 			}
 		}
-		b := substProj(t.Base)
+		b := substProj(projMaps, t.Base)
 		if b == nil {
 			return nil
 		}
 		return core.Prj(b, t.Name)
 	case core.KDom:
-		b := substProj(t.Base)
+		b := substProj(projMaps, t.Base)
 		if b == nil {
 			return nil
 		}
 		return core.Dom(b)
 	case core.KLookup:
-		b := substProj(t.Base)
-		k := substProj(t.Key)
+		b := substProj(projMaps, t.Base)
+		k := substProj(projMaps, t.Key)
 		if b == nil || k == nil {
 			return nil
 		}
@@ -281,7 +262,7 @@ func substProj(t *core.Term) *core.Term {
 	case core.KStruct:
 		fs := make([]core.StructField, len(t.Fields))
 		for i, f := range t.Fields {
-			ft := substProj(f.Term)
+			ft := substProj(projMaps, f.Term)
 			if ft == nil {
 				return nil
 			}
@@ -340,43 +321,4 @@ func checkRelational(q *core.Query) error {
 		}
 	}
 	return check(q.Out)
-}
-
-// HeuristicIndexer is the ad-hoc index-introduction rule: for a
-// single-relation selection query with an equality on an indexed
-// attribute, produce the index plan; otherwise return the query unchanged.
-// Indexes maps "Relation.Attribute" to the secondary-index name.
-type HeuristicIndexer struct {
-	Indexes map[string]string
-}
-
-// Rewrite applies the heuristic. Unlike the chase & backchase it never
-// combines indexes with views, never produces index-only plans, and never
-// uses an index for join navigation.
-func (h *HeuristicIndexer) Rewrite(q *core.Query) *core.Query {
-	if len(q.Bindings) != 1 || q.Bindings[0].Range.Kind != core.KName {
-		return q.Clone()
-	}
-	rel := q.Bindings[0].Range.Name
-	v := q.Bindings[0].Var
-	for i, c := range q.Conds {
-		var attr string
-		var konst *core.Term
-		if c.L.Kind == core.KProj && c.L.Base.Equal(core.V(v)) && c.R.Kind == core.KConst {
-			attr, konst = c.L.Name, c.R
-		} else if c.R.Kind == core.KProj && c.R.Base.Equal(core.V(v)) && c.L.Kind == core.KConst {
-			attr, konst = c.R.Name, c.L
-		} else {
-			continue
-		}
-		idx, ok := h.Indexes[rel+"."+attr]
-		if !ok {
-			continue
-		}
-		out := q.Clone()
-		out.Bindings = []core.Binding{{Var: v, Range: core.LkNF(core.Name(idx), konst)}}
-		out.Conds = append(out.Conds[:i:i], out.Conds[i+1:]...)
-		return out
-	}
-	return q.Clone()
 }

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"cnb/internal/chase"
@@ -168,40 +170,51 @@ func TestCnBStrictlySubsumesBaseline(t *testing.T) {
 	}
 }
 
-func TestHeuristicIndexer(t *testing.T) {
-	h := &HeuristicIndexer{Indexes: map[string]string{"Proj.CustName": "SI"}}
-	q := &core.Query{
-		Out:      core.Prj(core.V("p"), "PName"),
-		Bindings: []core.Binding{{Var: "p", Range: core.Name("Proj")}},
-		Conds:    []core.Cond{{L: core.Prj(core.V("p"), "CustName"), R: core.C("CitiBank")}},
+// TestBucketRewriteConcurrent runs BucketRewrite from two goroutines at
+// once: each call must find the serial answer, and under -race the
+// calls must share no mutable state.
+func TestBucketRewriteConcurrent(t *testing.T) {
+	serial, err := BucketRewrite(rsQuery(), rsViews(), chase.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := h.Rewrite(q)
-	if len(r.Bindings) != 1 || !r.Bindings[0].Range.NonFailing {
-		t.Errorf("heuristic should produce the index plan:\n%s", r)
+	want := plansKey(serial)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	got := make([]string, 2)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				plans, err := BucketRewrite(rsQuery(), rsViews(), chase.Options{})
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if got[g] = plansKey(plans); got[g] != want {
+					return
+				}
+			}
+		}()
 	}
-	if len(r.Conds) != 0 {
-		t.Error("consumed condition should be dropped")
+	wg.Wait()
+	for g := range errs {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if got[g] != want {
+			t.Fatalf("goroutine %d: plans\n%s\nwant\n%s", g, got[g], want)
+		}
 	}
+}
 
-	// No index on the attribute: unchanged.
-	q2 := q.Clone()
-	q2.Conds = []core.Cond{{L: core.Prj(core.V("p"), "PDept"), R: core.C("D1")}}
-	r2 := h.Rewrite(q2)
-	if r2.Bindings[0].Range.Kind != core.KName {
-		t.Error("no index available: plan must be unchanged")
+// plansKey renders a rewriting list by canonical signature, in order.
+func plansKey(plans []*core.Query) string {
+	var b strings.Builder
+	for _, p := range plans {
+		b.WriteString(p.CanonicalSignature())
+		b.WriteByte('\n')
 	}
-
-	// Join query: the heuristic gives up (C&B does not — E10's point).
-	j := &core.Query{
-		Out: core.C(true),
-		Bindings: []core.Binding{
-			{Var: "p", Range: core.Name("Proj")},
-			{Var: "d", Range: core.Name("depts")},
-		},
-		Conds: []core.Cond{{L: core.Prj(core.V("p"), "CustName"), R: core.C("CitiBank")}},
-	}
-	rj := h.Rewrite(j)
-	if len(rj.Bindings) != 2 {
-		t.Error("heuristic must not touch join queries")
-	}
+	return b.String()
 }

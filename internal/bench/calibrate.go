@@ -15,7 +15,6 @@ import (
 	"sort"
 	"time"
 
-	"cnb/internal/backchase"
 	"cnb/internal/core"
 	"cnb/internal/cost"
 	"cnb/internal/engine"
@@ -29,27 +28,6 @@ import (
 // change cannot drift between them.
 func costsAgree(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(a, b))
-}
-
-// CandidatePool returns the deduplicated candidate plans of a backchase
-// result: the normal forms plus every explored state. This is the pool
-// the optimizer ranks (optimizer.Options.MinimalOnly unset), and its
-// cheapest candidate can be an explored intermediate state (§4's
-// view+index plan), so calibration measures the whole pool, not Plans
-// alone.
-func CandidatePool(res *backchase.Result) []*core.Query {
-	seen := map[string]bool{}
-	var pool []*core.Query
-	for _, qs := range [][]*core.Query{res.Plans, res.Explored} {
-		for _, q := range qs {
-			sig := q.CanonicalSignature()
-			if !seen[sig] {
-				seen[sig] = true
-				pool = append(pool, q)
-			}
-		}
-	}
-	return pool
 }
 
 // CalibrationPoint pairs one plan with its estimate and its measured

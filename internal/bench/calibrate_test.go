@@ -8,6 +8,7 @@ import (
 
 	"cnb/internal/backchase"
 	"cnb/internal/chase"
+	"cnb/internal/core"
 	"cnb/internal/cost"
 	"cnb/internal/engine"
 	"cnb/internal/workload"
@@ -92,7 +93,7 @@ func TestCalibrationSoundnessRandomized(t *testing.T) {
 		if ex.Truncated {
 			t.Fatalf("case %d: unexpected truncation", i)
 		}
-		exPts, _, err := CalibratePlans(stats, CandidatePool(ex), in)
+		exPts, _, err := CalibratePlans(stats, candidatePool(ex), in)
 		if err != nil {
 			t.Fatalf("case %d: calibrate exhaustive plans: %v\ncfg %+v", i, err, cfg)
 		}
@@ -145,4 +146,25 @@ func TestPickedMeasuredEmpty(t *testing.T) {
 	if c := PickedMeasured(nil); !math.IsInf(c, 1) {
 		t.Errorf("PickedMeasured(nil) = %v, want +Inf", c)
 	}
+}
+
+// candidatePool returns the deduplicated candidate plans of a backchase
+// result: the normal forms plus every explored state. This is the pool
+// the optimizer ranks (optimizer.Options.MinimalOnly unset), and its
+// cheapest candidate can be an explored intermediate state (§4's
+// view+index plan), so calibration measures the whole pool, not Plans
+// alone.
+func candidatePool(res *backchase.Result) []*core.Query {
+	seen := map[string]bool{}
+	var pool []*core.Query
+	for _, qs := range [][]*core.Query{res.Plans, res.Explored} {
+		for _, q := range qs {
+			sig := q.CanonicalSignature()
+			if !seen[sig] {
+				seen[sig] = true
+				pool = append(pool, q)
+			}
+		}
+	}
+	return pool
 }

@@ -87,39 +87,6 @@ func ServeMix() ([]LoadQuery, error) {
 	return mix, nil
 }
 
-// SmallServeMix returns a cheaper mix (single-dimension star and
-// snowflake plus the ProjDept running example) for race-detector and
-// -short runs, where the full E13 lattices would dominate the budget.
-func SmallServeMix() ([]LoadQuery, error) {
-	var mix []LoadQuery
-	small := workload.StarConfig{
-		Dims: 1, Views: 1, FactIndexes: 1, DimIndex: true,
-		Select: true, SelectA: 3, FKConstraints: true,
-	}
-	snow := small
-	snow.Snowflake = true
-	for _, c := range []struct {
-		name string
-		cfg  workload.StarConfig
-	}{{"star d=1 v=1", small}, {"snowflake d=1 v=1", snow}} {
-		s, err := workload.NewStar(c.cfg)
-		if err != nil {
-			return nil, err
-		}
-		mix = append(mix, LoadQuery{Name: c.name, Req: service.Request{Query: s.Q, Deps: s.Deps}})
-	}
-	pd, err := workload.NewProjDept()
-	if err != nil {
-		return nil, err
-	}
-	mix = append(mix, LoadQuery{Name: "projdept", Req: service.Request{
-		Query:         pd.Q,
-		Deps:          pd.AllDeps(),
-		PhysicalNames: pd.Physical.NameSet(),
-	}})
-	return mix, nil
-}
-
 // buildSchedule renders the deterministic request sequence: request i
 // picks a shape and, at the alpha rate, an alpha-renamed copy with
 // request-unique variable names (order-preserving by default,

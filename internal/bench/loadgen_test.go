@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cnb/internal/service"
+	"cnb/internal/workload"
 )
 
 // TestServiceLoadHarness is the CI service-load gate: 16 closed-loop
@@ -17,7 +18,7 @@ import (
 // -short mode (the CI configuration) the request count shrinks so the
 // race-instrumented run stays fast.
 func TestServiceLoadHarness(t *testing.T) {
-	mix, err := SmallServeMix()
+	mix, err := smallServeMix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestServiceLoadHarness(t *testing.T) {
 // services produce identical counter outcomes — the property that lets
 // benchcheck gate E16's workers=1 counters exactly.
 func TestRunLoadDeterministicAtOneWorker(t *testing.T) {
-	mix, err := SmallServeMix()
+	mix, err := smallServeMix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestRunLoadDeterministicAtOneWorker(t *testing.T) {
 // TestRunLoadRespectsContext: cancelling the run's context fails pending
 // requests instead of hanging the workers.
 func TestRunLoadRespectsContext(t *testing.T) {
-	mix, err := SmallServeMix()
+	mix, err := smallServeMix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,4 +218,37 @@ func TestPercentileDegenerateWindows(t *testing.T) {
 			t.Errorf("%s: percentile(%v, %v) = %v, want %v", tc.name, tc.sorted, tc.p, got, tc.want)
 		}
 	}
+}
+
+// smallServeMix returns a cheaper mix (single-dimension star and
+// snowflake plus the ProjDept running example) for race-detector and
+// -short runs, where the full E13 lattices would dominate the budget.
+func smallServeMix() ([]LoadQuery, error) {
+	var mix []LoadQuery
+	small := workload.StarConfig{
+		Dims: 1, Views: 1, FactIndexes: 1, DimIndex: true,
+		Select: true, SelectA: 3, FKConstraints: true,
+	}
+	snow := small
+	snow.Snowflake = true
+	for _, c := range []struct {
+		name string
+		cfg  workload.StarConfig
+	}{{"star d=1 v=1", small}, {"snowflake d=1 v=1", snow}} {
+		s, err := workload.NewStar(c.cfg)
+		if err != nil {
+			return nil, err
+		}
+		mix = append(mix, LoadQuery{Name: c.name, Req: service.Request{Query: s.Q, Deps: s.Deps}})
+	}
+	pd, err := workload.NewProjDept()
+	if err != nil {
+		return nil, err
+	}
+	mix = append(mix, LoadQuery{Name: "projdept", Req: service.Request{
+		Query:         pd.Q,
+		Deps:          pd.AllDeps(),
+		PhysicalNames: pd.Physical.NameSet(),
+	}})
+	return mix, nil
 }

@@ -128,7 +128,7 @@ func experimentRequests(t *testing.T) []LoadQuery {
 	}
 	mixes := map[string]func() ([]LoadQuery, error){
 		"E13–E16/E20": ServeMix, // e13Workloads, also e20Shapes
-		"E16 small":   SmallServeMix,
+		"E16 small":   smallServeMix,
 		"E17":         E17Mix,
 	}
 	for _, label := range []string{"E13–E16/E20", "E16 small", "E17"} {
@@ -183,7 +183,7 @@ func TestExecutablePoolSelfJoinCollisions(t *testing.T) {
 	selfJoin := func(x, y, a, b string, flip bool) *core.Query {
 		c := core.Cond{L: prj(v(x), a), R: prj(v(y), b)}
 		if flip {
-			c = c.Flip()
+			c = core.Cond{L: c.R, R: c.L}
 		}
 		return &core.Query{
 			Out:      core.Struct(core.SF("C", prj(v(x), "C"))),
@@ -192,7 +192,7 @@ func TestExecutablePoolSelfJoinCollisions(t *testing.T) {
 		}
 	}
 	dup := selfJoin("r", "s", "B", "A", false)
-	dup.Conds = append(dup.Conds, dup.Conds[0].Flip())
+	dup.Conds = append(dup.Conds, core.Cond{L: dup.Conds[0].R, R: dup.Conds[0].L})
 	shuffled := selfJoin("q", "p", "A", "B", true)
 	shuffled.Bindings[0], shuffled.Bindings[1] = shuffled.Bindings[1], shuffled.Bindings[0]
 	guarded := &core.Query{ // simplifies to SI{"c"} t

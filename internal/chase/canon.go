@@ -154,11 +154,6 @@ func (cn *Canon) addBindings(bs []core.Binding) {
 	}
 }
 
-// BindingVar returns the interned variable term of Q's binding i: the
-// value a homomorphism maps a source variable to when it matches that
-// binding.
-func (cn *Canon) BindingVar(i int) *core.Term { return cn.CC.Term(cn.varNode[i]) }
-
 // Hom is a homomorphism: a mapping from source variables to target terms
 // (in practice target binding variables) such that memberships and
 // conditions of the source hold in the target's canonical database.
@@ -190,65 +185,6 @@ func (h Hom) Key() string {
 	return s
 }
 
-// initVars lists the variables of init absent from the bindings, which
-// a compiled source must give slots too.
-func initVars(bs []core.Binding, init Hom) []string {
-	var extra []string
-	for v := range init {
-		bound := false
-		for _, b := range bs {
-			if b.Var == v {
-				bound = true
-				break
-			}
-		}
-		if !bound {
-			extra = append(extra, v)
-		}
-	}
-	sort.Strings(extra)
-	return extra
-}
-
-// FindHoms enumerates homomorphisms of the given source bindings and
-// conditions into the canonical database, starting from the partial
-// assignment init (which may be nil). Each source binding variable is
-// mapped to some target binding variable whose range is congruent to the
-// (transported) source range. At most limit homomorphisms are returned
-// (limit <= 0 means no limit).
-func (cn *Canon) FindHoms(srcBindings []core.Binding, srcConds []core.Cond, init Hom, limit int) []Hom {
-	var out []Hom
-	cn.VisitHoms(srcBindings, srcConds, init, func(h Hom) bool {
-		out = append(out, h)
-		return limit > 0 && len(out) >= limit
-	})
-	return out
-}
-
-// VisitHoms streams homomorphisms to the visitor, stopping when the
-// visitor returns true. It avoids materializing the full (possibly
-// exponential) homomorphism set when the caller needs only the first
-// match. The sources are compiled per call; the search interns only the
-// terms of an ambiguous projection (see congruence.Ambiguous).
-func (cn *Canon) VisitHoms(srcBindings []core.Binding, srcConds []core.Cond, init Hom, visit func(Hom) bool) {
-	cq := compileQuery(srcBindings, srcConds, nil, initVars(srcBindings, init))
-	s := cn.newSearch(cq.prog, cq.atoms, cq.conds, modeLookup)
-	s.assignInit(init)
-	s.fn = func(s *search) bool { return visit(s.hom()) }
-	s.run(nil)
-}
-
-// ExtendsToConclusion reports whether the homomorphism of a dependency's
-// premise extends to its conclusion inside the canonical database: there
-// is an assignment of the conclusion variables to target bindings making
-// all conclusion conditions hold.
-func (cn *Canon) ExtendsToConclusion(d *core.Dependency, h Hom) bool {
-	dp := compileDep(d, nil)
-	s := cn.newSearch(dp.prog, dp.premise, dp.pconds, modeLookup)
-	s.assignInit(h)
-	return cn.extends(dp, s)
-}
-
 // extends reports whether the premise assignment of s extends to the
 // conclusion of dp, by a modeLookup search over the conclusion atoms.
 func (cn *Canon) extends(dp *depProg, s *search) bool {
@@ -270,33 +206,6 @@ func (cn *Canon) extends(dp *depProg, s *search) bool {
 	return c.hit
 }
 
-// HomsOfQueryInto enumerates containment mappings from query src into this
-// canonical database: homomorphisms of src's bindings and conditions whose
-// transported output is congruent to out. Used for containment checks.
-// The search streams homomorphisms and stops at the limit-th match
-// (limit <= 0 means no limit); only matches are materialized. Like
-// MapsCompiledInto it is read-only.
-func (cn *Canon) HomsOfQueryInto(src *core.Query, out *core.Term, limit int) []Hom {
-	var ok []Hom
-	collect := func(s *search) bool {
-		ok = append(ok, s.hom())
-		return limit > 0 && len(ok) >= limit
-	}
-	cq := CompileQuery(src)
-	if _, void := cn.queryHoms(cq, out, nil, modePure, collect); void {
-		ok = nil
-		cn.clone().queryHoms(cq, out, nil, modeLookup, collect)
-	}
-	return ok
-}
-
-// MapsQueryInto reports whether some containment mapping from src into
-// this canonical database extends init (which may be nil): the first
-// match ends the search. It compiles src per call; see MapsCompiledInto.
-func (cn *Canon) MapsQueryInto(src *core.Query, out *core.Term, init Hom) bool {
-	return cn.MapsCompiledInto(compileQuery(src.Bindings, src.Conds, src.Out, initVars(src.Bindings, init)), out, init)
-}
-
 // MapsCompiledInto reports whether some containment mapping from the
 // compiled query into this canonical database, with its output congruent
 // to out, extends init (which may be nil). The test is read-only: terms
@@ -305,7 +214,7 @@ func (cn *Canon) MapsQueryInto(src *core.Query, out *core.Term, init Hom) bool {
 // with that field in different classes (congruence.Ambiguous) has no
 // read-only answer; the test then reruns on a private clone, interning.
 // init's variables outside the query's bindings must have been compiled
-// in (MapsQueryInto does that).
+// in as extra slots.
 func (cn *Canon) MapsCompiledInto(src *CompiledQuery, out *core.Term, init Hom) bool {
 	hit, void := cn.queryHoms(src, out, init, modePure, nil)
 	if void {

@@ -47,7 +47,7 @@ type Result struct {
 	// constants: no database satisfies the dependencies and the query
 	// facts simultaneously, so the query is empty on all valid instances.
 	Inconsistent bool
-	// goalReached is set when a goal-directed run (ContainedIn,
+	// goalReached is set when a goal-directed run (ContainedInCompiled,
 	// ImpliesEquality) stopped because its goal held in Query.
 	goalReached bool
 }
@@ -87,19 +87,13 @@ func (e *ErrBudget) Error() string {
 // is never rebuilt.
 //
 // The input query is not modified.
-func Chase(q *core.Query, deps []*core.Dependency, opts Options) (*Result, error) {
-	return ChaseContext(context.Background(), q, deps, opts)
-}
-
-// ChaseContext is Chase with cancellation: the context is consulted
-// before every chase step, so a cancelled context interrupts even
-// long-running fixpoints promptly. It returns ctx.Err() on cancellation.
 //
 // Each call builds a fresh dependency index; callers chasing many queries
 // against one fixed dependency set (the backchase, the optimizer) should
-// build the index once with NewDepIndex and use ChaseIndexed.
-func ChaseContext(ctx context.Context, q *core.Query, deps []*core.Dependency, opts Options) (*Result, error) {
-	return ChaseIndexed(ctx, q, NewDepIndex(deps), opts)
+// build the index once with NewDepIndex and use ChaseIndexed, which also
+// takes a context for cancellation.
+func Chase(q *core.Query, deps []*core.Dependency, opts Options) (*Result, error) {
+	return ChaseIndexed(context.Background(), q, NewDepIndex(deps), opts)
 }
 
 // applyStep applies one chase step, returning the extended query. For a
@@ -136,14 +130,15 @@ func applyStep(q *core.Query, d *core.Dependency, h Hom) *core.Query {
 	return next
 }
 
-// ContainedIn decides s ⊑ goal under the indexed dependencies (every
-// answer of s is an answer of goal on every instance satisfying them)
-// with a goal-directed chase. It runs the chase of s over ix, on the
-// index's engine, but before each step it tests whether goal has a
-// containment mapping into the current state with the outputs matched,
-// and answers true at the first state that has one. Reaching the
-// fixpoint without a mapping answers false; an inconsistent chase (s is
-// empty on every valid instance) answers true.
+// ContainedInCompiled decides s ⊑ goal under the indexed dependencies
+// (every answer of s is an answer of goal on every instance satisfying
+// them) with a goal-directed chase, the goal compiled once (CompileQuery)
+// for many tests. It runs the chase of s over ix, on the index's engine,
+// but before each step it tests whether goal has a containment mapping
+// into the current state with the outputs matched, and answers true at
+// the first state that has one. Reaching the fixpoint without a mapping
+// answers false; an inconsistent chase (s is empty on every valid
+// instance) answers true.
 //
 // The answer is exact whenever the plain chase of s terminates within the
 // budget: a mapping into a chase prefix persists into the fixpoint, where
@@ -152,16 +147,10 @@ func applyStep(q *core.Query, d *core.Dependency, h Hom) *core.Query {
 // only a budget exhausted before the goal maps in is an error
 // (*ErrBudget).
 //
-// The goal is compiled per call; ContainedInCompiled takes a goal
-// compiled once for many tests.
-func ContainedIn(ctx context.Context, s, goal *core.Query, ix *DepIndex, opts Options) (bool, error) {
-	return ContainedInCompiled(ctx, s, CompileQuery(goal), ix, opts)
-}
-
-// ContainedInCompiled is ContainedIn with a compiled goal. The goal test
-// before each step is read-only (see MapsCompiledInto): it interns
-// nothing into the chase's closure, and its variables are slots, so the
-// goal needs no renaming apart from the variables the chase introduces.
+// The goal test before each step is read-only (see MapsCompiledInto): it
+// interns nothing into the chase's closure, and its variables are slots,
+// so the goal needs no renaming apart from the variables the chase
+// introduces.
 func ContainedInCompiled(ctx context.Context, s *core.Query, g *CompiledQuery, ix *DepIndex, opts Options) (bool, error) {
 	res, err := chaseIndexed(ctx, s, ix, opts, &goal{q: g})
 	if err != nil {
@@ -183,44 +172,4 @@ func ImpliesEquality(ctx context.Context, q *core.Query, l, r *core.Term, ix *De
 		return false, err
 	}
 	return res.goalReached, nil
-}
-
-// Applicable reports whether any dependency is applicable to the query —
-// i.e. whether the query is not yet a chase fixpoint.
-func Applicable(q *core.Query, deps []*core.Dependency) bool {
-	ix := NewDepIndex(deps)
-	d, _ := findApplicable(ix.NewCanon(q, nil), ix.progs)
-	return d != nil
-}
-
-// Implies decides whether the dependency d is implied by the set deps,
-// using the chase: view d's premise as a boolean query, chase it with
-// deps, and test whether d's conclusion holds in the result (§3: "trying
-// to see whether the constraint is implied by the existing ones can be
-// done with the chase when constraints are viewed as boolean-valued
-// queries"). Sound always; complete when the chase terminates.
-func Implies(deps []*core.Dependency, d *core.Dependency, opts Options) (bool, error) {
-	pq := d.PremiseQuery()
-	res, err := Chase(pq, deps, opts)
-	if err != nil {
-		return false, err
-	}
-	if res.Inconsistent {
-		// Premise unsatisfiable: implication holds vacuously.
-		return true, nil
-	}
-	cn := NewCanon(res.Query)
-	// Identity on the premise variables.
-	id := Hom{}
-	for _, b := range d.Premise {
-		id[b.Var] = core.V(b.Var)
-	}
-	return cn.ExtendsToConclusion(d, id), nil
-}
-
-// Trivial reports whether the dependency holds in all instances (is
-// implied by the empty set of dependencies). Backchasing by virtue of
-// trivial constraints is exactly tableau minimization (§3).
-func Trivial(d *core.Dependency, opts Options) (bool, error) {
-	return Implies(nil, d, opts)
 }

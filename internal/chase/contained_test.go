@@ -40,7 +40,7 @@ func TestContainedInStopsAtFirstMapping(t *testing.T) {
 
 	// Q maps into itself: contained before the first step.
 	m := &Metrics{}
-	ok, err := ContainedIn(context.Background(), q(), q(), ix, Options{Metrics: m})
+	ok, err := ContainedInCompiled(context.Background(), q(), CompileQuery(q()), ix, Options{Metrics: m})
 	if err != nil || !ok {
 		t.Fatalf("Q ⊑ Q = %v, %v; want true", ok, err)
 	}
@@ -50,7 +50,7 @@ func TestContainedInStopsAtFirstMapping(t *testing.T) {
 
 	// The universal plan maps in only at the fixpoint.
 	m = &Metrics{}
-	ok, err = ContainedIn(context.Background(), q(), full.Query, ix, Options{Metrics: m})
+	ok, err = ContainedInCompiled(context.Background(), q(), CompileQuery(full.Query), ix, Options{Metrics: m})
 	if err != nil || !ok {
 		t.Fatalf("Q ⊑ chase(Q) = %v, %v; want true", ok, err)
 	}
@@ -68,7 +68,7 @@ func TestContainedInFixpointWithoutMapping(t *testing.T) {
 	goal := q()
 	goal.Conds = append(goal.Conds, core.Cond{L: core.Prj(core.V("p"), "Budg"), R: core.C(7)})
 	m := &Metrics{}
-	ok, err := ContainedIn(context.Background(), q(), goal, NewDepIndex(allDeps()), Options{Metrics: m})
+	ok, err := ContainedInCompiled(context.Background(), q(), CompileQuery(goal), NewDepIndex(allDeps()), Options{Metrics: m})
 	if err != nil || ok {
 		t.Fatalf("Q ⊑ Q∧Budg=7 = %v, %v; want false", ok, err)
 	}
@@ -99,14 +99,14 @@ func TestContainedInInconsistent(t *testing.T) {
 	}
 	for _, naive := range []bool{false, true} {
 		ix := engineIndex(naive, []*core.Dependency{egd})
-		ok, err := ContainedIn(context.Background(), s, goal, ix, Options{})
+		ok, err := ContainedInCompiled(context.Background(), s, CompileQuery(goal), ix, Options{})
 		if err != nil || !ok {
 			t.Errorf("naive=%v: inconsistent s ⊑ goal = %v, %v; want true", naive, ok, err)
 		}
 		// The clash appears after the one step the budget allows: it is
 		// a proof, so it wins over the budget, with or without a goal.
 		opts := Options{MaxSteps: 1}
-		ok, err = ContainedIn(context.Background(), s, goal, ix, opts)
+		ok, err = ContainedInCompiled(context.Background(), s, CompileQuery(goal), ix, opts)
 		if err != nil || !ok {
 			t.Errorf("naive=%v: inconsistent s ⊑ goal at the budget = %v, %v; want true", naive, ok, err)
 		}
@@ -145,14 +145,14 @@ func TestContainedInBudget(t *testing.T) {
 		ix := engineIndex(naive, deps)
 		m := &Metrics{}
 		opts.Metrics = m
-		ok, err := ContainedIn(context.Background(), oneR(), pred, ix, opts)
+		ok, err := ContainedInCompiled(context.Background(), oneR(), CompileQuery(pred), ix, opts)
 		if err != nil || !ok {
 			t.Errorf("naive=%v: R ⊑ pred = %v, %v; want true", naive, ok, err)
 		}
 		if got := m.ChaseSteps.Load(); got != 1 {
 			t.Errorf("naive=%v: R ⊑ pred took %d chase steps, want 1", naive, got)
 		}
-		_, err = ContainedIn(context.Background(), oneR(), loop, ix, opts)
+		_, err = ContainedInCompiled(context.Background(), oneR(), CompileQuery(loop), ix, opts)
 		if _, budget := err.(*ErrBudget); !budget {
 			t.Errorf("naive=%v: R ⊑ loop err = %v, want *ErrBudget", naive, err)
 		}
@@ -176,7 +176,7 @@ func TestContainedInRenamesGoalApart(t *testing.T) {
 		},
 	}
 	m := &Metrics{}
-	ok, err := ContainedIn(context.Background(), oneR(), chain, NewDepIndex([]*core.Dependency{infDep()}), Options{MaxSteps: 10, Metrics: m})
+	ok, err := ContainedInCompiled(context.Background(), oneR(), CompileQuery(chain), NewDepIndex([]*core.Dependency{infDep()}), Options{MaxSteps: 10, Metrics: m})
 	if err != nil || !ok {
 		t.Fatalf("R ⊑ chain = %v, %v; want true", ok, err)
 	}
@@ -185,9 +185,27 @@ func TestContainedInRenamesGoalApart(t *testing.T) {
 	}
 }
 
-// TestHomsOfQueryIntoMatchesFilter pins the streaming search to the
-// filter it replaced: enumerate every homomorphism, then keep the first
-// limit whose output matches — same homomorphisms, same order.
+// homsOfQueryInto lists the containment mappings of src into cn whose
+// transported output is congruent to out, stopping at the limit-th
+// (limit <= 0: all): queryHoms, the search MapsCompiledInto stops at the
+// first match of, with its ambiguous-lookup fallback.
+func homsOfQueryInto(cn *Canon, src *core.Query, out *core.Term, limit int) []Hom {
+	var ok []Hom
+	collect := func(s *search) bool {
+		ok = append(ok, s.hom())
+		return limit > 0 && len(ok) >= limit
+	}
+	cq := CompileQuery(src)
+	if _, void := cn.queryHoms(cq, out, nil, modePure, collect); void {
+		ok = nil
+		cn.clone().queryHoms(cq, out, nil, modeLookup, collect)
+	}
+	return ok
+}
+
+// TestHomsOfQueryIntoMatchesFilter pins the streaming containment search
+// to the filter it replaced: enumerate every homomorphism, then keep the
+// first limit whose output matches — same homomorphisms, same order.
 func TestHomsOfQueryIntoMatchesFilter(t *testing.T) {
 	target := &core.Query{
 		Out: core.Prj(core.V("a"), "A"),
@@ -207,7 +225,7 @@ func TestHomsOfQueryIntoMatchesFilter(t *testing.T) {
 	}
 	oldFilter := func(cn *Canon, limit int) []Hom {
 		var ok []Hom
-		for _, h := range cn.FindHoms(src.Bindings, src.Conds, nil, 0) {
+		for _, h := range findHoms(cn, src.Bindings, src.Conds, 0) {
 			if cn.CC.Same(h.Apply(src.Out), target.Out) {
 				ok = append(ok, h)
 				if limit > 0 && len(ok) >= limit {
@@ -219,7 +237,7 @@ func TestHomsOfQueryIntoMatchesFilter(t *testing.T) {
 	}
 	for _, limit := range []int{0, 1, 2, 5, 6, 7} {
 		want := oldFilter(NewCanon(target), limit)
-		got := NewCanon(target).HomsOfQueryInto(src, target.Out, limit)
+		got := homsOfQueryInto(NewCanon(target), src, target.Out, limit)
 		if len(got) != len(want) {
 			t.Fatalf("limit %d: %d homs, want %d", limit, len(got), len(want))
 		}
@@ -230,13 +248,13 @@ func TestHomsOfQueryIntoMatchesFilter(t *testing.T) {
 		}
 	}
 	// x ranges over {a, c} (the output matches), y over all three.
-	if n := len(NewCanon(target).HomsOfQueryInto(src, target.Out, 0)); n != 6 {
+	if n := len(homsOfQueryInto(NewCanon(target), src, target.Out, 0)); n != 6 {
 		t.Errorf("unlimited homs = %d, want 6", n)
 	}
-	if !NewCanon(target).MapsQueryInto(src, target.Out, Hom{"x": core.V("c")}) {
+	if !mapsQueryInto(NewCanon(target), src, target.Out, Hom{"x": core.V("c")}) {
 		t.Error("x ↦ c must extend to a containment mapping")
 	}
-	if NewCanon(target).MapsQueryInto(src, target.Out, Hom{"x": core.V("b")}) {
+	if mapsQueryInto(NewCanon(target), src, target.Out, Hom{"x": core.V("b")}) {
 		t.Error("x ↦ b must not match the output")
 	}
 }

@@ -23,7 +23,7 @@ func TestChaseContextCancelled(t *testing.T) {
 		Conclusion:      []core.Binding{{Var: "s", Range: core.Name("S")}},
 		ConclusionConds: []core.Cond{{L: core.Prj(core.V("r"), "A"), R: core.Prj(core.V("s"), "A")}},
 	}
-	_, err := ChaseContext(ctx, q, []*core.Dependency{ind}, Options{})
+	_, err := ChaseIndexed(ctx, q, NewDepIndex([]*core.Dependency{ind}), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

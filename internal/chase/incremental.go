@@ -30,7 +30,7 @@
 //
 // Why the result is byte-identical to the naive fixpoint, step for step:
 //
-//  1. Conclusion satisfaction is monotone. ExtendsToConclusion only ever
+//  1. Conclusion satisfaction is monotone. The conclusion test only ever
 //     flips from false to true as the canonical database grows, so a
 //     premise homomorphism that was once found satisfied can never make
 //     its dependency applicable again.
@@ -167,23 +167,6 @@ func (ix *DepIndex) newCanon(q *core.Query, m *Metrics, grow int) *Canon {
 	return cn
 }
 
-// Deps returns the indexed dependency slice (read-only).
-func (ix *DepIndex) Deps() []*core.Dependency { return ix.deps }
-
-// Len returns the number of indexed dependencies.
-func (ix *DepIndex) Len() int { return len(ix.deps) }
-
-// DepsForFeature returns the positions of the dependencies indexed under
-// the feature key, in dependency order. Exposed for the index-correctness
-// tests; the result must be treated as read-only.
-func (ix *DepIndex) DepsForFeature(feat string) []int {
-	b, ok := ix.feats.Bit(feat)
-	if !ok {
-		return nil
-	}
-	return ix.byBit[b]
-}
-
 // depState is the per-run dirtiness of one dependency.
 type depState struct {
 	// dirty marks the dependency as needing a premise search; clean
@@ -263,17 +246,19 @@ func (ix *DepIndex) findApplicable(cn *Canon, order []int, st []depState) (*core
 	return nil, -1, nil
 }
 
-// ChaseIndexed is ChaseContext over a prebuilt dependency index. The
-// index selects the engine: the delta-driven fixpoint for NewDepIndex,
-// the textbook one for NewNaiveIndex. Results and step sequences are
-// byte-identical; only the amount of homomorphism-search work differs
-// (Options.Metrics measures it).
+// ChaseIndexed is Chase over a prebuilt dependency index, with
+// cancellation: the context is consulted before every chase step, so a
+// cancelled context interrupts even long-running fixpoints promptly, and
+// ctx.Err() is returned. The index selects the engine: the delta-driven
+// fixpoint for NewDepIndex, the textbook one for NewNaiveIndex. Results
+// and step sequences are byte-identical; only the amount of
+// homomorphism-search work differs (Options.Metrics measures it).
 func ChaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options) (*Result, error) {
 	return chaseIndexed(ctx, q, ix, opts, nil)
 }
 
 // goal is what a goal-directed run stops at: a containment mapping of q
-// with the outputs matched (ContainedIn), or else the equality l = r
+// with the outputs matched (ContainedInCompiled), or else the equality l = r
 // (ImpliesEquality).
 type goal struct {
 	q    *CompiledQuery
@@ -292,7 +277,7 @@ func (g *goal) reached(cn *Canon) bool {
 }
 
 // chaseIndexed dispatches to the index's engine; a non-nil goal makes
-// the run goal-directed (see ContainedIn).
+// the run goal-directed (see ContainedInCompiled).
 func chaseIndexed(ctx context.Context, q *core.Query, ix *DepIndex, opts Options, goal *goal) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Metrics != nil {

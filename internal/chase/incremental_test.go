@@ -78,8 +78,8 @@ func assertSameContainment(t *testing.T, label string, s, goal *core.Query, deps
 	naiveOpts.Metrics = &Metrics{}
 	incOpts := opts
 	incOpts.Metrics = &Metrics{}
-	okN, errN := ContainedIn(context.Background(), s, goal, NewNaiveIndex(deps), naiveOpts)
-	okI, errI := ContainedIn(context.Background(), s, goal, NewDepIndex(deps), incOpts)
+	okN, errN := ContainedInCompiled(context.Background(), s, CompileQuery(goal), NewNaiveIndex(deps), naiveOpts)
+	okI, errI := ContainedInCompiled(context.Background(), s, CompileQuery(goal), NewDepIndex(deps), incOpts)
 	if (errN == nil) != (errI == nil) || okN != okI {
 		t.Fatalf("%s: containment differs: naive=%v/%v incremental=%v/%v", label, okN, errN, okI, errI)
 	}
@@ -195,6 +195,56 @@ func TestIncrementalChaseDifferentialRandomized(t *testing.T) {
 	}
 }
 
+// FuzzIncrementalChaseMatchesNaive is the step-identity oracle of the
+// delta-driven chase on fuzzed inputs. The shape picks a chain (its
+// length and view count) or a random star/snowflake configuration, the
+// generators TestIncrementalChaseDifferentialRandomized draws from, and
+// the seed drives the configuration and a mutation of its query. The
+// incremental engine must apply the naive engine's steps byte for byte,
+// on the query and on the mutation, and answer the goal-directed
+// containment tests alike.
+func FuzzIncrementalChaseMatchesNaive(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*37))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		r := rand.New(rand.NewSource(seed))
+		label := fmt.Sprintf("seed %d shape %d", seed, shape)
+		var q *core.Query
+		var deps []*core.Dependency
+		var opts Options
+		if shape&1 == 0 {
+			n := 2 + int(shape>>1)%7
+			c, err := workload.NewChain(n, 1+int(shape>>4)%min(n-1, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, deps, opts = c.Q, c.Deps, Options{MaxSteps: 2048, MaxBindings: 2048}
+		} else {
+			cfg, _ := workload.RandomStar(r)
+			s, err := workload.NewStar(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, deps = s.Q, s.Deps
+		}
+		assertSameChase(t, label, q, deps, opts)
+		assertSameChase(t, label+" mutated", mutateQuery(r, q), deps, opts)
+		assertSameGoalDirected(t, r, label, q, deps, opts)
+	})
+}
+
+// depsForFeature returns the positions of the dependencies ix indexes
+// under the feature key, in dependency order.
+func depsForFeature(ix *DepIndex, feat string) []int {
+	for b := 0; b < ix.feats.Len(); b++ {
+		if ix.feats.Key(b) == feat {
+			return ix.byBit[b]
+		}
+	}
+	return nil
+}
+
 // TestDepIndexPremiseUnderMultipleNames pins the index shape: a
 // dependency whose premise mentions several schema names (a materialized
 // view over a join) must be reachable from every one of them, and a
@@ -227,7 +277,7 @@ func TestDepIndexPremiseUnderMultipleNames(t *testing.T) {
 	ix := NewDepIndex([]*core.Dependency{viewFwd, idxInv})
 
 	has := func(feat string, dep int) bool {
-		for _, di := range ix.DepsForFeature(feat) {
+		for _, di := range depsForFeature(ix, feat) {
 			if di == dep {
 				return true
 			}
@@ -248,10 +298,10 @@ func TestDepIndexPremiseUnderMultipleNames(t *testing.T) {
 	}
 	// The index-inverse premise mentions SI twice (dom(SI) and SI[k]):
 	// indexed under the name exactly once.
-	if got := ix.DepsForFeature("!SI"); len(got) != 1 || got[0] != 1 {
-		t.Errorf("DepsForFeature(!SI) = %v, want exactly [1]", got)
+	if got := depsForFeature(ix, "!SI"); len(got) != 1 || got[0] != 1 {
+		t.Errorf("depsForFeature(!SI) = %v, want exactly [1]", got)
 	}
-	for _, di := range ix.DepsForFeature("!Fact") {
+	for _, di := range depsForFeature(ix, "!Fact") {
 		if di == 1 {
 			t.Error("index-inverse dependency indexed under conclusion name Fact")
 		}

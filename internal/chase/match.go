@@ -91,15 +91,8 @@ const (
 	leafQuery
 )
 
-// newSearch prepares a search over a program with every slot unset.
-func (cn *Canon) newSearch(p *program, atoms []atom, conds []pcond, m mode) *search {
-	s := &search{}
-	s.reset(cn, p, atoms, conds, m)
-	return s
-}
-
-// spareSearch is newSearch reusing *spare, a search object the canon
-// keeps for one call site.
+// spareSearch prepares a search over a program with every slot unset,
+// reusing *spare, a search object the canon keeps for one call site.
 func (cn *Canon) spareSearch(spare **search, p *program, atoms []atom, conds []pcond, m mode) *search {
 	if *spare == nil {
 		*spare = &search{}

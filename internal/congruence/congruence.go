@@ -390,18 +390,6 @@ func (c *Closure) ClassMembers(t *core.Term) []*core.Term {
 	return out
 }
 
-// Terms returns all interned terms in insertion order.
-func (c *Closure) Terms() []*core.Term {
-	out := make([]*core.Term, len(c.nodes))
-	for i := range c.nodes {
-		out[i] = c.nodes[i].term
-	}
-	return out
-}
-
-// Len returns the number of interned terms.
-func (c *Closure) Len() int { return len(c.nodes) }
-
 // Version returns the union counter. Two equal Versions guarantee every
 // class representative is unchanged in between; any union (asserted or
 // derived) increments it.

@@ -203,8 +203,8 @@ func TestContainsAndLen(t *testing.T) {
 	if !c.Contains(tm) || !c.Contains(core.V("p")) {
 		t.Error("Add must intern term and subterms")
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if len(c.nodes) != 2 {
+		t.Errorf("Len = %d, want 2", len(c.nodes))
 	}
 	if _, ok := c.ID(tm); !ok {
 		t.Error("ID should find interned term")

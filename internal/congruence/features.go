@@ -65,13 +65,6 @@ func (u *Features) Len() int { return len(u.keys) }
 // Key returns the feature key numbered bit.
 func (u *Features) Key(bit int) string { return u.keys[bit] }
 
-// Bit returns the number of a feature key and whether it is in the
-// universe.
-func (u *Features) Bit(key string) (int, bool) {
-	b, ok := u.bit[key]
-	return b, ok
-}
-
 // TermBits returns the bitset of t's feature keys within the universe.
 func (u *Features) TermBits(t *core.Term) FeatureSet {
 	s := make(FeatureSet, u.words)

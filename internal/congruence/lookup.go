@@ -175,9 +175,6 @@ type virtStruct struct {
 	args   []int
 }
 
-// NewProbe returns a probe over the closure.
-func (c *Closure) NewProbe() Probe { return Probe{c: c} }
-
 // Reset forgets every virtual id and points the probe at c, keeping its
 // storage.
 func (p *Probe) Reset(c *Closure) {

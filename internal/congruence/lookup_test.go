@@ -20,7 +20,7 @@ func TestLookupOutcomes(t *testing.T) {
 	c.Merge(v("u"), core.Struct(sf("A", v("d")), sf("B", v("b"))))
 	c.Merge(v("u"), core.Struct(sf("A", v("c"))))
 	c.Freeze()
-	n, ver := c.Len(), c.Version()
+	n, ver := len(c.nodes), c.Version()
 	rep := func(t *core.Term) int {
 		r, ok := c.LookupLeaf(t)
 		if !ok {
@@ -42,7 +42,7 @@ func TestLookupOutcomes(t *testing.T) {
 		t.Errorf("u.A with u = struct(A: d, B: b) = struct(A: c): %v, want Ambiguous", st)
 	}
 
-	p := c.NewProbe()
+	p := Probe{c: c}
 	z1, z2 := p.Leaf(v("z")), p.Leaf(v("z"))
 	if z1 >= 0 || z1 != z2 {
 		t.Errorf("absent leaf z: virtual ids %d, %d; want one negative id", z1, z2)
@@ -59,7 +59,7 @@ func TestLookupOutcomes(t *testing.T) {
 	if _, ok := p.Apply(projA, []int{rep(v("u"))}); ok {
 		t.Error("a probe must not answer an ambiguous projection")
 	}
-	if c.Len() != n || c.Version() != ver {
+	if len(c.nodes) != n || c.Version() != ver {
 		t.Error("lookups changed the closure")
 	}
 }

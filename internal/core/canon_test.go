@@ -126,7 +126,7 @@ func scrambled(q *Query, rng *rand.Rand) *Query {
 	rng.Shuffle(len(r.Conds), func(i, j int) { r.Conds[i], r.Conds[j] = r.Conds[j], r.Conds[i] })
 	for i := range r.Conds {
 		if rng.Intn(2) == 0 {
-			r.Conds[i] = r.Conds[i].Flip()
+			r.Conds[i] = Cond{L: r.Conds[i].R, R: r.Conds[i].L}
 		}
 	}
 	return r
@@ -418,7 +418,7 @@ func withDuplicatedCond(q *Query, rng *rand.Rand) *Query {
 	}
 	c := d.Conds[rng.Intn(len(d.Conds))]
 	if rng.Intn(2) == 0 {
-		c = c.Flip()
+		c = Cond{L: c.R, R: c.L}
 	}
 	d.Conds = append(d.Conds, c)
 	return d

@@ -39,61 +39,6 @@ type Dependency struct {
 // it only asserts equalities among premise paths.
 func (d *Dependency) IsEGD() bool { return len(d.Conclusion) == 0 }
 
-// IsFull reports whether the dependency is full in the sense of the
-// bounded-chase theorem: every conclusion binding variable is forced equal
-// to a premise path by the conclusion conditions. Chasing with full
-// dependencies terminates with a polynomial-size result.
-func (d *Dependency) IsFull() bool {
-	if d.IsEGD() {
-		return true
-	}
-	premVars := make(map[string]bool)
-	for _, b := range d.Premise {
-		premVars[b.Var] = true
-	}
-	// A conclusion variable y is "determined" if some conclusion condition
-	// equates y with a path over premise variables (or previously
-	// determined conclusion variables).
-	determined := make(map[string]bool)
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range d.Conclusion {
-			if determined[b.Var] {
-				continue
-			}
-			for _, c := range d.ConclusionConds {
-				var other *Term
-				if c.L.Kind == KVar && c.L.Name == b.Var {
-					other = c.R
-				} else if c.R.Kind == KVar && c.R.Name == b.Var {
-					other = c.L
-				} else {
-					continue
-				}
-				ok := true
-				for v := range other.Vars() {
-					if !premVars[v] && !determined[v] {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					determined[b.Var] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for _, b := range d.Conclusion {
-		if !determined[b.Var] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the dependency in the assertion syntax of the paper, e.g.
 //
 //	∀(p ∈ Proj, i ∈ dom(I)) i = p.PName and I[i] = p → ...
@@ -214,44 +159,6 @@ func (d *Dependency) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PremiseQuery views the premise of the dependency as a boolean-valued
-// query (select true from premise where premiseConds). Chasing this query
-// and checking that the conclusion holds is how constraint implication is
-// decided (§3, "constraints are viewed as boolean-valued queries").
-func (d *Dependency) PremiseQuery() *Query {
-	return &Query{
-		Out:      C(true),
-		Bindings: append([]Binding(nil), d.Premise...),
-		Conds:    append([]Cond(nil), d.PremiseConds...),
-	}
-}
-
-// RenameVars returns a copy of the dependency with all bound variables
-// renamed by the function.
-func (d *Dependency) RenameVars(rename func(string) string) *Dependency {
-	sub := make(map[string]*Term)
-	for _, b := range d.Premise {
-		sub[b.Var] = V(rename(b.Var))
-	}
-	for _, b := range d.Conclusion {
-		sub[b.Var] = V(rename(b.Var))
-	}
-	nd := &Dependency{Name: d.Name}
-	for _, b := range d.Premise {
-		nd.Premise = append(nd.Premise, Binding{Var: sub[b.Var].Name, Range: b.Range.Subst(sub)})
-	}
-	for _, c := range d.PremiseConds {
-		nd.PremiseConds = append(nd.PremiseConds, Cond{L: c.L.Subst(sub), R: c.R.Subst(sub)})
-	}
-	for _, b := range d.Conclusion {
-		nd.Conclusion = append(nd.Conclusion, Binding{Var: sub[b.Var].Name, Range: b.Range.Subst(sub)})
-	}
-	for _, c := range d.ConclusionConds {
-		nd.ConclusionConds = append(nd.ConclusionConds, Cond{L: c.L.Subst(sub), R: c.R.Subst(sub)})
-	}
-	return nd
 }
 
 // Names returns all schema names mentioned by the dependency.

@@ -244,11 +244,11 @@ func TestHashConsSharesEqualSubterms(t *testing.T) {
 // terms with other queries of the same table, and leaves its input's
 // slices alone.
 func TestHashConsQuery(t *testing.T) {
-	q1 := NewQuery(Prj(Lk(Name("Dept"), V("d")), "DName"),
-		[]Binding{{Var: "d", Range: Dom(Name("Dept"))}},
-		[]Cond{{L: Prj(Lk(Name("Dept"), V("d")), "DName"), R: C("x")}})
-	q2 := NewQuery(Prj(Lk(Name("Dept"), V("d")), "DName"),
-		[]Binding{{Var: "d", Range: Dom(Name("Dept"))}}, nil)
+	q1 := &Query{Out: Prj(Lk(Name("Dept"), V("d")), "DName"),
+		Bindings: []Binding{{Var: "d", Range: Dom(Name("Dept"))}},
+		Conds:    []Cond{{L: Prj(Lk(Name("Dept"), V("d")), "DName"), R: C("x")}}}
+	q2 := &Query{Out: Prj(Lk(Name("Dept"), V("d")), "DName"),
+		Bindings: []Binding{{Var: "d", Range: Dom(Name("Dept"))}}}
 	h := NewHashCons()
 	o1, o2 := h.Query(q1), h.Query(q2)
 	if o1.String() != q1.String() || o2.String() != q2.String() {

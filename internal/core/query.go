@@ -26,14 +26,6 @@ type Cond struct {
 // String renders the condition in "L = R" source syntax.
 func (c Cond) String() string { return c.L.String() + " = " + c.R.String() }
 
-// Flip returns the symmetric condition.
-func (c Cond) Flip() Cond { return Cond{L: c.R, R: c.L} }
-
-// Equal reports equality of conditions up to symmetry.
-func (c Cond) Equal(d Cond) bool {
-	return (c.L.Equal(d.L) && c.R.Equal(d.R)) || (c.L.Equal(d.R) && c.R.Equal(d.L))
-}
-
 // Query is a path-conjunctive query:
 //
 //	select Out from Bindings where Conds
@@ -44,11 +36,6 @@ type Query struct {
 	Out      *Term
 	Bindings []Binding
 	Conds    []Cond
-}
-
-// NewQuery builds a query; it is a convenience for literal construction.
-func NewQuery(out *Term, bindings []Binding, conds []Cond) *Query {
-	return &Query{Out: out, Bindings: bindings, Conds: conds}
 }
 
 // String renders the query in the surface syntax across multiple lines.
@@ -197,85 +184,6 @@ func (q *Query) Validate() error {
 		}
 	}
 	return nil
-}
-
-// CheckPC verifies the PC restrictions of §5 beyond Validate:
-// every failing lookup P[x] must be guarded — there must be a binding
-// "dom(P) y" in the from clause with x = y implied syntactically (we
-// accept x literally equal to a binding var over dom(P), or an explicit
-// where condition x = y). Non-failing lookups are always allowed (they
-// are plan-level operations).
-func (q *Query) CheckPC() error {
-	// Collect guards: for each dom-binding "dom(P) y" remember (P, y).
-	type guard struct {
-		dict *Term
-		v    string
-	}
-	var guards []guard
-	for _, b := range q.Bindings {
-		if b.Range.Kind == KDom {
-			guards = append(guards, guard{dict: b.Range.Base, v: b.Var})
-		}
-	}
-	eq := func(a, b *Term) bool {
-		if a.Equal(b) {
-			return true
-		}
-		for _, c := range q.Conds {
-			if (c.L.Equal(a) && c.R.Equal(b)) || (c.L.Equal(b) && c.R.Equal(a)) {
-				return true
-			}
-		}
-		return false
-	}
-	var check func(t *Term) error
-	check = func(t *Term) error {
-		if t == nil {
-			return nil
-		}
-		switch t.Kind {
-		case KLookup:
-			if !t.NonFailing {
-				ok := false
-				for _, g := range guards {
-					if g.dict.Equal(t.Base) && eq(t.Key, V(g.v)) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return fmt.Errorf("core: unguarded lookup %s (no dom(%s) binding with key equality)", t, t.Base)
-				}
-			}
-			if err := check(t.Base); err != nil {
-				return err
-			}
-			return check(t.Key)
-		case KProj, KDom:
-			return check(t.Base)
-		case KStruct:
-			for _, f := range t.Fields {
-				if err := check(f.Term); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	for _, b := range q.Bindings {
-		if err := check(b.Range); err != nil {
-			return err
-		}
-	}
-	for _, c := range q.Conds {
-		if err := check(c.L); err != nil {
-			return err
-		}
-		if err := check(c.R); err != nil {
-			return err
-		}
-	}
-	return check(q.Out)
 }
 
 // RenameVars returns a copy of the query with every bound variable renamed

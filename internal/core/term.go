@@ -106,15 +106,6 @@ func Prj(base *Term, field string) *Term {
 	return &Term{Kind: KProj, Name: field, Base: base}
 }
 
-// PrjPath applies a sequence of projections: PrjPath(t, "a", "b") = t.a.b.
-func PrjPath(base *Term, fields ...string) *Term {
-	t := base
-	for _, f := range fields {
-		t = Prj(t, f)
-	}
-	return t
-}
-
 // Dom returns dom(dict).
 func Dom(dict *Term) *Term { return &Term{Kind: KDom, Base: dict} }
 
@@ -339,35 +330,6 @@ func (t *Term) MentionsVar(name string) bool {
 	return false
 }
 
-// MentionsAnyVar reports whether any of the given variables occurs in t.
-func (t *Term) MentionsAnyVar(vars map[string]bool) bool {
-	if len(vars) == 0 {
-		return false
-	}
-	return t.mentionsAny(vars)
-}
-
-func (t *Term) mentionsAny(vars map[string]bool) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Kind {
-	case KVar:
-		return vars[t.Name]
-	case KProj, KDom:
-		return t.Base.mentionsAny(vars)
-	case KLookup:
-		return t.Base.mentionsAny(vars) || t.Key.mentionsAny(vars)
-	case KStruct:
-		for _, f := range t.Fields {
-			if f.Term.mentionsAny(vars) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Subst returns the term with every free occurrence of the variables in
 // the substitution replaced. The substitution maps variable names to
 // replacement terms. Subtrees the substitution leaves unchanged are
@@ -485,9 +447,6 @@ func (t *Term) Root() *Term {
 		}
 	}
 }
-
-// IsGround reports whether the term contains no variables.
-func (t *Term) IsGround() bool { return len(t.Vars()) == 0 }
 
 // SortedVars returns the variables of t in sorted order.
 func (t *Term) SortedVars() []string {

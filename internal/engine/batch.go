@@ -69,27 +69,6 @@ func (b *Batch) Len() int {
 	return len(b.cols[0])
 }
 
-// Vars returns the variable names bound by the batch, in binding order.
-// The slice is shared; callers must not mutate it.
-func (b *Batch) Vars() []string { return b.schema.vars }
-
-// Col returns the column of the named variable, or nil when the variable
-// is not part of the batch schema.
-func (b *Batch) Col(v string) []instance.Value {
-	i, ok := b.schema.idx[v]
-	if !ok {
-		return nil
-	}
-	return b.cols[i]
-}
-
-// reset truncates every column to zero rows, keeping capacity.
-func (b *Batch) reset() {
-	for i := range b.cols {
-		b.cols[i] = b.cols[i][:0]
-	}
-}
-
 // appendRow copies row i of src (which must have a schema prefix of b's)
 // and appends val as the trailing column.
 func (b *Batch) appendRow(src *Batch, i int, val instance.Value) {
@@ -104,17 +83,6 @@ func (b *Batch) copyRow(src *Batch, i int) {
 	for j := range src.cols {
 		b.cols[j] = append(b.cols[j], src.cols[j][i])
 	}
-}
-
-// env materializes row i as an evaluation environment — only needed on
-// the row-at-a-time interop paths (error messages, debugging); the hot
-// paths evaluate terms directly against the columns via batchEval.
-func (b *Batch) env(i int) eval.Env {
-	env := make(eval.Env, len(b.schema.vars))
-	for j, v := range b.schema.vars {
-		env[v] = b.cols[j][i]
-	}
-	return env
 }
 
 // batchEval evaluates a path term against row i of the batch without

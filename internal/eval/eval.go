@@ -380,7 +380,9 @@ func Satisfies(d *core.Dependency, in *instance.Instance) (bool, error) {
 }
 
 // SatisfiesAll checks a whole dependency set, returning the first violated
-// dependency's name (empty when all hold).
+// dependency's name (empty when all hold). It is a test oracle: no product
+// path calls it; the test suites use it to check that generated instances
+// satisfy the dependencies the optimizer assumes.
 func SatisfiesAll(deps []*core.Dependency, in *instance.Instance) (string, error) {
 	for _, d := range deps {
 		ok, err := Satisfies(d, in)

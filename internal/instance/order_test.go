@@ -71,22 +71,24 @@ func randomValue(r *rand.Rand) Value {
 	return StructOf("A", Int(r.Intn(20)), "B", Str(fmt.Sprint(r.Intn(4))), "C", inner)
 }
 
-// TestFirstNMatchesElemsPrefix checks FirstN against its definition,
-// Elems()[:min(k, Len())], on random sets — each probed before its key
-// order is cached, so FirstN takes the heap-selection path.
+// TestFirstNMatchesElemsPrefix checks RowSet.FirstN over scalar rows
+// against its definition, Elems()[:min(k, Len())] of a Set of the same
+// values, on random values that nest records and sets.
 func TestFirstNMatchesElemsPrefix(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := r.Intn(60)
+		rows := NewRowSet(nil)
 		elems := make([]Value, n)
 		for i := range elems {
 			elems[i] = randomValue(r)
+			rows.Add([]Value{elems[i]})
 		}
 		ref := NewSet(elems...)
 		want := ref.Elems()
 		size := len(want)
 		for _, k := range []int{-1, 0, 1, size - 1, size, size + 5} {
-			got := NewSet(elems...).FirstN(k)
+			got := rows.FirstN(k)
 			prefix := want
 			if k >= 0 && k < size {
 				prefix = want[:k]
@@ -103,8 +105,8 @@ func TestFirstNMatchesElemsPrefix(t *testing.T) {
 	}
 }
 
-// TestKeySortMemoryBoundedByKeys: sorting a set, in full or only its
-// first k members, allocates in proportion to the total length of the
+// TestKeySortMemoryBoundedByKeys: sorting a set in full, or selecting
+// the first k rows of a RowSet holding its members, allocates in proportion to the total length of the
 // member keys, however unevenly that length is spread. The sets are
 // sets of sets, one member holding thousands of ints (a key tens of KB
 // long) among thousands of one-element sets, with the long key first in
@@ -146,17 +148,26 @@ func TestKeySortMemoryBoundedByKeys(t *testing.T) {
 		// The bound leaves twice that.
 		bound := uint64(16*total + 128*(small+1))
 		for _, tc := range []struct {
-			name string
-			run  func(*Set)
+			name    string
+			prepare func() (run func())
 		}{
-			{"Elems", func(s *Set) { s.Elems() }},
-			{"FirstN", func(s *Set) { s.FirstN(k) }},
+			{"Elems", func() func() {
+				s := build()
+				return func() { s.Elems() }
+			}},
+			{"RowSet.FirstN", func() func() {
+				rows := NewRowSet(nil)
+				for _, v := range build().t.keys {
+					rows.Add([]Value{v})
+				}
+				return func() { rows.FirstN(k) }
+			}},
 		} {
-			s := build()
+			run := tc.prepare()
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
-			tc.run(s)
+			run()
 			runtime.ReadMemStats(&m1)
 			if got := m1.TotalAlloc - m0.TotalAlloc; got > bound {
 				t.Errorf("bigFirst=%v %s: allocated %d bytes for %d bytes of keys, want <= %d", bigFirst, tc.name, got, total, bound)
@@ -178,9 +189,6 @@ func TestOrderCacheInvalidation(t *testing.T) {
 	}
 	if es := s.Elems(); len(es) != 2 || es[0] != Int(1) {
 		t.Errorf("after Add: Elems = %v", es)
-	}
-	if got := s.FirstN(1); len(got) != 1 || got[0] != Int(1) {
-		t.Errorf("after Add: FirstN(1) = %v", got)
 	}
 
 	d := NewDict().Put(Str("b"), Int(2))
@@ -265,16 +273,4 @@ func BenchmarkNewStruct(b *testing.B) {
 		v = NewStruct(names, []Value{Str("P000123"), Int(int64(i)), Str("D00024")})
 	}
 	sink = []Value{v}
-}
-
-// BenchmarkSetFirstN takes the first 1000 elements of a 10^5-element
-// result set whose key order has not been computed, as the default
-// /query row cap does. FirstN caches nothing, so every iteration pays
-// the full selection.
-func BenchmarkSetFirstN(b *testing.B) {
-	s := installedProj()
-	b.ReportAllocs()
-	for b.Loop() {
-		sink = s.FirstN(1000)
-	}
 }

@@ -183,8 +183,8 @@ func (r *RowSet) values(rows []int) []Value {
 }
 
 // FirstN returns the values of the k rows with the smallest keys, in key
-// order: what NewSet of every row's value would return from FirstN(k),
-// all of them when k < 0. It builds only the records it returns. A k
+// order: NewSet of every row's value, Elems()[:k], and all of them when
+// k < 0 or k >= Len. It builds only the records it returns. A k
 // below Len is answered by a bounded heap selection that renders each
 // row's key only up to the first field that tells it from the heap's
 // largest key.

@@ -53,10 +53,6 @@ func checkRowSet(t *testing.T, names []string, rows [][]Value, extraK ...int) {
 			want = elems[:k]
 		}
 		same(fmt.Sprintf("FirstN(%d)", k), r.FirstN(k), want)
-		if k >= 0 && k < n {
-			// The reference's own selection, before its order is cached.
-			same(fmt.Sprintf("Set.FirstN(%d)", k), NewSet(ref.t.keys...).FirstN(k), want)
-		}
 	}
 	s := r.Set()
 	if s.Len() != n || !s.Equal(ref) || !ref.Equal(s) {

@@ -479,27 +479,6 @@ func (s *Set) Elems() []Value {
 	return vals
 }
 
-// FirstN returns the k elements with the smallest keys, in key order:
-// exactly Elems()[:min(k, Len())], and all of Elems() when k < 0. Unless
-// the key order is already known, a k below Len is answered by a bounded
-// heap selection (see firstN) that neither sorts nor caches the whole
-// set. The result is read-only.
-func (s *Set) FirstN(k int) []Value {
-	if o := s.order.Load(); o != nil || k < 0 || k >= s.Len() {
-		vals := s.Elems()
-		if k >= 0 && k < len(vals) {
-			vals = vals[:k:k]
-		}
-		return vals
-	}
-	first := firstN(s.Len(), k, valueKeys(s.t.keys))
-	out := make([]Value, len(first))
-	for j, i := range first {
-		out[j] = s.t.keys[i]
-	}
-	return out
-}
-
 // Equal reports set equality.
 func (s *Set) Equal(t *Set) bool {
 	if s == t {

@@ -77,7 +77,7 @@ func TestPrimaryIndexCompile(t *testing.T) {
 	if fwd.Name != "PhiIA" || len(fwd.Premise) != 1 || len(fwd.Conclusion) != 1 {
 		t.Errorf("unexpected forward dep: %s", fwd)
 	}
-	if !fwd.IsFull() {
+	if !isFull(fwd) {
 		t.Error("primary-index forward constraint should be full (i is determined)")
 	}
 }
@@ -201,7 +201,7 @@ func TestViewCompile(t *testing.T) {
 		}
 	}
 	// Forward dep is full (v determined by the output equality).
-	if !deps[0].IsFull() {
+	if !isFull(deps[0]) {
 		t.Error("ΦV must be full")
 	}
 }

@@ -300,38 +300,6 @@ func (s *Schema) CheckDependency(d *core.Dependency) error {
 	return condSeq(d.ConclusionConds)
 }
 
-// Merge returns a new schema containing the elements and dependencies of
-// both schemas. Shared element names must agree on their types (the
-// logical and physical schema overlap on directly-stored relations).
-func Merge(name string, a, b *Schema) (*Schema, error) {
-	m := New(name)
-	for _, e := range a.Elements() {
-		m.MustAddElement(e.Name, e.Type, e.Doc)
-	}
-	for _, e := range b.Elements() {
-		if prev := m.Element(e.Name); prev != nil {
-			if !prev.Type.Equal(e.Type) {
-				return nil, fmt.Errorf("schema merge: %q has type %s in %s but %s in %s",
-					e.Name, prev.Type, a.Name, e.Type, b.Name)
-			}
-			continue
-		}
-		m.MustAddElement(e.Name, e.Type, e.Doc)
-	}
-	seen := map[string]bool{}
-	for _, d := range append(a.Dependencies(), b.Dependencies()...) {
-		key := d.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if err := m.AddDependency(d); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
 // String lists the schema's elements and constraints.
 func (s *Schema) String() string {
 	out := fmt.Sprintf("schema %s {\n", s.Name)

@@ -214,27 +214,6 @@ func TestAddDependencyChecksNames(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := New("a")
-	a.MustAddElement("R", types.SetOf(types.StructOf(types.F("A", types.Int()))), "")
-	b := New("b")
-	b.MustAddElement("R", types.SetOf(types.StructOf(types.F("A", types.Int()))), "")
-	b.MustAddElement("S", types.SetOf(types.StructOf(types.F("B", types.Int()))), "")
-	m, err := Merge("m", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Has("R") || !m.Has("S") {
-		t.Error("merge lost elements")
-	}
-
-	c := New("c")
-	c.MustAddElement("R", types.SetOf(types.Int()), "")
-	if _, err := Merge("x", a, c); err == nil {
-		t.Error("conflicting types must fail to merge")
-	}
-}
-
 func TestSchemaString(t *testing.T) {
 	s := testSchema(t)
 	str := s.String()

@@ -77,22 +77,6 @@ type HistogramSnapshot struct {
 	Total int64
 }
 
-// UpperBoundsMicros lists, for each non-overflow bucket, the exclusive
-// upper bound in microseconds (the overflow bucket has no bound and is
-// reported as -1). Useful for rendering a snapshot without hard-coding
-// the bucket layout.
-func (s HistogramSnapshot) UpperBoundsMicros() []int64 {
-	b := make([]int64, len(s.Counts))
-	for i := range b {
-		if i == len(s.Counts)-1 {
-			b[i] = -1
-			continue
-		}
-		b[i] = int64(1) << i
-	}
-	return b
-}
-
 // tierHistograms groups the Service's per-tier latency distributions.
 type tierHistograms struct {
 	greedy            LatencyHistogram

@@ -71,19 +71,24 @@ func TestHistogramTotalIsBucketSum(t *testing.T) {
 	}
 }
 
-// TestHistogramUpperBounds: one bound per bucket, powers of two, the
-// overflow bucket marked -1.
+// TestHistogramUpperBounds: bucket i (1 <= i < 31) ends exclusively at
+// 2^i microseconds, bucket 0 below 1 µs, and the last bucket has no
+// upper bound.
 func TestHistogramUpperBounds(t *testing.T) {
-	snap := (&LatencyHistogram{}).Snapshot()
-	bounds := snap.UpperBoundsMicros()
-	if len(bounds) != histogramBuckets {
-		t.Fatalf("len(bounds) = %d, want %d", len(bounds), histogramBuckets)
+	if got := histogramBucketFor(999 * time.Nanosecond); got != 0 {
+		t.Fatalf("sub-microsecond sample in bucket %d, want 0", got)
 	}
-	if bounds[0] != 1 || bounds[1] != 2 || bounds[11] != 2048 {
-		t.Fatalf("bounds prefix %v wrong", bounds[:12])
+	for i := 1; i < histogramBuckets-1; i++ {
+		bound := time.Duration(1<<i) * time.Microsecond
+		if got := histogramBucketFor(bound - time.Microsecond); got != i {
+			t.Fatalf("%v in bucket %d, want %d", bound-time.Microsecond, got, i)
+		}
+		if got := histogramBucketFor(bound); got != i+1 {
+			t.Fatalf("%v in bucket %d, want %d", bound, got, i+1)
+		}
 	}
-	if bounds[len(bounds)-1] != -1 {
-		t.Fatalf("overflow bound = %d, want -1", bounds[len(bounds)-1])
+	if got := histogramBucketFor(1 << 62); got != histogramBuckets-1 {
+		t.Fatalf("overflow sample in bucket %d, want %d", got, histogramBuckets-1)
 	}
 }
 

@@ -424,12 +424,6 @@ func (s *Service) SetStats(st *cost.Stats) {
 	s.statsSwaps.Add(1)
 }
 
-// Stats returns the current statistics snapshot (nil when serving with
-// uniform defaults).
-func (s *Service) Stats() *cost.Stats {
-	return s.stats.Load().stats
-}
-
 // Counters returns a snapshot of the request accounting.
 func (s *Service) Counters() Counters {
 	return Counters{

@@ -558,7 +558,7 @@ func TestStatsSwapFlipStorm(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if svc.Stats() != statsA {
+	if svc.stats.Load().stats != statsA {
 		t.Fatal("the storm must end on snapshot A")
 	}
 	cc := svc.CacheCounters()

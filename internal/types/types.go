@@ -14,7 +14,6 @@ package types
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -289,18 +288,4 @@ func (t *Type) ContainsCollection() bool {
 		}
 	}
 	return false
-}
-
-// FieldNames returns the sorted field names of a struct type, or nil for
-// other kinds. Useful for deterministic iteration in diagnostics.
-func (t *Type) FieldNames() []string {
-	if t == nil || t.Kind != KindStruct {
-		return nil
-	}
-	names := make([]string, len(t.Fields))
-	for i, f := range t.Fields {
-		names[i] = f.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -190,23 +190,6 @@ func TestIsBase(t *testing.T) {
 	}
 }
 
-func TestFieldNames(t *testing.T) {
-	s := StructOf(F("Z", Int()), F("A", Int()), F("M", Int()))
-	got := s.FieldNames()
-	want := []string{"A", "M", "Z"}
-	if len(got) != len(want) {
-		t.Fatalf("FieldNames = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FieldNames = %v, want %v", got, want)
-		}
-	}
-	if Int().FieldNames() != nil {
-		t.Error("FieldNames on non-struct should be nil")
-	}
-}
-
 // TestEqualReflexiveSymmetric exercises Equal with quick-generated shapes
 // built from a small constructor alphabet.
 func TestEqualReflexiveSymmetric(t *testing.T) {

@@ -408,7 +408,9 @@ func (s *Star) Generate(opts StarGenOptions) *instance.Instance {
 // calibration suite runs dozens of cases. The instance is always
 // consistent (NumDim >= DomA so every selection constant hits a
 // dimension row and every index/view is fully materialized), so measured
-// executions of equivalent plans agree.
+// executions of equivalent plans agree. It is a test oracle: no product
+// path calls it; the randomized differential suites draw their inputs
+// from it.
 func RandomStar(r *rand.Rand) (StarConfig, StarGenOptions) {
 	cfg := StarConfig{
 		Dims:          1,

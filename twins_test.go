@@ -27,19 +27,17 @@ var referenceTwins = map[string]string{
 	"referenceExecutablePool": "",
 }
 
-// TestReferenceTwinsStayFixtures parses every non-test Go file of the
-// module and fails on any mention of a reference twin outside the
-// allowed places, so no product caller (or cache key) can reach the
-// naive chase or the string-keyed rewriting.
-func TestReferenceTwinsStayFixtures(t *testing.T) {
-	fset := token.NewFileSet()
-	checked := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+// parseNonTest parses every non-test Go file under root, skipping hidden
+// directories, testdata and nested modules, and hands fn each file with
+// its slash-separated directory.
+func parseNonTest(t *testing.T, fset *token.FileSet, root string, fn func(dir string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == "." {
+			if path == root {
 				return nil
 			}
 			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
@@ -54,13 +52,28 @@ func TestReferenceTwinsStayFixtures(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if dir == "internal/bench" {
-			return nil
-		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		fn(filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReferenceTwinsStayFixtures parses every non-test Go file of the
+// module and fails on any mention of a reference twin outside the
+// allowed places, so no product caller (or cache key) can reach the
+// naive chase or the string-keyed rewriting.
+func TestReferenceTwinsStayFixtures(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	parseNonTest(t, fset, ".", func(dir string, f *ast.File) {
+		if dir == "internal/bench" {
+			return
 		}
 		checked++
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -84,12 +97,61 @@ func TestReferenceTwinsStayFixtures(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if checked == 0 {
 		t.Fatal("no Go files checked: the walk must start at the module root")
+	}
+}
+
+// testOracles are the exported functions under internal/ that only
+// tests call, each documented as a test oracle, by name and package
+// directory.
+var testOracles = map[string]string{
+	"SatisfiesAll": "internal/eval",
+	"RandomStar":   "internal/workload",
+}
+
+// TestNoTestOnlyExports keeps product API that only tests reach from
+// growing back. It parses every non-test Go file of the module and of the
+// cnbbench harness (a caller only) and fails on any exported function or
+// method declared under internal/ whose name appears as an identifier
+// nowhere but at function declarations, and on any test oracle that is
+// gone or has gained a caller. The rule is by name, with no type check:
+// a use of any function of the same name counts.
+func TestNoTestOnlyExports(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	declared := map[string][]string{} // name -> "dir/file:line:col" of each declaration under internal/
+	for _, root := range []string{".", "cnbbench"} {
+		parseNonTest(t, fset, root, func(dir string, f *ast.File) {
+			var declName *ast.Ident
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					declName = n.Name
+					if strings.HasPrefix(dir, "internal/") && n.Name.IsExported() {
+						declared[n.Name.Name] = append(declared[n.Name.Name], fset.Position(n.Name.Pos()).String())
+					}
+				case *ast.Ident:
+					if n != declName {
+						used[n.Name] = true
+					}
+				}
+				return true
+			})
+		})
+	}
+	if len(declared) == 0 {
+		t.Fatal("no exported functions found: the walk must start at the module root")
+	}
+	for name, at := range declared {
+		if _, oracle := testOracles[name]; !oracle && !used[name] {
+			t.Errorf("%s: exported %s has no non-test caller; delete it or move it into a _test.go file", strings.Join(at, ", "), name)
+		}
+	}
+	for name, dir := range testOracles {
+		if at := declared[name]; len(at) != 1 || !strings.HasPrefix(at[0], dir+"/") || used[name] {
+			t.Errorf("test oracle %s of %s is declared at %v and used outside tests: %v; update testOracles", name, dir, at, used[name])
+		}
 	}
 }
